@@ -21,6 +21,19 @@ import (
 	"repro/internal/xpath"
 )
 
+// broadcast is the pre-engine fan-out the routed-dispatch benchmarks compare
+// against: every batch of the one scan goes to every machine.
+type broadcast []*twigm.Run
+
+func (b broadcast) HandleBatch(evs []sax.Event) error {
+	for _, r := range b {
+		if err := r.HandleBatch(evs); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // proteinDoc caches a 4MiB protein corpus across benchmarks.
 var proteinDoc = func() string {
 	return datagen.Protein{TargetBytes: 4 << 20, Seed: 1}.String()
@@ -29,7 +42,7 @@ var proteinDoc = func() string {
 // BenchmarkE1ParseOnly measures the SAX-parsing share of E1 (the paper's
 // 4.43s of 6.02s): a pure scan with a no-op handler.
 func BenchmarkE1ParseOnly(b *testing.B) {
-	nop := sax.HandlerFunc(func(*sax.Event) error { return nil })
+	nop := sax.PerEvent(func(*sax.Event) error { return nil })
 	b.SetBytes(int64(len(proteinDoc)))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -258,7 +271,7 @@ func BenchmarkAblationPrune(b *testing.B) {
 // BenchmarkScannerVsEncodingXML compares the two SAX front-ends; the choice
 // dominates E1's absolute numbers.
 func BenchmarkScannerVsEncodingXML(b *testing.B) {
-	nop := sax.HandlerFunc(func(*sax.Event) error { return nil })
+	nop := sax.PerEvent(func(*sax.Event) error { return nil })
 	b.Run("xmlscan", func(b *testing.B) {
 		b.SetBytes(int64(len(proteinDoc)))
 		for i := 0; i < b.N; i++ {
@@ -319,8 +332,7 @@ func BenchmarkQuerySetSharedScan(b *testing.B) {
 // seed's broadcast fan-out on 100 standing queries of which ~90 match
 // nothing in the document. The broadcast arm reproduces the pre-engine
 // QuerySet path exactly: one machine per query, every event delivered to
-// every machine through sax.Fanout, a fresh non-interning scanner per
-// document.
+// every machine (broadcast), a fresh non-interning scanner per document.
 func BenchmarkQuerySetSparse(b *testing.B) {
 	doc := datagen.Ticker{Trades: 2000, Seed: 1}.String()
 	sources := datagen.SparseTickerQueries(10, 90)
@@ -345,7 +357,7 @@ func BenchmarkQuerySetSparse(b *testing.B) {
 		b.SetBytes(int64(len(doc)))
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			handlers := make(sax.Fanout, len(progs))
+			handlers := make(broadcast, len(progs))
 			for j, p := range progs {
 				handlers[j] = p.Start(twigm.Options{CountOnly: true})
 			}
@@ -487,7 +499,7 @@ func BenchmarkQuerySetRepeatedStream(b *testing.B) {
 		b.SetBytes(int64(len(doc)))
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			var handlers sax.Fanout
+			var handlers broadcast
 			for _, progs := range queries {
 				for _, p := range progs {
 					handlers = append(handlers, p.Start(twigm.Options{CountOnly: true}))

@@ -1,19 +1,15 @@
 // Command vitexbench regenerates the quantitative claims of the ViteX paper
-// (experiments E1-E8; see DESIGN.md §3 and EXPERIMENTS.md). At the default
+// (experiments E1-E9; see DESIGN.md §3 and EXPERIMENTS.md). At the default
 // scale it reproduces the paper's setting — a 75MB protein corpus — which
 // takes a few seconds per experiment plus one-time corpus generation; use
 // -mb to scale down.
 //
-// It also maintains the repository's machine-readable performance trajectory:
-// `vitexbench -exp bench` runs the engine workloads (single query, and routed
-// QuerySet evaluation at 1/10/100 standing queries) and writes one
-// BENCH_<workload>.json per workload — events/sec, ns/event, allocs/op, peak
-// stack entries — so later engine changes can diff against committed numbers.
+// The repository's performance benchmark is not here: see bench/README.md
+// (`bash bench/run.sh`).
 //
 // Usage:
 //
-//	vitexbench [-exp e1,e2,...,bench|all] [-mb 75] [-seed 1] [-dir cache-dir]
-//	           [-benchdir .] [-trades 20000]
+//	vitexbench [-exp e1,e2,...|all] [-mb 75] [-seed 1] [-dir cache-dir]
 package main
 
 import (
@@ -35,14 +31,10 @@ func main() {
 
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("vitexbench", flag.ContinueOnError)
-	exp := fs.String("exp", "all", "comma-separated experiments (e1..e9, bench, bench-smoke) or 'all'")
+	exp := fs.String("exp", "all", "comma-separated experiments (e1..e9) or 'all'")
 	mb := fs.Int("mb", 75, "protein corpus size in MiB (paper: 75)")
 	seed := fs.Int64("seed", 1, "generator seed")
 	dir := fs.String("dir", "", "corpus cache directory (default: OS temp dir)")
-	benchDir := fs.String("benchdir", ".", "directory for BENCH_*.json files (-exp bench)")
-	trades := fs.Int("trades", 20000, "ticker feed size for -exp bench")
-	overlap := fs.Float64("overlap", 0.9, "fraction of queries sharing a prefix in the queryset_*_overlap/1000/10000 workloads")
-	baseline := fs.String("baseline", "", "directory with committed BENCH_*.json records; compare queryset_100 ns/event and fail on a >20% regression")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -144,32 +136,6 @@ func run(args []string, stdout io.Writer) error {
 			return fmt.Errorf("E9: %w", err)
 		}
 		section(res.Table)
-	}
-	if want["bench"] || want["bench-smoke"] {
-		smoke := !want["bench"]
-		if err := benchWorkloads(*benchDir, *trades, *overlap, smoke, stdout); err != nil {
-			return fmt.Errorf("bench: %w", err)
-		}
-		// The pure-scan workload runs in smoke too: the CI bench guard
-		// compares its ticker MB/s against the committed baseline.
-		if err := scannerThroughput(*benchDir, *trades, smoke, stdout); err != nil {
-			return fmt.Errorf("bench: scanner_throughput: %w", err)
-		}
-		if !smoke {
-			if err := serverThroughput(*benchDir, *trades, stdout); err != nil {
-				return fmt.Errorf("bench: server_throughput: %w", err)
-			}
-		}
-		// The recovery workload runs in smoke too: the CI bench guard
-		// compares its replay rate against the committed baseline.
-		if err := serverRecovery(*benchDir, stdout); err != nil {
-			return fmt.Errorf("bench: server_recovery: %w", err)
-		}
-		if *baseline != "" {
-			if err := checkBaseline(*benchDir, *baseline, stdout); err != nil {
-				return err
-			}
-		}
 	}
 	return nil
 }

@@ -2,9 +2,6 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -33,48 +30,6 @@ func TestBenchE1SmallScale(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "SAX parse only") {
 		t.Fatalf("report:\n%s", out.String())
-	}
-}
-
-func TestBenchJSONWorkloads(t *testing.T) {
-	dir := t.TempDir()
-	var out bytes.Buffer
-	// Tiny feed so each measured iteration is fast.
-	if err := run([]string{"-exp", "bench", "-benchdir", dir, "-trades", "50"}, &out); err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range []string{"single_query", "queryset_1", "queryset_10", "queryset_100"} {
-		data, err := os.ReadFile(filepath.Join(dir, "BENCH_"+name+".json"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var rec BenchRecord
-		if err := json.Unmarshal(data, &rec); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if rec.Name != name || rec.Events <= 0 || rec.EventsPerSec <= 0 || rec.NsPerEvent <= 0 {
-			t.Fatalf("%s: implausible record %+v", name, rec)
-		}
-	}
-	if !strings.Contains(out.String(), "queryset_100") {
-		t.Fatalf("missing summary line:\n%s", out.String())
-	}
-	// The durability workload writes its own record shape.
-	data, err := os.ReadFile(filepath.Join(dir, "BENCH_server_recovery.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rec RecoveryBenchRecord
-	if err := json.Unmarshal(data, &rec); err != nil {
-		t.Fatal(err)
-	}
-	if rec.Name != "server_recovery" || len(rec.Scales) == 0 {
-		t.Fatalf("implausible recovery record %+v", rec)
-	}
-	for _, s := range rec.Scales {
-		if s.Docs <= 0 || s.WALBytes <= 0 || s.RecoverMs <= 0 || s.ReplayDocsPerSec <= 0 {
-			t.Fatalf("implausible recovery scale %+v", s)
-		}
 	}
 }
 

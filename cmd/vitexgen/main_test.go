@@ -21,7 +21,7 @@ func gen(t *testing.T, args ...string) string {
 
 func assertWellFormed(t *testing.T, doc string) {
 	t.Helper()
-	nop := sax.HandlerFunc(func(*sax.Event) error { return nil })
+	nop := sax.PerEvent(func(*sax.Event) error { return nil })
 	if err := sax.NewStdDriver(strings.NewReader(doc)).Run(nop); err != nil {
 		t.Fatalf("output malformed: %v", err)
 	}

@@ -48,7 +48,7 @@ func main() {
 	}
 	t := metrics.StartTimer()
 	events := 0
-	err = xmlscan.NewScanner(f).Run(sax.HandlerFunc(func(*sax.Event) error { events++; return nil }))
+	err = xmlscan.NewScanner(f).Run(sax.PerEvent(func(*sax.Event) error { events++; return nil }))
 	f.Close()
 	if err != nil {
 		log.Fatal(err)

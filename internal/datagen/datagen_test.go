@@ -11,7 +11,7 @@ import (
 // wellFormed checks a generated document parses with the std front-end.
 func wellFormed(t *testing.T, doc string) (elements, texts int) {
 	t.Helper()
-	h := sax.HandlerFunc(func(ev *sax.Event) error {
+	h := sax.PerEvent(func(ev *sax.Event) error {
 		switch ev.Kind {
 		case sax.StartElement:
 			elements++

@@ -56,10 +56,12 @@ type Document struct {
 	NumNodes int
 }
 
-// Build materializes the document produced by a sax.Driver.
+// Build materializes the document produced by a sax.Driver. The tree keeps
+// every string it is handed, so text and attribute values — transient per the
+// sax.Handler lifetime rule — are cloned on the way in.
 func Build(d sax.Driver) (*Document, error) {
 	b := &builder{}
-	if err := d.Run(b); err != nil {
+	if err := d.Run(sax.PerEvent(b.handle)); err != nil {
 		return nil, err
 	}
 	return b.doc, nil
@@ -71,7 +73,7 @@ type builder struct {
 	seq   int
 }
 
-func (b *builder) HandleEvent(ev *sax.Event) error {
+func (b *builder) handle(ev *sax.Event) error {
 	switch ev.Kind {
 	case sax.StartDocument:
 		b.doc = &Document{}
@@ -80,6 +82,9 @@ func (b *builder) HandleEvent(ev *sax.Event) error {
 		b.seq++
 		if len(ev.Attrs) > 0 {
 			n.Attrs = append([]sax.Attr(nil), ev.Attrs...)
+			for i := range n.Attrs {
+				n.Attrs[i].Value = strings.Clone(n.Attrs[i].Value)
+			}
 			// Reserve sequence numbers so attribute nodes sort right
 			// after their owner, in document order.
 			b.seq += len(ev.Attrs)
@@ -97,7 +102,7 @@ func (b *builder) HandleEvent(ev *sax.Event) error {
 		b.stack = b.stack[:len(b.stack)-1]
 	case sax.Text:
 		p := b.stack[len(b.stack)-1]
-		n := &Node{Kind: TextNode, Text: ev.Text, Depth: ev.Depth, Seq: b.seq, Parent: p}
+		n := &Node{Kind: TextNode, Text: strings.Clone(ev.Text), Depth: ev.Depth, Seq: b.seq, Parent: p}
 		b.seq++
 		p.Children = append(p.Children, n)
 		b.doc.NumNodes++

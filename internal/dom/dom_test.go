@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/datagen"
 	"repro/internal/sax"
+	"repro/internal/sax/saxtest"
 	"repro/internal/xmlscan"
 )
 
@@ -170,7 +171,7 @@ func TestSerializeEscapes(t *testing.T) {
 
 func TestBuildFromCustomScanner(t *testing.T) {
 	doc := `<r><a id="1">t</a></r>`
-	d1, err := Build(xmlscan.NewScanner(strings.NewReader(doc)))
+	d1, err := Build(saxtest.PoisonDriver(xmlscan.NewScanner(strings.NewReader(doc))))
 	if err != nil {
 		t.Fatal(err)
 	}

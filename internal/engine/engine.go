@@ -27,7 +27,7 @@
 //     result element, whatever its names; such machines are temporarily
 //     promoted to a full feed.
 //
-// The dynamic conditions change only inside HandleEvent, so the engine
+// The dynamic conditions change only inside a delivery, so the engine
 // refreshes a machine's routing membership exactly when it delivers an event
 // to it.
 //
@@ -104,51 +104,7 @@ type Engine struct {
 	// evalHist records each serial stream's evaluation cost as ns/event:
 	// two clock reads per document, so it is always on.
 	evalHist obs.Histogram
-
-	// Hot-path attribution sampling (EnableHotStats): every hotEvery-th
-	// serial stream runs the timed route variant, which splits the
-	// stream's wall clock into scan, shared-trie and machine-delivery
-	// nanoseconds. Accumulators are cumulative; see Metrics.Hot.
-	hotEvery     atomic.Int64
-	hotTick      atomic.Int64
-	hotStreams   atomic.Int64
-	hotEvents    atomic.Int64
-	hotScanNs    atomic.Int64
-	hotTrieNs    atomic.Int64
-	hotMachineNs atomic.Int64
-
-	// scanBatch is the per-stream event-batch override (SetScanBatch):
-	// 0 = scanner default, < 0 = batching disabled (per-event delivery).
-	scanBatch atomic.Int64
 }
-
-// SetScanBatch overrides how many scanner events are delivered to sessions
-// per sax.BatchHandler call on subsequent streams (custom scanner only; the
-// std-parser path is always per-event). n > 0 sets the batch size, n == 0
-// restores the scanner default (xmlscan.DefaultEventBatch), n < 0 disables
-// batching entirely so events arrive one HandleEvent at a time — the A/B
-// configurations the scanner-bandwidth experiments sweep.
-func (e *Engine) SetScanBatch(n int) { e.scanBatch.Store(int64(n)) }
-
-// scanBatchEvents resolves the SetScanBatch override to the value handed to
-// xmlscan.Scanner.SetEventBatch (where 0 means "per-event").
-func (e *Engine) scanBatchEvents() int {
-	switch n := e.scanBatch.Load(); {
-	case n == 0:
-		return xmlscan.DefaultEventBatch
-	case n < 0:
-		return 0
-	default:
-		return int(n)
-	}
-}
-
-// EnableHotStats makes every every-th serial Stream run with timed routing,
-// attributing its wall clock across scan, shared-trie and machine stages
-// (Metrics.Hot). every <= 0 disables sampling (the default); 1 times every
-// stream. Timed streams pay two clock reads per event, so sample sparsely
-// on hot services. Parallel evaluation is never timed.
-func (e *Engine) EnableHotStats(every int) { e.hotEvery.Store(int64(every)) }
 
 // EvalHistogram returns the distribution of per-stream evaluation cost in
 // nanoseconds per scan event, cumulative over the engine's lifetime.
@@ -193,7 +149,6 @@ func NewConfigured(cfg Config, queries ...*xpath.Query) (*Engine, error) {
 	}
 	ep.elemSubs = make([][]int32, e.syms.Len()+1)
 	ep.attrSubs = make([][]int32, e.syms.Len()+1)
-	ep.outputSubs = make([][]int32, e.syms.Len()+1)
 	for i, p := range ep.progs {
 		ep.subscribe(int32(i), p)
 	}
@@ -285,16 +240,12 @@ func (s Snapshot) StreamContext(ctx context.Context, r io.Reader, useStdParser b
 	ses.sync(ep)
 	ses.reset(opts)
 	ses.ctx, ses.done = ctx, ctx.Done()
-	if every := e.hotEvery.Load(); every > 0 && e.hotTick.Add(1)%every == 0 {
-		ses.rt.timed = true
-	}
 
 	var drv sax.Driver
 	if useStdParser {
 		drv = sax.NewStdDriverWith(r, e.syms)
 	} else {
 		ses.scan.Reset(r)
-		ses.scan.SetEventBatch(e.scanBatchEvents())
 		drv = ses.scan
 	}
 	start := time.Now()
@@ -312,20 +263,6 @@ func (s Snapshot) StreamContext(ctx context.Context, r io.Reader, useStdParser b
 	e.triePushes.Add(ses.rt.prun.Pushes())
 	if ses.events > 0 {
 		e.evalHist.ObserveNs(durNs / ses.events)
-	}
-	if ses.rt.timed {
-		ses.rt.timed = false
-		e.hotStreams.Add(1)
-		e.hotEvents.Add(ses.events)
-		e.hotTrieNs.Add(ses.rt.trieNs)
-		e.hotMachineNs.Add(ses.rt.machineNs)
-		// Scan is the remainder: everything the stream spent outside
-		// trie pushes and machine deliveries (parsing, routing-table
-		// lookups). Clamp against clock skew on near-empty documents.
-		if scan := durNs - ses.rt.trieNs - ses.rt.machineNs; scan > 0 {
-			e.hotScanNs.Add(scan)
-		}
-		ses.rt.trieNs, ses.rt.machineNs = 0, 0
 	}
 	stats := make([]twigm.Stats, len(ep.live))
 	for d, slot := range ep.live {
@@ -345,7 +282,6 @@ func (s Snapshot) StreamContext(ctx context.Context, r io.Reader, useStdParser b
 //
 //vitex:pooled
 type session struct {
-	eng *Engine //vitex:keep engine identity, constant for the session's life
 	// ep is the epoch the slot-indexed state below matches.
 	ep   *epoch       //vitex:keep resync state, realigned by sync() per checkout
 	runs []*twigm.Run // slot -> run (nil for tombstoned slots)
@@ -362,17 +298,10 @@ type session struct {
 	events   int64
 	elements int64
 	maxDepth int
-
-	// recordable: at least one machine of the current stream serializes
-	// fragments (not CountOnly) — gates attribute-value interest.
-	recordable bool
 }
 
 func newSession(e *Engine) *session {
-	return &session{
-		eng:  e,
-		scan: xmlscan.NewScannerWith(nil, e.syms),
-	}
+	return &session{scan: xmlscan.NewScannerWith(nil, e.syms)}
 }
 
 // sync aligns the session's slot-indexed state with ep. Steady state (no
@@ -420,17 +349,8 @@ func rekeyRuns(old *epoch, oldRuns []*twigm.Run, ep *epoch) []*twigm.Run {
 }
 
 func (s *session) reset(opts []twigm.Options) {
-	s.recordable = false
 	for d, slot := range s.ep.live {
-		if !opts[d].CountOnly {
-			s.recordable = true
-		}
-		ro := opts[d]
-		// Engine sessions may receive batched events whose Text/Attr.Value
-		// strings die when HandleBatch returns (sax.BatchHandler contract),
-		// so any value a machine retains past the event must be copied.
-		ro.CopyValues = true
-		s.runs[slot].Reset(ro)
+		s.runs[slot].Reset(opts[d])
 		if a := s.ep.anchors[slot]; a >= 0 {
 			// Anchored residual machines read their trie node's shared
 			// stack; rebind every stream (the session may have resynced
@@ -444,82 +364,33 @@ func (s *session) reset(opts []twigm.Options) {
 	s.rt.reset()
 }
 
-// WantsTextEvent implements sax.TextInterest: when no machine is in the
-// text-routing set, the next text event will be delivered to nobody, so the
-// scanner may skip materializing its content (the event itself still
-// arrives and ticks the shared clock). Serial evaluation only — the
-// parallel producer batches events for several workers whose text sets
-// evolve independently, so it does not implement the interface.
-//
-//vitex:hotpath
-func (s *session) WantsTextEvent() bool { return len(s.rt.textSet.items) > 0 }
-
-// WantsAttrValue implements sax.AttrInterest: an attribute value can only be
-// observed by a machine testing that attribute name, by a machine already
-// serializing a fragment, or by a machine that might START a fragment on
-// this very element — one whose OUTPUT element node matches the tag name
-// (fragments open with the full tag, attributes included), in a stream that
-// records fragments at all (not CountOnly). Everything else lets the
-// scanner skip materializing the value. Missing routing information (an
-// uninterned ID) answers true, matching the router's broadcast fallback.
-//
-//vitex:hotpath
-func (s *session) WantsAttrValue(elemID, attrID int32) bool {
-	ep := s.ep
-	if len(s.rt.fullSet.items) > 0 {
-		return true
-	}
-	if elemID == sax.SymNone || attrID == sax.SymNone {
-		return true
-	}
-	if attrID > 0 && int(attrID) < len(ep.attrSubs) && len(ep.attrSubs[attrID]) > 0 {
-		return true
-	}
-	if !s.recordable {
-		return false
-	}
-	if len(ep.outputWild) > 0 {
-		return true
-	}
-	return elemID > 0 && int(elemID) < len(ep.outputSubs) && len(ep.outputSubs[elemID]) > 0
-}
-
-// HandleEvent implements sax.Handler: it counts the scan's shared-level
-// quantities and routes the event to the machines subscribed to it.
-//
-//vitex:hotpath
-func (s *session) HandleEvent(ev *sax.Event) error {
-	if s.done != nil {
-		select {
-		case <-s.done:
-			return s.ctx.Err()
-		default:
-		}
-	}
-	s.events++
-	if ev.Kind == sax.StartElement {
-		s.elements++
-		if ev.Depth > s.maxDepth {
-			s.maxDepth = ev.Depth
-		}
-	}
-	return s.rt.route(ev, s.events)
-}
-
-// HandleBatch implements sax.BatchHandler: the scanner hands over events in
-// arrays, amortizing the per-event interface dispatch into one direct-call
-// loop. Routing, counters, the event clock and the per-event cancellation
-// poll are identical to per-event delivery. Event strings are transient per
-// the batch contract; the machines run with twigm.Options.CopyValues, so
-// anything a candidate retains is copied inside the route.
+// HandleBatch implements sax.Handler: it counts the scan's shared-level
+// quantities and routes each event to the machines subscribed to it. Event
+// strings are transient per the sax.Handler lifetime rule; the machines
+// clone anything a candidate retains inside the route.
 //
 //vitex:hotpath
 func (s *session) HandleBatch(evs []sax.Event) error {
-	// The per-event cancellation poll stays inside the loop: a cancelled
-	// stream must deliver no further results, not even from events already
-	// queued in the same batch (see TestCancelDuringEmit).
 	for i := range evs {
-		if err := s.HandleEvent(&evs[i]); err != nil {
+		ev := &evs[i]
+		// The cancellation poll is per event: a cancelled stream must
+		// deliver no further results, not even from events already queued in
+		// the same batch (see TestCancelDuringEmit).
+		if s.done != nil {
+			select {
+			case <-s.done:
+				return s.ctx.Err()
+			default:
+			}
+		}
+		s.events++
+		if ev.Kind == sax.StartElement {
+			s.elements++
+			if ev.Depth > s.maxDepth {
+				s.maxDepth = ev.Depth
+			}
+		}
+		if err := s.rt.route(ev, s.events); err != nil {
 			return err
 		}
 	}
@@ -570,14 +441,6 @@ type router struct {
 
 	// deliveries counts machine wake-ups this stream (dispatch metrics).
 	deliveries int64
-
-	// Hot-stats sampling (Engine.EnableHotStats): timed selects the timed
-	// route variant for this stream; trieNs/machineNs accumulate the
-	// stream's shared-trie and machine-delivery nanoseconds, drained by
-	// StreamContext after the run.
-	timed     bool  //vitex:keep set per stream by StreamContext, cleared by it after the run
-	trieNs    int64 //vitex:keep drained and zeroed by StreamContext after a timed run
-	machineNs int64 //vitex:keep drained and zeroed by StreamContext after a timed run
 }
 
 // init wires the router over runs (indexed by global machine id) with the
@@ -662,9 +525,6 @@ func (rt *router) deliver(i int32, ev *sax.Event, idx int64) error {
 //
 //vitex:hotpath
 func (rt *router) route(ev *sax.Event, idx int64) error {
-	if rt.timed {
-		return rt.routeTimed(ev, idx)
-	}
 	switch ev.Kind {
 	case sax.StartElement:
 		rt.prun.StartElement(ev)
@@ -697,52 +557,6 @@ func (rt *router) route(ev *sax.Event, idx int64) error {
 		}
 	}
 	return nil
-}
-
-// routeTimed is route with per-stage clock reads: shared-trie pushes/pops
-// and machine-delivery loops are bracketed by time.Now pairs whose deltas
-// accumulate into trieNs/machineNs; everything else in the stream's wall
-// clock is attributed to the scan by StreamContext. Dispatch order and
-// semantics are identical to route — only clock reads are added — so a
-// timed stream delivers byte-identical results.
-//
-//vitex:hotpath
-func (rt *router) routeTimed(ev *sax.Event, idx int64) error {
-	switch ev.Kind {
-	case sax.StartElement:
-		t0 := time.Now()
-		rt.prun.StartElement(ev)
-		rt.trieNs += time.Since(t0).Nanoseconds()
-		return rt.deliverAllTimed(rt.startSubscribers(ev), ev, idx)
-	case sax.EndElement:
-		if err := rt.deliverAllTimed(rt.snapshot(&rt.endSet), ev, idx); err != nil {
-			return err
-		}
-		t0 := time.Now()
-		rt.prun.EndElement(ev.Depth)
-		rt.trieNs += time.Since(t0).Nanoseconds()
-	case sax.Text:
-		return rt.deliverAllTimed(rt.snapshot(&rt.textSet), ev, idx)
-	default:
-		return rt.deliverAllTimed(rt.machines, ev, idx)
-	}
-	return nil
-}
-
-// deliverAllTimed delivers the event to every listed machine with the loop
-// bracketed by one clock pair, accumulating into machineNs.
-//
-//vitex:hotpath
-func (rt *router) deliverAllTimed(list []int32, ev *sax.Event, idx int64) error {
-	t0 := time.Now()
-	var err error
-	for _, i := range list {
-		if err = rt.deliver(i, ev, idx); err != nil {
-			break
-		}
-	}
-	rt.machineNs += time.Since(t0).Nanoseconds()
-	return err
 }
 
 // startSubscribers collects, deduplicates and orders the routed machines

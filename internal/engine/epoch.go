@@ -68,12 +68,6 @@ type epoch struct {
 	elemSubs [][]int32 // NameID -> live slots subscribed to the element name
 	attrSubs [][]int32 // NameID -> live slots subscribed to the attribute name
 	wild     []int32   // live slots with a '*' element node
-	// outputSubs/outputWild index machines by their OUTPUT element name: the
-	// only machines that can start a fragment recording on an element with
-	// that name. Attribute-value interest routing (sax.AttrInterest) reads
-	// them; they are maintained exactly like elemSubs/wild.
-	outputSubs [][]int32
-	outputWild []int32
 
 	// trie is the shared prefix trie of this membership (nil when the
 	// engine was built with prefix sharing disabled); anchors maps slot ->
@@ -95,16 +89,14 @@ type epoch struct {
 //vitex:cowmut builds the next epoch before publication
 func (ep *epoch) clone(symsLen int) *epoch {
 	next := &epoch{
-		seq:        ep.seq + 1,
-		progs:      append([]*twigm.Program(nil), ep.progs...),
-		elemSubs:   growSubs(ep.elemSubs, symsLen),
-		attrSubs:   growSubs(ep.attrSubs, symsLen),
-		wild:       ep.wild,
-		outputSubs: growSubs(ep.outputSubs, symsLen),
-		outputWild: ep.outputWild,
-		trie:       ep.trie,
-		anchors:    append([]int32(nil), ep.anchors...),
-		garbage:    ep.garbage,
+		seq:      ep.seq + 1,
+		progs:    append([]*twigm.Program(nil), ep.progs...),
+		elemSubs: growSubs(ep.elemSubs, symsLen),
+		attrSubs: growSubs(ep.attrSubs, symsLen),
+		wild:     ep.wild,
+		trie:     ep.trie,
+		anchors:  append([]int32(nil), ep.anchors...),
+		garbage:  ep.garbage,
 	}
 	return next
 }
@@ -136,11 +128,6 @@ func (ep *epoch) subscribe(slot int32, p *twigm.Program) {
 	if p.HasWildcardElem() {
 		ep.wild = append(ep.wild, slot)
 	}
-	if id, wildcard := p.OutputElemNameID(); wildcard {
-		ep.outputWild = append(ep.outputWild, slot)
-	} else if id > 0 {
-		ep.outputSubs[id] = append(ep.outputSubs[id], slot)
-	}
 }
 
 // unsubscribe rebuilds (fresh backing — older epochs keep reading the old
@@ -156,11 +143,6 @@ func (ep *epoch) unsubscribe(slot int32, p *twigm.Program) {
 	}
 	if p.HasWildcardElem() {
 		ep.wild = without(ep.wild, slot)
-	}
-	if id, wildcard := p.OutputElemNameID(); wildcard {
-		ep.outputWild = without(ep.outputWild, slot)
-	} else if id > 0 {
-		ep.outputSubs[id] = without(ep.outputSubs[id], slot)
 	}
 }
 
@@ -210,13 +192,12 @@ func (ep *epoch) slotOf(p *twigm.Program) int32 {
 //vitex:cowmut builds the compacted epoch before publication
 func (ep *epoch) compact(symsLen int) *epoch {
 	next := &epoch{
-		seq:        ep.seq, // compaction rides the mutation that triggered it
-		progs:      make([]*twigm.Program, 0, len(ep.live)),
-		elemSubs:   make([][]int32, symsLen+1),
-		attrSubs:   make([][]int32, symsLen+1),
-		outputSubs: make([][]int32, symsLen+1),
-		trie:       ep.trie,
-		anchors:    make([]int32, 0, len(ep.live)),
+		seq:      ep.seq, // compaction rides the mutation that triggered it
+		progs:    make([]*twigm.Program, 0, len(ep.live)),
+		elemSubs: make([][]int32, symsLen+1),
+		attrSubs: make([][]int32, symsLen+1),
+		trie:     ep.trie,
+		anchors:  make([]int32, 0, len(ep.live)),
 	}
 	for _, slot := range ep.live {
 		p := ep.progs[slot]
@@ -412,22 +393,6 @@ type Metrics struct {
 	// (nanoseconds per scan event, serial streams only): always on, two
 	// clock reads per document. Full bucket data via EvalHistogram.
 	Eval obs.Stats
-
-	// Hot is the sampled hot-path attribution (EnableHotStats); all
-	// zeros unless sampling is on.
-	Hot HotStats
-}
-
-// HotStats attributes sampled streams' wall clock across the three serial
-// hot-path stages: scan (parsing + routing lookups), the shared prefix
-// trie, and residual-machine deliveries. Cumulative over the timed streams
-// only; divide by Events for per-event cost.
-type HotStats struct {
-	Streams   int64
-	Events    int64
-	ScanNs    int64
-	TrieNs    int64
-	MachineNs int64
 }
 
 // Metrics returns the engine's churn and dispatch accounting.
@@ -457,12 +422,5 @@ func (e *Engine) Metrics() Metrics {
 		Deliveries:       e.deliveries.Load(),
 		TriePushes:       e.triePushes.Load(),
 		Eval:             e.evalHist.Snapshot().Stats(),
-		Hot: HotStats{
-			Streams:   e.hotStreams.Load(),
-			Events:    e.hotEvents.Load(),
-			ScanNs:    e.hotScanNs.Load(),
-			TrieNs:    e.hotTrieNs.Load(),
-			MachineNs: e.hotMachineNs.Load(),
-		},
 	}
 }

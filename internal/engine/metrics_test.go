@@ -221,3 +221,27 @@ func TestMetricsConsistencyUnderChurn(t *testing.T) {
 		}
 	}
 }
+
+// TestEvalHistogramAlwaysOn: every serial stream with events lands one
+// observation (its ns-per-event) in the evaluation histogram, with no
+// opt-in required.
+func TestEvalHistogramAlwaysOn(t *testing.T) {
+	e := mustEngine(t, metricsSources[0], metricsSources[3])
+	const streams = 5
+	for i := 0; i < streams; i++ {
+		if _, err := e.Stream(strings.NewReader(metricsDoc), false, make([]twigm.Options, e.Len())); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s := e.EvalHistogram()
+	if s.Count != streams {
+		t.Fatalf("eval histogram count = %d, want %d", s.Count, streams)
+	}
+	if s.SumNs <= 0 {
+		t.Fatalf("eval histogram sum = %d", s.SumNs)
+	}
+	m := e.Metrics()
+	if m.Eval.Count != streams || m.Eval.P50Ns <= 0 {
+		t.Fatalf("Metrics.Eval = %+v", m.Eval)
+	}
+}

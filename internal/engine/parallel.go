@@ -57,8 +57,9 @@ import (
 )
 
 // batchSize is the number of events stamped into one batch. Large enough to
-// amortize channel hand-off, small enough to keep incremental delivery
-// (results reach the caller at batch granularity).
+// amortize channel hand-off; incremental delivery does not depend on it —
+// results reach the caller at batch granularity, and a partial batch is
+// dispatched before every read of the input (producer.Read).
 const batchSize = 512
 
 // errAborted is the sentinel the producer returns to stop the scan after a
@@ -123,15 +124,17 @@ func (s Snapshot) StreamParallelContext(ctx context.Context, r io.Reader, useStd
 	ps.sync(ep)
 	ps.reset(opts)
 	done := ctx.Done()
-	ps.prod.ctx, ps.prod.done = ctx, done
-	defer func() { ps.prod.ctx, ps.prod.done = nil, nil }()
+	prod := &ps.prod
+	prod.src, prod.ctx, prod.done = r, ctx, done
+	defer func() { prod.src, prod.ctx, prod.done = nil, nil, nil }()
 
+	// The front-end reads its input through the producer, which dispatches
+	// the events it holds before every read (producer.Read).
 	var drv sax.Driver
 	if useStdParser {
-		drv = sax.NewStdDriverWith(r, e.syms)
+		drv = sax.NewStdDriverWith(prod, e.syms)
 	} else {
-		ps.scan.Reset(r)
-		ps.scan.SetEventBatch(e.scanBatchEvents())
+		ps.scan.Reset(prod)
 		drv = ps.scan
 	}
 
@@ -144,7 +147,6 @@ func (s Snapshot) StreamParallelContext(ctx context.Context, r io.Reader, useStd
 			w.loop()
 		}(w)
 	}
-	prod := &ps.prod
 	var scanErr error
 	wg.Add(1)
 	go func() {
@@ -275,19 +277,16 @@ type resultChunk struct {
 	next      int
 }
 
-// eventBatch is a pooled, fixed-capacity slice of scan events. Attribute
-// slices are deep-copied into the batch's arena (the scanner reuses its
-// attribute buffer between events). Element names are stable interned
-// strings; Text and attribute values are stable on the per-event producer
-// path, but under batched scanning (sax.BatchHandler) they die when the
-// scanner's HandleBatch call returns — long before the shard workers read
-// the batch — so the producer copies them into the batch's chars arena.
-// refs counts the workers still reading the batch; the last one returns it
-// to the freelist.
+// eventBatch is a pooled, fixed-capacity slice of scan events. Element names
+// are stable interned strings; attribute slices, Text and attribute values
+// die when the front-end's HandleBatch call returns (sax.Handler) — long
+// before the shard workers read the batch — so the producer copies them into
+// the batch's attrs and chars arenas. refs counts the workers still reading
+// the batch; the last one returns it to the freelist.
 //
 //vitex:pooled
 type eventBatch struct {
-	base   int64 //vitex:keep assigned by HandleEvent when the first event lands
+	base   int64 //vitex:keep assigned by HandleBatch when the first event lands
 	events []sax.Event
 	attrs  []sax.Attr
 	chars  []byte
@@ -522,9 +521,6 @@ func (ps *psession) reset(opts []twigm.Options) {
 		ps.emitOn[slot] = opts[d].Emit != nil
 		ropts := opts[d]
 		ropts.Emit = ps.emits[slot]
-		// Batch character data lives in recycled eventBatch arenas, so any
-		// value a machine retains past the event must be copied.
-		ropts.CopyValues = true
 		ps.runs[slot].Reset(ropts)
 		if a := ps.ep.anchors[slot]; a >= 0 {
 			// Anchored machines read the prefix stacks of the worker that
@@ -541,13 +537,17 @@ func (ps *psession) reset(opts []twigm.Options) {
 
 // ---- producer (scan side) ----
 
-// producer implements sax.Handler on the scan goroutine: it stamps events
-// into batches, maintains the shared-scan counters, and hands full batches
-// to every worker.
+// producer sits on both sides of the scan goroutine's front-end. As the
+// sax.Handler it stamps events into batches, maintains the shared-scan
+// counters, and hands full batches to every worker; as the io.Reader the
+// front-end pulls its input through, it dispatches a partial batch before
+// every read, so the workers (and through them the caller's Emit) see
+// everything the bytes read so far prove while the input stalls.
 //
 //vitex:pooled
 type producer struct {
 	ps       *psession //vitex:keep owning session, constant for the producer's life
+	src      io.Reader // the stream's input; set per stream by StreamParallelContext
 	cur      *eventBatch
 	events   int64
 	elements int64
@@ -562,6 +562,7 @@ type producer struct {
 }
 
 func (p *producer) reset() {
+	p.src = nil
 	p.cur = nil
 	p.events = 0
 	p.elements = 0
@@ -582,54 +583,22 @@ func (p *producer) batch() *eventBatch {
 	}
 }
 
-// HandleEvent implements sax.Handler. The scanner reuses its event and
-// attribute buffers between calls, so events are copied by value and
-// attribute slices into the batch arena.
-//
-//vitex:hotpath
-func (p *producer) HandleEvent(ev *sax.Event) error {
-	if p.abort.Load() {
-		return errAborted
-	}
-	if p.done != nil {
-		select {
-		case <-p.done:
-			return p.ctx.Err()
-		default:
-		}
-	}
-	p.events++
-	if ev.Kind == sax.StartElement {
-		p.elements++
-		if ev.Depth > p.maxDepth {
-			p.maxDepth = ev.Depth
-		}
-	}
-	if p.cur == nil {
-		p.cur = p.batch()
-		p.cur.base = p.events
-	}
-	b := p.cur
-	e := *ev
-	if len(ev.Attrs) > 0 {
-		start := len(b.attrs)
-		b.attrs = append(b.attrs, ev.Attrs...)
-		e.Attrs = b.attrs[start:len(b.attrs):len(b.attrs)]
-	}
-	b.events = append(b.events, e)
-	if len(b.events) == batchSize {
+// Read implements io.Reader over the stream's input. A read may block for as
+// long as the input's producer likes, so whatever events are in hand go to
+// the workers first.
+func (p *producer) Read(b []byte) (int, error) {
+	if p.cur != nil {
 		p.dispatch()
 	}
-	return nil
+	return p.src.Read(b)
 }
 
-// HandleBatch implements sax.BatchHandler: the scanner hands over arrays of
-// events whose Text/Attr.Value strings die when this call returns, so every
-// event is copied by value with its transient strings re-homed into the
-// current eventBatch's chars arena (names are interned and stay as-is).
-// Counters and batch boundaries match per-event delivery exactly; the
-// abort/cancellation poll runs once per incoming array instead of once per
-// event, which only delays an abort by at most one scanner batch.
+// HandleBatch implements sax.Handler: the front-end hands over arrays of
+// events whose Text/Attr.Value strings and Attrs slices die when this call
+// returns, so every event is copied by value with its transient content
+// re-homed into the current eventBatch's arenas (names are interned and stay
+// as-is). The abort/cancellation poll runs once per incoming array, which
+// delays an abort by at most one front-end batch.
 //
 //vitex:hotpath
 func (p *producer) HandleBatch(evs []sax.Event) error {

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/datagen"
+	"repro/internal/engine"
 	"repro/internal/metrics"
 	"repro/internal/naive"
 	"repro/internal/sax"
@@ -75,7 +76,7 @@ func scanOnly(path string) (time.Duration, int64, error) {
 	}
 	defer f.Close()
 	events := int64(0)
-	h := sax.HandlerFunc(func(*sax.Event) error { events++; return nil })
+	h := sax.PerEvent(func(*sax.Event) error { events++; return nil })
 	t := metrics.StartTimer()
 	if err := xmlscan.NewScanner(f).Run(h); err != nil {
 		return 0, 0, err
@@ -519,24 +520,26 @@ func (c Config) RunE9(trades int) (E9Result, error) {
 		"//trade[volume>4000]/symbol",
 		"//trade/@seq",
 	}
-	progs := make([]*twigm.Program, len(sources))
+	queries := make([]*xpath.Query, len(sources))
+	opts := make([]twigm.Options, len(sources))
 	for i, src := range sources {
-		progs[i] = twigm.MustCompile(src)
+		queries[i] = xpath.MustParse(src)
+		opts[i] = twigm.Options{CountOnly: true}
 	}
-	// Shared: one scan fans out to all machines.
+	// Shared: one scan, every event routed to the machines it concerns.
+	eng, err := engine.New(queries...)
+	if err != nil {
+		return E9Result{}, err
+	}
 	shared := metrics.StartTimer()
-	handlers := make(sax.Fanout, len(progs))
-	for i, prog := range progs {
-		handlers[i] = prog.Start(twigm.Options{CountOnly: true})
-	}
-	if err := xmlscan.NewScanner(strings.NewReader(doc)).Run(handlers); err != nil {
+	if _, err := eng.Stream(strings.NewReader(doc), false, opts); err != nil {
 		return E9Result{}, err
 	}
 	sharedTime := shared.Elapsed()
 	// Separate: one full pass per query.
 	sep := metrics.StartTimer()
-	for _, prog := range progs {
-		run := prog.Start(twigm.Options{CountOnly: true})
+	for _, src := range sources {
+		run := twigm.MustCompile(src).Start(twigm.Options{CountOnly: true})
 		if err := xmlscan.NewScanner(strings.NewReader(doc)).Run(run); err != nil {
 			return E9Result{}, err
 		}

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/datagen"
 	"repro/internal/dom"
+	"repro/internal/sax/saxtest"
 	"repro/internal/twigm"
 	"repro/internal/xmlscan"
 	"repro/internal/xpath"
@@ -62,12 +63,12 @@ func TestSerializeRescanRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for i := 0; i < 200; i++ {
 		doc := datagen.DefaultRandomTree.Generate(rng)
-		d1, err := dom.Build(xmlscan.NewScanner(strings.NewReader(doc)))
+		d1, err := dom.Build(saxtest.PoisonDriver(xmlscan.NewScanner(strings.NewReader(doc))))
 		if err != nil {
 			t.Fatalf("trial %d: %v", i, err)
 		}
 		s1 := d1.Root.Serialize()
-		d2, err := dom.Build(xmlscan.NewScanner(strings.NewReader(s1)))
+		d2, err := dom.Build(saxtest.PoisonDriver(xmlscan.NewScanner(strings.NewReader(s1))))
 		if err != nil {
 			t.Fatalf("trial %d rescan: %v\nserialized: %s", i, err, s1)
 		}
@@ -90,7 +91,7 @@ func TestOrderedDeliveryIsSorted(t *testing.T) {
 			t.Fatal(err)
 		}
 		var seqs, offs []int64
-		_, _, err = twigm.Collect(prog, xmlscan.NewScanner(strings.NewReader(doc)),
+		_, _, err = twigm.Collect(prog, saxtest.PoisonDriver(xmlscan.NewScanner(strings.NewReader(doc))),
 			twigm.Options{Ordered: true, Emit: func(r twigm.Result) error {
 				seqs = append(seqs, r.Seq)
 				offs = append(offs, r.NodeOffset)
@@ -124,7 +125,7 @@ func TestUnionAgainstOracleRandomized(t *testing.T) {
 			datagen.RandomQuery(rng, datagen.DefaultRandomTree, false),
 		}
 		src := strings.Join(branches, " | ")
-		d, err := dom.Build(xmlscan.NewScanner(strings.NewReader(doc)))
+		d, err := dom.Build(saxtest.PoisonDriver(xmlscan.NewScanner(strings.NewReader(doc))))
 		if err != nil {
 			t.Fatal(err)
 		}

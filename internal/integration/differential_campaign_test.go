@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/datagen"
 	"repro/internal/dom"
+	"repro/internal/sax/saxtest"
 	"repro/internal/xmlscan"
 	"repro/internal/xpath"
 
@@ -53,7 +54,7 @@ func TestDifferentialCampaign(t *testing.T) {
 
 	for round := 0; round < rounds; round++ {
 		doc := docGens[round%len(docGens)].Generate(rng)
-		d, err := dom.Build(xmlscan.NewScanner(strings.NewReader(doc)))
+		d, err := dom.Build(saxtest.PoisonDriver(xmlscan.NewScanner(strings.NewReader(doc))))
 		if err != nil {
 			t.Fatalf("round %d: dom build: %v\ndoc: %s", round, err, doc)
 		}

@@ -17,6 +17,7 @@ import (
 	"repro/internal/dom"
 	"repro/internal/naive"
 	"repro/internal/sax"
+	"repro/internal/sax/saxtest"
 	"repro/internal/twigm"
 	"repro/internal/xmlscan"
 	"repro/internal/xpath"
@@ -26,7 +27,7 @@ import (
 // document order.
 func oracleResults(t *testing.T, doc string, q *xpath.Query) []string {
 	t.Helper()
-	d, err := dom.Build(xmlscan.NewScanner(strings.NewReader(doc)))
+	d, err := dom.Build(saxtest.PoisonDriver(xmlscan.NewScanner(strings.NewReader(doc))))
 	if err != nil {
 		t.Fatalf("dom build: %v", err)
 	}
@@ -44,7 +45,7 @@ func twigmResults(t *testing.T, doc string, q *xpath.Query, opts twigm.Options) 
 	if err != nil {
 		t.Fatalf("compile %s: %v", q, err)
 	}
-	results, _, err := twigm.Collect(prog, xmlscan.NewScanner(strings.NewReader(doc)), opts)
+	results, _, err := twigm.Collect(prog, saxtest.PoisonDriver(xmlscan.NewScanner(strings.NewReader(doc))), opts)
 	if err != nil {
 		t.Fatalf("twigm %s: %v", q, err)
 	}
@@ -60,7 +61,7 @@ func naiveResults(t *testing.T, doc string, q *xpath.Query) ([]string, bool) {
 	if err != nil {
 		t.Fatalf("naive compile %s: %v", q, err)
 	}
-	results, _, err := naive.Collect(eng, xmlscan.NewScanner(strings.NewReader(doc)), naive.Options{MaxMatches: 2_000_000})
+	results, _, err := naive.Collect(eng, saxtest.PoisonDriver(xmlscan.NewScanner(strings.NewReader(doc))), naive.Options{MaxMatches: 2_000_000})
 	if err != nil {
 		t.Fatalf("naive %s: %v", q, err)
 	}
@@ -131,7 +132,7 @@ func TestFrontEndsAgree(t *testing.T) {
 		doc := datagen.DefaultRandomTree.Generate(rng)
 		trace := func(d sax.Driver) []string {
 			var out []string
-			err := d.Run(sax.HandlerFunc(func(ev *sax.Event) error {
+			err := d.Run(sax.PerEvent(func(ev *sax.Event) error {
 				out = append(out, fmt.Sprintf("%v|%s|%d|%s|%v", ev.Kind, ev.Name, ev.Depth, ev.Text, ev.Attrs))
 				return nil
 			}))
@@ -140,7 +141,7 @@ func TestFrontEndsAgree(t *testing.T) {
 			}
 			return out
 		}
-		a := trace(xmlscan.NewScanner(strings.NewReader(doc)))
+		a := trace(saxtest.PoisonDriver(xmlscan.NewScanner(strings.NewReader(doc))))
 		b := trace(sax.NewStdDriver(strings.NewReader(doc)))
 		if !equal(a, b) {
 			t.Fatalf("trial %d: front-ends disagree on %s\nxmlscan: %v\nstd:     %v", i, doc, a, b)
@@ -233,7 +234,7 @@ func TestTickerIncremental(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, stats, err := twigm.Collect(prog, xmlscan.NewScanner(strings.NewReader(doc)), twigm.Options{})
+	results, stats, err := twigm.Collect(prog, saxtest.PoisonDriver(xmlscan.NewScanner(strings.NewReader(doc))), twigm.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +258,7 @@ func TestNaiveExplodesTwigMDoesNot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, err = naive.Collect(eng, xmlscan.NewScanner(strings.NewReader(doc)), naive.Options{MaxMatches: 5000})
+	_, _, err = naive.Collect(eng, saxtest.PoisonDriver(xmlscan.NewScanner(strings.NewReader(doc))), naive.Options{MaxMatches: 5000})
 	if !errors.Is(err, naive.ErrMatchLimit) {
 		t.Fatalf("naive err = %v, want ErrMatchLimit", err)
 	}
@@ -266,7 +267,7 @@ func TestNaiveExplodesTwigMDoesNot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, stats, err := twigm.Collect(prog, xmlscan.NewScanner(strings.NewReader(doc)), twigm.Options{})
+	results, stats, err := twigm.Collect(prog, saxtest.PoisonDriver(xmlscan.NewScanner(strings.NewReader(doc))), twigm.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +292,7 @@ func TestMalformedInputFailsCleanly(t *testing.T) {
 	}
 	prog := twigm.MustCompile("//a")
 	for _, doc := range docs {
-		_, _, err := twigm.Collect(prog, xmlscan.NewScanner(strings.NewReader(doc)), twigm.Options{})
+		_, _, err := twigm.Collect(prog, saxtest.PoisonDriver(xmlscan.NewScanner(strings.NewReader(doc))), twigm.Options{})
 		if err == nil {
 			t.Fatalf("no error for malformed %q", doc)
 		}

@@ -22,10 +22,11 @@ type HeapSample struct {
 }
 
 // HeapSampler wraps a sax.Handler and samples runtime heap usage every
-// Every events. Sampling reads runtime.MemStats without forcing GC, so the
-// numbers include garbage awaiting collection; the Baseline (captured at
-// Wrap time, after a forced GC) is subtracted to approximate
-// engine-attributable memory.
+// Every events, forwarding the stream to it one event at a time so each
+// sample sits at an exact event count. Sampling reads runtime.MemStats
+// without forcing GC, so the numbers include garbage awaiting collection;
+// the Baseline (captured at Wrap time, after a forced GC) is subtracted to
+// approximate engine-attributable memory.
 type HeapSampler struct {
 	// Every controls sampling frequency in events (default 10000).
 	Every int64
@@ -49,10 +50,21 @@ func (h *HeapSampler) Wrap(inner sax.Handler) sax.Handler {
 	runtime.ReadMemStats(&ms)
 	h.Baseline = ms.HeapAlloc
 	h.inner = inner
-	return sax.HandlerFunc(h.handle)
+	return h
 }
 
-func (h *HeapSampler) handle(ev *sax.Event) error {
+// HandleBatch implements sax.Handler.
+func (h *HeapSampler) HandleBatch(evs []sax.Event) error {
+	for i := range evs {
+		h.sample(&evs[i])
+		if err := h.inner.HandleBatch(evs[i : i+1]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (h *HeapSampler) sample(ev *sax.Event) {
 	h.events++
 	if h.events%h.Every == 0 || ev.Kind == sax.EndDocument {
 		var ms runtime.MemStats
@@ -66,7 +78,6 @@ func (h *HeapSampler) handle(ev *sax.Event) error {
 			h.Peak = live
 		}
 	}
-	return h.inner.HandleEvent(ev)
 }
 
 // Timer measures wall time of a phase.

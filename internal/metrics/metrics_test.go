@@ -66,7 +66,7 @@ func TestLinearFitRecoversLineQuick(t *testing.T) {
 func TestHeapSampler(t *testing.T) {
 	doc := "<r>" + strings.Repeat("<a>some text content here</a>", 5000) + "</r>"
 	var sink int64
-	inner := sax.HandlerFunc(func(ev *sax.Event) error {
+	inner := sax.PerEvent(func(ev *sax.Event) error {
 		sink += int64(len(ev.Text))
 		return nil
 	})

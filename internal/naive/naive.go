@@ -256,8 +256,12 @@ func (r *Run) Count() int64 { return r.stats.Solutions }
 // Stats returns a snapshot.
 func (r *Run) Stats() Stats { return r.stats }
 
-// HandleEvent implements sax.Handler.
-func (r *Run) HandleEvent(ev *sax.Event) error {
+// HandleBatch implements sax.Handler.
+func (r *Run) HandleBatch(evs []sax.Event) error {
+	return sax.PerEvent(r.handle).HandleBatch(evs)
+}
+
+func (r *Run) handle(ev *sax.Event) error {
 	if r.failed != nil {
 		return r.failed
 	}
@@ -476,7 +480,8 @@ func (r *Run) ensureValueCand(id int32, value string) {
 	if _, ok := r.cands[id]; ok {
 		return
 	}
-	c := &cand{id: id, seq: r.seq, value: value, closed: true}
+	// The value outlives the event it came from (sax.Handler lifetime rule).
+	c := &cand{id: id, seq: r.seq, value: strings.Clone(value), closed: true}
 	r.seq++
 	r.cands[id] = c
 }

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/datagen"
 	"repro/internal/dom"
+	"repro/internal/sax/saxtest"
 	"repro/internal/xmlscan"
 	"repro/internal/xpath"
 )
@@ -14,7 +15,7 @@ import (
 func run(t *testing.T, doc, query string, opts Options) ([]Result, Stats) {
 	t.Helper()
 	eng := MustCompile(query)
-	results, stats, err := Collect(eng, xmlscan.NewScanner(strings.NewReader(doc)), opts)
+	results, stats, err := Collect(eng, saxtest.PoisonDriver(xmlscan.NewScanner(strings.NewReader(doc))), opts)
 	if err != nil {
 		t.Fatalf("%s over %q: %v", query, doc, err)
 	}
@@ -129,7 +130,7 @@ func TestMatchLimit(t *testing.T) {
 	depth := 16
 	doc := strings.Repeat("<a>", depth) + "<b/>" + strings.Repeat("</a>", depth)
 	eng := MustCompile("//a//a//a//a//b")
-	_, _, err := Collect(eng, xmlscan.NewScanner(strings.NewReader(doc)), Options{MaxMatches: 500})
+	_, _, err := Collect(eng, saxtest.PoisonDriver(xmlscan.NewScanner(strings.NewReader(doc))), Options{MaxMatches: 500})
 	if !errors.Is(err, ErrMatchLimit) {
 		t.Fatalf("err = %v, want ErrMatchLimit", err)
 	}

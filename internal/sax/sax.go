@@ -10,6 +10,13 @@
 // children depth 2, and so on. Text events carry the depth of the text node
 // itself (parent depth + 1), matching the XPath data model in which text
 // nodes are children of their containing element.
+//
+// There is one delivery contract, Handler.HandleBatch, and one lifetime rule:
+// element and attribute names (Name, Prefix, Local) are interned and stay
+// valid for the producer's lifetime; everything else reachable from a batch —
+// the slice itself, Event.Text, Attr.Value, the Event.Attrs backing array —
+// is valid only until HandleBatch returns. A consumer that retains content
+// clones it before returning.
 package sax
 
 import "fmt"
@@ -58,7 +65,9 @@ func (k Kind) String() string {
 type Attr struct {
 	// Name is the full lexical QName as written in the document
 	// (serialization uses it verbatim).
-	Name  string
+	Name string
+	// Value is transient: valid only until the HandleBatch call that
+	// delivered the owning event returns.
 	Value string
 	// Prefix and Local are the namespace prefix (empty when none) and the
 	// local part of Name. Producers in this repository always populate
@@ -140,12 +149,10 @@ func ClassifyBOM(head []byte) (skip int, unsupported string) {
 	return 0, ""
 }
 
-// Event is one unit of the stream. The same Event value is reused by
-// producers between Handler calls; handlers must copy anything they retain
-// (Name, Text and Attrs share the producer's buffers only until the handler
-// returns — producers in this repository hand out stable strings, but the
-// contract is defined conservatively so alternative producers can recycle
-// buffers).
+// Event is one unit of the stream. Producers recycle the memory behind
+// events between Handler calls: Text, Attrs and every Attr.Value are valid
+// only until HandleBatch returns (see Handler); Name, Prefix and Local are
+// interned and stable.
 type Event struct {
 	Kind Kind
 	// Name is the element name for StartElement/EndElement: the full
@@ -171,10 +178,10 @@ type Event struct {
 	// Depth is the element depth for StartElement/EndElement (root = 1)
 	// and the text-node depth (parent depth + 1) for Text.
 	Depth int
-	// Text is the character data for Text events.
+	// Text is the character data for Text events. Transient.
 	Text string
 	// Attrs holds the attributes of a StartElement event, in document
-	// order. Nil for other kinds.
+	// order. Nil for other kinds. Transient, values included.
 	Attrs []Attr
 	// Offset is the byte offset in the input at which the token that
 	// produced this event begins. Diagnostic only.
@@ -216,62 +223,39 @@ func (a *Attr) PrefixName() string {
 	return prefix
 }
 
-// Handler consumes a stream of events. Returning a non-nil error aborts the
-// parse; the error is propagated to the driver's caller.
+// Handler consumes a stream of events, delivered in document order in
+// batches of one or more: producers amortize the interface dispatch over an
+// array of events and recycle the memory behind it afterwards. Every string
+// and slice reachable from evs — the slice itself, Text, Attr.Value, the
+// Attrs backing arrays — is valid ONLY until HandleBatch returns; element and
+// attribute names are interned and stay valid for the producer's lifetime. A
+// handler that retains content must clone it before returning.
+//
+// A producer never blocks on its input while it holds completed, undelivered
+// events: a consumer sees everything the bytes read so far prove before the
+// producer waits for more (the paper's incremental-delivery requirement).
+//
+// Returning a non-nil error aborts the parse; the error is propagated to the
+// driver's caller, and events later in the slice are the handler's to skip.
 type Handler interface {
-	HandleEvent(ev *Event) error
-}
-
-// TextInterest is an optional Handler refinement: a handler that can prove
-// no downstream consumer will read the NEXT text event's content returns
-// false, and producers may then deliver the Text event with an empty Text
-// string instead of materializing the character data (validation and event
-// accounting are unaffected — the event itself is still delivered, so event
-// clocks are identical either way). The routed query engine implements it
-// from its text-subscription set; producers that batch events for multiple
-// concurrent consumers must not use it.
-type TextInterest interface {
-	WantsTextEvent() bool
-}
-
-// AttrInterest is an optional Handler refinement, the attribute-value
-// counterpart of TextInterest: WantsAttrValue is asked per attribute of the
-// next start-element (both IDs interned against the producer's Symbols
-// table), and false lets the producer deliver that Attr with an empty Value
-// instead of materializing it. Implementations must answer true whenever
-// any consumer could observe the value — including consumers that may start
-// serializing this very element's tag (fragment recording includes every
-// attribute). Parsing and well-formedness validation are unaffected.
-type AttrInterest interface {
-	WantsAttrValue(elemNameID, attrNameID int32) bool
-}
-
-// BatchHandler is the high-throughput Handler refinement: a producer that
-// recognizes it delivers events in arrays of up to a few hundred instead of
-// one callback per event, amortizing the interface dispatch and letting the
-// producer defer per-event bookkeeping to a per-batch epoch.
-//
-// The contract is strictly more transient than Handler's: every string and
-// slice reachable from the batch — Text, Attr.Value, the Attrs backing array
-// — is valid ONLY until HandleBatch returns, after which the producer
-// recycles the arenas backing them (element names are the exception: they
-// are interned and stable for the producer's lifetime). A handler that
-// retains content must copy it before returning. Returning a non-nil error
-// aborts the parse exactly as Handler's would; events later in the slice are
-// the handler's to skip.
-//
-// Producers ignore TextInterest/AttrInterest on a BatchHandler: batch
-// content is arena-backed and allocation-free either way, and interest
-// answers would be stale for events the handler has not yet observed.
-type BatchHandler interface {
 	HandleBatch(evs []Event) error
 }
 
-// HandlerFunc adapts a function to the Handler interface.
-type HandlerFunc func(ev *Event) error
+// PerEvent adapts a per-event function to Handler: the consumers at the
+// edge of the pipeline (DOM builder, test sinks, examples) that look at one
+// event at a time. The lifetime rule is unchanged — the function clones
+// whatever it keeps past its return.
+type PerEvent func(ev *Event) error
 
-// HandleEvent implements Handler.
-func (f HandlerFunc) HandleEvent(ev *Event) error { return f(ev) }
+// HandleBatch implements Handler.
+func (f PerEvent) HandleBatch(evs []Event) error {
+	for i := range evs {
+		if err := f(&evs[i]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
 
 // Driver is anything that can push a full document's events into a Handler.
 // Both the custom scanner and the encoding/xml adapter implement it.

@@ -10,7 +10,7 @@ import (
 func trace(t *testing.T, doc string) ([]string, error) {
 	t.Helper()
 	var out []string
-	err := NewStdDriver(strings.NewReader(doc)).Run(HandlerFunc(func(ev *Event) error {
+	err := NewStdDriver(strings.NewReader(doc)).Run(PerEvent(func(ev *Event) error {
 		out = append(out, fmt.Sprintf("%v|%s|%d|%q", ev.Kind, ev.Name, ev.Depth, ev.Text))
 		return nil
 	}))
@@ -82,7 +82,7 @@ func TestStdDriverErrors(t *testing.T) {
 
 func TestStdDriverAttrs(t *testing.T) {
 	var attrs []Attr
-	err := NewStdDriver(strings.NewReader(`<a x="1" y="2&amp;3"/>`)).Run(HandlerFunc(func(ev *Event) error {
+	err := NewStdDriver(strings.NewReader(`<a x="1" y="2&amp;3"/>`)).Run(PerEvent(func(ev *Event) error {
 		if ev.Kind == StartElement {
 			attrs = append(attrs, ev.Attrs...)
 		}
@@ -128,7 +128,7 @@ func TestKindString(t *testing.T) {
 func TestHandlerErrorAborts(t *testing.T) {
 	boom := errors.New("boom")
 	n := 0
-	err := NewStdDriver(strings.NewReader("<a><b/><c/></a>")).Run(HandlerFunc(func(ev *Event) error {
+	err := NewStdDriver(strings.NewReader("<a><b/><c/></a>")).Run(PerEvent(func(ev *Event) error {
 		n++
 		if ev.Kind == StartElement && ev.Name == "b" {
 			return boom

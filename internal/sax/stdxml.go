@@ -135,6 +135,8 @@ func skipBOM(r io.Reader) (io.Reader, int64, error) {
 // Run implements Driver. Adjacent CharData tokens (encoding/xml splits
 // around CDATA boundaries and entity expansions in some cases) are coalesced
 // so that, like xmlscan, one Text event corresponds to one XPath text node.
+// Events are delivered in batches of one, the moment their token is decoded,
+// so nothing is ever held back across a read of the input.
 func (d *StdDriver) Run(h Handler) error {
 	r, base, err := skipBOM(d.r)
 	if err != nil {
@@ -148,11 +150,11 @@ func (d *StdDriver) Run(h Handler) error {
 	seenRoot := false
 	var text strings.Builder
 	var textOff int64
-	ev := &Event{}
+	batch := make([]Event, 1)
 
 	emit := func(e Event) error {
-		*ev = e
-		return h.HandleEvent(ev)
+		batch[0] = e
+		return h.HandleBatch(batch)
 	}
 	flushText := func() error {
 		if text.Len() == 0 {

@@ -118,16 +118,6 @@ func writePrometheus(w io.Writer, b *Broker) {
 		func(p promChannel) (int64, bool) { return p.cm.Engine.Deliveries, true })
 	counter("vitex_engine_trie_pushes_total", "Trie entries pushed by the shared prefix layer.",
 		func(p promChannel) (int64, bool) { return p.cm.Engine.TriePushes, true })
-	counter("vitex_engine_hot_streams_total", "Streams sampled for hot-path attribution.",
-		func(p promChannel) (int64, bool) { return p.cm.Engine.Hot.Streams, true })
-	counter("vitex_engine_hot_events_total", "Scan events in hot-path-sampled streams.",
-		func(p promChannel) (int64, bool) { return p.cm.Engine.Hot.Events, true })
-	counter("vitex_engine_hot_scan_ns_total", "Sampled nanoseconds attributed to scan and routing.",
-		func(p promChannel) (int64, bool) { return p.cm.Engine.Hot.ScanNs, true })
-	counter("vitex_engine_hot_trie_ns_total", "Sampled nanoseconds attributed to the shared prefix trie.",
-		func(p promChannel) (int64, bool) { return p.cm.Engine.Hot.TrieNs, true })
-	counter("vitex_engine_hot_machine_ns_total", "Sampled nanoseconds attributed to residual machines.",
-		func(p promChannel) (int64, bool) { return p.cm.Engine.Hot.MachineNs, true })
 
 	wal := func(name, typ, help string, value func(*WALMetrics) int64) {
 		promFamily(w, name, typ, help, rows, func(p promChannel) (int64, bool) {

@@ -540,7 +540,16 @@ func (w *walLog) iterate(from, to int64, fn func(cursor int64, payload []byte) e
 				done = true
 				return errWALStop
 			}
-			return fn(cursor, payload)
+			if err := fn(cursor, payload); err != nil {
+				return err
+			}
+			if cursor == to {
+				// Stop here: the bytes after `to` may be a record an
+				// append is still writing.
+				done = true
+				return errWALStop
+			}
+			return nil
 		})
 		if err != nil {
 			if os.IsNotExist(err) {

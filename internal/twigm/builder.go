@@ -68,11 +68,6 @@ type Program struct {
 	// the factored-out prefix (see shared.go).
 	anchored bool
 	profile  []TrieStep
-
-	// outputElem is the output node when it is an element (nil for
-	// attribute and text() outputs): the only node whose push can start a
-	// fragment recording — the engine's attribute-value routing reads it.
-	outputElem *node
 }
 
 // node is one machine node: a query node plus its compiled condition.
@@ -285,9 +280,6 @@ func (p *Program) build(qn *xpath.Node, parent *node) (*node, error) {
 		p.valueNodes = append(p.valueNodes, m)
 	}
 	m.prunable = hasFinalLeaf(m.cond)
-	if m.isOutput && m.kind == xpath.Element {
-		p.outputElem = m
-	}
 	return m, nil
 }
 
@@ -468,27 +460,6 @@ func (p *Program) AttrNameIDs() []int32 {
 // HasWildcardElem reports whether the machine has a '*' element node and
 // therefore must see every start-element event.
 func (p *Program) HasWildcardElem() bool { return len(p.wildElems) > 0 }
-
-// OutputElemNameID returns the symbol ID of the output node's element name
-// when the output is a named element, -1 for attribute/text() outputs, and
-// 0 (with wildcard true) for a '*' output. A fragment recording can only
-// start when this node pushes, which is what the engine's attribute-value
-// interest routing keys on.
-func (p *Program) OutputElemNameID() (id int32, wildcard bool) {
-	if p.outputElem == nil {
-		return -1, false
-	}
-	if p.outputElem.name == "*" {
-		return 0, true
-	}
-	return p.outputElem.nameID, false
-}
-
-// HasTextInterest reports whether any event routing of text is ever needed:
-// the machine has text() nodes or accumulates string-values.
-func (p *Program) HasTextInterest() bool {
-	return len(p.textNodes) > 0 || len(p.valueNodes) > 0
-}
 
 // NumNodes returns the number of machine nodes (equals the query size; the
 // builder is linear, paper claim 2).

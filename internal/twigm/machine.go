@@ -9,17 +9,13 @@ import (
 	"repro/internal/xpath"
 )
 
-// retained returns v, copied when the producer's event strings are transient
-// (Options.CopyValues): a candidate's value outlives the delivery that
-// produced it, and Result.Value carries it out of the machine entirely.
-// Outlined so the hot handlers stay allocation-free on the stable-string
-// configurations the allocation discipline is proven on.
-func (r *Run) retained(v string) string {
-	if !r.opts.CopyValues {
-		return v
-	}
-	return strings.Clone(v)
-}
+// retained clones an event-derived string (text content, an attribute value)
+// a candidate is about to keep: event strings die when the delivery returns
+// (the sax.Handler lifetime rule), a candidate's value outlives it, and
+// Result.Value carries it out of the machine entirely. Comparisons and
+// recorded fragments never retain the event's string. Outlined so the hot
+// handlers themselves stay allocation-free.
+func retained(v string) string { return strings.Clone(v) }
 
 // Result is one query solution, delivered through Options.Emit.
 type Result struct {
@@ -62,15 +58,6 @@ type Options struct {
 	// which may run ahead of document order when an early candidate's
 	// predicates resolve late.
 	Ordered bool
-	// CopyValues makes the run copy event-derived strings (text content,
-	// attribute values) the moment a candidate retains one: candidates
-	// outlive the delivery that produced them, and Result.Value carries
-	// the string out of the machine entirely. Required when the producer
-	// recycles the buffers backing event strings between deliveries (the
-	// sax.BatchHandler contract); with stable producer strings it only
-	// costs harmless extra copies. Comparisons and recorded fragments are
-	// unaffected either way — they never retain the event's string.
-	CopyValues bool
 	// DisablePrune turns off the push-time pruning of entries whose
 	// attribute predicates already failed (ablation benchmark).
 	DisablePrune bool
@@ -232,22 +219,17 @@ func (r *Run) Stats() Stats { return r.stats }
 
 // ---- routing hooks (consumed by internal/engine) ----
 
-// SetClock overrides the run's event counter. Routed dispatch skips events
-// a machine is not subscribed to; syncing the clock to the shared scan's
-// event index before each delivery keeps ConfirmedAt/DeliveredAt identical
+// HandleRouted is the entry point of routed dispatch (serial and sharded),
+// which skips events a machine is not subscribed to: it delivers ev with the
+// run's event clock pinned to the shared scan's 1-based index for this
+// event, so ConfirmedAt/DeliveredAt — and the DeliveredAt stamped on results
+// flushed by the ordered re-sequencer during this delivery — are identical
 // to a run that saw every event.
-func (r *Run) SetClock(events int64) { r.stats.Events = events }
-
-// HandleRouted is the batch-feed entry point of routed dispatch (serial and
-// sharded): it delivers ev with the run's event clock pinned to the shared
-// scan's 1-based index for this event, so ConfirmedAt/DeliveredAt — and the
-// DeliveredAt stamped on results flushed by the ordered re-sequencer during
-// this delivery — are identical to a run that saw every event.
 //
 //vitex:hotpath
 func (r *Run) HandleRouted(ev *sax.Event, eventIndex int64) error {
 	r.stats.Events = eventIndex - 1
-	return r.HandleEvent(ev)
+	return r.handle(ev)
 }
 
 // LiveEntries reports the number of open stack entries. A machine with none
@@ -263,8 +245,8 @@ func (r *Run) Recording() bool { return len(r.rec.active) > 0 }
 // WantsText reports whether the next text event could matter to this
 // machine: a fragment is recording, a string-value accumulator is open, or
 // a text() node's parent (or the document root, for absolute text queries)
-// has a live entry. It only changes state inside HandleEvent, so a router
-// may cache it between deliveries.
+// has a live entry. It only changes state inside a delivery, so a router may
+// cache it between deliveries.
 //
 //vitex:hotpath
 func (r *Run) WantsText() bool {
@@ -287,10 +269,23 @@ func (r *Run) WantsText() bool {
 	return false
 }
 
-// HandleEvent implements sax.Handler.
+// HandleBatch implements sax.Handler: a Run driven directly by a front-end
+// (no engine in between) sees every event and counts them itself.
 //
 //vitex:hotpath
-func (r *Run) HandleEvent(ev *sax.Event) error {
+func (r *Run) HandleBatch(evs []sax.Event) error {
+	for i := range evs {
+		if err := r.handle(&evs[i]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// handle advances the machine by one event.
+//
+//vitex:hotpath
+func (r *Run) handle(ev *sax.Event) error {
 	if r.failed != nil {
 		return r.failed
 	}
@@ -583,7 +578,7 @@ func (r *Run) attrEvent(m *node, value string, attrIdx int, ev *sax.Event) {
 			// attribute is always the output node (attributes end paths).
 			if m.isOutput {
 				c := r.newCandidate(ev.Offset + 1 + int64(attrIdx))
-				c.value = r.retained(value)
+				c.value = retained(value)
 				if r.anchor.CompatAttr(m.axis, d) {
 					r.confirm(c)
 				}
@@ -598,7 +593,7 @@ func (r *Run) attrEvent(m *node, value string, attrIdx int, ev *sax.Event) {
 		}
 		if m.isOutput {
 			c := r.newCandidate(ev.Offset + 1 + int64(attrIdx))
-			c.value = r.retained(value)
+			c.value = retained(value)
 			r.confirm(c)
 			r.resolveIfDead(c)
 		}
@@ -607,7 +602,7 @@ func (r *Run) attrEvent(m *node, value string, attrIdx int, ev *sax.Event) {
 	var c *candidate
 	if m.isOutput {
 		c = r.newCandidate(ev.Offset + 1 + int64(attrIdx))
-		c.value = r.retained(value)
+		c.value = retained(value)
 	}
 	r.propagate(m, d, c)
 	if c != nil {
@@ -643,7 +638,7 @@ func (r *Run) text(ev *sax.Event) {
 				// is always the output node (text() ends paths).
 				if m.isOutput && r.anchor.Open() {
 					c := r.newCandidate(ev.Offset)
-					c.value = r.retained(ev.Text)
+					c.value = retained(ev.Text)
 					if r.anchor.CompatElem(m.axis, ev.Depth) {
 						r.confirm(c)
 					}
@@ -654,7 +649,7 @@ func (r *Run) text(ev *sax.Event) {
 			// //text(): every text node is a solution.
 			if m.axis == xpath.Descendant && m.isOutput {
 				c := r.newCandidate(ev.Offset)
-				c.value = r.retained(ev.Text)
+				c.value = retained(ev.Text)
 				r.confirm(c)
 				r.resolveIfDead(c)
 			}
@@ -663,7 +658,7 @@ func (r *Run) text(ev *sax.Event) {
 		var c *candidate
 		if m.isOutput {
 			c = r.newCandidate(ev.Offset)
-			c.value = r.retained(ev.Text)
+			c.value = retained(ev.Text)
 		}
 		r.propagate(m, ev.Depth, c)
 		if c != nil {

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/sax/saxtest"
 	"repro/internal/xmlscan"
 )
 
@@ -12,7 +13,7 @@ import (
 func fragments(t *testing.T, doc, query string) []string {
 	t.Helper()
 	prog := MustCompile(query)
-	results, _, err := Collect(prog, xmlscan.NewScanner(strings.NewReader(doc)), Options{})
+	results, _, err := Collect(prog, saxtest.PoisonDriver(xmlscan.NewScanner(strings.NewReader(doc))), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +69,7 @@ func TestRecorderBufferResetsBetweenFragments(t *testing.T) {
 		doc.WriteString("<a>payload</a>")
 	}
 	doc.WriteString("</r>")
-	_, stats, err := Collect(prog, xmlscan.NewScanner(strings.NewReader(doc.String())), Options{})
+	_, stats, err := Collect(prog, saxtest.PoisonDriver(xmlscan.NewScanner(strings.NewReader(doc.String()))), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +84,7 @@ func TestRecorderSharedBufferOverlap(t *testing.T) {
 	// fragment's length, not the sum of both.
 	doc := "<r><a><a>abcdefghij</a></a></r>"
 	prog := MustCompile("//a")
-	results, stats, err := Collect(prog, xmlscan.NewScanner(strings.NewReader(doc)), Options{})
+	results, stats, err := Collect(prog, saxtest.PoisonDriver(xmlscan.NewScanner(strings.NewReader(doc))), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +99,7 @@ func TestRecorderDiscardedCandidateFreesSlot(t *testing.T) {
 	// reset its buffer once nothing is recording.
 	doc := "<r>" + strings.Repeat("<a><big>xxxxxxxxxxxxxxxxxxxxxxxx</big></a>", 20) + "<a><big>y</big><p/></a></r>"
 	prog := MustCompile("//a[p]/big")
-	results, stats, err := Collect(prog, xmlscan.NewScanner(strings.NewReader(doc)), Options{})
+	results, stats, err := Collect(prog, saxtest.PoisonDriver(xmlscan.NewScanner(strings.NewReader(doc))), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +126,7 @@ func TestRecorderDeepFragment(t *testing.T) {
 
 func TestValueCandidatesSkipRecorder(t *testing.T) {
 	prog := MustCompile("//a/@id")
-	_, stats, err := Collect(prog, xmlscan.NewScanner(strings.NewReader(`<r><a id="7"><huge>payload</huge></a></r>`)), Options{})
+	_, stats, err := Collect(prog, saxtest.PoisonDriver(xmlscan.NewScanner(strings.NewReader(`<r><a id="7"><huge>payload</huge></a></r>`))), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,13 +5,14 @@ import (
 	"testing"
 
 	"repro/internal/dom"
+	"repro/internal/sax/saxtest"
 	"repro/internal/xmlscan"
 )
 
 // checkOracle is the single-document equivalence helper for this file.
 func checkOracle(t *testing.T, doc string, queries ...string) {
 	t.Helper()
-	d, err := dom.Build(xmlscan.NewScanner(strings.NewReader(doc)))
+	d, err := dom.Build(saxtest.PoisonDriver(xmlscan.NewScanner(strings.NewReader(doc))))
 	if err != nil {
 		t.Fatalf("doc %q: %v", doc, err)
 	}
@@ -144,7 +145,7 @@ func TestNumericWhitespaceCoercion(t *testing.T) {
 func TestCountOnlyOrdered(t *testing.T) {
 	prog := MustCompile("//a[p]/b")
 	doc := "<r><a><b/><b/><p/></a></r>"
-	results, stats, err := Collect(prog, xmlscan.NewScanner(strings.NewReader(doc)),
+	results, stats, err := Collect(prog, saxtest.PoisonDriver(xmlscan.NewScanner(strings.NewReader(doc))),
 		Options{CountOnly: true, Ordered: true})
 	if err != nil {
 		t.Fatal(err)

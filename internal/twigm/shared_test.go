@@ -119,7 +119,7 @@ func runEngineStyle(t *testing.T, p *Program, syms *sax.Symbols, doc string, opt
 	}
 	idx := int64(0)
 	scan := xmlscan.NewScannerWith(strings.NewReader(doc), syms)
-	err := scan.Run(sax.HandlerFunc(func(ev *sax.Event) error {
+	err := scan.Run(sax.PerEvent(func(ev *sax.Event) error {
 		idx++
 		if ev.Kind == sax.StartElement {
 			pr.StartElement(ev)

@@ -7,6 +7,7 @@ import (
 	"repro/internal/datagen"
 	"repro/internal/dom"
 	"repro/internal/sax"
+	"repro/internal/sax/saxtest"
 	"repro/internal/xmlscan"
 	"repro/internal/xpath"
 )
@@ -16,7 +17,7 @@ import (
 func runQuery(t *testing.T, doc, query string, opts Options) []string {
 	t.Helper()
 	prog := MustCompile(query)
-	results, _, err := Collect(prog, xmlscan.NewScanner(strings.NewReader(doc)), opts)
+	results, _, err := Collect(prog, saxtest.PoisonDriver(xmlscan.NewScanner(strings.NewReader(doc))), opts)
 	if err != nil {
 		t.Fatalf("%s over %q: %v", query, doc, err)
 	}
@@ -223,7 +224,7 @@ func TestRootEdgeCases(t *testing.T) {
 func TestCountOnlyMode(t *testing.T) {
 	prog := MustCompile("//a")
 	doc := "<r><a/><a><a/></a></r>"
-	results, stats, err := Collect(prog, xmlscan.NewScanner(strings.NewReader(doc)), Options{CountOnly: true})
+	results, stats, err := Collect(prog, saxtest.PoisonDriver(xmlscan.NewScanner(strings.NewReader(doc))), Options{CountOnly: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +247,7 @@ func TestOrderedDelivery(t *testing.T) {
 	doc := "<r><a><b>one</b><b>two</b><p/></a></r>"
 	prog := MustCompile("//a[p]/b")
 	var seqs []int64
-	_, _, err := Collect(prog, xmlscan.NewScanner(strings.NewReader(doc)),
+	_, _, err := Collect(prog, saxtest.PoisonDriver(xmlscan.NewScanner(strings.NewReader(doc))),
 		Options{Ordered: true, Emit: func(res Result) error {
 			seqs = append(seqs, res.Seq)
 			return nil
@@ -265,7 +266,7 @@ func TestIncrementalConfirmation(t *testing.T) {
 	// (§1 requirement 2).
 	doc := "<r><a><p/><b>x</b></a>" + strings.Repeat("<pad/>", 100) + "</r>"
 	prog := MustCompile("//a[p]/b")
-	results, stats, err := Collect(prog, xmlscan.NewScanner(strings.NewReader(doc)), Options{})
+	results, stats, err := Collect(prog, saxtest.PoisonDriver(xmlscan.NewScanner(strings.NewReader(doc))), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +285,7 @@ func TestEagerAblationDelaysButPreserves(t *testing.T) {
 	doc := "<r><a><p/><b>x</b></a></r>"
 	prog := MustCompile("//a[p]/b")
 	run := func(opts Options) Result {
-		results, _, err := Collect(prog, xmlscan.NewScanner(strings.NewReader(doc)), opts)
+		results, _, err := Collect(prog, saxtest.PoisonDriver(xmlscan.NewScanner(strings.NewReader(doc))), opts)
 		if err != nil || len(results) != 1 {
 			t.Fatalf("results=%v err=%v", results, err)
 		}
@@ -303,14 +304,14 @@ func TestEagerAblationDelaysButPreserves(t *testing.T) {
 func TestPruneStats(t *testing.T) {
 	doc := `<r><a id="no"/><a id="yes"/><a/></r>`
 	prog := MustCompile("//a[@id='yes']")
-	_, stats, err := Collect(prog, xmlscan.NewScanner(strings.NewReader(doc)), Options{})
+	_, stats, err := Collect(prog, saxtest.PoisonDriver(xmlscan.NewScanner(strings.NewReader(doc))), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if stats.PrunedPushes != 2 { // id="no" and missing id
 		t.Fatalf("pruned = %d, want 2", stats.PrunedPushes)
 	}
-	_, stats2, err := Collect(prog, xmlscan.NewScanner(strings.NewReader(doc)), Options{DisablePrune: true})
+	_, stats2, err := Collect(prog, saxtest.PoisonDriver(xmlscan.NewScanner(strings.NewReader(doc))), Options{DisablePrune: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,7 +324,7 @@ func TestEmitErrorAborts(t *testing.T) {
 	prog := MustCompile("//a")
 	doc := "<r><a/><a/></r>"
 	n := 0
-	_, _, err := Collect(prog, xmlscan.NewScanner(strings.NewReader(doc)),
+	_, _, err := Collect(prog, saxtest.PoisonDriver(xmlscan.NewScanner(strings.NewReader(doc))),
 		Options{Emit: func(Result) error {
 			n++
 			return &CompileError{Msg: "stop now"}
@@ -361,7 +362,7 @@ func TestFragmentSerializationMatchesOracle(t *testing.T) {
 
 func TestStatsSanity(t *testing.T) {
 	prog := MustCompile(datagen.PaperQuery)
-	_, stats, err := Collect(prog, xmlscan.NewScanner(strings.NewReader(datagen.PaperFigure1)), Options{})
+	_, stats, err := Collect(prog, saxtest.PoisonDriver(xmlscan.NewScanner(strings.NewReader(datagen.PaperFigure1))), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -422,7 +423,7 @@ func TestTooManyPredicateBranches(t *testing.T) {
 func TestReusableProgram(t *testing.T) {
 	prog := MustCompile("//a")
 	for i := 0; i < 3; i++ {
-		results, _, err := Collect(prog, xmlscan.NewScanner(strings.NewReader("<r><a/></r>")), Options{})
+		results, _, err := Collect(prog, saxtest.PoisonDriver(xmlscan.NewScanner(strings.NewReader("<r><a/></r>"))), Options{})
 		if err != nil || len(results) != 1 {
 			t.Fatalf("iteration %d: results=%v err=%v", i, results, err)
 		}
@@ -432,7 +433,7 @@ func TestReusableProgram(t *testing.T) {
 func TestStdDriverFrontEnd(t *testing.T) {
 	prog := MustCompile("//a[b]/c")
 	doc := "<r><a><b/><c>k</c></a></r>"
-	r1, _, err := Collect(prog, xmlscan.NewScanner(strings.NewReader(doc)), Options{})
+	r1, _, err := Collect(prog, saxtest.PoisonDriver(xmlscan.NewScanner(strings.NewReader(doc))), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -466,7 +467,7 @@ func TestMemoryBoundedOnWideDocument(t *testing.T) {
 	}
 	b.WriteString("</r>")
 	prog := MustCompile("//a")
-	_, stats, err := Collect(prog, xmlscan.NewScanner(strings.NewReader(b.String())), Options{})
+	_, stats, err := Collect(prog, saxtest.PoisonDriver(xmlscan.NewScanner(strings.NewReader(b.String()))), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

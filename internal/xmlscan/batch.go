@@ -1,13 +1,15 @@
-// Batched event delivery (sax.BatchHandler): instead of one HandleEvent
-// interface call per event, the scanner accumulates events in a pooled array
-// and hands the handler up to batchLimit of them per call. Character data
-// and attribute values of batched events are not interned: they are
+// Event delivery (sax.Handler): the scanner accumulates events in a pooled
+// array and hands the handler up to eventBatch of them per call. Character
+// data and attribute values are not materialized as Go strings: they are
 // unsafe.String views over a scanner-owned byte arena, valid only until
-// HandleBatch returns (the sax.BatchHandler contract), after which the batch,
+// HandleBatch returns (the sax.Handler lifetime rule), after which the batch,
 // its attribute backing array and the arena are truncated wholesale for
-// reuse — the zero-copy window the events "borrow" from. Element names stay
-// interned, stable strings: the routed engine dispatches on them across
-// documents.
+// reuse. Element names stay interned, stable strings: the routed engine
+// dispatches on them across documents.
+//
+// A batch goes out when it is full, when the document ends, and — so that a
+// slow input never holds proven results back — before every read of the
+// input (fill).
 package xmlscan
 
 import (
@@ -16,29 +18,17 @@ import (
 	"repro/internal/sax"
 )
 
-// DefaultEventBatch is the number of events delivered per HandleBatch call
-// when batching is active. Sized so a batch (events + attrs + character
-// data) stays within a typical L1 data cache: the handler re-reads the
-// events the scanner just wrote.
-const DefaultEventBatch = 128
-
-// SetEventBatch overrides the batch size used when Run is given a
-// sax.BatchHandler. n <= 0 disables batching: the scanner then falls back to
-// per-event delivery (HandleEvent) with interned, stable strings even for a
-// handler that implements sax.BatchHandler — the configuration A/B
-// benchmarks and the batch-vs-per-event equivalence tests run.
-func (s *Scanner) SetEventBatch(n int) {
-	if n < 0 {
-		n = 0
-	}
-	s.batchLimit = n
-}
+// eventBatch is the number of events delivered per HandleBatch call. Sized
+// so a batch (events + attrs + character data) stays within a typical L1
+// data cache: the handler re-reads the events the scanner just wrote.
+// Sizes 16-512 measure flat within noise (hypotheses/scanner-bandwidth).
+const eventBatch = 128
 
 // arenaString copies b into the batch character-data arena and returns a
 // string view of the copy without a string header allocation. The view stays
 // valid until the arena is truncated at the next batch flush — growth is
 // safe: append may move the arena, but views into the old backing keep it
-// alive. Only called in batch mode.
+// alive.
 //
 //vitex:hotpath
 func (s *Scanner) arenaString(b []byte) string {
@@ -49,6 +39,26 @@ func (s *Scanner) arenaString(b []byte) string {
 	s.arena = append(s.arena, b...)
 	a := s.arena[st:]
 	return unsafe.String(&a[0], len(a))
+}
+
+// homeAttrs moves the attributes the general start-tag path collected in
+// scanner scratch (attrs, with values viewing valBuf) into the batch: the
+// entries into the batch-owned backing array, the values into the arena.
+// Until this point nothing of the tag lived in batch memory, which is what
+// lets a read in the middle of the tag flush the batch.
+//
+//vitex:hotpath
+func (s *Scanner) homeAttrs() []sax.Attr {
+	if len(s.attrs) == 0 {
+		return nil
+	}
+	st := len(s.batchAttrs)
+	for i := range s.attrs {
+		a := s.attrs[i]
+		a.Value = s.arenaString(unsafe.Slice(unsafe.StringData(a.Value), len(a.Value)))
+		s.batchAttrs = append(s.batchAttrs, a)
+	}
+	return s.batchAttrs[st:len(s.batchAttrs):len(s.batchAttrs)]
 }
 
 // batchSlot extends the batch by one event and returns the slot for the
@@ -64,38 +74,27 @@ func (s *Scanner) batchSlot() *sax.Event {
 	return &s.batch[n]
 }
 
-// batchQueued finishes queueing the event just written into a batch slot: an
-// attribute slice still aliasing the scanner's per-tag scratch (which the
-// next tag overwrites; the batch outlives it) is re-homed into the
-// batch-owned backing array, and a full batch flushes inline. fastStartTag
-// accumulates attributes in the backing array directly — its events arrive
-// as the array's tail, detected by pointer identity, and are left in place.
+// batchQueued finishes queueing the event just written into a batch slot: a
+// full batch flushes inline.
 //
 //vitex:hotpath
-func (s *Scanner) batchQueued(ev *sax.Event) error {
-	if n := len(ev.Attrs); n > 0 {
-		if bn := len(s.batchAttrs); bn < n || &ev.Attrs[0] != &s.batchAttrs[bn-n] {
-			st := bn
-			s.batchAttrs = append(s.batchAttrs, ev.Attrs...)
-			ev.Attrs = s.batchAttrs[st:len(s.batchAttrs):len(s.batchAttrs)]
-		}
-	}
+func (s *Scanner) batchQueued() error {
 	if len(s.batch) >= s.batchLimit {
 		return s.flushBatch()
 	}
 	return nil
 }
 
-// flushBatch delivers the queued events and recycles the arenas. After the
+// flushBatch delivers the queued events and recycles the arenas: after the
 // handler returns, every Text/Attr.Value string handed out in this batch is
-// dead per the sax.BatchHandler contract.
+// dead per the sax.Handler lifetime rule. Once the handler has failed nothing
+// more is delivered; the error is sticky and returned from every later call.
 func (s *Scanner) flushBatch() error {
-	if len(s.batch) == 0 {
-		return nil
+	if len(s.batch) > 0 && s.herr == nil {
+		s.herr = s.h.HandleBatch(s.batch)
 	}
-	err := s.bh.HandleBatch(s.batch)
 	s.batch = s.batch[:0]
 	s.batchAttrs = s.batchAttrs[:0]
 	s.arena = s.arena[:0]
-	return err
+	return s.herr
 }

@@ -6,17 +6,18 @@ import (
 	"testing"
 
 	"repro/internal/sax"
+	"repro/internal/sax/saxtest"
 )
 
 func textOf(t *testing.T, doc string) (string, error) {
 	t.Helper()
 	var text strings.Builder
-	err := NewScanner(strings.NewReader(doc)).Run(sax.HandlerFunc(func(ev *sax.Event) error {
+	err := NewScanner(strings.NewReader(doc)).Run(saxtest.Poison(sax.PerEvent(func(ev *sax.Event) error {
 		if ev.Kind == sax.Text {
 			text.WriteString(ev.Text)
 		}
 		return nil
-	}))
+	})))
 	return text.String(), err
 }
 
@@ -34,12 +35,13 @@ func TestInternalEntityBasic(t *testing.T) {
 func TestInternalEntityInAttribute(t *testing.T) {
 	doc := `<!DOCTYPE a [<!ENTITY v "x&amp;y">]><a k="&v;"/>`
 	var attr string
-	err := NewScanner(strings.NewReader(doc)).Run(sax.HandlerFunc(func(ev *sax.Event) error {
+	err := NewScanner(strings.NewReader(doc)).Run(saxtest.Poison(sax.PerEvent(func(ev *sax.Event) error {
 		if ev.Kind == sax.StartElement {
-			attr, _ = sax.GetAttr(ev.Attrs, "k")
+			v, _ := sax.GetAttr(ev.Attrs, "k")
+			attr = strings.Clone(v)
 		}
 		return nil
-	}))
+	})))
 	if err != nil {
 		t.Fatal(err)
 	}

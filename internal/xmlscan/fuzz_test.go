@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/sax"
+	"repro/internal/sax/saxtest"
 )
 
 // FuzzScannerVsStdXML is the native fuzz target differencing the custom
@@ -90,23 +91,25 @@ func fuzzSeedDocs() []string {
 
 // compareFrontEnds runs both parsers over doc and reports any divergence
 // inside the oracle's scope. It also holds the scanner to self-consistency
-// across its delivery and windowing configurations: batched and per-event
-// delivery, default and tiny read buffers, must produce identical event
-// streams and identical diagnostics. The tiny buffer (16 bytes) forces
-// refill seams inside nearly every token, driving the speculative fast
-// paths (fastStartTag, the end-tag compare, borrowed text runs) through
-// their bail-to-general-path branches on every input.
+// across its batching and windowing configurations: batch size {1, default}
+// x read buffer {16 bytes, default} must produce identical event streams and
+// identical diagnostics. Batch size 1 flushes on every event — each event's
+// strings are recycled before the next token is scanned; the tiny buffer
+// forces refill seams (and with them the flush-before-read) inside nearly
+// every token, driving the speculative fast paths (fastStartTag, the end-tag
+// compare, borrowed text runs) through their bail-to-general-path branches
+// on every input. Every configuration runs over the poisoning sink.
 func compareFrontEnds(t *testing.T, doc string) {
 	t.Helper()
-	custom, cerr := traceFuzzEvents(NewScanner(strings.NewReader(doc)))
+	custom, cerr := traceScannerEvents(doc, eventBatch, 0)
 	for _, cfg := range []struct {
 		name    string
 		batch   int
 		bufSize int
 	}{
-		{"batch_default", DefaultEventBatch, 0},
-		{"batch3_buf16", 3, 16},
-		{"perevent_buf16", 0, 16},
+		{"batch1", 1, 0},
+		{"batch_default_buf16", eventBatch, 16},
+		{"batch1_buf16", 1, 16},
 	} {
 		got, gerr := traceScannerEvents(doc, cfg.batch, cfg.bufSize)
 		if (gerr == nil) != (cerr == nil) || (gerr != nil && gerr.Error() != cerr.Error()) {
@@ -155,8 +158,8 @@ func compareFrontEnds(t *testing.T, doc string) {
 
 // renderFuzzEvent renders one event into a comparable line: kind,
 // full/prefix/local names, depth, text, offset, and each attribute's name
-// and value. The rendering copies every string, so it is safe for batched
-// events whose strings die when HandleBatch returns.
+// and value. The rendering copies every string, so it is safe for events
+// whose strings die when HandleBatch returns.
 func renderFuzzEvent(ev *sax.Event) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%v|%s|%s|%s|d%d|%q|@%d", ev.Kind, ev.Name, ev.Prefix, ev.Local, ev.Depth, ev.Text, ev.Offset)
@@ -170,7 +173,7 @@ func renderFuzzEvent(ev *sax.Event) string {
 // traceFuzzEvents renders a driver's per-event stream into comparable lines.
 func traceFuzzEvents(d sax.Driver) ([]string, error) {
 	var out []string
-	err := d.Run(sax.HandlerFunc(func(ev *sax.Event) error {
+	err := d.Run(sax.PerEvent(func(ev *sax.Event) error {
 		out = append(out, renderFuzzEvent(ev))
 		return nil
 	}))
@@ -180,40 +183,18 @@ func traceFuzzEvents(d sax.Driver) ([]string, error) {
 	return out, nil
 }
 
-// batchTracer renders events from either delivery contract; the scanner
-// picks batched delivery when the batch limit is positive.
-type batchTracer struct {
-	out []string
-}
-
-func (b *batchTracer) HandleEvent(ev *sax.Event) error {
-	b.out = append(b.out, renderFuzzEvent(ev))
-	return nil
-}
-
-func (b *batchTracer) HandleBatch(evs []sax.Event) error {
-	for i := range evs {
-		b.out = append(b.out, renderFuzzEvent(&evs[i]))
-	}
-	return nil
-}
-
-// traceScannerEvents runs the scanner over doc in a specific configuration:
-// batch is the event-batch size (0 = per-event delivery), bufSize a read
-// buffer size override (0 = default). In-package access to the buffer is
-// what lets the harness force refill seams inside tokens of ordinary test
-// documents.
+// traceScannerEvents runs the scanner over doc in a specific configuration,
+// through the poisoning sink: batch is the event-batch size, bufSize a read
+// buffer size override (0 = default). In-package access to both is what lets
+// the harness force a flush after every event and refill seams inside tokens
+// of ordinary test documents.
 func traceScannerEvents(doc string, batch, bufSize int) ([]string, error) {
 	s := NewScanner(strings.NewReader(doc))
 	if bufSize > 0 {
 		s.buf = make([]byte, bufSize)
 	}
-	s.SetEventBatch(batch)
-	tr := &batchTracer{}
-	if err := s.Run(tr); err != nil {
-		return nil, err
-	}
-	return tr.out, nil
+	s.batchLimit = batch
+	return traceFuzzEvents(saxtest.PoisonDriver(s))
 }
 
 // TestFuzzSeedCorpusAgrees pins the seed corpus as a deterministic

@@ -20,7 +20,7 @@ func scanNoPanic(t *testing.T, doc string) {
 			t.Fatalf("scanner panicked on %q: %v", doc, r)
 		}
 	}()
-	nop := sax.HandlerFunc(func(*sax.Event) error { return nil })
+	nop := sax.PerEvent(func(*sax.Event) error { return nil })
 	_ = NewScanner(strings.NewReader(doc)).Run(nop) // error or nil both fine
 }
 
@@ -95,7 +95,7 @@ func TestMutatedThroughFullPipeline(t *testing.T) {
 		b[rng.Intn(len(b))] = byte(rng.Intn(256))
 		depth := 0
 		balanced := true
-		h := sax.HandlerFunc(func(ev *sax.Event) error {
+		h := sax.PerEvent(func(ev *sax.Event) error {
 			switch ev.Kind {
 			case sax.StartElement:
 				if ev.Depth != depth+1 {

@@ -69,7 +69,7 @@ func TestScannerNameVerdicts(t *testing.T) {
 		{"<a\x80b/>", false},  // invalid UTF-8 in name
 		{"<a\u00d7/>", false}, // U+00D7 multiplication sign: not a name char
 	}
-	nop := sax.HandlerFunc(func(*sax.Event) error { return nil })
+	nop := sax.PerEvent(func(*sax.Event) error { return nil })
 	for _, c := range cases {
 		err := NewScanner(strings.NewReader(c.doc)).Run(nop)
 		if (err == nil) != c.ok {

@@ -23,6 +23,7 @@ import (
 	"io"
 	"strings"
 	"unicode/utf8"
+	"unsafe"
 
 	"repro/internal/sax"
 )
@@ -57,20 +58,12 @@ type Scanner struct {
 	// text, the one content source the fused scan loops do not validate
 	// inline; flushText then runs the full validateChars pass over the run.
 	textNeedsCheck bool
-	valBuf         []byte //vitex:keep attribute-value scratch, truncated before each use
-	// textCache interns short, recurring character-data runs (indentation
-	// whitespace, enumerated values) so they cost no allocation after the
-	// first occurrence. Bounded: past maxTextCacheEntries new strings are
-	// no longer added (lookups still hit).
-	textCache map[string]string //vitex:keep cross-document text intern cache by design
-	// event is reused across emissions to avoid per-event allocation.
-	event sax.Event //vitex:keep scratch fully overwritten by emit before every delivery
-	attrs []sax.Attr
-	// textInterest/attrInterest are the handler's optional interest
-	// refinements, captured once per Run; non-nil lets the scanner skip
-	// materializing character data and attribute values nobody will read.
-	textInterest sax.TextInterest
-	attrInterest sax.AttrInterest
+	// valBuf and attrs are the general start-tag path's per-tag scratch:
+	// attrs collects the tag's attributes with values that are views into
+	// valBuf, and homeAttrs moves both into the batch when the tag completes
+	// (the speculative fast path writes into the batch directly).
+	valBuf []byte //vitex:keep attribute-value scratch, truncated before each use
+	attrs  []sax.Attr
 	// seenRoot records that the root element has closed.
 	seenRoot bool
 	started  bool
@@ -100,15 +93,18 @@ type Scanner struct {
 	// they are expanded recursively at reference sites with depth and
 	// size guards (see expandEntity).
 	entities map[string]string
-	// ---- batched delivery (see batch.go) ----
-	// bh is the batch handler of the current Run (nil: per-event mode);
+	// ---- event delivery (see batch.go) ----
+	// h is the handler of the current Run; herr is the first error it
+	// returned (sticky: no further batch is delivered, and Run reports it in
+	// preference to whatever the scan ran into afterwards).
 	// batch/batchAttrs/arena are the pooled arrays one batch of events
 	// borrows from, truncated wholesale at each flush.
-	bh         sax.BatchHandler
+	h          sax.Handler
+	herr       error
 	batch      []sax.Event //vitex:keep warmed batch array, truncated at each flush
 	batchAttrs []sax.Attr  //vitex:keep warmed attr backing array, truncated at each flush
 	arena      []byte      //vitex:keep warmed character-data arena, truncated at each flush
-	batchLimit int         //vitex:keep construction-time batching knob (SetEventBatch)
+	batchLimit int         //vitex:keep events per batch, fixed at construction (eventBatch)
 }
 
 // symEntry is one intern-cache slot: the canonical string for a name, its
@@ -141,13 +137,6 @@ const (
 	maxEntityExpand = 1 << 20
 )
 
-// Text-intern bounds: only short runs are worth caching, and the cache must
-// not grow without bound on high-cardinality data (e.g. distinct numbers).
-const (
-	maxTextInternLen    = 32
-	maxTextCacheEntries = 4096
-)
-
 // maxNameCacheEntries bounds the name intern cache the same way: a
 // long-lived scanner fed attacker-controlled or generated tag names must
 // not grow without bound. Past the cap, lookups still hit; new names are
@@ -164,7 +153,7 @@ func NewScanner(r io.Reader) *Scanner {
 		r:          r,
 		buf:        make([]byte, DefaultBufferSize),
 		interned:   make(map[string]symEntry),
-		batchLimit: DefaultEventBatch,
+		batchLimit: eventBatch,
 	}
 }
 
@@ -216,12 +205,10 @@ func (s *Scanner) Reset(r io.Reader) {
 	s.textAt = 0
 	s.textNeedsCheck = false
 	s.attrs = s.attrs[:0]
-	// Drop the interest refinements and batch handler captured from the
-	// previous Run's handler: a pooled Scanner must not pin the session it
-	// last served.
-	s.textInterest = nil
-	s.attrInterest = nil
-	s.bh = nil
+	// A pooled Scanner must not pin the handler (the session) it last
+	// served.
+	s.h = nil
+	s.herr = nil
 	s.batch = s.batch[:0]
 	s.batchAttrs = s.batchAttrs[:0]
 	s.arena = s.arena[:0]
@@ -265,26 +252,6 @@ func (s *Scanner) internMiss(b []byte) symEntry {
 		s.interned[name] = e
 	}
 	return e
-}
-
-// internText materializes a character-data run as a string, deduplicating
-// short recurring runs through the bounded cache. Handlers may retain the
-// result: the backing of an interned string is never recycled.
-func (s *Scanner) internText(b []byte) string {
-	if len(b) > maxTextInternLen {
-		return string(b)
-	}
-	if v, ok := s.textCache[string(b)]; ok {
-		return v
-	}
-	v := string(b)
-	if s.textCache == nil {
-		s.textCache = make(map[string]string)
-	}
-	if len(s.textCache) < maxTextCacheEntries {
-		s.textCache[v] = v
-	}
-	return v
 }
 
 // SyntaxError describes a malformed-XML failure with its byte offset.
@@ -340,48 +307,36 @@ func (s *Scanner) errIllegalChar(at int64, r rune) error {
 }
 
 // Run implements sax.Driver: it parses the whole document, delivering events
-// to h, and returns the first handler or syntax error. A handler that
-// implements sax.BatchHandler gets the batched fast path: events arrive in
-// arrays of up to SetEventBatch per call, with character data and attribute
-// values backed by recycled arenas instead of interned strings (the
-// TextInterest/AttrInterest refinements are ignored — batch content is
-// allocation-free either way).
+// to h in batches of up to eventBatch, and returns the first handler or
+// syntax error. Character data and attribute values are views over recycled
+// arenas, dead when HandleBatch returns (the sax.Handler lifetime rule).
 func (s *Scanner) Run(h sax.Handler) error {
 	if s.started {
 		return fmt.Errorf("xmlscan: Scanner already ran; call Reset before reuse")
 	}
 	s.started = true
-	if bh, ok := h.(sax.BatchHandler); ok && s.batchLimit > 0 {
-		s.bh = bh
-		if cap(s.batch) < s.batchLimit {
-			// batchSlot extends without reallocating; size the array once
-			// per limit change.
-			s.batch = make([]sax.Event, 0, s.batchLimit)
-		}
-	} else {
-		s.textInterest, _ = h.(sax.TextInterest)
-		s.attrInterest, _ = h.(sax.AttrInterest)
+	s.h = h
+	if cap(s.batch) < s.batchLimit {
+		// batchSlot extends without reallocating; size the array once.
+		s.batch = make([]sax.Event, 0, s.batchLimit)
 	}
-	err := s.run(h)
-	if s.bh != nil {
-		// Deliver everything scanned before the failure point — per-event
-		// mode has already delivered those events by the time a later
-		// syntax error surfaces, and a handler error among them would have
-		// aborted the parse first, so it takes precedence.
-		if ferr := s.flushBatch(); ferr != nil {
-			err = ferr
-		}
-		s.bh = nil
+	err := s.run()
+	// Deliver everything scanned before the failure point. A handler error
+	// among those events aborted the consumer first, so it takes precedence
+	// over a syntax error further down the input.
+	if herr := s.flushBatch(); herr != nil {
+		err = herr
 	}
+	s.h = nil
 	return err
 }
 
-func (s *Scanner) run(h sax.Handler) error {
-	if err := s.emit(h, sax.StartDocument, "", 0, "", nil, 0); err != nil {
+func (s *Scanner) run() error {
+	if err := s.emit(sax.StartDocument, 0, "", 0); err != nil {
 		return err
 	}
 	for {
-		done, err := s.step(h)
+		done, err := s.step()
 		if err != nil {
 			return err
 		}
@@ -395,7 +350,7 @@ func (s *Scanner) run(h sax.Handler) error {
 	if !s.seenRoot {
 		return s.syntaxf(s.off, "document has no root element")
 	}
-	return s.emit(h, sax.EndDocument, "", 0, "", nil, s.off)
+	return s.emit(sax.EndDocument, 0, "", s.off)
 }
 
 // skipBOM handles a leading byte-order mark: a UTF-8 BOM (ubiquitous in
@@ -419,7 +374,7 @@ func (s *Scanner) skipBOM() error {
 // done=true at clean EOF.
 //
 //vitex:hotpath
-func (s *Scanner) step(h sax.Handler) (bool, error) {
+func (s *Scanner) step() (bool, error) {
 	if !s.bomChecked {
 		if err := s.skipBOM(); err != nil {
 			return false, err
@@ -427,7 +382,7 @@ func (s *Scanner) step(h sax.Handler) (bool, error) {
 	}
 	c, ok := s.peek()
 	if !ok {
-		if err := s.flushText(h); err != nil {
+		if err := s.flushText(); err != nil {
 			return false, err
 		}
 		return true, s.pendingErr()
@@ -447,17 +402,17 @@ func (s *Scanner) step(h sax.Handler) (bool, error) {
 		case '?', '!':
 			// Cold tokens: fall to the general dispatch below.
 		case '/':
-			if err := s.flushText(h); err != nil {
+			if err := s.flushText(); err != nil {
 				return false, err
 			}
 			s.advance(2)
-			return false, s.scanEndTag(h, start)
+			return false, s.scanEndTag(start)
 		default:
-			if err := s.flushText(h); err != nil {
+			if err := s.flushText(); err != nil {
 				return false, err
 			}
 			s.advance(1)
-			return false, s.scanStartTag(h, start)
+			return false, s.scanStartTag(start)
 		}
 	}
 	s.advance(1)
@@ -467,23 +422,23 @@ func (s *Scanner) step(h sax.Handler) (bool, error) {
 	}
 	switch c {
 	case '?':
-		if err := s.flushText(h); err != nil {
+		if err := s.flushText(); err != nil {
 			return false, err
 		}
 		return false, s.scanPI(start)
 	case '!':
-		return false, s.scanBang(h, start)
+		return false, s.scanBang(start)
 	case '/':
-		if err := s.flushText(h); err != nil {
+		if err := s.flushText(); err != nil {
 			return false, err
 		}
 		s.advance(1)
-		return false, s.scanEndTag(h, start)
+		return false, s.scanEndTag(start)
 	default:
-		if err := s.flushText(h); err != nil {
+		if err := s.flushText(); err != nil {
 			return false, err
 		}
-		return false, s.scanStartTag(h, start)
+		return false, s.scanStartTag(start)
 	}
 }
 
@@ -497,6 +452,17 @@ func (s *Scanner) fill() bool {
 	// The window is about to move; a borrowed text run aliasing it must be
 	// copied out first (fill is the only place the window moves).
 	s.materializeText()
+	// Read may block for as long as the producer of the input likes: hand
+	// over every completed event first, so the consumer sees all that the
+	// bytes read so far prove (sax.Handler). Safe at any point inside a
+	// token: whatever a token in progress has collected lives in scanner
+	// scratch (text, valBuf, nameBuf, attrs), never in the batch arenas the
+	// flush recycles. A handler error ends the input — every scan loop
+	// unwinds on a failed fill — and Run reports it.
+	if len(s.batch) > 0 && s.flushBatch() != nil {
+		s.err = s.herr
+		return false
+	}
 	if s.pos > 0 {
 		// Slide the unread tail to the front to make room.
 		copy(s.buf, s.buf[s.pos:s.end])
@@ -1065,11 +1031,11 @@ func (s *Scanner) materializeText() {
 }
 
 //vitex:hotpath
-func (s *Scanner) flushText(h sax.Handler) error {
+func (s *Scanner) flushText() error {
 	if b := s.textBorrow; b != nil {
 		// Borrowed run: clean by construction (no expanded references, no
 		// bytes needing validation), aliasing the read buffer only until the
-		// copy below (arena or intern) or the interest-gated drop.
+		// copy into the arena below.
 		s.textBorrow = nil
 		if s.depth == 0 {
 			if !isAllSpace(b) {
@@ -1077,13 +1043,7 @@ func (s *Scanner) flushText(h sax.Handler) error {
 			}
 			return nil
 		}
-		if s.bh != nil {
-			return s.emit(h, sax.Text, "", s.depth+1, s.arenaString(b), nil, s.textAt)
-		}
-		if s.textInterest != nil && !s.textInterest.WantsTextEvent() {
-			return s.emit(h, sax.Text, "", s.depth+1, "", nil, s.textAt)
-		}
-		return s.emit(h, sax.Text, "", s.depth+1, s.internText(b), nil, s.textAt)
+		return s.emit(sax.Text, s.depth+1, s.arenaString(b), s.textAt)
 	}
 	if len(s.text) == 0 {
 		return nil
@@ -1106,24 +1066,9 @@ func (s *Scanner) flushText(h sax.Handler) error {
 		s.text = s.text[:0]
 		return nil
 	}
-	if s.bh != nil {
-		// Batched delivery: an arena-backed view, no interning, no
-		// interest gating (see sax.BatchHandler).
-		t := s.arenaString(s.text)
-		s.text = s.text[:0]
-		return s.emit(h, sax.Text, "", s.depth+1, t, nil, s.textAt)
-	}
-	if s.textInterest != nil && !s.textInterest.WantsTextEvent() {
-		// No consumer will read this run's content (sax.TextInterest):
-		// deliver the event with an empty string — the dominant
-		// steady-state allocation of value-free query workloads is the
-		// text materialization this skips.
-		s.text = s.text[:0]
-		return s.emit(h, sax.Text, "", s.depth+1, "", nil, s.textAt)
-	}
-	t := s.internText(s.text)
+	t := s.arenaString(s.text)
 	s.text = s.text[:0]
-	return s.emit(h, sax.Text, "", s.depth+1, t, nil, s.textAt)
+	return s.emit(sax.Text, s.depth+1, t, s.textAt)
 }
 
 func isAllSpace(b []byte) bool {
@@ -1148,7 +1093,7 @@ func isAllSpace(b []byte) bool {
 // path would raise it).
 //
 //vitex:hotpath
-func (s *Scanner) fastStartTag(h sax.Handler, start int64) (bool, error) {
+func (s *Scanner) fastStartTag(start int64) (bool, error) {
 	buf, i, end := s.buf, s.pos, s.end
 	if i >= end || !isNameStart(buf[i]) {
 		return false, nil
@@ -1165,21 +1110,14 @@ func (s *Scanner) fastStartTag(h sax.Handler, start int64) (bool, error) {
 	if err != nil {
 		return true, err
 	}
-	// Attributes accumulate straight into the destination their delivery
-	// mode needs: the batch-owned backing array (batch mode — batchQueued
-	// sees the event's slice already homed and skips its copy) or the
-	// per-tag scratch (per-event mode). att0 marks where this tag's
-	// attributes start; on a bail to the general path any entries already
-	// appended in batch mode are dead weight until the next flush truncates
-	// them, which is harmless.
-	var attrs []sax.Attr
-	att0 := 0
-	if s.bh != nil {
-		attrs = s.batchAttrs
-		att0 = len(attrs)
-	} else {
-		attrs = s.attrs[:0]
-	}
+	// Attributes accumulate straight into the batch-owned backing array,
+	// values into the batch arena: the tag is parsed inside the window, with
+	// no read (hence no flush) before it is queued. att0 marks where this
+	// tag's attributes start; on a bail to the general path the values
+	// already copied are dead weight in the arena until the next flush
+	// truncates it, which is harmless.
+	attrs := s.batchAttrs
+	att0 := len(attrs)
 	selfClose := false
 	for {
 		// Inter-attribute whitespace, then the tag-closing dispatch.
@@ -1257,14 +1195,8 @@ func (s *Scanner) fastStartTag(h sax.Handler, start int64) (bool, error) {
 				return true, s.errDupAttr(start, aname.name, name.name)
 			}
 		}
-		var aval string
-		if s.bh != nil {
-			aval = s.arenaString(vb)
-		} else if s.attrInterest == nil || s.attrInterest.WantsAttrValue(name.id, aname.id) {
-			aval = s.internText(vb)
-		}
 		attrs = append(attrs, sax.Attr{
-			Name: aname.name, Value: aval,
+			Name: aname.name, Value: s.arenaString(vb),
 			Prefix: aname.prefix, Local: aname.local, NameID: aname.id,
 		})
 	}
@@ -1277,16 +1209,12 @@ func (s *Scanner) fastStartTag(h sax.Handler, start int64) (bool, error) {
 	if len(attrs) > att0 {
 		evAttrs = attrs[att0:len(attrs):len(attrs)]
 	}
-	if s.bh != nil {
-		s.batchAttrs = attrs
-	} else {
-		s.attrs = attrs
-	}
-	if err := s.emitTag(h, sax.StartElement, name, s.depth, evAttrs, start); err != nil {
+	s.batchAttrs = attrs
+	if err := s.emitTag(sax.StartElement, name, s.depth, evAttrs, start); err != nil {
 		return true, err
 	}
 	if selfClose {
-		if err := s.emitTag(h, sax.EndElement, name, s.depth, nil, s.off); err != nil {
+		if err := s.emitTag(sax.EndElement, name, s.depth, nil, s.off); err != nil {
 			return true, err
 		}
 		s.closeElement()
@@ -1311,11 +1239,11 @@ func (s *Scanner) resolveFast(b []byte, hash uint32, nameOff int64) (symEntry, e
 // scanStartTag parses "<name attr=... >" with '<' already consumed.
 //
 //vitex:hotpath
-func (s *Scanner) scanStartTag(h sax.Handler, start int64) error {
+func (s *Scanner) scanStartTag(start int64) error {
 	if s.seenRoot && s.depth == 0 {
 		return s.syntaxf(start, "multiple root elements")
 	}
-	if done, err := s.fastStartTag(h, start); done {
+	if done, err := s.fastStartTag(start); done {
 		return err
 	}
 	name, err := s.readNameID()
@@ -1323,6 +1251,7 @@ func (s *Scanner) scanStartTag(h sax.Handler, start int64) error {
 		return err
 	}
 	s.attrs = s.attrs[:0]
+	s.valBuf = s.valBuf[:0]
 	selfClose := false
 	for {
 		s.skipSpace()
@@ -1351,8 +1280,7 @@ func (s *Scanner) scanStartTag(h sax.Handler, start int64) error {
 			return err
 		}
 		s.skipSpace()
-		wanted := s.attrInterest == nil || s.attrInterest.WantsAttrValue(name.id, aname.id)
-		aval, err := s.scanAttrValue(wanted)
+		aval, err := s.scanAttrValue()
 		if err != nil {
 			return err
 		}
@@ -1368,11 +1296,7 @@ func (s *Scanner) scanStartTag(h sax.Handler, start int64) error {
 	}
 	s.depth++
 	s.stack = append(s.stack, name)
-	var evAttrs []sax.Attr
-	if len(s.attrs) > 0 {
-		evAttrs = s.attrs
-	}
-	if err := s.emitTag(h, sax.StartElement, name, s.depth, evAttrs, start); err != nil {
+	if err := s.emitTag(sax.StartElement, name, s.depth, s.homeAttrs(), start); err != nil {
 		return err
 	}
 	if selfClose {
@@ -1380,7 +1304,7 @@ func (s *Scanner) scanStartTag(h sax.Handler, start int64) error {
 		// just past the tag — where an explicit end tag would have begun —
 		// matching encoding/xml's convention (the fuzz differential pins
 		// this).
-		if err := s.emitTag(h, sax.EndElement, name, s.depth, nil, s.off); err != nil {
+		if err := s.emitTag(sax.EndElement, name, s.depth, nil, s.off); err != nil {
 			return err
 		}
 		s.closeElement()
@@ -1388,13 +1312,14 @@ func (s *Scanner) scanStartTag(h sax.Handler, start int64) error {
 	return nil
 }
 
-// scanAttrValue parses a quoted attribute value with references resolved.
-// With wanted false (sax.AttrInterest proved no consumer reads it) the value
-// is fully parsed and validated but returned as "" without materializing a
-// string.
+// scanAttrValue parses a quoted attribute value with references resolved,
+// appending it to valBuf — which accumulates the values of the whole tag —
+// and returns a view of the appended bytes. The view stays intact however
+// valBuf grows afterwards (append moves the buffer, the view pins the old
+// backing); homeAttrs copies it into the batch arena when the tag completes.
 //
 //vitex:hotpath
-func (s *Scanner) scanAttrValue(wanted bool) (string, error) {
+func (s *Scanner) scanAttrValue() (string, error) {
 	start := s.off
 	q, ok := s.readByte()
 	if !ok {
@@ -1408,7 +1333,7 @@ func (s *Scanner) scanAttrValue(wanted bool) (string, error) {
 		qc = ccApos
 	}
 	qpat := swarOnes * uint64(q)
-	s.valBuf = s.valBuf[:0]
+	vst := len(s.valBuf)
 	needsCheck := false
 	for {
 		if s.pos == s.end && !s.fill() {
@@ -1424,7 +1349,18 @@ func (s *Scanner) scanAttrValue(wanted bool) (string, error) {
 		switch c := s.buf[s.pos]; {
 		case c == q:
 			s.advance(1)
-			return s.finishAttrValue(wanted, needsCheck, start)
+			v := s.valBuf[vst:]
+			if needsCheck {
+				// Reference expansions are the only bytes the fused scan
+				// did not validate.
+				if err := s.validateChars(v, start); err != nil {
+					return "", err
+				}
+			}
+			if len(v) == 0 {
+				return "", nil
+			}
+			return unsafe.String(&v[0], len(v)), nil
 		case c == '<':
 			return "", s.syntaxf(s.off, "'<' not allowed in attribute value")
 		case c == '&':
@@ -1452,27 +1388,6 @@ func (s *Scanner) scanAttrValue(wanted bool) (string, error) {
 	}
 }
 
-// finishAttrValue turns the scanned value bytes into the returned string:
-// an arena view in batch mode, "" when no consumer reads it
-// (sax.AttrInterest), an interned string otherwise. Reference expansions are
-// the only bytes the fused scan did not validate.
-//
-//vitex:hotpath
-func (s *Scanner) finishAttrValue(wanted, needsCheck bool, start int64) (string, error) {
-	if needsCheck {
-		if err := s.validateChars(s.valBuf, start); err != nil {
-			return "", err
-		}
-	}
-	if s.bh != nil {
-		return s.arenaString(s.valBuf), nil
-	}
-	if !wanted {
-		return "", nil
-	}
-	return s.internText(s.valBuf), nil
-}
-
 // scanEndTag parses "</name>" with "</" already consumed. The fast path
 // compares the scanned name bytes directly against the open element on the
 // stack: a match reuses that element's interned entry, skipping both the
@@ -1480,7 +1395,7 @@ func (s *Scanner) finishAttrValue(wanted, needsCheck bool, start int64) (string,
 // interned them) and the intern-cache lookup.
 //
 //vitex:hotpath
-func (s *Scanner) scanEndTag(h sax.Handler, start int64) error {
+func (s *Scanner) scanEndTag(start int64) error {
 	// In-window fast path: "</name>" with no whitespace, matching the open
 	// element byte-for-byte — one comparison against the stack top, no name
 	// scan or resolution. Anything else (window seam, "</name >", a
@@ -1493,7 +1408,7 @@ func (s *Scanner) scanEndTag(h sax.Handler, start int64) error {
 			name := *top
 			s.pos += n + 1
 			s.off += int64(n + 1)
-			if err := s.emitTag(h, sax.EndElement, name, s.depth, nil, start); err != nil {
+			if err := s.emitTag(sax.EndElement, name, s.depth, nil, start); err != nil {
 				return err
 			}
 			s.closeElement()
@@ -1510,7 +1425,7 @@ func (s *Scanner) scanEndTag(h sax.Handler, start int64) error {
 		if err := s.expect(">"); err != nil {
 			return err
 		}
-		if err := s.emitTag(h, sax.EndElement, name, s.depth, nil, start); err != nil {
+		if err := s.emitTag(sax.EndElement, name, s.depth, nil, start); err != nil {
 			return err
 		}
 		s.closeElement()
@@ -1646,7 +1561,7 @@ func pseudoAttr(inst, param string) string {
 // directives flush pending text; CDATA extends it. Markup declarations the
 // scanner does not interpret are skipped with encoding/xml's lax algorithm
 // (skipDirective) so both front-ends accept the same documents.
-func (s *Scanner) scanBang(h sax.Handler, start int64) error {
+func (s *Scanner) scanBang(start int64) error {
 	s.advance(1) // consume '!'
 	c, ok := s.peek()
 	if !ok {
@@ -1654,19 +1569,19 @@ func (s *Scanner) scanBang(h sax.Handler, start int64) error {
 	}
 	switch {
 	case c == '-':
-		if err := s.flushText(h); err != nil {
+		if err := s.flushText(); err != nil {
 			return err
 		}
 		return s.scanComment(start)
 	case c == '[':
 		return s.scanCDATA(start)
 	case s.hasPrefix("DOCTYPE"):
-		if err := s.flushText(h); err != nil {
+		if err := s.flushText(); err != nil {
 			return err
 		}
 		return s.scanDoctype(start)
 	default:
-		if err := s.flushText(h); err != nil {
+		if err := s.flushText(); err != nil {
 			return err
 		}
 		// Mirror encoding/xml: the first byte after "<!" is consumed
@@ -1986,42 +1901,31 @@ func (s *Scanner) skipDeclTail(start int64) error {
 	}
 }
 
-// emit delivers one event to the handler (or queues it in batch mode). Both
-// paths fill a long-lived event struct through a pointer: a sax.Event is
-// over a hundred bytes, and building it as a literal then storing it costs a
-// bulk copy per event — the dominant cost of markup-dense scans before
-// per-field stores. Every field is written because the target slot carries
-// the previous event's values.
+// emit queues one event that carries no name (document boundaries, text).
+// Events are filled in place through a pointer into the batch array: a
+// sax.Event is over a hundred bytes, and building it as a literal then
+// storing it costs a bulk copy per event — the dominant cost of markup-dense
+// scans before per-field stores. Every field is written because the slot
+// carries a previous batch's values.
 //
 //vitex:hotpath
-func (s *Scanner) emit(h sax.Handler, k sax.Kind, name string, depth int, text string, attrs []sax.Attr, off int64) error {
-	ev := &s.event
-	if s.bh != nil {
-		ev = s.batchSlot()
-	}
-	ev.Kind, ev.Name, ev.Prefix, ev.Local, ev.NameID = k, name, "", "", sax.SymNone
+func (s *Scanner) emit(k sax.Kind, depth int, text string, off int64) error {
+	ev := s.batchSlot()
+	ev.Kind, ev.Name, ev.Prefix, ev.Local, ev.NameID = k, "", "", "", sax.SymNone
 	ev.Depth, ev.Text, ev.Offset = depth, text, off
-	ev.Attrs = attrs
-	if s.bh != nil {
-		return s.batchQueued(ev)
-	}
-	return h.HandleEvent(ev)
+	ev.Attrs = nil
+	return s.batchQueued()
 }
 
-// emitTag delivers a start/end-element event carrying the name's QName split
-// and local-name symbol ID (or queues it in batch mode).
+// emitTag queues a start/end-element event carrying the name's QName split
+// and local-name symbol ID. attrs must already live in the batch's backing
+// array (fastStartTag builds them there, homeAttrs moves them there).
 //
 //vitex:hotpath
-func (s *Scanner) emitTag(h sax.Handler, k sax.Kind, name symEntry, depth int, attrs []sax.Attr, off int64) error {
-	ev := &s.event
-	if s.bh != nil {
-		ev = s.batchSlot()
-	}
+func (s *Scanner) emitTag(k sax.Kind, name symEntry, depth int, attrs []sax.Attr, off int64) error {
+	ev := s.batchSlot()
 	ev.Kind, ev.Name, ev.Prefix, ev.Local, ev.NameID = k, name.name, name.prefix, name.local, name.id
 	ev.Depth, ev.Text, ev.Offset = depth, "", off
 	ev.Attrs = attrs
-	if s.bh != nil {
-		return s.batchQueued(ev)
-	}
-	return h.HandleEvent(ev)
+	return s.batchQueued()
 }

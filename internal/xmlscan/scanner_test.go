@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/datagen"
 	"repro/internal/sax"
+	"repro/internal/sax/saxtest"
 )
 
 // collect runs the scanner over doc and returns a compact textual trace of
@@ -16,7 +17,7 @@ import (
 func collect(t *testing.T, doc string) ([]string, error) {
 	t.Helper()
 	var out []string
-	h := sax.HandlerFunc(func(ev *sax.Event) error {
+	h := sax.PerEvent(func(ev *sax.Event) error {
 		switch ev.Kind {
 		case sax.StartDocument:
 			out = append(out, "doc(")
@@ -35,7 +36,7 @@ func collect(t *testing.T, doc string) ([]string, error) {
 		}
 		return nil
 	})
-	err := NewScanner(strings.NewReader(doc)).Run(h)
+	err := NewScanner(strings.NewReader(doc)).Run(saxtest.Poison(h))
 	return out, err
 }
 
@@ -183,7 +184,7 @@ func TestLargeTextTokenGrowsBuffer(t *testing.T) {
 func TestOffsets(t *testing.T) {
 	doc := `<a><b id="1"/></a>`
 	var offs []int64
-	h := sax.HandlerFunc(func(ev *sax.Event) error {
+	h := sax.PerEvent(func(ev *sax.Event) error {
 		if ev.Kind == sax.StartElement {
 			offs = append(offs, ev.Offset)
 		}
@@ -199,7 +200,7 @@ func TestOffsets(t *testing.T) {
 
 func TestSingleUse(t *testing.T) {
 	s := NewScanner(strings.NewReader("<a/>"))
-	nop := sax.HandlerFunc(func(*sax.Event) error { return nil })
+	nop := sax.PerEvent(func(*sax.Event) error { return nil })
 	if err := s.Run(nop); err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +212,7 @@ func TestSingleUse(t *testing.T) {
 func TestHandlerErrorAborts(t *testing.T) {
 	wantErr := errors.New("stop")
 	n := 0
-	h := sax.HandlerFunc(func(ev *sax.Event) error {
+	h := sax.PerEvent(func(ev *sax.Event) error {
 		n++
 		if ev.Kind == sax.StartElement {
 			return wantErr
@@ -284,7 +285,7 @@ func (r *errReader) Read(p []byte) (int, error) {
 }
 
 func TestReadErrorPropagates(t *testing.T) {
-	nop := sax.HandlerFunc(func(*sax.Event) error { return nil })
+	nop := sax.PerEvent(func(*sax.Event) error { return nil })
 	err := NewScanner(&errReader{s: "<a><b></b>"}).Run(nop)
 	if err == nil || !strings.Contains(err.Error(), "disk on fire") {
 		// The scanner may also report the open-elements syntax error;
@@ -298,8 +299,8 @@ func TestReadErrorPropagates(t *testing.T) {
 func TestOneByteReads(t *testing.T) {
 	doc := `<root a="v"><child>text &amp; more</child><!--c--><kid/></root>`
 	var a, b []string
-	ha := sax.HandlerFunc(func(ev *sax.Event) error { a = append(a, fmt.Sprint(*ev)); return nil })
-	hb := sax.HandlerFunc(func(ev *sax.Event) error { b = append(b, fmt.Sprint(*ev)); return nil })
+	ha := sax.PerEvent(func(ev *sax.Event) error { a = append(a, fmt.Sprint(*ev)); return nil })
+	hb := sax.PerEvent(func(ev *sax.Event) error { b = append(b, fmt.Sprint(*ev)); return nil })
 	if err := NewScanner(strings.NewReader(doc)).Run(ha); err != nil {
 		t.Fatal(err)
 	}
@@ -337,7 +338,7 @@ func TestPaperFigure1(t *testing.T) {
 	// The 17-line sample document from figure 1 of the paper.
 	doc := datagen.PaperFigure1
 	var starts []string
-	h := sax.HandlerFunc(func(ev *sax.Event) error {
+	h := sax.PerEvent(func(ev *sax.Event) error {
 		if ev.Kind == sax.StartElement {
 			starts = append(starts, fmt.Sprintf("%s@%d", ev.Name, ev.Depth))
 		}
@@ -362,13 +363,13 @@ func TestPaperFigure1(t *testing.T) {
 func collectText(t *testing.T, doc string) []string {
 	t.Helper()
 	var out []string
-	h := sax.HandlerFunc(func(ev *sax.Event) error {
+	h := sax.PerEvent(func(ev *sax.Event) error {
 		if ev.Kind == sax.Text {
-			out = append(out, ev.Text)
+			out = append(out, strings.Clone(ev.Text))
 		}
 		return nil
 	})
-	if err := NewScanner(strings.NewReader(doc)).Run(h); err != nil {
+	if err := NewScanner(strings.NewReader(doc)).Run(saxtest.Poison(h)); err != nil {
 		t.Fatal(err)
 	}
 	return out
@@ -381,7 +382,7 @@ func TestUTF8BOMSkipped(t *testing.T) {
 	}
 	// A reused scanner re-checks the BOM per document.
 	s := NewScanner(strings.NewReader("\xEF\xBB\xBF<r>a</r>"))
-	nop := sax.HandlerFunc(func(*sax.Event) error { return nil })
+	nop := sax.PerEvent(func(*sax.Event) error { return nil })
 	if err := s.Run(nop); err != nil {
 		t.Fatal(err)
 	}
@@ -397,7 +398,7 @@ func TestUTF16BOMRejected(t *testing.T) {
 		"UTF-16LE": "\xFF\xFE<\x00r\x00",
 		"UTF-32BE": "\x00\x00\xFE\xFF\x00\x00\x00<",
 	} {
-		err := NewScanner(strings.NewReader(doc)).Run(sax.HandlerFunc(func(*sax.Event) error { return nil }))
+		err := NewScanner(strings.NewReader(doc)).Run(sax.PerEvent(func(*sax.Event) error { return nil }))
 		if err == nil || !strings.Contains(err.Error(), "unsupported encoding") {
 			t.Errorf("%s: err = %v, want unsupported-encoding error", name, err)
 		}
@@ -413,13 +414,13 @@ func TestLineEndingNormalization(t *testing.T) {
 		t.Fatalf("text = %q, want %q", got, want)
 	}
 	var attr string
-	h := sax.HandlerFunc(func(ev *sax.Event) error {
+	h := sax.PerEvent(func(ev *sax.Event) error {
 		if ev.Kind == sax.StartElement && len(ev.Attrs) > 0 {
-			attr = ev.Attrs[0].Value
+			attr = strings.Clone(ev.Attrs[0].Value)
 		}
 		return nil
 	})
-	if err := NewScanner(strings.NewReader("<r k='a\r\nb\rc&#13;d'/>")).Run(h); err != nil {
+	if err := NewScanner(strings.NewReader("<r k='a\r\nb\rc&#13;d'/>")).Run(saxtest.Poison(h)); err != nil {
 		t.Fatal(err)
 	}
 	if attr != "a\nb\nc\rd" {
@@ -434,7 +435,7 @@ func TestQNameSplitOnEvents(t *testing.T) {
 	}
 	var elems []rec
 	var attrs []rec
-	h := sax.HandlerFunc(func(ev *sax.Event) error {
+	h := sax.PerEvent(func(ev *sax.Event) error {
 		if ev.Kind == sax.StartElement {
 			elems = append(elems, rec{ev.Name, ev.Prefix, ev.Local, ev.NameID})
 			for i := range ev.Attrs {
@@ -458,5 +459,73 @@ func TestQNameSplitOnEvents(t *testing.T) {
 	}
 	if fmt.Sprint(attrs) != fmt.Sprint(wantAttrs) {
 		t.Fatalf("attrs = %v, want %v", attrs, wantAttrs)
+	}
+}
+
+// stallReader hands out one scripted chunk per Read and records, at every
+// call, how many events the handler had received by then.
+type stallReader struct {
+	chunks    []string
+	delivered *int
+	seen      []int
+}
+
+func (r *stallReader) Read(p []byte) (int, error) {
+	r.seen = append(r.seen, *r.delivered)
+	if len(r.chunks) == 0 {
+		return 0, io.EOF
+	}
+	n := copy(p, r.chunks[0])
+	r.chunks = r.chunks[1:]
+	return n, nil
+}
+
+// TestEventsDeliveredBeforeRead: the scanner never waits on its input while
+// it holds completed events. Whatever the bytes read so far prove has reached
+// the handler by the time the next Read is issued — wherever the chunk
+// boundary falls: on a token boundary, inside a tag, inside a text run.
+func TestEventsDeliveredBeforeRead(t *testing.T) {
+	delivered := 0
+	r := &stallReader{
+		chunks:    []string{"<a><b>1</b>", "<c k='v", "'/>te", "xt</a>"},
+		delivered: &delivered,
+	}
+	h := sax.PerEvent(func(*sax.Event) error { delivered++; return nil })
+	if err := NewScanner(r).Run(saxtest.Poison(h)); err != nil {
+		t.Fatal(err)
+	}
+	// Before each Read: StartDocument; + <a> <b> "1" </b>; nothing new
+	// (the tag is incomplete); + <c> </c> (the text run is incomplete);
+	// + "text" </a>, at the Read that reports EOF.
+	want := []int{1, 5, 5, 7, 9}
+	if fmt.Sprint(r.seen) != fmt.Sprint(want) {
+		t.Fatalf("events delivered before each Read = %v, want %v", r.seen, want)
+	}
+	if delivered != 10 {
+		t.Fatalf("%d events in all, want 10", delivered)
+	}
+}
+
+// TestHandlerErrorDuringFlushBeforeRead: a handler error raised by the flush
+// that precedes a read wins over the syntax error the truncated input would
+// otherwise produce, and nothing is delivered after it.
+func TestHandlerErrorDuringFlushBeforeRead(t *testing.T) {
+	wantErr := errors.New("stop")
+	calls := 0
+	h := sax.PerEvent(func(ev *sax.Event) error {
+		calls++
+		if ev.Kind == sax.StartElement {
+			return wantErr
+		}
+		return nil
+	})
+	delivered := 0
+	r := &stallReader{chunks: []string{"<a><b", ">x</b></a>"}, delivered: &delivered}
+	err := NewScanner(r).Run(h)
+	if !errors.Is(err, wantErr) {
+		t.Fatalf("err = %v, want %v", err, wantErr)
+	}
+	if calls != 2 { // StartDocument (flushed before the first Read), <a>
+		t.Fatalf("handler saw %d events, want 2", calls)
 	}
 }

@@ -10,7 +10,6 @@ import (
 
 type nullSink struct{ n int64 }
 
-func (c *nullSink) HandleEvent(ev *sax.Event) error { c.n++; return nil }
 func (c *nullSink) HandleBatch(evs []sax.Event) error {
 	c.n += int64(len(evs))
 	return nil

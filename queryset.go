@@ -392,32 +392,10 @@ func (qs *QuerySet) Metrics() engine.Metrics {
 	return qs.eng.Metrics()
 }
 
-// EnableHotStats samples every every-th serial Stream with timed routing,
-// attributing wall clock across scan/trie/machine stages; see
-// engine.Engine.EnableHotStats. The attribution accumulates in
-// Metrics().Hot.
-func (qs *QuerySet) EnableHotStats(every int) {
-	qs.mu.Lock()
-	defer qs.mu.Unlock()
-	qs.eng.EnableHotStats(every)
-}
-
 // EvalHistogram returns the full bucket data behind Metrics().Eval: the
 // distribution of per-stream evaluation cost in ns per scan event.
 func (qs *QuerySet) EvalHistogram() obs.Snapshot {
 	qs.mu.Lock()
 	defer qs.mu.Unlock()
 	return qs.eng.EvalHistogram()
-}
-
-// SetScanBatch tunes how many scanner events subsequent Stream calls deliver
-// to the evaluation session per batch (the built-in scanner only; the
-// UseStdParser path is always per-event). n > 0 sets the batch size, n == 0
-// restores the default, n < 0 disables batching so events are delivered one
-// at a time — the configurations performance experiments sweep. See
-// engine.Engine.SetScanBatch.
-func (qs *QuerySet) SetScanBatch(n int) {
-	qs.mu.Lock()
-	defer qs.mu.Unlock()
-	qs.eng.SetScanBatch(n)
 }
