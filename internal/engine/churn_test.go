@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -36,9 +37,9 @@ func streamValues(t *testing.T, s Snapshot, doc string, workers int) ([][]string
 	var stats []twigm.Stats
 	var err error
 	if workers > 1 {
-		stats, err = s.StreamParallel(strings.NewReader(doc), false, opts, workers)
+		stats, err = streamOpts(context.Background(), s, strings.NewReader(doc), false, opts, workers)
 	} else {
-		stats, err = s.Stream(strings.NewReader(doc), false, opts)
+		stats, err = streamOpts(context.Background(), s, strings.NewReader(doc), false, opts, 0)
 	}
 	if err != nil {
 		t.Fatal(err)
@@ -189,7 +190,7 @@ func TestRemoveTombstonesAndCompacts(t *testing.T) {
 	if err := e.Remove(keepProg); err == nil {
 		t.Fatal("double Remove succeeded")
 	}
-	if _, err := e.Stream(strings.NewReader(churnDoc), false, nil); err != nil {
+	if _, err := streamOpts(context.Background(), e.Snapshot(), strings.NewReader(churnDoc), false, nil, 0); err != nil {
 		t.Fatalf("empty engine stream: %v", err)
 	}
 }
@@ -342,9 +343,9 @@ func TestConcurrentChurnAndStreams(t *testing.T) {
 				opts := make([]twigm.Options, s.Len())
 				var err error
 				if par > 1 {
-					_, err = s.StreamParallel(strings.NewReader(churnDoc), false, opts, par)
+					_, err = streamOpts(context.Background(), s, strings.NewReader(churnDoc), false, opts, par)
 				} else {
-					_, err = s.Stream(strings.NewReader(churnDoc), false, opts)
+					_, err = streamOpts(context.Background(), s, strings.NewReader(churnDoc), false, opts, 0)
 				}
 				if err != nil {
 					t.Errorf("stream during churn: %v", err)

@@ -53,10 +53,7 @@ func countingOpts(n int, count *int64) []twigm.Options {
 
 // streamWith runs either the serial or the parallel context entry point.
 func streamWith(e *Engine, ctx context.Context, r io.Reader, opts []twigm.Options, workers int) ([]twigm.Stats, error) {
-	if workers > 1 {
-		return e.StreamParallelContext(ctx, r, false, opts, workers)
-	}
-	return e.StreamContext(ctx, r, false, opts)
+	return streamOpts(ctx, e.Snapshot(), r, false, opts, workers)
 }
 
 // TestCancelDuringScan: a context canceled while the scan is mid-document
@@ -141,7 +138,7 @@ func TestDeadlineExceededSurfaces(t *testing.T) {
 	dctx, dcancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Hour))
 	defer dcancel()
 	var count int64
-	_, err := e.StreamContext(dctx, strings.NewReader(ctxDoc(10)), false, countingOpts(e.Len(), &count))
+	_, err := streamOpts(dctx, e.Snapshot(), strings.NewReader(ctxDoc(10)), false, countingOpts(e.Len(), &count), 0)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
@@ -152,7 +149,7 @@ func TestDeadlineExceededSurfaces(t *testing.T) {
 func TestContextlessStreamUnchanged(t *testing.T) {
 	e := mustEngine(t, "//a/b")
 	var count int64
-	_, err := e.Stream(strings.NewReader(ctxDoc(50)), false, countingOpts(e.Len(), &count))
+	_, err := streamOpts(context.Background(), e.Snapshot(), strings.NewReader(ctxDoc(50)), false, countingOpts(e.Len(), &count), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

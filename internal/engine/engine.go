@@ -42,7 +42,9 @@
 //
 // Evaluation state (machines, scanner, routing sets) lives in pooled
 // sessions: a long-lived Engine serving a stream of documents reuses all of
-// it, so steady-state evaluation is nearly allocation-free.
+// it, and resets a machine only when a document first wakes it, so a document
+// costs what it wakes — an idle machine is neither reset, nor delivered to,
+// nor reported on — and steady-state evaluation allocates nothing.
 //
 // The machine set is dynamic: Add, Remove and Replace mutate a live engine
 // between — and safely concurrent with — Stream calls, compiling only the
@@ -54,8 +56,8 @@ package engine
 
 import (
 	"context"
-	"fmt"
 	"io"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -197,57 +199,72 @@ func (e *Engine) Symbols() *sax.Symbols { return e.syms }
 // Len returns the current number of live machines.
 func (e *Engine) Len() int { return e.Snapshot().Len() }
 
+// Plan is what one evaluation asks of a snapshot's machines. Machine indexes
+// are dense positions in the snapshot's order.
+type Plan struct {
+	// Options configures every machine alike. Options.EmitFrom receives each
+	// result with the index of the machine that produced it; Options.ID is
+	// the engine's to fill in, and Options.Emit is not used.
+	Options twigm.Options
+	// Unordered, when non-nil, marks the machines that deliver in
+	// confirmation order even under Options.Ordered (the branches of a
+	// union, which only their caller can put in document order).
+	Unordered []bool
+	// Stats, when non-nil, receives after the scan the counters of every
+	// machine the document woke, scan-level fields included. A machine it is
+	// not called for did no work: its statistics are the value Stream
+	// returns.
+	Stats func(machine int, st twigm.Stats)
+}
+
 // Stream evaluates the current membership over one scan of r; it is
-// Snapshot().Stream. opts[i] configures machine i in snapshot order.
-func (e *Engine) Stream(r io.Reader, useStdParser bool, opts []twigm.Options) ([]twigm.Stats, error) {
-	return e.Snapshot().Stream(r, useStdParser, opts)
+// Snapshot().Stream.
+func (e *Engine) Stream(ctx context.Context, r io.Reader, useStdParser bool, plan Plan) (twigm.Stats, error) {
+	return e.Snapshot().Stream(ctx, r, useStdParser, plan)
 }
 
-// StreamContext is Stream honoring a cancellation context; it is
-// Snapshot().StreamContext.
-func (e *Engine) StreamContext(ctx context.Context, r io.Reader, useStdParser bool, opts []twigm.Options) ([]twigm.Stats, error) {
-	return e.Snapshot().StreamContext(ctx, r, useStdParser, opts)
-}
-
-// Stream evaluates every machine of the snapshot over one scan of r. opts[i]
-// configures machine i (emit callbacks and modes); len(opts) must equal
-// Len(). The returned per-machine statistics carry the shared scan's Events,
-// Elements and MaxDepth counters — under routed dispatch a machine does not
-// see every event, so per-machine counts of scan-level quantities would be
-// meaningless. ConfirmedAt/DeliveredAt of results are indexed against the
-// shared scan's event clock and match what a broadcast evaluation would
-// report.
-func (s Snapshot) Stream(r io.Reader, useStdParser bool, opts []twigm.Options) ([]twigm.Stats, error) {
-	return s.StreamContext(context.Background(), r, useStdParser, opts)
-}
-
-// StreamContext is Stream honoring a cancellation context: the scan checks
-// ctx at every event, so cancellation — from a caller's deadline, or from
-// inside an Emit callback — aborts the evaluation promptly mid-document and
-// returns ctx.Err(). The per-event check is a single non-blocking channel
-// poll and is skipped entirely for contexts that cannot be canceled
-// (context.Background/TODO), so the hot path is unchanged.
-func (s Snapshot) StreamContext(ctx context.Context, r io.Reader, useStdParser bool, opts []twigm.Options) ([]twigm.Stats, error) {
-	e, ep := s.eng, s.ep
-	if len(opts) != len(ep.live) {
-		return nil, fmt.Errorf("engine: %d option sets for %d machines", len(opts), len(ep.live))
-	}
+// Stream evaluates every machine of the snapshot over one scan of r. What a
+// document costs is proportional to the machines it wakes, not to the
+// snapshot: a machine is reset, bound to its anchor and given its options the
+// first time an event is routed to it, and only those machines see the end of
+// the document and report statistics (Plan.Stats).
+//
+// The returned Stats carry the shared scan's Events, Elements and MaxDepth
+// and nothing else — under routed dispatch a machine does not see every
+// event, so every machine reports these scan-level counters. ConfirmedAt and
+// DeliveredAt of results are indexed against the shared scan's event clock
+// and match what a broadcast evaluation would report.
+//
+// The scan checks ctx at every event, so cancellation — from a caller's
+// deadline, or from inside an emit callback — aborts the evaluation promptly
+// mid-document and returns ctx.Err(). The per-event check is a single
+// non-blocking channel poll and is skipped entirely for contexts that cannot
+// be canceled (context.Background/TODO), so the hot path is unchanged.
+func (s Snapshot) Stream(ctx context.Context, r io.Reader, useStdParser bool, plan Plan) (twigm.Stats, error) {
+	e := s.eng
 	ses, _ := e.pool.Get().(*session)
 	if ses == nil {
 		ses = newSession(e)
 	}
 	defer e.pool.Put(ses)
-	ses.sync(ep)
-	ses.reset(opts)
-	ses.ctx, ses.done = ctx, ctx.Done()
+	return ses.stream(ctx, e, s.ep, e.driver(ses.scan, r, useStdParser), plan)
+}
 
-	var drv sax.Driver
+// driver returns the front-end of one scan of r: the session's own scanner, or
+// the encoding/xml adapter interning against the same symbol table.
+func (e *Engine) driver(scan *xmlscan.Scanner, r io.Reader, useStdParser bool) sax.Driver {
 	if useStdParser {
-		drv = sax.NewStdDriverWith(r, e.syms)
-	} else {
-		ses.scan.Reset(r)
-		drv = ses.scan
+		return sax.NewStdDriverWith(r, e.syms)
 	}
+	scan.Reset(r)
+	return scan
+}
+
+// stream evaluates ep's machines over one run of drv on this session.
+func (ses *session) stream(ctx context.Context, e *Engine, ep *epoch, drv sax.Driver, plan Plan) (twigm.Stats, error) {
+	ses.sync(ep)
+	ses.reset(plan)
+	ses.ctx, ses.done = ctx, ctx.Done()
 	start := time.Now()
 	err := drv.Run(ses)
 	durNs := time.Since(start).Nanoseconds()
@@ -264,35 +281,29 @@ func (s Snapshot) StreamContext(ctx context.Context, r io.Reader, useStdParser b
 	if ses.events > 0 {
 		e.evalHist.ObserveNs(durNs / ses.events)
 	}
-	stats := make([]twigm.Stats, len(ep.live))
-	for d, slot := range ep.live {
-		st := ses.runs[slot].Stats()
-		st.Events = ses.events
-		st.Elements = ses.elements
-		st.MaxDepth = ses.maxDepth
-		stats[d] = st
-	}
-	return stats, err
+	scan := twigm.Stats{Events: ses.events, Elements: ses.elements, MaxDepth: ses.maxDepth}
+	ses.rt.report(scan, plan.Stats)
+	return scan, err
 }
 
-// session is one serial evaluation's worth of mutable state: the machine
-// runs (slot-indexed against the epoch it last synced to), the reusable
-// scanner, and the router over all of them. Sessions are pooled and fully
-// reset between documents; they survive epoch changes by resyncing.
+// session is one serial evaluation's worth of mutable state: the reusable
+// scanner and the router over all the machine runs (slot-indexed against the
+// epoch it last synced to). Sessions are pooled; between documents the router
+// is reset and each run when it next wakes. They survive epoch changes by
+// resyncing.
 //
 //vitex:pooled
 type session struct {
 	// ep is the epoch the slot-indexed state below matches.
-	ep   *epoch       //vitex:keep resync state, realigned by sync() per checkout
-	runs []*twigm.Run // slot -> run (nil for tombstoned slots)
+	ep   *epoch //vitex:keep resync state, realigned by sync() per checkout
 	rt   router
-	scan *xmlscan.Scanner //vitex:keep warmed scanner, Reset(r) per stream by StreamContext
+	scan *xmlscan.Scanner //vitex:keep warmed scanner, Reset(r) per stream by Engine.driver
 
 	// Cancellation for the stream in flight: done is ctx.Done(), cached so
 	// the per-event poll is one channel read; nil when the context cannot be
 	// canceled. Cleared before the session returns to the pool.
-	ctx  context.Context //vitex:keep cleared by StreamContext before pooling
-	done <-chan struct{} //vitex:keep cleared by StreamContext before pooling
+	ctx  context.Context //vitex:keep cleared by stream before pooling
+	done <-chan struct{} //vitex:keep cleared by stream before pooling
 
 	// Shared-scan counters.
 	events   int64
@@ -313,9 +324,9 @@ func (s *session) sync(ep *epoch) {
 	if s.ep == ep {
 		return
 	}
-	s.runs = rekeyRuns(s.ep, s.runs, ep)
+	runs := rekeyRuns(s.ep, s.rt.runs, ep)
 	s.ep = ep
-	s.rt.init(s.runs, ep.elemSubs, ep.attrSubs, ep.wild, ep.live, ep.trie, nil)
+	s.rt.init(runs, ep.elemSubs, ep.attrSubs, ep.wild, ep.rootText, ep.live, ep.trie, nil)
 }
 
 // rekeyRuns rebuilds a session's slot-indexed run slice for a new epoch,
@@ -348,20 +359,13 @@ func rekeyRuns(old *epoch, oldRuns []*twigm.Run, ep *epoch) []*twigm.Run {
 	return runs
 }
 
-func (s *session) reset(opts []twigm.Options) {
-	for d, slot := range s.ep.live {
-		s.runs[slot].Reset(opts[d])
-		if a := s.ep.anchors[slot]; a >= 0 {
-			// Anchored residual machines read their trie node's shared
-			// stack; rebind every stream (the session may have resynced
-			// to a different trie since last checkout).
-			s.runs[slot].BindAnchor(s.rt.prun.Stack(a))
-		}
-	}
+// reset starts a new document in O(1): no machine is touched until the router
+// first delivers an event to it.
+func (s *session) reset(plan Plan) {
 	s.events = 0
 	s.elements = 0
 	s.maxDepth = 0
-	s.rt.reset()
+	s.rt.reset(s.ep, plan.Options, plan.Unordered)
 }
 
 // HandleBatch implements sax.Handler: it counts the scan's shared-level
@@ -405,14 +409,36 @@ func (s *session) HandleBatch(evs []sax.Event) error {
 // implementation for both is what keeps the parallel mode's
 // byte-identical-to-serial guarantee from drifting.
 //
+// The router is also the one place a machine is prepared for a document:
+// reset bumps a generation and touches no machine, and the first delivery to a
+// machine whose stamp is stale (wake) resets its run with the document's
+// options, binds its anchor and lists it as woken. A machine the document
+// never concerns is never touched, so a document costs what it wakes.
+//
 //vitex:pooled
 type router struct {
-	runs []*twigm.Run //vitex:keep rewired by init/rehost on resync, not per stream
+	// runs maps slot -> run (nil for tombstoned slots).
+	runs []*twigm.Run //vitex:keep rewired by init/rehost on resync; a run is reset when it wakes
 
 	elemSubs [][]int32 //vitex:keep subscription tables, rebuilt only on resync
 	attrSubs [][]int32 //vitex:keep subscription tables, rebuilt only on resync
 	wild     []int32   //vitex:keep subscription tables, rebuilt only on resync
 	machines []int32   //vitex:keep routed-machine set, rebuilt only on resync
+	// rootText lists the routed machines with a root text() node: they want
+	// text from the first event on, so reset seeds textSet with them.
+	rootText []int32
+
+	// ep supplies the slot-indexed anchors and dense indexes wake reads.
+	ep *epoch
+	// opts and unordered are the document's Plan: what wake resets a run to.
+	opts      twigm.Options
+	unordered []bool
+	// gen is the document generation; machine i is prepared for the current
+	// document iff wokenAt[i] == gen. woken lists those machines, in wake
+	// order until EndDocument sorts it.
+	gen     uint64
+	wokenAt []uint64 //vitex:keep generation stamps: gen only ever grows, so a stamp left by any earlier document is stale
+	woken   []int32
 
 	// Dynamic routing sets. endSet holds machines with live stack entries
 	// or an active recording (they need end-element events); textSet holds
@@ -447,14 +473,16 @@ type router struct {
 // given subscription tables; machines lists the ids this router routes for,
 // trie is the epoch's shared prefix trie (nil without sharing) and trieIDs
 // restricts trie evaluation to a subset of node IDs (nil = all).
-func (rt *router) init(runs []*twigm.Run, elemSubs, attrSubs [][]int32, wild, machines []int32, trie *twigm.Trie, trieIDs []bool) {
+func (rt *router) init(runs []*twigm.Run, elemSubs, attrSubs [][]int32, wild, rootText, machines []int32, trie *twigm.Trie, trieIDs []bool) {
 	n := len(runs)
 	rt.runs = runs
 	rt.elemSubs = elemSubs
 	rt.attrSubs = attrSubs
 	rt.wild = wild
+	rt.rootText = rootText
 	rt.machines = machines
 	rt.stamps = make([]int64, n)
+	rt.wokenAt = make([]uint64, n)
 	rt.endSet.init(n)
 	rt.textSet.init(n)
 	rt.fullSet.init(n)
@@ -473,27 +501,67 @@ func (rt *router) rehost(runs []*twigm.Run, nSlots int) {
 	rt.runs = runs
 	for len(rt.stamps) < nSlots {
 		rt.stamps = append(rt.stamps, 0)
+		rt.wokenAt = append(rt.wokenAt, 0)
 	}
 	rt.endSet.grow(nSlots)
 	rt.textSet.grow(nSlots)
 	rt.fullSet.grow(nSlots)
 }
 
-// reset clears the dynamic sets and recomputes the memberships of every
-// routed machine (their runs have just been Reset with fresh options).
-func (rt *router) reset() {
+// reset starts a new document: it bumps the generation, which makes every
+// machine's preparation stale at once, and returns the dynamic sets to what
+// an unwoken machine set looks like — empty, but for the static text
+// subscribers. ep is the epoch the caller synced to (a rehosted shard keeps
+// its tables across a resync, but dense indexes move under it).
+func (rt *router) reset(ep *epoch, opts twigm.Options, unordered []bool) {
 	rt.endSet.clear()
 	rt.textSet.clear()
 	rt.fullSet.clear()
+	for _, i := range rt.rootText {
+		rt.textSet.set(i, true)
+	}
 	rt.prun.ResetStream()
 	rt.deliveries = 0
-	for _, i := range rt.machines {
-		rt.refresh(i)
+	rt.gen++
+	rt.woken = rt.woken[:0]
+	rt.ep, rt.opts, rt.unordered = ep, opts, unordered
+}
+
+// wake prepares machine i for the current document, on the first delivery to
+// it: a reset run with the document's options, bound to its anchor stack.
+// Its dynamic memberships follow from the refresh that ends that delivery.
+//
+//vitex:hotpath
+func (rt *router) wake(i int32) {
+	rt.wokenAt[i] = rt.gen
+	rt.woken = append(rt.woken, i)
+	o := rt.opts
+	o.ID = int(rt.ep.liveIdx[i])
+	if rt.unordered != nil && rt.unordered[o.ID] {
+		o.Ordered = false
+	}
+	run := rt.runs[i]
+	run.Reset(o)
+	if a := rt.ep.anchors[i]; a >= 0 {
+		run.BindAnchor(rt.prun.Stack(a))
+	}
+}
+
+// report hands visit the statistics of every machine the document woke, with
+// the shared scan's counters filled in.
+func (rt *router) report(scan twigm.Stats, visit func(int, twigm.Stats)) {
+	if visit == nil {
+		return
+	}
+	for _, i := range rt.woken {
+		st := rt.runs[i].Stats()
+		st.Events, st.Elements, st.MaxDepth = scan.Events, scan.Elements, scan.MaxDepth
+		visit(int(rt.ep.liveIdx[i]), st)
 	}
 }
 
 // refresh recomputes machine i's dynamic routing memberships. Called after
-// every delivery to i (the only points its state can change) and at reset.
+// every delivery to i (the only points its state can change).
 //
 //vitex:hotpath
 func (rt *router) refresh(i int32) {
@@ -504,11 +572,15 @@ func (rt *router) refresh(i int32) {
 	rt.textSet.set(i, run.WantsText())
 }
 
-// deliver hands the event to machine i with the clock synced to the shared
-// scan index, then refreshes i's routing memberships.
+// deliver hands the event to machine i — waking it if this is the document's
+// first delivery to it — with the clock synced to the shared scan index, then
+// refreshes i's routing memberships.
 //
 //vitex:hotpath
 func (rt *router) deliver(i int32, ev *sax.Event, idx int64) error {
+	if rt.wokenAt[i] != rt.gen {
+		rt.wake(i)
+	}
 	rt.clock = idx
 	rt.deliveries++
 	err := rt.runs[i].HandleRouted(ev, idx)
@@ -549,13 +621,17 @@ func (rt *router) route(ev *sax.Event, idx int64) error {
 				return err
 			}
 		}
-	default: // StartDocument, EndDocument: broadcast (2 events per stream)
-		for _, i := range rt.machines {
+	case sax.EndDocument:
+		// Only a woken machine has end-of-document invariants that can fail;
+		// they are checked in machine order like every other delivery.
+		slices.Sort(rt.woken)
+		for _, i := range rt.woken {
 			if err := rt.deliver(i, ev, idx); err != nil {
 				return err
 			}
 		}
 	}
+	// StartDocument goes to nobody: a machine starts its document at wake.
 	return nil
 }
 
@@ -678,32 +754,26 @@ func (d *denseSet) set(i int32, in bool) {
 	d.pos[i] = -1
 }
 
-// MergeStats aggregates per-machine statistics of one shared scan into one
-// Stats value (for union queries evaluated as several machines): counters
-// sum, per-machine peaks add (they are simultaneous), live-candidate peaks
-// take the maximum, and scan-level counters (Events, Elements, MaxDepth)
-// pass through from the shared scan.
-func MergeStats(stats []twigm.Stats) twigm.Stats {
-	var out twigm.Stats
-	for i, s := range stats {
-		if i == 0 {
-			out.Events = s.Events
-			out.Elements = s.Elements
-			out.MaxDepth = s.MaxDepth
-		}
-		out.Pushes += s.Pushes
-		out.Pops += s.Pops
-		out.FlagProps += s.FlagProps
-		out.CandMoves += s.CandMoves
-		out.CandidatesCreated += s.CandidatesCreated
-		out.CandidatesEmitted += s.CandidatesEmitted
-		out.CandidatesDropped += s.CandidatesDropped
-		out.PrunedPushes += s.PrunedPushes
-		out.PeakStackEntries += s.PeakStackEntries
-		if s.PeakLiveCandidates > out.PeakLiveCandidates {
-			out.PeakLiveCandidates = s.PeakLiveCandidates
-		}
-		out.PeakBufferedBytes += s.PeakBufferedBytes
+// MergeStats folds the statistics of one machine into dst, the statistics of
+// the query it evaluates a branch of (a union query runs as several machines
+// over one shared scan): counters sum, per-machine peaks add (they are
+// simultaneous), live-candidate peaks take the maximum, and scan-level
+// counters (Events, Elements, MaxDepth) pass through from the shared scan.
+func MergeStats(dst *twigm.Stats, s twigm.Stats) {
+	dst.Events = s.Events
+	dst.Elements = s.Elements
+	dst.MaxDepth = s.MaxDepth
+	dst.Pushes += s.Pushes
+	dst.Pops += s.Pops
+	dst.FlagProps += s.FlagProps
+	dst.CandMoves += s.CandMoves
+	dst.CandidatesCreated += s.CandidatesCreated
+	dst.CandidatesEmitted += s.CandidatesEmitted
+	dst.CandidatesDropped += s.CandidatesDropped
+	dst.PrunedPushes += s.PrunedPushes
+	dst.PeakStackEntries += s.PeakStackEntries
+	if s.PeakLiveCandidates > dst.PeakLiveCandidates {
+		dst.PeakLiveCandidates = s.PeakLiveCandidates
 	}
-	return out
+	dst.PeakBufferedBytes += s.PeakBufferedBytes
 }

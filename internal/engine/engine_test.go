@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"reflect"
@@ -36,7 +37,7 @@ func collect(t *testing.T, e *Engine, doc string, ordered bool) [][]string {
 			return nil
 		}}
 	}
-	if _, err := e.Stream(strings.NewReader(doc), false, opts); err != nil {
+	if _, err := streamOpts(context.Background(), e.Snapshot(), strings.NewReader(doc), false, opts, 0); err != nil {
 		t.Fatal(err)
 	}
 	return out
@@ -52,7 +53,7 @@ func TestRoutedSparseMachinesUntouched(t *testing.T) {
 	)
 	doc := `<feed><trade><price>10</price></trade><trade><price>20</price></trade></feed>`
 	opts := make([]twigm.Options, e.Len())
-	stats, err := e.Stream(strings.NewReader(doc), false, opts)
+	stats, err := streamOpts(context.Background(), e.Snapshot(), strings.NewReader(doc), false, opts, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +127,7 @@ func TestEmitErrorAborts(t *testing.T) {
 		{Emit: func(twigm.Result) error { return boom }},
 		{},
 	}
-	_, err := e.Stream(strings.NewReader(`<r><a/><b/></r>`), false, opts)
+	_, err := streamOpts(context.Background(), e.Snapshot(), strings.NewReader(`<r><a/><b/></r>`), false, opts, 0)
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
 	}
@@ -141,7 +142,7 @@ func TestSessionReuseIsClean(t *testing.T) {
 	first := collect(t, e, doc, false)
 	// Abort one stream mid-way to dirty a session.
 	opts := []twigm.Options{{Emit: func(twigm.Result) error { return errors.New("stop") }}, {}, {}}
-	if _, err := e.Stream(strings.NewReader(doc), false, opts); err == nil {
+	if _, err := streamOpts(context.Background(), e.Snapshot(), strings.NewReader(doc), false, opts, 0); err == nil {
 		t.Fatal("expected abort error")
 	}
 	for i := 0; i < 5; i++ {
@@ -158,11 +159,11 @@ func TestStdParserRouting(t *testing.T) {
 	e := mustEngine(t, "//a/b", "//zzz")
 	doc := `<a><b>x</b><c><b>y</b></c></a>`
 	opts := func() []twigm.Options { return make([]twigm.Options, e.Len()) }
-	custom, err := e.Stream(strings.NewReader(doc), false, opts())
+	custom, err := streamOpts(context.Background(), e.Snapshot(), strings.NewReader(doc), false, opts(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	std, err := e.Stream(strings.NewReader(doc), true, opts())
+	std, err := streamOpts(context.Background(), e.Snapshot(), strings.NewReader(doc), true, opts(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +190,7 @@ func TestConcurrentStreams(t *testing.T) {
 					opts[j].CountOnly = true
 					opts[j].Emit = func(twigm.Result) error { counts[j]++; return nil }
 				}
-				if _, err := e.Stream(strings.NewReader(doc), false, opts); err != nil {
+				if _, err := streamOpts(context.Background(), e.Snapshot(), strings.NewReader(doc), false, opts, 0); err != nil {
 					errs <- err
 					return
 				}
@@ -237,7 +238,9 @@ func TestDenseSet(t *testing.T) {
 func TestMergeStats(t *testing.T) {
 	a := twigm.Stats{Events: 10, Elements: 4, MaxDepth: 3, Pushes: 2, PeakStackEntries: 1, PeakLiveCandidates: 2}
 	b := twigm.Stats{Events: 10, Elements: 4, MaxDepth: 3, Pushes: 5, PeakStackEntries: 2, PeakLiveCandidates: 1}
-	m := MergeStats([]twigm.Stats{a, b})
+	var m twigm.Stats
+	MergeStats(&m, a)
+	MergeStats(&m, b)
 	if m.Events != 10 || m.Pushes != 7 || m.PeakStackEntries != 3 || m.PeakLiveCandidates != 2 {
 		t.Fatalf("merged = %+v", m)
 	}

@@ -68,6 +68,7 @@ type epoch struct {
 	elemSubs [][]int32 // NameID -> live slots subscribed to the element name
 	attrSubs [][]int32 // NameID -> live slots subscribed to the attribute name
 	wild     []int32   // live slots with a '*' element node
+	rootText []int32   // live slots with a root text() node: text subscribers before their first wake
 
 	// trie is the shared prefix trie of this membership (nil when the
 	// engine was built with prefix sharing disabled); anchors maps slot ->
@@ -94,6 +95,7 @@ func (ep *epoch) clone(symsLen int) *epoch {
 		elemSubs: growSubs(ep.elemSubs, symsLen),
 		attrSubs: growSubs(ep.attrSubs, symsLen),
 		wild:     ep.wild,
+		rootText: ep.rootText,
 		trie:     ep.trie,
 		anchors:  append([]int32(nil), ep.anchors...),
 		garbage:  ep.garbage,
@@ -128,6 +130,9 @@ func (ep *epoch) subscribe(slot int32, p *twigm.Program) {
 	if p.HasWildcardElem() {
 		ep.wild = append(ep.wild, slot)
 	}
+	if p.HasRootText() {
+		ep.rootText = append(ep.rootText, slot)
+	}
 }
 
 // unsubscribe rebuilds (fresh backing — older epochs keep reading the old
@@ -143,6 +148,9 @@ func (ep *epoch) unsubscribe(slot int32, p *twigm.Program) {
 	}
 	if p.HasWildcardElem() {
 		ep.wild = without(ep.wild, slot)
+	}
+	if p.HasRootText() {
+		ep.rootText = without(ep.rootText, slot)
 	}
 }
 
@@ -384,7 +392,10 @@ type Metrics struct {
 	// Dispatch accounting, cumulative over the engine's lifetime: scan
 	// events routed, machine deliveries made (Deliveries/Events = machines
 	// woken per event — the quantity prefix sharing drives down), and trie
-	// entries pushed by the shared prefix layer.
+	// entries pushed by the shared prefix layer. Document boundaries are not
+	// broadcast: StartDocument is delivered to no machine and EndDocument
+	// only to the machines the document woke, so a machine a document never
+	// concerns adds nothing to Deliveries.
 	Events     int64
 	Deliveries int64
 	TriePushes int64

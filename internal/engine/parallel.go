@@ -35,16 +35,14 @@
 //     Emit callbacks sequentially from one goroutine, exactly as the serial
 //     engine would.
 //
-// Batches, worker sessions, machine runs, routing tables and the internal
-// Emit closures are pooled per Engine; the per-stream cost on top of the
-// serial path is one pair of channels per worker plus the emission buffers
-// results pass through.
+// Batches, worker sessions, machine runs and routing tables are pooled per
+// Engine; the per-stream cost on top of the serial path is one pair of
+// channels per worker plus the emission buffers results pass through.
 package engine
 
 import (
 	"context"
 	"errors"
-	"fmt"
 	"io"
 	"runtime"
 	"sync"
@@ -66,35 +64,19 @@ const batchSize = 512
 // downstream failure; it never escapes to the caller.
 var errAborted = errors.New("engine: parallel evaluation aborted")
 
-// StreamParallel evaluates the current membership over one scan of r; it is
-// Snapshot().StreamParallel.
-func (e *Engine) StreamParallel(r io.Reader, useStdParser bool, opts []twigm.Options, workers int) ([]twigm.Stats, error) {
-	return e.Snapshot().StreamParallel(r, useStdParser, opts, workers)
-}
-
-// StreamParallelContext is StreamParallel honoring a cancellation context;
-// it is Snapshot().StreamParallelContext.
-func (e *Engine) StreamParallelContext(ctx context.Context, r io.Reader, useStdParser bool, opts []twigm.Options, workers int) ([]twigm.Stats, error) {
-	return e.Snapshot().StreamParallelContext(ctx, r, useStdParser, opts, workers)
-}
-
 // StreamParallel evaluates every machine of the snapshot over one scan of r
 // using the given number of worker goroutines (workers <= 0 means
 // GOMAXPROCS). Results, statistics, per-query Seq numbers and
-// ConfirmedAt/DeliveredAt clocks are byte-identical to Stream; Emit
-// callbacks are invoked sequentially from the calling goroutine in the
-// serial emission order. Evaluations with a Trace writer, fewer than two
-// machines or fewer than two workers fall back to the serial path.
-func (s Snapshot) StreamParallel(r io.Reader, useStdParser bool, opts []twigm.Options, workers int) ([]twigm.Stats, error) {
-	return s.StreamParallelContext(context.Background(), r, useStdParser, opts, workers)
-}
-
-// StreamParallelContext is StreamParallel honoring a cancellation context:
-// the scan goroutine checks ctx at every event and the merge loop before
+// ConfirmedAt/DeliveredAt clocks are byte-identical to Stream; the plan's
+// EmitFrom is invoked sequentially from the calling goroutine in the serial
+// emission order. Evaluations with a Trace writer, fewer than two machines or
+// fewer than two workers fall back to the serial path.
+//
+// The scan goroutine checks ctx at every event and the merge loop before
 // every emission, so cancellation — from a caller's deadline, or from inside
-// an Emit callback — aborts the evaluation promptly mid-document and returns
+// an emit callback — aborts the evaluation promptly mid-document and returns
 // ctx.Err(). Contexts that cannot be canceled cost nothing on the scan path.
-func (s Snapshot) StreamParallelContext(ctx context.Context, r io.Reader, useStdParser bool, opts []twigm.Options, workers int) ([]twigm.Stats, error) {
+func (s Snapshot) StreamParallel(ctx context.Context, r io.Reader, useStdParser bool, plan Plan, workers int) (twigm.Stats, error) {
 	e, ep := s.eng, s.ep
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -102,18 +84,8 @@ func (s Snapshot) StreamParallelContext(ctx context.Context, r io.Reader, useStd
 	if workers > len(ep.live) {
 		workers = len(ep.live)
 	}
-	traced := false
-	for i := range opts {
-		if opts[i].Trace != nil {
-			traced = true
-			break
-		}
-	}
-	if workers < 2 || traced {
-		return s.StreamContext(ctx, r, useStdParser, opts)
-	}
-	if len(opts) != len(ep.live) {
-		return nil, fmt.Errorf("engine: %d option sets for %d machines", len(opts), len(ep.live))
+	if workers < 2 || plan.Options.Trace != nil {
+		return s.Stream(ctx, r, useStdParser, plan)
 	}
 
 	ps, _ := e.ppool.Get().(*psession)
@@ -121,22 +93,22 @@ func (s Snapshot) StreamParallelContext(ctx context.Context, r io.Reader, useStd
 		ps = newPsession(e, workers)
 	}
 	defer e.ppool.Put(ps)
-	ps.sync(ep)
-	ps.reset(opts)
-	done := ctx.Done()
-	prod := &ps.prod
-	prod.src, prod.ctx, prod.done = r, ctx, done
-	defer func() { prod.src, prod.ctx, prod.done = nil, nil, nil }()
-
 	// The front-end reads its input through the producer, which dispatches
 	// the events it holds before every read (producer.Read).
-	var drv sax.Driver
-	if useStdParser {
-		drv = sax.NewStdDriverWith(prod, e.syms)
-	} else {
-		ps.scan.Reset(prod)
-		drv = ps.scan
-	}
+	return ps.stream(ctx, ep, e.driver(ps.scan, &ps.prod, useStdParser), r, plan)
+}
+
+// stream evaluates ep's machines on this session over one run of drv, a
+// front-end that reads src through the session's producer.
+func (ps *psession) stream(ctx context.Context, ep *epoch, drv sax.Driver, src io.Reader, plan Plan) (twigm.Stats, error) {
+	e := ps.eng
+	ps.sync(ep)
+	ps.reset(plan)
+	emit := plan.Options.EmitFrom
+	done := ctx.Done()
+	prod := &ps.prod
+	prod.src, prod.ctx, prod.done = src, ctx, done
+	defer func() { prod.src, prod.ctx, prod.done = nil, nil, nil }()
 
 	// Start the shard workers and the scan.
 	var wg sync.WaitGroup
@@ -190,25 +162,23 @@ func (s Snapshot) StreamParallelContext(ctx context.Context, r io.Reader, useStd
 			}
 			em := &fronts[best].emissions[fronts[best].next]
 			fronts[best].next++
-			if emit := opts[ep.liveIdx[em.mach]].Emit; emit != nil {
-				if done != nil {
-					// Cancellation (possibly from the previous emit call)
-					// stops delivery before the next result goes out.
-					select {
-					case <-done:
-						emitErr = ctx.Err()
-						prod.abort.Store(true)
-					default:
-					}
-					if emitErr != nil {
-						break
-					}
-				}
-				if err := emit(em.res); err != nil {
-					emitErr = err
+			if done != nil {
+				// Cancellation (possibly from the previous emit call)
+				// stops delivery before the next result goes out.
+				select {
+				case <-done:
+					emitErr = ctx.Err()
 					prod.abort.Store(true)
+				default:
+				}
+				if emitErr != nil {
 					break
 				}
+			}
+			if err := emit(int(em.mach), em.res); err != nil {
+				emitErr = err
+				prod.abort.Store(true)
+				break
 			}
 		}
 	}
@@ -223,39 +193,35 @@ func (s Snapshot) StreamParallelContext(ctx context.Context, r io.Reader, useStd
 	e.deliveries.Add(deliveries)
 	e.triePushes.Add(triePushes)
 
-	stats := make([]twigm.Stats, len(ep.live))
-	for d, slot := range ep.live {
-		st := ps.runs[slot].Stats()
-		st.Events = prod.events
-		st.Elements = prod.elements
-		st.MaxDepth = prod.maxDepth
-		stats[d] = st
+	scan := twigm.Stats{Events: prod.events, Elements: prod.elements, MaxDepth: prod.maxDepth}
+	for _, w := range ps.workers {
+		w.rt.report(scan, plan.Stats)
 	}
 	for _, w := range ps.workers {
 		if w.failed != nil {
-			return stats, w.failed
+			return scan, w.failed
 		}
 	}
 	if emitErr != nil {
-		return stats, emitErr
+		return scan, emitErr
 	}
 	if scanErr != nil && scanErr != errAborted {
-		return stats, scanErr
+		return scan, scanErr
 	}
 	if done != nil {
 		// As in the serial path: a cancellation racing the final events is
 		// still reported, so cancel-during-emit is deterministic wherever
 		// the result falls in the document.
 		if err := ctx.Err(); err != nil {
-			return stats, err
+			return scan, err
 		}
 	}
-	return stats, nil
+	return scan, nil
 }
 
 // emission is one result with its serial-order key: the 1-based index of the
-// scan event during whose delivery it was emitted, and the machine that
-// emitted it.
+// scan event during whose delivery it was emitted, and the dense index of the
+// machine that emitted it (dense order is slot order).
 type emission struct {
 	at   int64
 	mach int32
@@ -316,13 +282,13 @@ func (b *eventBatch) copied(s string) string {
 	return unsafe.String(&c[0], len(c))
 }
 
-// psession is one parallel evaluation's worth of mutable state: all machine
-// runs (slot-indexed against the epoch it last synced to), the shard workers
-// (each a router over its shard with shard-filtered tables), the reusable
-// scanner and the batch freelist. Pooled per Engine. Runs, routing tables,
-// internal Emit closures, dynamic sets and batches are all retained across
-// streams; the per-stream cost is one pair of channels per worker plus
-// whatever emission buffers results need. Across epochs the session resyncs
+// psession is one parallel evaluation's worth of mutable state: the shard
+// workers (each a router over its shard with shard-filtered tables, all over
+// one slice of machine runs slot-indexed against the epoch last synced to),
+// the reusable scanner and the batch freelist. Pooled per Engine. Runs, routing tables,
+// dynamic sets and batches are all retained across streams; the per-stream
+// cost is one pair of channels per worker plus whatever emission buffers
+// results need. Across epochs the session resyncs
 // incrementally: a mutation rebuilds routing state only in the shards whose
 // membership changed (slot i belongs to shard i mod N, so an Add touches
 // exactly one shard).
@@ -333,24 +299,16 @@ type psession struct {
 	// ep is the epoch the slot-indexed state below matches.
 	ep       *epoch           //vitex:keep resync state, realigned by sync() per checkout
 	nworkers int              //vitex:keep construction constant (pool lookup key)
-	runs     []*twigm.Run     // slot -> run (nil for tombstoned slots)
-	scan     *xmlscan.Scanner //vitex:keep warmed scanner, Reset(r) per stream by StreamParallelContext
+	scan     *xmlscan.Scanner //vitex:keep warmed scanner, Reset onto the producer per stream by Engine.driver
 	workers  []*pworker
 	free     chan *eventBatch //vitex:keep batch freelist, survives streams by design
 	prod     producer
-	// emitOn[slot] records whether the caller installed an Emit for the
-	// machine this stream; the prebuilt internal closures consult it so
-	// they can be wired once per slot.
-	emitOn []bool
-	// emits[slot] is the machine's internal Emit closure, built once per
-	// slot.
-	emits []func(twigm.Result) error //vitex:keep prebuilt closures, grown by sync only
 }
 
 // pworker owns the machines of one shard: a router restricted to the shard
 // (tables owned by the worker, mutated in place during resyncs — they are
 // session-private), the channels batches and results flow through, and the
-// emission buffer the shard's internal Emit closures append to.
+// emission buffer the shard's machines record their results in.
 //
 //vitex:pooled
 type pworker struct {
@@ -366,13 +324,25 @@ type pworker struct {
 
 // reset prepares the worker for a new stream: the emission buffer is handed
 // off chunk-by-chunk during evaluation, the channels were closed by the
-// previous stream, and the router recomputes its dynamic memberships.
-func (w *pworker) reset() {
+// previous stream, and the router starts a new document with the shard's
+// results redirected to record.
+func (w *pworker) reset(ep *epoch, plan Plan) {
 	w.cur = nil
 	w.failed = nil
 	w.in = make(chan *eventBatch, 4)
 	w.out = make(chan resultChunk, 8)
-	w.rt.reset()
+	opts := plan.Options
+	if opts.EmitFrom != nil {
+		opts.EmitFrom = w.record
+	}
+	w.rt.reset(ep, opts, plan.Unordered)
+}
+
+// record is the EmitFrom of the shard's machines: it stamps each result with
+// the serial-order key and parks it on the chunk buffer for the merge.
+func (w *pworker) record(machine int, tr twigm.Result) error {
+	w.cur = append(w.cur, emission{at: w.rt.clock, mach: int32(machine), res: tr})
+	return nil
 }
 
 func newPsession(e *Engine, workers int) *psession {
@@ -404,7 +374,7 @@ func (ps *psession) sync(ep *epoch) {
 		return
 	}
 	old := ps.ep
-	runs := rekeyRuns(old, ps.runs, ep)
+	runs := rekeyRuns(old, ps.workers[0].rt.runs, ep)
 	dirty := make([]bool, ps.nworkers)
 	for slot := range ep.progs {
 		var prev *twigm.Program
@@ -426,15 +396,6 @@ func (ps *psession) sync(ep *epoch) {
 			}
 		}
 	}
-	ps.runs = runs
-
-	// Grow the per-slot emit plumbing; closures resolve their worker per
-	// call, so they survive compaction moving a slot between shards.
-	for slot := len(ps.emits); slot < len(ep.progs); slot++ {
-		ps.emits = append(ps.emits, ps.emitFor(int32(slot)))
-		ps.emitOn = append(ps.emitOn, false)
-	}
-
 	rebuilt := int64(0)
 	for wi, w := range ps.workers {
 		if old != nil && !dirty[wi] {
@@ -447,17 +408,7 @@ func (ps *psession) sync(ep *epoch) {
 			w.rt.rehost(runs, len(ep.progs))
 			continue
 		}
-		var wild, machines []int32
-		for _, slot := range ep.wild {
-			if ps.shardOf(slot) == wi {
-				wild = append(wild, slot)
-			}
-		}
-		for _, slot := range ep.live {
-			if ps.shardOf(slot) == wi {
-				machines = append(machines, slot)
-			}
-		}
+		machines := shardSlots(ep.live, ps, wi)
 		// Shard the trie by subtree: this worker evaluates only the trie
 		// nodes on its own machines' anchor paths (ancestors included, so
 		// anchor compatibility checks see their full chain). Other
@@ -474,7 +425,8 @@ func (ps *psession) sync(ep *epoch) {
 				}
 			}
 		}
-		w.rt.init(runs, shardFilter(ep.elemSubs, ps, wi), shardFilter(ep.attrSubs, ps, wi), wild, machines, ep.trie, trieIDs)
+		w.rt.init(runs, shardFilter(ep.elemSubs, ps, wi), shardFilter(ep.attrSubs, ps, wi),
+			shardSlots(ep.wild, ps, wi), shardSlots(ep.rootText, ps, wi), machines, ep.trie, trieIDs)
 		if old != nil {
 			rebuilt++
 		}
@@ -489,48 +441,28 @@ func (ps *psession) sync(ep *epoch) {
 func shardFilter(subs [][]int32, ps *psession, w int) [][]int32 {
 	out := make([][]int32, len(subs))
 	for id, list := range subs {
-		for _, slot := range list {
-			if ps.shardOf(slot) == w {
-				out[id] = append(out[id], slot)
-			}
+		out[id] = shardSlots(list, ps, w)
+	}
+	return out
+}
+
+// shardSlots returns the slots of list that belong to shard w.
+func shardSlots(list []int32, ps *psession, w int) []int32 {
+	var out []int32
+	for _, slot := range list {
+		if ps.shardOf(slot) == w {
+			out = append(out, slot)
 		}
 	}
 	return out
 }
 
-// emitFor builds the slot's internal Emit closure, wired once: it stamps
-// each result with the serial-order key and parks it on the owning worker's
-// chunk buffer.
-func (ps *psession) emitFor(slot int32) func(twigm.Result) error {
-	return func(tr twigm.Result) error {
-		if !ps.emitOn[slot] {
-			return nil
-		}
-		w := ps.workers[ps.shardOf(slot)]
-		w.cur = append(w.cur, emission{at: w.rt.clock, mach: slot, res: tr})
-		return nil
-	}
-}
-
-// reset prepares the pooled session for a new stream: machine runs are reset
-// with the caller's options (Emit redirected to the prebuilt per-slot
-// recorder), routing memberships recomputed, channels re-created (the
-// previous stream closed them).
-func (ps *psession) reset(opts []twigm.Options) {
-	for d, slot := range ps.ep.live {
-		ps.emitOn[slot] = opts[d].Emit != nil
-		ropts := opts[d]
-		ropts.Emit = ps.emits[slot]
-		ps.runs[slot].Reset(ropts)
-		if a := ps.ep.anchors[slot]; a >= 0 {
-			// Anchored machines read the prefix stacks of the worker that
-			// owns their shard (each worker evaluates its own slice of
-			// the trie).
-			ps.runs[slot].BindAnchor(ps.workers[ps.shardOf(slot)].rt.prun.Stack(a))
-		}
-	}
+// reset prepares the pooled session for a new stream: every shard's router
+// starts a new document, channels are re-created (the previous stream closed
+// them). No machine is touched; the routers wake them on first delivery.
+func (ps *psession) reset(plan Plan) {
 	for _, w := range ps.workers {
-		w.reset()
+		w.reset(ps.ep, plan)
 	}
 	ps.prod.reset()
 }
@@ -547,7 +479,7 @@ func (ps *psession) reset(opts []twigm.Options) {
 //vitex:pooled
 type producer struct {
 	ps       *psession //vitex:keep owning session, constant for the producer's life
-	src      io.Reader // the stream's input; set per stream by StreamParallelContext
+	src      io.Reader // the stream's input; set per stream by psession.stream
 	cur      *eventBatch
 	events   int64
 	elements int64
@@ -557,8 +489,8 @@ type producer struct {
 	// Cancellation for the stream in flight: done is ctx.Done(), polled per
 	// event; nil when the context cannot be canceled. Cleared when the
 	// session returns to the pool.
-	ctx  context.Context //vitex:keep cleared by StreamParallelContext before pooling
-	done <-chan struct{} //vitex:keep cleared by StreamParallelContext before pooling
+	ctx  context.Context //vitex:keep cleared by psession.stream before pooling
+	done <-chan struct{} //vitex:keep cleared by psession.stream before pooling
 }
 
 func (p *producer) reset() {

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -30,9 +31,9 @@ func streamAll(t *testing.T, e *Engine, doc string, useStd bool, base twigm.Opti
 	var stats []twigm.Stats
 	var err error
 	if workers == 0 {
-		stats, err = e.Stream(strings.NewReader(doc), useStd, opts)
+		stats, err = streamOpts(context.Background(), e.Snapshot(), strings.NewReader(doc), useStd, opts, 0)
 	} else {
-		stats, err = e.StreamParallel(strings.NewReader(doc), useStd, opts, workers)
+		stats, err = streamOpts(context.Background(), e.Snapshot(), strings.NewReader(doc), useStd, opts, workers)
 	}
 	return out, stats, err
 }
@@ -95,9 +96,9 @@ func TestStreamParallelEmissionOrder(t *testing.T) {
 		}
 		var err error
 		if workers == 0 {
-			_, err = e.Stream(strings.NewReader(doc), false, opts)
+			_, err = streamOpts(context.Background(), e.Snapshot(), strings.NewReader(doc), false, opts, 0)
 		} else {
-			_, err = e.StreamParallel(strings.NewReader(doc), false, opts, workers)
+			_, err = streamOpts(context.Background(), e.Snapshot(), strings.NewReader(doc), false, opts, workers)
 		}
 		if err != nil {
 			t.Fatal(err)
@@ -151,13 +152,13 @@ func TestStreamParallelErrors(t *testing.T) {
 		}
 		return o
 	}
-	if _, err := e.StreamParallel(strings.NewReader("<r><a>1</a><oops></r>"), false,
+	if _, err := streamOpts(context.Background(), e.Snapshot(), strings.NewReader("<r><a>1</a><oops></r>"), false,
 		opts(func(twigm.Result) error { return nil }), 2); err == nil {
 		t.Fatal("malformed document: expected error")
 	}
 	boom := errors.New("boom")
 	bigDoc := "<r>" + strings.Repeat("<a>x</a><b>y</b><c>z</c>", 2000) + "</r>"
-	_, err := e.StreamParallel(strings.NewReader(bigDoc), false,
+	_, err := streamOpts(context.Background(), e.Snapshot(), strings.NewReader(bigDoc), false,
 		opts(func(twigm.Result) error { return boom }), 3)
 	if !errors.Is(err, boom) {
 		t.Fatalf("emit error: got %v, want boom", err)
@@ -174,7 +175,7 @@ func TestStreamParallelFallsBackToSerial(t *testing.T) {
 		got = append(got, r.Value)
 		return nil
 	}}}
-	if _, err := e.StreamParallel(strings.NewReader(doc), false, opts, 8); err != nil {
+	if _, err := streamOpts(context.Background(), e.Snapshot(), strings.NewReader(doc), false, opts, 8); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, []string{"<a>1</a>", "<a>2</a>"}) {
@@ -201,7 +202,7 @@ func TestConcurrentParallelStreams(t *testing.T) {
 					opts[j].CountOnly = true
 					opts[j].Emit = func(twigm.Result) error { counts[j]++; return nil }
 				}
-				if _, err := e.StreamParallel(strings.NewReader(doc), false, opts, workers); err != nil {
+				if _, err := streamOpts(context.Background(), e.Snapshot(), strings.NewReader(doc), false, opts, workers); err != nil {
 					errs <- err
 					return
 				}

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -21,9 +22,8 @@ import (
 // result.
 func streamPoisoned(t *testing.T, e *Engine, doc string, base twigm.Options) ([][]twigm.Result, []twigm.Stats) {
 	t.Helper()
-	ep := e.cur.Load()
-	out := make([][]twigm.Result, len(ep.live))
-	opts := make([]twigm.Options, len(ep.live))
+	out := make([][]twigm.Result, e.Len())
+	opts := make([]twigm.Options, e.Len())
 	for i := range opts {
 		idx := i
 		opts[i] = base
@@ -32,20 +32,14 @@ func streamPoisoned(t *testing.T, e *Engine, doc string, base twigm.Options) ([]
 			return nil
 		}
 	}
+	plan, finish := planOf(opts)
 	ses := newSession(e)
-	ses.sync(ep)
-	ses.reset(opts)
-	ses.scan.Reset(strings.NewReader(doc))
-	if err := ses.scan.Run(saxtest.Poison(ses)); err != nil {
+	drv := saxtest.PoisonDriver(e.driver(ses.scan, strings.NewReader(doc), false))
+	scan, err := ses.stream(context.Background(), e, e.cur.Load(), drv, plan)
+	if err != nil {
 		t.Fatal(err)
 	}
-	stats := make([]twigm.Stats, len(ep.live))
-	for d, slot := range ep.live {
-		st := ses.runs[slot].Stats()
-		st.Events, st.Elements, st.MaxDepth = ses.events, ses.elements, ses.maxDepth
-		stats[d] = st
-	}
-	return out, stats
+	return out, finish(scan)
 }
 
 // poisonCampaignQueries is the mix the integration equivalence campaign

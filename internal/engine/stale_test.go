@@ -1,0 +1,298 @@
+package engine
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"reflect"
+	"strings"
+	"testing"
+
+	"repro/internal/sax/saxtest"
+	"repro/internal/twigm"
+	"repro/internal/xpath"
+)
+
+// The stale-state campaign. A pooled session prepares a machine for a
+// document only when the document first wakes it, so between documents its
+// runs keep whatever the last document that woke them left behind — live
+// stack entries and all, if that document was aborted. None of it may show:
+// a machine woken by document 1 and idle in document 2 reports no results and
+// no work for document 2, whatever happened in between. The reference for
+// every document is a fresh engine that has seen nothing else.
+
+// staleQueries: document 1 (staleDoc1) wakes all but the last two, document 2
+// (staleDoc2) only the last two and the wildcard. The first keeps its own
+// entry for the root element (a predicate on the first step shares no
+// prefix), so it has a live entry wherever document 1 is cut short.
+var staleQueries = []string{
+	"//feed[trade]//title",
+	"//trade[symbol='ACME']/price",
+	"//trade/volume",
+	"//trade/@seq",
+	"//news/body/text()",
+	"//news//*",
+	"//feed/news",
+	"//trade[price>15]",
+	"//quote/bid",
+	"//quote[@venue='X']/ask/text()",
+}
+
+// staleDoc1 is ~33k events, dozens of parallel batches: an emit error or a
+// cancellation on its first result stops the sharded pipeline mid-document.
+var staleDoc1 = staleFeed(3000)
+
+func staleFeed(trades int) string {
+	var sb strings.Builder
+	sb.WriteString(`<feed>`)
+	for i := 0; i < trades; i++ {
+		fmt.Fprintf(&sb, `<trade seq="%d"><symbol>%s</symbol><price>%d</price><volume>%d</volume></trade>`,
+			i, []string{"ACME", "GLOBEX"}[i%2], 10+i%10, i%7)
+	}
+	sb.WriteString(`<news><title>t</title><body k="1">some <b>bold</b> text</body></news></feed>`)
+	return sb.String()
+}
+
+const staleDoc2 = `<market><quote venue="X"><bid>5</bid><ask>6</ask></quote><quote venue="Y"><bid>7</bid><ask>8</ask></quote></market>`
+
+// pooledEval is one pooled evaluation state — a serial session, or a
+// two-worker parallel one — driven document after document over the
+// poisoning sink, the way the engine's pools would reuse it.
+type pooledEval struct {
+	e   *Engine
+	ses *session
+	ps  *psession
+}
+
+func newPooledEval(e *Engine, workers int) *pooledEval {
+	if workers > 1 {
+		return &pooledEval{e: e, ps: newPsession(e, workers)}
+	}
+	return &pooledEval{e: e, ses: newSession(e)}
+}
+
+// stream evaluates the engine's current membership over doc on the pooled
+// state. emit, when non-nil, sees every result before it is recorded and may
+// fail the stream.
+func (p *pooledEval) stream(ctx context.Context, doc string, emit func(twigm.Result) error) ([][]twigm.Result, []twigm.Stats, error) {
+	ep := p.e.cur.Load()
+	out := make([][]twigm.Result, len(ep.live))
+	opts := make([]twigm.Options, len(ep.live))
+	for d := range opts {
+		opts[d].Emit = func(r twigm.Result) error {
+			if emit != nil {
+				if err := emit(r); err != nil {
+					return err
+				}
+			}
+			out[d] = append(out[d], r)
+			return nil
+		}
+	}
+	plan, finish := planOf(opts)
+	var scan twigm.Stats
+	var err error
+	if p.ps != nil {
+		drv := saxtest.PoisonDriver(p.e.driver(p.ps.scan, &p.ps.prod, false))
+		scan, err = p.ps.stream(ctx, ep, drv, strings.NewReader(doc), plan)
+	} else {
+		drv := saxtest.PoisonDriver(p.e.driver(p.ses.scan, strings.NewReader(doc), false))
+		scan, err = p.ses.stream(ctx, p.e, ep, drv, plan)
+	}
+	return out, finish(scan), err
+}
+
+// runs returns the pooled state's slot-indexed runs.
+func (p *pooledEval) runs() []*twigm.Run {
+	if p.ps != nil {
+		return p.ps.workers[0].rt.runs
+	}
+	return p.ses.rt.runs
+}
+
+// assertFresh holds the pooled state's evaluation of doc against a fresh
+// engine over the same sources, machine by machine.
+func assertFresh(t *testing.T, p *pooledEval, sources []string, doc string) ([][]twigm.Result, []twigm.Stats) {
+	t.Helper()
+	got, gotStats, err := p.stream(context.Background(), doc, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, wantStats, err := newPooledEval(mustEngine(t, sources...), 0).stream(context.Background(), doc, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for d := range sources {
+		if !reflect.DeepEqual(got[d], want[d]) {
+			t.Fatalf("machine %d %s: results diverge from a fresh engine\npooled %+v\nfresh  %+v", d, sources[d], got[d], want[d])
+		}
+		if gotStats[d] != wantStats[d] {
+			t.Fatalf("machine %d %s: stats diverge from a fresh engine\npooled %+v\nfresh  %+v", d, sources[d], gotStats[d], wantStats[d])
+		}
+	}
+	return got, gotStats
+}
+
+// assertIdleAfterWoken checks the property by name: some machine did work in
+// document 1 and, in document 2, reports nothing but the shared scan.
+func assertIdleAfterWoken(t *testing.T, stats1, stats2 []twigm.Stats, results2 [][]twigm.Result) {
+	t.Helper()
+	scan := twigm.Stats{Events: stats2[0].Events, Elements: stats2[0].Elements, MaxDepth: stats2[0].MaxDepth}
+	seen := false
+	for d := range stats1 {
+		if d >= len(stats2) || stats1[d].Pushes == 0 {
+			continue
+		}
+		if stats2[d] == scan {
+			seen = true
+			if len(results2[d]) != 0 {
+				t.Fatalf("machine %d idle in document 2 yet emitted %+v", d, results2[d])
+			}
+		}
+	}
+	if !seen {
+		t.Fatal("no machine was woken by document 1 and idle in document 2: the test lost its subject")
+	}
+}
+
+func TestIdleAfterWoken(t *testing.T) {
+	for _, workers := range []int{0, 2} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			p := newPooledEval(mustEngine(t, staleQueries...), workers)
+			_, stats1 := assertFresh(t, p, staleQueries, staleDoc1)
+			results2, stats2 := assertFresh(t, p, staleQueries, staleDoc2)
+			assertIdleAfterWoken(t, stats1, stats2, results2)
+			// And back: the machines document 2 left idle wake clean.
+			assertFresh(t, p, staleQueries, staleDoc1)
+		})
+	}
+}
+
+// TestIdleAfterAbortedDocument: document 1 dies mid-element, three ways, and
+// leaves live stack entries in the pooled runs. Document 2 wakes none of
+// those machines, so nothing ever resets them — and nothing of them may show.
+func TestIdleAfterAbortedDocument(t *testing.T) {
+	boom := errors.New("boom")
+	aborts := []struct {
+		name string
+		run  func(p *pooledEval) error
+		is   func(error) bool
+	}{
+		{"malformed", func(p *pooledEval) error {
+			cut := strings.LastIndex(staleDoc1, "<volume>")
+			_, _, err := p.stream(context.Background(), staleDoc1[:cut]+"<volume>3</price>", nil)
+			return err
+		}, func(err error) bool { return err != nil && !errors.Is(err, boom) }},
+		{"emit error", func(p *pooledEval) error {
+			_, _, err := p.stream(context.Background(), staleDoc1, func(twigm.Result) error { return boom })
+			return err
+		}, func(err error) bool { return errors.Is(err, boom) }},
+		{"cancelled", func(p *pooledEval) error {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			_, _, err := p.stream(ctx, staleDoc1, func(twigm.Result) error { cancel(); return nil })
+			return err
+		}, func(err error) bool { return errors.Is(err, context.Canceled) }},
+	}
+	for _, workers := range []int{0, 2} {
+		for _, abort := range aborts {
+			t.Run(fmt.Sprintf("workers=%d/%s", workers, abort.name), func(t *testing.T) {
+				p := newPooledEval(mustEngine(t, staleQueries...), workers)
+				_, stats1 := assertFresh(t, p, staleQueries, staleDoc1)
+				if err := abort.run(p); !abort.is(err) {
+					t.Fatalf("aborting stream returned %v", err)
+				}
+				if p.runs()[0].LiveEntries() == 0 {
+					t.Fatal("the aborted document left no live stack entry: the test lost its subject")
+				}
+				results2, stats2 := assertFresh(t, p, staleQueries, staleDoc2)
+				assertIdleAfterWoken(t, stats1, stats2, results2)
+				if p.runs()[0].LiveEntries() == 0 {
+					t.Fatal("an idle machine was reset: document 2 paid for a machine it never woke")
+				}
+				assertFresh(t, p, staleQueries, staleDoc1)
+			})
+		}
+	}
+}
+
+// TestIdleAcrossResync: the membership changes between the two documents, so
+// the pooled session re-keys its runs to new slots (rekeyRuns) before
+// document 2. Preparation stamps must not travel with a slot number to a run
+// that was not prepared, nor survive on a run that was.
+func TestIdleAcrossResync(t *testing.T) {
+	doc1 := staleFeed(40)
+	// Fillers that document 1 wakes (and stamps) and document 2 does not.
+	filler := make([]string, 2*compactMinGarbage)
+	for i := range filler {
+		filler[i] = fmt.Sprintf("//trade[symbol='F%d']/price", i)
+	}
+	type mutation struct {
+		name string
+		// aligned: dense indexes after the mutation line up with document 1's.
+		aligned bool
+		apply   func(t *testing.T, e *Engine, sources []string) []string
+	}
+	remove := func(t *testing.T, e *Engine, sources []string, d int) []string {
+		t.Helper()
+		if err := e.Remove(e.Programs()[d]); err != nil {
+			t.Fatal(err)
+		}
+		return append(append([]string(nil), sources[:d]...), sources[d+1:]...)
+	}
+	mutations := []mutation{
+		{"add", true, func(t *testing.T, e *Engine, sources []string) []string {
+			if _, err := e.Add(xpath.MustParse("//quote/ask")); err != nil {
+				t.Fatal(err)
+			}
+			return append(append([]string(nil), sources...), "//quote/ask")
+		}},
+		{"remove", false, func(t *testing.T, e *Engine, sources []string) []string {
+			return remove(t, e, sources, len(filler)+1) // a machine document 1 woke; later slots keep their numbers
+		}},
+		{"replace", true, func(t *testing.T, e *Engine, sources []string) []string {
+			d := len(filler) + 2 // a machine document 1 woke; its slot gets a new run
+			if _, err := e.Replace(e.Programs()[d], xpath.MustParse("//quote/bid/text()")); err != nil {
+				t.Fatal(err)
+			}
+			out := append([]string(nil), sources...)
+			out[d] = "//quote/bid/text()"
+			return out
+		}},
+		{"compaction", false, func(t *testing.T, e *Engine, sources []string) []string {
+			// The fillers sit in front: removing them all compacts, and every
+			// surviving run moves to a slot a filler's run was stamped in.
+			before := e.Metrics().Compactions
+			for range filler {
+				sources = remove(t, e, sources, 0)
+			}
+			if e.Metrics().Compactions == before {
+				t.Fatal("no compaction: the test lost its subject")
+			}
+			return sources
+		}},
+	}
+	for _, workers := range []int{0, 2} {
+		for _, aborted := range []bool{false, true} {
+			for _, m := range mutations {
+				t.Run(fmt.Sprintf("workers=%d/aborted=%v/%s", workers, aborted, m.name), func(t *testing.T) {
+					sources := append(append([]string(nil), filler...), staleQueries...)
+					e := mustEngine(t, sources...)
+					p := newPooledEval(e, workers)
+					_, stats1 := assertFresh(t, p, sources, doc1)
+					if aborted {
+						if _, _, err := p.stream(context.Background(), doc1[:len(doc1)/2], nil); err == nil {
+							t.Fatal("truncated document streamed cleanly")
+						}
+					}
+					after := m.apply(t, e, sources)
+					results2, stats2 := assertFresh(t, p, after, staleDoc2)
+					if m.aligned {
+						assertIdleAfterWoken(t, stats1, stats2, results2)
+					}
+					assertFresh(t, p, after, doc1)
+				})
+			}
+		}
+	}
+}

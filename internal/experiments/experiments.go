@@ -7,6 +7,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"os"
@@ -521,10 +522,8 @@ func (c Config) RunE9(trades int) (E9Result, error) {
 		"//trade/@seq",
 	}
 	queries := make([]*xpath.Query, len(sources))
-	opts := make([]twigm.Options, len(sources))
 	for i, src := range sources {
 		queries[i] = xpath.MustParse(src)
-		opts[i] = twigm.Options{CountOnly: true}
 	}
 	// Shared: one scan, every event routed to the machines it concerns.
 	eng, err := engine.New(queries...)
@@ -532,7 +531,8 @@ func (c Config) RunE9(trades int) (E9Result, error) {
 		return E9Result{}, err
 	}
 	shared := metrics.StartTimer()
-	if _, err := eng.Stream(strings.NewReader(doc), false, opts); err != nil {
+	plan := engine.Plan{Options: twigm.Options{CountOnly: true}}
+	if _, err := eng.Stream(context.Background(), strings.NewReader(doc), false, plan); err != nil {
 		return E9Result{}, err
 	}
 	sharedTime := shared.Elapsed()

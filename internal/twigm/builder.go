@@ -461,6 +461,19 @@ func (p *Program) AttrNameIDs() []int32 {
 // therefore must see every start-element event.
 func (p *Program) HasWildcardElem() bool { return len(p.wildElems) > 0 }
 
+// HasRootText reports whether a text() node sits at the program's root
+// (//text(), or a residual text() behind a shared prefix). Such a machine
+// wants text events from the first event of a document on — WantsText is true
+// of a freshly reset run — so routers treat it as a static text subscription.
+func (p *Program) HasRootText() bool {
+	for _, m := range p.textNodes {
+		if m.parent == nil {
+			return true
+		}
+	}
+	return false
+}
+
 // NumNodes returns the number of machine nodes (equals the query size; the
 // builder is linear, paper claim 2).
 func (p *Program) NumNodes() int { return len(p.nodes) }

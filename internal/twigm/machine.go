@@ -49,6 +49,12 @@ type Options struct {
 	// Emit receives each query solution. A nil Emit just counts results.
 	// Returning an error aborts the stream.
 	Emit func(Result) error
+	// EmitFrom, when set, receives each solution together with ID in place
+	// of Emit: an engine evaluating many runs into one consumer gives them
+	// all the same function and tells them apart by ID, so no run owns a
+	// closure.
+	EmitFrom func(id int, r Result) error
+	ID       int
 	// CountOnly disables fragment recording: results are detected and
 	// counted, but Value stays empty. This is the configuration for the
 	// paper's memory experiment (E2), where only @id values are emitted.
@@ -972,9 +978,13 @@ func (r *Run) emit(res Result) {
 	if r.trace.on() {
 		r.trace.emit(&res)
 	}
-	if r.opts.Emit != nil {
-		if err := r.opts.Emit(res); err != nil {
-			r.fail(err)
-		}
+	var err error
+	if r.opts.EmitFrom != nil {
+		err = r.opts.EmitFrom(r.opts.ID, res)
+	} else if r.opts.Emit != nil {
+		err = r.opts.Emit(res)
+	}
+	if err != nil {
+		r.fail(err)
 	}
 }

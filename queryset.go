@@ -1,6 +1,7 @@
 package vitex
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"sort"
@@ -9,6 +10,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/twigm"
+	"repro/internal/xpath"
 )
 
 // QuerySet evaluates several compiled queries over one XML stream in a
@@ -19,7 +21,10 @@ import (
 // tests mention it, so the per-event cost is proportional to the number of
 // interested queries, not the size of the set. Evaluation state is pooled:
 // a long-lived QuerySet serving a stream of documents reuses its machines,
-// scanner and buffers with near-zero steady-state allocation. With
+// scanner and buffers, and a standing query a document never concerns costs
+// that document nothing — no reset, no delivery, no allocation. What a Stream
+// call allocates is the []Stats it returns (one entry per query), a constant
+// handful of small objects, and the results themselves. With
 // Options.Parallel the machines are sharded over worker goroutines and the
 // per-shard results merged back into the exact serial emission order, so a
 // large standing set saturates every core without changing a single byte of
@@ -38,11 +43,42 @@ type QuerySet struct {
 	mu      sync.Mutex
 	eng     *engine.Engine
 	entries []setEntry
-	// machQuery maps dense machine index (the engine snapshot's order) ->
-	// query index. Rebuilt on every mutation; immutable once published, so
-	// Stream can capture it together with the engine snapshot and use both
-	// without the lock.
+	// shape maps the engine snapshot's machines to queries. Replaced on every
+	// mutation that moves a machine and immutable once published, so Stream
+	// can capture it together with the engine snapshot and use both without
+	// the lock.
+	shape *shape
+}
+
+// shape is the query structure of one membership: which query each machine
+// (dense index, the engine snapshot's order) evaluates a branch of. Every
+// view and Stream of that membership shares it, so what evaluation needs of
+// it is worked out once per membership, not once per document.
+type shape struct {
 	machQuery []int
+	nq        int
+
+	once  sync.Once
+	union []bool // machine -> its query has other branches; nil when no query is a union
+}
+
+// unions returns the per-machine union flags, computing them on first use.
+func (sh *shape) unions() []bool {
+	sh.once.Do(func() {
+		branches := make([]int, sh.nq)
+		for _, qi := range sh.machQuery {
+			branches[qi]++
+		}
+		for d, qi := range sh.machQuery {
+			if branches[qi] > 1 {
+				if sh.union == nil {
+					sh.union = make([]bool, len(sh.machQuery))
+				}
+				sh.union[d] = true
+			}
+		}
+	})
+	return sh.union
 }
 
 // setEntry is one standing query: the caller's compiled Query plus the
@@ -68,23 +104,34 @@ func NewQuerySet(sources ...string) (*QuerySet, error) {
 	return NewQuerySetConfigured(SetConfig{}, sources...)
 }
 
-// NewQuerySetConfigured is NewQuerySet with explicit configuration.
+// NewQuerySetConfigured is NewQuerySet with explicit configuration. The whole
+// set is built as one engine epoch, so construction is linear in the number of
+// sources (Add clones the membership per call).
 func NewQuerySetConfigured(cfg SetConfig, sources ...string) (*QuerySet, error) {
-	qs := &QuerySet{}
-	var err error
-	ecfg := engine.Config{DisablePrefixSharing: cfg.DisablePrefixSharing}
-	if qs.eng, err = engine.NewConfigured(ecfg); err != nil {
-		return nil, err
-	}
-	for _, src := range sources {
+	qs := &QuerySet{entries: make([]setEntry, 0, len(sources))}
+	var branches []*xpath.Query
+	var machQuery []int
+	for qi, src := range sources {
 		q, err := Compile(src)
 		if err != nil {
 			return nil, err
 		}
-		if _, err := qs.Add(q); err != nil {
-			return nil, err
+		qs.entries = append(qs.entries, setEntry{q: q})
+		for _, bp := range q.progs {
+			branches = append(branches, bp.Query())
+			machQuery = append(machQuery, qi)
 		}
 	}
+	var err error
+	ecfg := engine.Config{DisablePrefixSharing: cfg.DisablePrefixSharing}
+	if qs.eng, err = engine.NewConfigured(ecfg, branches...); err != nil {
+		return nil, err
+	}
+	for d, p := range qs.eng.Programs() {
+		e := &qs.entries[machQuery[d]]
+		e.progs = append(e.progs, p)
+	}
+	qs.shape = &shape{machQuery: machQuery, nq: len(qs.entries)}
 	return qs, nil
 }
 
@@ -102,13 +149,13 @@ func (qs *QuerySet) Add(q *Query) (int, error) {
 	qi := len(qs.entries)
 	qs.entries = append(qs.entries, setEntry{q: q, progs: progs})
 	// Added machines take fresh slots at the end of the dense order; the
-	// published view is copy-on-write (in-flight Streams hold the old one).
-	mq := make([]int, len(qs.machQuery), len(qs.machQuery)+len(progs))
-	copy(mq, qs.machQuery)
+	// published shape is copy-on-write (in-flight Streams hold the old one).
+	mq := make([]int, len(qs.shape.machQuery), len(qs.shape.machQuery)+len(progs))
+	copy(mq, qs.shape.machQuery)
 	for range progs {
 		mq = append(mq, qi)
 	}
-	qs.machQuery = mq
+	qs.shape = &shape{machQuery: mq, nq: len(qs.entries)}
 	return qi, nil
 }
 
@@ -148,8 +195,8 @@ func (qs *QuerySet) Remove(i int) error {
 	qs.entries = append(qs.entries[:i], qs.entries[i+1:]...)
 	// Drop the removed machines from the dense view and shift the query
 	// indexes above i down by one (slice semantics), copy-on-write.
-	mq := make([]int, 0, len(qs.machQuery))
-	for _, qi := range qs.machQuery {
+	mq := make([]int, 0, len(qs.shape.machQuery))
+	for _, qi := range qs.shape.machQuery {
 		if qi == i {
 			continue
 		}
@@ -158,7 +205,7 @@ func (qs *QuerySet) Remove(i int) error {
 		}
 		mq = append(mq, qi)
 	}
-	qs.machQuery = mq
+	qs.shape = &shape{machQuery: mq, nq: len(qs.entries)}
 	return nil
 }
 
@@ -185,7 +232,7 @@ func (qs *QuerySet) Replace(i int, q *Query) error {
 			progs[b] = p
 			old.progs[b] = p
 		}
-		// Slots (and so dense positions) are reused: the view is unchanged.
+		// Slots (and so dense positions) are reused: the shape is unchanged.
 		qs.entries[i] = setEntry{q: q, progs: progs}
 		return nil
 	}
@@ -223,7 +270,7 @@ func (qs *QuerySet) rebuildViewLocked() {
 	for d, p := range progs {
 		machQuery[d] = owner[p]
 	}
-	qs.machQuery = machQuery
+	qs.shape = &shape{machQuery: machQuery, nq: len(qs.entries)}
 }
 
 // QuerySetView pins one membership snapshot of a live QuerySet: every Stream
@@ -235,9 +282,8 @@ func (qs *QuerySet) rebuildViewLocked() {
 // QueryIndex a result is tagged with. Views are cheap (one atomic load plus
 // two word copies) and safe for concurrent use.
 type QuerySetView struct {
-	snap      engine.Snapshot
-	machQuery []int
-	nq        int
+	snap  engine.Snapshot
+	shape *shape
 }
 
 // View captures the set's current membership as an immutable view. Views
@@ -245,11 +291,11 @@ type QuerySetView struct {
 func (qs *QuerySet) View() QuerySetView {
 	qs.mu.Lock()
 	defer qs.mu.Unlock()
-	return QuerySetView{snap: qs.eng.Snapshot(), machQuery: qs.machQuery, nq: len(qs.entries)}
+	return QuerySetView{snap: qs.eng.Snapshot(), shape: qs.shape}
 }
 
 // Len returns the number of queries in the view.
-func (v QuerySetView) Len() int { return v.nq }
+func (v QuerySetView) Len() int { return v.shape.nq }
 
 // Len returns the number of queries in the set.
 func (qs *QuerySet) Len() int {
@@ -285,79 +331,116 @@ func (qs *QuerySet) Stream(r io.Reader, opts Options, emit func(SetResult) error
 // Stream evaluates the view's pinned membership over one scan of r; see
 // QuerySet.Stream for the emission and statistics contract.
 func (v QuerySetView) Stream(r io.Reader, opts Options, emit func(SetResult) error) ([]Stats, error) {
-	snap, machQuery, nq := v.snap, v.machQuery, v.nq
-	// Union branches within one query share a dedup set; ordered union
-	// results are buffered and flushed in document order at end of scan
-	// with their Seq renumbered densely per query (branch-local Seqs are
-	// incomparable).
-	branches := make([]int, nq)
-	for _, qi := range machQuery {
-		branches[qi]++
+	return stream(v.snap, v.shape, r, opts, emit)
+}
+
+// stream is the one evaluation behind Query.Stream and QuerySetView.Stream:
+// the machines of snap, grouped into queries by sh, over one scan of r. Per
+// document it builds one evaluation and one []Stats; nothing else here is
+// proportional to the set.
+func stream(snap engine.Snapshot, sh *shape, r io.Reader, opts Options, emit func(SetResult) error) ([]Stats, error) {
+	ev := &evaluation{sh: sh, ordered: opts.Ordered, emit: emit, stats: make([]Stats, sh.nq)}
+	plan := engine.Plan{
+		Options:   twigm.Options{Ordered: opts.Ordered, CountOnly: opts.CountOnly, Trace: opts.Trace},
+		Unordered: sh.unions(),
+		Stats:     ev.machineStats,
 	}
-	seen := make([]map[int64]bool, nq)
-	var held []SetResult
-	topts := make([]twigm.Options, snap.Len())
-	for j := range topts {
-		qi := machQuery[j]
-		union := branches[qi] > 1
-		topts[j] = twigm.Options{
-			Ordered:   opts.Ordered && !union,
-			CountOnly: opts.CountOnly,
-			Trace:     opts.Trace,
-		}
-		if emit == nil {
-			continue
-		}
-		if union && seen[qi] == nil {
-			seen[qi] = make(map[int64]bool)
-		}
-		topts[j].Emit = func(tr twigm.Result) error {
-			if union {
-				if seen[qi][tr.NodeOffset] {
-					return nil
-				}
-				seen[qi][tr.NodeOffset] = true
-				if opts.Ordered {
-					held = append(held, SetResult{QueryIndex: qi, Result: Result(tr)})
-					return nil
-				}
-			}
-			return emit(SetResult{QueryIndex: qi, Result: Result(tr)})
-		}
+	if emit != nil {
+		plan.Options.EmitFrom = ev.machineResult
 	}
-	mstats, err := streamEngine(snap, r, opts, topts)
-	stats := make([]Stats, nq)
-	perQuery := make([][]twigm.Stats, nq)
-	for d := range mstats {
-		qi := machQuery[d]
-		perQuery[qi] = append(perQuery[qi], mstats[d])
+	ctx := opts.Context
+	if ctx == nil {
+		ctx = context.Background()
 	}
-	for qi := range stats {
-		stats[qi] = engine.MergeStats(perQuery[qi])
+	var scan Stats
+	var err error
+	if opts.Parallel != 0 && opts.Parallel != 1 {
+		scan, err = snap.StreamParallel(ctx, r, opts.UseStdParser, plan, opts.Parallel)
+	} else {
+		scan, err = snap.Stream(ctx, r, opts.UseStdParser, plan)
+	}
+	// The engine reported the machines the document woke; every query
+	// carries the shared scan's counters, woken or not.
+	for qi := range ev.stats {
+		st := &ev.stats[qi]
+		st.Events, st.Elements, st.MaxDepth = scan.Events, scan.Elements, scan.MaxDepth
 	}
 	if err != nil {
-		return stats, err
+		return ev.stats, err
 	}
-	if len(held) > 0 && emit != nil {
-		sort.Slice(held, func(a, b int) bool {
-			if held[a].QueryIndex != held[b].QueryIndex {
-				return held[a].QueryIndex < held[b].QueryIndex
-			}
-			return held[a].NodeOffset < held[b].NodeOffset
-		})
-		seq, curQuery := int64(0), -1
-		for i := range held {
-			if held[i].QueryIndex != curQuery {
-				curQuery, seq = held[i].QueryIndex, 0
-			}
-			held[i].Seq = seq
-			seq++
-			if err := emit(held[i]); err != nil {
-				return stats, err
-			}
+	return ev.stats, ev.flushHeld()
+}
+
+// evaluation is the per-document state of one stream: the statistics being
+// assembled and the union bookkeeping. Union branches of one query share a
+// dedup set; ordered union results are held and flushed in document order at
+// end of scan with their Seq renumbered densely per query (branch-local Seqs
+// are incomparable, which is also why union branches run unordered).
+type evaluation struct {
+	sh      *shape
+	ordered bool
+	emit    func(SetResult) error
+	stats   []Stats
+	seen    map[unionNode]bool // created by the first union result
+	held    []SetResult
+}
+
+// unionNode identifies a result node of a union query.
+type unionNode struct {
+	query  int
+	offset int64
+}
+
+// machineStats folds a woken machine's statistics into its query's.
+func (ev *evaluation) machineStats(d int, st twigm.Stats) {
+	engine.MergeStats(&ev.stats[ev.sh.machQuery[d]], st)
+}
+
+// machineResult receives every result with the index of its machine.
+func (ev *evaluation) machineResult(d int, tr twigm.Result) error {
+	sr := SetResult{QueryIndex: ev.sh.machQuery[d], Result: Result(tr)}
+	if ev.sh.union != nil && ev.sh.union[d] {
+		node := unionNode{sr.QueryIndex, tr.NodeOffset}
+		if ev.seen[node] {
+			return nil
+		}
+		if ev.seen == nil {
+			ev.seen = make(map[unionNode]bool)
+		}
+		ev.seen[node] = true
+		if ev.ordered {
+			ev.held = append(ev.held, sr)
+			return nil
 		}
 	}
-	return stats, nil
+	return ev.emit(sr)
+}
+
+// flushHeld emits the held ordered union results, per query in document
+// order.
+func (ev *evaluation) flushHeld() error {
+	held := ev.held
+	if len(held) == 0 {
+		return nil
+	}
+	sort.Slice(held, func(a, b int) bool {
+		if held[a].QueryIndex != held[b].QueryIndex {
+			return held[a].QueryIndex < held[b].QueryIndex
+		}
+		return held[a].NodeOffset < held[b].NodeOffset
+	})
+	seq, curQuery := int64(0), -1
+	for i := range held {
+		if held[i].QueryIndex != curQuery {
+			curQuery, seq = held[i].QueryIndex, 0
+		}
+		held[i].Seq = seq
+		seq++
+		if err := ev.emit(held[i]); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Counts evaluates the whole set counting solutions per query, without

@@ -1,9 +1,13 @@
 package vitex
 
 import (
+	"fmt"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/datagen"
 	"repro/internal/engine"
@@ -283,6 +287,158 @@ func TestQuerySetPaperWorkload(t *testing.T) {
 	for i := range want {
 		if counts[i] != want[i] {
 			t.Fatalf("counts = %v, want %v", counts, want)
+		}
+	}
+}
+
+// TestIdleSubscriptionsAreFree is the scale guard of lazy session reset: a
+// document that wakes no machine costs the same through 1,000 standing
+// queries as through 10,000 — the same number of allocations, bytes that
+// differ only by the []Stats Stream returns (one entry per query), and not
+// one machine delivery.
+func TestIdleSubscriptionsAreFree(t *testing.T) {
+	const doc = `<feed><trade seq="1"><symbol>ACME</symbol><price>10</price></trade></feed>`
+	const runs = 20
+	// One P, as testing.AllocsPerRun measures: a sync.Pool keeps one private
+	// slot per P, so on several the pooled session is rebuilt whenever the
+	// goroutine lands on a P that has not streamed yet.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	measure := func(n int) (allocs float64, bytes uint64) {
+		// Distinct queries over a small dead vocabulary: a program's dispatch
+		// tables are sized by the symbol table, so 30,000 names would make
+		// building the set the expensive part of this test.
+		sources := make([]string, n)
+		for i := range sources {
+			sources[i] = fmt.Sprintf("//catalog%d[entry='%d']//leaf", i%32, i)
+		}
+		qs, err := NewQuerySet(sources...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rd := strings.NewReader(doc)
+		stream := func() {
+			rd.Reset(doc)
+			stats, err := qs.Stream(rd, Options{}, func(sr SetResult) error {
+				t.Errorf("dead-vocabulary query %d matched", sr.QueryIndex)
+				return nil
+			})
+			if err != nil || len(stats) != n {
+				t.Fatalf("%d queries: %d stats, err %v", n, len(stats), err)
+			}
+			if scan := (Stats{Events: stats[0].Events, Elements: 4, MaxDepth: 3}); stats[0] != scan || stats[n-1] != scan {
+				t.Fatalf("%d queries: an idle query reports work: %+v, %+v", n, stats[0], stats[n-1])
+			}
+		}
+		stream() // warm the pooled session and the scanner
+		before := qs.Metrics().Deliveries
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		for i := 0; i < runs; i++ {
+			stream()
+		}
+		runtime.ReadMemStats(&m1)
+		allocs = testing.AllocsPerRun(runs, stream)
+		if d := qs.Metrics().Deliveries - before; d != 0 {
+			t.Fatalf("%d queries: %d machine deliveries for documents that wake nothing", n, d)
+		}
+		return allocs, (m1.TotalAlloc - m0.TotalAlloc) / runs
+	}
+	allocs1k, bytes1k := measure(1000)
+	allocs10k, bytes10k := measure(10000)
+	if raceEnabled {
+		return // deliveries and statistics were checked; allocation counts are not meaningful
+	}
+	if allocs1k != allocs10k {
+		t.Fatalf("allocations per document grow with the standing set: %v at 1,000 queries, %v at 10,000", allocs1k, allocs10k)
+	}
+	// The runtime rounds an allocation of this size up to whole 8 KB pages.
+	statsGrowth := uint64(10000-1000)*uint64(unsafe.Sizeof(Stats{})) + 8192
+	if bytes10k > bytes1k+statsGrowth {
+		t.Fatalf("bytes per document grow by more than the returned []Stats: %d at 1,000 queries, %d at 10,000 (allowed growth %d)",
+			bytes1k, bytes10k, statsGrowth)
+	}
+}
+
+// TestBulkBuildMatchesIncremental: NewQuerySet builds the whole set as one
+// engine epoch; it must be the set that Add-ing the same sources one by one
+// builds — same machines in the same order, same shared trie, same results.
+func TestBulkBuildMatchesIncremental(t *testing.T) {
+	sources := append(datagen.OverlapQueries(60, 0.8, 0, 0, 7),
+		"//channel//article/head/f3 | //article/@id",
+		"//article/head/f1/text()",
+		"//channel//*",
+	)
+	doc := datagen.Portal{Articles: 30, Seed: 5}.String()
+	for _, cfg := range []SetConfig{{}, {DisablePrefixSharing: true}} {
+		bulk, err := NewQuerySetConfigured(cfg, sources...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inc, err := NewQuerySetConfigured(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, src := range sources {
+			if _, err := inc.Add(MustCompile(src)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		bp, ip := bulk.eng.Programs(), inc.eng.Programs()
+		if len(bp) != len(ip) {
+			t.Fatalf("%+v: %d machines bulk, %d incremental", cfg, len(bp), len(ip))
+		}
+		for d := range bp {
+			if b, i := bp[d].Query().String(), ip[d].Query().String(); b != i {
+				t.Fatalf("%+v: machine %d is %s bulk, %s incremental", cfg, d, b, i)
+			}
+		}
+		if !reflect.DeepEqual(bulk.shape.machQuery, inc.shape.machQuery) {
+			t.Fatalf("%+v: machine-to-query maps differ", cfg)
+		}
+		bm, im := bulk.Metrics(), inc.Metrics()
+		if bm.Epoch != 1 {
+			t.Fatalf("%+v: bulk build took %d epochs, want 1", cfg, bm.Epoch)
+		}
+		for _, c := range []struct {
+			name      string
+			bulk, inc int64
+		}{
+			{"Live", int64(bm.Live), int64(im.Live)},
+			{"Slots", int64(bm.Slots), int64(im.Slots)},
+			{"Compiles", bm.Compiles, im.Compiles},
+			{"TrieNodes", int64(bm.TrieNodes), int64(im.TrieNodes)},
+			{"TrieGarbage", int64(bm.TrieGarbage), int64(im.TrieGarbage)},
+			{"AnchoredMachines", int64(bm.AnchoredMachines), int64(im.AnchoredMachines)},
+			{"TrieGrafts", bm.TrieGrafts, im.TrieGrafts},
+		} {
+			if c.bulk != c.inc {
+				t.Fatalf("%+v: %s is %d bulk, %d incremental", cfg, c.name, c.bulk, c.inc)
+			}
+		}
+		for _, opts := range []Options{{}, {Ordered: true}} {
+			collect := func(qs *QuerySet) ([]SetResult, []Stats) {
+				var out []SetResult
+				stats, err := qs.Stream(strings.NewReader(doc), opts, func(sr SetResult) error {
+					out = append(out, sr)
+					return nil
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return out, stats
+			}
+			br, bs := collect(bulk)
+			ir, is := collect(inc)
+			if len(br) == 0 || !reflect.DeepEqual(br, ir) {
+				t.Fatalf("%+v %+v: %d results bulk, %d incremental, or they differ", cfg, opts, len(br), len(ir))
+			}
+			if !reflect.DeepEqual(bs, is) {
+				t.Fatalf("%+v %+v: per-query stats differ", cfg, opts)
+			}
+		}
+		dm := bulk.Metrics()
+		if routed := dm.Events - bm.Events; routed == 0 || dm.TriePushes-bm.TriePushes != inc.Metrics().TriePushes-im.TriePushes {
+			t.Fatalf("%+v: trie work differs between bulk and incremental", cfg)
 		}
 	}
 }

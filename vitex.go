@@ -34,12 +34,14 @@
 // over one feed therefore costs one parse plus work proportional to the
 // queries an event actually concerns — not O(N) per event — and grows
 // sublinearly in N on overlapping sets. Machine state, scanner
-// buffers and dispatch sets are pooled and reused across documents, so a
-// long-lived Query or QuerySet streams with near-zero steady-state
-// allocation. Options.Parallel shards the machines over N worker goroutines
-// fed from one batching scan, with results re-merged into the exact serial
-// emission order — large standing sets saturate every core while staying
-// byte-identical to a serial run. A QuerySet is live: Add, Remove and
+// buffers and dispatch sets are pooled and reused across documents, and a
+// machine is reset only when a document first wakes it: per document a
+// long-lived Query or QuerySet allocates its results and the statistics it
+// returns, and pays for the queries the document concerns. Options.Parallel
+// shards the machines over N worker goroutines fed from one batching scan,
+// with results re-merged into the exact serial emission order — large
+// standing sets saturate every core while staying byte-identical to a serial
+// run. A QuerySet is live: Add, Remove and
 // Replace mutate it between (and safely concurrent with) Stream calls,
 // compiling only the changed query — the engine versions its membership in
 // immutable epochs and pooled sessions resync incrementally, so
@@ -65,7 +67,6 @@ package vitex
 import (
 	"context"
 	"io"
-	"sort"
 	"strings"
 
 	"repro/internal/engine"
@@ -143,6 +144,9 @@ type Options struct {
 type Query struct {
 	eng   *engine.Engine
 	progs []*twigm.Program
+	// shape presents the branches as a one-query set, so Stream runs the
+	// same evaluation a QuerySet does.
+	shape *shape
 	src   string
 }
 
@@ -160,7 +164,8 @@ func Compile(src string) (*Query, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Query{eng: eng, progs: eng.Programs(), src: src}, nil
+	progs := eng.Programs()
+	return &Query{eng: eng, progs: progs, shape: &shape{machQuery: make([]int, len(progs)), nq: 1}, src: src}, nil
 }
 
 // MustCompile is Compile, panicking on error.
@@ -217,83 +222,12 @@ func (q *Query) MachineDescription() string {
 // are buffered to the end of the stream and emitted in document order
 // (single-path queries keep the cheaper streaming re-sequencer).
 func (q *Query) Stream(r io.Reader, opts Options, emit func(Result) error) (Stats, error) {
-	if len(q.progs) == 1 {
-		topts := twigm.Options{
-			Ordered:   opts.Ordered,
-			CountOnly: opts.CountOnly,
-			Trace:     opts.Trace,
-		}
-		if emit != nil {
-			topts.Emit = func(tr twigm.Result) error {
-				return emit(Result(tr))
-			}
-		}
-		stats, err := streamEngine(q.eng.Snapshot(), r, opts, []twigm.Options{topts})
-		return stats[0], err
+	var each func(SetResult) error
+	if emit != nil {
+		each = func(sr SetResult) error { return emit(sr.Result) }
 	}
-	return q.streamUnion(r, opts, emit)
-}
-
-// streamEngine dispatches to the serial or parallel engine entry point per
-// Options.Parallel, plumbing Options.Context into the engine loop.
-func streamEngine(snap engine.Snapshot, r io.Reader, opts Options, topts []twigm.Options) ([]twigm.Stats, error) {
-	ctx := opts.Context
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if opts.Parallel != 0 && opts.Parallel != 1 {
-		return snap.StreamParallelContext(ctx, r, opts.UseStdParser, topts, opts.Parallel)
-	}
-	return snap.StreamContext(ctx, r, opts.UseStdParser, topts)
-}
-
-// streamUnion evaluates one machine per branch over the shared scan
-// (routed, like any multi-machine evaluation), deduplicating by node
-// identity.
-func (q *Query) streamUnion(r io.Reader, opts Options, emit func(Result) error) (Stats, error) {
-	seen := make(map[int64]bool)
-	var held []Result // Ordered mode: buffer, sort, emit at end
-	topts := make([]twigm.Options, len(q.progs))
-	for i := range q.progs {
-		topts[i] = twigm.Options{
-			CountOnly: opts.CountOnly,
-			Trace:     opts.Trace,
-		}
-		topts[i].Emit = func(tr twigm.Result) error {
-			if seen[tr.NodeOffset] {
-				return nil
-			}
-			seen[tr.NodeOffset] = true
-			if opts.Ordered {
-				held = append(held, Result(tr))
-				return nil
-			}
-			if emit != nil {
-				return emit(Result(tr))
-			}
-			return nil
-		}
-	}
-	branchStats, err := streamEngine(q.eng.Snapshot(), r, opts, topts)
-	stats := engine.MergeStats(branchStats)
-	if err != nil {
-		return stats, err
-	}
-	if opts.Ordered {
-		sort.Slice(held, func(i, j int) bool { return held[i].NodeOffset < held[j].NodeOffset })
-		for i := range held {
-			// Branch-local Seq values are incomparable across branches;
-			// renumber in flush (= document) order to match single-path
-			// semantics.
-			held[i].Seq = int64(i)
-			if emit != nil {
-				if err := emit(held[i]); err != nil {
-					return stats, err
-				}
-			}
-		}
-	}
-	return stats, nil
+	stats, err := stream(q.eng.Snapshot(), q.shape, r, opts, each)
+	return stats[0], err
 }
 
 // Evaluate runs the query over a whole document and returns all solutions
