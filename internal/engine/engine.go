@@ -282,7 +282,7 @@ func (ses *session) stream(ctx context.Context, e *Engine, ep *epoch, drv sax.Dr
 		e.evalHist.ObserveNs(durNs / ses.events)
 	}
 	scan := twigm.Stats{Events: ses.events, Elements: ses.elements, MaxDepth: ses.maxDepth}
-	ses.rt.report(scan, plan.Stats)
+	ses.rt.finish(scan, plan.Stats)
 	return scan, err
 }
 
@@ -431,6 +431,7 @@ type router struct {
 	// ep supplies the slot-indexed anchors and dense indexes wake reads.
 	ep *epoch
 	// opts and unordered are the document's Plan: what wake resets a run to.
+	// Like ep they are held from reset to finish, not between documents.
 	opts      twigm.Options
 	unordered []bool
 	// gen is the document generation; machine i is prepared for the current
@@ -524,6 +525,8 @@ func (rt *router) reset(ep *epoch, opts twigm.Options, unordered []bool) {
 	rt.deliveries = 0
 	rt.gen++
 	rt.woken = rt.woken[:0]
+	// Machines report through EmitFrom; a caller's Emit is not theirs to call.
+	opts.Emit = nil
 	rt.ep, rt.opts, rt.unordered = ep, opts, unordered
 }
 
@@ -547,17 +550,22 @@ func (rt *router) wake(i int32) {
 	}
 }
 
-// report hands visit the statistics of every machine the document woke, with
-// the shared scan's counters filled in.
-func (rt *router) report(scan twigm.Stats, visit func(int, twigm.Stats)) {
-	if visit == nil {
-		return
-	}
+// finish ends the document for the machines it woke. visit, when non-nil,
+// receives each one's statistics with the shared scan's counters filled in;
+// then the run lets go of the document (its emit hook and trace writer), and
+// so does the router. A pooled session keeps nothing of a document it has
+// finished, however long the machines that document woke then stay idle.
+func (rt *router) finish(scan twigm.Stats, visit func(int, twigm.Stats)) {
 	for _, i := range rt.woken {
-		st := rt.runs[i].Stats()
-		st.Events, st.Elements, st.MaxDepth = scan.Events, scan.Elements, scan.MaxDepth
-		visit(int(rt.ep.liveIdx[i]), st)
+		run := rt.runs[i]
+		if visit != nil {
+			st := run.Stats()
+			st.Events, st.Elements, st.MaxDepth = scan.Events, scan.Elements, scan.MaxDepth
+			visit(int(rt.ep.liveIdx[i]), st)
+		}
+		run.Detach()
 	}
+	rt.ep, rt.opts, rt.unordered = nil, twigm.Options{}, nil
 }
 
 // refresh recomputes machine i's dynamic routing memberships. Called after

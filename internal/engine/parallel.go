@@ -195,7 +195,7 @@ func (ps *psession) stream(ctx context.Context, ep *epoch, drv sax.Driver, src i
 
 	scan := twigm.Stats{Events: prod.events, Elements: prod.elements, MaxDepth: prod.maxDepth}
 	for _, w := range ps.workers {
-		w.rt.report(scan, plan.Stats)
+		w.rt.finish(scan, plan.Stats)
 	}
 	for _, w := range ps.workers {
 		if w.failed != nil {

@@ -4,8 +4,11 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"strings"
+	"testing"
 
 	"repro/internal/twigm"
+	"repro/internal/xpath"
 )
 
 // planOf turns the shape most of this package's tests are written in — one
@@ -75,4 +78,28 @@ func streamOpts(ctx context.Context, s Snapshot, r io.Reader, useStd bool, opts 
 		scan, err = s.Stream(ctx, r, useStd, plan)
 	}
 	return finish(scan), err
+}
+
+// TestPlanEmitIsNotCalled: a Plan's machines report through Options.EmitFrom.
+// Options.Emit, the hook of a Run driven on its own, is never handed to them —
+// serially it would be called without the machine's index, sharded from the
+// worker goroutines.
+func TestPlanEmitIsNotCalled(t *testing.T) {
+	e, err := New(xpath.MustParse("//a"), xpath.MustParse("//b"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 2} {
+		got := 0
+		plan := Plan{Options: twigm.Options{
+			Emit:     func(twigm.Result) error { t.Error("Options.Emit called"); return nil },
+			EmitFrom: func(int, twigm.Result) error { got++; return nil },
+		}}
+		if _, err := e.Snapshot().StreamParallel(context.Background(), strings.NewReader("<r><a/><b/></r>"), false, plan, workers); err != nil {
+			t.Fatal(err)
+		}
+		if got != 2 {
+			t.Fatalf("workers=%d: EmitFrom saw %d results, want 2", workers, got)
+		}
+	}
 }

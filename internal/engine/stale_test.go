@@ -1,12 +1,15 @@
 package engine
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
+	"weak"
 
 	"repro/internal/sax/saxtest"
 	"repro/internal/twigm"
@@ -294,5 +297,80 @@ func TestIdleAcrossResync(t *testing.T) {
 				})
 			}
 		}
+	}
+}
+
+// docToken stands for what a caller's emit closure captures of one document:
+// its result buffers, its statistics, its connection.
+type docToken struct{ results [8]int64 }
+
+// streamHolding streams doc with an emit hook that owns a fresh docToken (and,
+// when traced, a trace writer of its own) and returns weak pointers to both. In
+// a function of its own so that no stack slot of the caller keeps them alive.
+func streamHolding(t *testing.T, p *pooledEval, doc string, traced, malformed bool) (weak.Pointer[docToken], weak.Pointer[bytes.Buffer]) {
+	t.Helper()
+	tok, trace := new(docToken), new(bytes.Buffer)
+	plan := Plan{Options: twigm.Options{EmitFrom: func(d int, _ twigm.Result) error {
+		tok.results[d%len(tok.results)]++
+		return nil
+	}}}
+	if traced {
+		plan.Options.Trace = trace
+	}
+	ep := p.e.cur.Load()
+	var err error
+	if p.ps != nil {
+		_, err = p.ps.stream(context.Background(), ep, p.e.driver(p.ps.scan, &p.ps.prod, false), strings.NewReader(doc), plan)
+	} else {
+		_, err = p.ses.stream(context.Background(), p.e, ep, p.e.driver(p.ses.scan, strings.NewReader(doc), false), plan)
+	}
+	if (err != nil) != malformed {
+		t.Fatalf("%s: malformed=%v, streamed with error %v", doc, malformed, err)
+	}
+	if tok.results == (docToken{}).results {
+		t.Fatalf("%s woke nothing: the test lost its subject", doc)
+	}
+	return weak.Make(tok), weak.Make(trace)
+}
+
+// TestIdleRunsKeepNothingOfADocument: each document wakes one machine, which
+// then stays idle for good, so nothing ever resets it. A pooled session must
+// not hold on to a finished document's emit hook or trace writer through it —
+// that would pin one caller's evaluation per machine, memory quadratic in the
+// standing set — whether the document ended cleanly or was cut short.
+func TestIdleRunsKeepNothingOfADocument(t *testing.T) {
+	const n = 32
+	sources := make([]string, n)
+	for i := range sources {
+		sources[i] = fmt.Sprintf("//q%d", i)
+	}
+	for _, mode := range []struct {
+		name    string
+		workers int
+		traced  bool
+	}{{"serial", 0, false}, {"serial traced", 0, true}, {"workers=2", 2, false}} {
+		t.Run(mode.name, func(t *testing.T) {
+			p := newPooledEval(mustEngine(t, sources...), mode.workers)
+			var toks []weak.Pointer[docToken]
+			var traces []weak.Pointer[bytes.Buffer]
+			for i := range sources {
+				doc, malformed := fmt.Sprintf("<q%d/>", i), i%2 == 1
+				if malformed {
+					doc += "</oops>"
+				}
+				tok, trace := streamHolding(t, p, doc, mode.traced, malformed)
+				toks, traces = append(toks, tok), append(traces, trace)
+			}
+			runtime.GC()
+			for i := range toks {
+				if toks[i].Value() != nil {
+					t.Fatalf("document %d's emit hook is still reachable from the pooled session", i)
+				}
+				if traces[i].Value() != nil {
+					t.Fatalf("document %d's trace writer is still reachable from the pooled session", i)
+				}
+			}
+			runtime.KeepAlive(p)
+		})
 	}
 }

@@ -217,6 +217,15 @@ func (r *Run) applyOptions(opts Options) {
 	}
 }
 
+// Detach drops what the Run holds of its stream's consumer — the emit hooks
+// and the trace writer — and keeps every warmed-up allocation. A pooled run
+// may sit idle for any number of streams before its next Reset; detached, it
+// pins nothing of the stream that last used it.
+func (r *Run) Detach() {
+	r.opts.Emit, r.opts.EmitFrom, r.opts.Trace = nil, nil, nil
+	r.trace = nil
+}
+
 // Count returns the number of solutions delivered so far.
 func (r *Run) Count() int64 { return r.count }
 

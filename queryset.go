@@ -57,28 +57,25 @@ type QuerySet struct {
 type shape struct {
 	machQuery []int
 	nq        int
-
-	once  sync.Once
-	union []bool // machine -> its query has other branches; nil when no query is a union
+	union     []bool // machine -> its query has other branches; nil when no query is a union
 }
 
-// unions returns the per-machine union flags, computing them on first use.
-func (sh *shape) unions() []bool {
-	sh.once.Do(func() {
-		branches := make([]int, sh.nq)
-		for _, qi := range sh.machQuery {
-			branches[qi]++
-		}
-		for d, qi := range sh.machQuery {
-			if branches[qi] > 1 {
-				if sh.union == nil {
-					sh.union = make([]bool, len(sh.machQuery))
-				}
-				sh.union[d] = true
+// newShape works out the union flags of a membership of nq queries.
+func newShape(machQuery []int, nq int) *shape {
+	sh := &shape{machQuery: machQuery, nq: nq}
+	branches := make([]int, nq)
+	for _, qi := range machQuery {
+		branches[qi]++
+	}
+	for d, qi := range machQuery {
+		if branches[qi] > 1 {
+			if sh.union == nil {
+				sh.union = make([]bool, len(machQuery))
 			}
+			sh.union[d] = true
 		}
-	})
-	return sh.union
+	}
+	return sh
 }
 
 // setEntry is one standing query: the caller's compiled Query plus the
@@ -131,7 +128,7 @@ func NewQuerySetConfigured(cfg SetConfig, sources ...string) (*QuerySet, error) 
 		e := &qs.entries[machQuery[d]]
 		e.progs = append(e.progs, p)
 	}
-	qs.shape = &shape{machQuery: machQuery, nq: len(qs.entries)}
+	qs.shape = newShape(machQuery, len(qs.entries))
 	return qs, nil
 }
 
@@ -155,7 +152,7 @@ func (qs *QuerySet) Add(q *Query) (int, error) {
 	for range progs {
 		mq = append(mq, qi)
 	}
-	qs.shape = &shape{machQuery: mq, nq: len(qs.entries)}
+	qs.shape = newShape(mq, len(qs.entries))
 	return qi, nil
 }
 
@@ -205,7 +202,7 @@ func (qs *QuerySet) Remove(i int) error {
 		}
 		mq = append(mq, qi)
 	}
-	qs.shape = &shape{machQuery: mq, nq: len(qs.entries)}
+	qs.shape = newShape(mq, len(qs.entries))
 	return nil
 }
 
@@ -270,7 +267,7 @@ func (qs *QuerySet) rebuildViewLocked() {
 	for d, p := range progs {
 		machQuery[d] = owner[p]
 	}
-	qs.shape = &shape{machQuery: machQuery, nq: len(qs.entries)}
+	qs.shape = newShape(machQuery, len(qs.entries))
 }
 
 // QuerySetView pins one membership snapshot of a live QuerySet: every Stream
@@ -342,7 +339,7 @@ func stream(snap engine.Snapshot, sh *shape, r io.Reader, opts Options, emit fun
 	ev := &evaluation{sh: sh, ordered: opts.Ordered, emit: emit, stats: make([]Stats, sh.nq)}
 	plan := engine.Plan{
 		Options:   twigm.Options{Ordered: opts.Ordered, CountOnly: opts.CountOnly, Trace: opts.Trace},
-		Unordered: sh.unions(),
+		Unordered: sh.union,
 		Stats:     ev.machineStats,
 	}
 	if emit != nil {

@@ -165,7 +165,7 @@ func Compile(src string) (*Query, error) {
 		return nil, err
 	}
 	progs := eng.Programs()
-	return &Query{eng: eng, progs: progs, shape: &shape{machQuery: make([]int, len(progs)), nq: 1}, src: src}, nil
+	return &Query{eng: eng, progs: progs, shape: newShape(make([]int, len(progs)), 1), src: src}, nil
 }
 
 // MustCompile is Compile, panicking on error.
