@@ -20,6 +20,7 @@
 package client
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -289,12 +290,9 @@ func (c *Client) attach(ctx context.Context, channel, id, query string, cursor, 
 		defer resp.Body.Close()
 		return nil, decodeError(resp)
 	}
-	// NDJSON is a stream of concatenated JSON values; json.Decoder consumes
-	// it incrementally with no line-length ceiling (result values carry
-	// whole serialized XML fragments, as large as a published document).
 	return &ResultStream{
 		body:    resp.Body,
-		dec:     json.NewDecoder(resp.Body),
+		rd:      bufio.NewReaderSize(resp.Body, 64<<10),
 		channel: channel,
 		id:      id,
 		cursor:  cursor,
@@ -305,8 +303,12 @@ func (c *Client) attach(ctx context.Context, channel, id, query string, cursor, 
 // ResultStream iterates a subscription's NDJSON deliveries and tracks the
 // stream position, so an interruption at any point yields a resume token.
 type ResultStream struct {
-	body    io.ReadCloser
-	dec     *json.Decoder
+	body io.ReadCloser
+	rd   *bufio.Reader
+	// long assembles a line longer than rd's buffer. Lines have no length
+	// ceiling: a result value is a serialized XML fragment, as large as a
+	// published document.
+	long    []byte
 	channel string
 	id      string
 	cursor  int64
@@ -327,8 +329,15 @@ func (s *ResultStream) Next() (*server.Delivery, error) {
 	if s.ended {
 		return nil, io.EOF
 	}
+	line, err := s.readLine()
 	var d server.Delivery
-	if err := s.dec.Decode(&d); err != nil {
+	switch {
+	case err == nil:
+		err = server.ParseDelivery(line, &d)
+	case err == io.EOF && len(line) > 0:
+		err = io.ErrUnexpectedEOF // the stream ended inside a line
+	}
+	if err != nil {
 		s.ended = true
 		return nil, &ErrStreamInterrupted{Token: s.Token(), Err: err}
 	}
@@ -352,6 +361,21 @@ func (s *ResultStream) Next() (*server.Delivery, error) {
 		}
 	}
 	return &d, nil
+}
+
+// readLine returns the next line, newline included, valid until the next
+// call; err is non-nil only when the line does not end in a newline.
+func (s *ResultStream) readLine() ([]byte, error) {
+	line, err := s.rd.ReadSlice('\n')
+	if err != bufio.ErrBufferFull {
+		return line, err
+	}
+	s.long = append(s.long[:0], line...)
+	for err == bufio.ErrBufferFull {
+		line, err = s.rd.ReadSlice('\n')
+		s.long = append(s.long, line...)
+	}
+	return s.long, err
 }
 
 // Close severs the stream (the server keeps the subscription).

@@ -190,7 +190,12 @@ type E3Result struct {
 	SizesMB []int
 	Times   []time.Duration
 	Fit     metrics.Fit // time vs bytes; R²≈1 and positive slope = linear
-	Table   string
+	// Bytes, Events and Pushes are each size's corpus length and the run's
+	// Stats counters: the work the timings stand for, exact and repeatable.
+	Bytes  []int64
+	Events []int64
+	Pushes []int64
+	Table  string
 }
 
 // RunE3 reproduces experiment E3: evaluation time vs data size for a fixed
@@ -200,7 +205,7 @@ func (c Config) RunE3(sizesMB []int) (E3Result, error) {
 	prog := twigm.MustCompile(datagen.PaperProteinQuery)
 	tbl := metrics.Table{
 		Title:   "E3: evaluation time vs data size (fixed query; paper claim: polynomial/linear)",
-		Headers: []string{"input", "time", "throughput"},
+		Headers: []string{"input", "time", "throughput", "events", "pushes"},
 	}
 	var xs, ys []float64
 	for _, mb := range sizesMB {
@@ -214,6 +219,7 @@ func (c Config) RunE3(sizesMB []int) (E3Result, error) {
 		// individual runs but never deflates them, so the minimum is
 		// the cleanest estimator for a scaling fit.
 		var el time.Duration
+		var stats twigm.Stats
 		for rep := 0; rep < 3; rep++ {
 			f, err := os.Open(path)
 			if err != nil {
@@ -229,14 +235,19 @@ func (c Config) RunE3(sizesMB []int) (E3Result, error) {
 			if d := t.Elapsed(); rep == 0 || d < el {
 				el = d
 			}
+			stats = run.Stats()
 		}
 		res.Times = append(res.Times, el)
+		res.Bytes = append(res.Bytes, size)
+		res.Events = append(res.Events, stats.Events)
+		res.Pushes = append(res.Pushes, stats.Pushes)
 		xs = append(xs, float64(size))
 		ys = append(ys, el.Seconds())
-		tbl.AddRow(metrics.Bytes(uint64(size)), el.Round(time.Millisecond).String(), metrics.Throughput(size, el))
+		tbl.AddRow(metrics.Bytes(uint64(size)), el.Round(time.Millisecond).String(), metrics.Throughput(size, el),
+			fmt.Sprint(stats.Events), fmt.Sprint(stats.Pushes))
 	}
 	res.Fit = metrics.LinearFit(xs, ys)
-	tbl.AddRow("linear fit", fmt.Sprintf("R²=%.4f", res.Fit.R2), fmt.Sprintf("%.1fns/byte", res.Fit.B*1e9))
+	tbl.AddRow("linear fit", fmt.Sprintf("R²=%.4f", res.Fit.R2), fmt.Sprintf("%.1fns/byte", res.Fit.B*1e9), "", "")
 	res.Table = tbl.String()
 	return res, nil
 }
@@ -505,7 +516,11 @@ type E9Result struct {
 	SharedTime time.Duration
 	SeparateT  time.Duration
 	Speedup    float64
-	Table      string
+	// SharedEvents and SeparateEvents count the events scanned each way
+	// (Stats.Events): one scan of the document against one per query.
+	SharedEvents   int64
+	SeparateEvents int64
+	Table          string
 }
 
 // RunE9 evaluates a bundle of ticker subscriptions both ways. This
@@ -532,31 +547,36 @@ func (c Config) RunE9(trades int) (E9Result, error) {
 	}
 	shared := metrics.StartTimer()
 	plan := engine.Plan{Options: twigm.Options{CountOnly: true}}
-	if _, err := eng.Stream(context.Background(), strings.NewReader(doc), false, plan); err != nil {
+	sharedStats, err := eng.Stream(context.Background(), strings.NewReader(doc), false, plan)
+	if err != nil {
 		return E9Result{}, err
 	}
 	sharedTime := shared.Elapsed()
 	// Separate: one full pass per query.
+	var sepEvents int64
 	sep := metrics.StartTimer()
 	for _, src := range sources {
 		run := twigm.MustCompile(src).Start(twigm.Options{CountOnly: true})
 		if err := xmlscan.NewScanner(strings.NewReader(doc)).Run(run); err != nil {
 			return E9Result{}, err
 		}
+		sepEvents += run.Stats().Events
 	}
 	sepTime := sep.Elapsed()
 	res := E9Result{
-		Queries:    len(sources),
-		SharedTime: sharedTime,
-		SeparateT:  sepTime,
-		Speedup:    float64(sepTime) / float64(sharedTime),
+		Queries:        len(sources),
+		SharedTime:     sharedTime,
+		SeparateT:      sepTime,
+		Speedup:        float64(sepTime) / float64(sharedTime),
+		SharedEvents:   sharedStats.Events,
+		SeparateEvents: sepEvents,
 	}
 	tbl := metrics.Table{
 		Title:   fmt.Sprintf("E9 (extension): %d standing queries over one ticker stream (%d trades)", len(sources), trades),
-		Headers: []string{"strategy", "time", "speedup"},
+		Headers: []string{"strategy", "time", "speedup", "events scanned"},
 	}
-	tbl.AddRow("shared single scan", sharedTime.Round(time.Millisecond).String(), fmt.Sprintf("%.2fx", res.Speedup))
-	tbl.AddRow("one pass per query", sepTime.Round(time.Millisecond).String(), "1.00x")
+	tbl.AddRow("shared single scan", sharedTime.Round(time.Millisecond).String(), fmt.Sprintf("%.2fx", res.Speedup), fmt.Sprint(sharedStats.Events))
+	tbl.AddRow("one pass per query", sepTime.Round(time.Millisecond).String(), "1.00x", fmt.Sprint(sepEvents))
 	res.Table = tbl.String()
 	return res, nil
 }

@@ -56,11 +56,17 @@ func TestE3Linear(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Fit.B <= 0 {
-		t.Fatalf("fit: %+v", res.Fit)
-	}
-	if res.Fit.R2 < 0.9 {
-		t.Fatalf("time vs size not linear: R²=%.3f times=%v", res.Fit.R2, res.Times)
+	// Linear work: events and stack pushes per byte are the same at every
+	// size. The counts are exact and repeat; the 1% allows for the corpus's
+	// entries varying in size (measured: under 0.6%).
+	perByte := func(n []int64, i int) float64 { return float64(n[i]) / float64(res.Bytes[i]) }
+	for i := range res.Bytes {
+		for name, n := range map[string][]int64{"events": res.Events, "pushes": res.Pushes} {
+			if r := perByte(n, i) / perByte(n, 0); n[0] == 0 || r < 0.99 || r > 1.01 {
+				t.Fatalf("%s per byte at %d MB is %.4f× that at %d MB (bytes %v, %s %v)",
+					name, res.SizesMB[i], r, res.SizesMB[0], res.Bytes, name, n)
+			}
+		}
 	}
 }
 
@@ -157,11 +163,12 @@ func TestE9SharedScanWins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Six queries share one parse: the shared strategy must beat one
-	// pass per query (conservatively, by at least 1.5x — measured ~2-4x).
-	if res.Speedup < 1.5 {
-		t.Fatalf("shared-scan speedup only %.2fx (shared=%v separate=%v)",
-			res.Speedup, res.SharedTime, res.SeparateT)
+	// Six queries share one parse: the shared strategy scans the document
+	// once, one pass per query scans it six times. The timings that follow
+	// from it are in the table; on a shared host they are no test.
+	if res.SharedEvents == 0 || res.SeparateEvents != int64(res.Queries)*res.SharedEvents {
+		t.Fatalf("events scanned: shared %d, separate %d; want separate = %d × shared",
+			res.SharedEvents, res.SeparateEvents, res.Queries)
 	}
 }
 

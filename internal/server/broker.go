@@ -44,7 +44,10 @@ type Config struct {
 	// QueueDepth is each channel's ingest-queue capacity (default 64).
 	// A full queue rejects publishes with ErrQueueFull.
 	QueueDepth int
-	// RingSize is each subscription's result-buffer capacity (default 256).
+	// RingSize is how many deliveries a subscription's result ring may hold
+	// (default 256): the threshold at which Policy applies. A ring holds only
+	// what is queued, growing to at most RingSize entries, so an idle
+	// subscription costs the same whatever RingSize is.
 	RingSize int
 	// Policy is the slow-consumer policy applied when a ring is full
 	// (default PolicyBlock).

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -132,6 +133,34 @@ func TestMalformedDocument(t *testing.T) {
 	cm := m.Channels["ticker"]
 	if cm.DocsFailed != 1 || cm.DocsIn != 3 {
 		t.Fatalf("channel metrics = %+v, want 3 docs in / 1 failed", cm)
+	}
+}
+
+// TestIdleRingsHoldNothing: a ring holds only what is queued. A hundred
+// subscriptions behind 16,384-slot rings that receive nothing grow the heap
+// by under 1 MB, where preallocated rings would take 100 × 16,384 × 160 B.
+func TestIdleRingsHoldNothing(t *testing.T) {
+	b := New(Config{RingSize: 1 << 14})
+	defer b.Shutdown(context.Background())
+	if _, err := b.Publish(context.Background(), "idle", feedDoc(1), true); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 100; i++ {
+		if _, err := b.Subscribe("idle", "//nothing/here"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pub, err := b.Publish(context.Background(), "idle", feedDoc(50), true)
+	if err != nil || pub.Results != 0 {
+		t.Fatalf("publish = %+v, %v; want no results", pub, err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if grew := int64(after.HeapAlloc) - int64(before.HeapAlloc); grew > 1<<20 {
+		t.Fatalf("100 idle subscriptions grew the heap by %d bytes", grew)
 	}
 }
 

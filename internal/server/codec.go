@@ -1,0 +1,528 @@
+package server
+
+import (
+	"bytes"
+	"fmt"
+	"strconv"
+	"unicode/utf16"
+	"unicode/utf8"
+)
+
+// The result stream's NDJSON codec. AppendDelivery writes what
+// json.NewEncoder(w).Encode(d) writes, byte for byte. ParseDelivery decodes
+// every line encoding/json decodes into a Delivery to the same value, except
+// a few it refuses (null for the object or a field, an unknown key's value
+// nested deeper than maxSkipDepth); it accepts nothing encoding/json
+// refuses. Neither uses reflection, and FuzzDeliveryCodec holds both to
+// encoding/json.
+
+const hexDigits = "0123456789abcdef"
+
+// jsonSafe marks the ASCII bytes encoding/json copies into a string as they
+// are: printable, and neither a quote, a backslash nor one of the
+// HTML-sensitive <, > and &.
+var jsonSafe = func() (t [utf8.RuneSelf]bool) {
+	for b := 0x20; b < utf8.RuneSelf; b++ {
+		t[b] = true
+	}
+	for _, b := range `"\<>&` {
+		t[b] = false
+	}
+	return t
+}()
+
+// AppendDelivery appends d's NDJSON line, trailing newline included, to dst.
+// The bytes equal json.NewEncoder(w).Encode(d): the same member order, the
+// same omitempty members (all but type, seq and node_offset), HTML-safe
+// escaping, and the escape of U+FFFD for each byte of invalid UTF-8.
+//
+//vitex:hotpath
+func AppendDelivery(dst []byte, d *Delivery) []byte {
+	dst = append(dst, `{"type":`...)
+	dst = appendString(dst, d.Type)
+	dst = appendInt(dst, `,"doc_seq":`, d.DocSeq)
+	dst = append(dst, `,"seq":`...)
+	dst = strconv.AppendInt(dst, d.Seq, 10)
+	dst = append(dst, `,"node_offset":`...)
+	dst = strconv.AppendInt(dst, d.NodeOffset, 10)
+	if d.Value != "" {
+		dst = append(dst, `,"value":`...)
+		dst = appendString(dst, d.Value)
+	}
+	dst = appendInt(dst, `,"confirmed_at":`, d.ConfirmedAt)
+	dst = appendInt(dst, `,"delivered_at":`, d.DeliveredAt)
+	dst = appendInt(dst, `,"dropped":`, d.Dropped)
+	dst = appendInt(dst, `,"from_cursor":`, d.FromCursor)
+	dst = appendInt(dst, `,"to_cursor":`, d.ToCursor)
+	if d.Reason != "" {
+		dst = append(dst, `,"reason":`...)
+		dst = appendString(dst, d.Reason)
+	}
+	return append(dst, '}', '\n')
+}
+
+// appendInt appends an omitempty integer member: key and v, unless v is 0.
+//
+//vitex:hotpath
+func appendInt(dst []byte, key string, v int64) []byte {
+	if v == 0 {
+		return dst
+	}
+	return strconv.AppendInt(append(dst, key...), v, 10)
+}
+
+// appendString appends s as encoding/json's encoder writes a string with
+// HTML escaping on.
+//
+//vitex:hotpath
+func appendString(dst []byte, s string) []byte {
+	dst = append(dst, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		if b := s[i]; b < utf8.RuneSelf {
+			if jsonSafe[b] {
+				i++
+				continue
+			}
+			dst = append(dst, s[start:i]...)
+			switch b {
+			case '"', '\\':
+				dst = append(dst, '\\', b)
+			case '\b':
+				dst = append(dst, '\\', 'b')
+			case '\f':
+				dst = append(dst, '\\', 'f')
+			case '\n':
+				dst = append(dst, '\\', 'n')
+			case '\r':
+				dst = append(dst, '\\', 'r')
+			case '\t':
+				dst = append(dst, '\\', 't')
+			default:
+				// The other control bytes, and <, > and &.
+				dst = append(dst, '\\', 'u', '0', '0', hexDigits[b>>4], hexDigits[b&0xF])
+			}
+			i++
+			start = i
+			continue
+		}
+		c, size := utf8.DecodeRuneInString(s[i:])
+		switch {
+		case c == utf8.RuneError && size == 1:
+			dst = append(dst, s[start:i]...)
+			dst = append(dst, '\\', 'u', 'f', 'f', 'f', 'd')
+		case c == 0x2028 || c == 0x2029:
+			// Valid JSON, but a line terminator to JavaScript.
+			dst = append(dst, s[start:i]...)
+			dst = append(dst, '\\', 'u', '2', '0', '2', hexDigits[c&0xF])
+		default:
+			i += size
+			continue
+		}
+		i += size
+		start = i
+	}
+	dst = append(dst, s[start:]...)
+	return append(dst, '"')
+}
+
+// maxSkipDepth bounds the nesting of an unknown key's value; encoding/json
+// refuses input nested deeper than 10,000.
+const maxSkipDepth = 1000
+
+// deliveryKeys names the members of a delivery line.
+var deliveryKeys = [...]string{
+	"type", "doc_seq", "seq", "node_offset", "value", "confirmed_at",
+	"delivered_at", "dropped", "from_cursor", "to_cursor", "reason",
+}
+
+// ParseDelivery decodes one NDJSON line into *d, which it zeroes first. It
+// accepts members in any order, insignificant whitespace, \uXXXX escapes
+// (surrogate pairs included) and unknown keys, whose values it checks and
+// skips. A key names a field exactly or, failing that, under Unicode case
+// folding, as with encoding/json. Anything else, a truncated line included,
+// is an error naming the first byte not accepted.
+func ParseDelivery(line []byte, d *Delivery) error {
+	*d = Delivery{}
+	p := parser{b: line}
+	if err := p.object(d); err != nil {
+		return err
+	}
+	if p.next(); p.i != len(p.b) {
+		return p.fail()
+	}
+	return nil
+}
+
+// parser is a cursor over one line.
+type parser struct {
+	b []byte
+	i int
+}
+
+func (p *parser) fail() error {
+	return fmt.Errorf("server: malformed delivery line at byte %d", p.i)
+}
+
+// next skips JSON whitespace and returns the byte under the cursor, or 0 at
+// the end of the line.
+func (p *parser) next() byte {
+	b, i := p.b, p.i
+	for ; i < len(b); i++ {
+		switch c := b[i]; c {
+		case ' ', '\t', '\n', '\r':
+		default:
+			p.i = i
+			return c
+		}
+	}
+	p.i = i
+	return 0
+}
+
+// object decodes the line's object into d.
+func (p *parser) object(d *Delivery) error {
+	if p.next() != '{' {
+		return p.fail()
+	}
+	p.i++
+	if p.next() == '}' {
+		p.i++
+		return nil
+	}
+	for {
+		if p.next() != '"' {
+			return p.fail()
+		}
+		var buf [32]byte
+		key, err := p.str(buf[:0])
+		if err != nil {
+			return err
+		}
+		if p.next() != ':' {
+			return p.fail()
+		}
+		p.i++
+		if err := p.member(d, key); err != nil {
+			return err
+		}
+		switch p.next() {
+		case ',':
+			p.i++
+		case '}':
+			p.i++
+			return nil
+		default:
+			return p.fail()
+		}
+	}
+}
+
+// member decodes the value of the member named key into d; the value of an
+// unknown key is checked and skipped. A key names a field exactly or,
+// failing that, under Unicode case folding, as with encoding/json.
+func (p *parser) member(d *Delivery, key []byte) error {
+	switch string(key) {
+	case "type":
+		return p.text(&d.Type)
+	case "doc_seq":
+		return p.int(&d.DocSeq)
+	case "seq":
+		return p.int(&d.Seq)
+	case "node_offset":
+		return p.int(&d.NodeOffset)
+	case "value":
+		return p.text(&d.Value)
+	case "confirmed_at":
+		return p.int(&d.ConfirmedAt)
+	case "delivered_at":
+		return p.int(&d.DeliveredAt)
+	case "dropped":
+		return p.int(&d.Dropped)
+	case "from_cursor":
+		return p.int(&d.FromCursor)
+	case "to_cursor":
+		return p.int(&d.ToCursor)
+	case "reason":
+		return p.text(&d.Reason)
+	}
+	for _, name := range deliveryKeys {
+		if bytes.EqualFold(key, []byte(name)) {
+			return p.member(d, []byte(name))
+		}
+	}
+	return p.skip(0)
+}
+
+// text decodes a string value into *dst. A delivery type costs no
+// allocation.
+func (p *parser) text(dst *string) error {
+	if p.next() != '"' {
+		return p.fail()
+	}
+	var buf [128]byte
+	s, err := p.str(buf[:0])
+	if err != nil {
+		return err
+	}
+	switch string(s) {
+	case DeliveryResult:
+		*dst = DeliveryResult
+	case DeliveryGap:
+		*dst = DeliveryGap
+	case DeliveryEnd:
+		*dst = DeliveryEnd
+	default:
+		*dst = string(s)
+	}
+	return nil
+}
+
+// int decodes an integer value into *dst. A fraction, an exponent or a value
+// outside int64 is refused, as encoding/json refuses it for an int64 field.
+func (p *parser) int(dst *int64) error {
+	if c := p.next(); c != '-' && (c < '0' || c > '9') {
+		return p.fail()
+	}
+	start := p.i
+	if err := p.number(); err != nil {
+		return err
+	}
+	v, err := strconv.ParseInt(string(p.b[start:p.i]), 10, 64)
+	if err != nil {
+		p.i = start
+		return p.fail()
+	}
+	*dst = v
+	return nil
+}
+
+// number checks and consumes a JSON number.
+func (p *parser) number() error {
+	if p.b[p.i] == '-' {
+		p.i++
+	}
+	switch {
+	case p.i < len(p.b) && p.b[p.i] == '0':
+		p.i++
+	case p.digits() == 0:
+		return p.fail()
+	}
+	if p.i < len(p.b) && p.b[p.i] == '.' {
+		p.i++
+		if p.digits() == 0 {
+			return p.fail()
+		}
+	}
+	if p.i < len(p.b) && (p.b[p.i] == 'e' || p.b[p.i] == 'E') {
+		p.i++
+		if p.i < len(p.b) && (p.b[p.i] == '+' || p.b[p.i] == '-') {
+			p.i++
+		}
+		if p.digits() == 0 {
+			return p.fail()
+		}
+	}
+	return nil
+}
+
+// digits consumes a run of decimal digits and returns its length.
+func (p *parser) digits() int {
+	start := p.i
+	for p.i < len(p.b) && '0' <= p.b[p.i] && p.b[p.i] <= '9' {
+		p.i++
+	}
+	return p.i - start
+}
+
+// skip checks and consumes one JSON value of any kind.
+func (p *parser) skip(depth int) error {
+	if depth > maxSkipDepth {
+		return p.fail()
+	}
+	c := p.next()
+	switch {
+	case c == '"':
+		_, err := p.str(nil)
+		return err
+	case c == '-' || '0' <= c && c <= '9':
+		return p.number()
+	case c == 't':
+		return p.literal("true")
+	case c == 'f':
+		return p.literal("false")
+	case c == 'n':
+		return p.literal("null")
+	case c != '[' && c != '{':
+		return p.fail()
+	}
+	closer := byte(']')
+	if c == '{' {
+		closer = '}'
+	}
+	p.i++
+	if p.next() == closer {
+		p.i++
+		return nil
+	}
+	for {
+		if c == '{' {
+			if p.next() != '"' {
+				return p.fail()
+			}
+			if _, err := p.str(nil); err != nil {
+				return err
+			}
+			if p.next() != ':' {
+				return p.fail()
+			}
+			p.i++
+		}
+		if err := p.skip(depth + 1); err != nil {
+			return err
+		}
+		switch p.next() {
+		case ',':
+			p.i++
+		case closer:
+			p.i++
+			return nil
+		default:
+			return p.fail()
+		}
+	}
+}
+
+func (p *parser) literal(lit string) error {
+	if !bytes.HasPrefix(p.b[p.i:], []byte(lit)) {
+		return p.fail()
+	}
+	p.i += len(lit)
+	return nil
+}
+
+// strPlain marks the bytes a JSON string holds as they are: printable ASCII
+// other than the quote and the backslash.
+var strPlain = func() (t [256]bool) {
+	for b := 0x20; b < utf8.RuneSelf; b++ {
+		t[b] = b != '"' && b != '\\'
+	}
+	return t
+}()
+
+// str consumes the string whose opening quote is under the cursor and
+// returns its decoded bytes: a subslice of the line when nothing needs
+// decoding, otherwise dst with the decoded bytes appended. Decoding follows
+// encoding/json: each byte of invalid UTF-8, and an escaped surrogate that
+// is not half of a pair, become U+FFFD.
+func (p *parser) str(dst []byte) ([]byte, error) {
+	b := p.b
+	start := p.i + 1
+	i := plainRun(b, start)
+	if i < len(b) && b[i] == '"' {
+		p.i = i + 1
+		return b[start:i], nil
+	}
+	dst = append(dst, b[start:i]...)
+	for p.i = i; p.i < len(b); {
+		switch c := b[p.i]; {
+		case strPlain[c]:
+			i = plainRun(b, p.i)
+			dst = append(dst, b[p.i:i]...)
+			p.i = i
+		case c == '"':
+			p.i++
+			return dst, nil
+		case c == '\\':
+			var err error
+			if dst, err = p.escape(dst); err != nil {
+				return nil, err
+			}
+		case c < 0x20:
+			return nil, p.fail()
+		default:
+			r, size := utf8.DecodeRune(p.b[p.i:])
+			if r == utf8.RuneError && size == 1 {
+				dst = utf8.AppendRune(dst, r)
+			} else {
+				dst = append(dst, p.b[p.i:p.i+size]...)
+			}
+			p.i += size
+		}
+	}
+	return nil, p.fail()
+}
+
+// plainRun returns the index of the first byte at or after i in b that is
+// not strPlain.
+func plainRun(b []byte, i int) int {
+	for i < len(b) && strPlain[b[i]] {
+		i++
+	}
+	return i
+}
+
+// escape decodes the escape sequence whose backslash is under the cursor
+// and appends it to dst.
+func (p *parser) escape(dst []byte) ([]byte, error) {
+	p.i++
+	if p.i == len(p.b) {
+		return nil, p.fail()
+	}
+	e := p.b[p.i]
+	p.i++
+	switch e {
+	case '"', '\\', '/':
+		return append(dst, e), nil
+	case 'b':
+		return append(dst, '\b'), nil
+	case 'f':
+		return append(dst, '\f'), nil
+	case 'n':
+		return append(dst, '\n'), nil
+	case 'r':
+		return append(dst, '\r'), nil
+	case 't':
+		return append(dst, '\t'), nil
+	case 'u':
+		r := hex4(p.b[p.i:])
+		if r < 0 {
+			return nil, p.fail()
+		}
+		p.i += 4
+		if utf16.IsSurrogate(r) {
+			r2 := rune(-1)
+			if p.i+1 < len(p.b) && p.b[p.i] == '\\' && p.b[p.i+1] == 'u' {
+				r2 = hex4(p.b[p.i+2:])
+			}
+			if r = utf16.DecodeRune(r, r2); r != utf8.RuneError {
+				p.i += 6
+			}
+		}
+		return utf8.AppendRune(dst, r), nil
+	}
+	p.i--
+	return nil, p.fail()
+}
+
+// hex4 parses the four hex digits at the start of b, or returns -1.
+func hex4(b []byte) rune {
+	if len(b) < 4 {
+		return -1
+	}
+	var r rune
+	for _, c := range b[:4] {
+		switch {
+		case '0' <= c && c <= '9':
+			c -= '0'
+		case 'a' <= c && c <= 'f':
+			c -= 'a' - 10
+		case 'A' <= c && c <= 'F':
+			c -= 'A' - 10
+		default:
+			return -1
+		}
+		r = r<<4 | rune(c)
+	}
+	return r
+}

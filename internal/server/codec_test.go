@@ -1,0 +1,154 @@
+package server
+
+import (
+	"bytes"
+	"encoding/json"
+	"strings"
+	"testing"
+	"unicode/utf8"
+)
+
+// encodeJSON is the reference encoding of a delivery line.
+func encodeJSON(t *testing.T, d *Delivery) []byte {
+	t.Helper()
+	var b bytes.Buffer
+	if err := json.NewEncoder(&b).Encode(d); err != nil {
+		t.Fatal(err)
+	}
+	return b.Bytes()
+}
+
+// FuzzDeliveryCodec holds the hand codec to encoding/json: (a) AppendDelivery
+// writes the same bytes as json.Encoder.Encode; (b) ParseDelivery reads them
+// back to what json.Unmarshal reads, which is the delivery itself when its
+// strings are valid UTF-8; (c) any line ParseDelivery accepts, json.Unmarshal
+// accepts too, with the same result.
+//
+//	go test -fuzz=FuzzDeliveryCodec -fuzztime=10m ./internal/server
+func FuzzDeliveryCodec(f *testing.F) {
+	f.Add("result", int64(3), int64(0), int64(122), "<price>10</price>", int64(26), int64(26), int64(0), int64(0), int64(0), "",
+		[]byte(`{"type":"result","doc_seq":3,"seq":0,"node_offset":122,"value":"\u003cprice\u003e10\u003c/price\u003e"}`))
+	f.Add("gap", int64(7), int64(0), int64(0), "", int64(0), int64(0), int64(1220), int64(5), int64(7), GapSlowConsumer,
+		[]byte(" {\"reason\" : \"slow consumer\", \"type\":\"gap\",\r\n\t\"dropped\":1220}\n"))
+	f.Add("end", int64(0), int64(0), int64(0), "", int64(0), int64(0), int64(0), int64(0), int64(0), "",
+		[]byte(`{"type":"end","extra":{"a":[1,-2.5e+3,true,false,null,"x\"y"],"b":{}},"more":[]}`))
+	f.Add("result", int64(-1), int64(1<<62), int64(-1<<63), "quote\" backslash\\ slash/ \b\f\n\r\t <>& \x00\x01\x1f\x7f", int64(1), int64(2), int64(0), int64(0), int64(0), "",
+		[]byte(`{"value":"\ud83d\ude00 \ud800 \udc00 \ud800\u0041 \uDBFF\uDFFF \/","TYPE":"gap","ſeq":5,"node_oFFset":-0}`))
+	f.Add("result", int64(1), int64(1), int64(1), "invalid \xff\xfe utf-8 \xc3 and \xed\xa0\x80 surrogate", int64(0), int64(0), int64(0), int64(0), int64(0), "reason\xe2\x80",
+		[]byte("{\"value\":\"raw \xff bytes \xe2\x80\xa8\"}"))
+	f.Add("result", int64(1), int64(0), int64(0), "line\u2028separator\u2029paragraph", int64(0), int64(0), int64(0), int64(0), int64(0), "",
+		[]byte(`{"seq":9223372036854775807,"doc_seq":-9223372036854775808}`))
+	f.Add("result", int64(1), int64(0), int64(0), strings.Repeat("<a>x&amp;y</a>\n", 1<<16), int64(0), int64(0), int64(0), int64(0), int64(0), "",
+		[]byte(`{"seq":1.0}`))
+	f.Fuzz(func(t *testing.T, typ string, docSeq, seq, nodeOffset int64, value string, confirmedAt, deliveredAt, dropped, from, to int64, reason string, line []byte) {
+		d := Delivery{Type: typ, DocSeq: docSeq, Seq: seq, NodeOffset: nodeOffset, Value: value,
+			ConfirmedAt: confirmedAt, DeliveredAt: deliveredAt, Dropped: dropped, FromCursor: from, ToCursor: to, Reason: reason}
+
+		// (a)
+		want := encodeJSON(t, &d)
+		got := AppendDelivery(nil, &d)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("AppendDelivery:\n got %q\nwant %q", got, want)
+		}
+
+		// (b)
+		var back, ref Delivery
+		if err := ParseDelivery(got, &back); err != nil {
+			t.Fatalf("ParseDelivery refuses its own line %q: %v", got, err)
+		}
+		if err := json.Unmarshal(got, &ref); err != nil {
+			t.Fatal(err)
+		}
+		if back != ref {
+			t.Fatalf("round trip of %q:\n got %+v\nwant %+v", got, back, ref)
+		}
+		if utf8.ValidString(typ) && utf8.ValidString(value) && utf8.ValidString(reason) && back != d {
+			t.Fatalf("round trip:\n got %+v\nwant %+v", back, d)
+		}
+
+		// (c)
+		var mine Delivery
+		if ParseDelivery(line, &mine) != nil {
+			return
+		}
+		var theirs Delivery
+		if err := json.Unmarshal(line, &theirs); err != nil {
+			t.Fatalf("ParseDelivery accepts %q, encoding/json refuses it: %v", line, err)
+		}
+		if mine != theirs {
+			t.Fatalf("ParseDelivery(%q):\n got %+v\nwant %+v", line, mine, theirs)
+		}
+	})
+}
+
+// TestParseDeliveryAccepts: lines other encoders could write — any member
+// order, whitespace, escapes, unknown keys, keys in another case — decode as
+// encoding/json decodes them.
+func TestParseDeliveryAccepts(t *testing.T) {
+	for _, line := range []string{
+		`{}`,
+		`{"type":"end"}` + "\n",
+		"\t{ \"seq\" : 4 , \"type\" : \"result\" }\r\n",
+		`{"value":"a\u003cb\u003e \ud83d\ude00 \ud800x \"q\" \\ \/ \b\f\n\r\t","type":"result"}`,
+		`{"t\u0079pe":"gap","Reason":"slow consumer","DROPPED":3,"ſeq":2}`,
+		`{"unknown":{"nested":[1,2.5,-3e-2,"s",true,false,null,{}],"e":[]},"type":"gap","doc_seq":1}`,
+		`{"type":"result","type":"gap"}`,
+		`{"doc_seq":-9223372036854775808,"seq":9223372036854775807,"node_offset":-0}`,
+		"{\"value\":\"raw \xff\xc3 invalid, raw \xe2\x80\xa8 separator\"}",
+	} {
+		var got, want Delivery
+		if err := json.Unmarshal([]byte(line), &want); err != nil {
+			t.Fatalf("bad test line %q: %v", line, err)
+		}
+		if err := ParseDelivery([]byte(line), &got); err != nil {
+			t.Fatalf("ParseDelivery(%q): %v", line, err)
+		}
+		if got != want {
+			t.Fatalf("ParseDelivery(%q):\n got %+v\nwant %+v", line, got, want)
+		}
+	}
+}
+
+// TestParseDeliveryRejects: malformed and truncated lines, and values an
+// int64 or string field cannot hold, are errors.
+func TestParseDeliveryRejects(t *testing.T) {
+	for _, line := range []string{
+		``,
+		"\n",
+		`null`,
+		`[]`,
+		`{"type":"result"`,
+		`{"type":"result","seq":`,
+		`{"type":"res`,
+		`{"type":"result"} x`,
+		`{"type":"result"}{}`,
+		"{\"type\":\"result\"}\x00",
+		`{"type":"result",}`,
+		`{"type" "result"}`,
+		`{type:"result"}`,
+		`{"seq":1.5}`,
+		`{"seq":1e3}`,
+		`{"seq":01}`,
+		`{"seq":-}`,
+		`{"seq":9223372036854775808}`,
+		`{"seq":-9223372036854775809}`,
+		`{"seq":"1"}`,
+		`{"type":1}`,
+		`{"type":null}`,
+		"{\"value\":\"tab\tinside\"}",
+		`{"value":"\x"}`,
+		`{"value":"\u12"}`,
+		`{"value":"\u12g4"}`,
+		`{"x":[1,]}`,
+		`{"x":{"a"}}`,
+		`{"x":tru}`,
+		`{"x":.5}`,
+		`{"x":1.}`,
+		`{"x":` + strings.Repeat("[", maxSkipDepth+2) + strings.Repeat("]", maxSkipDepth+2) + `}`,
+	} {
+		var d Delivery
+		if err := ParseDelivery([]byte(line), &d); err == nil {
+			t.Fatalf("ParseDelivery(%q) accepted %+v", line, d)
+		}
+	}
+}

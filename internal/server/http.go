@@ -16,9 +16,17 @@ import (
 	"repro/internal/xpath"
 )
 
-// maxBodyBytes bounds subscription queries and published documents; a
-// streaming system ingests many documents, not one enormous one.
+// maxBodyBytes bounds published documents; a streaming system ingests many
+// documents, not one enormous one.
 const maxBodyBytes = 64 << 20
+
+// maxQueryBytes bounds subscription queries, so a query nested deep enough
+// to exhaust the XPath parser's stack is refused before it is parsed.
+const maxQueryBytes = 64 << 10
+
+// maxKeptLine is the largest encode buffer a result stream keeps between
+// lines.
+const maxKeptLine = 64 << 10
 
 // Handler wires the broker's HTTP API (see wire.go for the route table and
 // body types).
@@ -84,9 +92,24 @@ func writeError(w http.ResponseWriter, err error) {
 	writeJSON(w, status, resp)
 }
 
-// readBody slurps a size-capped request body.
-func readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
-	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+// readBody reads a request body of at most limit bytes. A body that
+// declares its length within the limit is read into one slice of exactly
+// that size; a chunked body grows as it arrives.
+func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, bool) {
+	body := http.MaxBytesReader(w, r.Body, limit)
+	var data []byte
+	var err error
+	if n := r.ContentLength; n >= 0 && n <= limit {
+		data = make([]byte, n)
+		if _, err = io.ReadFull(body, data); err == nil {
+			var extra [1]byte
+			if m, _ := body.Read(extra[:]); m > 0 {
+				err = errors.New("body longer than its Content-Length")
+			}
+		}
+	} else {
+		data, err = io.ReadAll(body)
+	}
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: "reading request body: " + err.Error()})
 		return nil, false
@@ -95,7 +118,7 @@ func readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
 }
 
 func (b *Broker) handleSubscribe(w http.ResponseWriter, r *http.Request) {
-	body, ok := readBody(w, r)
+	body, ok := readBody(w, r, maxQueryBytes)
 	if !ok {
 		return
 	}
@@ -113,7 +136,7 @@ func (b *Broker) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 }
 
 func (b *Broker) handleReplace(w http.ResponseWriter, r *http.Request) {
-	body, ok := readBody(w, r)
+	body, ok := readBody(w, r, maxQueryBytes)
 	if !ok {
 		return
 	}
@@ -139,7 +162,7 @@ func (b *Broker) handleUnsubscribe(w http.ResponseWriter, r *http.Request) {
 }
 
 func (b *Broker) handlePublish(w http.ResponseWriter, r *http.Request) {
-	data, ok := readBody(w, r)
+	data, ok := readBody(w, r, maxBodyBytes)
 	if !ok {
 		return
 	}
@@ -203,16 +226,28 @@ func (b *Broker) handleResults(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Cache-Control", "no-store")
 	w.WriteHeader(http.StatusOK)
 	rc := http.NewResponseController(w)
-	enc := json.NewEncoder(w)
 	_ = rc.Flush() // commit headers so clients see the stream open
+
+	// line is the connection's encode buffer, reused from line to line; one
+	// that a huge value grew is let go rather than kept for the stream's
+	// lifetime.
+	var line []byte
+	write := func(d *Delivery) error {
+		line = AppendDelivery(line[:0], d)
+		_, err := w.Write(line)
+		if cap(line) > maxKeptLine {
+			line = nil
+		}
+		return err
+	}
 
 	ctx := r.Context()
 	var skipTo int64 // ring deliveries wholly at or below this cursor were replayed
 	var held *Delivery
 	if resume {
 		held, err = sub.ch.replay(ctx, sub, plan, from, seen, func(d Delivery) error {
-			if encErr := enc.Encode(d); encErr != nil {
-				return encErr
+			if err := write(&d); err != nil {
+				return err
 			}
 			return rc.Flush()
 		})
@@ -227,7 +262,7 @@ func (b *Broker) handleResults(w http.ResponseWriter, r *http.Request) {
 			return true // superseded by the replay
 		}
 		if d.tr == nil {
-			ok = enc.Encode(d) == nil
+			ok = write(&d) == nil
 			if ok && !d.pubAt.IsZero() {
 				sub.ch.pubDeliver.Observe(time.Since(d.pubAt))
 			}
@@ -238,7 +273,7 @@ func (b *Broker) handleResults(w http.ResponseWriter, r *http.Request) {
 		// it with neighbors would hide the flush cost from the trace).
 		d.tr.AddStage(obs.StageDeliverWait, time.Duration(d.tr.SinceStartNs()-d.ringAt))
 		wireStart := time.Now()
-		ok = enc.Encode(d) == nil
+		ok = write(&d) == nil
 		if ok {
 			ok = rc.Flush() == nil
 		}
@@ -264,7 +299,7 @@ func (b *Broker) handleResults(w http.ResponseWriter, r *http.Request) {
 			return // client gone; the ring stays live for a reconnect
 		}
 		if !ok {
-			_ = enc.Encode(Delivery{Type: DeliveryEnd})
+			_ = write(&Delivery{Type: DeliveryEnd})
 			_ = rc.Flush()
 			return
 		}

@@ -230,6 +230,41 @@ func TestHTTPBadQuery(t *testing.T) {
 	}
 }
 
+// TestHTTPQueryBodyCapped: a subscription query nested deep enough to
+// overflow the XPath parser's stack (6 MB) is refused with a structured 400
+// before it is parsed, and the server goes on serving.
+func TestHTTPQueryBodyCapped(t *testing.T) {
+	cl, _, _ := startServer(t, server.Config{})
+	ctx := context.Background()
+	const depth = 2_000_000
+	bomb := "//a" + strings.Repeat("[a", depth) + strings.Repeat("]", depth)
+	_, err := cl.Subscribe(ctx, "ticker", bomb)
+	var apiErr *client.APIError
+	if !errors.As(err, &apiErr) || apiErr.Status != 400 || !strings.Contains(apiErr.Error(), "too large") {
+		t.Fatalf("subscribe with a %d-byte query: err = %v, want a 400 saying the body is too large", len(bomb), err)
+	}
+	sub, err := cl.Subscribe(ctx, "ticker", "//trade/price")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.Replace(ctx, "ticker", sub.ID, bomb); !errors.As(err, &apiErr) || apiErr.Status != 400 {
+		t.Fatalf("replace with a %d-byte query: err = %v, want a 400", len(bomb), err)
+	}
+	stream, err := cl.Results(ctx, "ticker", sub.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stream.Close()
+	if pub, err := cl.Publish(ctx, "ticker", strings.NewReader(httpFeed)); err != nil || pub.Results != 3 {
+		t.Fatalf("publish after the refused queries = %+v, %v", pub, err)
+	}
+	for i := 0; i < 3; i++ {
+		if d, err := stream.Next(); err != nil || d.Type != server.DeliveryResult {
+			t.Fatalf("delivery %d = %+v, %v", i, d, err)
+		}
+	}
+}
+
 // TestHTTPMalformedDocument: a malformed publish returns a structured 400
 // with the syntax-error offset and the consumed doc number, and the
 // subscriber's stream shows a gap marker, not a stall.

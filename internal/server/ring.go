@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 	"sync/atomic"
 )
 
@@ -51,123 +52,161 @@ func (p Policy) String() string {
 var errSubClosed = errors.New("server: subscription closed")
 
 // subRing is the bounded delivery buffer between a channel's evaluation
-// worker and one subscription's (possibly absent, possibly slow) consumer.
-// The buffer is a Go channel so full-ring waits compose with context
-// cancellation and subscription close in one select.
+// worker and one subscription's (possibly absent, possibly slow) consumer:
+// a mutex-guarded circular deque that holds at most size deliveries and
+// only what is queued. It is allocated on the first push, grows by doubling
+// up to its high-water mark and keeps that capacity; a popped slot is zeroed
+// so it pins no Value. An idle subscription costs the struct and two
+// channels, whatever size is.
 //
 // Concurrency contract: exactly one goroutine pushes at a time (a channel
 // evaluates one document at a time, in arrival order), at most one consumer
 // reads (the HTTP layer enforces single attachment), and close may come
-// from anywhere. The mutex-free fields are owned by the pusher; the drop
-// accounting is atomic because the consumer's end-of-stream drain reads it.
+// from anywhere. A waiting side sleeps on its wake-up channel together with
+// its context; each has capacity 1, so a wake-up is never lost and the
+// waker never blocks, and a stale one costs the sleeper one more look.
 //
 //vitex:counters
 type subRing struct {
-	ch       chan Delivery
-	closedCh chan struct{}
-	policy   Policy //vitex:plain set at construction, read-only afterwards
-
-	closed atomic.Bool
-	// dropped/dropFrom/dropSeq accumulate a pending slow-consumer gap:
-	// results discarded since the last delivered marker, and the document
-	// cursor range [dropFrom, dropSeq] the losses span — the range a
-	// consumer needs to heal the gap by WAL replay. Written by the pusher;
-	// drained by the consumer only after close.
-	dropped  atomic.Int64
-	dropFrom atomic.Int64
-	dropSeq  atomic.Int64
+	size   int    //vitex:plain set at construction, read-only afterwards
+	policy Policy //vitex:plain set at construction, read-only afterwards
 	// gaps counts gap markers actually delivered (channel-level metric).
 	gaps *atomic.Int64
+
+	mu sync.Mutex
+	// buf[head], buf[head+1], ... (modulo len(buf)) are the n queued
+	// deliveries; guarded by mu.
+	buf    []Delivery
+	head   int  //vitex:guardedby=mu
+	n      int  //vitex:guardedby=mu
+	closed bool //vitex:guardedby=mu
+	// dropped/dropFrom/dropSeq accumulate a pending slow-consumer gap:
+	// results discarded since the last queued marker, and the document
+	// cursor range [dropFrom, dropSeq] the losses span — the range a
+	// consumer needs to heal the gap by WAL replay.
+	dropped  int64 //vitex:guardedby=mu
+	dropFrom int64 //vitex:guardedby=mu
+	dropSeq  int64 //vitex:guardedby=mu
+
+	ready chan struct{} // wakes the consumer: a delivery was queued, or close
+	space chan struct{} // wakes a blocked pusher: a slot was freed, or close
 }
 
 func newSubRing(size int, policy Policy, gaps *atomic.Int64) *subRing {
-	if size < 1 {
-		size = 1
-	}
 	return &subRing{
-		ch:       make(chan Delivery, size),
-		closedCh: make(chan struct{}),
-		policy:   policy,
-		gaps:     gaps,
+		size:   max(size, 1),
+		policy: policy,
+		gaps:   gaps,
+		ready:  make(chan struct{}, 1),
+		space:  make(chan struct{}, 1),
 	}
 }
 
-// pendingGap renders the accumulated slow-consumer losses as a marker
+// wake posts a wake-up on ch unless one is already pending.
+func wake(ch chan struct{}) {
+	select {
+	case ch <- struct{}{}:
+	default:
+	}
+}
+
+// takePendingGap renders the accumulated slow-consumer losses as a marker
 // carrying the cursor range they span, so a consumer can resume from
-// FromCursor to heal the hole from the channel's WAL.
-func (r *subRing) pendingGap() Delivery {
-	return Delivery{
+// FromCursor to heal the hole from the channel's WAL, and resets the
+// accounting.
+//
+//vitex:locked
+func (r *subRing) takePendingGap() Delivery {
+	d := Delivery{
 		Type:       DeliveryGap,
-		DocSeq:     r.dropSeq.Load(),
-		Dropped:    r.dropped.Load(),
-		FromCursor: r.dropFrom.Load(),
-		ToCursor:   r.dropSeq.Load(),
+		DocSeq:     r.dropSeq,
+		Dropped:    r.dropped,
+		FromCursor: r.dropFrom,
+		ToCursor:   r.dropSeq,
 		Reason:     GapSlowConsumer,
 	}
-}
-
-// clearPending resets the accumulated-loss accounting after a pending gap
-// marker made it into the buffer.
-func (r *subRing) clearPending() {
-	r.dropped.Store(0)
-	r.dropFrom.Store(0)
+	r.dropped, r.dropFrom = 0, 0
+	return d
 }
 
 // isClosed reports whether the subscription ended (unsubscribe/shutdown).
-func (r *subRing) isClosed() bool { return r.closed.Load() }
+func (r *subRing) isClosed() bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.closed
+}
 
-// place is the one point deliveries enter the buffer (non-blocking); it
-// keeps the gap metric honest.
-func (r *subRing) place(d Delivery) bool {
-	select {
-	case r.ch <- d:
-		if d.Type == DeliveryGap && r.gaps != nil {
-			r.gaps.Add(1)
-		}
-		return true
-	default:
-		return false
+// queue appends d; the caller has checked that the ring is not full. It is
+// the one point deliveries enter the ring, which keeps the gap metric
+// honest.
+//
+//vitex:locked
+func (r *subRing) queue(d Delivery) {
+	if r.n == len(r.buf) {
+		grown := make([]Delivery, min(max(2*len(r.buf), 8), r.size))
+		copy(grown[copy(grown, r.buf[r.head:]):], r.buf[:r.head])
+		r.buf, r.head = grown, 0
 	}
+	i := r.head + r.n
+	if i >= len(r.buf) {
+		i -= len(r.buf)
+	}
+	r.buf[i] = d
+	r.n++
+	if d.Type == DeliveryGap && r.gaps != nil {
+		r.gaps.Add(1)
+	}
+	wake(r.ready)
+}
+
+// pop removes the oldest delivery; the caller has checked that there is one.
+//
+//vitex:locked
+func (r *subRing) pop() Delivery {
+	d := r.buf[r.head]
+	r.buf[r.head] = Delivery{}
+	if r.head++; r.head == len(r.buf) {
+		r.head = 0
+	}
+	r.n--
+	wake(r.space)
+	return d
 }
 
 // push delivers d, honoring the slow-consumer policy. delivered reports
-// whether d itself was buffered — false when PolicyDrop folded it into a
+// whether d itself was queued — false when PolicyDrop folded it into a
 // pending gap marker. err is errSubClosed when the subscription is gone, or
 // ctx.Err() when a blocked push was canceled. A pending gap marker is
-// always flushed into the buffer before anything newer, so consumers
-// observe losses in stream position.
+// always queued before anything newer, so consumers observe losses in
+// stream position.
 func (r *subRing) push(ctx context.Context, d Delivery) (delivered bool, err error) {
-	for r.dropped.Load() > 0 {
-		if r.closed.Load() {
+	r.mu.Lock()
+	for {
+		if r.closed {
+			r.mu.Unlock()
 			return false, errSubClosed
 		}
-		if r.place(r.pendingGap()) {
-			r.clearPending()
-			break
+		if r.dropped > 0 && r.n < r.size {
+			r.queue(r.takePendingGap())
+		}
+		if r.dropped == 0 && r.n < r.size {
+			r.queue(d)
+			r.mu.Unlock()
+			return true, nil
 		}
 		if r.policy == PolicyDrop {
 			r.drop(d)
+			r.mu.Unlock()
 			return false, nil
 		}
-		if err := r.send(ctx, r.pendingGap()); err != nil {
-			return false, err
+		r.mu.Unlock()
+		select {
+		case <-r.space:
+		case <-ctx.Done():
+			return false, ctx.Err()
 		}
-		r.clearPending()
+		r.mu.Lock()
 	}
-	if r.closed.Load() {
-		return false, errSubClosed
-	}
-	if r.place(d) {
-		return true, nil
-	}
-	if r.policy == PolicyDrop {
-		r.drop(d)
-		return false, nil
-	}
-	if err := r.send(ctx, d); err != nil {
-		return false, err
-	}
-	return true, nil
 }
 
 // pushGap best-effort delivers an aborted-document gap marker. It blocks
@@ -177,88 +216,78 @@ func (r *subRing) push(ctx context.Context, d Delivery) (delivered bool, err err
 // on the stream even if its specific reason is coalesced away.
 func (r *subRing) pushGap(ctx context.Context, d Delivery) {
 	if _, err := r.push(ctx, d); err != nil && !errors.Is(err, errSubClosed) {
+		r.mu.Lock()
 		r.drop(d)
+		r.mu.Unlock()
 	}
 }
 
 // drop folds d into the pending gap, widening its cursor range.
+//
+//vitex:locked
 func (r *subRing) drop(d Delivery) {
-	r.dropped.Add(1)
+	r.dropped++
 	if d.DocSeq > 0 {
-		r.dropFrom.CompareAndSwap(0, d.DocSeq)
-		r.dropSeq.Store(d.DocSeq)
-	}
-}
-
-// send is the blocking (PolicyBlock) delivery: it waits for ring space, and
-// composes the wait with subscription close and context cancellation. The
-// race between a winning send and a concurrent close is benign — the ring's
-// channel is never closed, and consumers drain buffered deliveries after
-// observing close.
-func (r *subRing) send(ctx context.Context, d Delivery) error {
-	select {
-	case r.ch <- d:
-		if d.Type == DeliveryGap && r.gaps != nil {
-			r.gaps.Add(1)
+		if r.dropFrom == 0 {
+			r.dropFrom = d.DocSeq
 		}
-		return nil
-	case <-r.closedCh:
-		return errSubClosed
-	case <-ctx.Done():
-		return ctx.Err()
+		r.dropSeq = d.DocSeq
 	}
 }
 
-// closeRing marks the subscription dead and wakes blocked pushers and the
-// consumer. Buffered deliveries remain readable; the consumer drains them,
+// closeRing marks the subscription dead and wakes a blocked pusher and the
+// consumer. Queued deliveries remain readable; the consumer drains them,
 // then any pending gap, then sees end-of-stream.
 func (r *subRing) closeRing() {
-	if r.closed.CompareAndSwap(false, true) {
-		close(r.closedCh)
-	}
+	r.mu.Lock()
+	r.closed = true
+	r.mu.Unlock()
+	wake(r.ready)
+	wake(r.space)
 }
 
 // next blocks for the subscription's next delivery. ok=false means the
-// subscription closed and everything buffered (including a final pending
+// subscription closed and everything queued (including a final pending
 // gap marker) has been delivered. err is non-nil only for ctx cancellation
 // (the consumer going away, not the subscription).
 func (r *subRing) next(ctx context.Context) (d Delivery, ok bool, err error) {
-	// Buffered deliveries win over close: a closed ring drains fully.
-	select {
-	case d = <-r.ch:
-		return d, true, nil
-	default:
-	}
-	select {
-	case d = <-r.ch:
-		return d, true, nil
-	case <-r.closedCh:
-		select {
-		case d = <-r.ch:
+	r.mu.Lock()
+	for {
+		// Queued deliveries win over close: a closed ring drains fully.
+		if r.n > 0 {
+			d = r.pop()
+			r.mu.Unlock()
 			return d, true, nil
-		default:
 		}
-		if r.dropped.Load() > 0 {
-			d = r.pendingGap()
-			r.clearPending()
-			if r.gaps != nil {
-				r.gaps.Add(1)
+		if r.closed {
+			if r.dropped > 0 {
+				d = r.takePendingGap()
+				if r.gaps != nil {
+					r.gaps.Add(1)
+				}
+				r.mu.Unlock()
+				return d, true, nil
 			}
-			return d, true, nil
+			r.mu.Unlock()
+			return Delivery{}, false, nil
 		}
-		return Delivery{}, false, nil
-	case <-ctx.Done():
-		return Delivery{}, false, ctx.Err()
+		r.mu.Unlock()
+		select {
+		case <-r.ready:
+		case <-ctx.Done():
+			return Delivery{}, false, ctx.Err()
+		}
+		r.mu.Lock()
 	}
 }
 
 // tryNext returns an immediately-available delivery, if any. The HTTP layer
 // uses it to batch NDJSON flushes: drain what is ready, then flush once.
 func (r *subRing) tryNext() (Delivery, bool) {
-	select {
-	case d := <-r.ch:
-		return d, true
-	default:
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.n == 0 {
 		return Delivery{}, false
 	}
+	return r.pop(), true
 }

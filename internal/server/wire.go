@@ -26,6 +26,12 @@
 // retains (a late joiner's full catch-up). Cursors older than retention
 // are reported as one gap marker carrying the unavailable range
 // [FromCursor, ToCursor].
+//
+// The result stream is the one hot route, and its lines bypass reflection:
+// the server writes them with AppendDelivery and the client reads them with
+// ParseDelivery (codec.go). The wire bytes equal encoding/json's encoding of
+// Delivery by construction, and FuzzDeliveryCodec holds both directions to
+// encoding/json, which the other routes still use.
 package server
 
 import (
