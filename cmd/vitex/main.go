@@ -20,7 +20,6 @@
 //	            dom always order results)
 //	-stats      print evaluation statistics to stderr
 //	-machine    print the TwigM machine tree (figure-3 view) and exit
-//	-std        use encoding/xml instead of the custom scanner
 //	-trace      log every TwigM machine transition to stderr (demo view)
 package main
 
@@ -32,7 +31,6 @@ import (
 
 	"repro/internal/dom"
 	"repro/internal/naive"
-	"repro/internal/sax"
 	"repro/internal/xmlscan"
 	"repro/internal/xpath"
 
@@ -55,7 +53,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	ordered := fs.Bool("ordered", false, "deliver results in document order")
 	stats := fs.Bool("stats", false, "print evaluation statistics to stderr")
 	machine := fs.Bool("machine", false, "print the TwigM machine tree and exit")
-	std := fs.Bool("std", false, "use encoding/xml instead of the custom scanner")
 	traceFlag := fs.Bool("trace", false, "log every TwigM machine transition to stderr")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -90,17 +87,17 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 		if *traceFlag {
 			trace = stderr
 		}
-		return runTwigM(*query, input, stdout, stderr, *countOnly, *ordered, *std, *stats, trace)
+		return runTwigM(*query, input, stdout, stderr, *countOnly, *ordered, *stats, trace)
 	case "naive":
 		return runNaive(*query, input, stdout, stderr, *countOnly, *stats)
 	case "dom":
-		return runDOM(*query, input, stdout, *countOnly, *std)
+		return runDOM(*query, input, stdout, *countOnly)
 	default:
 		return fmt.Errorf("unknown engine %q (want twigm, naive or dom)", *engine)
 	}
 }
 
-func runTwigM(query string, input io.Reader, stdout, stderr io.Writer, countOnly, ordered, std, wantStats bool, trace io.Writer) error {
+func runTwigM(query string, input io.Reader, stdout, stderr io.Writer, countOnly, ordered, wantStats bool, trace io.Writer) error {
 	q, err := vitex.Compile(query)
 	if err != nil {
 		return err
@@ -113,7 +110,7 @@ func runTwigM(query string, input io.Reader, stdout, stderr io.Writer, countOnly
 		}
 		return nil
 	}
-	st, err := q.Stream(input, vitex.Options{Ordered: ordered, CountOnly: countOnly, UseStdParser: std, Trace: trace}, emit)
+	st, err := q.Stream(input, vitex.Options{Ordered: ordered, CountOnly: countOnly, Trace: trace}, emit)
 	if err != nil {
 		return err
 	}
@@ -155,18 +152,12 @@ func runNaive(query string, input io.Reader, stdout, stderr io.Writer, countOnly
 	return nil
 }
 
-func runDOM(query string, input io.Reader, stdout io.Writer, countOnly, std bool) error {
+func runDOM(query string, input io.Reader, stdout io.Writer, countOnly bool) error {
 	parsed, err := xpath.Parse(query)
 	if err != nil {
 		return err
 	}
-	var drv sax.Driver
-	if std {
-		drv = sax.NewStdDriver(input)
-	} else {
-		drv = xmlscan.NewScanner(input)
-	}
-	d, err := dom.Build(drv)
+	d, err := dom.Build(xmlscan.NewScanner(input))
 	if err != nil {
 		return err
 	}

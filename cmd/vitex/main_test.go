@@ -82,8 +82,8 @@ func TestCLIStats(t *testing.T) {
 	}
 }
 
-func TestCLIOrderedAndStd(t *testing.T) {
-	out, _, err := execCLI(t, "<r><a>1</a><a>2</a></r>", "-q", "//a", "-ordered", "-std")
+func TestCLIOrdered(t *testing.T) {
+	out, _, err := execCLI(t, "<r><a>1</a><a>2</a></r>", "-q", "//a", "-ordered")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestCLIErrors(t *testing.T) {
 }
 
 func TestCLIDOMCount(t *testing.T) {
-	out, _, err := execCLI(t, "<r><a/><a/></r>", "-q", "//a", "-engine", "dom", "-count", "-std")
+	out, _, err := execCLI(t, "<r><a/><a/></r>", "-q", "//a", "-engine", "dom", "-count")
 	if err != nil {
 		t.Fatal(err)
 	}

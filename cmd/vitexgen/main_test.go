@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/sax"
+	"repro/internal/sax/saxtest"
 )
 
 func gen(t *testing.T, args ...string) string {
@@ -22,7 +23,7 @@ func gen(t *testing.T, args ...string) string {
 func assertWellFormed(t *testing.T, doc string) {
 	t.Helper()
 	nop := sax.PerEvent(func(*sax.Event) error { return nil })
-	if err := sax.NewStdDriver(strings.NewReader(doc)).Run(nop); err != nil {
+	if err := saxtest.NewStdDriver(strings.NewReader(doc)).Run(nop); err != nil {
 		t.Fatalf("output malformed: %v", err)
 	}
 }

@@ -29,12 +29,6 @@ func TestIncrementalDeliveryUnderStalledReader(t *testing.T) {
 		{"Parallel2", func(r io.Reader, emitted func()) error {
 			return streamSetB(r, Options{Parallel: 2}, emitted)
 		}},
-		{"UseStdParser", func(r io.Reader, emitted func()) error {
-			return streamSetB(r, Options{UseStdParser: true}, emitted)
-		}},
-		{"UseStdParser/Parallel2", func(r io.Reader, emitted func()) error {
-			return streamSetB(r, Options{UseStdParser: true, Parallel: 2}, emitted)
-		}},
 	}
 	// Each prefix proves <b>1</b>; the stall falls on a token boundary, in
 	// the middle of a tag, and in the middle of a text run.

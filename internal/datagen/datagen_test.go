@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/sax"
+	"repro/internal/sax/saxtest"
 )
 
 // wellFormed checks a generated document parses with the std front-end.
@@ -20,7 +21,7 @@ func wellFormed(t *testing.T, doc string) (elements, texts int) {
 		}
 		return nil
 	})
-	if err := sax.NewStdDriver(strings.NewReader(doc)).Run(h); err != nil {
+	if err := saxtest.NewStdDriver(strings.NewReader(doc)).Run(h); err != nil {
 		t.Fatalf("generated document malformed: %v\nhead: %.200s", err, doc)
 	}
 	return

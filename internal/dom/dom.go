@@ -110,16 +110,6 @@ func (b *builder) handle(ev *sax.Event) error {
 	return nil
 }
 
-// MustBuildString parses a document from a string using the std front-end;
-// it panics on error. Test and example helper.
-func MustBuildString(doc string) *Document {
-	d, err := Build(sax.NewStdDriver(strings.NewReader(doc)))
-	if err != nil {
-		panic(err)
-	}
-	return d
-}
-
 // AttrNode materializes (and caches) the virtual attribute node for
 // attribute i of element n.
 func (n *Node) AttrNode(i int) *Node {

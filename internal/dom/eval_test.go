@@ -12,7 +12,7 @@ import (
 
 func evalCount(t *testing.T, doc, query string) int {
 	t.Helper()
-	return len(EvalString(MustBuildString(doc), query))
+	return len(EvalString(buildStd(doc), query))
 }
 
 func TestEvalFromDocumentNode(t *testing.T) {
@@ -54,7 +54,7 @@ func TestAxisSetFromNonElements(t *testing.T) {
 // Property (testing/quick): SortNodes is idempotent and produces strictly
 // increasing Seq.
 func TestSortNodesQuick(t *testing.T) {
-	d := MustBuildString(datagen.PaperFigure1)
+	d := buildStd(datagen.PaperFigure1)
 	var all []*Node
 	var collect func(n *Node)
 	collect = func(n *Node) {
@@ -99,7 +99,7 @@ func TestStringValueQuick(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	for i := 0; i < 200; i++ {
 		doc := datagen.DefaultRandomTree.Generate(rng)
-		d := MustBuildString(doc)
+		d := buildStd(doc)
 		var expect func(n *Node) string
 		expect = func(n *Node) string {
 			var b strings.Builder
@@ -129,7 +129,7 @@ func TestStringValueQuick(t *testing.T) {
 }
 
 func TestAttrNodeCaching(t *testing.T) {
-	d := MustBuildString(`<a x="1" y="2"/>`)
+	d := buildStd(`<a x="1" y="2"/>`)
 	n1 := d.Root.AttrNode(0)
 	n2 := d.Root.AttrNode(0)
 	if n1 != n2 {
@@ -156,7 +156,7 @@ func TestPredicateOnSpineWithMixedKinds(t *testing.T) {
 
 func TestDocumentOrderAcrossKinds(t *testing.T) {
 	doc := `<r><a id="1">t1</a><b id="2">t2</b></r>`
-	d := MustBuildString(doc)
+	d := buildStd(doc)
 	nodes := EvalString(d, "//@id")
 	if len(nodes) != 2 || nodes[0].Text != "1" || nodes[1].Text != "2" {
 		t.Fatalf("attr order: %+v", nodes)

@@ -29,7 +29,7 @@ func streamValues(t *testing.T, s Snapshot, doc string, workers int) ([][]string
 	opts := make([]twigm.Options, s.Len())
 	for i := range opts {
 		idx := i
-		opts[i] = twigm.Options{Emit: func(r twigm.Result) error {
+		opts[i] = twigm.Options{EmitFrom: func(_ int, r twigm.Result) error {
 			out[idx] = append(out[idx], r.Value)
 			return nil
 		}}
@@ -37,9 +37,9 @@ func streamValues(t *testing.T, s Snapshot, doc string, workers int) ([][]string
 	var stats []twigm.Stats
 	var err error
 	if workers > 1 {
-		stats, err = streamOpts(context.Background(), s, strings.NewReader(doc), false, opts, workers)
+		stats, err = streamOpts(context.Background(), s, strings.NewReader(doc), opts, workers)
 	} else {
-		stats, err = streamOpts(context.Background(), s, strings.NewReader(doc), false, opts, 0)
+		stats, err = streamOpts(context.Background(), s, strings.NewReader(doc), opts, 0)
 	}
 	if err != nil {
 		t.Fatal(err)
@@ -190,7 +190,7 @@ func TestRemoveTombstonesAndCompacts(t *testing.T) {
 	if err := e.Remove(keepProg); err == nil {
 		t.Fatal("double Remove succeeded")
 	}
-	if _, err := streamOpts(context.Background(), e.Snapshot(), strings.NewReader(churnDoc), false, nil, 0); err != nil {
+	if _, err := streamOpts(context.Background(), e.Snapshot(), strings.NewReader(churnDoc), nil, 0); err != nil {
 		t.Fatalf("empty engine stream: %v", err)
 	}
 }
@@ -343,9 +343,9 @@ func TestConcurrentChurnAndStreams(t *testing.T) {
 				opts := make([]twigm.Options, s.Len())
 				var err error
 				if par > 1 {
-					_, err = streamOpts(context.Background(), s, strings.NewReader(churnDoc), false, opts, par)
+					_, err = streamOpts(context.Background(), s, strings.NewReader(churnDoc), opts, par)
 				} else {
-					_, err = streamOpts(context.Background(), s, strings.NewReader(churnDoc), false, opts, 0)
+					_, err = streamOpts(context.Background(), s, strings.NewReader(churnDoc), opts, 0)
 				}
 				if err != nil {
 					t.Errorf("stream during churn: %v", err)

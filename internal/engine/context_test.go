@@ -43,7 +43,7 @@ func (c *cancelAfterReader) Read(p []byte) (int, error) {
 func countingOpts(n int, count *int64) []twigm.Options {
 	opts := make([]twigm.Options, n)
 	for i := range opts {
-		opts[i] = twigm.Options{Emit: func(twigm.Result) error {
+		opts[i] = twigm.Options{EmitFrom: func(int, twigm.Result) error {
 			*count++
 			return nil
 		}}
@@ -53,7 +53,7 @@ func countingOpts(n int, count *int64) []twigm.Options {
 
 // streamWith runs either the serial or the parallel context entry point.
 func streamWith(e *Engine, ctx context.Context, r io.Reader, opts []twigm.Options, workers int) ([]twigm.Stats, error) {
-	return streamOpts(ctx, e.Snapshot(), r, false, opts, workers)
+	return streamOpts(ctx, e.Snapshot(), r, opts, workers)
 }
 
 // TestCancelDuringScan: a context canceled while the scan is mid-document
@@ -90,7 +90,7 @@ func TestCancelDuringEmit(t *testing.T) {
 		var count int64
 		opts := make([]twigm.Options, e.Len())
 		for i := range opts {
-			opts[i] = twigm.Options{Emit: func(twigm.Result) error {
+			opts[i] = twigm.Options{EmitFrom: func(int, twigm.Result) error {
 				count++
 				if count == 1 {
 					cancel()
@@ -138,7 +138,7 @@ func TestDeadlineExceededSurfaces(t *testing.T) {
 	dctx, dcancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Hour))
 	defer dcancel()
 	var count int64
-	_, err := streamOpts(dctx, e.Snapshot(), strings.NewReader(ctxDoc(10)), false, countingOpts(e.Len(), &count), 0)
+	_, err := streamOpts(dctx, e.Snapshot(), strings.NewReader(ctxDoc(10)), countingOpts(e.Len(), &count), 0)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
@@ -149,7 +149,7 @@ func TestDeadlineExceededSurfaces(t *testing.T) {
 func TestContextlessStreamUnchanged(t *testing.T) {
 	e := mustEngine(t, "//a/b")
 	var count int64
-	_, err := streamOpts(context.Background(), e.Snapshot(), strings.NewReader(ctxDoc(50)), false, countingOpts(e.Len(), &count), 0)
+	_, err := streamOpts(context.Background(), e.Snapshot(), strings.NewReader(ctxDoc(50)), countingOpts(e.Len(), &count), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

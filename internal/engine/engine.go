@@ -204,7 +204,7 @@ func (e *Engine) Len() int { return e.Snapshot().Len() }
 type Plan struct {
 	// Options configures every machine alike. Options.EmitFrom receives each
 	// result with the index of the machine that produced it; Options.ID is
-	// the engine's to fill in, and Options.Emit is not used.
+	// the engine's to fill in.
 	Options twigm.Options
 	// Unordered, when non-nil, marks the machines that deliver in
 	// confirmation order even under Options.Ordered (the branches of a
@@ -219,8 +219,8 @@ type Plan struct {
 
 // Stream evaluates the current membership over one scan of r; it is
 // Snapshot().Stream.
-func (e *Engine) Stream(ctx context.Context, r io.Reader, useStdParser bool, plan Plan) (twigm.Stats, error) {
-	return e.Snapshot().Stream(ctx, r, useStdParser, plan)
+func (e *Engine) Stream(ctx context.Context, r io.Reader, plan Plan) (twigm.Stats, error) {
+	return e.Snapshot().Stream(ctx, r, plan)
 }
 
 // Stream evaluates every machine of the snapshot over one scan of r. What a
@@ -240,27 +240,20 @@ func (e *Engine) Stream(ctx context.Context, r io.Reader, useStdParser bool, pla
 // mid-document and returns ctx.Err(). The per-event check is a single
 // non-blocking channel poll and is skipped entirely for contexts that cannot
 // be canceled (context.Background/TODO), so the hot path is unchanged.
-func (s Snapshot) Stream(ctx context.Context, r io.Reader, useStdParser bool, plan Plan) (twigm.Stats, error) {
+func (s Snapshot) Stream(ctx context.Context, r io.Reader, plan Plan) (twigm.Stats, error) {
 	e := s.eng
 	ses, _ := e.pool.Get().(*session)
 	if ses == nil {
 		ses = newSession(e)
 	}
 	defer e.pool.Put(ses)
-	return ses.stream(ctx, e, s.ep, e.driver(ses.scan, r, useStdParser), plan)
+	ses.scan.Reset(r)
+	return ses.stream(ctx, e, s.ep, ses.scan, plan)
 }
 
-// driver returns the front-end of one scan of r: the session's own scanner, or
-// the encoding/xml adapter interning against the same symbol table.
-func (e *Engine) driver(scan *xmlscan.Scanner, r io.Reader, useStdParser bool) sax.Driver {
-	if useStdParser {
-		return sax.NewStdDriverWith(r, e.syms)
-	}
-	scan.Reset(r)
-	return scan
-}
-
-// stream evaluates ep's machines over one run of drv on this session.
+// stream evaluates ep's machines over one run of drv on this session. Stream
+// passes the session's scanner; tests pass it poisoned, or saxtest's reference
+// front-end.
 func (ses *session) stream(ctx context.Context, e *Engine, ep *epoch, drv sax.Driver, plan Plan) (twigm.Stats, error) {
 	ses.sync(ep)
 	ses.reset(plan)
@@ -297,7 +290,7 @@ type session struct {
 	// ep is the epoch the slot-indexed state below matches.
 	ep   *epoch //vitex:keep resync state, realigned by sync() per checkout
 	rt   router
-	scan *xmlscan.Scanner //vitex:keep warmed scanner, Reset(r) per stream by Engine.driver
+	scan *xmlscan.Scanner //vitex:keep warmed scanner, Reset(r) per stream by Snapshot.Stream
 
 	// Cancellation for the stream in flight: done is ctx.Done(), cached so
 	// the per-event poll is one channel read; nil when the context cannot be
@@ -525,8 +518,6 @@ func (rt *router) reset(ep *epoch, opts twigm.Options, unordered []bool) {
 	rt.deliveries = 0
 	rt.gen++
 	rt.woken = rt.woken[:0]
-	// Machines report through EmitFrom; a caller's Emit is not theirs to call.
-	opts.Emit = nil
 	rt.ep, rt.opts, rt.unordered = ep, opts, unordered
 }
 

@@ -32,12 +32,12 @@ func collect(t *testing.T, e *Engine, doc string, ordered bool) [][]string {
 	opts := make([]twigm.Options, e.Len())
 	for i := range opts {
 		idx := i
-		opts[i] = twigm.Options{Ordered: ordered, Emit: func(r twigm.Result) error {
+		opts[i] = twigm.Options{Ordered: ordered, EmitFrom: func(_ int, r twigm.Result) error {
 			out[idx] = append(out[idx], r.Value)
 			return nil
 		}}
 	}
-	if _, err := streamOpts(context.Background(), e.Snapshot(), strings.NewReader(doc), false, opts, 0); err != nil {
+	if _, err := streamOpts(context.Background(), e.Snapshot(), strings.NewReader(doc), opts, 0); err != nil {
 		t.Fatal(err)
 	}
 	return out
@@ -53,7 +53,7 @@ func TestRoutedSparseMachinesUntouched(t *testing.T) {
 	)
 	doc := `<feed><trade><price>10</price></trade><trade><price>20</price></trade></feed>`
 	opts := make([]twigm.Options, e.Len())
-	stats, err := streamOpts(context.Background(), e.Snapshot(), strings.NewReader(doc), false, opts, 0)
+	stats, err := streamOpts(context.Background(), e.Snapshot(), strings.NewReader(doc), opts, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,10 +124,10 @@ func TestEmitErrorAborts(t *testing.T) {
 	e := mustEngine(t, "//a", "//b")
 	boom := errors.New("boom")
 	opts := []twigm.Options{
-		{Emit: func(twigm.Result) error { return boom }},
+		{EmitFrom: func(int, twigm.Result) error { return boom }},
 		{},
 	}
-	_, err := streamOpts(context.Background(), e.Snapshot(), strings.NewReader(`<r><a/><b/></r>`), false, opts, 0)
+	_, err := streamOpts(context.Background(), e.Snapshot(), strings.NewReader(`<r><a/><b/></r>`), opts, 0)
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
 	}
@@ -141,8 +141,8 @@ func TestSessionReuseIsClean(t *testing.T) {
 	doc := `<feed><trade><symbol>A</symbol><price>1</price></trade><trade><symbol>B</symbol><price>2</price></trade></feed>`
 	first := collect(t, e, doc, false)
 	// Abort one stream mid-way to dirty a session.
-	opts := []twigm.Options{{Emit: func(twigm.Result) error { return errors.New("stop") }}, {}, {}}
-	if _, err := streamOpts(context.Background(), e.Snapshot(), strings.NewReader(doc), false, opts, 0); err == nil {
+	opts := []twigm.Options{{EmitFrom: func(int, twigm.Result) error { return errors.New("stop") }}, {}, {}}
+	if _, err := streamOpts(context.Background(), e.Snapshot(), strings.NewReader(doc), opts, 0); err == nil {
 		t.Fatal("expected abort error")
 	}
 	for i := 0; i < 5; i++ {
@@ -150,25 +150,6 @@ func TestSessionReuseIsClean(t *testing.T) {
 		if !reflect.DeepEqual(again, first) {
 			t.Fatalf("iteration %d: %q != %q", i, again, first)
 		}
-	}
-}
-
-// TestStdParserRouting: the encoding/xml adapter interns against the same
-// table, so routed dispatch works identically under the ablation.
-func TestStdParserRouting(t *testing.T) {
-	e := mustEngine(t, "//a/b", "//zzz")
-	doc := `<a><b>x</b><c><b>y</b></c></a>`
-	opts := func() []twigm.Options { return make([]twigm.Options, e.Len()) }
-	custom, err := streamOpts(context.Background(), e.Snapshot(), strings.NewReader(doc), false, opts(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	std, err := streamOpts(context.Background(), e.Snapshot(), strings.NewReader(doc), true, opts(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if custom[0].CandidatesEmitted != 1 || std[0].CandidatesEmitted != 1 {
-		t.Fatalf("emitted: custom=%d std=%d", custom[0].CandidatesEmitted, std[0].CandidatesEmitted)
 	}
 }
 
@@ -188,9 +169,9 @@ func TestConcurrentStreams(t *testing.T) {
 				opts := make([]twigm.Options, e.Len())
 				for j := range opts {
 					opts[j].CountOnly = true
-					opts[j].Emit = func(twigm.Result) error { counts[j]++; return nil }
+					opts[j].EmitFrom = func(int, twigm.Result) error { counts[j]++; return nil }
 				}
-				if _, err := streamOpts(context.Background(), e.Snapshot(), strings.NewReader(doc), false, opts, 0); err != nil {
+				if _, err := streamOpts(context.Background(), e.Snapshot(), strings.NewReader(doc), opts, 0); err != nil {
 					errs <- err
 					return
 				}

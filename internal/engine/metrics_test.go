@@ -121,9 +121,9 @@ func TestMetricsConsistencyUnderChurn(t *testing.T) {
 				opts := make([]twigm.Options, s.Len())
 				var err error
 				if workers > 1 {
-					_, err = streamOpts(context.Background(), s, strings.NewReader(metricsDoc), false, opts, workers)
+					_, err = streamOpts(context.Background(), s, strings.NewReader(metricsDoc), opts, workers)
 				} else {
-					_, err = streamOpts(context.Background(), s, strings.NewReader(metricsDoc), false, opts, 0)
+					_, err = streamOpts(context.Background(), s, strings.NewReader(metricsDoc), opts, 0)
 				}
 				if err != nil {
 					errs <- fmt.Errorf("stream (workers=%d): %w", workers, err)
@@ -230,7 +230,7 @@ func TestEvalHistogramAlwaysOn(t *testing.T) {
 	e := mustEngine(t, metricsSources[0], metricsSources[3])
 	const streams = 5
 	for i := 0; i < streams; i++ {
-		if _, err := streamOpts(context.Background(), e.Snapshot(), strings.NewReader(metricsDoc), false, make([]twigm.Options, e.Len()), 0); err != nil {
+		if _, err := streamOpts(context.Background(), e.Snapshot(), strings.NewReader(metricsDoc), make([]twigm.Options, e.Len()), 0); err != nil {
 			t.Fatal(err)
 		}
 	}

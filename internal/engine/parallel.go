@@ -76,7 +76,7 @@ var errAborted = errors.New("engine: parallel evaluation aborted")
 // every emission, so cancellation — from a caller's deadline, or from inside
 // an emit callback — aborts the evaluation promptly mid-document and returns
 // ctx.Err(). Contexts that cannot be canceled cost nothing on the scan path.
-func (s Snapshot) StreamParallel(ctx context.Context, r io.Reader, useStdParser bool, plan Plan, workers int) (twigm.Stats, error) {
+func (s Snapshot) StreamParallel(ctx context.Context, r io.Reader, plan Plan, workers int) (twigm.Stats, error) {
 	e, ep := s.eng, s.ep
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -85,7 +85,7 @@ func (s Snapshot) StreamParallel(ctx context.Context, r io.Reader, useStdParser 
 		workers = len(ep.live)
 	}
 	if workers < 2 || plan.Options.Trace != nil {
-		return s.Stream(ctx, r, useStdParser, plan)
+		return s.Stream(ctx, r, plan)
 	}
 
 	ps, _ := e.ppool.Get().(*psession)
@@ -93,9 +93,10 @@ func (s Snapshot) StreamParallel(ctx context.Context, r io.Reader, useStdParser 
 		ps = newPsession(e, workers)
 	}
 	defer e.ppool.Put(ps)
-	// The front-end reads its input through the producer, which dispatches
-	// the events it holds before every read (producer.Read).
-	return ps.stream(ctx, ep, e.driver(ps.scan, &ps.prod, useStdParser), r, plan)
+	// The scanner reads its input through the producer, which dispatches the
+	// events it holds before every read (producer.Read).
+	ps.scan.Reset(&ps.prod)
+	return ps.stream(ctx, ep, ps.scan, r, plan)
 }
 
 // stream evaluates ep's machines on this session over one run of drv, a
@@ -299,7 +300,7 @@ type psession struct {
 	// ep is the epoch the slot-indexed state below matches.
 	ep       *epoch           //vitex:keep resync state, realigned by sync() per checkout
 	nworkers int              //vitex:keep construction constant (pool lookup key)
-	scan     *xmlscan.Scanner //vitex:keep warmed scanner, Reset onto the producer per stream by Engine.driver
+	scan     *xmlscan.Scanner //vitex:keep warmed scanner, Reset onto the producer per stream by StreamParallel
 	workers  []*pworker
 	free     chan *eventBatch //vitex:keep batch freelist, survives streams by design
 	prod     producer

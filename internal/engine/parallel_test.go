@@ -16,25 +16,19 @@ import (
 
 // streamAll evaluates the engine over doc collecting full results per
 // machine, serially (workers == 0) or sharded.
-func streamAll(t *testing.T, e *Engine, doc string, useStd bool, base twigm.Options, workers int) ([][]twigm.Result, []twigm.Stats, error) {
+func streamAll(t *testing.T, e *Engine, doc string, base twigm.Options, workers int) ([][]twigm.Result, []twigm.Stats, error) {
 	t.Helper()
 	out := make([][]twigm.Result, e.Len())
 	opts := make([]twigm.Options, e.Len())
 	for i := range opts {
 		idx := i
 		opts[i] = base
-		opts[i].Emit = func(r twigm.Result) error {
+		opts[i].EmitFrom = func(_ int, r twigm.Result) error {
 			out[idx] = append(out[idx], r)
 			return nil
 		}
 	}
-	var stats []twigm.Stats
-	var err error
-	if workers == 0 {
-		stats, err = streamOpts(context.Background(), e.Snapshot(), strings.NewReader(doc), useStd, opts, 0)
-	} else {
-		stats, err = streamOpts(context.Background(), e.Snapshot(), strings.NewReader(doc), useStd, opts, workers)
-	}
+	stats, err := streamOpts(context.Background(), e.Snapshot(), strings.NewReader(doc), opts, workers)
 	return out, stats, err
 }
 
@@ -51,28 +45,27 @@ var parallelTestSources = []string{
 
 // TestStreamParallelMatchesSerial: sharded evaluation must be byte-identical
 // to serial routed dispatch — results, Seqs, clocks and statistics — for
-// every worker count, parser and mode.
+// every worker count and mode. TestFrontEndsAgree holds both to saxtest's
+// reference front-end.
 func TestStreamParallelMatchesSerial(t *testing.T) {
 	e := mustEngine(t, parallelTestSources...)
 	doc := datagen.Ticker{Trades: 120, Seed: 5}.String()
 	for _, workers := range []int{2, 3, 5, 8} {
-		for _, useStd := range []bool{false, true} {
-			for _, base := range []twigm.Options{{}, {Ordered: true}, {CountOnly: true}} {
-				name := fmt.Sprintf("workers=%d/std=%v/%+v", workers, useStd, base)
-				want, wantStats, err := streamAll(t, e, doc, useStd, base, 0)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, gotStats, err := streamAll(t, e, doc, useStd, base, workers)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("%s: results diverge\nserial   %+v\nparallel %+v", name, want, got)
-				}
-				if !reflect.DeepEqual(gotStats, wantStats) {
-					t.Fatalf("%s: stats diverge\nserial   %+v\nparallel %+v", name, wantStats, gotStats)
-				}
+		for _, base := range []twigm.Options{{}, {Ordered: true}, {CountOnly: true}} {
+			name := fmt.Sprintf("workers=%d/%+v", workers, base)
+			want, wantStats, err := streamAll(t, e, doc, base, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, gotStats, err := streamAll(t, e, doc, base, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: results diverge\nserial   %+v\nparallel %+v", name, want, got)
+			}
+			if !reflect.DeepEqual(gotStats, wantStats) {
+				t.Fatalf("%s: stats diverge\nserial   %+v\nparallel %+v", name, wantStats, gotStats)
 			}
 		}
 	}
@@ -89,16 +82,16 @@ func TestStreamParallelEmissionOrder(t *testing.T) {
 		opts := make([]twigm.Options, e.Len())
 		for i := range opts {
 			idx := i
-			opts[i] = twigm.Options{Emit: func(r twigm.Result) error {
+			opts[i] = twigm.Options{EmitFrom: func(_ int, r twigm.Result) error {
 				seq = append(seq, fmt.Sprintf("%d@%d:%d", idx, r.DeliveredAt, r.Seq))
 				return nil
 			}}
 		}
 		var err error
 		if workers == 0 {
-			_, err = streamOpts(context.Background(), e.Snapshot(), strings.NewReader(doc), false, opts, 0)
+			_, err = streamOpts(context.Background(), e.Snapshot(), strings.NewReader(doc), opts, 0)
 		} else {
-			_, err = streamOpts(context.Background(), e.Snapshot(), strings.NewReader(doc), false, opts, workers)
+			_, err = streamOpts(context.Background(), e.Snapshot(), strings.NewReader(doc), opts, workers)
 		}
 		if err != nil {
 			t.Fatal(err)
@@ -127,11 +120,11 @@ func TestStreamParallelRepeatedStreams(t *testing.T) {
 		doc := docs[round%len(docs)]
 		workers := 2 + rng.Intn(4)
 		base := twigm.Options{Ordered: round%2 == 0}
-		want, _, err := streamAll(t, e, doc, false, base, 0)
+		want, _, err := streamAll(t, e, doc, base, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, _, err := streamAll(t, e, doc, false, base, workers)
+		got, _, err := streamAll(t, e, doc, base, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -148,17 +141,17 @@ func TestStreamParallelErrors(t *testing.T) {
 	opts := func(emit func(twigm.Result) error) []twigm.Options {
 		o := make([]twigm.Options, e.Len())
 		for i := range o {
-			o[i] = twigm.Options{Emit: emit}
+			o[i] = twigm.Options{EmitFrom: func(_ int, r twigm.Result) error { return emit(r) }}
 		}
 		return o
 	}
-	if _, err := streamOpts(context.Background(), e.Snapshot(), strings.NewReader("<r><a>1</a><oops></r>"), false,
+	if _, err := streamOpts(context.Background(), e.Snapshot(), strings.NewReader("<r><a>1</a><oops></r>"),
 		opts(func(twigm.Result) error { return nil }), 2); err == nil {
 		t.Fatal("malformed document: expected error")
 	}
 	boom := errors.New("boom")
 	bigDoc := "<r>" + strings.Repeat("<a>x</a><b>y</b><c>z</c>", 2000) + "</r>"
-	_, err := streamOpts(context.Background(), e.Snapshot(), strings.NewReader(bigDoc), false,
+	_, err := streamOpts(context.Background(), e.Snapshot(), strings.NewReader(bigDoc),
 		opts(func(twigm.Result) error { return boom }), 3)
 	if !errors.Is(err, boom) {
 		t.Fatalf("emit error: got %v, want boom", err)
@@ -171,11 +164,11 @@ func TestStreamParallelFallsBackToSerial(t *testing.T) {
 	e := mustEngine(t, "//a")
 	doc := "<r><a>1</a><a>2</a></r>"
 	var got []string
-	opts := []twigm.Options{{Emit: func(r twigm.Result) error {
+	opts := []twigm.Options{{EmitFrom: func(_ int, r twigm.Result) error {
 		got = append(got, r.Value)
 		return nil
 	}}}
-	if _, err := streamOpts(context.Background(), e.Snapshot(), strings.NewReader(doc), false, opts, 8); err != nil {
+	if _, err := streamOpts(context.Background(), e.Snapshot(), strings.NewReader(doc), opts, 8); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, []string{"<a>1</a>", "<a>2</a>"}) {
@@ -200,9 +193,9 @@ func TestConcurrentParallelStreams(t *testing.T) {
 				opts := make([]twigm.Options, e.Len())
 				for j := range opts {
 					opts[j].CountOnly = true
-					opts[j].Emit = func(twigm.Result) error { counts[j]++; return nil }
+					opts[j].EmitFrom = func(int, twigm.Result) error { counts[j]++; return nil }
 				}
-				if _, err := streamOpts(context.Background(), e.Snapshot(), strings.NewReader(doc), false, opts, workers); err != nil {
+				if _, err := streamOpts(context.Background(), e.Snapshot(), strings.NewReader(doc), opts, workers); err != nil {
 					errs <- err
 					return
 				}

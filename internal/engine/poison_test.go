@@ -27,15 +27,15 @@ func streamPoisoned(t *testing.T, e *Engine, doc string, base twigm.Options) ([]
 	for i := range opts {
 		idx := i
 		opts[i] = base
-		opts[i].Emit = func(r twigm.Result) error {
+		opts[i].EmitFrom = func(_ int, r twigm.Result) error {
 			out[idx] = append(out[idx], r)
 			return nil
 		}
 	}
 	plan, finish := planOf(opts)
 	ses := newSession(e)
-	drv := saxtest.PoisonDriver(e.driver(ses.scan, strings.NewReader(doc), false))
-	scan, err := ses.stream(context.Background(), e, e.cur.Load(), drv, plan)
+	ses.scan.Reset(strings.NewReader(doc))
+	scan, err := ses.stream(context.Background(), e, e.cur.Load(), saxtest.PoisonDriver(ses.scan), plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestEngineEquivalenceOverPoisonedBatches(t *testing.T) {
 	for _, corpus := range corpora {
 		for _, base := range []twigm.Options{{}, {Ordered: true}, {CountOnly: true}} {
 			name := fmt.Sprintf("%s/%+v", corpus.name, base)
-			want, wantStats, err := streamAll(t, e, corpus.doc, false, base, 0)
+			want, wantStats, err := streamAll(t, e, corpus.doc, base, 0)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
@@ -109,7 +109,7 @@ func TestEngineRandomizedOverPoisonedBatches(t *testing.T) {
 		base := twigm.Options{Ordered: rng.Intn(2) == 0, CountOnly: rng.Intn(2) == 0}
 		got, _ := streamPoisoned(t, mustEngine(t, sources...), doc, base)
 		for i, src := range sources {
-			want, _, err := streamAll(t, mustEngine(t, src), doc, false, base, 0)
+			want, _, err := streamAll(t, mustEngine(t, src), doc, base, 0)
 			if err != nil {
 				t.Fatal(err)
 			}

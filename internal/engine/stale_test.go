@@ -82,7 +82,7 @@ func (p *pooledEval) stream(ctx context.Context, doc string, emit func(twigm.Res
 	out := make([][]twigm.Result, len(ep.live))
 	opts := make([]twigm.Options, len(ep.live))
 	for d := range opts {
-		opts[d].Emit = func(r twigm.Result) error {
+		opts[d].EmitFrom = func(_ int, r twigm.Result) error {
 			if emit != nil {
 				if err := emit(r); err != nil {
 					return err
@@ -96,11 +96,11 @@ func (p *pooledEval) stream(ctx context.Context, doc string, emit func(twigm.Res
 	var scan twigm.Stats
 	var err error
 	if p.ps != nil {
-		drv := saxtest.PoisonDriver(p.e.driver(p.ps.scan, &p.ps.prod, false))
-		scan, err = p.ps.stream(ctx, ep, drv, strings.NewReader(doc), plan)
+		p.ps.scan.Reset(&p.ps.prod)
+		scan, err = p.ps.stream(ctx, ep, saxtest.PoisonDriver(p.ps.scan), strings.NewReader(doc), plan)
 	} else {
-		drv := saxtest.PoisonDriver(p.e.driver(p.ses.scan, strings.NewReader(doc), false))
-		scan, err = p.ses.stream(ctx, p.e, ep, drv, plan)
+		p.ses.scan.Reset(strings.NewReader(doc))
+		scan, err = p.ses.stream(ctx, p.e, ep, saxtest.PoisonDriver(p.ses.scan), plan)
 	}
 	return out, finish(scan), err
 }
@@ -320,9 +320,11 @@ func streamHolding(t *testing.T, p *pooledEval, doc string, traced, malformed bo
 	ep := p.e.cur.Load()
 	var err error
 	if p.ps != nil {
-		_, err = p.ps.stream(context.Background(), ep, p.e.driver(p.ps.scan, &p.ps.prod, false), strings.NewReader(doc), plan)
+		p.ps.scan.Reset(&p.ps.prod)
+		_, err = p.ps.stream(context.Background(), ep, p.ps.scan, strings.NewReader(doc), plan)
 	} else {
-		_, err = p.ses.stream(context.Background(), p.e, ep, p.e.driver(p.ses.scan, strings.NewReader(doc), false), plan)
+		p.ses.scan.Reset(strings.NewReader(doc))
+		_, err = p.ses.stream(context.Background(), p.e, ep, p.ses.scan, plan)
 	}
 	if (err != nil) != malformed {
 		t.Fatalf("%s: malformed=%v, streamed with error %v", doc, malformed, err)

@@ -92,7 +92,11 @@ type E1Result struct {
 	QueryTime  time.Duration // full pipeline: parse + TwigM
 	Solutions  int64
 	ParseShare float64 // ParseTime / QueryTime
-	Table      string
+	// ParseEvents and QueryEvents count the events each run scanned: the
+	// machine rides the one parse, so they are equal.
+	ParseEvents int64
+	QueryEvents int64
+	Table       string
 }
 
 // RunE1 reproduces experiment E1: //ProteinEntry[reference]/@id over the
@@ -104,7 +108,7 @@ func (c Config) RunE1() (E1Result, error) {
 	if err != nil {
 		return E1Result{}, err
 	}
-	parseTime, _, err := scanOnly(path)
+	parseTime, parseEvents, err := scanOnly(path)
 	if err != nil {
 		return E1Result{}, err
 	}
@@ -121,11 +125,13 @@ func (c Config) RunE1() (E1Result, error) {
 	}
 	queryTime := t.Elapsed()
 	res := E1Result{
-		Bytes:      size,
-		ParseTime:  parseTime,
-		QueryTime:  queryTime,
-		Solutions:  run.Count(),
-		ParseShare: float64(parseTime) / float64(queryTime),
+		Bytes:       size,
+		ParseTime:   parseTime,
+		QueryTime:   queryTime,
+		Solutions:   run.Count(),
+		ParseShare:  float64(parseTime) / float64(queryTime),
+		ParseEvents: parseEvents,
+		QueryEvents: run.Stats().Events,
 	}
 	tbl := metrics.Table{
 		Title:   fmt.Sprintf("E1: %s over %s protein corpus (paper: 6.02s total, 4.43s parse = 74%% on 75MB)", datagen.PaperProteinQuery, metrics.Bytes(uint64(size))),
@@ -256,7 +262,10 @@ func (c Config) RunE3(sizesMB []int) (E3Result, error) {
 type E4Result struct {
 	QuerySizes []int
 	Times      []time.Duration
-	Table      string
+	// Work is each run's Pushes + FlagProps: the machine work the times
+	// stand for, exact and repeatable.
+	Work  []int64
+	Table string
 }
 
 // RunE4 reproduces experiment E4: evaluation time vs query size on fixed
@@ -286,6 +295,7 @@ func (c Config) RunE4(maxChain int, repeat int) (E4Result, error) {
 		res.QuerySizes = append(res.QuerySizes, q.Size())
 		res.Times = append(res.Times, el)
 		stats := run.Stats()
+		res.Work = append(res.Work, stats.Pushes+stats.FlagProps)
 		label := src
 		if len(label) > 30 {
 			label = label[:27] + "..."
@@ -480,12 +490,7 @@ func (c Config) RunE7(sizes []int, reps int) (E7Result, error) {
 	}
 	var xs, ys []float64
 	for _, size := range sizes {
-		var b strings.Builder
-		b.WriteString("//root")
-		for i := 1; i < size; i += 2 {
-			fmt.Fprintf(&b, "//s%d[p%d]", i, i)
-		}
-		q, err := xpath.Parse(b.String())
+		q, err := xpath.Parse(e7Query(size))
 		if err != nil {
 			return res, err
 		}
@@ -506,6 +511,17 @@ func (c Config) RunE7(sizes []int, reps int) (E7Result, error) {
 	tbl.AddRow("linear fit", fmt.Sprintf("R²=%.4f", res.Fit.R2))
 	res.Table = tbl.String()
 	return res, nil
+}
+
+// e7Query is E7's query of about size nodes: a descendant chain of steps, each
+// with a one-step predicate.
+func e7Query(size int) string {
+	var b strings.Builder
+	b.WriteString("//root")
+	for i := 1; i < size; i += 2 {
+		fmt.Fprintf(&b, "//s%d[p%d]", i, i)
+	}
+	return b.String()
 }
 
 // E9Result measures the multi-query extension: N standing queries over one
@@ -547,7 +563,7 @@ func (c Config) RunE9(trades int) (E9Result, error) {
 	}
 	shared := metrics.StartTimer()
 	plan := engine.Plan{Options: twigm.Options{CountOnly: true}}
-	sharedStats, err := eng.Stream(context.Background(), strings.NewReader(doc), false, plan)
+	sharedStats, err := eng.Stream(context.Background(), strings.NewReader(doc), plan)
 	if err != nil {
 		return E9Result{}, err
 	}

@@ -3,7 +3,9 @@ package experiments
 import (
 	"strings"
 	"testing"
-	"time"
+
+	"repro/internal/twigm"
+	"repro/internal/xpath"
 )
 
 // testConfig runs at reduced scale (2MB protein) so the suite stays fast;
@@ -20,12 +22,14 @@ func TestE1ParseDominated(t *testing.T) {
 	if res.Solutions == 0 {
 		t.Fatal("no solutions")
 	}
-	// The paper's shape: parsing is the dominant cost (74% there). Our
-	// assertion is weaker but directional: parse alone costs more than
-	// a third of the full pipeline.
-	if res.ParseShare < 0.33 {
-		t.Fatalf("parse share %.2f — pipeline is not parse-dominated", res.ParseShare)
+	// The paper's shape: parsing is the dominant cost (74% there). What a
+	// test can pin exactly is the structure behind it: the machine adds no
+	// pass of its own, it rides the one parse event for event. The share
+	// itself is in the table; on a shared host it is no test.
+	if res.ParseEvents == 0 || res.QueryEvents != res.ParseEvents {
+		t.Fatalf("events scanned: parse only %d, parse + TwigM %d; want equal", res.ParseEvents, res.QueryEvents)
 	}
+	t.Logf("parse share %.2f", res.ParseShare)
 	if !strings.Contains(res.Table, "SAX parse only") {
 		t.Fatalf("table:\n%s", res.Table)
 	}
@@ -78,12 +82,13 @@ func TestE4Polynomial(t *testing.T) {
 	if len(res.Times) != 6 {
 		t.Fatalf("times: %v", res.Times)
 	}
-	// Polynomial (not exponential) growth: doubling the chain length
-	// must grow time far less than the pattern-match count (which grows
-	// as C(12,k)). Allow a generous polynomial factor of 50 between k=3
-	// and k=6, versus the >1000x a match-enumerating engine shows.
-	if res.Times[5] > 50*res.Times[2]+time.Millisecond {
-		t.Fatalf("time grows too fast with |Q|: %v", res.Times)
+	// Polynomial (not exponential) growth: from k=3 to k=6 the pattern-match
+	// count grows as C(12,k), 4.2x, while the machine's work (pushes plus
+	// flag propagations, exact counts) may grow at most linearly in |Q|.
+	t.Logf("work %v, times %v", res.Work, res.Times)
+	if bound := float64(res.Work[2]) * float64(res.QuerySizes[5]) / float64(res.QuerySizes[2]); res.Work[2] == 0 || float64(res.Work[5]) > bound {
+		t.Fatalf("work grows faster than |Q|: %d at |Q|=%d, %d at |Q|=%d (bound %.0f)",
+			res.Work[2], res.QuerySizes[2], res.Work[5], res.QuerySizes[5], bound)
 	}
 }
 
@@ -145,16 +150,31 @@ func TestE6PaperExample(t *testing.T) {
 }
 
 func TestE7BuildLinear(t *testing.T) {
-	res, err := testConfig(t).RunE7([]int{1, 9, 17, 33, 63}, 2000)
+	sizes := []int{1, 9, 17, 33, 63}
+	res, err := testConfig(t).RunE7(sizes, 2000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Fit.R2 < 0.8 || res.Fit.B <= 0 {
-		t.Fatalf("build time not linear: %+v times=%v", res.Fit, res.BuildTimes)
+	t.Logf("build times %v", res.BuildTimes)
+	// Linear build: the allocations an added query node costs do not grow
+	// with |Q|. Allocation counts are exact; the times are in the table.
+	allocs := make([]float64, len(sizes))
+	for i, size := range sizes {
+		q := xpath.MustParse(e7Query(size))
+		allocs[i] = testing.AllocsPerRun(20, func() {
+			if _, err := twigm.Compile(q); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
-	// A 63-node machine must build in well under a millisecond.
-	if res.BuildTimes[len(res.BuildTimes)-1] > time.Millisecond {
-		t.Fatalf("build too slow: %v", res.BuildTimes)
+	perNode := func(i int) float64 {
+		return (allocs[i] - allocs[i-1]) / float64(res.QuerySizes[i]-res.QuerySizes[i-1])
+	}
+	for i := 1; i < len(sizes); i++ {
+		if m := perNode(i); m <= 0 || m > 1.25*perNode(1) {
+			t.Fatalf("allocations per added node not constant: %.2f from |Q|=%d to %d, %.2f at the start (|Q| %v, allocs %v)",
+				m, res.QuerySizes[i-1], res.QuerySizes[i], perNode(1), res.QuerySizes, allocs)
+		}
 	}
 }
 

@@ -92,7 +92,7 @@ func TestOrderedDeliveryIsSorted(t *testing.T) {
 		}
 		var seqs, offs []int64
 		_, _, err = twigm.Collect(prog, saxtest.PoisonDriver(xmlscan.NewScanner(strings.NewReader(doc))),
-			twigm.Options{Ordered: true, Emit: func(r twigm.Result) error {
+			twigm.Options{Ordered: true, EmitFrom: func(_ int, r twigm.Result) error {
 				seqs = append(seqs, r.Seq)
 				offs = append(offs, r.NodeOffset)
 				return nil

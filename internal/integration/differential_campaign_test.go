@@ -1,6 +1,7 @@
 package integration
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -24,7 +25,9 @@ import (
 //  1. TwigM == naive match enumeration (where the naive fragment allows)
 //  2. TwigM == DOM oracle (random access is ground truth by definition)
 //  3. serial routed dispatch == parallel sharded dispatch (results AND stats)
-//  4. custom scanner == encoding/xml front-end (results AND clocks)
+//  4. scanner == encoding/xml reference front-end (event streams; the
+//     engine's TestFrontEndsAgreeRandomized replays these pairs for results
+//     and clocks)
 //  5. churned QuerySet (built by Add/Remove/Replace) == freshly compiled set
 //
 // In normal `go test` mode the campaign covers at least 500 pairs; -short
@@ -51,6 +54,7 @@ func TestDifferentialCampaign(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260725))
 	docGens := []datagen.RandomTree{datagen.DefaultRandomTree, datagen.ChurnRandomTree}
 	pairs, naiveChecked := 0, 0
+	syms := differentialSymbols()
 
 	for round := 0; round < rounds; round++ {
 		doc := docGens[round%len(docGens)].Generate(rng)
@@ -96,18 +100,10 @@ func TestDifferentialCampaign(t *testing.T) {
 					}
 				}
 			}
-
-			// Axis 4: both XML front-ends, full Result comparison (values,
-			// Seq, NodeOffset, Confirmed/Delivered clocks).
-			custom, std, cerr, serr := evalBoth(t, src, doc, vitex.Options{Ordered: round%2 == 0})
-			if cerr != nil || serr != nil {
-				t.Fatalf("round %d %q: custom err=%v, std err=%v", round, src, cerr, serr)
-			}
-			if !reflect.DeepEqual(custom, std) {
-				t.Fatalf("round %d: front-ends disagree\nquery: %s\ndoc: %s\ncustom %+v\nstd    %+v",
-					round, src, doc, custom, std)
-			}
 		}
+
+		// Axis 4: both XML front-ends deliver the same events.
+		assertSameEvents(t, fmt.Sprintf("round %d", round), doc, syms)
 
 		// Axis 3: the whole round's set, serial vs sharded (results, Seq
 		// and stats must be byte-identical).

@@ -74,7 +74,7 @@ func streamSolo(t *testing.T, q *vitex.Query, doc string, opts vitex.Options) ([
 }
 
 // TestEngineEquivalenceAllCorpora: for every corpus and every option
-// combination (Ordered × CountOnly × UseStdParser), evaluating the full
+// combination (Ordered × CountOnly), evaluating the full
 // query mix through the routed shared scan must equal N independent
 // evaluations — result-for-result, including Seq, NodeOffset, Value and the
 // Confirmed/Delivered event clocks, and stat-for-stat (the engine reports
@@ -92,35 +92,33 @@ func TestEngineEquivalenceAllCorpora(t *testing.T) {
 	for _, corpus := range equivalenceCorpora() {
 		for _, ordered := range []bool{false, true} {
 			for _, countOnly := range []bool{false, true} {
-				for _, useStd := range []bool{false, true} {
-					opts := vitex.Options{Ordered: ordered, CountOnly: countOnly, UseStdParser: useStd}
-					name := fmt.Sprintf("%s/ordered=%v/count=%v/std=%v", corpus.name, ordered, countOnly, useStd)
-					shared, sharedStats := streamSet(t, qs, corpus.doc, opts)
-					for i := range equivalenceQueries {
-						want, wantStats := streamSolo(t, solo[i], corpus.doc, opts)
-						if !reflect.DeepEqual(shared[i], want) {
-							t.Fatalf("%s query %q:\nshared %+v\nsolo   %+v",
-								name, equivalenceQueries[i], shared[i], want)
-						}
-						if sharedStats[i] != wantStats {
-							t.Fatalf("%s query %q stats:\nshared %+v\nsolo   %+v",
-								name, equivalenceQueries[i], sharedStats[i], wantStats)
-						}
+				opts := vitex.Options{Ordered: ordered, CountOnly: countOnly}
+				name := fmt.Sprintf("%s/ordered=%v/count=%v", corpus.name, ordered, countOnly)
+				shared, sharedStats := streamSet(t, qs, corpus.doc, opts)
+				for i := range equivalenceQueries {
+					want, wantStats := streamSolo(t, solo[i], corpus.doc, opts)
+					if !reflect.DeepEqual(shared[i], want) {
+						t.Fatalf("%s query %q:\nshared %+v\nsolo   %+v",
+							name, equivalenceQueries[i], shared[i], want)
 					}
-					// Sharded evaluation must be byte-identical to the
-					// serial routed run, including the emission order
-					// the shared callback observes.
-					popts := opts
-					popts.Parallel = 3
-					parallel, parallelStats := streamSet(t, qs, corpus.doc, popts)
-					if !reflect.DeepEqual(parallel, shared) {
-						t.Fatalf("%s: parallel results diverge from serial\nserial   %+v\nparallel %+v",
-							name, shared, parallel)
+					if sharedStats[i] != wantStats {
+						t.Fatalf("%s query %q stats:\nshared %+v\nsolo   %+v",
+							name, equivalenceQueries[i], sharedStats[i], wantStats)
 					}
-					if !reflect.DeepEqual(parallelStats, sharedStats) {
-						t.Fatalf("%s: parallel stats diverge from serial\nserial   %+v\nparallel %+v",
-							name, sharedStats, parallelStats)
-					}
+				}
+				// Sharded evaluation must be byte-identical to the
+				// serial routed run, including the emission order
+				// the shared callback observes.
+				popts := opts
+				popts.Parallel = 3
+				parallel, parallelStats := streamSet(t, qs, corpus.doc, popts)
+				if !reflect.DeepEqual(parallel, shared) {
+					t.Fatalf("%s: parallel results diverge from serial\nserial   %+v\nparallel %+v",
+						name, shared, parallel)
+				}
+				if !reflect.DeepEqual(parallelStats, sharedStats) {
+					t.Fatalf("%s: parallel stats diverge from serial\nserial   %+v\nparallel %+v",
+						name, sharedStats, parallelStats)
 				}
 			}
 		}
@@ -156,7 +154,7 @@ func TestEngineEquivalenceRepeatedStreams(t *testing.T) {
 }
 
 // TestEngineEquivalenceRandomized stresses routing with random documents and
-// random queries (one and three branch), across all parser/mode ablations.
+// random queries (one and three branch), across all mode ablations.
 func TestEngineEquivalenceRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	trials := 30
@@ -178,10 +176,9 @@ func TestEngineEquivalenceRandomized(t *testing.T) {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		opts := vitex.Options{
-			Ordered:      rng.Intn(2) == 0,
-			CountOnly:    rng.Intn(2) == 0,
-			UseStdParser: rng.Intn(2) == 0,
-			Parallel:     rng.Intn(4), // 0-1 serial, 2-3 sharded
+			Ordered:   rng.Intn(2) == 0,
+			CountOnly: rng.Intn(2) == 0,
+			Parallel:  rng.Intn(4), // 0-1 serial, 2-3 sharded
 		}
 		shared, _ := streamSet(t, qs, doc, opts)
 		for i, src := range sources {

@@ -16,7 +16,6 @@ import (
 	"repro/internal/datagen"
 	"repro/internal/dom"
 	"repro/internal/naive"
-	"repro/internal/sax"
 	"repro/internal/sax/saxtest"
 	"repro/internal/twigm"
 	"repro/internal/xmlscan"
@@ -120,32 +119,18 @@ func TestEnginesAgreeOnRandomWorkloads(t *testing.T) {
 	}
 }
 
-// TestFrontEndsAgree feeds the same random documents through the custom
-// scanner and encoding/xml; the event traces must be identical.
+// TestFrontEndsAgree feeds the same random documents through the scanner and
+// saxtest's encoding/xml reference front-end; the event streams must be
+// identical.
 func TestFrontEndsAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	trials := 300
 	if testing.Short() {
 		trials = 50
 	}
+	syms := differentialSymbols()
 	for i := 0; i < trials; i++ {
-		doc := datagen.DefaultRandomTree.Generate(rng)
-		trace := func(d sax.Driver) []string {
-			var out []string
-			err := d.Run(sax.PerEvent(func(ev *sax.Event) error {
-				out = append(out, fmt.Sprintf("%v|%s|%d|%s|%v", ev.Kind, ev.Name, ev.Depth, ev.Text, ev.Attrs))
-				return nil
-			}))
-			if err != nil {
-				t.Fatalf("trial %d: %v\ndoc: %s", i, err, doc)
-			}
-			return out
-		}
-		a := trace(saxtest.PoisonDriver(xmlscan.NewScanner(strings.NewReader(doc))))
-		b := trace(sax.NewStdDriver(strings.NewReader(doc)))
-		if !equal(a, b) {
-			t.Fatalf("trial %d: front-ends disagree on %s\nxmlscan: %v\nstd:     %v", i, doc, a, b)
-		}
+		assertSameEvents(t, fmt.Sprintf("trial %d", i), datagen.DefaultRandomTree.Generate(rng), syms)
 	}
 }
 

@@ -1,139 +1,111 @@
 package integration
 
 import (
+	"fmt"
 	"math/rand"
-	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/datagen"
+	"repro/internal/sax"
+	"repro/internal/sax/saxtest"
+	"repro/internal/xmlscan"
 
 	vitex "repro"
 )
 
-// This file is the permanent differential harness between the two XML
-// front-ends: every document in the edge-case corpus, evaluated under both
-// the custom scanner and the encoding/xml adapter, must produce identical
-// results — value-for-value, offset-for-offset, clock-for-clock. This is the
-// harness that caught the two conformance bugs fixed alongside it: prefixed
-// elements matching under one parser but not the other, and UTF-8 BOMs
-// rejected as "character data outside root element" by both.
+// This file is the event-level half of the permanent front-end differential
+// (the result-level half is internal/engine's TestFrontEndsAgree): on every
+// document, the scanner and saxtest's encoding/xml reference front-end, both
+// resolving names against one symbol table, must deliver the same events —
+// every field the engine consumes, NameIDs included. This is the harness that
+// caught the two conformance bugs fixed alongside it: prefixed elements
+// matching under one parser but not the other, and UTF-8 BOMs rejected as
+// "character data outside root element" by both.
 
-// differentialDocs is the seeded corpus of edge-case documents. Each entry
-// names the XML surface it exercises.
-func differentialDocs() []struct{ name, doc string } {
-	deep := strings.Repeat("<a k='1'>", 60) + "x" + strings.Repeat("</a>", 60)
-	return []struct{ name, doc string }{
-		{"plain", `<r><a>x</a><b>y</b></r>`},
-		{"prefixes", `<r xmlns:p='u'><p:a>x</p:a><a>y</a></r>`},
-		{"prefixAttrs", `<r xmlns:p='u'><a p:k='1' k='2'>x</a></r>`},
-		{"defaultNS", `<r xmlns='u'><a>x</a><a>y</a></r>`},
-		{"nestedNS", `<r xmlns:p='u'><p:a><b xmlns:q='v'><q:c>z</q:c></b></p:a></r>`},
-		{"utf8BOM", "\xEF\xBB\xBF<r><a>1</a><a>2</a></r>"},
-		{"bomAndDecl", "\xEF\xBB\xBF<?xml version=\"1.0\"?><r><a>1</a></r>"},
-		{"cdata", `<r><a>one<![CDATA[ & two <raw> ]]>three</a></r>`},
-		{"cdataOnly", `<r><a><![CDATA[x]]></a></r>`},
-		{"entityAttrs", `<r><a k="x&amp;y&#65;&quot;" j='&lt;&gt;'>v</a></r>`},
-		{"entityText", `<r><a>x &amp; y &#x41;</a></r>`},
-		{"commentSplit", `<r><a>one<!-- c -->two</a></r>`},
-		{"piSplit", `<r><a>one<?pi data?>two</a></r>`},
-		{"selfClosing", `<r><a k='1'/><a></a><a/></r>`},
-		{"deepNesting", "<r>" + deep + "</r>"},
-		{"declDoctype", `<?xml version="1.0" encoding="UTF-8"?><r><a>x</a></r>`},
-		{"whitespace", "<r>\n  <a>x</a>\n  <a>\ty\r\n</a>\n</r>"},
-		{"crlf", "<r>\r\n<a k='v\r\nw\rz'>one\r\ntwo\rthree</a>\r</r>"},
-		{"crlfCDATA", "<r><a><![CDATA[a\r\nb\rc]]>\r\nd</a></r>"},
-		{"charRefCR", "<r><a k='x&#13;y'>p&#13;q</a></r>"},
+// differentialSymbols interns part of the corpus and random-tree vocabulary,
+// the way a compiled query set would, so events carry both table IDs and
+// SymUnknown.
+func differentialSymbols() *sax.Symbols {
+	syms := sax.NewSymbols()
+	for _, name := range []string{"a", "c", "k"} {
+		syms.Intern(name)
 	}
+	return syms
 }
 
-// differentialQueries covers the name-test, attribute, text, predicate and
-// union shapes whose semantics could plausibly diverge between front-ends.
-var differentialQueries = []string{
-	"//a",
-	"//p:a",
-	"//q:c",
-	"//r/*",
-	"//a/text()",
-	"//a/@k",
-	"//a[@k='1']",
-	"//a[@k]",
-	"//*[@k]",
-	"//a[.='onetwo']",
-	"//r//a",
-	"//a//a//a",
-	"//a | //b",
-	"//p:a | //a",
-	"//@k | //@j",
+// renderEvent renders every field of an event the engine reads. It copies
+// every string, so it is safe for events whose strings die when HandleBatch
+// returns.
+func renderEvent(ev *sax.Event) string {
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "%v|%s|%s|%s|#%d|d%d|%q|@%d", ev.Kind, ev.Name, ev.Prefix, ev.Local, ev.NameID, ev.Depth, ev.Text, ev.Offset)
+	for i := range ev.Attrs {
+		a := &ev.Attrs[i]
+		fmt.Fprintf(&sb, "|%s/%s/%s#%d=%q", a.Name, a.Prefix, a.Local, a.NameID, a.Value)
+	}
+	return sb.String()
 }
 
-// evalBoth evaluates src over doc under both parsers with the given options
-// and returns the two result sequences.
-func evalBoth(t *testing.T, src, doc string, opts vitex.Options) (custom, std []vitex.Result, customErr, stdErr error) {
+// traceEvents renders the events a driver delivers.
+func traceEvents(d sax.Driver) ([]string, error) {
+	var out []string
+	err := d.Run(sax.PerEvent(func(ev *sax.Event) error {
+		out = append(out, renderEvent(ev))
+		return nil
+	}))
+	return out, err
+}
+
+// assertSameEvents runs doc through the scanner (over the poisoning sink) and
+// the reference front-end, both interning against syms, and fails on any
+// error or difference.
+func assertSameEvents(t *testing.T, name, doc string, syms *sax.Symbols) {
 	t.Helper()
-	q := vitex.MustCompile(src)
-	collect := func(useStd bool) ([]vitex.Result, error) {
-		o := opts
-		o.UseStdParser = useStd
-		var out []vitex.Result
-		_, err := q.Stream(strings.NewReader(doc), o, func(r vitex.Result) error {
-			out = append(out, r)
-			return nil
-		})
-		return out, err
+	scanned, serr := traceEvents(saxtest.PoisonDriver(xmlscan.NewScannerWith(strings.NewReader(doc), syms)))
+	std, rerr := traceEvents(saxtest.NewStdDriverWith(strings.NewReader(doc), syms))
+	if serr != nil || rerr != nil {
+		t.Fatalf("%s: scanner err=%v, reference err=%v\ndoc: %s", name, serr, rerr, doc)
 	}
-	custom, customErr = collect(false)
-	std, stdErr = collect(true)
-	return custom, std, customErr, stdErr
-}
-
-// TestParserDifferential is the permanent harness: identical results under
-// both front-ends for every corpus document, query and option combination.
-func TestParserDifferential(t *testing.T) {
-	for _, d := range differentialDocs() {
-		for _, src := range differentialQueries {
-			for _, opts := range []vitex.Options{{}, {Ordered: true}, {CountOnly: true}} {
-				custom, std, cerr, serr := evalBoth(t, src, d.doc, opts)
-				if cerr != nil || serr != nil {
-					t.Fatalf("doc %s query %q opts %+v: custom err=%v, std err=%v", d.name, src, opts, cerr, serr)
-				}
-				if !reflect.DeepEqual(custom, std) {
-					t.Fatalf("doc %s query %q opts %+v:\ncustom %+v\nstd    %+v\ndoc: %s",
-						d.name, src, opts, custom, std, d.doc)
-				}
-			}
+	for i := range max(len(scanned), len(std)) {
+		if i >= len(scanned) || i >= len(std) || scanned[i] != std[i] {
+			t.Fatalf("%s: event %d diverges\nscanner   %q\nreference %q\ndoc: %s", name, i, scanned, std, doc)
 		}
 	}
 }
 
-// TestPrefixedNameRegression pins the repro from the issue: under the old
-// code //a found <p:a> with the std parser (which strips prefixes) but not
-// with the custom scanner (which kept them), so the answer depended on the
-// parser. Both must now match local names: //a finds both <p:a> and <a>,
-// //p:a finds only <p:a>, and //u:a (wrong prefix) finds nothing.
+// TestParserDifferential is the permanent harness: identical event streams
+// under both front-ends for every corpus document.
+func TestParserDifferential(t *testing.T) {
+	syms := differentialSymbols()
+	for _, d := range saxtest.EdgeDocs() {
+		assertSameEvents(t, d.Name, d.Doc, syms)
+	}
+}
+
+// TestPrefixedNameRegression pins a fixed conformance bug: //a once found
+// <p:a> with the encoding/xml front-end (which strips prefixes) but not with
+// the scanner (which kept them), so the answer depended on the parser. Both
+// front-ends must now report the lexical prefix and the local name alike, and
+// queries match local names: //a finds both <p:a> and <a>, //p:a finds only
+// <p:a>, and //u:a (wrong prefix) finds nothing.
 func TestPrefixedNameRegression(t *testing.T) {
 	doc := `<r xmlns:p='u'><p:a>x</p:a><a>y</a></r>`
-	for _, useStd := range []bool{false, true} {
-		opts := vitex.Options{UseStdParser: useStd}
-		check := func(src string, want []string) {
-			t.Helper()
-			q := vitex.MustCompile(src)
-			var got []string
-			if _, err := q.Stream(strings.NewReader(doc), opts, func(r vitex.Result) error {
-				got = append(got, r.Value)
-				return nil
-			}); err != nil {
-				t.Fatalf("std=%v %s: %v", useStd, src, err)
-			}
-			if !equal(got, want) {
-				t.Fatalf("std=%v %s: got %q, want %q", useStd, src, got, want)
-			}
+	assertSameEvents(t, "prefixes", doc, differentialSymbols())
+	check := func(src string, want []string) {
+		t.Helper()
+		got, err := vitex.MustCompile(src).EvaluateString(doc)
+		if err != nil {
+			t.Fatalf("%s: %v", src, err)
 		}
-		check("//a", []string{"<p:a>x</p:a>", "<a>y</a>"})
-		check("//p:a", []string{"<p:a>x</p:a>"})
-		check("//u:a", nil)
-		check("//a/text()", []string{"x", "y"})
+		if !equal(got, want) {
+			t.Fatalf("%s: got %q, want %q", src, got, want)
+		}
 	}
+	check("//a", []string{"<p:a>x</p:a>", "<a>y</a>"})
+	check("//p:a", []string{"<p:a>x</p:a>"})
+	check("//u:a", nil)
+	check("//a/text()", []string{"x", "y"})
 }
 
 // TestBOMHandling: a UTF-8 BOM must be skipped by both front-ends; UTF-16
@@ -141,57 +113,40 @@ func TestPrefixedNameRegression(t *testing.T) {
 // tag-soup syntax error.
 func TestBOMHandling(t *testing.T) {
 	q := vitex.MustCompile("//a/text()")
-	for _, useStd := range []bool{false, true} {
-		opts := vitex.Options{UseStdParser: useStd}
-		got, err := func() ([]string, error) {
-			var out []string
-			_, err := q.Stream(strings.NewReader("\xEF\xBB\xBF<r><a>1</a></r>"), opts, func(r vitex.Result) error {
-				out = append(out, r.Value)
-				return nil
-			})
-			return out, err
-		}()
-		if err != nil {
-			t.Fatalf("std=%v UTF-8 BOM: %v", useStd, err)
+	got, err := q.EvaluateString("\xEF\xBB\xBF<r><a>1</a></r>")
+	if err != nil {
+		t.Fatalf("UTF-8 BOM: %v", err)
+	}
+	if !equal(got, []string{"1"}) {
+		t.Fatalf("UTF-8 BOM: got %q", got)
+	}
+	assertSameEvents(t, "utf8BOM", "\xEF\xBB\xBF<r><a>1</a></r>", differentialSymbols())
+	for name, doc := range map[string]string{
+		"UTF-16BE": "\xFE\xFF\x00<\x00r",
+		"UTF-16LE": "\xFF\xFE<\x00r\x00",
+		"UTF-32BE": "\x00\x00\xFE\xFF",
+	} {
+		_, err := q.Stream(strings.NewReader(doc), vitex.Options{}, func(vitex.Result) error { return nil })
+		if err == nil || !strings.Contains(err.Error(), "unsupported encoding") {
+			t.Fatalf("%s: err = %v, want unsupported-encoding error", name, err)
 		}
-		if !equal(got, []string{"1"}) {
-			t.Fatalf("std=%v UTF-8 BOM: got %q", useStd, got)
-		}
-		for name, doc := range map[string]string{
-			"UTF-16BE": "\xFE\xFF\x00<\x00r",
-			"UTF-16LE": "\xFF\xFE<\x00r\x00",
-			"UTF-32BE": "\x00\x00\xFE\xFF",
-		} {
-			_, err := q.Stream(strings.NewReader(doc), opts, func(vitex.Result) error { return nil })
-			if err == nil || !strings.Contains(err.Error(), "unsupported encoding") {
-				t.Fatalf("std=%v %s: err = %v, want unsupported-encoding error", useStd, name, err)
-			}
+		if _, err := traceEvents(saxtest.NewStdDriver(strings.NewReader(doc))); err == nil || !strings.Contains(err.Error(), "unsupported encoding") {
+			t.Fatalf("%s: reference front-end err = %v, want unsupported-encoding error", name, err)
 		}
 	}
 }
 
 // TestParserDifferentialRandomized extends the harness with seeded random
-// documents and queries — the same generator the engine equivalence campaign
-// uses, here contrasting the two front-ends instead of two dispatch modes.
+// documents of the churn campaign's profile: deep, self-nesting label chains
+// (TestFrontEndsAgree covers the default profile).
 func TestParserDifferentialRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(59))
 	trials := 40
 	if testing.Short() {
 		trials = 8
 	}
+	syms := differentialSymbols()
 	for trial := 0; trial < trials; trial++ {
-		doc := datagen.DefaultRandomTree.Generate(rng)
-		src := datagen.RandomQuery(rng, datagen.DefaultRandomTree, false)
-		if rng.Intn(4) == 0 {
-			src += " | " + datagen.RandomQuery(rng, datagen.DefaultRandomTree, false)
-		}
-		opts := vitex.Options{Ordered: rng.Intn(2) == 0}
-		custom, std, cerr, serr := evalBoth(t, src, doc, opts)
-		if cerr != nil || serr != nil {
-			t.Fatalf("trial %d %q: custom err=%v, std err=%v", trial, src, cerr, serr)
-		}
-		if !reflect.DeepEqual(custom, std) {
-			t.Fatalf("trial %d query %q:\ncustom %+v\nstd    %+v\ndoc: %s", trial, src, custom, std, doc)
-		}
+		assertSameEvents(t, fmt.Sprintf("trial %d", trial), datagen.ChurnRandomTree.Generate(rng), syms)
 	}
 }

@@ -1,9 +1,10 @@
 // Package sax defines the streaming event model that connects the XML
-// front-ends (internal/xmlscan and the encoding/xml adapter) to the query
-// engines (internal/twigm, internal/naive). It mirrors the "SAX parser"
-// module of the ViteX architecture (ICDE 2005, figure 2): the parser turns an
-// XML byte stream into a sequence of events, and downstream machines change
-// state per event.
+// front-end (internal/xmlscan) to the query engines (internal/twigm,
+// internal/naive). It mirrors the "SAX parser" module of the ViteX
+// architecture (ICDE 2005, figure 2): the parser turns an XML byte stream
+// into a sequence of events, and downstream machines change state per event.
+// The encoding/xml reference producer the scanner is tested against lives in
+// internal/sax/saxtest.
 //
 // Events carry the element depth explicitly because the TwigM machine's axis
 // checks are pure level arithmetic: the root element has depth 1, its
@@ -164,8 +165,8 @@ type Event struct {
 	// prefixed test additionally requires the prefix. Producers in this
 	// repository always populate Local; consumers use LocalName, which
 	// falls back to splitting Name for hand-built events. The encoding/xml
-	// adapter reconstructs the lexical prefix from the in-scope namespace
-	// declarations, so both front-ends agree.
+	// reference producer (saxtest.StdDriver) reconstructs the lexical prefix
+	// from the in-scope namespace declarations, so it agrees with the scanner.
 	Prefix string
 	Local  string
 	// NameID is the Symbols ID of the LOCAL name for
@@ -257,8 +258,8 @@ func (f PerEvent) HandleBatch(evs []Event) error {
 	return nil
 }
 
-// Driver is anything that can push a full document's events into a Handler.
-// Both the custom scanner and the encoding/xml adapter implement it.
+// Driver is anything that can push a full document's events into a Handler:
+// the scanner, and in tests the encoding/xml reference producer.
 type Driver interface {
 	Run(h Handler) error
 }

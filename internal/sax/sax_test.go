@@ -1,16 +1,21 @@
-package sax
+package sax_test
 
 import (
 	"errors"
 	"fmt"
 	"strings"
 	"testing"
+
+	"repro/internal/sax"
+	"repro/internal/sax/saxtest"
 )
 
+// trace renders the events the reference producer, saxtest.StdDriver,
+// delivers for doc: the event model as every front-end is held to it.
 func trace(t *testing.T, doc string) ([]string, error) {
 	t.Helper()
 	var out []string
-	err := NewStdDriver(strings.NewReader(doc)).Run(PerEvent(func(ev *Event) error {
+	err := saxtest.NewStdDriver(strings.NewReader(doc)).Run(sax.PerEvent(func(ev *sax.Event) error {
 		out = append(out, fmt.Sprintf("%v|%s|%d|%q", ev.Kind, ev.Name, ev.Depth, ev.Text))
 		return nil
 	}))
@@ -81,9 +86,9 @@ func TestStdDriverErrors(t *testing.T) {
 }
 
 func TestStdDriverAttrs(t *testing.T) {
-	var attrs []Attr
-	err := NewStdDriver(strings.NewReader(`<a x="1" y="2&amp;3"/>`)).Run(PerEvent(func(ev *Event) error {
-		if ev.Kind == StartElement {
+	var attrs []sax.Attr
+	err := saxtest.NewStdDriver(strings.NewReader(`<a x="1" y="2&amp;3"/>`)).Run(sax.PerEvent(func(ev *sax.Event) error {
+		if ev.Kind == sax.StartElement {
 			attrs = append(attrs, ev.Attrs...)
 		}
 		return nil
@@ -91,32 +96,32 @@ func TestStdDriverAttrs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(attrs) != 2 || attrs[0] != (Attr{Name: "x", Value: "1", Local: "x"}) || attrs[1] != (Attr{Name: "y", Value: "2&3", Local: "y"}) {
+	if len(attrs) != 2 || attrs[0] != (sax.Attr{Name: "x", Value: "1", Local: "x"}) || attrs[1] != (sax.Attr{Name: "y", Value: "2&3", Local: "y"}) {
 		t.Fatalf("attrs = %v", attrs)
 	}
 }
 
 func TestGetAttr(t *testing.T) {
-	attrs := []Attr{{Name: "a", Value: "1"}, {Name: "b", Value: "2"}}
-	if v, ok := GetAttr(attrs, "b"); !ok || v != "2" {
+	attrs := []sax.Attr{{Name: "a", Value: "1"}, {Name: "b", Value: "2"}}
+	if v, ok := sax.GetAttr(attrs, "b"); !ok || v != "2" {
 		t.Fatalf("GetAttr(b) = %q, %v", v, ok)
 	}
-	if _, ok := GetAttr(attrs, "z"); ok {
+	if _, ok := sax.GetAttr(attrs, "z"); ok {
 		t.Fatal("GetAttr(z) should miss")
 	}
-	if _, ok := GetAttr(nil, "a"); ok {
+	if _, ok := sax.GetAttr(nil, "a"); ok {
 		t.Fatal("GetAttr(nil) should miss")
 	}
 }
 
 func TestKindString(t *testing.T) {
-	names := map[Kind]string{
-		StartDocument: "StartDocument",
-		StartElement:  "StartElement",
-		EndElement:    "EndElement",
-		Text:          "Text",
-		EndDocument:   "EndDocument",
-		Kind(99):      "Kind(99)",
+	names := map[sax.Kind]string{
+		sax.StartDocument: "StartDocument",
+		sax.StartElement:  "StartElement",
+		sax.EndElement:    "EndElement",
+		sax.Text:          "Text",
+		sax.EndDocument:   "EndDocument",
+		sax.Kind(99):      "Kind(99)",
 	}
 	for k, want := range names {
 		if got := k.String(); got != want {
@@ -128,9 +133,9 @@ func TestKindString(t *testing.T) {
 func TestHandlerErrorAborts(t *testing.T) {
 	boom := errors.New("boom")
 	n := 0
-	err := NewStdDriver(strings.NewReader("<a><b/><c/></a>")).Run(PerEvent(func(ev *Event) error {
+	err := saxtest.NewStdDriver(strings.NewReader("<a><b/><c/></a>")).Run(sax.PerEvent(func(ev *sax.Event) error {
 		n++
-		if ev.Kind == StartElement && ev.Name == "b" {
+		if ev.Kind == sax.StartElement && ev.Name == "b" {
 			return boom
 		}
 		return nil

@@ -1,13 +1,19 @@
-// Package saxtest is test support for the sax.Handler lifetime rule: a
-// poisoning wrapper that destroys everything transient in a batch the moment
-// HandleBatch returns, so a consumer that kept a Text, an Attr.Value, an
-// Attrs slice or the batch itself without cloning fails loudly instead of by
-// luck of arena reuse.
+// Package saxtest is test support for the sax event model, with two tools:
+//
+//   - StdDriver, the encoding/xml reference front-end. Production reads XML
+//     only through internal/xmlscan; this adapter is what the scanner is
+//     held to, event for event and result for result, and what the DOM
+//     oracles build on, so no binary links encoding/xml.
+//   - Poison and PoisonDriver, for the sax.Handler lifetime rule: a wrapper
+//     that destroys everything transient in a batch the moment HandleBatch
+//     returns, so a consumer that kept a Text, an Attr.Value, an Attrs slice
+//     or the batch itself without cloning fails loudly instead of by luck of
+//     arena reuse.
 //
 // Poisoning writes through the strings it is handed. That is only sound over
 // a producer whose transient strings are views of memory it owns and
-// recycles — internal/xmlscan. Never wrap sax.StdDriver: encoding/xml's
-// strings may alias runtime-shared storage.
+// recycles — internal/xmlscan. Never poison StdDriver: encoding/xml's strings
+// may alias runtime-shared storage.
 package saxtest
 
 import (

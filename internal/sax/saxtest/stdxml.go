@@ -1,4 +1,4 @@
-package sax
+package saxtest
 
 import (
 	"bytes"
@@ -6,13 +6,15 @@ import (
 	"fmt"
 	"io"
 	"strings"
+
+	"repro/internal/sax"
 )
 
 // StdDriver adapts encoding/xml's token stream to the sax event model. It is
-// the reference front-end: internal/xmlscan is cross-checked against it in
-// tests and the permanent differential harness, and benchmarks compare their
-// throughput (the parse-time share of experiment E1 depends on which
-// front-end is used).
+// the reference front-end that internal/xmlscan is held to: the scanner's
+// fuzz target, the engine's front-end differential and the DOM oracles run
+// on it, so a scanner bug cannot hide in the oracle's own parse. Benchmarks
+// compare the two front-ends' throughput.
 //
 // encoding/xml resolves namespace prefixes to URIs and reports names as
 // (URI, local). The sax model carries the lexical QName — name tests match
@@ -23,7 +25,7 @@ import (
 // documented approximation; see README "XML conformance").
 type StdDriver struct {
 	r        io.Reader
-	syms     *Symbols
+	syms     *sax.Symbols
 	interned map[string]int32
 	qnames   map[qnameKey]qname
 
@@ -51,16 +53,16 @@ func NewStdDriver(r io.Reader) *StdDriver { return &StdDriver{r: r} }
 
 // NewStdDriverWith returns a Driver backed by encoding/xml that resolves
 // element and attribute local names against syms, so events carry the same
-// NameIDs the custom scanner would produce (keeps the UseStdParser ablation
-// on the same dispatch path).
-func NewStdDriverWith(r io.Reader, syms *Symbols) *StdDriver {
+// NameIDs the scanner would produce and an engine compiled against syms
+// routes them.
+func NewStdDriverWith(r io.Reader, syms *sax.Symbols) *StdDriver {
 	return &StdDriver{r: r, syms: syms, interned: make(map[string]int32)}
 }
 
 // nameID resolves a local name through the per-driver cache.
 func (d *StdDriver) nameID(local string) int32 {
 	if d.syms == nil {
-		return SymNone
+		return sax.SymNone
 	}
 	if id, ok := d.interned[local]; ok {
 		return id
@@ -100,10 +102,10 @@ func (d *StdDriver) makeName(prefix, local string) qname {
 	if prefix != "" {
 		q.name = prefix + ":" + local
 	}
-	if IsNamespaceDecl(q.name) {
-		q.id = SymUnknown
+	if sax.IsNamespaceDecl(q.name) {
+		q.id = sax.SymUnknown
 		if d.syms == nil {
-			q.id = SymNone
+			q.id = sax.SymNone
 		}
 	} else {
 		q.id = d.nameID(local)
@@ -117,7 +119,7 @@ func (d *StdDriver) makeName(prefix, local string) qname {
 
 // skipBOM consumes a leading byte-order mark: the UTF-8 BOM is skipped (its
 // length is returned so event offsets keep counting raw input bytes, aligned
-// with the custom scanner), and UTF-16/32 BOMs are rejected with a clear
+// with the scanner), and UTF-16/32 BOMs are rejected with a clear
 // unsupported-encoding error instead of a tag-soup syntax error.
 func skipBOM(r io.Reader) (io.Reader, int64, error) {
 	var head [4]byte
@@ -125,19 +127,19 @@ func skipBOM(r io.Reader) (io.Reader, int64, error) {
 	if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
 		return nil, 0, err
 	}
-	skip, unsupported := ClassifyBOM(head[:n])
+	skip, unsupported := sax.ClassifyBOM(head[:n])
 	if unsupported != "" {
 		return nil, 0, fmt.Errorf("sax: unsupported encoding: %s byte order mark (only UTF-8 input is supported)", unsupported)
 	}
 	return io.MultiReader(bytes.NewReader(head[skip:n]), r), int64(skip), nil
 }
 
-// Run implements Driver. Adjacent CharData tokens (encoding/xml splits
+// Run implements sax.Driver. Adjacent CharData tokens (encoding/xml splits
 // around CDATA boundaries and entity expansions in some cases) are coalesced
 // so that, like xmlscan, one Text event corresponds to one XPath text node.
 // Events are delivered in batches of one, the moment their token is decoded,
 // so nothing is ever held back across a read of the input.
-func (d *StdDriver) Run(h Handler) error {
+func (d *StdDriver) Run(h sax.Handler) error {
 	r, base, err := skipBOM(d.r)
 	if err != nil {
 		return err
@@ -150,9 +152,9 @@ func (d *StdDriver) Run(h Handler) error {
 	seenRoot := false
 	var text strings.Builder
 	var textOff int64
-	batch := make([]Event, 1)
+	batch := make([]sax.Event, 1)
 
-	emit := func(e Event) error {
+	emit := func(e sax.Event) error {
 		batch[0] = e
 		return h.HandleBatch(batch)
 	}
@@ -168,10 +170,10 @@ func (d *StdDriver) Run(h Handler) error {
 			}
 			return nil
 		}
-		return emit(Event{Kind: Text, Depth: depth + 1, Text: t, Offset: textOff})
+		return emit(sax.Event{Kind: sax.Text, Depth: depth + 1, Text: t, Offset: textOff})
 	}
 
-	if err := emit(Event{Kind: StartDocument}); err != nil {
+	if err := emit(sax.Event{Kind: sax.StartDocument}); err != nil {
 		return err
 	}
 	for {
@@ -206,7 +208,7 @@ func (d *StdDriver) Run(h Handler) error {
 				}
 			}
 			d.declCounts = append(d.declCounts, decls)
-			attrs := make([]Attr, 0, len(t.Attr))
+			attrs := make([]sax.Attr, 0, len(t.Attr))
 			for _, a := range t.Attr {
 				var an qname
 				switch {
@@ -217,7 +219,7 @@ func (d *StdDriver) Run(h Handler) error {
 				default:
 					an = d.resolve(a.Name, true)
 				}
-				attrs = append(attrs, Attr{
+				attrs = append(attrs, sax.Attr{
 					Name: an.name, Value: a.Value,
 					Prefix: an.prefix, Local: an.local, NameID: an.id,
 				})
@@ -226,8 +228,8 @@ func (d *StdDriver) Run(h Handler) error {
 				attrs = nil
 			}
 			name := d.resolve(t.Name, false)
-			if err := emit(Event{
-				Kind: StartElement, Name: name.name, Prefix: name.prefix, Local: name.local,
+			if err := emit(sax.Event{
+				Kind: sax.StartElement, Name: name.name, Prefix: name.prefix, Local: name.local,
 				NameID: name.id, Depth: depth, Attrs: attrs, Offset: off,
 			}); err != nil {
 				return err
@@ -239,8 +241,8 @@ func (d *StdDriver) Run(h Handler) error {
 			// Resolve before popping: the element's own declarations
 			// are in scope for its end tag.
 			name := d.resolve(t.Name, false)
-			if err := emit(Event{
-				Kind: EndElement, Name: name.name, Prefix: name.prefix, Local: name.local,
+			if err := emit(sax.Event{
+				Kind: sax.EndElement, Name: name.name, Prefix: name.prefix, Local: name.local,
 				NameID: name.id, Depth: depth, Offset: off,
 			}); err != nil {
 				return err
@@ -275,5 +277,5 @@ func (d *StdDriver) Run(h Handler) error {
 	if !seenRoot {
 		return fmt.Errorf("sax: document has no root element")
 	}
-	return emit(Event{Kind: EndDocument, Offset: base + dec.InputOffset()})
+	return emit(sax.Event{Kind: sax.EndDocument, Offset: base + dec.InputOffset()})
 }

@@ -230,9 +230,9 @@ func TestHTTPBadQuery(t *testing.T) {
 	}
 }
 
-// TestHTTPQueryBodyCapped: a subscription query nested deep enough to
-// overflow the XPath parser's stack (6 MB) is refused with a structured 400
-// before it is parsed, and the server goes on serving.
+// TestHTTPQueryBodyCapped: a 6 MB subscription query (two million nested
+// predicates) is refused with a structured 400 before it is parsed, and the
+// server goes on serving.
 func TestHTTPQueryBodyCapped(t *testing.T) {
 	cl, _, _ := startServer(t, server.Config{})
 	ctx := context.Background()

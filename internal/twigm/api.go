@@ -8,14 +8,14 @@ import (
 
 // Collect runs the machine over a full document and returns every solution.
 // It is the batch convenience API; streaming consumers should wire their
-// own Options.Emit and drive the Run as a sax.Handler.
+// own Options.EmitFrom and drive the Run as a sax.Handler.
 func Collect(p *Program, d sax.Driver, opts Options) ([]Result, Stats, error) {
 	var results []Result
-	userEmit := opts.Emit
-	opts.Emit = func(res Result) error {
+	userEmit := opts.EmitFrom
+	opts.EmitFrom = func(id int, res Result) error {
 		results = append(results, res)
 		if userEmit != nil {
-			return userEmit(res)
+			return userEmit(id, res)
 		}
 		return nil
 	}

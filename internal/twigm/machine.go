@@ -17,7 +17,7 @@ import (
 // handlers themselves stay allocation-free.
 func retained(v string) string { return strings.Clone(v) }
 
-// Result is one query solution, delivered through Options.Emit.
+// Result is one query solution, delivered through Options.EmitFrom.
 type Result struct {
 	// Seq is the creation order of the candidate, which equals the
 	// document order of the result node.
@@ -37,7 +37,7 @@ type Result struct {
 	Value string
 	// ConfirmedAt and DeliveredAt are the indices of the SAX events at
 	// which the solution was proven (all predicates satisfied up to the
-	// query root) and at which it was handed to Emit. Their difference,
+	// query root) and at which it was handed to EmitFrom. Their difference,
 	// and their distance from the end of the stream, quantify the
 	// incremental-delivery behaviour of §1 requirement 2 (experiment E8).
 	ConfirmedAt int64
@@ -46,13 +46,10 @@ type Result struct {
 
 // Options configures a Run.
 type Options struct {
-	// Emit receives each query solution. A nil Emit just counts results.
-	// Returning an error aborts the stream.
-	Emit func(Result) error
-	// EmitFrom, when set, receives each solution together with ID in place
-	// of Emit: an engine evaluating many runs into one consumer gives them
-	// all the same function and tells them apart by ID, so no run owns a
-	// closure.
+	// EmitFrom receives each query solution together with ID: an engine
+	// evaluating many runs into one consumer gives them all the same
+	// function and tells them apart by ID, so no run owns a closure. A nil
+	// EmitFrom just counts results. Returning an error aborts the stream.
 	EmitFrom func(id int, r Result) error
 	ID       int
 	// CountOnly disables fragment recording: results are detected and
@@ -222,7 +219,7 @@ func (r *Run) applyOptions(opts Options) {
 // may sit idle for any number of streams before its next Reset; detached, it
 // pins nothing of the stream that last used it.
 func (r *Run) Detach() {
-	r.opts.Emit, r.opts.EmitFrom, r.opts.Trace = nil, nil, nil
+	r.opts.EmitFrom, r.opts.Trace = nil, nil
 	r.trace = nil
 }
 
@@ -987,13 +984,9 @@ func (r *Run) emit(res Result) {
 	if r.trace.on() {
 		r.trace.emit(&res)
 	}
-	var err error
 	if r.opts.EmitFrom != nil {
-		err = r.opts.EmitFrom(r.opts.ID, res)
-	} else if r.opts.Emit != nil {
-		err = r.opts.Emit(res)
-	}
-	if err != nil {
-		r.fail(err)
+		if err := r.opts.EmitFrom(r.opts.ID, res); err != nil {
+			r.fail(err)
+		}
 	}
 }

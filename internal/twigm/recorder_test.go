@@ -137,9 +137,9 @@ func TestValueCandidatesSkipRecorder(t *testing.T) {
 
 func TestOrderedBufFlushesPrefix(t *testing.T) {
 	// White-box: resolve out of order; delivery must follow seq order.
-	r := &Run{opts: Options{Ordered: true, Emit: nil}}
+	r := &Run{opts: Options{Ordered: true}}
 	var delivered []int64
-	r.opts.Emit = func(res Result) error {
+	r.opts.EmitFrom = func(_ int, res Result) error {
 		delivered = append(delivered, res.Seq)
 		return nil
 	}

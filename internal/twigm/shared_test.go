@@ -109,7 +109,7 @@ func runEngineStyle(t *testing.T, p *Program, syms *sax.Symbols, doc string, opt
 		pr.Rebind(trie, nil)
 	}
 	var results []Result
-	opts.Emit = func(res Result) error {
+	opts.EmitFrom = func(_ int, res Result) error {
 		results = append(results, res)
 		return nil
 	}
@@ -199,7 +199,7 @@ func TestAnchoredNilAnchorMatchesNothing(t *testing.T) {
 	if !p.Anchored() {
 		t.Fatal("expected an anchored program")
 	}
-	run := p.Start(Options{Emit: func(Result) error {
+	run := p.Start(Options{EmitFrom: func(int, Result) error {
 		t.Fatal("unexpected result")
 		return nil
 	}})

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/datagen"
 	"repro/internal/dom"
-	"repro/internal/sax"
 	"repro/internal/sax/saxtest"
 	"repro/internal/xmlscan"
 	"repro/internal/xpath"
@@ -27,7 +26,10 @@ func runQuery(t *testing.T, doc, query string, opts Options) []string {
 // oracle evaluates via the DOM evaluator.
 func oracle(t *testing.T, doc, query string) []string {
 	t.Helper()
-	d := dom.MustBuildString(doc)
+	d, err := dom.Build(saxtest.NewStdDriver(strings.NewReader(doc)))
+	if err != nil {
+		t.Fatalf("dom build: %v", err)
+	}
 	nodes := dom.EvalString(d, query)
 	out := make([]string, 0, len(nodes))
 	for _, n := range nodes {
@@ -248,7 +250,7 @@ func TestOrderedDelivery(t *testing.T) {
 	prog := MustCompile("//a[p]/b")
 	var seqs []int64
 	_, _, err := Collect(prog, saxtest.PoisonDriver(xmlscan.NewScanner(strings.NewReader(doc))),
-		Options{Ordered: true, Emit: func(res Result) error {
+		Options{Ordered: true, EmitFrom: func(_ int, res Result) error {
 			seqs = append(seqs, res.Seq)
 			return nil
 		}})
@@ -325,7 +327,7 @@ func TestEmitErrorAborts(t *testing.T) {
 	doc := "<r><a/><a/></r>"
 	n := 0
 	_, _, err := Collect(prog, saxtest.PoisonDriver(xmlscan.NewScanner(strings.NewReader(doc))),
-		Options{Emit: func(Result) error {
+		Options{EmitFrom: func(int, Result) error {
 			n++
 			return &CompileError{Msg: "stop now"}
 		}})
@@ -437,7 +439,7 @@ func TestStdDriverFrontEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, _, err := Collect(prog, sax.NewStdDriver(strings.NewReader(doc)), Options{})
+	r2, _, err := Collect(prog, saxtest.NewStdDriver(strings.NewReader(doc)), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -135,7 +135,7 @@ func compareFrontEnds(t *testing.T, doc string) {
 		// scope (the self-consistency checks above still ran).
 		return
 	}
-	std, serr := traceFuzzEvents(sax.NewStdDriver(strings.NewReader(doc)))
+	std, serr := traceFuzzEvents(saxtest.NewStdDriver(strings.NewReader(doc)))
 	if cerr != nil && serr != nil {
 		return // both reject: agreement
 	}

@@ -179,6 +179,9 @@ func (l *lexer) next() (token, error) {
 		if i < 0 {
 			return token{}, l.errf(start, "unterminated string literal")
 		}
+		if i > MaxLiteralBytes {
+			return token{}, l.errf(start, "string literal longer than MaxLiteralBytes (%d)", MaxLiteralBytes)
+		}
 		text := l.src[l.pos : l.pos+i]
 		l.pos += i + 1
 		return token{kind: tokString, text: text, pos: start}, nil
@@ -219,6 +222,9 @@ func (l *lexer) lexNumber() (token, error) {
 		break
 	}
 	text := l.src[start:l.pos]
+	if len(text) > MaxLiteralBytes {
+		return token{}, l.errf(start, "numeric literal longer than MaxLiteralBytes (%d)", MaxLiteralBytes)
+	}
 	f, err := strconv.ParseFloat(text, 64)
 	if err != nil {
 		return token{}, l.errf(start, "bad number %q", text)

@@ -2,6 +2,22 @@ package xpath
 
 import "strings"
 
+// Limits on one query's source text, union branches included. The parser
+// checks each before it recurses or allocates past it and reports a
+// *ParseError naming the limit, so a hostile query costs a bounded parse and
+// the recursive passes after it — xpath.Walk, twigm's build — never see a
+// deeper tree.
+const (
+	// MaxNestingDepth bounds how deeply predicate brackets and parentheses
+	// nest.
+	MaxNestingDepth = 64
+	// MaxSteps bounds the location steps of a query, predicate paths
+	// included.
+	MaxSteps = 1024
+	// MaxLiteralBytes bounds one string or numeric literal.
+	MaxLiteralBytes = 4096
+)
+
 // Parse compiles an XPath query in XP{/,//,*,[]} into a Query tree. It is
 // the entry point of the "XPath parser" module of the ViteX architecture.
 // Union expressions ('p1 | p2') are rejected here; use ParseUnion.
@@ -70,6 +86,10 @@ func MustParse(src string) *Query {
 type parser struct {
 	lex lexer
 	tok token
+	// depth is the number of open '[' and '(' around the current token;
+	// steps counts the location steps parsed so far.
+	depth int
+	steps int
 }
 
 func (p *parser) advance() error {
@@ -83,6 +103,15 @@ func (p *parser) advance() error {
 
 func (p *parser) errHere(format string, args ...any) *ParseError {
 	return p.lex.errf(p.tok.pos, format, args...)
+}
+
+// open consumes the '[' or '(' at the current token, one level deeper.
+func (p *parser) open() error {
+	if p.depth == MaxNestingDepth {
+		return p.errHere("predicates and parentheses nest deeper than MaxNestingDepth (%d)", MaxNestingDepth)
+	}
+	p.depth++
+	return p.advance()
 }
 
 // parsePath parses ('/'|'//') Step (('/'|'//') Step)*. For top-level paths
@@ -120,6 +149,10 @@ func (p *parser) parsePath(absolute bool) (*Node, error) {
 // parseStep parses one step: '@name', 'text()', name or '*', with optional
 // predicates on element steps.
 func (p *parser) parseStep(axis Axis) (*Node, error) {
+	if p.steps == MaxSteps {
+		return nil, p.errHere("query has more than MaxSteps (%d) location steps", MaxSteps)
+	}
+	p.steps++
 	switch p.tok.kind {
 	case tokAt:
 		if err := p.advance(); err != nil {
@@ -190,7 +223,7 @@ func splitQName(n *Node, l *lexer, pos int) error {
 // multiple brackets with AND.
 func (p *parser) parsePredicates(n *Node) (*Node, error) {
 	for p.tok.kind == tokLBracket {
-		if err := p.advance(); err != nil {
+		if err := p.open(); err != nil {
 			return nil, err
 		}
 		expr, err := p.parseOr()
@@ -200,6 +233,7 @@ func (p *parser) parsePredicates(n *Node) (*Node, error) {
 		if p.tok.kind != tokRBracket {
 			return nil, p.errHere("expected ']', found %s", p.tok.kind)
 		}
+		p.depth--
 		if err := p.advance(); err != nil {
 			return nil, err
 		}
@@ -261,7 +295,7 @@ func (p *parser) parseAnd() (*PredExpr, error) {
 // parseUnary parses '(' expr ')' or a path predicate.
 func (p *parser) parseUnary() (*PredExpr, error) {
 	if p.tok.kind == tokLParen {
-		if err := p.advance(); err != nil {
+		if err := p.open(); err != nil {
 			return nil, err
 		}
 		expr, err := p.parseOr()
@@ -271,6 +305,7 @@ func (p *parser) parseUnary() (*PredExpr, error) {
 		if p.tok.kind != tokRParen {
 			return nil, p.errHere("expected ')', found %s", p.tok.kind)
 		}
+		p.depth--
 		return expr, p.advance()
 	}
 	return p.parsePathPred()

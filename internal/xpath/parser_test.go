@@ -1,6 +1,7 @@
 package xpath
 
 import (
+	"errors"
 	"strings"
 	"testing"
 )
@@ -298,6 +299,37 @@ func TestNameTestMatchesLocalAndPrefix(t *testing.T) {
 	for _, c := range cases {
 		if got := c.n.Matches(c.name); got != c.want {
 			t.Errorf("%s.Matches(%q) = %v, want %v", c.n.Name, c.name, got, c.want)
+		}
+	}
+}
+
+// TestParseLimits: each limit admits a query exactly at it and refuses one
+// past it with a *ParseError that names the limit.
+func TestParseLimits(t *testing.T) {
+	brackets := func(n int) string { return "//a" + strings.Repeat("[b", n) + strings.Repeat("]", n) }
+	parens := func(n int) string { return "//a[" + strings.Repeat("(", n-1) + "b" + strings.Repeat(")", n-1) + "]" }
+	steps := func(n int) string { return strings.Repeat("/a", n) }
+	literal := func(n int) string { return "//a[. = '" + strings.Repeat("x", n) + "']" }
+	number := func(n int) string { return "//a[b = 0." + strings.Repeat("0", n-3) + "1]" }
+	cases := []struct {
+		limit    string
+		at, past string
+	}{
+		{"MaxNestingDepth", brackets(MaxNestingDepth), brackets(MaxNestingDepth + 1)},
+		{"MaxNestingDepth", parens(MaxNestingDepth), parens(MaxNestingDepth + 1)},
+		{"MaxSteps", steps(MaxSteps), steps(MaxSteps + 1)},
+		{"MaxSteps", steps(MaxSteps/2) + " | " + steps(MaxSteps/2), steps(MaxSteps/2) + " | " + steps(MaxSteps/2+1)},
+		{"MaxLiteralBytes", literal(MaxLiteralBytes), literal(MaxLiteralBytes + 1)},
+		{"MaxLiteralBytes", number(MaxLiteralBytes), number(MaxLiteralBytes + 1)},
+	}
+	for _, c := range cases {
+		if _, err := ParseUnion(c.at); err != nil {
+			t.Errorf("%s: a query at the limit fails: %v", c.limit, err)
+		}
+		_, err := ParseUnion(c.past)
+		var pe *ParseError
+		if !errors.As(err, &pe) || !strings.Contains(pe.Msg, c.limit) {
+			t.Errorf("%s: a query past the limit: err = %v, want a *ParseError naming the limit", c.limit, err)
 		}
 	}
 }

@@ -352,9 +352,9 @@ func stream(snap engine.Snapshot, sh *shape, r io.Reader, opts Options, emit fun
 	var scan Stats
 	var err error
 	if opts.Parallel != 0 && opts.Parallel != 1 {
-		scan, err = snap.StreamParallel(ctx, r, opts.UseStdParser, plan, opts.Parallel)
+		scan, err = snap.StreamParallel(ctx, r, plan, opts.Parallel)
 	} else {
-		scan, err = snap.Stream(ctx, r, opts.UseStdParser, plan)
+		scan, err = snap.Stream(ctx, r, plan)
 	}
 	// The engine reported the machines the document woke; every query
 	// carries the shared scan's counters, woken or not.

@@ -7,12 +7,16 @@ import (
 
 	"repro/internal/datagen"
 	"repro/internal/dom"
+	"repro/internal/sax/saxtest"
 )
 
 // unionOracle evaluates via the DOM engine's union merge.
 func unionOracle(t *testing.T, doc, query string) []string {
 	t.Helper()
-	d := dom.MustBuildString(doc)
+	d, err := dom.Build(saxtest.NewStdDriver(strings.NewReader(doc)))
+	if err != nil {
+		t.Fatalf("dom build: %v", err)
+	}
 	nodes := dom.EvalString(d, query)
 	out := make([]string, 0, len(nodes))
 	for _, n := range nodes {

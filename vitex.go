@@ -107,10 +107,6 @@ type Options struct {
 	// CountOnly suppresses fragment serialization; Result.Value is
 	// empty. Fastest mode; used for counting and memory experiments.
 	CountOnly bool
-	// UseStdParser swaps the custom scanner for encoding/xml
-	// (cross-checking and parser-share ablations; roughly 5-10x slower
-	// on tag-dense input).
-	UseStdParser bool
 	// Parallel selects sharded multi-core evaluation: 0 or 1 evaluates
 	// serially on the calling goroutine, N > 1 spreads the machines over N
 	// worker goroutines, and a negative value uses GOMAXPROCS workers.

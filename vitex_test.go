@@ -1,11 +1,13 @@
 package vitex
 
 import (
+	"errors"
 	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/datagen"
+	"repro/internal/xpath"
 )
 
 func TestQuickstart(t *testing.T) {
@@ -25,6 +27,18 @@ func TestCompileErrors(t *testing.T) {
 	}
 	if _, err := Compile("//a[not(b)]"); err == nil {
 		t.Fatal("expected unsupported-function error")
+	}
+}
+
+// TestCompileNestingBomb: a query nested two million predicates deep used to
+// overflow the goroutine stack, a fatal error no caller can recover from. The
+// parser now refuses it at MaxNestingDepth, before it recurses that far.
+func TestCompileNestingBomb(t *testing.T) {
+	const depth = 2_000_000
+	_, err := Compile("//a" + strings.Repeat("[a", depth) + strings.Repeat("]", depth))
+	var pe *xpath.ParseError
+	if !errors.As(err, &pe) || !strings.Contains(pe.Msg, "MaxNestingDepth") {
+		t.Fatalf("err = %.200v, want a *xpath.ParseError naming MaxNestingDepth", err)
 	}
 }
 
@@ -72,20 +86,6 @@ func TestEvaluateOrdered(t *testing.T) {
 	}
 	if results[0].Seq >= results[1].Seq {
 		t.Fatal("not in document order")
-	}
-}
-
-func TestUseStdParser(t *testing.T) {
-	q := MustCompile("//a")
-	doc := "<r><a>x</a></r>"
-	for _, std := range []bool{false, true} {
-		got, err := q.Evaluate(strings.NewReader(doc), Options{UseStdParser: std})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != 1 || got[0].Value != "<a>x</a>" {
-			t.Fatalf("std=%v: %+v", std, got)
-		}
 	}
 }
 
