@@ -23,9 +23,11 @@
 //     entries.
 //   - Text only matters to machines with a live text()-parent or
 //     string-value entry (or an absolute text() node).
-//   - A machine serializing a result fragment must see everything below the
-//     result element, whatever its names; such machines are temporarily
-//     promoted to a full feed.
+//
+// Result fragments contain arbitrary descendant markup, but no machine needs
+// to see it: while any woken machine has a fragment open, the router itself
+// serializes each event once into one recorder (twigm.Recorder), and a
+// machine's fragments are spans of it, made into strings only when delivered.
 //
 // The dynamic conditions change only inside a delivery, so the engine
 // refreshes a machine's routing membership exactly when it delivers an event
@@ -435,13 +437,14 @@ type router struct {
 	woken   []int32
 
 	// Dynamic routing sets. endSet holds machines with live stack entries
-	// or an active recording (they need end-element events); textSet holds
-	// machines for which the next text event could matter; fullSet holds
-	// machines serializing a fragment (they need every event). fullSet is
-	// a subset of both others by construction of the membership tests.
+	// (they need end-element events); textSet holds machines for which the
+	// next text event could matter.
 	endSet  denseSet
 	textSet denseSet
-	fullSet denseSet
+
+	// rec serializes the document once for every machine it wakes while any
+	// of them has a fragment open; wake binds each run to it.
+	rec twigm.Recorder
 
 	// Per-event dedup of the start-element subscriber union.
 	stamps  []int64 //vitex:keep dedup stamps; stamp monotonicity makes stale entries harmless
@@ -479,7 +482,6 @@ func (rt *router) init(runs []*twigm.Run, elemSubs, attrSubs [][]int32, wild, ro
 	rt.wokenAt = make([]uint64, n)
 	rt.endSet.init(n)
 	rt.textSet.init(n)
-	rt.fullSet.init(n)
 	if trie != nil {
 		rt.prun.Rebind(trie, trieIDs)
 	}
@@ -499,7 +501,6 @@ func (rt *router) rehost(runs []*twigm.Run, nSlots int) {
 	}
 	rt.endSet.grow(nSlots)
 	rt.textSet.grow(nSlots)
-	rt.fullSet.grow(nSlots)
 }
 
 // reset starts a new document: it bumps the generation, which makes every
@@ -510,10 +511,10 @@ func (rt *router) rehost(runs []*twigm.Run, nSlots int) {
 func (rt *router) reset(ep *epoch, opts twigm.Options, unordered []bool) {
 	rt.endSet.clear()
 	rt.textSet.clear()
-	rt.fullSet.clear()
 	for _, i := range rt.rootText {
 		rt.textSet.set(i, true)
 	}
+	rt.rec.Reset()
 	rt.prun.ResetStream()
 	rt.deliveries = 0
 	rt.gen++
@@ -522,7 +523,8 @@ func (rt *router) reset(ep *epoch, opts twigm.Options, unordered []bool) {
 }
 
 // wake prepares machine i for the current document, on the first delivery to
-// it: a reset run with the document's options, bound to its anchor stack.
+// it: a reset run with the document's options, bound to the router's recorder
+// and to its anchor stack.
 // Its dynamic memberships follow from the refresh that ends that delivery.
 //
 //vitex:hotpath
@@ -536,6 +538,7 @@ func (rt *router) wake(i int32) {
 	}
 	run := rt.runs[i]
 	run.Reset(o)
+	run.BindRecorder(&rt.rec)
 	if a := rt.ep.anchors[i]; a >= 0 {
 		run.BindAnchor(rt.prun.Stack(a))
 	}
@@ -565,9 +568,7 @@ func (rt *router) finish(scan twigm.Stats, visit func(int, twigm.Stats)) {
 //vitex:hotpath
 func (rt *router) refresh(i int32) {
 	run := rt.runs[i]
-	recording := run.Recording()
-	rt.fullSet.set(i, recording)
-	rt.endSet.set(i, recording || run.LiveEntries() > 0)
+	rt.endSet.set(i, run.LiveEntries() > 0)
 	rt.textSet.set(i, run.WantsText())
 }
 
@@ -592,10 +593,14 @@ func (rt *router) deliver(i int32, ev *sax.Event, idx int64) error {
 // trie is evaluated around the machine deliveries: pushed before them (an
 // anchored machine's axis check may read an entry opened by this very
 // event) and popped after them, mirroring how a machine's own prefix
-// entries would outlive its deeper entries within the event.
+// entries would outlive its deeper entries within the event. The recorder
+// is driven around them too: text and end tags are serialized before the
+// deliveries that may complete a fragment, start tags after the deliveries
+// that may begin one.
 //
 //vitex:hotpath
 func (rt *router) route(ev *sax.Event, idx int64) error {
+	rt.rec.Before(ev)
 	switch ev.Kind {
 	case sax.StartElement:
 		rt.prun.StartElement(ev)
@@ -605,9 +610,8 @@ func (rt *router) route(ev *sax.Event, idx int64) error {
 			}
 		}
 	case sax.EndElement:
-		// endSet contains every machine with something to pop or an
-		// open recording; iterate a snapshot since delivery mutates
-		// membership.
+		// endSet contains every machine with something to pop; iterate a
+		// snapshot since delivery mutates membership.
 		for _, i := range rt.snapshot(&rt.endSet) {
 			if err := rt.deliver(i, ev, idx); err != nil {
 				return err
@@ -631,14 +635,15 @@ func (rt *router) route(ev *sax.Event, idx int64) error {
 		}
 	}
 	// StartDocument goes to nobody: a machine starts its document at wake.
+	rt.rec.After(ev)
 	return nil
 }
 
 // startSubscribers collects, deduplicates and orders the routed machines
 // that must see a start-element event: subscribers of the element name,
-// wildcard machines, subscribers of any attribute name present, and machines
-// on the full feed. Delivery is in machine order, matching what a broadcast
-// fan-out would do, so interleavings are reproducible.
+// wildcard machines and subscribers of any attribute name present. Delivery
+// is in machine order, matching what a broadcast fan-out would do, so
+// interleavings are reproducible.
 //
 //vitex:hotpath
 func (rt *router) startSubscribers(ev *sax.Event) []int32 {
@@ -664,7 +669,6 @@ func (rt *router) startSubscribers(ev *sax.Event) []int32 {
 		return out
 	}
 	out = rt.appendNew(out, rt.wild)
-	out = rt.appendNew(out, rt.fullSet.items)
 	// Insertion sort: subscriber counts per event are small by design.
 	for i := 1; i < len(out); i++ {
 		for j := i; j > 0 && out[j] < out[j-1]; j-- {

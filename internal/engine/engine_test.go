@@ -72,8 +72,8 @@ func TestRoutedSparseMachinesUntouched(t *testing.T) {
 }
 
 // TestFragmentRecordingAcrossForeignTags: once a machine's output element
-// opens, it must see descendant markup whose names no query mentions —
-// fragment serialization needs the full feed.
+// opens, its fragment holds descendant markup whose names no query mentions
+// — the router's recorder serializes what no machine is delivered.
 func TestFragmentRecordingAcrossForeignTags(t *testing.T) {
 	e := mustEngine(t, "//keep", "//other")
 	doc := `<r><keep a="1"><alien>x<beta/>y</alien></keep><other/></r>`

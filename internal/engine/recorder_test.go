@@ -1,0 +1,81 @@
+package engine
+
+import (
+	"context"
+	"fmt"
+	"strings"
+	"testing"
+
+	"repro/internal/datagen"
+	"repro/internal/twigm"
+)
+
+// tableQueries all record tables, which Book nests TableDepth deep in every
+// copy: the outermost table's fragment overlaps every other one.
+var tableQueries = []string{
+	"//section//section//section//table",
+	"//table",
+	"//section[author]//table",
+	"//section[.//position]//table[cell]",
+}
+
+// TestOneRecordingPerDocument pins the recorder's memory bound: the router
+// serializes a document once however many machines record it, so its peak is
+// at most the largest overlapping fragment span (the outermost table) and the
+// same for one table-recording machine and for four. Each machine's
+// PeakBufferedBytes keeps measuring its own fragments' span; the pinned
+// values are what a private buffer per machine measured before recording
+// moved into the router.
+func TestOneRecordingPerDocument(t *testing.T) {
+	wantPeak := map[int]int{6: 241, 9: 367, 12: 511}
+	for _, depth := range []int{6, 9, 12} {
+		doc := datagen.Book{SectionDepth: 4, TableDepth: depth, Repeat: 6, AuthorEvery: 2, PositionEvery: 3}.String()
+		for _, workers := range []int{0, 2} {
+			t.Run(fmt.Sprintf("depth=%d/workers=%d", depth, workers), func(t *testing.T) {
+				var peaks []int
+				for _, n := range []int{1, 4} {
+					outer := 0
+					plan := Plan{
+						Options: twigm.Options{Ordered: true, EmitFrom: func(_ int, r twigm.Result) error {
+							outer = max(outer, len(r.Value))
+							return nil
+						}},
+						Stats: func(d int, st twigm.Stats) {
+							if st.PeakBufferedBytes != wantPeak[depth] {
+								t.Errorf("%d machines: machine %d PeakBufferedBytes = %d, want %d", n, d, st.PeakBufferedBytes, wantPeak[depth])
+							}
+						},
+					}
+					e := mustEngine(t, tableQueries[:n]...)
+					p := newPooledEval(e, workers)
+					var err error
+					if p.ps != nil {
+						p.ps.scan.Reset(&p.ps.prod)
+						_, err = p.ps.stream(context.Background(), e.cur.Load(), p.ps.scan, strings.NewReader(doc), plan)
+					} else {
+						p.ses.scan.Reset(strings.NewReader(doc))
+						_, err = p.ses.stream(context.Background(), e, e.cur.Load(), p.ses.scan, plan)
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+					peak := 0
+					if p.ps != nil {
+						for _, w := range p.ps.workers {
+							peak = max(peak, w.rt.rec.Peak())
+						}
+					} else {
+						peak = p.ses.rt.rec.Peak()
+					}
+					if peak == 0 || peak > outer {
+						t.Fatalf("%d machines: recorder peak %d bytes, want 1..%d (the outermost table)", n, peak, outer)
+					}
+					peaks = append(peaks, peak)
+				}
+				if peaks[0] != peaks[1] {
+					t.Fatalf("recorder peak %d bytes for one machine, %d for four: recording is not shared", peaks[0], peaks[1])
+				}
+			})
+		}
+	}
+}

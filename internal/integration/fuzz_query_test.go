@@ -1,0 +1,73 @@
+package integration
+
+import (
+	"math/rand"
+	"strings"
+	"testing"
+
+	"repro/internal/datagen"
+	"repro/internal/dom"
+	"repro/internal/sax/saxtest"
+	"repro/internal/xmlscan"
+	"repro/internal/xpath"
+
+	vitex "repro"
+)
+
+// FuzzQueryVsDOM: fuzzer-chosen (query, document) pairs through the whole
+// stack — xpath, twigm, the engine — against the DOM oracle. The query runs in
+// a QuerySet beside //*, which records every element, so the two machines'
+// fragments are spans of one recording: a span that outlives or overruns its
+// bytes shows up as a wrong value on either side. Queries that do not compile
+// and documents that do not parse are skipped.
+//
+//	go test -fuzz=FuzzQueryVsDOM -fuzztime=10m ./internal/integration
+func FuzzQueryVsDOM(f *testing.F) {
+	rng := rand.New(rand.NewSource(20260725))
+	gen := datagen.DefaultQueryGen
+	var queries []string
+	for i := 0; i < 16; i++ {
+		gen.ConjunctiveOnly = i%2 == 0
+		queries = append(queries, gen.Generate(rng))
+	}
+	queries = append(queries, "//a", "//a//a", "//a[b]//c", "//*[.='x']", "//a/@k", "//r/a/text()", "//p:a | //b")
+	for i, d := range saxtest.EdgeDocs() {
+		f.Add(queries[i%len(queries)], d.Doc)
+	}
+	for i, q := range queries {
+		f.Add(q, datagen.ChurnRandomTree.Generate(rand.New(rand.NewSource(int64(i)))))
+	}
+	f.Fuzz(func(t *testing.T, src, doc string) {
+		if len(src) > 256 || len(doc) > 1<<14 {
+			return
+		}
+		branches, err := xpath.ParseUnion(src)
+		if err != nil {
+			return
+		}
+		qs, err := vitex.NewQuerySet(src, "//*")
+		if err != nil {
+			return
+		}
+		d, err := dom.Build(xmlscan.NewScanner(strings.NewReader(doc)))
+		if err != nil {
+			return
+		}
+		got := make([][]string, 2)
+		_, err = qs.Stream(strings.NewReader(doc), vitex.Options{Ordered: true}, func(sr vitex.SetResult) error {
+			got[sr.QueryIndex] = append(got[sr.QueryIndex], sr.Value)
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("%q over a document the DOM parsed: %v", src, err)
+		}
+		for i, want := range [][]string{
+			oracleUnionResults(t, d, branches),
+			oracleUnionResults(t, d, []*xpath.Query{xpath.MustParse("//*")}),
+		} {
+			if !equal(got[i], want) {
+				t.Fatalf("query %d of {%q, //*} disagrees with the DOM\ndoc: %q\n got: %q\nwant: %q", i, src, doc, got[i], want)
+			}
+		}
+	})
+}

@@ -94,8 +94,12 @@ type channel struct {
 type subscription struct {
 	id    string
 	query string // guarded by ch.mu (Replace rewrites it)
-	ch    *channel
-	ring  *subRing
+	// replacedAt is the channel's last cursor when query was last replaced
+	// (0: never), guarded by ch.mu. Replay cannot re-evaluate documents up
+	// to it as they were (replay.go).
+	replacedAt int64
+	ch         *channel
+	ring       *subRing
 	// attached enforces the single-consumer contract of the ring.
 	attached atomic.Bool
 }
@@ -202,10 +206,11 @@ func recoverChannel(b *Broker, m *channelManifest) (*channel, error) {
 			return nil, err
 		}
 		sub := &subscription{
-			id:    ms.ID,
-			query: ms.Query,
-			ch:    c,
-			ring:  newSubRing(b.cfg.RingSize, b.cfg.Policy, &c.gaps),
+			id:         ms.ID,
+			query:      ms.Query,
+			replacedAt: ms.ReplacedAt,
+			ch:         c,
+			ring:       newSubRing(b.cfg.RingSize, b.cfg.Policy, &c.gaps),
 		}
 		c.subs = append(c.subs, sub)
 		c.byID[sub.id] = sub
@@ -224,7 +229,7 @@ func (c *channel) persistLocked() error {
 	}
 	m := &channelManifest{Name: c.name, NextSub: c.nextSub}
 	for _, sub := range c.subs {
-		m.Subscriptions = append(m.Subscriptions, manifestSub{ID: sub.id, Query: sub.query})
+		m.Subscriptions = append(m.Subscriptions, manifestSub{ID: sub.id, Query: sub.query, ReplacedAt: sub.replacedAt})
 	}
 	return saveManifest(c.dir, m)
 }
@@ -307,7 +312,9 @@ func (c *channel) unsubscribe(id string) error {
 }
 
 // replace swaps the subscription's query, keeping its id, ring and any
-// attached consumer. Only the new query is compiled.
+// attached consumer. Only the new query is compiled. The cursor it happens at
+// is recorded: a later resume gets a gap up to it instead of those documents
+// re-evaluated through the new query.
 func (c *channel) replace(id, query string) (*subscription, error) {
 	q, err := vitex.Compile(query)
 	if err != nil {
@@ -323,6 +330,7 @@ func (c *channel) replace(id, query string) (*subscription, error) {
 		return nil, err
 	}
 	sub.query = query
+	sub.replacedAt = c.nextDoc
 	if err := c.persistLocked(); err != nil {
 		return nil, err
 	}

@@ -3,6 +3,7 @@ package server_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -186,21 +187,7 @@ func TestResumeMidDocument(t *testing.T) {
 		t.Fatalf("token = %+v, want cursor 1 seen 1", token)
 	}
 
-	// The server releases the attach slot when it observes the severed
-	// connection — a moment after Close returns. Retry like a reconnecting
-	// client would.
-	var resumed *client.ResultStream
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if resumed, err = cl.Resume(ctx, token); err == nil {
-			break
-		}
-		var apiErr *client.APIError
-		if !errors.As(err, &apiErr) || apiErr.Status != 409 || time.Now().After(deadline) {
-			t.Fatal(err)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	resumed := resumeWhenReleased(t, cl, token)
 	defer resumed.Close()
 	rest, gaps := drainResults(t, resumed, 1)
 	if len(gaps) != 0 {
@@ -212,6 +199,94 @@ func TestResumeMidDocument(t *testing.T) {
 	}
 	if rest[0].Seq != 2 || rest[0].DocSeq != 1 {
 		t.Fatalf("resumed delivery = %+v, want doc 1 seq 2 (identical to live numbering)", rest[0])
+	}
+}
+
+// resumeWhenReleased resumes from token. The server releases the attach slot
+// when it observes the severed connection — a moment after Close returns — so
+// it retries like a reconnecting client would.
+func resumeWhenReleased(t *testing.T, cl *client.Client, token client.ResumeToken) *client.ResultStream {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		resumed, err := cl.Resume(context.Background(), token)
+		if err == nil {
+			return resumed
+		}
+		var apiErr *client.APIError
+		if !errors.As(err, &apiErr) || apiErr.Status != 409 || time.Now().After(deadline) {
+			t.Fatal(err)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestResumeAfterReplace: a subscriber severed before its own query is
+// replaced must not get the documents published before the replace back
+// through the new query — the uninterrupted stream saw them through the old
+// one. Replay cannot re-evaluate them as they were, so it says so with one
+// gap up to the replace cursor and replays only what the current query
+// evaluated, across a restart too.
+func TestResumeAfterReplace(t *testing.T) {
+	for _, restart := range []bool{false, true} {
+		t.Run(fmt.Sprintf("restart=%v", restart), func(t *testing.T) {
+			dir := t.TempDir()
+			cl, b := openDurable(t, dir, server.Config{})
+			ctx := context.Background()
+			sub, err := cl.Subscribe(ctx, "ticker", "//trade[symbol='ACME']/price")
+			if err != nil {
+				t.Fatal(err)
+			}
+			stream, err := cl.Results(ctx, "ticker", sub.ID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := cl.Publish(ctx, "ticker", strings.NewReader(httpFeed)); err != nil {
+				t.Fatal(err)
+			}
+			drainResults(t, stream, 2)
+			token := stream.Token()
+			stream.Close()
+
+			// Severed: document 2 is evaluated through the ACME query, then the
+			// subscription's own query is replaced.
+			if _, err := cl.Publish(ctx, "ticker", strings.NewReader(httpFeed)); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := cl.Replace(ctx, "ticker", sub.ID, "//trade[symbol='WIDG']/price"); err != nil {
+				t.Fatal(err)
+			}
+			if restart {
+				sctx, cancel := context.WithTimeout(ctx, 10*time.Second)
+				b.Shutdown(sctx)
+				cancel()
+				cl, _ = openDurable(t, dir, server.Config{})
+			}
+			if _, err := cl.Publish(ctx, "ticker", strings.NewReader(httpFeed)); err != nil {
+				t.Fatal(err)
+			}
+
+			resumed := resumeWhenReleased(t, cl, token)
+			defer resumed.Close()
+			d, err := resumed.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d.Type != server.DeliveryGap || d.Reason != server.GapReplaced || d.FromCursor != 1 || d.ToCursor != 2 {
+				t.Fatalf("first resumed delivery = %+v, want a replace gap over [1, 2]", d)
+			}
+			results, gaps := drainResults(t, resumed, 1)
+			if len(gaps) != 0 || results[0].DocSeq != 3 || results[0].Value != "<price>20</price>" {
+				t.Fatalf("after the gap: results %+v gaps %+v, want document 3's WIDG price", results, gaps)
+			}
+			// Nothing else of documents 1–2 follows: the next result is live.
+			if _, err := cl.Publish(ctx, "ticker", strings.NewReader(httpFeed)); err != nil {
+				t.Fatal(err)
+			}
+			if live, _ := drainResults(t, resumed, 1); live[0].DocSeq != 4 {
+				t.Fatalf("next delivery = %+v, want document 4", live[0])
+			}
+		})
 	}
 }
 

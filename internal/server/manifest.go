@@ -38,6 +38,8 @@ type channelManifest struct {
 type manifestSub struct {
 	ID    string `json:"id"`
 	Query string `json:"query"`
+	// ReplacedAt is the channel cursor at the query's last replacement.
+	ReplacedAt int64 `json:"replaced_at,omitempty"`
 }
 
 // chanDirName encodes a channel name as a filesystem-safe directory name:

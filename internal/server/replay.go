@@ -9,6 +9,9 @@
 // delivery — filtered to the one resuming subscription. Replayed deliveries
 // are therefore byte-identical (Value/Seq/NodeOffset, in order) to what an
 // uninterrupted consumer received, which the replay-equivalence test pins.
+// The one exception is a subscription whose own query was replaced: the
+// documents up to the replace cursor went through a query the set no longer
+// holds, so the resume gets one GapReplaced marker over them instead.
 //
 // The handoff to the live ring is race-free by construction: the plan
 // captures, under the channel lock, the QuerySet view AND the WAL tip (the
@@ -30,14 +33,16 @@ import (
 )
 
 // replayPlan pins one replay: the membership view and subscription index in
-// force when the consumer attached, the WAL tip it must read through, and
-// the oldest cursor still retained.
+// force when the consumer attached, the WAL tip it must read through, the
+// oldest cursor still retained and the cursor of the subscription's last
+// query replacement.
 type replayPlan struct {
-	view   vitex.QuerySetView
-	idx    int
-	tip    int64
-	oldest int64
-	wal    *walLog
+	view       vitex.QuerySetView
+	idx        int
+	tip        int64
+	oldest     int64
+	replacedAt int64
+	wal        *walLog
 }
 
 // replayPlan captures the replay boundary for sub under the channel lock.
@@ -52,11 +57,12 @@ func (c *channel) replayPlan(sub *subscription) (replayPlan, error) {
 		return replayPlan{}, ErrNoSubscription
 	}
 	return replayPlan{
-		view:   c.qs.View(),
-		idx:    idx,
-		tip:    c.nextDoc,
-		oldest: c.wal.oldest(),
-		wal:    c.wal,
+		view:       c.qs.View(),
+		idx:        idx,
+		tip:        c.nextDoc,
+		oldest:     c.wal.oldest(),
+		replacedAt: sub.replacedAt,
+		wal:        c.wal,
 	}, nil
 }
 
@@ -90,6 +96,23 @@ func (c *channel) replay(ctx context.Context, sub *subscription, plan replayPlan
 		}
 		c.gaps.Add(1)
 		start = plan.oldest
+		seen = 0
+	}
+	if start <= plan.replacedAt {
+		// The documents up to the replace went through the old query, which
+		// the view no longer holds: say which, then replay the rest.
+		end := min(plan.replacedAt, plan.tip)
+		if err := emit(Delivery{
+			Type:       DeliveryGap,
+			DocSeq:     end,
+			FromCursor: start,
+			ToCursor:   end,
+			Reason:     GapReplaced,
+		}); err != nil {
+			return nil, err
+		}
+		c.gaps.Add(1)
+		start = end + 1
 		seen = 0
 	}
 	if start > plan.tip {

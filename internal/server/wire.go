@@ -67,6 +67,10 @@ const (
 	// GapUnreadable marks a replay span lost to log corruption or a
 	// retention race: documents in [FromCursor, ToCursor] may be missing.
 	GapUnreadable = "wal unreadable"
+	// GapReplaced marks a replay span from before the subscription's query
+	// was last replaced: documents in [FromCursor, ToCursor] were evaluated
+	// through a query replay no longer has, so they are not replayed.
+	GapReplaced = "query replaced"
 )
 
 // Delivery is one NDJSON line of a subscription result stream.

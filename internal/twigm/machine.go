@@ -94,8 +94,13 @@ type Stats struct {
 	PrunedPushes       int64
 	PeakStackEntries   int // high-water mark of live entries across all stacks
 	PeakLiveCandidates int
-	PeakBufferedBytes  int // high-water mark of recorder memory
-	MaxDepth           int
+	// PeakBufferedBytes is the high-water mark of the bytes this machine's
+	// own open fragments spanned: from the start of its first open
+	// fragment to the last event serialized while one was open. The
+	// recorder is shared with every machine its driver evaluates, so the
+	// bytes it holds are at most the largest of these, not their sum.
+	PeakBufferedBytes int
+	MaxDepth          int
 }
 
 // candState tracks a candidate's lifecycle.
@@ -115,11 +120,15 @@ const (
 // Candidates are allocated from the Run's block arena and reclaimed
 // wholesale by Reset — by end of document every candidate has resolved.
 type candidate struct {
-	seq         int64
-	offset      int64 // document-order node identity (Result.NodeOffset)
-	refs        int
-	state       candState
-	open        bool // element still being recorded (a recorder.active slot exists)
+	seq    int64
+	offset int64 // document-order node identity (Result.NodeOffset)
+	refs   int
+	state  candState
+	open   bool // element still being recorded (a Run.active slot exists)
+	// spanned: the element's fragment is complete as the recorder's
+	// buf[start:end] and not yet made into value (Recorder.fragment).
+	spanned     bool
+	start, end  int
 	value       string
 	confirmedAt int64
 }
@@ -163,7 +172,14 @@ type Run struct {
 	blockIdx   int
 	blockUsed  int
 
-	rec     recorder
+	// rec is the recorder this run's fragments are spans of: its driver's
+	// (BindRecorder), or its own, made when HandleBatch first drives it.
+	// active lists the open element fragments, and base is where the first
+	// of them began.
+	rec     *Recorder
+	own     *Recorder
+	active  []recording
+	base    int
 	ordered orderedBuf
 	trace   *tracer
 	done    bool
@@ -185,8 +201,9 @@ func (p *Program) Start(opts Options) *Run {
 
 // Reset prepares the Run for another stream with fresh options, keeping
 // every warmed-up allocation: stack backing arrays, per-entry candidate and
-// string-value buffers, the candidate arena, the recorder buffer and the
-// ordered-delivery window.
+// string-value buffers, the candidate arena, its own recorder's buffer and the
+// ordered-delivery window. The run records into its own recorder, if it has
+// one, until a driver binds another (BindRecorder).
 func (r *Run) Reset(opts Options) {
 	for i := range r.stacks {
 		r.stacks[i] = r.stacks[i][:0]
@@ -198,7 +215,12 @@ func (r *Run) Reset(opts Options) {
 	r.liveCands = 0
 	r.blockIdx = 0
 	r.blockUsed = 0
-	r.rec.reset()
+	if r.own != nil {
+		r.own.Reset()
+	}
+	r.rec = r.own
+	r.active = r.active[:0]
+	r.base = 0
 	r.ordered.reset()
 	r.done = false
 	r.failed = nil
@@ -207,7 +229,6 @@ func (r *Run) Reset(opts Options) {
 
 func (r *Run) applyOptions(opts Options) {
 	r.opts = opts
-	r.rec.countOnly = opts.CountOnly
 	r.trace = nil
 	if opts.Trace != nil {
 		r.trace = &tracer{w: opts.Trace}
@@ -227,13 +248,33 @@ func (r *Run) Detach() {
 func (r *Run) Count() int64 { return r.count }
 
 // Stats returns a snapshot of the run's counters.
-func (r *Run) Stats() Stats { return r.stats }
+func (r *Run) Stats() Stats {
+	st := r.stats
+	if len(r.active) > 0 {
+		r.notePeak(&st)
+	}
+	return st
+}
+
+// BindRecorder points the run at the recorder its driver serializes the
+// document into, shared with every other run the driver delivers to. A
+// driver that calls HandleRouted must bind one. Reset points the run back at
+// its own.
+func (r *Run) BindRecorder(rc *Recorder) { r.rec = rc }
+
+// recordAlone gives a run driven directly a recorder of its own. Runs the
+// engine drives record into their router's and never need one.
+func (r *Run) recordAlone() {
+	r.own = new(Recorder)
+	r.rec = r.own
+}
 
 // ---- routing hooks (consumed by internal/engine) ----
 
 // HandleRouted is the entry point of routed dispatch (serial and sharded),
-// which skips events a machine is not subscribed to: it delivers ev with the
-// run's event clock pinned to the shared scan's 1-based index for this
+// which skips events a machine is not subscribed to and itself drives the
+// recorder it bound the run to (BindRecorder): it delivers ev with the run's
+// event clock pinned to the shared scan's 1-based index for this
 // event, so ConfirmedAt/DeliveredAt — and the DeliveredAt stamped on results
 // flushed by the ordered re-sequencer during this delivery — are identical
 // to a run that saw every event.
@@ -245,26 +286,18 @@ func (r *Run) HandleRouted(ev *sax.Event, eventIndex int64) error {
 }
 
 // LiveEntries reports the number of open stack entries. A machine with none
-// (and no active recording) has nothing to pop, so end-element events need
-// not be routed to it.
+// has nothing to pop, so end-element events need not be routed to it; an open
+// fragment always has the live entry of its element beneath it.
 func (r *Run) LiveEntries() int { return r.liveEntries }
 
-// Recording reports whether a result fragment is being serialized, in which
-// case the machine must see every event regardless of name subscriptions —
-// fragments contain arbitrary descendant markup.
-func (r *Run) Recording() bool { return len(r.rec.active) > 0 }
-
 // WantsText reports whether the next text event could matter to this
-// machine: a fragment is recording, a string-value accumulator is open, or
-// a text() node's parent (or the document root, for absolute text queries)
-// has a live entry. It only changes state inside a delivery, so a router may
-// cache it between deliveries.
+// machine: a string-value accumulator is open, or a text() node's parent (or
+// the document root, for absolute text queries) has a live entry. Fragment
+// text is the recorder's, not the machine's. It only changes state inside a
+// delivery, so a router may cache it between deliveries.
 //
 //vitex:hotpath
 func (r *Run) WantsText() bool {
-	if len(r.rec.active) > 0 {
-		return true
-	}
 	for _, m := range r.prog.valueNodes {
 		if len(r.stacks[m.id]) > 0 {
 			return true
@@ -282,14 +315,21 @@ func (r *Run) WantsText() bool {
 }
 
 // HandleBatch implements sax.Handler: a Run driven directly by a front-end
-// (no engine in between) sees every event and counts them itself.
+// (no engine in between) sees every event, counts them itself and drives its
+// recorder exactly as the engine's router drives a shared one.
 //
 //vitex:hotpath
 func (r *Run) HandleBatch(evs []sax.Event) error {
+	if r.rec == nil {
+		r.recordAlone()
+	}
 	for i := range evs {
-		if err := r.handle(&evs[i]); err != nil {
+		ev := &evs[i]
+		r.rec.Before(ev)
+		if err := r.handle(ev); err != nil {
 			return err
 		}
+		r.rec.After(ev)
 	}
 	return nil
 }
@@ -432,8 +472,6 @@ func (r *Run) startElement(ev *sax.Event) {
 	for _, m := range r.prog.wildElems {
 		r.checkTop(m, ev.Depth)
 	}
-	// Phase 4: recording.
-	r.rec.startElement(r, ev)
 }
 
 // tryPush pushes an entry for element machine node m if the event satisfies
@@ -504,7 +542,7 @@ func (r *Run) tryPush(m *node, ev *sax.Event) {
 		// candidate solution, parked on its own entry until this
 		// node's predicates resolve.
 		c := r.newCandidate(ev.Offset)
-		r.rec.register(r, c, d)
+		r.record(c, d)
 		top := &r.stacks[m.id][len(r.stacks[m.id])-1]
 		top.cands = append(top.cands, c)
 		c.refs++
@@ -628,7 +666,6 @@ func (r *Run) attrEvent(m *node, value string, attrIdx int, ev *sax.Event) {
 //
 //vitex:hotpath
 func (r *Run) text(ev *sax.Event) {
-	r.rec.text(r, ev)
 	for _, m := range r.prog.valueNodes {
 		s := r.stacks[m.id]
 		for i := range s {
@@ -681,9 +718,11 @@ func (r *Run) text(ev *sax.Event) {
 
 //vitex:hotpath
 func (r *Run) endElement(ev *sax.Event) {
-	// Recording first: fragments of candidates rooted at this element
-	// must be complete before pop-time satisfaction can deliver them.
-	r.rec.endElement(r, ev)
+	// Fragments first: candidates rooted at this element must be complete
+	// before pop-time satisfaction can deliver them.
+	if len(r.active) > 0 {
+		r.closeFragments(ev.Depth)
+	}
 	d := ev.Depth
 	// Process children before parents (reverse topological id order) so
 	// pop-time satisfactions propagate to parent entries that pop in
@@ -952,34 +991,37 @@ func (r *Run) resolveIfDead(c *candidate) {
 		r.trace.drop(c)
 	}
 	r.liveCands--
-	r.rec.drop(c)
+	r.dropFragment(c)
 	if r.opts.Ordered {
 		r.ordered.resolve(r, c.seq, nil)
 	}
 }
 
-// deliver hands a confirmed, fully recorded candidate to the output.
+// deliver hands a confirmed, fully recorded candidate to the output, or to
+// the re-sequencer, which emits it once every earlier candidate resolved.
 //
 //vitex:hotpath
 func (r *Run) deliver(c *candidate) {
-	res := Result{
-		Seq:         c.seq,
-		NodeOffset:  c.offset,
-		Value:       c.value,
-		ConfirmedAt: c.confirmedAt,
-		DeliveredAt: r.stats.Events,
-	}
 	r.liveCands--
 	r.stats.CandidatesEmitted++
 	if r.opts.Ordered {
-		r.ordered.resolve(r, c.seq, &res)
+		r.ordered.resolve(r, c.seq, c)
 		return
 	}
-	r.emit(res)
+	r.emit(c)
 }
 
+// emit delivers a candidate's result, its value made a string now.
+//
 //vitex:hotpath
-func (r *Run) emit(res Result) {
+func (r *Run) emit(c *candidate) {
+	res := Result{
+		Seq:         c.seq,
+		NodeOffset:  c.offset,
+		Value:       r.rec.fragment(c),
+		ConfirmedAt: c.confirmedAt,
+		DeliveredAt: r.stats.Events,
+	}
 	r.count++
 	if r.trace.on() {
 		r.trace.emit(&res)

@@ -2,17 +2,18 @@ package twigm
 
 import "fmt"
 
-// orderedSlot is one window position of the re-sequencer.
+// orderedSlot is one window position of the re-sequencer: a resolved seq
+// emits its candidate, or nothing when it was dropped.
 type orderedSlot struct {
-	res      Result
+	cand     *candidate
 	resolved bool
-	emit     bool
 }
 
 // orderedBuf re-sequences deliveries into document order. Candidates are
 // created in document order of their result nodes (seq); each seq resolves
 // exactly once — either with a Result (emitted) or dropped — and the buffer
-// releases the longest resolved prefix. This implements the Ordered option:
+// releases the longest resolved prefix, making each released result's
+// fragment a string only then. This implements the Ordered option:
 // it trades result latency (a solution waits for every earlier-created
 // candidate to resolve) for strict document order, which is what the DOM
 // oracle produces and what the equivalence tests compare.
@@ -62,14 +63,11 @@ func (o *orderedBuf) grow(need int) {
 	o.head = 0
 }
 
-// resolve records the fate of seq and flushes the released prefix.
-func (o *orderedBuf) resolve(r *Run, seq int64, res *Result) {
+// resolve records the fate of seq — delivered as c, or dropped when c is
+// nil — and flushes the released prefix.
+func (o *orderedBuf) resolve(r *Run, seq int64, c *candidate) {
 	i := (o.head + int(seq-o.next)) % len(o.slots)
-	o.slots[i].resolved = true
-	if res != nil {
-		o.slots[i].res = *res
-		o.slots[i].emit = true
-	}
+	o.slots[i] = orderedSlot{cand: c, resolved: true}
 	for o.next < o.expected {
 		s := &o.slots[o.head]
 		if !s.resolved {
@@ -79,9 +77,8 @@ func (o *orderedBuf) resolve(r *Run, seq int64, res *Result) {
 		*s = orderedSlot{}
 		o.head = (o.head + 1) % len(o.slots)
 		o.next++
-		if out.emit {
-			out.res.DeliveredAt = r.stats.Events
-			r.emit(out.res)
+		if out.cand != nil {
+			r.emit(out.cand)
 		}
 	}
 }

@@ -5,168 +5,279 @@ import (
 	"repro/internal/xmlout"
 )
 
-// recording tracks one element candidate's fragment while the element is
-// open. All simultaneously-open recordings are nested (they are
-// ancestor-or-self of the parse point), so they share a single append-only
-// byte buffer: a recording's fragment is the buffer suffix from its start
-// offset. The buffer resets whenever no recording is active, bounding
-// memory by the largest overlapping fragment span — this is what keeps the
-// paper's "stable at 1MB" memory claim reachable (E2).
-type recording struct {
-	cand       *candidate
-	startLevel int
-	start      int // offset into recorder.buf
-}
-
-// recorder serializes the event stream into the shared buffer and manages
-// candidate fragment lifecycles. Serialization follows the canonical rules
-// of package xmlout exactly, so TwigM fragments compare byte-for-byte with
-// the DOM oracle's. Embedded in the pooled Run, so reset must restore every
-// per-stream field.
+// Recorder serializes one document's events, once, into one append-only
+// buffer for every fragment-recording run its driver delivers to. It belongs
+// to whoever drives the events: the engine's router (one per serial session,
+// one per parallel worker) or a Run driven on its own. While any run holds an
+// open element fragment, the driver serializes each event once — text and
+// end tags before it delivers them (Before), start tags after (After) — and a
+// candidate keeps only the (start, end) offsets of its fragment.
+//
+// A fragment becomes a string only when its candidate is delivered; a
+// candidate dropped first is never copied. A span inside the string most
+// recently copied out of the buffer becomes a substring of it, so in document
+// order a nested result shares its enclosing result's bytes. The buffer
+// resets only between events, once no fragment is open, after every closed
+// span still unresolved has been made into a string. Memory is therefore
+// bounded by the largest overlapping fragment span however many runs record
+// it — what keeps the paper's "stable at 1MB" memory claim reachable (E2).
+//
+// Serialization follows the canonical rules of package xmlout exactly, so
+// TwigM fragments compare byte-for-byte with the DOM oracle's.
 //
 //vitex:pooled
-type recorder struct {
-	countOnly bool //vitex:keep set per stream by Run.applyOptions before events flow
-	active    []recording
-	buf       []byte
+type Recorder struct {
+	buf []byte
 	// pendingTag: the last open tag's '>' is deferred so empty elements
 	// self-close (<x/>), matching the canonical serialization.
 	pendingTag   bool
 	pendingLevel int
+	// open counts the element fragments open across every run recording here.
+	open int
+	// noted is len(buf) after the last serialized event, and peak its
+	// high-water mark this document.
+	noted int
+	peak  int
+	// last is the most recent span copied out of buf, starting at lastAt.
+	last   string
+	lastAt int
+	// spans lists candidates whose closed span may not be a string yet, of
+	// any run recording here; rewind makes them strings.
+	spans []*candidate
 }
 
-// reset clears per-stream state, retaining the shared buffer's capacity.
-func (rc *recorder) reset() {
-	rc.active = rc.active[:0]
+// Reset starts a new document, retaining the buffer's capacity.
+func (rc *Recorder) Reset() {
 	rc.buf = rc.buf[:0]
 	rc.pendingTag = false
 	rc.pendingLevel = 0
+	rc.open = 0
+	rc.noted = 0
+	rc.peak = 0
+	rc.last, rc.lastAt = "", 0
+	rc.spans = rc.spans[:0]
 }
 
-// register starts recording a fragment for an element output candidate;
-// its start-element event has not been serialized yet. In CountOnly mode
-// the candidate is left closed (no buffering) and delivers on confirmation.
+// Peak reports the high-water mark of the buffer over the current document,
+// measured at event boundaries.
+func (rc *Recorder) Peak() int { return rc.peak }
+
+// Before serializes what ev contributes ahead of its delivery: a text run or
+// an end tag, while a fragment is open.
 //
 //vitex:hotpath
-func (rc *recorder) register(r *Run, c *candidate, level int) {
-	if rc.countOnly {
-		return
+func (rc *Recorder) Before(ev *sax.Event) {
+	if rc.open > 0 && ev.Kind != sax.StartElement {
+		rc.serialize(ev)
 	}
-	// A pending parent open-tag must close before this fragment begins,
-	// or its '>' would land inside the new fragment.
-	rc.flushPending()
-	c.open = true
-	rc.active = append(rc.active, recording{cand: c, startLevel: level, start: len(rc.buf)})
 }
 
-// drop stops recording a discarded candidate. The shared buffer cannot be
-// trimmed until all recordings finish; only the active slot is released
-// (swap-remove — no scan of active ever depends on its order).
+// After serializes a start tag once its delivery has registered the fragments
+// it begins, and resets the buffer once no fragment is open.
 //
 //vitex:hotpath
-func (rc *recorder) drop(c *candidate) {
-	if !c.open {
-		return
+func (rc *Recorder) After(ev *sax.Event) {
+	if rc.open > 0 || len(rc.buf) > 0 {
+		rc.after(ev)
 	}
-	for i := range rc.active {
-		if rc.active[i].cand == c {
-			last := len(rc.active) - 1
-			rc.active[i] = rc.active[last]
-			rc.active = rc.active[:last]
-			break
+}
+
+// after is After's work, outlined so the idle check inlines into the driver.
+//
+//vitex:hotpath
+func (rc *Recorder) after(ev *sax.Event) {
+	if rc.open == 0 {
+		rc.rewind()
+	} else if ev.Kind == sax.StartElement {
+		rc.serialize(ev)
+	}
+}
+
+// serialize appends ev to the buffer.
+//
+//vitex:hotpath
+func (rc *Recorder) serialize(ev *sax.Event) {
+	switch ev.Kind {
+	case sax.StartElement:
+		rc.flushPending()
+		rc.buf = append(rc.buf, '<')
+		rc.buf = append(rc.buf, ev.Name...)
+		for _, a := range ev.Attrs {
+			rc.buf = append(rc.buf, ' ')
+			rc.buf = append(rc.buf, a.Name...)
+			rc.buf = append(rc.buf, '=', '"')
+			rc.buf = xmlout.AppendAttr(rc.buf, a.Value)
+			rc.buf = append(rc.buf, '"')
 		}
+		rc.pendingTag = true
+		rc.pendingLevel = ev.Depth
+	case sax.Text:
+		rc.flushPending()
+		rc.buf = xmlout.AppendText(rc.buf, ev.Text)
+	case sax.EndElement:
+		if rc.pendingTag && rc.pendingLevel == ev.Depth {
+			rc.buf = append(rc.buf, '/', '>')
+			rc.pendingTag = false
+		} else {
+			rc.flushPending()
+			rc.buf = append(rc.buf, '<', '/')
+			rc.buf = append(rc.buf, ev.Name...)
+			rc.buf = append(rc.buf, '>')
+		}
+	default:
+		return
 	}
-	c.open = false
-	rc.maybeReset()
+	rc.noted = len(rc.buf)
+	if rc.noted > rc.peak {
+		rc.peak = rc.noted
+	}
 }
 
 //vitex:hotpath
-func (rc *recorder) maybeReset() {
-	if len(rc.active) == 0 {
-		rc.buf = rc.buf[:0]
-		rc.pendingTag = false
-	}
-}
-
-//vitex:hotpath
-func (rc *recorder) flushPending() {
+func (rc *Recorder) flushPending() {
 	if rc.pendingTag {
 		rc.buf = append(rc.buf, '>')
 		rc.pendingTag = false
 	}
 }
 
+// begin opens a fragment whose start tag has not been serialized yet and
+// returns its start offset. A pending parent open tag closes first, or its
+// '>' would land inside the new fragment.
+//
 //vitex:hotpath
-func (rc *recorder) startElement(r *Run, ev *sax.Event) {
-	if len(rc.active) == 0 {
-		return
-	}
+func (rc *Recorder) begin() int {
 	rc.flushPending()
-	rc.buf = append(rc.buf, '<')
-	rc.buf = append(rc.buf, ev.Name...)
-	for _, a := range ev.Attrs {
-		rc.buf = append(rc.buf, ' ')
-		rc.buf = append(rc.buf, a.Name...)
-		rc.buf = append(rc.buf, '=', '"')
-		rc.buf = xmlout.AppendAttr(rc.buf, a.Value)
-		rc.buf = append(rc.buf, '"')
-	}
-	rc.pendingTag = true
-	rc.pendingLevel = ev.Depth
-	rc.note(r)
+	rc.open++
+	return len(rc.buf)
 }
 
+// keep parks a closed span that is not a string yet until its candidate
+// resolves or the buffer resets.
+//
 //vitex:hotpath
-func (rc *recorder) text(r *Run, ev *sax.Event) {
-	if len(rc.active) == 0 {
-		return
-	}
-	rc.flushPending()
-	rc.buf = xmlout.AppendText(rc.buf, ev.Text)
-	rc.note(r)
+func (rc *Recorder) keep(c *candidate) {
+	rc.spans = append(rc.spans, c)
 }
 
-// endElement closes the element in the serialization and finalizes
-// recordings rooted at this level: their fragment is complete, so confirmed
-// candidates deliver now.
-func (rc *recorder) endElement(r *Run, ev *sax.Event) {
-	if len(rc.active) == 0 {
-		return
+// fragment returns the candidate's value, making its closed span a string
+// first: a substring of the span last copied out when it lies inside it, a
+// copy otherwise.
+func (rc *Recorder) fragment(c *candidate) string {
+	if !c.spanned {
+		return c.value
 	}
-	if rc.pendingTag && rc.pendingLevel == ev.Depth {
-		rc.buf = append(rc.buf, '/', '>')
-		rc.pendingTag = false
+	c.spanned = false
+	if rc.last != "" && c.start >= rc.lastAt && c.end <= rc.lastAt+len(rc.last) {
+		c.value = rc.last[c.start-rc.lastAt : c.end-rc.lastAt]
 	} else {
-		rc.flushPending()
-		rc.buf = append(rc.buf, '<', '/')
-		rc.buf = append(rc.buf, ev.Name...)
-		rc.buf = append(rc.buf, '>')
+		rc.last, rc.lastAt = string(rc.buf[c.start:c.end]), c.start
+		c.value = rc.last
 	}
-	rc.note(r)
-	// Finalize recordings rooted here (there is at most one: a single
-	// output node yields one candidate per element). Swap-remove: active's
-	// order is never significant.
-	for i := len(rc.active) - 1; i >= 0; i-- {
-		rec := &rc.active[i]
-		if rec.startLevel != ev.Depth {
+	return c.value
+}
+
+// rewind makes every closed span still unresolved into a string — a pending
+// candidate's, or one the ordered re-sequencer has not released — then
+// empties the buffer for the next fragment.
+func (rc *Recorder) rewind() {
+	for _, c := range rc.spans {
+		rc.fragment(c)
+	}
+	rc.spans = rc.spans[:0]
+	rc.buf = rc.buf[:0]
+	rc.pendingTag = false
+	rc.noted = 0
+	rc.last, rc.lastAt = "", 0
+}
+
+// recording is one of a run's open element fragments: its candidate and the
+// depth of the element whose end tag completes it.
+type recording struct {
+	cand  *candidate
+	level int
+}
+
+// record starts recording an element candidate's fragment; its start tag is
+// serialized after this delivery. In CountOnly mode the candidate is left
+// closed (no buffering) and delivers on confirmation.
+//
+//vitex:hotpath
+func (r *Run) record(c *candidate, level int) {
+	if r.opts.CountOnly {
+		return
+	}
+	c.start = r.rec.begin()
+	c.open = true
+	if len(r.active) == 0 {
+		r.base = c.start
+	}
+	r.active = append(r.active, recording{cand: c, level: level})
+}
+
+// closeFragments completes the fragments rooted at this end tag, which the
+// driver serialized before the delivery: confirmed candidates deliver now,
+// pending ones keep their span until they resolve or the buffer resets.
+//
+//vitex:hotpath
+func (r *Run) closeFragments(depth int) {
+	// There is at most one: a single output node yields one candidate per
+	// element. Swap-remove: active's order is never significant.
+	for i := len(r.active) - 1; i >= 0; i-- {
+		if r.active[i].level != depth {
 			continue
 		}
-		c := rec.cand
-		c.value = string(rc.buf[rec.start:])
-		c.open = false
-		last := len(rc.active) - 1
-		rc.active[i] = rc.active[last]
-		rc.active = rc.active[:last]
+		c := r.active[i].cand
+		r.unrecord(i)
+		c.end = r.rec.noted
+		c.spanned = true
 		if c.state == candConfirmed {
 			r.deliver(c)
 		}
+		if c.spanned {
+			r.rec.keep(c)
+		}
 	}
-	rc.maybeReset()
 }
 
+// dropFragment stops recording a discarded candidate; it is never copied.
+//
 //vitex:hotpath
-func (rc *recorder) note(r *Run) {
-	if len(rc.buf) > r.stats.PeakBufferedBytes {
-		r.stats.PeakBufferedBytes = len(rc.buf)
+func (r *Run) dropFragment(c *candidate) {
+	c.spanned = false
+	if !c.open {
+		return
+	}
+	for i := range r.active {
+		if r.active[i].cand == c {
+			r.unrecord(i)
+			return
+		}
+	}
+}
+
+// unrecord closes active fragment i. The run's private-buffer equivalent —
+// the bytes from the start of its first open span — ends with its last open
+// fragment, which is when PeakBufferedBytes takes its measure.
+//
+//vitex:hotpath
+func (r *Run) unrecord(i int) {
+	r.active[i].cand.open = false
+	last := len(r.active) - 1
+	r.active[i] = r.active[last]
+	r.active = r.active[:last]
+	r.rec.open--
+	if len(r.active) == 0 {
+		r.notePeak(&r.stats)
+	}
+}
+
+// notePeak folds the bytes spanned since the run's first open fragment began
+// into st.PeakBufferedBytes.
+//
+//vitex:hotpath
+func (r *Run) notePeak(st *Stats) {
+	if n := r.rec.noted - r.base; n > st.PeakBufferedBytes {
+		st.PeakBufferedBytes = n
 	}
 }

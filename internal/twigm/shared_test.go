@@ -96,9 +96,10 @@ func TestTrieGraftPrune(t *testing.T) {
 // routed session would: the event clock pinned per event via HandleRouted,
 // text events delivered only while the machine wants them (the engine's
 // WantsText gate — part of the observable Seq trajectory, because delivered
-// text can create candidates that drop), and — for anchored programs — a
-// Trie + PrefixRun evaluated around the machine, the twigm-level harness
-// for what the engine does per session.
+// text can create candidates that drop), a Recorder of the harness's own
+// driven around every event, and — for anchored programs — a Trie +
+// PrefixRun evaluated around the machine, the twigm-level harness for what
+// the engine does per session.
 func runEngineStyle(t *testing.T, p *Program, syms *sax.Symbols, doc string, opts Options) []Result {
 	t.Helper()
 	var pr PrefixRun
@@ -114,6 +115,8 @@ func runEngineStyle(t *testing.T, p *Program, syms *sax.Symbols, doc string, opt
 		return nil
 	}
 	run := p.Start(opts)
+	var rec Recorder
+	run.BindRecorder(&rec)
 	if anchor >= 0 {
 		run.BindAnchor(pr.Stack(anchor))
 	}
@@ -124,14 +127,17 @@ func runEngineStyle(t *testing.T, p *Program, syms *sax.Symbols, doc string, opt
 		if ev.Kind == sax.StartElement {
 			pr.StartElement(ev)
 		}
-		var herr error
+		rec.Before(ev)
 		if ev.Kind != sax.Text || run.WantsText() {
-			herr = run.HandleRouted(ev, idx)
+			if err := run.HandleRouted(ev, idx); err != nil {
+				return err
+			}
 		}
+		rec.After(ev)
 		if ev.Kind == sax.EndElement {
 			pr.EndElement(ev.Depth)
 		}
-		return herr
+		return nil
 	}))
 	if err != nil {
 		t.Fatalf("run: %v", err)

@@ -24,8 +24,10 @@
 // All machines of a Query (or QuerySet) are compiled against one shared
 // symbol table; the scanner stamps each event with its name's integer ID,
 // and the engine routes the event only to the machines whose element or
-// attribute tests mention that name (wildcard, text and fragment-recording
-// subscriptions are tracked separately). The compilation unit is the query
+// attribute tests mention that name (wildcard, end-tag and text
+// subscriptions are tracked separately, and result fragments are spans of one
+// serialization of the document, not a reason to see more events). The
+// compilation unit is the query
 // SET: the purely structural leading steps of every query are factored into
 // one shared axis-step trie, evaluated once per event, with each query
 // reduced to a residual machine anchored at its trie node — overlapping
@@ -84,7 +86,13 @@ type Result struct {
 	NodeOffset int64
 	// Value is the canonical serialization: the XML fragment for element
 	// results, the raw value for attribute and text() results. Empty
-	// when Options.CountOnly is set.
+	// when Options.CountOnly is set. It is an immutable string, valid for
+	// ever. An element result's fragment is copied out of the engine's
+	// recording of the document only when the result is delivered, and a
+	// result whose fragment lies inside the one copied just before it (a
+	// nested result in document order) is a substring of that copy: two
+	// Values share bytes only that way, so keeping a small nested Value
+	// keeps its enclosing copy alive.
 	Value string
 	// ConfirmedAt and DeliveredAt are SAX-event indices recording when
 	// the solution was proven and when it was handed to the callback —
