@@ -64,6 +64,14 @@ import (
 	"repro/internal/server"
 )
 
+// Connection deadlines. A client has headerTimeout to send a request's
+// headers, so a connection that trickles them (a slow-loris) is closed, and a
+// keep-alive connection idle for idleTimeout is closed. There is deliberately
+// no read or write timeout: a result stream is one response that lasts as
+// long as its subscriber stays, and a publish body takes as long as its
+// publisher does.
+var headerTimeout, idleTimeout = 10 * time.Second, 2 * time.Minute
+
 func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -139,7 +147,7 @@ func run(ctx context.Context, args []string, stdout io.Writer, ready chan<- stri
 	if err != nil {
 		return err
 	}
-	srv := &http.Server{Handler: server.Handler(b)}
+	srv := &http.Server{Handler: server.Handler(b), ReadHeaderTimeout: headerTimeout, IdleTimeout: idleTimeout}
 	durability := "memory-only"
 	if *dataDir != "" {
 		durability = "data=" + *dataDir

@@ -41,6 +41,9 @@
 // every machine, and per-event cost grows sublinearly in the set size. See
 // the package comment of internal/twigm's shared.go for the exact-equivalence
 // argument, and epoch.go for how grafting/pruning composes with churn.
+// Residuals that are one [. = 'literal'] step go one further: those of one
+// shape form a value group evaluated once for all of them, and an element
+// reaches only the members its value selects (value.go).
 //
 // Evaluation state (machines, scanner, routing sets) lives in pooled
 // sessions: a long-lived Engine serving a stream of documents reuses all of
@@ -118,9 +121,9 @@ func (e *Engine) EvalHistogram() obs.Snapshot { return e.evalHist.Snapshot() }
 type Config struct {
 	// DisablePrefixSharing compiles every query into a full standalone
 	// machine instead of factoring common location-path prefixes into the
-	// shared trie. Sharing is semantically invisible (results are
-	// byte-identical either way); disabling it exists for ablation
-	// benchmarks and differential tests.
+	// shared trie, and so forms no value groups either (value.go). Sharing
+	// is semantically invisible (results are byte-identical either way);
+	// disabling it exists for ablation benchmarks and differential tests.
 	DisablePrefixSharing bool
 }
 
@@ -138,24 +141,20 @@ func New(queries ...*xpath.Query) (*Engine, error) {
 func NewConfigured(cfg Config, queries ...*xpath.Query) (*Engine, error) {
 	e := &Engine{syms: sax.NewSymbols(), share: !cfg.DisablePrefixSharing}
 	ep := &epoch{seq: 1, progs: make([]*twigm.Program, 0, len(queries))}
-	if e.share {
-		ep.trie = twigm.NewTrie()
-	}
 	for _, q := range queries {
 		p, err := e.compileLocked(q)
 		if err != nil {
 			return nil, err
 		}
 		ep.progs = append(ep.progs, p)
-		ep.anchors = append(ep.anchors, -1)
-		e.graftLocked(ep, int32(len(ep.progs)-1), p)
 		e.compiles.Add(1)
 	}
-	ep.elemSubs = make([][]int32, e.syms.Len()+1)
-	ep.attrSubs = make([][]int32, e.syms.Len()+1)
-	for i, p := range ep.progs {
-		ep.subscribe(int32(i), p)
+	if e.share {
+		e.trieGrafts.Add(int64(e.buildTrieLocked(ep)))
+	} else {
+		ep.anchors = slices.Repeat([]int32{-1}, len(ep.progs))
 	}
+	ep.subscribeAll(e.syms.Len())
 	ep.reindex()
 	e.cur.Store(ep)
 	return e, nil
@@ -243,6 +242,24 @@ func (e *Engine) Stream(ctx context.Context, r io.Reader, plan Plan) (twigm.Stat
 // non-blocking channel poll and is skipped entirely for contexts that cannot
 // be canceled (context.Background/TODO), so the hot path is unchanged.
 func (s Snapshot) Stream(ctx context.Context, r io.Reader, plan Plan) (twigm.Stats, error) {
+	return s.streamVia(ctx, r, plan, nil)
+}
+
+// StreamVia is Stream (workers 0 or 1) or StreamParallel (any other count)
+// with the scanner's events passed through wrap on their way to the engine:
+// wrap receives the pooled session's scanner, already reading r, and returns
+// the front-end the evaluation runs. Differential tests wrap it in
+// saxtest.PoisonDriver, which destroys each batch's transient strings the
+// moment the engine has handled it.
+func (s Snapshot) StreamVia(ctx context.Context, r io.Reader, plan Plan, workers int, wrap func(sax.Driver) sax.Driver) (twigm.Stats, error) {
+	if workers == 0 || workers == 1 {
+		return s.streamVia(ctx, r, plan, wrap)
+	}
+	return s.streamParallel(ctx, r, plan, workers, wrap)
+}
+
+// streamVia is Stream with an optional front-end wrapper (StreamVia).
+func (s Snapshot) streamVia(ctx context.Context, r io.Reader, plan Plan, wrap func(sax.Driver) sax.Driver) (twigm.Stats, error) {
 	e := s.eng
 	ses, _ := e.pool.Get().(*session)
 	if ses == nil {
@@ -250,7 +267,16 @@ func (s Snapshot) Stream(ctx context.Context, r io.Reader, plan Plan) (twigm.Sta
 	}
 	defer e.pool.Put(ses)
 	ses.scan.Reset(r)
-	return ses.stream(ctx, e, s.ep, ses.scan, plan)
+	return ses.stream(ctx, e, s.ep, frontEnd(ses.scan, wrap), plan)
+}
+
+// frontEnd returns the driver an evaluation runs: the scanner, or what wrap
+// makes of it.
+func frontEnd(scan *xmlscan.Scanner, wrap func(sax.Driver) sax.Driver) sax.Driver {
+	if wrap == nil {
+		return scan
+	}
+	return wrap(scan)
 }
 
 // stream evaluates ep's machines over one run of drv on this session. Stream
@@ -321,7 +347,7 @@ func (s *session) sync(ep *epoch) {
 	}
 	runs := rekeyRuns(s.ep, s.rt.runs, ep)
 	s.ep = ep
-	s.rt.init(runs, ep.elemSubs, ep.attrSubs, ep.wild, ep.rootText, ep.live, ep.trie, nil)
+	s.rt.init(runs, ep.routes, ep.trie, nil)
 }
 
 // rekeyRuns rebuilds a session's slot-indexed run slice for a new epoch,
@@ -329,7 +355,8 @@ func (s *session) sync(ep *epoch) {
 // mutation — including machines moved to new slots by compaction — keep
 // their warmed-up run state; only added or replaced machines start fresh
 // runs. Shared by the serial and parallel session resyncs so the reuse
-// semantics cannot drift between the two evaluation modes.
+// semantics cannot drift between the two evaluation modes. A grouped machine
+// gets no run: its value group evaluates it.
 func rekeyRuns(old *epoch, oldRuns []*twigm.Run, ep *epoch) []*twigm.Run {
 	var byProg map[*twigm.Program]*twigm.Run
 	if old != nil {
@@ -342,7 +369,7 @@ func rekeyRuns(old *epoch, oldRuns []*twigm.Run, ep *epoch) []*twigm.Run {
 	}
 	runs := make([]*twigm.Run, len(ep.progs))
 	for slot, p := range ep.progs {
-		if p == nil {
+		if p == nil || ep.groupOf[slot] >= 0 {
 			continue
 		}
 		if r := byProg[p]; r != nil {
@@ -412,16 +439,13 @@ func (s *session) HandleBatch(evs []sax.Event) error {
 //
 //vitex:pooled
 type router struct {
-	// runs maps slot -> run (nil for tombstoned slots).
+	// runs maps slot -> run (nil for tombstoned and grouped slots).
 	runs []*twigm.Run //vitex:keep rewired by init/rehost on resync; a run is reset when it wakes
 
-	elemSubs [][]int32 //vitex:keep subscription tables, rebuilt only on resync
-	attrSubs [][]int32 //vitex:keep subscription tables, rebuilt only on resync
-	wild     []int32   //vitex:keep subscription tables, rebuilt only on resync
-	machines []int32   //vitex:keep routed-machine set, rebuilt only on resync
-	// rootText lists the routed machines with a root text() node: they want
-	// text from the first event on, so reset seeds textSet with them.
-	rootText []int32
+	// The routed machines' tables. rootText lists the machines with a root
+	// text() node: they want text from the first event on, so reset seeds
+	// textSet with them.
+	routes //vitex:keep subscription tables, rebuilt only on resync
 
 	// ep supplies the slot-indexed anchors and dense indexes wake reads.
 	ep *epoch
@@ -462,26 +486,41 @@ type router struct {
 	// its own machines — sharding the trie by subtree.
 	prun twigm.PrefixRun
 
-	// deliveries counts machine wake-ups this stream (dispatch metrics).
+	// deliveries counts deliveries this stream (dispatch metrics).
 	deliveries int64
+
+	// Value groups (value.go): groupRuns maps a group ID to its run;
+	// groupWokenAt and wokenGroups are wokenAt and woken for groups;
+	// openGroups holds the groups with live entries, which want text and
+	// end-element events. visits lists the grouped machines an event's group
+	// deliveries concern until that event's deliveries spend it, due is the
+	// scratch their buckets pass through, and failAt/failSlot record where a
+	// failed delivery stopped the document.
+	groupRuns    []*twigm.GroupRun //vitex:keep rewired by init on resync; a run is reset when it wakes
+	groupWokenAt []uint64          //vitex:keep generation stamps, stale once gen moves on
+	wokenGroups  []groupWake
+	openGroups   denseSet
+	visits       []visit
+	due          []int32 //vitex:keep per-event scratch, overwritten by addVisits
+	failAt       int64
+	failSlot     int32
 }
 
 // init wires the router over runs (indexed by global machine id) with the
-// given subscription tables; machines lists the ids this router routes for,
-// trie is the epoch's shared prefix trie (nil without sharing) and trieIDs
-// restricts trie evaluation to a subset of node IDs (nil = all).
-func (rt *router) init(runs []*twigm.Run, elemSubs, attrSubs [][]int32, wild, rootText, machines []int32, trie *twigm.Trie, trieIDs []bool) {
+// given routing tables; trie is the epoch's shared prefix trie (nil without
+// sharing) and trieIDs restricts trie evaluation to a subset of node IDs
+// (nil = all).
+func (rt *router) init(runs []*twigm.Run, r routes, trie *twigm.Trie, trieIDs []bool) {
 	n := len(runs)
 	rt.runs = runs
-	rt.elemSubs = elemSubs
-	rt.attrSubs = attrSubs
-	rt.wild = wild
-	rt.rootText = rootText
-	rt.machines = machines
+	rt.groupRuns = rekeyGroupRuns(rt.groups, rt.groupRuns, r.groups)
+	rt.routes = r
 	rt.stamps = make([]int64, n)
 	rt.wokenAt = make([]uint64, n)
 	rt.endSet.init(n)
 	rt.textSet.init(n)
+	rt.groupWokenAt = make([]uint64, len(r.groups))
+	rt.openGroups.init(len(r.groups))
 	if trie != nil {
 		rt.prun.Rebind(trie, trieIDs)
 	}
@@ -514,11 +553,15 @@ func (rt *router) reset(ep *epoch, opts twigm.Options, unordered []bool) {
 	for _, i := range rt.rootText {
 		rt.textSet.set(i, true)
 	}
+	rt.openGroups.clear()
 	rt.rec.Reset()
 	rt.prun.ResetStream()
 	rt.deliveries = 0
 	rt.gen++
 	rt.woken = rt.woken[:0]
+	rt.wokenGroups = rt.wokenGroups[:0]
+	rt.visits = rt.visits[:0]
+	rt.failAt, rt.failSlot = -1, 0
 	rt.ep, rt.opts, rt.unordered = ep, opts, unordered
 }
 
@@ -544,11 +587,12 @@ func (rt *router) wake(i int32) {
 	}
 }
 
-// finish ends the document for the machines it woke. visit, when non-nil,
-// receives each one's statistics with the shared scan's counters filled in;
-// then the run lets go of the document (its emit hook and trace writer), and
-// so does the router. A pooled session keeps nothing of a document it has
-// finished, however long the machines that document woke then stay idle.
+// finish ends the document for the machines it woke, grouped ones included.
+// visit, when non-nil, receives each one's statistics with the shared scan's
+// counters filled in; then the runs let go of the document (their emit hook
+// and trace writer), and so does the router. A pooled session keeps nothing of
+// a document it has finished, however long the machines that document woke
+// then stay idle.
 func (rt *router) finish(scan twigm.Stats, visit func(int, twigm.Stats)) {
 	for _, i := range rt.woken {
 		run := rt.runs[i]
@@ -559,6 +603,7 @@ func (rt *router) finish(scan twigm.Stats, visit func(int, twigm.Stats)) {
 		}
 		run.Detach()
 	}
+	rt.finishGroups(scan, visit)
 	rt.ep, rt.opts, rt.unordered = nil, twigm.Options{}, nil
 }
 
@@ -589,14 +634,15 @@ func (rt *router) deliver(i int32, ev *sax.Event, idx int64) error {
 }
 
 // route dispatches one scan event (1-based shared index idx) to the routed
-// machines subscribed to it, in ascending machine order. The shared prefix
-// trie is evaluated around the machine deliveries: pushed before them (an
-// anchored machine's axis check may read an entry opened by this very
-// event) and popped after them, mirroring how a machine's own prefix
-// entries would outlive its deeper entries within the event. The recorder
-// is driven around them too: text and end tags are serialized before the
-// deliveries that may complete a fragment, start tags after the deliveries
-// that may begin one.
+// machines subscribed to it, in ascending machine order, and to the value
+// groups it concerns, whose members it visits at their places in that order.
+// The shared prefix trie is evaluated around the machine deliveries: pushed
+// before them (an anchored machine's axis check may read an entry opened by
+// this very event) and popped after them, mirroring how a machine's own
+// prefix entries would outlive its deeper entries within the event. The
+// recorder is driven around them too: text and end tags are serialized before
+// the deliveries that may complete a fragment, start tags after the
+// deliveries that may begin one.
 //
 //vitex:hotpath
 func (rt *router) route(ev *sax.Event, idx int64) error {
@@ -604,29 +650,43 @@ func (rt *router) route(ev *sax.Event, idx int64) error {
 	switch ev.Kind {
 	case sax.StartElement:
 		rt.prun.StartElement(ev)
-		for _, i := range rt.startSubscribers(ev) {
-			if err := rt.deliver(i, ev, idx); err != nil {
-				return err
-			}
+		subs, broadcast := rt.startSubscribers(ev)
+		if len(rt.groups) > 0 {
+			rt.startGroups(ev, idx, broadcast)
+		}
+		if err := rt.deliverAll(subs, ev, idx); err != nil {
+			return err
 		}
 	case sax.EndElement:
+		if len(rt.openGroups.items) > 0 {
+			rt.endGroups(ev, idx)
+		}
 		// endSet contains every machine with something to pop; iterate a
 		// snapshot since delivery mutates membership.
-		for _, i := range rt.snapshot(&rt.endSet) {
-			if err := rt.deliver(i, ev, idx); err != nil {
-				return err
-			}
+		if err := rt.deliverAll(rt.snapshot(&rt.endSet), ev, idx); err != nil {
+			return err
 		}
 		rt.prun.EndElement(ev.Depth)
 	case sax.Text:
+		for _, g := range rt.openGroups.items {
+			rt.deliveries++
+			rt.groupRuns[g].Text(ev)
+		}
 		for _, i := range rt.snapshot(&rt.textSet) {
 			if err := rt.deliver(i, ev, idx); err != nil {
 				return err
 			}
 		}
 	case sax.EndDocument:
-		// Only a woken machine has end-of-document invariants that can fail;
-		// they are checked in machine order like every other delivery.
+		// Only what the document woke has end-of-document invariants that can
+		// fail; machines check them in machine order like every other
+		// delivery.
+		for _, w := range rt.wokenGroups {
+			rt.deliveries++
+			if err := rt.groupRuns[w.group].EndDocument(); err != nil {
+				return err
+			}
+		}
 		slices.Sort(rt.woken)
 		for _, i := range rt.woken {
 			if err := rt.deliver(i, ev, idx); err != nil {
@@ -643,13 +703,14 @@ func (rt *router) route(ev *sax.Event, idx int64) error {
 // that must see a start-element event: subscribers of the element name,
 // wildcard machines and subscribers of any attribute name present. Delivery
 // is in machine order, matching what a broadcast fan-out would do, so
-// interleavings are reproducible.
+// interleavings are reproducible. broadcast reports an event without routing
+// information (a name without a symbol ID), which every machine and group
+// must see.
 //
 //vitex:hotpath
-func (rt *router) startSubscribers(ev *sax.Event) []int32 {
+func (rt *router) startSubscribers(ev *sax.Event) (out []int32, broadcast bool) {
 	rt.stamp++
-	out := rt.scratch[:0]
-	broadcast := false
+	out = rt.scratch[:0]
 	if id := ev.NameID; id == sax.SymNone {
 		// Producer without a symbol table: no routing information.
 		broadcast = true
@@ -666,7 +727,7 @@ func (rt *router) startSubscribers(ev *sax.Event) []int32 {
 	if broadcast {
 		out = append(out[:0], rt.machines...)
 		rt.scratch = out
-		return out
+		return out, true
 	}
 	out = rt.appendNew(out, rt.wild)
 	// Insertion sort: subscriber counts per event are small by design.
@@ -676,7 +737,7 @@ func (rt *router) startSubscribers(ev *sax.Event) []int32 {
 		}
 	}
 	rt.scratch = out
-	return out
+	return out, false
 }
 
 // appendNew appends the members of list not yet stamped this event. A method

@@ -31,6 +31,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/obs"
 	"repro/internal/twigm"
@@ -65,21 +66,42 @@ type epoch struct {
 	// liveIdx maps slot -> dense index in live (-1 for tombstones).
 	liveIdx []int32
 
-	elemSubs [][]int32 // NameID -> live slots subscribed to the element name
-	attrSubs [][]int32 // NameID -> live slots subscribed to the attribute name
-	wild     []int32   // live slots with a '*' element node
-	rootText []int32   // live slots with a root text() node: text subscribers before their first wake
+	routes
 
 	// trie is the shared prefix trie of this membership (nil when the
 	// engine was built with prefix sharing disabled); anchors maps slot ->
 	// trie node ID the slot's residual machine is anchored at (-1 for
 	// unanchored machines). Mutations graft/prune copy-on-write, so the
 	// pair is immutable once the epoch is published, like everything else
-	// here.
+	// here. The value groups hang off it: a group's key is the trie node
+	// its members' step follows (value.go).
 	trie    *twigm.Trie
 	anchors []int32
+	// groupOf maps slot -> the ID of the value group evaluating the slot's
+	// machine, -1 for a machine evaluated by its own run.
+	groupOf []int32
 
 	garbage int // tombstoned slots in progs
+}
+
+// routes are the static routing tables of a set of machines, what a router
+// routes by. An epoch's cover its live machines; a parallel shard's router
+// gets them restricted to the shard's.
+//
+//vitex:cow
+type routes struct {
+	elemSubs [][]int32 // NameID -> slots subscribed to the element name
+	attrSubs [][]int32 // NameID -> slots subscribed to the attribute name
+	wild     []int32   // slots with a '*' element node
+	rootText []int32   // slots with a root text() node: text subscribers before their first wake
+	machines []int32   // slots evaluated by their own run, ascending (a broadcast's recipients)
+
+	// groups maps a value-group ID to its group (nil for a dead ID) and
+	// groupSubs a NameID to the groups whose step names it. A grouped
+	// machine is in none of the slot tables above: its group is routed
+	// instead (value.go).
+	groups    []*twigm.ValueGroup
+	groupSubs [][]int32
 }
 
 // clone copies the epoch's outer structure for the next mutation: slot and
@@ -89,18 +111,22 @@ type epoch struct {
 //
 //vitex:cowmut builds the next epoch before publication
 func (ep *epoch) clone(symsLen int) *epoch {
-	next := &epoch{
-		seq:      ep.seq + 1,
-		progs:    append([]*twigm.Program(nil), ep.progs...),
-		elemSubs: growSubs(ep.elemSubs, symsLen),
-		attrSubs: growSubs(ep.attrSubs, symsLen),
-		wild:     ep.wild,
-		rootText: ep.rootText,
-		trie:     ep.trie,
-		anchors:  append([]int32(nil), ep.anchors...),
-		garbage:  ep.garbage,
+	return &epoch{
+		seq:   ep.seq + 1,
+		progs: append([]*twigm.Program(nil), ep.progs...),
+		routes: routes{
+			elemSubs:  growSubs(ep.elemSubs, symsLen),
+			attrSubs:  growSubs(ep.attrSubs, symsLen),
+			wild:      ep.wild,
+			rootText:  ep.rootText,
+			groups:    slices.Clone(ep.groups),
+			groupSubs: growSubs(ep.groupSubs, symsLen),
+		},
+		trie:    ep.trie,
+		anchors: slices.Clone(ep.anchors),
+		groupOf: slices.Clone(ep.groupOf),
+		garbage: ep.garbage,
 	}
-	return next
 }
 
 // growSubs copies the outer slice of a subscription table, extended to cover
@@ -115,12 +141,17 @@ func growSubs(subs [][]int32, symsLen int) [][]int32 {
 	return out
 }
 
-// subscribe adds slot to every routing list its program's static
-// subscriptions name. Appends may share backing arrays with older epochs;
-// they only ever write past those epochs' lengths.
+// subscribe adds slot to the routing tables: to its value group when its
+// program is value-keyed, to every list its static subscriptions name
+// otherwise. Appends may share backing arrays with older epochs; they only
+// ever write past those epochs' lengths.
 //
 //vitex:cowmut called on unpublished epochs only
 func (ep *epoch) subscribe(slot int32, p *twigm.Program) {
+	if literal, ok := p.ValueKey(); ok {
+		ep.join(slot, p, literal)
+		return
+	}
 	for _, id := range p.ElemNameIDs() {
 		ep.elemSubs[id] = append(ep.elemSubs[id], slot)
 	}
@@ -135,11 +166,16 @@ func (ep *epoch) subscribe(slot int32, p *twigm.Program) {
 	}
 }
 
-// unsubscribe rebuilds (fresh backing — older epochs keep reading the old
-// lists) every routing list that mentions slot, dropping it.
+// unsubscribe takes slot out of its value group, or rebuilds (fresh backing
+// — older epochs keep reading the old lists) every routing list that
+// mentions it, dropping it.
 //
 //vitex:cowmut called on unpublished epochs only
 func (ep *epoch) unsubscribe(slot int32, p *twigm.Program) {
+	if gid := ep.groupOf[slot]; gid >= 0 {
+		ep.leave(slot, p, gid)
+		return
+	}
 	for _, id := range p.ElemNameIDs() {
 		ep.elemSubs[id] = without(ep.elemSubs[id], slot)
 	}
@@ -154,6 +190,24 @@ func (ep *epoch) unsubscribe(slot int32, p *twigm.Program) {
 	}
 }
 
+// subscribeAll fills fresh routing tables with every live machine, building
+// each value group in one pass rather than one copy per member.
+//
+//vitex:cowmut called on unpublished epochs only
+func (ep *epoch) subscribeAll(symsLen int) {
+	ep.elemSubs = make([][]int32, symsLen+1)
+	ep.attrSubs = make([][]int32, symsLen+1)
+	for slot, p := range ep.progs {
+		if p == nil {
+			continue
+		}
+		if _, keyed := p.ValueKey(); !keyed {
+			ep.subscribe(int32(slot), p)
+		}
+	}
+	ep.regroup(symsLen)
+}
+
 // without returns a fresh copy of list with slot removed.
 func without(list []int32, slot int32) []int32 {
 	out := make([]int32, 0, len(list)-1)
@@ -165,12 +219,14 @@ func without(list []int32, slot int32) []int32 {
 	return out
 }
 
-// reindex rebuilds the live/liveIdx views from progs.
+// reindex rebuilds the live/liveIdx views and the run-evaluated machine list
+// from progs.
 //
 //vitex:cowmut called on unpublished epochs only
 func (ep *epoch) reindex() {
 	ep.live = make([]int32, 0, len(ep.progs)-ep.garbage)
 	ep.liveIdx = make([]int32, len(ep.progs))
+	ep.machines = nil
 	for slot, p := range ep.progs {
 		if p == nil {
 			ep.liveIdx[slot] = -1
@@ -178,6 +234,9 @@ func (ep *epoch) reindex() {
 		}
 		ep.liveIdx[slot] = int32(len(ep.live))
 		ep.live = append(ep.live, int32(slot))
+		if ep.groupOf[slot] < 0 {
+			ep.machines = append(ep.machines, int32(slot))
+		}
 	}
 }
 
@@ -200,19 +259,16 @@ func (ep *epoch) slotOf(p *twigm.Program) int32 {
 //vitex:cowmut builds the compacted epoch before publication
 func (ep *epoch) compact(symsLen int) *epoch {
 	next := &epoch{
-		seq:      ep.seq, // compaction rides the mutation that triggered it
-		progs:    make([]*twigm.Program, 0, len(ep.live)),
-		elemSubs: make([][]int32, symsLen+1),
-		attrSubs: make([][]int32, symsLen+1),
-		trie:     ep.trie,
-		anchors:  make([]int32, 0, len(ep.live)),
+		seq:     ep.seq, // compaction rides the mutation that triggered it
+		progs:   make([]*twigm.Program, 0, len(ep.live)),
+		trie:    ep.trie,
+		anchors: make([]int32, 0, len(ep.live)),
 	}
 	for _, slot := range ep.live {
-		p := ep.progs[slot]
-		next.subscribe(int32(len(next.progs)), p)
-		next.progs = append(next.progs, p)
+		next.progs = append(next.progs, ep.progs[slot])
 		next.anchors = append(next.anchors, ep.anchors[slot])
 	}
+	next.subscribeAll(symsLen)
 	next.reindex()
 	return next
 }
@@ -252,11 +308,28 @@ func (e *Engine) pruneLocked(ep *epoch, slot int32) {
 	}
 }
 
+// buildTrieLocked grafts the profiles of every live machine of ep into one
+// fresh trie and anchors them there: the whole trie of a new engine, or a
+// compaction's. Value groups are keyed by anchor, so they are rebuilt too.
+//
+//vitex:cowmut mutates the unpublished epoch under e.mu
+func (e *Engine) buildTrieLocked(ep *epoch) (grafts int) {
+	profiles := make([][]twigm.TrieStep, len(ep.progs))
+	for slot, p := range ep.progs {
+		if p != nil && p.Anchored() {
+			profiles[slot] = p.Profile()
+			grafts++
+		}
+	}
+	ep.trie, ep.anchors = twigm.BuildTrie(profiles, e.syms.Len())
+	return grafts
+}
+
 // maybeCompactTrieLocked rebuilds the trie with dense node IDs when pruning
 // has left more dead IDs than live nodes (same shape as slot compaction).
-// Machines are NOT recompiled: their stored profiles are re-grafted and the
-// epoch's anchor table rewritten, so pooled sessions just resize their
-// prefix stacks on resync.
+// Machines are NOT recompiled: their stored profiles are re-grafted, the
+// epoch's anchor table rewritten and the value groups re-keyed, so pooled
+// sessions just resize their prefix stacks on resync.
 //
 //vitex:cowmut mutates the unpublished epoch under e.mu
 func (e *Engine) maybeCompactTrieLocked(ep *epoch) {
@@ -264,14 +337,8 @@ func (e *Engine) maybeCompactTrieLocked(ep *epoch) {
 	if t == nil || t.Garbage() < compactMinGarbage || t.Garbage() <= t.Live() {
 		return
 	}
-	fresh := twigm.NewTrie()
-	for slot, p := range ep.progs {
-		if p == nil || !p.Anchored() {
-			continue
-		}
-		fresh, ep.anchors[slot] = fresh.Graft(p.Profile(), e.syms.Len())
-	}
-	ep.trie = fresh
+	e.buildTrieLocked(ep)
+	ep.regroup(e.syms.Len())
 	e.trieCompactions.Add(1)
 }
 
@@ -294,6 +361,7 @@ func (e *Engine) Add(q *xpath.Query) (*twigm.Program, error) {
 	slot := int32(len(ep.progs))
 	ep.progs = append(ep.progs, p)
 	ep.anchors = append(ep.anchors, -1)
+	ep.groupOf = append(ep.groupOf, -1)
 	e.graftLocked(ep, slot, p)
 	ep.subscribe(slot, p)
 	ep.reindex()
@@ -389,13 +457,20 @@ type Metrics struct {
 	TriePrunes       int64
 	TrieCompactions  int64
 
+	// Value-keyed dispatch: ValueGroups is the number of live value groups
+	// and ValueKeyedMachines the number of live machines they evaluate (0
+	// when sharing is disabled).
+	ValueGroups        int
+	ValueKeyedMachines int
+
 	// Dispatch accounting, cumulative over the engine's lifetime: scan
-	// events routed, machine deliveries made (Deliveries/Events = machines
-	// woken per event — the quantity prefix sharing drives down), and trie
-	// entries pushed by the shared prefix layer. Document boundaries are not
-	// broadcast: StartDocument is delivered to no machine and EndDocument
-	// only to the machines the document woke, so a machine a document never
-	// concerns adds nothing to Deliveries.
+	// events routed, deliveries made (Deliveries/Events = machines woken
+	// per event — the quantity prefix sharing drives down; a delivery to a
+	// value group counts once, however many machines it evaluates), and
+	// trie entries pushed by the shared prefix layer. Document boundaries
+	// are not broadcast: StartDocument is delivered to nobody and
+	// EndDocument only to what the document woke, so a machine a document
+	// never concerns adds nothing to Deliveries.
 	Events     int64
 	Deliveries int64
 	TriePushes int64
@@ -415,23 +490,32 @@ func (e *Engine) Metrics() Metrics {
 			anchored++
 		}
 	}
+	groups, keyed := 0, 0
+	for _, g := range ep.groups {
+		if g != nil {
+			groups++
+			keyed += g.Size()
+		}
+	}
 	return Metrics{
-		Epoch:            ep.seq,
-		Compiles:         e.compiles.Load(),
-		Compactions:      e.compactions.Load(),
-		ShardRebalances:  e.shardRebalances.Load(),
-		Slots:            len(ep.progs),
-		Live:             len(ep.live),
-		Garbage:          ep.garbage,
-		TrieNodes:        ep.trie.Live(),
-		TrieGarbage:      ep.trie.Garbage(),
-		AnchoredMachines: anchored,
-		TrieGrafts:       e.trieGrafts.Load(),
-		TriePrunes:       e.triePrunes.Load(),
-		TrieCompactions:  e.trieCompactions.Load(),
-		Events:           e.events.Load(),
-		Deliveries:       e.deliveries.Load(),
-		TriePushes:       e.triePushes.Load(),
-		Eval:             e.evalHist.Snapshot().Stats(),
+		Epoch:              ep.seq,
+		Compiles:           e.compiles.Load(),
+		Compactions:        e.compactions.Load(),
+		ShardRebalances:    e.shardRebalances.Load(),
+		Slots:              len(ep.progs),
+		Live:               len(ep.live),
+		Garbage:            ep.garbage,
+		TrieNodes:          ep.trie.Live(),
+		TrieGarbage:        ep.trie.Garbage(),
+		AnchoredMachines:   anchored,
+		TrieGrafts:         e.trieGrafts.Load(),
+		TriePrunes:         e.triePrunes.Load(),
+		TrieCompactions:    e.trieCompactions.Load(),
+		ValueGroups:        groups,
+		ValueKeyedMachines: keyed,
+		Events:             e.events.Load(),
+		Deliveries:         e.deliveries.Load(),
+		TriePushes:         e.triePushes.Load(),
+		Eval:               e.evalHist.Snapshot().Stats(),
 	}
 }

@@ -31,6 +31,8 @@ var metricsSources = []string{
 	"//feed/trade[symbol='ACME']/price",
 	"//feed/news/body/@k",
 	"//feed//volume",
+	"//feed/trade/symbol[. = 'ACME']", // value groups churn too
+	"//feed/trade/symbol[. = 'GLOBEX']",
 }
 
 // monotoneCounters extracts the cumulative (lifetime) counters of a Metrics
@@ -211,6 +213,10 @@ func TestMetricsConsistencyUnderChurn(t *testing.T) {
 	}
 	if fm.TrieGarbage != 0 {
 		t.Errorf("fresh engine has trie garbage: %d", fm.TrieGarbage)
+	}
+	if fm.ValueGroups != final.ValueGroups || fm.ValueKeyedMachines != final.ValueKeyedMachines {
+		t.Errorf("value groups: churned %d of %d machines, fresh %d of %d",
+			final.ValueGroups, final.ValueKeyedMachines, fm.ValueGroups, fm.ValueKeyedMachines)
 	}
 
 	// And the two engines produce identical results on the document.

@@ -77,6 +77,12 @@ var errAborted = errors.New("engine: parallel evaluation aborted")
 // an emit callback — aborts the evaluation promptly mid-document and returns
 // ctx.Err(). Contexts that cannot be canceled cost nothing on the scan path.
 func (s Snapshot) StreamParallel(ctx context.Context, r io.Reader, plan Plan, workers int) (twigm.Stats, error) {
+	return s.streamParallel(ctx, r, plan, workers, nil)
+}
+
+// streamParallel is StreamParallel with an optional front-end wrapper
+// (StreamVia).
+func (s Snapshot) streamParallel(ctx context.Context, r io.Reader, plan Plan, workers int, wrap func(sax.Driver) sax.Driver) (twigm.Stats, error) {
 	e, ep := s.eng, s.ep
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -85,7 +91,7 @@ func (s Snapshot) StreamParallel(ctx context.Context, r io.Reader, plan Plan, wo
 		workers = len(ep.live)
 	}
 	if workers < 2 || plan.Options.Trace != nil {
-		return s.Stream(ctx, r, plan)
+		return s.streamVia(ctx, r, plan, wrap)
 	}
 
 	ps, _ := e.ppool.Get().(*psession)
@@ -96,7 +102,7 @@ func (s Snapshot) StreamParallel(ctx context.Context, r io.Reader, plan Plan, wo
 	// The scanner reads its input through the producer, which dispatches the
 	// events it holds before every read (producer.Read).
 	ps.scan.Reset(&ps.prod)
-	return ps.stream(ctx, ep, ps.scan, r, plan)
+	return ps.stream(ctx, ep, frontEnd(ps.scan, wrap), r, plan)
 }
 
 // stream evaluates ep's machines on this session over one run of drv, a
@@ -409,15 +415,14 @@ func (ps *psession) sync(ep *epoch) {
 			w.rt.rehost(runs, len(ep.progs))
 			continue
 		}
-		machines := shardSlots(ep.live, ps, wi)
 		// Shard the trie by subtree: this worker evaluates only the trie
 		// nodes on its own machines' anchor paths (ancestors included, so
-		// anchor compatibility checks see their full chain). Other
-		// subtrees cost this worker nothing.
+		// anchor compatibility checks see their full chain), grouped ones
+		// included. Other subtrees cost this worker nothing.
 		var trieIDs []bool
 		if ep.trie != nil {
 			trieIDs = make([]bool, ep.trie.NumIDs())
-			for _, slot := range machines {
+			for _, slot := range shardSlots(ep.live, ps, wi) {
 				for id := ep.anchors[slot]; id >= 0; id = ep.trie.Parent(id) {
 					if trieIDs[id] {
 						break // path above already marked
@@ -426,8 +431,18 @@ func (ps *psession) sync(ep *epoch) {
 				}
 			}
 		}
-		w.rt.init(runs, shardFilter(ep.elemSubs, ps, wi), shardFilter(ep.attrSubs, ps, wi),
-			shardSlots(ep.wild, ps, wi), shardSlots(ep.rootText, ps, wi), machines, ep.trie, trieIDs)
+		// Each shard groups its own slots: a value group's members split
+		// over the shards, and every shard evaluates its part of the group.
+		groups := shardGroups(ep.groups, ps, wi)
+		w.rt.init(runs, routes{
+			elemSubs:  shardFilter(ep.elemSubs, ps, wi),
+			attrSubs:  shardFilter(ep.attrSubs, ps, wi),
+			wild:      shardSlots(ep.wild, ps, wi),
+			rootText:  shardSlots(ep.rootText, ps, wi),
+			machines:  shardSlots(ep.machines, ps, wi),
+			groups:    groups,
+			groupSubs: shardGroupSubs(ep.groupSubs, groups),
+		}, ep.trie, trieIDs)
 		if old != nil {
 			rebuilt++
 		}
@@ -443,6 +458,32 @@ func shardFilter(subs [][]int32, ps *psession, w int) [][]int32 {
 	out := make([][]int32, len(subs))
 	for id, list := range subs {
 		out[id] = shardSlots(list, ps, w)
+	}
+	return out
+}
+
+// shardGroups restricts the value groups to the members of shard w; a group
+// with none there is nil.
+func shardGroups(groups []*twigm.ValueGroup, ps *psession, w int) []*twigm.ValueGroup {
+	out := make([]*twigm.ValueGroup, len(groups))
+	for gid, g := range groups {
+		if g != nil {
+			out[gid] = g.Only(func(slot int32) bool { return ps.shardOf(slot) == w })
+		}
+	}
+	return out
+}
+
+// shardGroupSubs restricts a group subscription table to the groups a shard
+// has (shardGroups).
+func shardGroupSubs(subs [][]int32, groups []*twigm.ValueGroup) [][]int32 {
+	out := make([][]int32, len(subs))
+	for id, list := range subs {
+		for _, gid := range list {
+			if groups[gid] != nil {
+				out[id] = append(out[id], gid)
+			}
+		}
 	}
 	return out
 }

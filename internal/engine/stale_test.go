@@ -107,10 +107,20 @@ func (p *pooledEval) stream(ctx context.Context, doc string, emit func(twigm.Res
 
 // runs returns the pooled state's slot-indexed runs.
 func (p *pooledEval) runs() []*twigm.Run {
-	if p.ps != nil {
-		return p.ps.workers[0].rt.runs
+	return p.routers()[0].runs
+}
+
+// routers returns the pooled state's routers: the session's, or one per
+// shard worker.
+func (p *pooledEval) routers() []*router {
+	if p.ps == nil {
+		return []*router{&p.ses.rt}
 	}
-	return p.ses.rt.runs
+	var rts []*router
+	for _, w := range p.ps.workers {
+		rts = append(rts, &w.rt)
+	}
+	return rts
 }
 
 // assertFresh holds the pooled state's evaluation of doc against a fresh
@@ -344,7 +354,11 @@ func TestIdleRunsKeepNothingOfADocument(t *testing.T) {
 	const n = 32
 	sources := make([]string, n)
 	for i := range sources {
+		// Every third a value group's, which a document wakes just the same.
 		sources[i] = fmt.Sprintf("//q%d", i)
+		if i%3 == 0 {
+			sources[i] += "[. = '']"
+		}
 	}
 	for _, mode := range []struct {
 		name    string

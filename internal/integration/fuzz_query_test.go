@@ -18,8 +18,10 @@ import (
 // stack — xpath, twigm, the engine — against the DOM oracle. The query runs in
 // a QuerySet beside //*, which records every element, so the two machines'
 // fragments are spans of one recording: a span that outlives or overruns its
-// bytes shows up as a wrong value on either side. Queries that do not compile
-// and documents that do not parse are skipped.
+// bytes shows up as a wrong value on either side. Beside them runs each
+// branch's equality sibling (groupSibling), which shares the branch's value
+// group when the branch is value-keyed. Queries that do not compile and
+// documents that do not parse are skipped.
 //
 //	go test -fuzz=FuzzQueryVsDOM -fuzztime=10m ./internal/integration
 func FuzzQueryVsDOM(f *testing.F) {
@@ -30,7 +32,8 @@ func FuzzQueryVsDOM(f *testing.F) {
 		gen.ConjunctiveOnly = i%2 == 0
 		queries = append(queries, gen.Generate(rng))
 	}
-	queries = append(queries, "//a", "//a//a", "//a[b]//c", "//*[.='x']", "//a/@k", "//r/a/text()", "//p:a | //b")
+	queries = append(queries, "//a", "//a//a", "//a[b]//c", "//*[.='x']", "//a/@k", "//r/a/text()", "//p:a | //b",
+		"//a[. = 'x']", "//r/a[. = '']", "//a//a[. = 'xy'] | //b[. = '1']")
 	for i, d := range saxtest.EdgeDocs() {
 		f.Add(queries[i%len(queries)], d.Doc)
 	}
@@ -45,7 +48,13 @@ func FuzzQueryVsDOM(f *testing.F) {
 		if err != nil {
 			return
 		}
-		qs, err := vitex.NewQuerySet(src, "//*")
+		set := []string{src, "//*"}
+		for _, b := range branches {
+			if sib, ok := groupSibling(b); ok {
+				set = append(set, sib)
+			}
+		}
+		qs, err := vitex.NewQuerySet(set...)
 		if err != nil {
 			return
 		}
@@ -53,7 +62,7 @@ func FuzzQueryVsDOM(f *testing.F) {
 		if err != nil {
 			return
 		}
-		got := make([][]string, 2)
+		got := make([][]string, len(set))
 		_, err = qs.Stream(strings.NewReader(doc), vitex.Options{Ordered: true}, func(sr vitex.SetResult) error {
 			got[sr.QueryIndex] = append(got[sr.QueryIndex], sr.Value)
 			return nil
@@ -61,13 +70,32 @@ func FuzzQueryVsDOM(f *testing.F) {
 		if err != nil {
 			t.Fatalf("%q over a document the DOM parsed: %v", src, err)
 		}
-		for i, want := range [][]string{
-			oracleUnionResults(t, d, branches),
-			oracleUnionResults(t, d, []*xpath.Query{xpath.MustParse("//*")}),
-		} {
+		for i, q := range set {
+			want := oracleUnionResults(t, d, branches)
+			if i > 0 {
+				want = oracleUnionResults(t, d, []*xpath.Query{xpath.MustParse(q)})
+			}
 			if !equal(got[i], want) {
-				t.Fatalf("query %d of {%q, //*} disagrees with the DOM\ndoc: %q\n got: %q\nwant: %q", i, src, doc, got[i], want)
+				t.Fatalf("query %d of %q disagrees with the DOM\ndoc: %q\n got: %q\nwant: %q", i, set, doc, got[i], want)
 			}
 		}
 	})
+}
+
+// groupSibling returns q with its output step's predicates replaced by an
+// equality on another literal: for a value-keyed q, a member of the same value
+// group; for any other q ending in an element step, a query of that shape.
+func groupSibling(q *xpath.Query) (string, bool) {
+	out := q.Output
+	if out.Kind != xpath.Element {
+		return "", false
+	}
+	lit := "x"
+	if out.Pred != nil && out.Pred.Op == xpath.PredSelf && out.Pred.Self.Literal == lit {
+		lit = "y"
+	}
+	saved := *out
+	out.Pred, out.Cmp = &xpath.PredExpr{Op: xpath.PredSelf, Self: &xpath.Comparison{Op: xpath.OpEq, Literal: lit}}, nil
+	defer func() { *out = saved }()
+	return q.String(), true
 }

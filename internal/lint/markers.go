@@ -91,12 +91,32 @@ func CollectMarkers(files []*ast.File, info *types.Info) *Markers {
 						for _, nm := range fld.Names {
 							add(info.Defs[nm], fld.Doc, fld.Comment)
 						}
+						if len(fld.Names) == 0 {
+							// An embedded field: Defs maps its type name to
+							// the field.
+							add(info.Defs[embeddedName(fld.Type)], fld.Doc, fld.Comment)
+						}
 					}
 				}
 			}
 		}
 	}
 	return m
+}
+
+// embeddedName returns the identifier naming an embedded field of type t.
+func embeddedName(t ast.Expr) *ast.Ident {
+	switch t := t.(type) {
+	case *ast.StarExpr:
+		return embeddedName(t.X)
+	case *ast.SelectorExpr:
+		return t.Sel
+	case *ast.IndexExpr:
+		return embeddedName(t.X)
+	case *ast.Ident:
+		return t
+	}
+	return nil
 }
 
 func parseGroup(g *ast.CommentGroup) []Marker {

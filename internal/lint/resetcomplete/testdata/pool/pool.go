@@ -86,3 +86,19 @@ func (b *batch) Reset() {
 type orphan struct { // want `pooled type orphan has no Reset method`
 	leak int
 }
+
+// tables is kept whole by cache below.
+type tables struct {
+	names []string
+}
+
+// cache embeds its tables and keeps them: the marker on an embedded field
+// counts like one on a named field.
+//
+//vitex:pooled
+type cache struct {
+	tables //vitex:keep rebuilt only when the membership changes
+	hits   int
+}
+
+func (c *cache) reset() { c.hits = 0 }

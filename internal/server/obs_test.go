@@ -263,6 +263,15 @@ func TestPrometheusExposition(t *testing.T) {
 	}
 	stop := drainInBackground(t, cl, "ticker", sub.ID)
 	defer stop()
+	// Two equality subscriptions on one element: one value group.
+	for _, q := range []string{"//trade/symbol[. = 'ACME']", "//trade/symbol[. = 'WIDG']"} {
+		keyed, err := cl.Subscribe(ctx, "ticker", q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stop := drainInBackground(t, cl, "ticker", keyed.ID)
+		defer stop()
+	}
 	const docs = 3
 	for i := 0; i < docs; i++ {
 		if _, err := cl.Publish(ctx, "ticker", strings.NewReader(httpFeed)); err != nil {
@@ -289,13 +298,15 @@ func TestPrometheusExposition(t *testing.T) {
 	label := `{channel="ticker"}`
 	for name, want := range map[string]string{
 		"vitex_broker_channels":                      "1",
-		"vitex_channel_subscriptions" + label:        "1",
+		"vitex_channel_subscriptions" + label:        "3",
 		"vitex_channel_docs_in_total" + label:        "3",
 		"vitex_channel_docs_failed_total" + label:    "0",
-		"vitex_channel_results_total" + label:        "6",
+		"vitex_channel_results_total" + label:        "15",
 		"vitex_channel_gaps_total" + label:           "0",
 		"vitex_wal_last_cursor" + label:              "3",
-		"vitex_engine_live_queries" + label:          "1",
+		"vitex_engine_live_queries" + label:          "3",
+		"vitex_engine_value_groups" + label:          "1",
+		"vitex_engine_value_keyed_machines" + label:  "2",
 		"vitex_publish_to_ack_seconds_count" + label: "3",
 	} {
 		if got := series[name]; got != want {
@@ -358,6 +369,9 @@ func TestPrometheusExposition(t *testing.T) {
 	}
 	if m.Totals.Latency == nil || m.Totals.Latency.PublishToAck.Count != docs {
 		t.Fatalf("JSON totals latency = %+v", m.Totals.Latency)
+	}
+	if cm.Engine.ValueGroups != 1 || cm.Engine.ValueKeyedMachines != 2 {
+		t.Fatalf("JSON engine value groups = %d of %d machines, want 1 of 2", cm.Engine.ValueGroups, cm.Engine.ValueKeyedMachines)
 	}
 }
 

@@ -106,6 +106,10 @@ func writePrometheus(w io.Writer, b *Broker) {
 		func(p promChannel) (int64, bool) { return int64(p.cm.Engine.TrieGarbage), true })
 	gauge("vitex_engine_anchored_machines", "Machines evaluating as residuals behind the trie.",
 		func(p promChannel) (int64, bool) { return int64(p.cm.Engine.AnchoredMachines), true })
+	gauge("vitex_engine_value_groups", "Value groups: equality subscriptions routed by their literal.",
+		func(p promChannel) (int64, bool) { return int64(p.cm.Engine.ValueGroups), true })
+	gauge("vitex_engine_value_keyed_machines", "Machines evaluated by a value group.",
+		func(p promChannel) (int64, bool) { return int64(p.cm.Engine.ValueKeyedMachines), true })
 	counter("vitex_engine_trie_grafts_total", "Trie graft operations.",
 		func(p promChannel) (int64, bool) { return p.cm.Engine.TrieGrafts, true })
 	counter("vitex_engine_trie_prunes_total", "Trie prune operations.",
@@ -114,7 +118,7 @@ func writePrometheus(w io.Writer, b *Broker) {
 		func(p promChannel) (int64, bool) { return p.cm.Engine.TrieCompactions, true })
 	counter("vitex_engine_events_total", "Scan events routed to the dispatch layer.",
 		func(p promChannel) (int64, bool) { return p.cm.Engine.Events, true })
-	counter("vitex_engine_deliveries_total", "Machine deliveries (engine wake-ups).",
+	counter("vitex_engine_deliveries_total", "Machine and value-group deliveries (engine wake-ups).",
 		func(p promChannel) (int64, bool) { return p.cm.Engine.Deliveries, true })
 	counter("vitex_engine_trie_pushes_total", "Trie entries pushed by the shared prefix layer.",
 		func(p promChannel) (int64, bool) { return p.cm.Engine.TriePushes, true })

@@ -17,6 +17,7 @@ package twigm
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync/atomic"
 
@@ -45,12 +46,13 @@ type Program struct {
 	nodes []*node // all nodes, ids dense, topological (parent before child)
 
 	// syms is the symbol table the program's names were interned into.
-	// Events produced against the same table dispatch through the ID
-	// slices below (one bounds check + slice index on the hot path);
-	// events without IDs fall back to the name maps.
-	syms     *sax.Symbols
-	elemByID [][]*node // element nodes by NameID (no wildcards)
-	attrByID [][]*node // attribute nodes by NameID
+	// Events produced against the same table dispatch through the dense
+	// tables below, sized by the program's own names (a search among them
+	// on the hot path), not by the shared table; events without IDs fall
+	// back to the name maps.
+	syms  *sax.Symbols
+	elems dispatchTable // element nodes by NameID (no wildcards)
+	attrs dispatchTable // attribute nodes by NameID
 
 	// Event-dispatch indexes (string fallback for producers that do not
 	// intern, e.g. hand-built events).
@@ -68,6 +70,10 @@ type Program struct {
 	// the factored-out prefix (see shared.go).
 	anchored bool
 	profile  []TrieStep
+	// valueKeyed marks a residual of one [. = 'literal'] element step, the
+	// shape value groups evaluate (see valuegroup.go); literal is its literal.
+	valueKeyed bool
+	literal    string
 }
 
 // node is one machine node: a query node plus its compiled condition.
@@ -162,18 +168,53 @@ func CompileWith(q *xpath.Query, syms *sax.Symbols) (*Program, error) {
 	return p, nil
 }
 
-// freezeDispatch builds the ID-keyed dispatch views from the name maps. The
-// table may keep growing as later programs intern their names; IDs past the
-// end of these slices simply belong to no node of this program.
+// freezeDispatch builds the ID-keyed dispatch views from the name maps.
 func (p *Program) freezeDispatch() {
-	p.elemByID = make([][]*node, p.syms.Len()+1)
-	for name, nodes := range p.elemIndex {
-		p.elemByID[p.syms.Intern(name)] = nodes
+	p.elems = newDispatchTable(p.elemIndex)
+	p.attrs = newDispatchTable(p.attrIndex)
+}
+
+// dispatchTable files a program's machine nodes by the symbol ID of their
+// local name: one entry per name the program mentions, whatever the size of
+// the symbol table it shares, so building N programs over one table costs
+// O(sum of their sizes), not O(N x symbols).
+type dispatchTable struct {
+	ids   []int32   // ascending
+	nodes [][]*node // nodes[i]: the nodes named ids[i]
+}
+
+func newDispatchTable(index map[string][]*node) dispatchTable {
+	var t dispatchTable
+	for _, nodes := range index {
+		t.ids = append(t.ids, nodes[0].nameID)
 	}
-	p.attrByID = make([][]*node, p.syms.Len()+1)
-	for name, nodes := range p.attrIndex {
-		p.attrByID[p.syms.Intern(name)] = nodes
+	slices.Sort(t.ids)
+	t.nodes = make([][]*node, len(t.ids))
+	for _, nodes := range index {
+		i, _ := slices.BinarySearch(t.ids, nodes[0].nameID)
+		t.nodes[i] = nodes
 	}
+	return t
+}
+
+// lookup returns the nodes filed under symbol id (nil for a name the program
+// does not mention).
+//
+//vitex:hotpath
+func (t *dispatchTable) lookup(id int32) []*node {
+	lo, hi := 0, len(t.ids)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if t.ids[m] < id {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	if lo < len(t.ids) && t.ids[lo] == id {
+		return t.nodes[lo]
+	}
+	return nil
 }
 
 // Symbols returns the table the program's names are interned in.
@@ -433,29 +474,15 @@ func (p *Program) Query() *xpath.Query { return p.query }
 // ---- routing metadata (consumed by internal/engine) ----
 
 // ElemNameIDs returns the symbol IDs of the element names this machine can
-// push on — the static element-name subscriptions of routed dispatch.
-func (p *Program) ElemNameIDs() []int32 {
-	ids := make([]int32, 0, len(p.elemByID))
-	for id, nodes := range p.elemByID {
-		if len(nodes) > 0 {
-			ids = append(ids, int32(id))
-		}
-	}
-	return ids
-}
+// push on — the static element-name subscriptions of routed dispatch. The
+// slice is the program's own; callers must not modify it.
+func (p *Program) ElemNameIDs() []int32 { return p.elems.ids }
 
 // AttrNameIDs returns the symbol IDs of the attribute names this machine
 // matches: a start-element event carrying one of them is relevant even when
-// the element name is not.
-func (p *Program) AttrNameIDs() []int32 {
-	ids := make([]int32, 0, len(p.attrByID))
-	for id, nodes := range p.attrByID {
-		if len(nodes) > 0 {
-			ids = append(ids, int32(id))
-		}
-	}
-	return ids
-}
+// the element name is not. The slice is the program's own; callers must not
+// modify it.
+func (p *Program) AttrNameIDs() []int32 { return p.attrs.ids }
 
 // HasWildcardElem reports whether the machine has a '*' element node and
 // therefore must see every start-element event.

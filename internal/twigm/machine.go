@@ -127,7 +127,10 @@ type candidate struct {
 	open   bool // element still being recorded (a Run.active slot exists)
 	// spanned: the element's fragment is complete as the recorder's
 	// buf[start:end] and not yet made into value (Recorder.fragment).
-	spanned     bool
+	spanned bool
+	// bucket is the literal a GroupRun candidate was confirmed for: the
+	// value-group bucket whose members emit it (-1: none).
+	bucket      int32
 	start, end  int
 	value       string
 	confirmedAt int64
@@ -145,10 +148,34 @@ type entry struct {
 	textBuf   []byte // string-value accumulator (valueNodes only)
 }
 
-// candBlockSize is the arena granularity for candidate allocation. Blocks
-// are retained across Reset, so a long-lived Run reaches a steady state
-// where no candidate allocation happens at all.
+// candBlockSize is the arena granularity for candidate allocation.
 const candBlockSize = 64
+
+// candArena allocates candidates in blocks that are retained across streams:
+// by end of document every candidate has resolved, so reset reclaims them
+// wholesale, and a long-lived evaluator reaches a steady state where no
+// candidate allocation happens at all.
+type candArena struct {
+	blocks    [][]candidate
+	idx, used int // blocks[idx][used] is the next free slot
+}
+
+func (a *candArena) reset() { a.idx, a.used = 0, 0 }
+
+// next returns a zeroed candidate.
+func (a *candArena) next() *candidate {
+	if a.idx == len(a.blocks) {
+		a.blocks = append(a.blocks, make([]candidate, candBlockSize))
+	}
+	c := &a.blocks[a.idx][a.used]
+	a.used++
+	if a.used == candBlockSize {
+		a.idx++
+		a.used = 0
+	}
+	*c = candidate{}
+	return c
+}
 
 // Run is a TwigM machine instance processing one XML stream. It implements
 // sax.Handler. Create with Program.Start; Reset prepares the same Run (with
@@ -166,20 +193,12 @@ type Run struct {
 
 	liveEntries int
 	liveCands   int
+	cands       candArena
 
-	// candidate arena: blocks[blockIdx][blockUsed] is the next free slot.
-	candBlocks [][]candidate //vitex:keep warmed arena blocks, reclaimed wholesale by the index reset
-	blockIdx   int
-	blockUsed  int
-
-	// rec is the recorder this run's fragments are spans of: its driver's
-	// (BindRecorder), or its own, made when HandleBatch first drives it.
-	// active lists the open element fragments, and base is where the first
-	// of them began.
-	rec     *Recorder
+	// The run's fragments are spans of its driver's recorder (BindRecorder),
+	// or of its own, made when HandleBatch first drives it.
+	fragmentSet
 	own     *Recorder
-	active  []recording
-	base    int
 	ordered orderedBuf
 	trace   *tracer
 	done    bool
@@ -213,14 +232,11 @@ func (r *Run) Reset(opts Options) {
 	r.stats = Stats{}
 	r.liveEntries = 0
 	r.liveCands = 0
-	r.blockIdx = 0
-	r.blockUsed = 0
+	r.cands.reset()
 	if r.own != nil {
 		r.own.Reset()
 	}
-	r.rec = r.own
-	r.active = r.active[:0]
-	r.base = 0
+	r.fragmentSet.reset(r.own)
 	r.ordered.reset()
 	r.done = false
 	r.failed = nil
@@ -366,16 +382,14 @@ func (r *Run) fail(err error) {
 // ---- event dispatch ----
 
 // elemNodes resolves the element machine nodes whose LOCAL name matches the
-// event: a slice index when the event carries a symbol ID, the name map
-// otherwise. Prefixed name tests re-check their prefix in tryPush.
+// event: a search of the program's dispatch table when the event carries a
+// symbol ID, the name map otherwise. Prefixed name tests re-check their
+// prefix in tryPush.
 //
 //vitex:hotpath
 func (r *Run) elemNodes(ev *sax.Event) []*node {
 	if id := ev.NameID; id != sax.SymNone {
-		if id > 0 && int(id) < len(r.prog.elemByID) {
-			return r.prog.elemByID[id]
-		}
-		return nil
+		return r.prog.elems.lookup(id)
 	}
 	return r.prog.elemIndex[ev.LocalName()]
 }
@@ -406,10 +420,7 @@ func nameMatches(m *node, ev *sax.Event) bool {
 //vitex:hotpath
 func (r *Run) attrNodes(a *sax.Attr) []*node {
 	if id := a.NameID; id != sax.SymNone {
-		if id > 0 && int(id) < len(r.prog.attrByID) {
-			return r.prog.attrByID[id]
-		}
-		return nil
+		return r.prog.attrs.lookup(id)
 	}
 	return r.prog.attrIndex[a.LocalName()]
 }
@@ -930,20 +941,10 @@ func (r *Run) deliverCand(parent *node, e *entry, c *candidate) {
 
 // ---- candidate lifecycle ----
 
-// newCandidate allocates a candidate from the Run's block arena. Blocks are
-// retained and reused across Reset (all candidates have resolved by end of
-// document, so wholesale reclamation is safe).
+// newCandidate allocates a candidate from the Run's arena.
 func (r *Run) newCandidate(offset int64) *candidate {
-	if r.blockIdx == len(r.candBlocks) {
-		r.candBlocks = append(r.candBlocks, make([]candidate, candBlockSize))
-	}
-	c := &r.candBlocks[r.blockIdx][r.blockUsed]
-	r.blockUsed++
-	if r.blockUsed == candBlockSize {
-		r.blockIdx++
-		r.blockUsed = 0
-	}
-	*c = candidate{seq: r.nextSeq, offset: offset}
+	c := r.cands.next()
+	c.seq, c.offset = r.nextSeq, offset
 	r.nextSeq++
 	r.stats.CandidatesCreated++
 	if r.trace.on() {
@@ -991,9 +992,9 @@ func (r *Run) resolveIfDead(c *candidate) {
 		r.trace.drop(c)
 	}
 	r.liveCands--
-	r.dropFragment(c)
+	r.forget(c, &r.stats)
 	if r.opts.Ordered {
-		r.ordered.resolve(r, c.seq, nil)
+		r.release(c.seq, nil)
 	}
 }
 
@@ -1005,10 +1006,27 @@ func (r *Run) deliver(c *candidate) {
 	r.liveCands--
 	r.stats.CandidatesEmitted++
 	if r.opts.Ordered {
-		r.ordered.resolve(r, c.seq, c)
+		r.release(c.seq, c)
 		return
 	}
 	r.emit(c)
+}
+
+// release records the fate of seq in the re-sequencer — delivered as c, or
+// dropped when c is nil — and emits what that releases.
+//
+//vitex:hotpath
+func (r *Run) release(seq int64, c *candidate) {
+	r.ordered.resolve(seq, c)
+	for {
+		out, ok := r.ordered.pop()
+		if !ok {
+			return
+		}
+		if out != nil {
+			r.emit(out)
+		}
+	}
 }
 
 // emit delivers a candidate's result, its value made a string now.

@@ -63,24 +63,27 @@ func (o *orderedBuf) grow(need int) {
 	o.head = 0
 }
 
-// resolve records the fate of seq — delivered as c, or dropped when c is
-// nil — and flushes the released prefix.
-func (o *orderedBuf) resolve(r *Run, seq int64, c *candidate) {
+// resolve records the fate of seq: delivered as c, or dropped when c is nil.
+func (o *orderedBuf) resolve(seq int64, c *candidate) {
 	i := (o.head + int(seq-o.next)) % len(o.slots)
 	o.slots[i] = orderedSlot{cand: c, resolved: true}
-	for o.next < o.expected {
-		s := &o.slots[o.head]
-		if !s.resolved {
-			return
-		}
-		out := *s
-		*s = orderedSlot{}
-		o.head = (o.head + 1) % len(o.slots)
-		o.next++
-		if out.cand != nil {
-			r.emit(out.cand)
-		}
+}
+
+// pop releases the lowest seq once it has resolved: its candidate, nil when
+// it was dropped, and false when it is still pending (or none is left).
+func (o *orderedBuf) pop() (*candidate, bool) {
+	if o.next >= o.expected {
+		return nil, false
 	}
+	s := &o.slots[o.head]
+	if !s.resolved {
+		return nil, false
+	}
+	c := s.cand
+	*s = orderedSlot{}
+	o.head = (o.head + 1) % len(o.slots)
+	o.next++
+	return c, true
 }
 
 // checkDrained verifies every candidate resolved by end of document — an

@@ -191,93 +191,128 @@ func (rc *Recorder) rewind() {
 	rc.last, rc.lastAt = "", 0
 }
 
-// recording is one of a run's open element fragments: its candidate and the
-// depth of the element whose end tag completes it.
+// recording is one of an evaluator's open element fragments: its candidate
+// and the depth of the element whose end tag completes it.
 type recording struct {
 	cand  *candidate
 	level int
 }
 
-// record starts recording an element candidate's fragment; its start tag is
-// serialized after this delivery. In CountOnly mode the candidate is left
-// closed (no buffering) and delivers on confirmation.
-//
-//vitex:hotpath
-func (r *Run) record(c *candidate, level int) {
-	if r.opts.CountOnly {
-		return
-	}
-	c.start = r.rec.begin()
-	c.open = true
-	if len(r.active) == 0 {
-		r.base = c.start
-	}
-	r.active = append(r.active, recording{cand: c, level: level})
+// fragmentSet is what one evaluator — a Run, or a GroupRun for all its members
+// at once — keeps of its open element fragments: the recorder they are spans
+// of, the open ones, and where the first of them began.
+type fragmentSet struct {
+	rec    *Recorder
+	active []recording
+	base   int
 }
 
-// closeFragments completes the fragments rooted at this end tag, which the
-// driver serialized before the delivery: confirmed candidates deliver now,
-// pending ones keep their span until they resolve or the buffer resets.
+func (f *fragmentSet) reset(rec *Recorder) {
+	f.rec = rec
+	f.active = f.active[:0]
+	f.base = 0
+}
+
+// open starts recording an element candidate's fragment; its start tag is
+// serialized after this delivery.
 //
 //vitex:hotpath
-func (r *Run) closeFragments(depth int) {
-	// There is at most one: a single output node yields one candidate per
-	// element. Swap-remove: active's order is never significant.
-	for i := len(r.active) - 1; i >= 0; i-- {
-		if r.active[i].level != depth {
+func (f *fragmentSet) open(c *candidate, level int) {
+	c.start = f.rec.begin()
+	c.open = true
+	if len(f.active) == 0 {
+		f.base = c.start
+	}
+	f.active = append(f.active, recording{cand: c, level: level})
+}
+
+// closeAt completes the fragment rooted at the element ending at depth, which
+// the driver serialized before the delivery, and returns its candidate (nil
+// when none is open there: a single output node yields one candidate per
+// element, so there is at most one).
+//
+//vitex:hotpath
+func (f *fragmentSet) closeAt(depth int, st *Stats) *candidate {
+	for i := len(f.active) - 1; i >= 0; i-- {
+		if f.active[i].level != depth {
 			continue
 		}
-		c := r.active[i].cand
-		r.unrecord(i)
-		c.end = r.rec.noted
+		c := f.active[i].cand
+		f.unrecord(i, st)
+		c.end = f.rec.noted
 		c.spanned = true
-		if c.state == candConfirmed {
-			r.deliver(c)
-		}
-		if c.spanned {
-			r.rec.keep(c)
-		}
+		return c
 	}
+	return nil
 }
 
-// dropFragment stops recording a discarded candidate; it is never copied.
+// forget stops recording a discarded candidate; it is never copied.
 //
 //vitex:hotpath
-func (r *Run) dropFragment(c *candidate) {
+func (f *fragmentSet) forget(c *candidate, st *Stats) {
 	c.spanned = false
 	if !c.open {
 		return
 	}
-	for i := range r.active {
-		if r.active[i].cand == c {
-			r.unrecord(i)
+	for i := range f.active {
+		if f.active[i].cand == c {
+			f.unrecord(i, st)
 			return
 		}
 	}
 }
 
-// unrecord closes active fragment i. The run's private-buffer equivalent —
-// the bytes from the start of its first open span — ends with its last open
-// fragment, which is when PeakBufferedBytes takes its measure.
+// unrecord closes active fragment i. Swap-remove: active's order is never
+// significant. The private-buffer equivalent — the bytes from the start of the
+// first open span — ends with the last open fragment, which is when
+// PeakBufferedBytes takes its measure.
 //
 //vitex:hotpath
-func (r *Run) unrecord(i int) {
-	r.active[i].cand.open = false
-	last := len(r.active) - 1
-	r.active[i] = r.active[last]
-	r.active = r.active[:last]
-	r.rec.open--
-	if len(r.active) == 0 {
-		r.notePeak(&r.stats)
+func (f *fragmentSet) unrecord(i int, st *Stats) {
+	f.active[i].cand.open = false
+	last := len(f.active) - 1
+	f.active[i] = f.active[last]
+	f.active = f.active[:last]
+	f.rec.open--
+	if len(f.active) == 0 {
+		f.notePeak(st)
 	}
 }
 
-// notePeak folds the bytes spanned since the run's first open fragment began
-// into st.PeakBufferedBytes.
+// notePeak folds the bytes spanned since the first open fragment began into
+// st.PeakBufferedBytes.
 //
 //vitex:hotpath
-func (r *Run) notePeak(st *Stats) {
-	if n := r.rec.noted - r.base; n > st.PeakBufferedBytes {
+func (f *fragmentSet) notePeak(st *Stats) {
+	if n := f.rec.noted - f.base; n > st.PeakBufferedBytes {
 		st.PeakBufferedBytes = n
+	}
+}
+
+// record starts recording an element candidate's fragment. In CountOnly mode
+// the candidate is left closed (no buffering) and delivers on confirmation.
+//
+//vitex:hotpath
+func (r *Run) record(c *candidate, level int) {
+	if !r.opts.CountOnly {
+		r.open(c, level)
+	}
+}
+
+// closeFragments completes the fragment rooted at this end tag: a confirmed
+// candidate delivers now, a pending one keeps its span until it resolves or
+// the buffer resets.
+//
+//vitex:hotpath
+func (r *Run) closeFragments(depth int) {
+	c := r.closeAt(depth, &r.stats)
+	if c == nil {
+		return
+	}
+	if c.state == candConfirmed {
+		r.deliver(c)
+	}
+	if c.spanned {
+		r.rec.keep(c)
 	}
 }

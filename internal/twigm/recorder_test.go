@@ -147,12 +147,12 @@ func TestOrderedBufFlushesPrefix(t *testing.T) {
 	for seq := int64(0); seq < 4; seq++ {
 		o.expect(seq)
 	}
-	o.resolve(r, 2, &candidate{seq: 2})
-	o.resolve(r, 1, nil) // discarded
+	r.release(2, &candidate{seq: 2})
+	r.release(1, nil) // discarded
 	if len(delivered) != 0 {
 		t.Fatalf("premature delivery: %v", delivered)
 	}
-	o.resolve(r, 0, &candidate{seq: 0})
+	r.release(0, &candidate{seq: 0})
 	// 0,1,2 now resolved: 0 and 2 deliver, 1 was dropped.
 	if len(delivered) != 2 || delivered[0] != 0 || delivered[1] != 2 {
 		t.Fatalf("delivered %v", delivered)
@@ -160,7 +160,7 @@ func TestOrderedBufFlushesPrefix(t *testing.T) {
 	if err := o.checkDrained(); err == nil {
 		t.Fatal("seq 3 outstanding; drain check must fail")
 	}
-	o.resolve(r, 3, &candidate{seq: 3})
+	r.release(3, &candidate{seq: 3})
 	if err := o.checkDrained(); err != nil {
 		t.Fatal(err)
 	}

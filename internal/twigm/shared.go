@@ -135,9 +135,6 @@ type Trie struct {
 	garbage int // dead nodes still occupying IDs
 }
 
-// NewTrie returns an empty trie.
-func NewTrie() *Trie { return &Trie{} }
-
 // NumIDs returns the size of the node-ID space (live + dead); PrefixRun
 // stacks are indexed by it.
 func (t *Trie) NumIDs() int {
@@ -208,38 +205,60 @@ func (t *Trie) findChild(parent int32, step TrieStep) int32 {
 // anchor node ID (the node of the profile's last step). A nil/empty profile
 // returns the receiver unchanged with anchor -1. symsLen sizes the dispatch
 // table (the symbol table may have grown while compiling the query).
-//
-//vitex:cowmut writes only into the unpublished clone
 func (t *Trie) Graft(steps []TrieStep, symsLen int) (*Trie, int32) {
 	if len(steps) == 0 {
 		return t, -1
 	}
 	next := t.clone(symsLen)
+	return next, next.graft(steps)
+}
+
+// BuildTrie grafts every profile into one fresh trie, in order, and returns
+// it with each profile's anchor (-1 for an empty one): the trie the same
+// sequence of Grafts builds, without a copy of the trie per profile.
+//
+//vitex:cowmut builds a trie nothing else can see yet
+func BuildTrie(profiles [][]TrieStep, symsLen int) (*Trie, []int32) {
+	t := &Trie{elem: make([][]int32, symsLen+1)}
+	anchors := make([]int32, len(profiles))
+	for i, steps := range profiles {
+		anchors[i] = -1
+		if len(steps) > 0 {
+			anchors[i] = t.graft(steps)
+		}
+	}
+	return t, anchors
+}
+
+// graft merges a non-empty profile into t in place and returns its anchor.
+//
+//vitex:cowmut writes only into an unpublished trie (a fresh clone, or BuildTrie's)
+func (t *Trie) graft(steps []TrieStep) int32 {
 	parent := int32(-1)
 	for _, st := range steps {
-		id := next.findChild(parent, st)
+		id := t.findChild(parent, st)
 		if id < 0 {
-			id = int32(len(next.nodes))
-			next.nodes = append(next.nodes, trieNode{step: st, parent: parent})
+			id = int32(len(t.nodes))
+			t.nodes = append(t.nodes, trieNode{step: st, parent: parent})
 			if parent < 0 {
 				// Appends may share backing arrays with older tries; they
 				// only ever write past those tries' lengths.
-				next.roots = append(next.roots, id)
+				t.roots = append(t.roots, id)
 			} else {
-				p := &next.nodes[parent]
+				p := &t.nodes[parent]
 				p.children = append(p.children, id)
 			}
 			if st.Name == "*" {
-				next.wild = append(next.wild, id)
+				t.wild = append(t.wild, id)
 			} else {
-				next.elem[st.NameID] = append(next.elem[st.NameID], id)
+				t.elem[st.NameID] = append(t.elem[st.NameID], id)
 			}
-			next.live++
+			t.live++
 		}
-		next.nodes[id].refs++
+		t.nodes[id].refs++
 		parent = id
 	}
-	return next, parent
+	return parent
 }
 
 // Prune releases one query's anchor path and returns the new trie. Nodes
@@ -489,7 +508,9 @@ func (pr *PrefixRun) EndElement(d int) {
 // the caller) and the remaining suffix compiles into a residual machine
 // whose root is anchored — its axis checks read an AnchorStack bound per
 // stream via Run.BindAnchor instead of private prefix stacks. A query with
-// an empty profile compiles exactly like CompileWith.
+// an empty profile compiles like CompileWith. Either way the program is
+// marked value-keyed when its residual has the shape value groups evaluate
+// (ValueKey).
 //
 // Program.Query still returns the FULL original query (so a program can be
 // re-added to another engine and re-profiled there); NumNodes counts only
@@ -499,28 +520,34 @@ func CompileShared(q *xpath.Query, syms *sax.Symbols) (*Program, error) {
 		syms = sax.NewSymbols()
 	}
 	profile := PrefixProfile(q, syms)
-	if len(profile) == 0 {
-		return CompileWith(q, syms)
-	}
-	compileCount.Add(1)
-	p := &Program{
-		query:     q,
-		syms:      syms,
-		elemIndex: make(map[string][]*node),
-		attrIndex: make(map[string][]*node),
-		anchored:  true,
-		profile:   profile,
-	}
 	start := q.Root
 	for range profile {
 		start = start.Next
 	}
-	root, err := p.build(start, nil)
-	if err != nil {
-		return nil, err
+	var p *Program
+	if len(profile) == 0 {
+		var err error
+		if p, err = CompileWith(q, syms); err != nil {
+			return nil, err
+		}
+	} else {
+		compileCount.Add(1)
+		p = &Program{
+			query:     q,
+			syms:      syms,
+			elemIndex: make(map[string][]*node),
+			attrIndex: make(map[string][]*node),
+			anchored:  true,
+			profile:   profile,
+		}
+		root, err := p.build(start, nil)
+		if err != nil {
+			return nil, err
+		}
+		p.root = root
+		p.freezeDispatch()
 	}
-	p.root = root
-	p.freezeDispatch()
+	p.literal, p.valueKeyed = valueLiteral(start)
 	return p, nil
 }
 

@@ -52,7 +52,7 @@ func TestTrieGraftPrune(t *testing.T) {
 	profile := func(src string) []TrieStep {
 		return PrefixProfile(mustParse(t, src), syms)
 	}
-	t0 := NewTrie()
+	t0 := new(Trie)
 	t1, a1 := t0.Graft(profile("//a/b/c"), syms.Len())
 	if a1 < 0 || t1.Live() != 2 {
 		t.Fatalf("graft 1: anchor %d live %d", a1, t1.Live())
@@ -106,7 +106,7 @@ func runEngineStyle(t *testing.T, p *Program, syms *sax.Symbols, doc string, opt
 	anchor := int32(-1)
 	if p.Anchored() {
 		var trie *Trie
-		trie, anchor = NewTrie().Graft(p.Profile(), syms.Len())
+		trie, anchor = new(Trie).Graft(p.Profile(), syms.Len())
 		pr.Rebind(trie, nil)
 	}
 	var results []Result

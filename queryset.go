@@ -19,7 +19,10 @@ import (
 // one feed). All machines are linked against one shared symbol table and an
 // engine-level routing index maps each event to the machines whose name
 // tests mention it, so the per-event cost is proportional to the number of
-// interested queries, not the size of the set. Evaluation state is pooled:
+// interested queries, not the size of the set. Equality subscriptions of one
+// shape (…/f17[. = 'v3'] for many values) are evaluated together and routed
+// by value, so an element wakes only the subscriptions whose literal is its
+// value. Evaluation state is pooled:
 // a long-lived QuerySet serving a stream of documents reuses its machines,
 // scanner and buffers, and a standing query a document never concerns costs
 // that document nothing — no reset, no delivery, no allocation. What a Stream
@@ -89,8 +92,10 @@ type setEntry struct {
 type SetConfig struct {
 	// DisablePrefixSharing compiles every query into a full standalone
 	// machine instead of factoring common location-path prefixes into the
-	// set's shared trie. Results are byte-identical either way; the knob
-	// exists for ablation benchmarks and differential testing.
+	// set's shared trie. Value groups, which route equality subscriptions by
+	// value, are prefix sharing too and are turned off with it. Results are
+	// byte-identical either way; the knob exists for ablation benchmarks and
+	// differential testing.
 	DisablePrefixSharing bool
 }
 

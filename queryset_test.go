@@ -1,7 +1,6 @@
 package vitex
 
 import (
-	"fmt"
 	"reflect"
 	"runtime"
 	"strings"
@@ -283,14 +282,9 @@ func TestIdleSubscriptionsAreFree(t *testing.T) {
 	// goroutine lands on a P that has not streamed yet.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	measure := func(n int) (allocs float64, bytes uint64) {
-		// Distinct queries over a small dead vocabulary: a program's dispatch
-		// tables are sized by the symbol table, so 30,000 names would make
-		// building the set the expensive part of this test.
-		sources := make([]string, n)
-		for i := range sources {
-			sources[i] = fmt.Sprintf("//catalog%d[entry='%d']//leaf", i%32, i)
-		}
-		qs, err := NewQuerySet(sources...)
+		// Distinct dead-vocabulary queries, three names each: 30,000 names at
+		// 10,000 queries, which building the set must not pay for per query.
+		qs, err := NewQuerySet(datagen.SparseTickerQueries(0, n)...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -335,6 +329,33 @@ func TestIdleSubscriptionsAreFree(t *testing.T) {
 	if bytes10k > bytes1k+statsGrowth {
 		t.Fatalf("bytes per document grow by more than the returned []Stats: %d at 1,000 queries, %d at 10,000 (allowed growth %d)",
 			bytes1k, bytes10k, statsGrowth)
+	}
+}
+
+// TestBuildCostPerQueryIsFlat: building a set costs the same per query at
+// 10,000 queries as at 1,000, although the dead vocabulary grows the shared
+// symbol table to 30,000 names. Per-program dispatch tables sized by the
+// shared table made it 1,000 times that name count per program: quadratic.
+func TestBuildCostPerQueryIsFlat(t *testing.T) {
+	perQuery := func(n int) float64 {
+		sources := datagen.SparseTickerQueries(0, n)
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		qs, err := NewQuerySet(sources...)
+		runtime.ReadMemStats(&m1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.KeepAlive(qs)
+		return float64(m1.TotalAlloc-m0.TotalAlloc) / float64(n)
+	}
+	small := perQuery(1000)
+	// 2,000 first: a quadratic build shows there already, and would take
+	// gigabytes at 10,000.
+	for _, n := range []int{2000, 10000} {
+		if large := perQuery(n); large > 1.5*small {
+			t.Fatalf("bytes allocated per query grow with the set: %.0f at 1,000 queries, %.0f at %d", small, large, n)
+		}
 	}
 }
 
