@@ -137,3 +137,42 @@ func TestCLIDOMCount(t *testing.T) {
 		t.Fatalf("out = %q", out)
 	}
 }
+
+// TestCLITraceGolden pins `vitex -trace` byte for byte over a small ticker
+// feed: results on stdout, the machine transitions on stderr. Both queries
+// put an equality step in a value group of one member, alone and beside an
+// ordinary union branch, so the golden files hold the trace such a group
+// writes to be the trace of the member's own machine.
+func TestCLITraceGolden(t *testing.T) {
+	doc, err := os.ReadFile(filepath.Join("testdata", "ticker.xml"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		golden, query string
+		ordered       bool
+	}{
+		{"trace_symbol.golden", "//trade/symbol[. = 'ACME']", false},
+		{"trace_symbol_ordered.golden", "//trade/symbol[. = 'ACME']", true},
+		{"trace_union.golden", "//trade/symbol[. = 'ACME'] | //trade/price", false},
+		{"trace_union_ordered.golden", "//trade/symbol[. = 'ACME'] | //trade/price", true},
+	}
+	for _, tc := range cases {
+		args := []string{"-trace", "-q", tc.query}
+		if tc.ordered {
+			args = append(args, "-ordered")
+		}
+		out, trace, err := execCLI(t, string(doc), args...)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.golden, err)
+		}
+		got := "--- stdout\n" + out + "--- stderr\n" + trace
+		want, err := os.ReadFile(filepath.Join("testdata", tc.golden))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != string(want) {
+			t.Errorf("vitex %s differs from testdata/%s:\n%s", strings.Join(args, " "), tc.golden, got)
+		}
+	}
+}

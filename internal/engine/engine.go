@@ -42,8 +42,8 @@
 // the package comment of internal/twigm's shared.go for the exact-equivalence
 // argument, and epoch.go for how grafting/pruning composes with churn.
 // Residuals that are one [. = 'literal'] step go one further: those of one
-// shape form a value group evaluated once for all of them, and an element
-// reaches only the members its value selects (value.go).
+// shape form a value group, one machine evaluated once for all of them that
+// emits each result to the members its value selects (value.go).
 //
 // Evaluation state (machines, scanner, routing sets) lives in pooled
 // sessions: a long-lived Engine serving a stream of documents reuses all of
@@ -212,9 +212,12 @@ type Plan struct {
 	// union, which only their caller can put in document order).
 	Unordered []bool
 	// Stats, when non-nil, receives after the scan the counters of every
-	// machine the document woke, scan-level fields included. A machine it is
-	// not called for did no work: its statistics are the value Stream
-	// returns.
+	// machine the document woke, scan-level fields included: each member of
+	// a value group gets the group's counters with its own emitted/dropped
+	// split. A machine it is not called for did no work: its statistics are
+	// the value Stream returns. When EmitFrom fails a serial stream, every
+	// machine reports its counters through the event whose result failed:
+	// each event is delivered to every machine before its results go out.
 	Stats func(machine int, st twigm.Stats)
 }
 
@@ -355,8 +358,8 @@ func (s *session) sync(ep *epoch) {
 // mutation — including machines moved to new slots by compaction — keep
 // their warmed-up run state; only added or replaced machines start fresh
 // runs. Shared by the serial and parallel session resyncs so the reuse
-// semantics cannot drift between the two evaluation modes. A grouped machine
-// gets no run: its value group evaluates it.
+// semantics cannot drift between the two evaluation modes. Only routed
+// machines get a run: a value group's members share its host's.
 func rekeyRuns(old *epoch, oldRuns []*twigm.Run, ep *epoch) []*twigm.Run {
 	var byProg map[*twigm.Program]*twigm.Run
 	if old != nil {
@@ -368,10 +371,8 @@ func rekeyRuns(old *epoch, oldRuns []*twigm.Run, ep *epoch) []*twigm.Run {
 		}
 	}
 	runs := make([]*twigm.Run, len(ep.progs))
-	for slot, p := range ep.progs {
-		if p == nil || ep.groupOf[slot] >= 0 {
-			continue
-		}
+	for _, slot := range ep.machines {
+		p := ep.progs[slot]
 		if r := byProg[p]; r != nil {
 			runs[slot] = r
 		} else {
@@ -387,7 +388,7 @@ func (s *session) reset(plan Plan) {
 	s.events = 0
 	s.elements = 0
 	s.maxDepth = 0
-	s.rt.reset(s.ep, plan.Options, plan.Unordered)
+	s.rt.reset(s.ep, plan, true)
 }
 
 // HandleBatch implements sax.Handler: it counts the scan's shared-level
@@ -437,9 +438,15 @@ func (s *session) HandleBatch(evs []sax.Event) error {
 // options, binds its anchor and lists it as woken. A machine the document
 // never concerns is never touched, so a document costs what it wakes.
 //
+// Every result leaves through the router's emission buffer: the runs it wakes
+// emit into out, and at the end of each event settle puts the event's
+// emissions in delivery order, then hands them to the serial session's
+// consumer or leaves them for a parallel worker to ship.
+//
 //vitex:pooled
 type router struct {
-	// runs maps slot -> run (nil for tombstoned and grouped slots).
+	// runs maps slot -> run (nil for tombstoned slots and value-group members
+	// other than the host).
 	runs []*twigm.Run //vitex:keep rewired by init/rehost on resync; a run is reset when it wakes
 
 	// The routed machines' tables. rootText lists the machines with a root
@@ -447,7 +454,8 @@ type router struct {
 	// textSet with them.
 	routes //vitex:keep subscription tables, rebuilt only on resync
 
-	// ep supplies the slot-indexed anchors and dense indexes wake reads.
+	// ep supplies the slot-indexed anchors, value groups and dense indexes
+	// wake reads.
 	ep *epoch
 	// opts and unordered are the document's Plan: what wake resets a run to.
 	// Like ep they are held from reset to finish, not between documents.
@@ -475,9 +483,14 @@ type router struct {
 	stamp   int64   //vitex:keep monotonic epoch for stamps, must never rewind
 	scratch []int32 //vitex:keep reusable subscriber buffer, overwritten per event
 
-	// clock is the scan index of the event being delivered — the serial
-	// half of the emission-order key the parallel merge sorts on.
-	clock int64 //vitex:keep overwritten by deliver before any read
+	// out is the emission buffer, and emit the consumer settle flushes it
+	// to: the plan's EmitFrom in a serial session, nil in a parallel worker,
+	// which ships out with each batch. collect and isUnordered are the
+	// router's methods as the runs call them back, bound once.
+	out         []emission
+	emit        func(machine int, r twigm.Result) error
+	collectFn   func(slot int, r twigm.Result) error //vitex:keep bound once to this router by init
+	unorderedFn func(slot int) bool                  //vitex:keep bound once to this router by init
 
 	// prun evaluates the shared prefix trie once per event before any
 	// machine delivery; anchored machines read its stacks. The serial
@@ -488,22 +501,6 @@ type router struct {
 
 	// deliveries counts deliveries this stream (dispatch metrics).
 	deliveries int64
-
-	// Value groups (value.go): groupRuns maps a group ID to its run;
-	// groupWokenAt and wokenGroups are wokenAt and woken for groups;
-	// openGroups holds the groups with live entries, which want text and
-	// end-element events. visits lists the grouped machines an event's group
-	// deliveries concern until that event's deliveries spend it, due is the
-	// scratch their buckets pass through, and failAt/failSlot record where a
-	// failed delivery stopped the document.
-	groupRuns    []*twigm.GroupRun //vitex:keep rewired by init on resync; a run is reset when it wakes
-	groupWokenAt []uint64          //vitex:keep generation stamps, stale once gen moves on
-	wokenGroups  []groupWake
-	openGroups   denseSet
-	visits       []visit
-	due          []int32 //vitex:keep per-event scratch, overwritten by addVisits
-	failAt       int64
-	failSlot     int32
 }
 
 // init wires the router over runs (indexed by global machine id) with the
@@ -513,14 +510,14 @@ type router struct {
 func (rt *router) init(runs []*twigm.Run, r routes, trie *twigm.Trie, trieIDs []bool) {
 	n := len(runs)
 	rt.runs = runs
-	rt.groupRuns = rekeyGroupRuns(rt.groups, rt.groupRuns, r.groups)
 	rt.routes = r
 	rt.stamps = make([]int64, n)
 	rt.wokenAt = make([]uint64, n)
 	rt.endSet.init(n)
 	rt.textSet.init(n)
-	rt.groupWokenAt = make([]uint64, len(r.groups))
-	rt.openGroups.init(len(r.groups))
+	if rt.collectFn == nil {
+		rt.collectFn, rt.unorderedFn = rt.collect, rt.isUnordered
+	}
 	if trie != nil {
 		rt.prun.Rebind(trie, trieIDs)
 	}
@@ -546,37 +543,44 @@ func (rt *router) rehost(runs []*twigm.Run, nSlots int) {
 // machine's preparation stale at once, and returns the dynamic sets to what
 // an unwoken machine set looks like — empty, but for the static text
 // subscribers. ep is the epoch the caller synced to (a rehosted shard keeps
-// its tables across a resync, but dense indexes move under it).
-func (rt *router) reset(ep *epoch, opts twigm.Options, unordered []bool) {
+// its tables across a resync, but dense indexes move under it). A serial
+// router flushes each event's results to the plan's EmitFrom; a parallel
+// worker's keeps them in its buffer for the merge.
+func (rt *router) reset(ep *epoch, plan Plan, serial bool) {
 	rt.endSet.clear()
 	rt.textSet.clear()
 	for _, i := range rt.rootText {
 		rt.textSet.set(i, true)
 	}
-	rt.openGroups.clear()
 	rt.rec.Reset()
 	rt.prun.ResetStream()
 	rt.deliveries = 0
 	rt.gen++
 	rt.woken = rt.woken[:0]
-	rt.wokenGroups = rt.wokenGroups[:0]
-	rt.visits = rt.visits[:0]
-	rt.failAt, rt.failSlot = -1, 0
-	rt.ep, rt.opts, rt.unordered = ep, opts, unordered
+	rt.ep, rt.opts, rt.unordered = ep, plan.Options, plan.Unordered
+	rt.out, rt.emit = rt.out[:0], nil
+	if plan.Options.EmitFrom != nil {
+		rt.opts.EmitFrom = rt.collectFn
+		if serial {
+			rt.emit = plan.Options.EmitFrom
+		}
+	}
 }
 
 // wake prepares machine i for the current document, on the first delivery to
-// it: a reset run with the document's options, bound to the router's recorder
-// and to its anchor stack.
-// Its dynamic memberships follow from the refresh that ends that delivery.
+// it: a reset run with the document's options, bound to the router's recorder,
+// to its anchor stack and, when it hosts a value group, to the group's member
+// table. Its dynamic memberships follow from the refresh that ends that
+// delivery.
 //
 //vitex:hotpath
 func (rt *router) wake(i int32) {
 	rt.wokenAt[i] = rt.gen
 	rt.woken = append(rt.woken, i)
+	g := rt.ep.group(i)
 	o := rt.opts
-	o.ID = int(rt.ep.liveIdx[i])
-	if rt.unordered != nil && rt.unordered[o.ID] {
+	o.ID = int(i)
+	if g == nil && rt.unordered != nil && rt.unordered[rt.ep.liveIdx[i]] {
 		o.Ordered = false
 	}
 	run := rt.runs[i]
@@ -585,26 +589,89 @@ func (rt *router) wake(i int32) {
 	if a := rt.ep.anchors[i]; a >= 0 {
 		run.BindAnchor(rt.prun.Stack(a))
 	}
+	if g != nil {
+		var unordered func(int) bool
+		if rt.unordered != nil {
+			unordered = rt.unorderedFn
+		}
+		run.BindGroup(g, unordered)
+	}
 }
 
-// finish ends the document for the machines it woke, grouped ones included.
-// visit, when non-nil, receives each one's statistics with the shared scan's
-// counters filled in; then the runs let go of the document (their emit hook
-// and trace writer), and so does the router. A pooled session keeps nothing of
-// a document it has finished, however long the machines that document woke
-// then stay idle.
+// collect is the EmitFrom of every run the router wakes: it parks a result for
+// the machine in slot in the emission buffer until the event ends.
+//
+//vitex:hotpath
+func (rt *router) collect(slot int, r twigm.Result) error {
+	rt.out = append(rt.out, emission{mach: rt.ep.liveIdx[slot], res: r})
+	return nil
+}
+
+// isUnordered reports whether the machine in slot delivers in confirmation
+// order even under Options.Ordered (Plan.Unordered).
+func (rt *router) isUnordered(slot int) bool { return rt.unordered[rt.ep.liveIdx[slot]] }
+
+// settle ends an event that emitted: it puts the event's emissions, out from
+// mark on, in delivery order — by machine, each machine's in the order it
+// emitted them, which is the order of delivering the event to every machine
+// in turn — and hands them to the serial consumer, stopping at its first
+// error. A worker's stay in the buffer.
+//
+//vitex:hotpath
+func (rt *router) settle(mark int) error {
+	tail := rt.out[mark:]
+	if !slices.IsSortedFunc(tail, cmpMach) {
+		slices.SortStableFunc(tail, cmpMach)
+	}
+	if rt.emit == nil {
+		return nil
+	}
+	var err error
+	for i := range tail {
+		if err = rt.emit(int(tail[i].mach), tail[i].res); err != nil {
+			break
+		}
+	}
+	clear(tail) // the consumer's now: the buffer keeps none of its strings
+	rt.out = rt.out[:0]
+	return err
+}
+
+// finish ends the document for the machines it woke. visit, when non-nil,
+// receives each one's statistics with the shared scan's counters filled in —
+// every member's, for a run evaluating a value group; then the runs let go of
+// the document (their emit hook and trace writer), and so does the router. A
+// pooled session keeps nothing of a document it has finished, however long the
+// machines that document woke then stay idle.
 func (rt *router) finish(scan twigm.Stats, visit func(int, twigm.Stats)) {
 	for _, i := range rt.woken {
 		run := rt.runs[i]
 		if visit != nil {
-			st := run.Stats()
-			st.Events, st.Elements, st.MaxDepth = scan.Events, scan.Elements, scan.MaxDepth
-			visit(int(rt.ep.liveIdx[i]), st)
+			rt.report(i, run, scan, visit)
 		}
 		run.Detach()
 	}
-	rt.finishGroups(scan, visit)
-	rt.ep, rt.opts, rt.unordered = nil, twigm.Options{}, nil
+	rt.ep, rt.opts, rt.unordered, rt.emit = nil, twigm.Options{}, nil, nil
+}
+
+// report hands visit the statistics of the machine in slot i, or of every
+// member of the value group its run evaluates.
+func (rt *router) report(i int32, run *twigm.Run, scan twigm.Stats, visit func(int, twigm.Stats)) {
+	fill := func(st twigm.Stats) twigm.Stats {
+		st.Events, st.Elements, st.MaxDepth = scan.Events, scan.Elements, scan.MaxDepth
+		return st
+	}
+	g := run.Group()
+	if g == nil {
+		visit(int(rt.ep.liveIdx[i]), fill(run.Stats()))
+		return
+	}
+	for b := range int32(g.Buckets()) {
+		st := fill(run.MemberStats(b))
+		for _, m := range g.Members(b) {
+			visit(int(rt.ep.liveIdx[m]), st)
+		}
+	}
 }
 
 // refresh recomputes machine i's dynamic routing memberships. Called after
@@ -618,15 +685,13 @@ func (rt *router) refresh(i int32) {
 }
 
 // deliver hands the event to machine i — waking it if this is the document's
-// first delivery to it — with the clock synced to the shared scan index, then
-// refreshes i's routing memberships.
+// first delivery to it — then refreshes i's routing memberships.
 //
 //vitex:hotpath
 func (rt *router) deliver(i int32, ev *sax.Event, idx int64) error {
 	if rt.wokenAt[i] != rt.gen {
 		rt.wake(i)
 	}
-	rt.clock = idx
 	rt.deliveries++
 	err := rt.runs[i].HandleRouted(ev, idx)
 	rt.refresh(i)
@@ -634,83 +699,70 @@ func (rt *router) deliver(i int32, ev *sax.Event, idx int64) error {
 }
 
 // route dispatches one scan event (1-based shared index idx) to the routed
-// machines subscribed to it, in ascending machine order, and to the value
-// groups it concerns, whose members it visits at their places in that order.
-// The shared prefix trie is evaluated around the machine deliveries: pushed
-// before them (an anchored machine's axis check may read an entry opened by
-// this very event) and popped after them, mirroring how a machine's own
-// prefix entries would outlive its deeper entries within the event. The
-// recorder is driven around them too: text and end tags are serialized before
-// the deliveries that may complete a fragment, start tags after the
-// deliveries that may begin one.
+// machines subscribed to it, in ascending machine order, and settles what
+// they emitted. The shared prefix trie is evaluated around the machine
+// deliveries: pushed before them (an anchored machine's axis check may read an
+// entry opened by this very event) and popped after them, mirroring how a
+// machine's own prefix entries would outlive its deeper entries within the
+// event. The recorder is driven around them too: text and end tags are
+// serialized before the deliveries that may complete a fragment, start tags
+// after the deliveries that may begin one.
 //
 //vitex:hotpath
 func (rt *router) route(ev *sax.Event, idx int64) error {
+	mark := len(rt.out)
 	rt.rec.Before(ev)
+	var slots []int32
 	switch ev.Kind {
 	case sax.StartElement:
 		rt.prun.StartElement(ev)
-		subs, broadcast := rt.startSubscribers(ev)
-		if len(rt.groups) > 0 {
-			rt.startGroups(ev, idx, broadcast)
-		}
-		if err := rt.deliverAll(subs, ev, idx); err != nil {
-			return err
-		}
+		slots = rt.startSubscribers(ev)
 	case sax.EndElement:
-		if len(rt.openGroups.items) > 0 {
-			rt.endGroups(ev, idx)
-		}
 		// endSet contains every machine with something to pop; iterate a
 		// snapshot since delivery mutates membership.
-		if err := rt.deliverAll(rt.snapshot(&rt.endSet), ev, idx); err != nil {
-			return err
-		}
-		rt.prun.EndElement(ev.Depth)
+		slots = rt.snapshot(&rt.endSet)
 	case sax.Text:
-		for _, g := range rt.openGroups.items {
-			rt.deliveries++
-			rt.groupRuns[g].Text(ev)
-		}
-		for _, i := range rt.snapshot(&rt.textSet) {
-			if err := rt.deliver(i, ev, idx); err != nil {
-				return err
-			}
-		}
+		slots = rt.snapshot(&rt.textSet)
 	case sax.EndDocument:
 		// Only what the document woke has end-of-document invariants that can
 		// fail; machines check them in machine order like every other
 		// delivery.
-		for _, w := range rt.wokenGroups {
-			rt.deliveries++
-			if err := rt.groupRuns[w.group].EndDocument(); err != nil {
-				return err
-			}
-		}
 		slices.Sort(rt.woken)
-		for _, i := range rt.woken {
-			if err := rt.deliver(i, ev, idx); err != nil {
-				return err
-			}
-		}
+		slots = rt.woken
 	}
 	// StartDocument goes to nobody: a machine starts its document at wake.
-	rt.rec.After(ev)
-	return nil
+	var err error
+	for _, i := range slots {
+		if err = rt.deliver(i, ev, idx); err != nil {
+			break
+		}
+	}
+	if err == nil {
+		if ev.Kind == sax.EndElement {
+			rt.prun.EndElement(ev.Depth)
+		}
+		rt.rec.After(ev)
+	}
+	if len(rt.out) > mark {
+		if serr := rt.settle(mark); err == nil {
+			err = serr
+		}
+	}
+	return err
 }
 
 // startSubscribers collects, deduplicates and orders the routed machines
 // that must see a start-element event: subscribers of the element name,
 // wildcard machines and subscribers of any attribute name present. Delivery
 // is in machine order, matching what a broadcast fan-out would do, so
-// interleavings are reproducible. broadcast reports an event without routing
-// information (a name without a symbol ID), which every machine and group
-// must see.
+// interleavings are reproducible. An event without routing information (a
+// name without a symbol ID) goes to every machine.
 //
 //vitex:hotpath
-func (rt *router) startSubscribers(ev *sax.Event) (out []int32, broadcast bool) {
+func (rt *router) startSubscribers(ev *sax.Event) []int32 {
 	rt.stamp++
-	out = rt.scratch[:0]
+	out := rt.scratch[:0]
+	broadcast := false
 	if id := ev.NameID; id == sax.SymNone {
 		// Producer without a symbol table: no routing information.
 		broadcast = true
@@ -727,7 +779,7 @@ func (rt *router) startSubscribers(ev *sax.Event) (out []int32, broadcast bool) 
 	if broadcast {
 		out = append(out[:0], rt.machines...)
 		rt.scratch = out
-		return out, true
+		return out
 	}
 	out = rt.appendNew(out, rt.wild)
 	// Insertion sort: subscriber counts per event are small by design.
@@ -737,7 +789,7 @@ func (rt *router) startSubscribers(ev *sax.Event) (out []int32, broadcast bool) 
 		}
 	}
 	rt.scratch = out
-	return out, false
+	return out
 }
 
 // appendNew appends the members of list not yet stamped this event. A method
@@ -769,6 +821,15 @@ func (rt *router) snapshot(d *denseSet) []int32 {
 	rt.scratch = out
 	return out
 }
+
+// emission is one result in the emission buffer, with the dense index of
+// the machine it is for (dense order is slot order).
+type emission struct {
+	mach int32
+	res  twigm.Result
+}
+
+func cmpMach(a, b emission) int { return int(a.mach) - int(b.mach) }
 
 // denseSet is a set of machine indexes with O(1) insert/remove and
 // allocation-free iteration: items is the members in arbitrary order, pos

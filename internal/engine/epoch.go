@@ -77,16 +77,19 @@ type epoch struct {
 	// its members' step follows (value.go).
 	trie    *twigm.Trie
 	anchors []int32
-	// groupOf maps slot -> the ID of the value group evaluating the slot's
-	// machine, -1 for a machine evaluated by its own run.
+	// groups maps a value-group ID to its member table (nil for a dead ID),
+	// and groupOf maps slot -> the ID of the group the slot's machine is a
+	// member of, -1 for a machine of its own query.
+	groups  []*twigm.ValueGroup
 	groupOf []int32
 
 	garbage int // tombstoned slots in progs
 }
 
 // routes are the static routing tables of a set of machines, what a router
-// routes by. An epoch's cover its live machines; a parallel shard's router
-// gets them restricted to the shard's.
+// routes by. An epoch's cover its live machines, of a value group only the
+// host (value.go); a parallel shard's router gets them restricted to the
+// shard's.
 //
 //vitex:cow
 type routes struct {
@@ -94,14 +97,7 @@ type routes struct {
 	attrSubs [][]int32 // NameID -> slots subscribed to the attribute name
 	wild     []int32   // slots with a '*' element node
 	rootText []int32   // slots with a root text() node: text subscribers before their first wake
-	machines []int32   // slots evaluated by their own run, ascending (a broadcast's recipients)
-
-	// groups maps a value-group ID to its group (nil for a dead ID) and
-	// groupSubs a NameID to the groups whose step names it. A grouped
-	// machine is in none of the slot tables above: its group is routed
-	// instead (value.go).
-	groups    []*twigm.ValueGroup
-	groupSubs [][]int32
+	machines []int32   // slots with a run, ascending (a broadcast's recipients)
 }
 
 // clone copies the epoch's outer structure for the next mutation: slot and
@@ -115,15 +111,14 @@ func (ep *epoch) clone(symsLen int) *epoch {
 		seq:   ep.seq + 1,
 		progs: append([]*twigm.Program(nil), ep.progs...),
 		routes: routes{
-			elemSubs:  growSubs(ep.elemSubs, symsLen),
-			attrSubs:  growSubs(ep.attrSubs, symsLen),
-			wild:      ep.wild,
-			rootText:  ep.rootText,
-			groups:    slices.Clone(ep.groups),
-			groupSubs: growSubs(ep.groupSubs, symsLen),
+			elemSubs: growSubs(ep.elemSubs, symsLen),
+			attrSubs: growSubs(ep.attrSubs, symsLen),
+			wild:     ep.wild,
+			rootText: ep.rootText,
 		},
 		trie:    ep.trie,
 		anchors: slices.Clone(ep.anchors),
+		groups:  slices.Clone(ep.groups),
 		groupOf: slices.Clone(ep.groupOf),
 		garbage: ep.garbage,
 	}
@@ -141,10 +136,8 @@ func growSubs(subs [][]int32, symsLen int) [][]int32 {
 	return out
 }
 
-// subscribe adds slot to the routing tables: to its value group when its
-// program is value-keyed, to every list its static subscriptions name
-// otherwise. Appends may share backing arrays with older epochs; they only
-// ever write past those epochs' lengths.
+// subscribe adds slot's machine: to its value group when its program is
+// value-keyed, to the routing tables otherwise.
 //
 //vitex:cowmut called on unpublished epochs only
 func (ep *epoch) subscribe(slot int32, p *twigm.Program) {
@@ -152,6 +145,27 @@ func (ep *epoch) subscribe(slot int32, p *twigm.Program) {
 		ep.join(slot, p, literal)
 		return
 	}
+	ep.route(slot, p)
+}
+
+// unsubscribe takes slot's machine out of its value group, or out of the
+// routing tables.
+//
+//vitex:cowmut called on unpublished epochs only
+func (ep *epoch) unsubscribe(slot int32, p *twigm.Program) {
+	if gid := ep.groupOf[slot]; gid >= 0 {
+		ep.leave(slot, p, gid)
+		return
+	}
+	ep.unroute(slot, p)
+}
+
+// route adds slot to every routing list program p's static subscriptions
+// name. Appends may share backing arrays with older epochs; they only ever
+// write past those epochs' lengths.
+//
+//vitex:cowmut called on unpublished epochs only
+func (ep *epoch) route(slot int32, p *twigm.Program) {
 	for _, id := range p.ElemNameIDs() {
 		ep.elemSubs[id] = append(ep.elemSubs[id], slot)
 	}
@@ -166,16 +180,11 @@ func (ep *epoch) subscribe(slot int32, p *twigm.Program) {
 	}
 }
 
-// unsubscribe takes slot out of its value group, or rebuilds (fresh backing
-// — older epochs keep reading the old lists) every routing list that
-// mentions it, dropping it.
+// unroute rebuilds (fresh backing — older epochs keep reading the old lists)
+// every routing list program p's subscriptions name, dropping slot.
 //
 //vitex:cowmut called on unpublished epochs only
-func (ep *epoch) unsubscribe(slot int32, p *twigm.Program) {
-	if gid := ep.groupOf[slot]; gid >= 0 {
-		ep.leave(slot, p, gid)
-		return
-	}
+func (ep *epoch) unroute(slot int32, p *twigm.Program) {
 	for _, id := range p.ElemNameIDs() {
 		ep.elemSubs[id] = without(ep.elemSubs[id], slot)
 	}
@@ -190,22 +199,20 @@ func (ep *epoch) unsubscribe(slot int32, p *twigm.Program) {
 	}
 }
 
-// subscribeAll fills fresh routing tables with every live machine, building
-// each value group in one pass rather than one copy per member.
+// subscribeAll builds the value groups and fresh routing tables from every
+// live machine, each group in one pass rather than one copy per member.
 //
 //vitex:cowmut called on unpublished epochs only
 func (ep *epoch) subscribeAll(symsLen int) {
+	ep.regroup()
 	ep.elemSubs = make([][]int32, symsLen+1)
 	ep.attrSubs = make([][]int32, symsLen+1)
+	ep.wild, ep.rootText = nil, nil
 	for slot, p := range ep.progs {
-		if p == nil {
-			continue
-		}
-		if _, keyed := p.ValueKey(); !keyed {
-			ep.subscribe(int32(slot), p)
+		if p != nil && ep.routed(int32(slot)) {
+			ep.route(int32(slot), p)
 		}
 	}
-	ep.regroup(symsLen)
 }
 
 // without returns a fresh copy of list with slot removed.
@@ -219,8 +226,8 @@ func without(list []int32, slot int32) []int32 {
 	return out
 }
 
-// reindex rebuilds the live/liveIdx views and the run-evaluated machine list
-// from progs.
+// reindex rebuilds the live/liveIdx views and the routed machine list from
+// progs.
 //
 //vitex:cowmut called on unpublished epochs only
 func (ep *epoch) reindex() {
@@ -234,7 +241,7 @@ func (ep *epoch) reindex() {
 		}
 		ep.liveIdx[slot] = int32(len(ep.live))
 		ep.live = append(ep.live, int32(slot))
-		if ep.groupOf[slot] < 0 {
+		if ep.routed(int32(slot)) {
 			ep.machines = append(ep.machines, int32(slot))
 		}
 	}
@@ -328,8 +335,9 @@ func (e *Engine) buildTrieLocked(ep *epoch) (grafts int) {
 // maybeCompactTrieLocked rebuilds the trie with dense node IDs when pruning
 // has left more dead IDs than live nodes (same shape as slot compaction).
 // Machines are NOT recompiled: their stored profiles are re-grafted, the
-// epoch's anchor table rewritten and the value groups re-keyed, so pooled
-// sessions just resize their prefix stacks on resync.
+// epoch's anchor table rewritten and the value groups (keyed by anchor) and
+// routing tables rebuilt, so pooled sessions just resize their prefix stacks
+// on resync.
 //
 //vitex:cowmut mutates the unpublished epoch under e.mu
 func (e *Engine) maybeCompactTrieLocked(ep *epoch) {
@@ -338,7 +346,8 @@ func (e *Engine) maybeCompactTrieLocked(ep *epoch) {
 		return
 	}
 	e.buildTrieLocked(ep)
-	ep.regroup(e.syms.Len())
+	ep.subscribeAll(e.syms.Len())
+	ep.reindex()
 	e.trieCompactions.Add(1)
 }
 

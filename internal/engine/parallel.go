@@ -226,19 +226,11 @@ func (ps *psession) stream(ctx context.Context, ep *epoch, drv sax.Driver, src i
 	return scan, nil
 }
 
-// emission is one result with its serial-order key: the 1-based index of the
-// scan event during whose delivery it was emitted, and the dense index of the
-// machine that emitted it (dense order is slot order).
-type emission struct {
-	at   int64
-	mach int32
-	res  twigm.Result
-}
-
-// less orders emissions by the serial emission key.
+// less orders emissions by the serial emission key: the event during whose
+// delivery they were emitted (DeliveredAt), then the machine.
 func less(a, b *emission) bool {
-	if a.at != b.at {
-		return a.at < b.at
+	if a.res.DeliveredAt != b.res.DeliveredAt {
+		return a.res.DeliveredAt < b.res.DeliveredAt
 	}
 	return a.mach < b.mach
 }
@@ -314,42 +306,28 @@ type psession struct {
 
 // pworker owns the machines of one shard: a router restricted to the shard
 // (tables owned by the worker, mutated in place during resyncs — they are
-// session-private), the channels batches and results flow through, and the
-// emission buffer the shard's machines record their results in.
+// session-private), whose emission buffer it ships to the merge once per
+// batch, and the channels batches and results flow through.
 //
 //vitex:pooled
 type pworker struct {
 	ps *psession //vitex:keep owning session, constant for the worker's life
 	rt router
 
-	cur    []emission
 	failed error
 
 	in  chan *eventBatch
 	out chan resultChunk
 }
 
-// reset prepares the worker for a new stream: the emission buffer is handed
-// off chunk-by-chunk during evaluation, the channels were closed by the
-// previous stream, and the router starts a new document with the shard's
-// results redirected to record.
+// reset prepares the worker for a new stream: the channels were closed by the
+// previous stream, and the router starts a new document keeping the shard's
+// results for the merge.
 func (w *pworker) reset(ep *epoch, plan Plan) {
-	w.cur = nil
 	w.failed = nil
 	w.in = make(chan *eventBatch, 4)
 	w.out = make(chan resultChunk, 8)
-	opts := plan.Options
-	if opts.EmitFrom != nil {
-		opts.EmitFrom = w.record
-	}
-	w.rt.reset(ep, opts, plan.Unordered)
-}
-
-// record is the EmitFrom of the shard's machines: it stamps each result with
-// the serial-order key and parks it on the chunk buffer for the merge.
-func (w *pworker) record(machine int, tr twigm.Result) error {
-	w.cur = append(w.cur, emission{at: w.rt.clock, mach: int32(machine), res: tr})
-	return nil
+	w.rt.reset(ep, plan, false)
 }
 
 func newPsession(e *Engine, workers int) *psession {
@@ -385,14 +363,17 @@ func (ps *psession) sync(ep *epoch) {
 	dirty := make([]bool, ps.nworkers)
 	for slot := range ep.progs {
 		var prev *twigm.Program
-		prevAnchor := int32(-1)
+		prevAnchor, prevRouted := int32(-1), false
 		if old != nil && slot < len(old.progs) {
 			prev = old.progs[slot]
 			prevAnchor = old.anchors[slot]
+			prevRouted = prev != nil && old.routed(int32(slot))
 		}
 		// An anchor move without a program change (trie compaction
-		// renumbering IDs) also invalidates the shard's trie filter.
-		if ep.progs[slot] != prev || ep.anchors[slot] != prevAnchor {
+		// renumbering IDs) also invalidates the shard's trie filter, and a
+		// value group changing hosts moves its routes.
+		p := ep.progs[slot]
+		if p != prev || ep.anchors[slot] != prevAnchor || (p != nil && ep.routed(int32(slot))) != prevRouted {
 			dirty[ps.shardOf(int32(slot))] = true
 		}
 	}
@@ -417,12 +398,12 @@ func (ps *psession) sync(ep *epoch) {
 		}
 		// Shard the trie by subtree: this worker evaluates only the trie
 		// nodes on its own machines' anchor paths (ancestors included, so
-		// anchor compatibility checks see their full chain), grouped ones
-		// included. Other subtrees cost this worker nothing.
+		// anchor compatibility checks see their full chain). Other subtrees
+		// cost this worker nothing.
 		var trieIDs []bool
 		if ep.trie != nil {
 			trieIDs = make([]bool, ep.trie.NumIDs())
-			for _, slot := range shardSlots(ep.live, ps, wi) {
+			for _, slot := range shardSlots(ep.machines, ps, wi) {
 				for id := ep.anchors[slot]; id >= 0; id = ep.trie.Parent(id) {
 					if trieIDs[id] {
 						break // path above already marked
@@ -431,17 +412,12 @@ func (ps *psession) sync(ep *epoch) {
 				}
 			}
 		}
-		// Each shard groups its own slots: a value group's members split
-		// over the shards, and every shard evaluates its part of the group.
-		groups := shardGroups(ep.groups, ps, wi)
 		w.rt.init(runs, routes{
-			elemSubs:  shardFilter(ep.elemSubs, ps, wi),
-			attrSubs:  shardFilter(ep.attrSubs, ps, wi),
-			wild:      shardSlots(ep.wild, ps, wi),
-			rootText:  shardSlots(ep.rootText, ps, wi),
-			machines:  shardSlots(ep.machines, ps, wi),
-			groups:    groups,
-			groupSubs: shardGroupSubs(ep.groupSubs, groups),
+			elemSubs: shardFilter(ep.elemSubs, ps, wi),
+			attrSubs: shardFilter(ep.attrSubs, ps, wi),
+			wild:     shardSlots(ep.wild, ps, wi),
+			rootText: shardSlots(ep.rootText, ps, wi),
+			machines: shardSlots(ep.machines, ps, wi),
 		}, ep.trie, trieIDs)
 		if old != nil {
 			rebuilt++
@@ -458,32 +434,6 @@ func shardFilter(subs [][]int32, ps *psession, w int) [][]int32 {
 	out := make([][]int32, len(subs))
 	for id, list := range subs {
 		out[id] = shardSlots(list, ps, w)
-	}
-	return out
-}
-
-// shardGroups restricts the value groups to the members of shard w; a group
-// with none there is nil.
-func shardGroups(groups []*twigm.ValueGroup, ps *psession, w int) []*twigm.ValueGroup {
-	out := make([]*twigm.ValueGroup, len(groups))
-	for gid, g := range groups {
-		if g != nil {
-			out[gid] = g.Only(func(slot int32) bool { return ps.shardOf(slot) == w })
-		}
-	}
-	return out
-}
-
-// shardGroupSubs restricts a group subscription table to the groups a shard
-// has (shardGroups).
-func shardGroupSubs(subs [][]int32, groups []*twigm.ValueGroup) [][]int32 {
-	out := make([][]int32, len(subs))
-	for id, list := range subs {
-		for _, gid := range list {
-			if groups[gid] != nil {
-				out[id] = append(out[id], gid)
-			}
-		}
 	}
 	return out
 }
@@ -665,8 +615,8 @@ func (w *pworker) loop() {
 			default:
 			}
 		}
-		w.out <- resultChunk{emissions: w.cur}
-		w.cur = nil
+		w.out <- resultChunk{emissions: w.rt.out}
+		w.rt.out = nil
 	}
 	close(w.out)
 }

@@ -10,9 +10,10 @@ import (
 	"repro/internal/twigm"
 )
 
-// TestGroupedMachinesHaveNoRun: a value-keyed machine is evaluated by its
-// group, serial and sharded; no session gives it a run of its own.
-func TestGroupedMachinesHaveNoRun(t *testing.T) {
+// TestGroupMembersShareOneRun: the members of a value group share one run,
+// their host's — the lowest member's — serial and sharded; every other member
+// has none.
+func TestGroupMembersShareOneRun(t *testing.T) {
 	sources := []string{"//trade/symbol[. = 'ACME']", "//trade/price", "//trade/symbol[. = 'GLOBEX']", "//symbol[. = 'ACME']"}
 	e := mustEngine(t, sources...)
 	if m := e.Metrics(); m.ValueGroups != 2 || m.ValueKeyedMachines != 3 {
@@ -24,10 +25,16 @@ func TestGroupedMachinesHaveNoRun(t *testing.T) {
 			t.Fatal(err)
 		}
 		runs := p.runs()
-		for slot, want := range []bool{false, true, false, false} {
+		for slot, want := range []bool{true, true, false, true} {
 			if (runs[slot] != nil) != want {
 				t.Fatalf("workers=%d: slot %d (%s) has a run: %v", workers, slot, sources[slot], runs[slot] != nil)
 			}
+		}
+		if g := runs[0].Group(); g == nil || g.Size() != 2 {
+			t.Fatalf("workers=%d: slot 0 evaluates group %+v, want both //trade/symbol members", workers, g)
+		}
+		if g := runs[1].Group(); g != nil {
+			t.Fatalf("workers=%d: an ordinary machine evaluates group %+v", workers, g)
 		}
 	}
 }
@@ -58,8 +65,8 @@ func TestGroupDeliveryCountsOnce(t *testing.T) {
 }
 
 // TestIdleGroupAfterAbortedDocument: document 1 dies with a value group's
-// entry open; document 2 never wakes the group, so nothing resets it, and
-// nothing of it may show — then it wakes clean.
+// entry open; document 2 never wakes the group, so nothing resets its run,
+// and nothing of it may show — then it wakes clean.
 func TestIdleGroupAfterAbortedDocument(t *testing.T) {
 	sources := []string{"//feed[. = 'x']", "//quote/bid", "//feed[. = '']", "//trade/symbol[. = 'ACME']"}
 	for _, workers := range []int{0, 2} {
@@ -71,11 +78,9 @@ func TestIdleGroupAfterAbortedDocument(t *testing.T) {
 			}
 			open := func() int {
 				n := 0
-				for _, rt := range p.routers() {
-					for _, g := range rt.groupRuns {
-						if g != nil {
-							n += g.LiveEntries()
-						}
+				for _, run := range p.runs() {
+					if run != nil && run.Group() != nil {
+						n += run.LiveEntries()
 					}
 				}
 				return n
@@ -93,16 +98,21 @@ func TestIdleGroupAfterAbortedDocument(t *testing.T) {
 	}
 }
 
-// TestGroupStatsOnFailedStream: a stream an emit error stops reports, for
-// each member of a group, what its own machine would have counted — the
-// members after the failing one have not seen the event it failed on.
-func TestGroupStatsOnFailedStream(t *testing.T) {
+// TestFailedStreamStats: a serial stream an emit error stops returns the error
+// after exactly the results before it, and every machine the document woke
+// — a value group's members and ordinary machines alike — reports its
+// counters through the event the stream failed on.
+func TestFailedStreamStats(t *testing.T) {
 	doc := `<r><a>x</a><a>x</a></r>`
-	sources := []string{"//a[. = 'x']", "//a[. = 'x']", "//a[. = 'y']"}
+	sources := []string{"//a[. = 'x']", "//a[. = 'x']", "//a[. = 'y']", "//a"}
 	boom := fmt.Errorf("boom")
+	var calls []int
 	opts := make([]twigm.Options, len(sources))
 	for d := range opts {
-		opts[d].EmitFrom = func(int, twigm.Result) error { return boom }
+		opts[d].EmitFrom = func(d int, _ twigm.Result) error {
+			calls = append(calls, d)
+			return boom
+		}
 	}
 	plan, finish := planOf(opts)
 	e := mustEngine(t, sources...)
@@ -112,15 +122,14 @@ func TestGroupStatsOnFailedStream(t *testing.T) {
 	if err != boom {
 		t.Fatalf("stream returned %v", err)
 	}
-	stats := finish(scan)
-	// Machine 0 emitted the first <a> and failed; 1 and 2 never saw its end.
-	want := []int64{1, 0, 0}
-	for d, pops := range want {
-		if stats[d].Pops != pops {
-			t.Fatalf("machine %d counted %d pops, want %d: %+v", d, stats[d].Pops, pops, stats)
-		}
+	// The first </a> proves results for machines 0, 1 and 3; machine 0's is
+	// the first delivered, and its error ends the stream.
+	if !reflect.DeepEqual(calls, []int{0}) {
+		t.Fatalf("EmitFrom called for machines %v, want [0]", calls)
 	}
-	if !reflect.DeepEqual(stats[1], stats[2]) || stats[1].Pushes != 1 {
-		t.Fatalf("members behind the failure: %+v, %+v", stats[1], stats[2])
+	for d, st := range finish(scan) {
+		if st.Pops != 1 {
+			t.Fatalf("machine %d (%s) counted %d pops, want 1: %+v", d, sources[d], st.Pops, st)
+		}
 	}
 }

@@ -21,7 +21,7 @@ import (
 // what its own machine produces. The references are the same machines with
 // prefix sharing — and so grouping — disabled, for the emission sequence, and
 // each query evaluated alone, for its results and statistics (prefix sharing
-// changes what a machine counts; TestGroupRunMatchesMemberRuns in
+// changes what a machine counts; TestGroupedRunMatchesMemberRuns in
 // internal/twigm holds a member's counters against its own machine's).
 // Evaluation runs over saxtest.PoisonDriver, serial and sharded.
 

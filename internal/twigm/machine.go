@@ -72,7 +72,10 @@ type Options struct {
 	// Trace, when non-nil, receives a human-readable log of every
 	// machine transition (pushes, pops, flag propagations, candidate
 	// lifecycle) — the demonstration view of the system. Evaluation with
-	// tracing is substantially slower; leave nil in production.
+	// tracing is substantially slower; leave nil in production. A run
+	// evaluating a value group (BindGroup) logs each transition once for all
+	// of its members — match and proven when some member's literal matched,
+	// drop otherwise — and one emit line per result it delivers to a member.
 	Trace io.Writer
 }
 
@@ -128,8 +131,8 @@ type candidate struct {
 	// spanned: the element's fragment is complete as the recorder's
 	// buf[start:end] and not yet made into value (Recorder.fragment).
 	spanned bool
-	// bucket is the literal a GroupRun candidate was confirmed for: the
-	// value-group bucket whose members emit it (-1: none).
+	// bucket is the literal a value group's candidate was confirmed for:
+	// the bucket whose members it is emitted to (BindGroup).
 	bucket      int32
 	start, end  int
 	value       string
@@ -208,6 +211,14 @@ type Run struct {
 	// against (see shared.go); nil for unanchored programs. Bound per
 	// stream via BindAnchor, it survives Reset.
 	anchor *AnchorStack //vitex:keep rebound per stream via BindAnchor, survives Reset by contract
+
+	// group is the value group the run evaluates for all of its members, nil
+	// for a run of its own query; hits counts, by bucket, the candidates
+	// confirmed for its members, and unordered picks the members that deliver
+	// in confirmation order under Ordered (BindGroup, valuegroup.go).
+	group     *ValueGroup
+	hits      []int64
+	unordered func(id int) bool
 }
 
 // Start instantiates the machine for a new stream.
@@ -240,6 +251,8 @@ func (r *Run) Reset(opts Options) {
 	r.ordered.reset()
 	r.done = false
 	r.failed = nil
+	r.group, r.unordered = nil, nil
+	r.hits = r.hits[:0]
 	r.applyOptions(opts)
 }
 
@@ -752,8 +765,8 @@ func (r *Run) endElement(ev *sax.Event) {
 		e := &s[len(s)-1]
 		if !e.satisfied {
 			// Finalize: self-comparisons now have the complete
-			// string-value.
-			if m.cond.eval(e.flags, e, true) {
+			// string-value. A group's is looked up among its literals.
+			if r.group != nil && r.selectBucket(e) || r.group == nil && m.cond.eval(e.flags, e, true) {
 				r.onSatisfied(m, e)
 			}
 		}
@@ -999,17 +1012,19 @@ func (r *Run) resolveIfDead(c *candidate) {
 }
 
 // deliver hands a confirmed, fully recorded candidate to the output, or to
-// the re-sequencer, which emits it once every earlier candidate resolved.
+// the re-sequencer, which emits it once every earlier candidate resolved (and
+// to a group's members that deliver in confirmation order anyway).
 //
 //vitex:hotpath
 func (r *Run) deliver(c *candidate) {
 	r.liveCands--
 	r.stats.CandidatesEmitted++
+	if !r.opts.Ordered || r.unordered != nil {
+		r.emit(c, true)
+	}
 	if r.opts.Ordered {
 		r.release(c.seq, c)
-		return
 	}
-	r.emit(c)
 }
 
 // release records the fate of seq in the re-sequencer — delivered as c, or
@@ -1024,15 +1039,17 @@ func (r *Run) release(seq int64, c *candidate) {
 			return
 		}
 		if out != nil {
-			r.emit(out)
+			r.emit(out, false)
 		}
 	}
 }
 
-// emit delivers a candidate's result, its value made a string now.
+// emit delivers a candidate's result, its value made a string now: to the
+// run's query, or to the members of its group whose turn it is — in
+// confirmation order when early, in document order when not (emitMembers).
 //
 //vitex:hotpath
-func (r *Run) emit(c *candidate) {
+func (r *Run) emit(c *candidate, early bool) {
 	res := Result{
 		Seq:         c.seq,
 		NodeOffset:  c.offset,
@@ -1040,12 +1057,23 @@ func (r *Run) emit(c *candidate) {
 		ConfirmedAt: c.confirmedAt,
 		DeliveredAt: r.stats.Events,
 	}
+	if r.group != nil {
+		r.emitMembers(c, &res, early)
+		return
+	}
+	r.emitTo(r.opts.ID, &res)
+}
+
+// emitTo hands one result to EmitFrom under id.
+//
+//vitex:hotpath
+func (r *Run) emitTo(id int, res *Result) {
 	r.count++
 	if r.trace.on() {
-		r.trace.emit(&res)
+		r.trace.emit(res)
 	}
 	if r.opts.EmitFrom != nil {
-		if err := r.opts.EmitFrom(r.opts.ID, res); err != nil {
+		if err := r.opts.EmitFrom(id, *res); err != nil {
 			r.fail(err)
 		}
 	}

@@ -198,9 +198,8 @@ type recording struct {
 	level int
 }
 
-// fragmentSet is what one evaluator — a Run, or a GroupRun for all its members
-// at once — keeps of its open element fragments: the recorder they are spans
-// of, the open ones, and where the first of them began.
+// fragmentSet is what a Run keeps of its open element fragments: the recorder
+// they are spans of, the open ones, and where the first of them began.
 type fragmentSet struct {
 	rec    *Recorder
 	active []recording

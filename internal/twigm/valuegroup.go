@@ -14,26 +14,26 @@
 // with a quoted string, which Comparison.Eval decides by exact string
 // equality. Value-keyed programs with one anchor, axis and name test form a
 // value group (ValueGroup): a table from literal to the ascending member IDs
-// filed under it. One GroupRun evaluates the whole group: it pushes one entry
-// per matching element, records the fragment once and accumulates the
-// string-value once, and at the end tag looks the value up and confirms the
-// candidate for the members filed under it alone.
+// filed under it. One ordinary Run of the members' shape evaluates the whole
+// group (BindGroup): it pushes one entry per matching element, records the
+// fragment once and accumulates the string-value once, and at the entry's pop
+// looks the value up in the table instead of comparing it with one literal.
+// The candidate is confirmed for the bucket the value selects and emitted
+// once per member filed there; on a miss it is dropped.
 //
 // Equivalence is exact. Every member's machine would make the same pushes on
 // the same events, create the same candidates (the same Seq numbers and
 // offsets), close the same fragments, resolve each candidate at the same pop
 // and release it from the same ordered window at the same event. Only whether
 // a candidate is emitted or dropped depends on the literal. So a member's
-// results are the group's candidates confirmed for its literal, delivered at
-// the points its machine would deliver them, and its statistics are the
-// group's counters with its own emitted/dropped split (Stats).
+// results are the run's candidates confirmed for its literal, delivered at
+// the points its machine would deliver them, and its statistics are the run's
+// counters with its own emitted/dropped split (MemberStats).
 package twigm
 
 import (
-	"fmt"
 	"slices"
 
-	"repro/internal/sax"
 	"repro/internal/xpath"
 )
 
@@ -75,7 +75,7 @@ type ValueMember struct {
 	Literal string
 }
 
-// ValueGroup is the routing table of one value group: its members filed by
+// ValueGroup is the member table of one value group: its members filed by
 // literal, each literal's members in ascending ID order. It is immutable once
 // published; With and Without build changed copies, sharing every member list
 // they do not touch.
@@ -83,10 +83,10 @@ type ValueMember struct {
 //vitex:cow
 type ValueGroup struct {
 	key     GroupKey
-	step    node // the members' element step: name test and axis
 	buckets []valueBucket
 	byValue map[string]int32 // literal -> index in buckets
 	size    int
+	host    int32 // the lowest member ID
 }
 
 // valueBucket is the members filed under one literal.
@@ -100,17 +100,13 @@ type valueBucket struct {
 //
 //vitex:cowmut builds a group nothing else can see yet
 func NewValueGroup(p *Program, anchor int32, members []ValueMember) *ValueGroup {
-	m := p.root
-	g := &ValueGroup{
-		key:     p.GroupKey(anchor),
-		step:    node{kind: xpath.Element, name: m.name, prefix: m.prefix, local: m.local, nameID: m.nameID, axis: m.axis},
-		byValue: make(map[string]int32),
-	}
+	g := &ValueGroup{key: p.GroupKey(anchor), byValue: make(map[string]int32)}
 	for _, mb := range members {
 		b := g.bucket(mb.Literal)
 		g.buckets[b].members = append(g.buckets[b].members, mb.ID)
 	}
 	g.size = len(members)
+	g.host = members[0].ID
 	return g
 }
 
@@ -151,6 +147,7 @@ func (g *ValueGroup) With(id int32, literal string) *ValueGroup {
 	// A clipped list makes Insert copy: older groups still read ms.
 	next.buckets[b].members = slices.Insert(slices.Clip(ms), i, id)
 	next.size++
+	next.host = min(next.host, id)
 	return next
 }
 
@@ -174,30 +171,11 @@ func (g *ValueGroup) Without(id int32, literal string) *ValueGroup {
 		}
 	}
 	next.size--
-	return next
-}
-
-// Only returns the group restricted to the members keep accepts (a parallel
-// shard's); nil when none is left.
-//
-//vitex:cowmut builds a group nothing else can see yet
-func (g *ValueGroup) Only(keep func(id int32) bool) *ValueGroup {
-	next := &ValueGroup{key: g.key, step: g.step, byValue: make(map[string]int32)}
-	for _, bk := range g.buckets {
-		var ms []int32
-		for _, id := range bk.members {
-			if keep(id) {
-				ms = append(ms, id)
-			}
+	if id == next.host {
+		next.host = next.buckets[0].members[0]
+		for _, bk := range next.buckets[1:] {
+			next.host = min(next.host, bk.members[0])
 		}
-		if len(ms) > 0 {
-			next.byValue[bk.literal] = int32(len(next.buckets))
-			next.buckets = append(next.buckets, valueBucket{literal: bk.literal, members: ms})
-			next.size += len(ms)
-		}
-	}
-	if next.size == 0 {
-		return nil
 	}
 	return next
 }
@@ -205,9 +183,9 @@ func (g *ValueGroup) Only(keep func(id int32) bool) *ValueGroup {
 // Key returns the group's key.
 func (g *ValueGroup) Key() GroupKey { return g.key }
 
-// NameID returns the symbol ID of the local name the members' step tests:
-// the element name the group subscribes to.
-func (g *ValueGroup) NameID() int32 { return g.step.nameID }
+// Host returns the lowest member ID: the member whose machine runs for the
+// whole group.
+func (g *ValueGroup) Host() int32 { return g.host }
 
 // Size returns the number of members.
 func (g *ValueGroup) Size() int { return g.size }
@@ -221,365 +199,66 @@ func (g *ValueGroup) Members(b int32) []int32 { return g.buckets[b].members }
 
 // ---- group evaluation ----
 
-// groupEntry is one open element that path-matches the group's step: its
-// candidate and its string-value so far.
-type groupEntry struct {
-	level int
-	cand  *candidate
-	text  []byte
-}
-
-// groupCounters are the statistics every member counts alike: all of Stats
-// but the fate of its candidates, plus how many candidates have resolved.
-type groupCounters struct {
-	stats    Stats
-	resolved int64
-}
-
-// GroupRun evaluates one value group over a stream, once for all of its
-// members. A driver delivers it the events its members' machines would see
-// (StartElement for the step's name, Text and EndElement while it has live
-// entries), then visits the members the event concerns (Due) in its own
-// delivery order (Visit), and at the end reads each member's statistics back
-// (Stats). Like a Run it records into its driver's recorder and is reset for
-// a document when the document first wakes it.
-//
-//vitex:pooled
-type GroupRun struct {
-	g      *ValueGroup  //vitex:keep rebound by every Reset
-	anchor *AnchorStack //vitex:keep rebound by every Reset
-	opts   Options
-	trace  *tracer
-
-	stack     []groupEntry
-	nextSeq   int64
-	cands     candArena
-	liveCands int
-	fragmentSet
-	ordered orderedBuf
-	// now counts what every member counts alike; matches counts, by bucket,
-	// the candidates confirmed for its members.
-	now     groupCounters
-	matches []int64
-
-	// What the last event that pushed or popped did, for the visits that
-	// follow it: its index (at), the entry's level, the candidate it created
-	// (pushed) or resolved (popped), what the ordered window released, and
-	// the counters as they stood before it (prev; prevBucket is the bucket it
-	// confirmed a candidate for, -1 when none).
-	at         int64
-	level      int
-	pushed     *candidate
-	popped     *candidate
-	released   []*candidate
-	prev       groupCounters
-	prevBucket int32
-}
-
-// Reset prepares the run for a document: the members of vg, evaluated with
-// opts (EmitFrom receives each member's results under the ID its visit
-// names), recording into rec, with the step's axis checked against anchor
-// (nil for a group at the document root).
-func (g *GroupRun) Reset(vg *ValueGroup, opts Options, rec *Recorder, anchor *AnchorStack) {
-	g.g, g.anchor, g.opts = vg, anchor, opts
-	g.trace = nil
-	if opts.Trace != nil {
-		g.trace = &tracer{w: opts.Trace}
+// BindGroup makes the run, a machine of the members' shape, evaluate value
+// group g for all of its members over the current stream: at an entry's pop
+// its string-value selects the bucket the candidate is confirmed for, and the
+// result goes to Options.EmitFrom once per member filed there, under the
+// member's ID. Under Options.Ordered a member for which unordered (when
+// non-nil) reports true gets its results in confirmation order, the others in
+// document order. Reset unbinds the group.
+func (r *Run) BindGroup(g *ValueGroup, unordered func(id int) bool) {
+	r.group, r.unordered = g, unordered
+	r.hits = r.hits[:0]
+	for range g.buckets {
+		r.hits = append(r.hits, 0)
 	}
-	g.stack = g.stack[:0]
-	g.nextSeq = 0
-	g.cands.reset()
-	g.liveCands = 0
-	g.fragmentSet.reset(rec)
-	g.ordered.reset()
-	g.now = groupCounters{}
-	g.matches = g.matches[:0]
-	for range vg.buckets {
-		g.matches = append(g.matches, 0)
-	}
-	g.at, g.level = 0, 0
-	g.pushed, g.popped = nil, nil
-	g.released = g.released[:0]
-	g.prev, g.prevBucket = groupCounters{}, -1
 }
 
-// Detach drops what the run holds of its stream's consumer — the emit hook
-// and the trace writer — keeping every warmed-up allocation.
-func (g *GroupRun) Detach() {
-	g.opts.EmitFrom, g.opts.Trace = nil, nil
-	g.trace = nil
-}
+// Group returns the value group the run evaluates (BindGroup), nil for a run
+// of its own query.
+func (r *Run) Group() *ValueGroup { return r.group }
 
-// LiveEntries reports the number of open entries: while there are any, the
-// group wants text and end-element events.
-func (g *GroupRun) LiveEntries() int { return len(g.stack) }
-
-// At returns the index of the last event that pushed or popped an entry.
-func (g *GroupRun) At() int64 { return g.at }
-
-// mark starts an event that changes the members' state.
+// selectBucket decides a group's entry at its pop: the bucket its final
+// string-value selects, which its candidate is confirmed for, or none. A
+// lookup keyed by the accumulated bytes, which does not copy them.
 //
 //vitex:hotpath
-func (g *GroupRun) mark(idx int64) {
-	g.at = idx
-	g.prev, g.prevBucket = g.now, -1
-}
-
-// StartElement pushes an entry when the element matches the step's name test
-// and axis, and reports whether it did.
-//
-//vitex:hotpath
-func (g *GroupRun) StartElement(ev *sax.Event, idx int64) bool {
-	g.pushed, g.popped, g.released = nil, nil, g.released[:0]
-	m := &g.g.step
-	if !nameMatches(m, ev) {
+func (r *Run) selectBucket(e *entry) bool {
+	b, ok := r.group.byValue[string(e.textBuf)]
+	if !ok {
 		return false
 	}
-	d := ev.Depth
-	if g.g.key.Anchor >= 0 {
-		if !g.anchor.CompatElem(m.axis, d) {
-			return false
-		}
-	} else if m.axis == xpath.Child && d != 1 {
-		return false
+	for _, c := range e.cands {
+		c.bucket = b
 	}
-	g.mark(idx)
-	if n := len(g.stack); n < cap(g.stack) {
-		g.stack = g.stack[:n+1]
-		e := &g.stack[n]
-		e.level, e.text = d, e.text[:0]
-	} else {
-		g.stack = append(g.stack, groupEntry{level: d})
-	}
-	st := &g.now.stats
-	st.Pushes++
-	st.PeakStackEntries = max(st.PeakStackEntries, len(g.stack))
-	c := g.cands.next()
-	c.seq, c.offset, c.bucket = g.nextSeq, ev.Offset, -1
-	g.nextSeq++
-	st.CandidatesCreated++
-	g.liveCands++
-	st.PeakLiveCandidates = max(st.PeakLiveCandidates, g.liveCands)
-	if g.opts.Ordered {
-		g.ordered.expect(c.seq)
-	}
-	if !g.opts.CountOnly {
-		g.open(c, d)
-	}
-	g.stack[len(g.stack)-1].cand = c
-	g.level, g.pushed = d, c
+	r.hits[b]++
 	return true
 }
 
-// Text extends the string-value of every open entry.
-//
-//vitex:hotpath
-func (g *GroupRun) Text(ev *sax.Event) {
-	for i := range g.stack {
-		g.stack[i].text = append(g.stack[i].text, ev.Text...)
-	}
-}
-
-// EndElement pops the entry of the ending element, if it has one, and
-// reports whether it did: the entry's fragment is complete, its string-value
-// final, and its candidate confirmed for the members filed under that value
-// and dropped for every other.
-//
-//vitex:hotpath
-func (g *GroupRun) EndElement(ev *sax.Event, idx int64) bool {
-	g.pushed, g.popped, g.released = nil, nil, g.released[:0]
-	n := len(g.stack)
-	if n == 0 || g.stack[n-1].level != ev.Depth {
-		return false
-	}
-	g.mark(idx)
-	e := &g.stack[n-1]
-	c := e.cand
-	st := &g.now.stats
-	if c.open {
-		// Still pending here, as in every member's machine: the span waits
-		// in the recorder until the candidate is delivered or the buffer
-		// resets.
-		g.closeAt(ev.Depth, st)
-		g.rec.keep(c)
-	}
-	g.liveCands--
-	g.now.resolved++
-	if b, ok := g.g.byValue[string(e.text)]; ok {
-		c.state, c.bucket, c.confirmedAt = candConfirmed, b, idx
-		g.matches[b]++
-		g.prevBucket = b
-	} else {
-		c.state = candDropped
-		g.forget(c, st)
-	}
-	if g.opts.Ordered {
-		if c.state == candConfirmed {
-			g.ordered.resolve(c.seq, c)
-		} else {
-			g.ordered.resolve(c.seq, nil)
-		}
-		for {
-			out, ok := g.ordered.pop()
-			if !ok {
-				break
-			}
-			if out != nil {
-				g.released = append(g.released, out)
-			}
-		}
-	}
-	g.stack = g.stack[:n-1]
-	st.Pops++
-	g.level, g.popped = ev.Depth, c
-	return true
-}
-
-// EndDocument checks the end-of-document invariants every member's machine
-// checks.
-func (g *GroupRun) EndDocument() error {
-	if len(g.stack) != 0 {
-		return fmt.Errorf("twigm: internal: %d entries live at end of document", len(g.stack))
-	}
-	return g.ordered.checkDrained()
-}
-
-// Due appends to dst, once each, the buckets whose members the last event
-// has something for: results to emit, or — when tracing, where every member
-// logs its own transitions — any push or pop at all.
-//
-//vitex:hotpath
-func (g *GroupRun) Due(dst []int32) []int32 {
-	if g.pushed == nil && g.popped == nil {
-		return dst
-	}
-	if g.trace.on() {
-		for b := range g.g.buckets {
-			dst = append(dst, int32(b))
-		}
-		return dst
-	}
-	start := len(dst)
-	if c := g.popped; c != nil && c.state == candConfirmed {
-		dst = append(dst, c.bucket)
-	}
-	for _, c := range g.released {
-		if !slices.Contains(dst[start:], c.bucket) {
-			dst = append(dst, c.bucket)
-		}
-	}
-	return dst
-}
-
-// Visit hands member id, filed under bucket, what the last event gave its
-// machine: the candidate resolved for its literal as a result when it
-// delivers in confirmation order, or the results the ordered window released
-// for it when ordered. Results go to Options.EmitFrom under id; the first
-// error it returns is returned, after the member's other results of the event
-// went out as its machine would send them.
-//
-//vitex:hotpath
-func (g *GroupRun) Visit(id int, bucket int32, ordered bool) error {
-	tracing := g.trace.on()
-	if g.pushed != nil {
-		if tracing {
-			g.traceStart()
-		}
-		return nil
-	}
-	c := g.popped
-	if c == nil {
-		return nil
-	}
-	mine := c.state == candConfirmed && c.bucket == bucket
-	if tracing {
-		g.traceResolve(c, mine)
-	}
-	var err error
-	if mine && !ordered {
-		err = g.emit(id, c)
-	}
-	if ordered {
-		for _, out := range g.released {
-			if out.bucket != bucket {
-				continue
-			}
-			if e := g.emit(id, out); err == nil {
-				err = e
-			}
-		}
-	}
-	if tracing {
-		g.tracePop(mine)
-	}
-	return err
-}
-
-// emit delivers one result to member id, its value made a string now — once,
-// for every member it goes to.
-//
-//vitex:hotpath
-func (g *GroupRun) emit(id int, c *candidate) error {
-	res := Result{
-		Seq:         c.seq,
-		NodeOffset:  c.offset,
-		Value:       g.rec.fragment(c),
-		ConfirmedAt: c.confirmedAt,
-		DeliveredAt: g.at,
-	}
-	if g.trace.on() {
-		g.trace.emit(&res)
-	}
-	if g.opts.EmitFrom == nil {
-		return nil
-	}
-	return g.opts.EmitFrom(id, res)
-}
-
-// Stats returns the statistics of a member filed under bucket, counted as its
-// own machine counts them. before selects the counters as they stood before
-// the last event that pushed or popped (At), for a member whose machine a
-// failed stream never delivered that event to.
-func (g *GroupRun) Stats(bucket int32, before bool) Stats {
-	c, matched := g.now, g.matches[bucket]
-	if before {
-		c = g.prev
-		if g.prevBucket == bucket {
-			matched--
-		}
-	}
-	st := c.stats
-	// The bytes a member's fragments spanned read the recorder's position,
-	// which the event had moved before any machine saw it: the same either
-	// way.
-	st.PeakBufferedBytes = g.now.stats.PeakBufferedBytes
-	if len(g.active) > 0 {
-		g.notePeak(&st)
-	}
-	st.CandidatesEmitted = matched
-	st.CandidatesDropped = c.resolved - matched
-	// A dropped candidate leaves the one entry that held it: one move.
+// MemberStats returns the statistics of the members filed under bucket b of
+// the run's group, as each member's own machine counts them: the run's
+// counters, with the fate of its candidates told for that bucket's literal.
+// A candidate another literal confirmed is one the member's machine dropped,
+// and a dropped candidate leaves the one entry that held it: one move.
+func (r *Run) MemberStats(b int32) Stats {
+	st := r.Stats()
+	resolved := st.CandidatesEmitted + st.CandidatesDropped
+	st.CandidatesEmitted = r.hits[b]
+	st.CandidatesDropped = resolved - r.hits[b]
 	st.CandMoves = st.CandidatesDropped
 	return st
 }
 
-// traceStart logs a member's push, as its machine would.
-func (g *GroupRun) traceStart() {
-	g.trace.push(&g.g.step, g.level)
-	g.trace.candidate(g.pushed)
-}
-
-// traceResolve logs a member's verdict on the popped candidate.
-func (g *GroupRun) traceResolve(c *candidate, mine bool) {
-	if mine {
-		g.trace.satisfied(&g.g.step, &entry{level: g.level})
-		g.trace.confirm(c)
-	} else {
-		g.trace.drop(c)
+// emitMembers delivers a result of the run's group to the members filed under
+// the bucket c was confirmed for whose delivery order is at hand: every one
+// without Options.Ordered, else those in confirmation order when early and
+// those in document order when not.
+//
+//vitex:hotpath
+func (r *Run) emitMembers(c *candidate, res *Result, early bool) {
+	for _, id := range r.group.buckets[c.bucket].members {
+		if !r.opts.Ordered || (r.unordered != nil && r.unordered(int(id))) == early {
+			r.emitTo(int(id), res)
+		}
 	}
-}
-
-// tracePop logs a member's pop.
-func (g *GroupRun) tracePop(mine bool) {
-	g.trace.pop(&g.g.step, &entry{level: g.level, satisfied: mine})
 }

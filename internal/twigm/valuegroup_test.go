@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
-	"slices"
 	"strings"
 	"testing"
 
@@ -67,43 +66,22 @@ func TestValueGroupCopyOnWrite(t *testing.T) {
 	if g := g2.Without(1, "x").Without(2, "x"); g != nil {
 		t.Fatalf("a group without members: %+v", g)
 	}
-	odd := g1.Only(func(id int32) bool { return id%2 == 1 })
-	if odd.Size() != 1 || !reflect.DeepEqual(odd.Members(0), []int32{1}) {
-		t.Fatalf("Only: %+v", odd)
+	// The host is the lowest member, whoever joins or leaves.
+	for _, tc := range []struct {
+		g    *ValueGroup
+		host int32
+	}{{g0, 1}, {g1, 1}, {g1.With(0, "z"), 0}, {g1.Without(1, "x"), 2}, {g0.Without(1, "x"), 4}} {
+		if tc.g.Host() != tc.host {
+			t.Errorf("host of %+v is %d, want %d", tc.g, tc.g.Host(), tc.host)
+		}
 	}
 }
 
-// memberRuns evaluates the members' own machines over doc the way the engine
-// did before value groups: every member delivered each event it subscribes
-// to, in member order, with one recorder and one trace writer between them.
-func memberRuns(t *testing.T, progs []*Program, syms *sax.Symbols, doc string, opts Options) ([][]Result, []Stats, string) {
+// routeDoc delivers doc to runs the way the engine does: each event only
+// to the runs subscribed to it, in order, around one recorder and one prefix
+// trie.
+func routeDoc(t *testing.T, runs []*Run, pr *PrefixRun, rec *Recorder, syms *sax.Symbols, doc string) {
 	t.Helper()
-	var trace bytes.Buffer
-	if opts.Trace != nil {
-		opts.Trace = &trace
-	}
-	profiles := make([][]TrieStep, len(progs))
-	for i, p := range progs {
-		profiles[i] = p.Profile()
-	}
-	trie, anchors := BuildTrie(profiles, syms.Len())
-	var pr PrefixRun
-	pr.Rebind(trie, nil)
-	results := make([][]Result, len(progs))
-	var rec Recorder
-	runs := make([]*Run, len(progs))
-	for i, p := range progs {
-		o := opts
-		o.EmitFrom = func(_ int, res Result) error {
-			results[i] = append(results[i], res)
-			return nil
-		}
-		runs[i] = p.Start(o)
-		runs[i].BindRecorder(&rec)
-		if anchors[i] >= 0 {
-			runs[i].BindAnchor(pr.Stack(anchors[i]))
-		}
-	}
 	idx := int64(0)
 	err := xmlscan.NewScannerWith(strings.NewReader(doc), syms).Run(sax.PerEvent(func(ev *sax.Event) error {
 		idx++
@@ -131,6 +109,49 @@ func memberRuns(t *testing.T, progs []*Program, syms *sax.Symbols, doc string, o
 	if err != nil {
 		t.Fatal(err)
 	}
+}
+
+// startRuns starts a run of each program bound to one recorder and to the
+// anchors of one trie over their profiles, with the options opts makes for
+// run i.
+func startRuns(progs []*Program, syms *sax.Symbols, opts func(i int) Options) ([]*Run, *PrefixRun, *Recorder, []int32) {
+	profiles := make([][]TrieStep, len(progs))
+	for i, p := range progs {
+		profiles[i] = p.Profile()
+	}
+	trie, anchors := BuildTrie(profiles, syms.Len())
+	pr, rec := new(PrefixRun), new(Recorder)
+	pr.Rebind(trie, nil)
+	runs := make([]*Run, len(progs))
+	for i, p := range progs {
+		runs[i] = p.Start(opts(i))
+		runs[i].BindRecorder(rec)
+		if anchors[i] >= 0 {
+			runs[i].BindAnchor(pr.Stack(anchors[i]))
+		}
+	}
+	return runs, pr, rec, anchors
+}
+
+// memberRuns evaluates the members' own machines over doc, each delivered the
+// events it subscribes to, with one recorder and one trace writer between
+// them.
+func memberRuns(t *testing.T, progs []*Program, syms *sax.Symbols, doc string, opts Options) ([][]Result, []Stats, string) {
+	t.Helper()
+	var trace bytes.Buffer
+	if opts.Trace != nil {
+		opts.Trace = &trace
+	}
+	results := make([][]Result, len(progs))
+	runs, pr, rec, _ := startRuns(progs, syms, func(i int) Options {
+		o := opts
+		o.EmitFrom = func(_ int, res Result) error {
+			results[i] = append(results[i], res)
+			return nil
+		}
+		return o
+	})
+	routeDoc(t, runs, pr, rec, syms, doc)
 	stats := make([]Stats, len(progs))
 	for i, run := range runs {
 		stats[i] = machineCounters(run.Stats())
@@ -138,95 +159,35 @@ func memberRuns(t *testing.T, progs []*Program, syms *sax.Symbols, doc string, o
 	return results, stats, trace.String()
 }
 
-// groupRun evaluates the same members as one GroupRun, visiting the members
-// each event concerns in member order.
+// groupRun evaluates the same members as one run of the first member's
+// machine with their value group bound.
 func groupRun(t *testing.T, progs []*Program, syms *sax.Symbols, doc string, opts Options) ([][]Result, []Stats, string) {
 	t.Helper()
 	var trace bytes.Buffer
 	if opts.Trace != nil {
 		opts.Trace = &trace
 	}
-	profiles := make([][]TrieStep, len(progs))
-	for i, p := range progs {
-		profiles[i] = p.Profile()
-	}
-	trie, anchors := BuildTrie(profiles, syms.Len())
-	var pr PrefixRun
-	pr.Rebind(trie, nil)
-	members := make([]ValueMember, len(progs))
-	for i, p := range progs {
-		lit, keyed := p.ValueKey()
-		if !keyed || p.GroupKey(anchors[i]) != progs[0].GroupKey(anchors[0]) {
-			t.Fatalf("%s is not a member of %s's group", p.Query(), progs[0].Query())
-		}
-		members[i] = ValueMember{ID: int32(i), Literal: lit}
-	}
-	vg := NewValueGroup(progs[0], anchors[0], members)
 	results := make([][]Result, len(progs))
 	opts.EmitFrom = func(id int, res Result) error {
 		results[id] = append(results[id], res)
 		return nil
 	}
-	var rec Recorder
-	var g GroupRun
-	var anchor *AnchorStack
-	if anchors[0] >= 0 {
-		anchor = pr.Stack(anchors[0])
+	runs, pr, rec, anchors := startRuns(progs[:1], syms, func(int) Options { return opts })
+	members := make([]ValueMember, len(progs))
+	for i, p := range progs {
+		lit, keyed := p.ValueKey()
+		if !keyed || p.GroupKey(anchors[0]) != progs[0].GroupKey(anchors[0]) {
+			t.Fatalf("%s is not a member of %s's group", p.Query(), progs[0].Query())
+		}
+		members[i] = ValueMember{ID: int32(i), Literal: lit}
 	}
-	g.Reset(vg, opts, &rec, anchor)
-	visit := func() error {
-		due := g.Due(nil)
-		for id := range int32(len(progs)) { // member order
-			for _, b := range due {
-				if slices.Contains(vg.Members(b), id) {
-					if err := g.Visit(int(id), b, opts.Ordered); err != nil {
-						return err
-					}
-				}
-			}
-		}
-		return nil
-	}
-	idx := int64(0)
-	err := xmlscan.NewScannerWith(strings.NewReader(doc), syms).Run(sax.PerEvent(func(ev *sax.Event) error {
-		idx++
-		if ev.Kind == sax.StartElement {
-			pr.StartElement(ev)
-		}
-		rec.Before(ev)
-		switch {
-		case ev.Kind == sax.StartElement && ev.NameID == vg.NameID():
-			if g.StartElement(ev, idx) {
-				if err := visit(); err != nil {
-					return err
-				}
-			}
-		case ev.Kind == sax.Text && g.LiveEntries() > 0:
-			g.Text(ev)
-		case ev.Kind == sax.EndElement && g.LiveEntries() > 0:
-			if g.EndElement(ev, idx) {
-				if err := visit(); err != nil {
-					return err
-				}
-			}
-		case ev.Kind == sax.EndDocument:
-			if err := g.EndDocument(); err != nil {
-				return err
-			}
-		}
-		rec.After(ev)
-		if ev.Kind == sax.EndElement {
-			pr.EndElement(ev.Depth)
-		}
-		return nil
-	}))
-	if err != nil {
-		t.Fatal(err)
-	}
+	vg := NewValueGroup(progs[0], anchors[0], members)
+	runs[0].BindGroup(vg, nil)
+	routeDoc(t, runs, pr, rec, syms, doc)
 	stats := make([]Stats, len(progs))
 	for b := range int32(vg.Buckets()) {
 		for _, m := range vg.Members(b) {
-			stats[m] = machineCounters(g.Stats(b, false))
+			stats[m] = machineCounters(runs[0].MemberStats(b))
 		}
 	}
 	return results, stats, trace.String()
@@ -239,10 +200,12 @@ func machineCounters(st Stats) Stats {
 	return st
 }
 
-// TestGroupRunMatchesMemberRuns holds a GroupRun against the members' own
-// machines: results, statistics and the trace, member for member, on random
-// groups over documents built to stress the string-value.
-func TestGroupRunMatchesMemberRuns(t *testing.T) {
+// TestGroupedRunMatchesMemberRuns holds one run evaluating a value group
+// against the members' own machines, member for member: results and
+// statistics always, and the trace when the group has one member (a group of
+// several traces its transitions once, not once per member), on random groups
+// over documents built to stress the string-value.
+func TestGroupedRunMatchesMemberRuns(t *testing.T) {
 	shapes := []string{"//%s[. = '%s']", "//r/%s[. = '%s']", "/r/%s[. = '%s']", "//r//%s[. = '%s']", "//a/%s[. = '%s']"}
 	literals := []string{"x", "y", "xy", "", "x y", "1", "é", "x & y"}
 	docs := []string{
@@ -252,6 +215,7 @@ func TestGroupRunMatchesMemberRuns(t *testing.T) {
 		`<a><a>x</a><r><a>x</a></r></a>`,
 	}
 	rng := rand.New(rand.NewSource(7))
+	solos := 0
 	for round := 0; round < 60; round++ {
 		shape := shapes[rng.Intn(len(shapes))]
 		syms := sax.NewSymbols()
@@ -265,6 +229,9 @@ func TestGroupRunMatchesMemberRuns(t *testing.T) {
 			}
 			progs, srcs = append(progs, p), append(srcs, src)
 		}
+		if len(progs) == 1 {
+			solos++
+		}
 		doc := docs[rng.Intn(len(docs))]
 		for _, opts := range []Options{{}, {Ordered: true}, {CountOnly: true}, {Trace: &bytes.Buffer{}}, {Ordered: true, Trace: &bytes.Buffer{}}} {
 			wantRes, wantStats, wantTrace := memberRuns(t, progs, syms, doc, opts)
@@ -276,9 +243,43 @@ func TestGroupRunMatchesMemberRuns(t *testing.T) {
 			if !reflect.DeepEqual(gotStats, wantStats) {
 				t.Fatalf("%s: statistics\ngroup   %+v\nmembers %+v", name, gotStats, wantStats)
 			}
-			if gotTrace != wantTrace {
-				t.Fatalf("%s: trace\ngroup:\n%s\nmembers:\n%s", name, gotTrace, wantTrace)
+			if len(progs) == 1 && gotTrace != wantTrace {
+				t.Fatalf("%s: trace\ngroup:\n%s\nmember:\n%s", name, gotTrace, wantTrace)
 			}
 		}
+	}
+	if solos == 0 {
+		t.Fatal("no group of one member: the trace went unchecked")
+	}
+}
+
+// TestGroupedRunTracesOnce: a run evaluating a group of several members logs
+// each transition once, whatever literal matched, and one emit line per
+// result it delivers.
+func TestGroupedRunTracesOnce(t *testing.T) {
+	syms := sax.NewSymbols()
+	var progs []*Program
+	for _, src := range []string{"//a[. = 'x']", "//a[. = 'x']", "//a[. = 'y']"} {
+		p, err := CompileShared(mustParse(t, src), syms)
+		if err != nil {
+			t.Fatal(err)
+		}
+		progs = append(progs, p)
+	}
+	_, _, trace := groupRun(t, progs, syms, `<r><a>x</a><a>z</a></r>`, Options{Trace: &bytes.Buffer{}})
+	want := `push   a            level=2
+cand   #0 created (buffered until predicates resolve)
+match  a            level=2 subquery satisfied
+proven #0 is a query solution
+emit   #0 at event 5: <a>x</a>
+emit   #0 at event 5: <a>x</a>
+pop    a            level=2 satisfied flags=0
+push   a            level=2
+cand   #1 created (buffered until predicates resolve)
+drop   #1 discarded (no pattern match can qualify it)
+pop    a            level=2 unsatisfied flags=0
+`
+	if trace != want {
+		t.Fatalf("trace:\n%s\nwant:\n%s", trace, want)
 	}
 }

@@ -140,9 +140,15 @@ func (c *Comparison) Eval(value string) bool {
 	return value != c.Literal // OpNe
 }
 
+// String prints the comparison so that it parses back to itself: a number
+// in positional notation (the lexer reads no exponent), a string in double
+// quotes when it holds a single quote (a literal cannot hold both).
 func (c *Comparison) String() string {
 	if c.IsNum {
-		return fmt.Sprintf(" %s %s", c.Op, strconv.FormatFloat(c.Number, 'g', -1, 64))
+		return fmt.Sprintf(" %s %s", c.Op, strconv.FormatFloat(c.Number, 'f', -1, 64))
+	}
+	if strings.Contains(c.Literal, "'") {
+		return fmt.Sprintf(" %s \"%s\"", c.Op, c.Literal)
 	}
 	return fmt.Sprintf(" %s '%s'", c.Op, c.Literal)
 }
@@ -271,11 +277,13 @@ func (q *Query) String() string {
 func writePath(b *strings.Builder, n *Node) {
 	for ; n != nil; n = n.Next {
 		b.WriteString(n.Axis.String())
-		writeStep(b, n)
+		writeStep(b, n, 0)
 	}
 }
 
-func writeStep(b *strings.Builder, n *Node) {
+// writeStep prints one step; depth is the number of brackets and
+// parentheses open around it.
+func writeStep(b *strings.Builder, n *Node, depth int) {
 	switch n.Kind {
 	case Attribute:
 		b.WriteByte('@')
@@ -286,16 +294,54 @@ func writeStep(b *strings.Builder, n *Node) {
 		b.WriteString(n.Name)
 	}
 	if n.Pred != nil {
-		b.WriteByte('[')
-		writePred(b, n.Pred)
-		b.WriteByte(']')
+		writeBrackets(b, n.Pred, depth+1)
 	}
 	if n.Cmp != nil {
 		b.WriteString(n.Cmp.String())
 	}
 }
 
-func writePred(b *strings.Builder, p *PredExpr) {
+// writeBrackets prints a step's predicate in a bracket at nesting level
+// depth. In one bracket an 'or' among the conjuncts of a conjunction needs
+// parentheses, one level more than [p or q][r] — what such a conjunction
+// parses from — has. At MaxNestingDepth that level would not parse back, so
+// there the conjuncts (nested conjunctions flattened) get a bracket each.
+func writeBrackets(b *strings.Builder, p *PredExpr, depth int) {
+	if depth == MaxNestingDepth && p.Op == PredAnd && hasOrConjunct(p) {
+		writeConjuncts(b, p, depth)
+		return
+	}
+	b.WriteByte('[')
+	writePred(b, p, depth)
+	b.WriteByte(']')
+}
+
+// hasOrConjunct reports whether a conjunction, nested ones flattened, has an
+// 'or' among its conjuncts.
+func hasOrConjunct(p *PredExpr) bool {
+	for _, k := range p.Kids {
+		if k.Op == PredOr || k.Op == PredAnd && hasOrConjunct(k) {
+			return true
+		}
+	}
+	return false
+}
+
+// writeConjuncts prints each conjunct of p, nested conjunctions flattened, in
+// a bracket of its own.
+func writeConjuncts(b *strings.Builder, p *PredExpr, depth int) {
+	for _, k := range p.Kids {
+		if k.Op == PredAnd {
+			writeConjuncts(b, k, depth)
+			continue
+		}
+		b.WriteByte('[')
+		writePred(b, k, depth)
+		b.WriteByte(']')
+	}
+}
+
+func writePred(b *strings.Builder, p *PredExpr, depth int) {
 	switch p.Op {
 	case PredTrue:
 		b.WriteByte('.')
@@ -308,10 +354,10 @@ func writePred(b *strings.Builder, p *PredExpr) {
 		if n.Axis == Descendant {
 			b.WriteString(".//")
 		}
-		writeStep(b, n)
+		writeStep(b, n, depth)
 		for n = n.Next; n != nil; n = n.Next {
 			b.WriteString(n.Axis.String())
-			writeStep(b, n)
+			writeStep(b, n, depth)
 		}
 	case PredAnd, PredOr:
 		word := " and "
@@ -324,13 +370,12 @@ func writePred(b *strings.Builder, p *PredExpr) {
 			}
 			// 'and' binds tighter than 'or': only an 'or' nested in
 			// an 'and' needs parentheses.
-			paren := k.Op == PredOr && p.Op == PredAnd
-			if paren {
+			if k.Op == PredOr && p.Op == PredAnd {
 				b.WriteByte('(')
-			}
-			writePred(b, k)
-			if paren {
+				writePred(b, k, depth+1)
 				b.WriteByte(')')
+			} else {
+				writePred(b, k, depth)
 			}
 		}
 	}

@@ -41,9 +41,11 @@
 // long-lived Query or QuerySet allocates its results and the statistics it
 // returns, and pays for the queries the document concerns. Options.Parallel
 // shards the machines over N worker goroutines fed from one batching scan,
-// with results re-merged into the exact serial emission order — large
-// standing sets saturate every core while staying byte-identical to a serial
-// run. A QuerySet is live: Add, Remove and
+// with results re-merged into the exact serial emission order, byte-identical
+// to a serial run. It is not yet a speedup: two workers measured 0.5–2.2x a
+// serial run on 10,000 standing queries and below 1x on small sets (ROADMAP
+// item 9 weighs it against evaluating documents concurrently). A QuerySet is
+// live: Add, Remove and
 // Replace mutate it between (and safely concurrent with) Stream calls,
 // compiling only the changed query — the engine versions its membership in
 // immutable epochs and pooled sessions resync incrementally, so
@@ -120,13 +122,19 @@ type Options struct {
 	// worker goroutines, and a negative value uses GOMAXPROCS workers.
 	// Results, Seq numbers, ConfirmedAt/DeliveredAt clocks and emission
 	// order are byte-identical to serial evaluation; Emit callbacks are
-	// always invoked sequentially from the calling goroutine. Worth it for
-	// large standing query sets; a single machine always runs serially.
+	// always invoked sequentially from the calling goroutine. Measured with
+	// two workers it reads 0.5–2.2x a serial run on 10,000 standing queries
+	// and below 1x on small sets, so it is no reliable speedup yet (ROADMAP
+	// item 9); a single machine always runs serially.
 	Parallel int
 	// Trace, when non-nil, receives a human-readable log of every TwigM
 	// transition — stack pushes and pops, flag propagations, candidate
 	// lifecycle and emissions. The demonstration view of the system;
-	// substantially slower, leave nil in production.
+	// substantially slower, leave nil in production. Equality queries of one
+	// shape in a QuerySet (…/f[. = 'v'] for several values) run as one
+	// machine, which logs each transition once — match and proven when some
+	// query's literal matched, drop otherwise — and one emit line per result
+	// it delivers; a machine of one query logs exactly its own transitions.
 	Trace io.Writer
 	// Context, when non-nil, cancels the evaluation: the engine checks it at
 	// every scan event (and, in parallel mode, before every emission), so a
