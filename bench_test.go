@@ -411,7 +411,10 @@ func BenchmarkQuerySetParallel(b *testing.B) {
 // of a mutation: rebuild the whole shared engine from the 101 parsed
 // queries. The incremental path must be at least 10x cheaper at this size
 // (it is typically two orders of magnitude; TestChurnCheaperThanRecompile
-// asserts the floor).
+// asserts the floor). The portal10k arm is the benchmark workload's churn at
+// its scale, followed by the document that resyncs to it; that document's
+// returned []Stats is most of its bytes (TestChurnCostIsFlat pins the churn's
+// own).
 func BenchmarkQuerySetChurn(b *testing.B) {
 	sources := datagen.SparseTickerQueries(10, 90)
 	extra := MustCompile("//trade[symbol='CHURNX']/price")
@@ -430,6 +433,36 @@ func BenchmarkQuerySetChurn(b *testing.B) {
 			if err := qs.Remove(idx); err != nil {
 				b.Fatal(err)
 			}
+		}
+	})
+	b.Run("portal10k", func(b *testing.B) {
+		// The benchmark workload's churn: one value-group member in and out
+		// of 10,000 standing portal queries, and the next document's resync.
+		qs, err := NewQuerySet(datagen.OverlapQueries(10000, 0.9, 0, 0, 1)...)
+		if err != nil {
+			b.Fatal(err)
+		}
+		doc := datagen.Portal{Articles: 20, Seed: 1}.String()
+		churn := MustCompile("//channel//article/head/f7[. = 'no-such-value']")
+		rd := strings.NewReader(doc)
+		stream := func() {
+			rd.Reset(doc)
+			if _, err := qs.Stream(rd, Options{}, func(SetResult) error { return nil }); err != nil {
+				b.Fatal(err)
+			}
+		}
+		stream()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			idx, err := qs.Add(churn)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := qs.Remove(idx); err != nil {
+				b.Fatal(err)
+			}
+			stream()
 		}
 	})
 	b.Run("fullRecompile", func(b *testing.B) {

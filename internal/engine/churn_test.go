@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/cow"
 	"repro/internal/twigm"
 	"repro/internal/xpath"
 )
@@ -239,7 +240,7 @@ func TestShardRebalanceIsLocal(t *testing.T) {
 	if got := e.Metrics().ShardRebalances; got != 0 {
 		t.Fatalf("initial build counted %d rebalances", got)
 	}
-	tables := make([][][]int32, workers)
+	tables := make([]cow.Table[[]int32], workers)
 	for wi, w := range ps.workers {
 		tables[wi] = w.rt.elemSubs
 	}

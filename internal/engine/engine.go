@@ -90,9 +90,12 @@ type Engine struct {
 	// they load cur once and run against that immutable epoch.
 	mu  sync.Mutex
 	cur atomic.Pointer[epoch]
+	// slots maps each live machine, the handle Remove and Replace take, to
+	// its slot in cur (guarded by mu).
+	slots map[*twigm.Program]int32
 
-	pool  sync.Pool // *session (serial evaluation)
-	ppool sync.Pool // *psession (parallel sharded evaluation)
+	pool  pool[session]  // serial evaluation
+	ppool pool[psession] // parallel sharded evaluation
 
 	// Churn accounting (see Metrics).
 	compiles        atomic.Int64
@@ -139,23 +142,25 @@ func New(queries ...*xpath.Query) (*Engine, error) {
 //
 //vitex:cowmut builds the first epoch before the engine escapes
 func NewConfigured(cfg Config, queries ...*xpath.Query) (*Engine, error) {
-	e := &Engine{syms: sax.NewSymbols(), share: !cfg.DisablePrefixSharing}
-	ep := &epoch{seq: 1, progs: make([]*twigm.Program, 0, len(queries))}
+	e := &Engine{syms: sax.NewSymbols(), share: !cfg.DisablePrefixSharing, slots: make(map[*twigm.Program]int32, len(queries))}
+	ep := &epoch{seq: 1}
 	for _, q := range queries {
 		p, err := e.compileLocked(q)
 		if err != nil {
 			return nil, err
 		}
-		ep.progs = append(ep.progs, p)
+		ep.progs.Append(p)
 		e.compiles.Add(1)
 	}
 	if e.share {
 		e.trieGrafts.Add(int64(e.buildTrieLocked(ep)))
 	} else {
-		ep.anchors = slices.Repeat([]int32{-1}, len(ep.progs))
+		for range ep.progs.Len() {
+			ep.anchors.Append(-1)
+		}
 	}
-	ep.subscribeAll(e.syms.Len())
-	ep.reindex()
+	ep.rebuild()
+	e.reslotLocked(ep)
 	e.cur.Store(ep)
 	return e, nil
 }
@@ -174,21 +179,17 @@ type Snapshot struct {
 // once and use it for both.
 func (e *Engine) Snapshot() Snapshot { return Snapshot{eng: e, ep: e.cur.Load()} }
 
-// Programs returns the live machines in insertion order. The slice is shared
-// when no slot is tombstoned; callers must not modify it.
+// Programs returns the live machines in insertion order, in a fresh slice.
 func (s Snapshot) Programs() []*twigm.Program {
-	if s.ep.garbage == 0 {
-		return s.ep.progs
-	}
-	out := make([]*twigm.Program, len(s.ep.live))
-	for d, slot := range s.ep.live {
-		out[d] = s.ep.progs[slot]
+	out := make([]*twigm.Program, s.ep.live.Len())
+	for d := range out {
+		out[d] = s.ep.progs.At(int(s.ep.live.At(d)))
 	}
 	return out
 }
 
 // Len returns the number of live machines.
-func (s Snapshot) Len() int { return len(s.ep.live) }
+func (s Snapshot) Len() int { return s.ep.live.Len() }
 
 // Programs returns the current live machines in insertion order; see
 // Snapshot.Programs.
@@ -207,10 +208,10 @@ type Plan struct {
 	// result with the index of the machine that produced it; Options.ID is
 	// the engine's to fill in.
 	Options twigm.Options
-	// Unordered, when non-nil, marks the machines that deliver in
+	// Unordered, when non-nil, reports the machines that deliver in
 	// confirmation order even under Options.Ordered (the branches of a
 	// union, which only their caller can put in document order).
-	Unordered []bool
+	Unordered func(machine int) bool
 	// Stats, when non-nil, receives after the scan the counters of every
 	// machine the document woke, scan-level fields included: each member of
 	// a value group gets the group's counters with its own emitted/dropped
@@ -264,13 +265,41 @@ func (s Snapshot) StreamVia(ctx context.Context, r io.Reader, plan Plan, workers
 // streamVia is Stream with an optional front-end wrapper (StreamVia).
 func (s Snapshot) streamVia(ctx context.Context, r io.Reader, plan Plan, wrap func(sax.Driver) sax.Driver) (twigm.Stats, error) {
 	e := s.eng
-	ses, _ := e.pool.Get().(*session)
+	ses := e.pool.get()
 	if ses == nil {
 		ses = newSession(e)
 	}
-	defer e.pool.Put(ses)
+	defer e.pool.put(ses)
 	ses.scan.Reset(r)
 	return ses.stream(ctx, e, s.ep, frontEnd(ses.scan, wrap), plan)
+}
+
+// pool keeps evaluation sessions between streams: a sync.Pool behind one slot
+// that the garbage collector does not empty. A sync.Pool drops what sat in it
+// through two collections, and what a goroutine put on one P is out of reach
+// from another until then; the slot keeps the session that last finished for
+// whoever streams next, so a session resyncs by deltas and is not rebuilt
+// from nothing whenever a collection lands between two documents. An engine
+// holds at most that one session alive while nothing streams.
+type pool[T any] struct {
+	last atomic.Pointer[T]
+	more sync.Pool
+}
+
+// get returns a pooled session, nil when there is none.
+func (p *pool[T]) get() *T {
+	if s := p.last.Swap(nil); s != nil {
+		return s
+	}
+	s, _ := p.more.Get().(*T)
+	return s
+}
+
+// put returns a session to the pool.
+func (p *pool[T]) put(s *T) {
+	if !p.last.CompareAndSwap(nil, s) {
+		p.more.Put(s)
+	}
 }
 
 // frontEnd returns the driver an evaluation runs: the scanner, or what wrap
@@ -336,48 +365,87 @@ type session struct {
 }
 
 func newSession(e *Engine) *session {
-	return &session{scan: xmlscan.NewScannerWith(nil, e.syms)}
+	return &session{scan: xmlscan.NewScannerWith(nil, e.syms), rt: router{shards: 1}}
 }
 
 // sync aligns the session's slot-indexed state with ep. Steady state (no
-// mutation since last checkout) is a pointer compare. After a mutation, runs
-// are re-keyed by program identity, so machines untouched by the mutation —
-// including machines moved to new slots by compaction — keep their warmed-up
-// run state; only added or replaced machines start fresh runs.
+// mutation since last checkout) is a pointer compare. A session a few epochs
+// behind (or ahead: a stream may run an older snapshot) visits only the slots
+// the deltas between the two epochs name, and shares ep's routing tables,
+// which cost nothing to adopt. Otherwise its runs are re-keyed by program
+// identity, so machines untouched by the mutations — including machines moved
+// to new slots by compaction — keep their warmed-up run state; only added or
+// replaced machines start fresh runs.
 func (s *session) sync(ep *epoch) {
 	if s.ep == ep {
 		return
 	}
-	runs := rekeyRuns(s.ep, s.rt.runs, ep)
+	if d, since, ok := changes(s.ep, ep); ok {
+		runs := resyncRuns(s.rt.runs, d, since, ep)
+		s.rt.rehost(runs, ep.progs.Len())
+		s.rt.routes = ep.routes
+		if ep.trie != nil {
+			s.rt.prun.Rebind(ep.trie, nil)
+		}
+	} else {
+		s.rt.init(rekeyRuns(s.rt.runs, ep), ep.routes, ep.trie, nil)
+	}
 	s.ep = ep
-	s.rt.init(runs, ep.routes, ep.trie, nil)
+}
+
+// resyncRuns updates a session's slot-indexed runs, which match an epoch the
+// deltas from d down to since lead from (changes), to match ep: a slot they
+// name keeps its run if it still holds the machine the run was started from,
+// and gets a fresh run, or none, otherwise. Only routed machines have a run:
+// a value group's members share its host's. The serial and parallel resyncs
+// share it, so the reuse semantics cannot drift between the two evaluation
+// modes.
+func resyncRuns(runs []*twigm.Run, d *delta, since uint64, ep *epoch) []*twigm.Run {
+	for len(runs) < ep.progs.Len() {
+		runs = append(runs, nil)
+	}
+	for ; d != nil && d.seq > since; d = d.prev {
+		for _, slot := range d.slots {
+			if int(slot) < len(runs) { // else added and reclaimed in between
+				runs[slot] = runFor(runs[slot], ep, slot)
+			}
+		}
+	}
+	return runs
+}
+
+// runFor returns the run slot needs under ep: old when it was started from
+// the slot's machine, a fresh one when the slot holds another routed machine,
+// nil when it holds none.
+func runFor(old *twigm.Run, ep *epoch, slot int32) *twigm.Run {
+	if int(slot) >= ep.progs.Len() {
+		return nil
+	}
+	p := ep.progs.At(int(slot))
+	switch {
+	case p == nil || !ep.routed(slot):
+		return nil
+	case old != nil && old.Program() == p:
+		return old
+	}
+	return p.Start(twigm.Options{})
 }
 
 // rekeyRuns rebuilds a session's slot-indexed run slice for a new epoch,
 // re-keying existing runs by program identity: machines untouched by the
-// mutation — including machines moved to new slots by compaction — keep
+// mutations — including machines moved to new slots by compaction — keep
 // their warmed-up run state; only added or replaced machines start fresh
-// runs. Shared by the serial and parallel session resyncs so the reuse
-// semantics cannot drift between the two evaluation modes. Only routed
-// machines get a run: a value group's members share its host's.
-func rekeyRuns(old *epoch, oldRuns []*twigm.Run, ep *epoch) []*twigm.Run {
-	var byProg map[*twigm.Program]*twigm.Run
-	if old != nil {
-		byProg = make(map[*twigm.Program]*twigm.Run, len(oldRuns))
-		for slot, p := range old.progs {
-			if p != nil && oldRuns[slot] != nil {
-				byProg[p] = oldRuns[slot]
-			}
+// runs. It is the resync of a session no delta path leads from.
+func rekeyRuns(oldRuns []*twigm.Run, ep *epoch) []*twigm.Run {
+	byProg := make(map[*twigm.Program]*twigm.Run, len(oldRuns))
+	for _, r := range oldRuns {
+		if r != nil {
+			byProg[r.Program()] = r
 		}
 	}
-	runs := make([]*twigm.Run, len(ep.progs))
-	for _, slot := range ep.machines {
-		p := ep.progs[slot]
-		if r := byProg[p]; r != nil {
-			runs[slot] = r
-		} else {
-			runs[slot] = p.Start(twigm.Options{})
-		}
+	runs := make([]*twigm.Run, ep.progs.Len())
+	for slot := range runs {
+		runs[slot] = runFor(byProg[ep.progs.At(slot)], ep, int32(slot))
 	}
 	return runs
 }
@@ -446,8 +514,11 @@ func (s *session) HandleBatch(evs []sax.Event) error {
 //vitex:pooled
 type router struct {
 	// runs maps slot -> run (nil for tombstoned slots and value-group members
-	// other than the host).
-	runs []*twigm.Run //vitex:keep rewired by init/rehost on resync; a run is reset when it wakes
+	// other than the host). A parallel session's workers share one slice, and
+	// each routes the slots of its shard: slot i is shard's iff i mod shards
+	// == shard (the serial session's router is shard 0 of 1).
+	runs          []*twigm.Run //vitex:keep rewired by init/rehost on resync; a run is reset when it wakes
+	shard, shards int32        //vitex:keep construction constants of the router's place in its session
 
 	// The routed machines' tables. rootText lists the machines with a root
 	// text() node: they want text from the first event on, so reset seeds
@@ -460,7 +531,7 @@ type router struct {
 	// opts and unordered are the document's Plan: what wake resets a run to.
 	// Like ep they are held from reset to finish, not between documents.
 	opts      twigm.Options
-	unordered []bool
+	unordered func(machine int) bool
 	// gen is the document generation; machine i is prepared for the current
 	// document iff wokenAt[i] == gen. woken lists those machines, in wake
 	// order until EndDocument sorts it.
@@ -523,12 +594,10 @@ func (rt *router) init(runs []*twigm.Run, r routes, trie *twigm.Trie, trieIDs []
 	}
 }
 
-// rehost points the router at a new slot universe without touching its
-// subscription tables: the routed membership is unchanged (the caller
-// verified that), only the runs slice and the slot-indexed scratch need to
-// cover the new universe. Slot universes only grow between rehosts —
-// shrinking renumbers slots (compaction), which changes membership and goes
-// through init instead.
+// rehost points the router at a resynced runs slice and grows the
+// slot-indexed scratch to cover nSlots; the caller brings the subscription
+// tables up to date. Scratch never shrinks here: only a compaction renumbers
+// slots, and a session crossing one resyncs through init instead.
 func (rt *router) rehost(runs []*twigm.Run, nSlots int) {
 	rt.runs = runs
 	for len(rt.stamps) < nSlots {
@@ -580,13 +649,13 @@ func (rt *router) wake(i int32) {
 	g := rt.ep.group(i)
 	o := rt.opts
 	o.ID = int(i)
-	if g == nil && rt.unordered != nil && rt.unordered[rt.ep.liveIdx[i]] {
+	if g == nil && rt.unordered != nil && rt.unordered(int(rt.ep.liveIdx.At(int(i)))) {
 		o.Ordered = false
 	}
 	run := rt.runs[i]
 	run.Reset(o)
 	run.BindRecorder(&rt.rec)
-	if a := rt.ep.anchors[i]; a >= 0 {
+	if a := rt.ep.anchors.At(int(i)); a >= 0 {
 		run.BindAnchor(rt.prun.Stack(a))
 	}
 	if g != nil {
@@ -603,13 +672,13 @@ func (rt *router) wake(i int32) {
 //
 //vitex:hotpath
 func (rt *router) collect(slot int, r twigm.Result) error {
-	rt.out = append(rt.out, emission{mach: rt.ep.liveIdx[slot], res: r})
+	rt.out = append(rt.out, emission{mach: rt.ep.liveIdx.At(slot), res: r})
 	return nil
 }
 
 // isUnordered reports whether the machine in slot delivers in confirmation
 // order even under Options.Ordered (Plan.Unordered).
-func (rt *router) isUnordered(slot int) bool { return rt.unordered[rt.ep.liveIdx[slot]] }
+func (rt *router) isUnordered(slot int) bool { return rt.unordered(int(rt.ep.liveIdx.At(slot))) }
 
 // settle ends an event that emitted: it puts the event's emissions, out from
 // mark on, in delivery order — by machine, each machine's in the order it
@@ -663,13 +732,13 @@ func (rt *router) report(i int32, run *twigm.Run, scan twigm.Stats, visit func(i
 	}
 	g := run.Group()
 	if g == nil {
-		visit(int(rt.ep.liveIdx[i]), fill(run.Stats()))
+		visit(int(rt.ep.liveIdx.At(int(i))), fill(run.Stats()))
 		return
 	}
 	for b := range int32(g.Buckets()) {
 		st := fill(run.MemberStats(b))
 		for _, m := range g.Members(b) {
-			visit(int(rt.ep.liveIdx[m]), st)
+			visit(int(rt.ep.liveIdx.At(int(m))), st)
 		}
 	}
 }
@@ -766,18 +835,23 @@ func (rt *router) startSubscribers(ev *sax.Event) []int32 {
 	if id := ev.NameID; id == sax.SymNone {
 		// Producer without a symbol table: no routing information.
 		broadcast = true
-	} else if id > 0 && int(id) < len(rt.elemSubs) {
-		out = rt.appendNew(out, rt.elemSubs[id])
+	} else if id > 0 && int(id) < rt.elemSubs.Len() {
+		out = rt.appendNew(out, rt.elemSubs.At(int(id)))
 	}
 	for ai := range ev.Attrs {
 		if id := ev.Attrs[ai].NameID; id == sax.SymNone {
 			broadcast = true
-		} else if id > 0 && int(id) < len(rt.attrSubs) {
-			out = rt.appendNew(out, rt.attrSubs[id])
+		} else if id > 0 && int(id) < rt.attrSubs.Len() {
+			out = rt.appendNew(out, rt.attrSubs.At(int(id)))
 		}
 	}
 	if broadcast {
-		out = append(out[:0], rt.machines...)
+		out = out[:0]
+		for i, run := range rt.runs {
+			if run != nil && int32(i)%rt.shards == rt.shard {
+				out = append(out, int32(i))
+			}
+		}
 		rt.scratch = out
 		return out
 	}

@@ -5,23 +5,33 @@
 // Add would make churn cost O(total queries) compilations; this file compiles
 // only the changed query by separating the engine's identity (symbol table,
 // pools, metrics) from its membership (an immutable epoch snapshot swapped
-// atomically). The bookkeeping is still O(standing set): the table copies below.
+// atomically). The bookkeeping around the compile is O(changed) too: a
+// mutation copies the spines and the chunks it touches of the epoch's tables,
+// not the tables.
 //
 //   - The shared sax.Symbols table is append-only and engine-lifetime: a new
 //     query compiles against it alone, existing machines and interned IDs are
 //     never invalidated, and scanners only ever need to re-resolve names they
 //     previously failed to find (see xmlscan.Scanner.Reset).
-//   - An epoch assigns each machine a slot. Mutations build the next epoch
-//     by structural sharing: outer tables are copied (O(slots) pointer
-//     copies, no compilation), inner subscription lists are shared and only
-//     appended to — appends land past every older epoch's length, so
-//     in-flight streams reading an older epoch never observe them. Removal
-//     rebuilds just the removed machine's lists.
+//   - An epoch assigns each machine a slot. Its slot- and symbol-indexed
+//     tables are chunked copy-on-write tables (internal/cow): the next epoch
+//     clones them in O(1), and its writes copy one spine and the chunks they
+//     land in. Inner subscription lists are shared and only appended to —
+//     appends land past every older epoch's length, so in-flight streams
+//     reading an older epoch never observe them. Removal rebuilds just the
+//     removed machine's lists.
 //   - Remove tombstones a slot (progs[slot] = nil) instead of renumbering,
-//     so untouched machines keep their slots and pooled sessions resync
-//     incrementally. When tombstones exceed a threshold, a compaction pass
+//     so untouched machines keep their slots; the last slot it reclaims at
+//     once. Its dense (caller-facing) indexes shift, which costs O(machines
+//     after it): removing the last machine is O(1). When tombstones exceed a threshold, a compaction pass
 //     renumbers the survivors densely (preserving relative order) and
 //     rebuilds the routing tables, reclaiming slot-indexed space.
+//   - Every epoch records its delta: the slots whose machine or routed
+//     status its mutation changed, chained to the deltas of the mutations
+//     before it. A pooled session behind (or ahead of) an epoch resyncs by
+//     visiting the slots of the deltas between the two alone (changes); one
+//     across a compaction, or more than maxLag mutations away, rebuilds its
+//     per-slot state.
 //   - Stream calls capture a Snapshot (one atomic load). A stream started
 //     before a mutation completes runs against the old membership — results
 //     of a concurrently-removed query are still delivered on that stream,
@@ -32,8 +42,8 @@ package engine
 
 import (
 	"fmt"
-	"slices"
 
+	"repro/internal/cow"
 	"repro/internal/obs"
 	"repro/internal/twigm"
 	"repro/internal/xpath"
@@ -45,27 +55,48 @@ import (
 // (session runs, stamps, dense sets) at 2x the live set.
 const compactMinGarbage = 16
 
+// maxLag bounds a chain of deltas: every maxLag mutations a new chain starts,
+// so an epoch reaches at most that many deltas, and a session at most that
+// many epochs behind (fewer, just after a chain starts) resyncs through them.
+const maxLag = 1024
+
+// delta is what one mutation changed: the slots whose machine, or whether it
+// is routed, differs from the epoch before. The deltas of consecutive
+// mutations chain back to the first of their chain, which follows a rebuild
+// or starts after maxLag mutations, so a chain holds no epoch alive and no
+// more than maxLag deltas.
+//
+//vitex:cow
+type delta struct {
+	seq   uint64 // the epoch the mutation published
+	slots []int32
+	prev  *delta // the previous mutation's, nil for the first of a chain
+	first uint64 // seq of the first delta of the chain
+}
+
 // epoch is one immutable membership snapshot: the compiled machines by slot,
 // the live-slot index, and the routing tables restricted to live slots.
 // Everything reachable from an epoch is frozen once the epoch is published;
-// successor epochs share inner subscription lists append-only (see the
-// package comment for why that is safe). The copy-on-write discipline is
-// machine-checked: only //vitex:cowmut functions (the builders below, which
-// run before Engine.cur.Store publishes the epoch) may write its fields.
+// successor epochs share its table chunks until they write them, and its
+// inner subscription lists append-only (see the package comment for why that
+// is safe). The copy-on-write discipline is machine-checked: only
+// //vitex:cowmut functions (the builders below, which run before
+// Engine.cur.Store publishes the epoch) may write its fields.
 //
 //vitex:cow
 type epoch struct {
-	// seq increments per mutation (diagnostics; sessions compare epoch
-	// pointers, not seqs).
+	// seq increments per mutation; a compaction rides the mutation that
+	// triggered it. Sessions compare epoch pointers for the steady state and
+	// seqs to find the deltas between two epochs.
 	seq uint64
 	// progs maps slot -> machine; nil is a tombstone left by Remove.
-	progs []*twigm.Program
+	progs cow.Table[*twigm.Program]
 	// live lists the non-tombstoned slots in ascending order. Ascending
 	// slot order equals insertion order (compaction is stable), and is the
 	// order broadcast deliveries and dense (caller-facing) indexing use.
-	live []int32
+	live cow.Table[int32]
 	// liveIdx maps slot -> dense index in live (-1 for tombstones).
-	liveIdx []int32
+	liveIdx cow.Table[int32]
 
 	routes
 
@@ -77,14 +108,24 @@ type epoch struct {
 	// here. The value groups hang off it: a group's key is the trie node
 	// its members' step follows (value.go).
 	trie    *twigm.Trie
-	anchors []int32
+	anchors cow.Table[int32]
 	// groups maps a value-group ID to its member table (nil for a dead ID),
 	// and groupOf maps slot -> the ID of the group the slot's machine is a
 	// member of, -1 for a machine of its own query.
-	groups  []*twigm.ValueGroup
-	groupOf []int32
+	groups  cow.Table[*twigm.ValueGroup]
+	groupOf cow.Table[int32]
 
 	garbage int // tombstoned slots in progs
+	// Counts Metrics reports, kept by the mutations: live machines anchored
+	// in the trie, live value groups and the machines they evaluate.
+	anchored, valueGroups, valueKeyed int
+
+	// delta is this epoch's mutation's, chained to those before it; nil for
+	// an epoch rebuild made. rebuiltAt is the seq of the latest epoch that
+	// renumbered slots or trie nodes (the first epoch, a compaction): no
+	// delta leads across it.
+	delta     *delta
+	rebuiltAt uint64
 }
 
 // routes are the static routing tables of a set of machines, what a router
@@ -94,47 +135,71 @@ type epoch struct {
 //
 //vitex:cow
 type routes struct {
-	elemSubs [][]int32 // NameID -> slots subscribed to the element name
-	attrSubs [][]int32 // NameID -> slots subscribed to the attribute name
-	wild     []int32   // slots with a '*' element node
-	rootText []int32   // slots with a root text() node: text subscribers before their first wake
-	machines []int32   // slots with a run, ascending (a broadcast's recipients)
+	elemSubs cow.Table[[]int32] // NameID -> slots subscribed to the element name
+	attrSubs cow.Table[[]int32] // NameID -> slots subscribed to the attribute name
+	wild     []int32            // slots with a '*' element node
+	rootText []int32            // slots with a root text() node: text subscribers before their first wake
 }
 
-// clone copies the epoch's outer structure for the next mutation: slot and
-// subscription tables get fresh outer slices (inner lists shared), and the
-// subscription tables grow to cover symsLen (the table may have grown while
-// compiling the query that triggered this mutation).
+// clone starts the next epoch: every table is shared until written, and the
+// delta log moves on by one mutation.
 //
 //vitex:cowmut builds the next epoch before publication
-func (ep *epoch) clone(symsLen int) *epoch {
+func (ep *epoch) clone() *epoch {
+	d := &delta{seq: ep.seq + 1, first: ep.seq + 1}
+	if p := ep.delta; p != nil && d.seq-p.first < maxLag {
+		d.prev, d.first = p, p.first
+	}
 	return &epoch{
-		seq:   ep.seq + 1,
-		progs: append([]*twigm.Program(nil), ep.progs...),
+		seq:     ep.seq + 1,
+		progs:   ep.progs.Clone(),
+		live:    ep.live.Clone(),
+		liveIdx: ep.liveIdx.Clone(),
 		routes: routes{
-			elemSubs: growSubs(ep.elemSubs, symsLen),
-			attrSubs: growSubs(ep.attrSubs, symsLen),
+			elemSubs: ep.elemSubs.Clone(),
+			attrSubs: ep.attrSubs.Clone(),
 			wild:     ep.wild,
 			rootText: ep.rootText,
 		},
-		trie:    ep.trie,
-		anchors: slices.Clone(ep.anchors),
-		groups:  slices.Clone(ep.groups),
-		groupOf: slices.Clone(ep.groupOf),
-		garbage: ep.garbage,
+		trie:        ep.trie,
+		anchors:     ep.anchors.Clone(),
+		groups:      ep.groups.Clone(),
+		groupOf:     ep.groupOf.Clone(),
+		garbage:     ep.garbage,
+		anchored:    ep.anchored,
+		valueGroups: ep.valueGroups,
+		valueKeyed:  ep.valueKeyed,
+		delta:       d,
+		rebuiltAt:   ep.rebuiltAt,
 	}
 }
 
-// growSubs copies the outer slice of a subscription table, extended to cover
-// IDs 1..symsLen.
-func growSubs(subs [][]int32, symsLen int) [][]int32 {
-	n := symsLen + 1
-	if n < len(subs) {
-		n = len(subs)
+// touch records that this epoch's mutation changed slot's machine or whether
+// it is routed.
+//
+//vitex:cowmut called on unpublished epochs only
+func (ep *epoch) touch(slot int32) {
+	ep.delta.slots = append(ep.delta.slots, slot)
+}
+
+// changes returns the deltas that lead between epochs a and b, in either
+// direction: d and the deltas it chains to while their seq is above since.
+// Every slot whose machine or routed status differs between the two epochs
+// is in one of them. ok is false when no chain leads between them — a is
+// nil, a compaction lies between them, or the newer one's chain starts after
+// the older one — and the caller must rebuild its per-slot state.
+func changes(a, b *epoch) (d *delta, since uint64, ok bool) {
+	if a == nil {
+		return nil, 0, false
 	}
-	out := make([][]int32, n)
-	copy(out, subs)
-	return out
+	older, newer := a, b
+	if older.seq > newer.seq {
+		older, newer = b, a
+	}
+	if older.seq < newer.rebuiltAt || newer.delta == nil || older.seq+1 < newer.delta.first {
+		return nil, 0, false
+	}
+	return newer.delta, older.seq, true
 }
 
 // subscribe adds slot's machine: to its value group when its program is
@@ -154,7 +219,7 @@ func (ep *epoch) subscribe(slot int32, p *twigm.Program) {
 //
 //vitex:cowmut called on unpublished epochs only
 func (ep *epoch) unsubscribe(slot int32, p *twigm.Program) {
-	if gid := ep.groupOf[slot]; gid >= 0 {
+	if gid := ep.groupOf.At(int(slot)); gid >= 0 {
 		ep.leave(slot, p, gid)
 		return
 	}
@@ -168,10 +233,10 @@ func (ep *epoch) unsubscribe(slot int32, p *twigm.Program) {
 //vitex:cowmut called on unpublished epochs only
 func (ep *epoch) route(slot int32, p *twigm.Program) {
 	for _, id := range p.ElemNameIDs() {
-		ep.elemSubs[id] = append(ep.elemSubs[id], slot)
+		addSub(&ep.elemSubs, id, slot)
 	}
 	for _, id := range p.AttrNameIDs() {
-		ep.attrSubs[id] = append(ep.attrSubs[id], slot)
+		addSub(&ep.attrSubs, id, slot)
 	}
 	if p.HasWildcardElem() {
 		ep.wild = append(ep.wild, slot)
@@ -181,16 +246,27 @@ func (ep *epoch) route(slot int32, p *twigm.Program) {
 	}
 }
 
+// addSub appends slot to subscription list id of subs, growing the table to
+// cover id.
+//
+//vitex:cowmut writes the tables of unpublished epochs only
+func addSub(subs *cow.Table[[]int32], id, slot int32) {
+	for subs.Len() <= int(id) {
+		subs.Append(nil)
+	}
+	subs.Set(int(id), append(subs.At(int(id)), slot))
+}
+
 // unroute rebuilds (fresh backing — older epochs keep reading the old lists)
 // every routing list program p's subscriptions name, dropping slot.
 //
 //vitex:cowmut called on unpublished epochs only
 func (ep *epoch) unroute(slot int32, p *twigm.Program) {
 	for _, id := range p.ElemNameIDs() {
-		ep.elemSubs[id] = without(ep.elemSubs[id], slot)
+		ep.elemSubs.Set(int(id), without(ep.elemSubs.At(int(id)), slot))
 	}
 	for _, id := range p.AttrNameIDs() {
-		ep.attrSubs[id] = without(ep.attrSubs[id], slot)
+		ep.attrSubs.Set(int(id), without(ep.attrSubs.At(int(id)), slot))
 	}
 	if p.HasWildcardElem() {
 		ep.wild = without(ep.wild, slot)
@@ -200,20 +276,33 @@ func (ep *epoch) unroute(slot int32, p *twigm.Program) {
 	}
 }
 
-// subscribeAll builds the value groups and fresh routing tables from every
-// live machine, each group in one pass rather than one copy per member.
+// rebuild builds everything but progs and the trie afresh: the value groups,
+// the routing tables, the live index and the counts. It is the whole build of
+// a new engine, a compaction's and a trie compaction's, and no delta chain
+// leads across it.
 //
 //vitex:cowmut called on unpublished epochs only
-func (ep *epoch) subscribeAll(symsLen int) {
+func (ep *epoch) rebuild() {
 	ep.regroup()
-	ep.elemSubs = make([][]int32, symsLen+1)
-	ep.attrSubs = make([][]int32, symsLen+1)
-	ep.wild, ep.rootText = nil, nil
-	for slot, p := range ep.progs {
-		if p != nil && ep.routed(int32(slot)) {
+	ep.routes = routes{}
+	ep.live, ep.liveIdx = cow.Table[int32]{}, cow.Table[int32]{}
+	ep.anchored = 0
+	for slot := range ep.progs.Len() {
+		p := ep.progs.At(slot)
+		if p == nil {
+			ep.liveIdx.Append(-1)
+			continue
+		}
+		ep.liveIdx.Append(int32(ep.live.Len()))
+		ep.live.Append(int32(slot))
+		if ep.anchors.At(slot) >= 0 {
+			ep.anchored++
+		}
+		if ep.routed(int32(slot)) {
 			ep.route(int32(slot), p)
 		}
 	}
+	ep.delta, ep.rebuiltAt = nil, ep.seq
 }
 
 // without returns a fresh copy of list with slot removed.
@@ -227,36 +316,30 @@ func without(list []int32, slot int32) []int32 {
 	return out
 }
 
-// reindex rebuilds the live/liveIdx views and the routed machine list from
-// progs.
+// unlist takes tombstoned slot out of the live index, shifting the dense
+// index of every later machine down by one.
 //
 //vitex:cowmut called on unpublished epochs only
-func (ep *epoch) reindex() {
-	ep.live = make([]int32, 0, len(ep.progs)-ep.garbage)
-	ep.liveIdx = make([]int32, len(ep.progs))
-	ep.machines = nil
-	for slot, p := range ep.progs {
-		if p == nil {
-			ep.liveIdx[slot] = -1
-			continue
-		}
-		ep.liveIdx[slot] = int32(len(ep.live))
-		ep.live = append(ep.live, int32(slot))
-		if ep.routed(int32(slot)) {
-			ep.machines = append(ep.machines, int32(slot))
-		}
+func (ep *epoch) unlist(slot int32) {
+	d := int(ep.liveIdx.At(int(slot)))
+	ep.live.Delete(d)
+	ep.liveIdx.Set(int(slot), -1)
+	for ; d < ep.live.Len(); d++ {
+		ep.liveIdx.Set(int(ep.live.At(d)), int32(d))
 	}
 }
 
-// slotOf returns the slot of p, or -1 if p is not a live machine of this
-// epoch. Linear in slots — mutations are O(slots) bookkeeping anyway.
-func (ep *epoch) slotOf(p *twigm.Program) int32 {
-	for slot, q := range ep.progs {
-		if q == p && q != nil {
-			return int32(slot)
-		}
-	}
-	return -1
+// truncate drops the slot-indexed tables' entries from slot on, which hold
+// nothing live: removing the last machine reclaims its slot at once, and the
+// next Add takes the number again.
+//
+//vitex:cowmut called on unpublished epochs only
+func (ep *epoch) truncate(slot int32) {
+	n := int(slot)
+	ep.progs = ep.progs.Truncate(n)
+	ep.liveIdx = ep.liveIdx.Truncate(n)
+	ep.anchors = ep.anchors.Truncate(n)
+	ep.groupOf = ep.groupOf.Truncate(n)
 }
 
 // compact renumbers the survivors densely, preserving relative order, and
@@ -265,19 +348,17 @@ func (ep *epoch) slotOf(p *twigm.Program) int32 {
 // (and their warmed-up allocations) survive the renumbering.
 //
 //vitex:cowmut builds the compacted epoch before publication
-func (ep *epoch) compact(symsLen int) *epoch {
+func (ep *epoch) compact() *epoch {
 	next := &epoch{
-		seq:     ep.seq, // compaction rides the mutation that triggered it
-		progs:   make([]*twigm.Program, 0, len(ep.live)),
-		trie:    ep.trie,
-		anchors: make([]int32, 0, len(ep.live)),
+		seq:  ep.seq, // compaction rides the mutation that triggered it
+		trie: ep.trie,
 	}
-	for _, slot := range ep.live {
-		next.progs = append(next.progs, ep.progs[slot])
-		next.anchors = append(next.anchors, ep.anchors[slot])
+	for d := range ep.live.Len() {
+		slot := int(ep.live.At(d))
+		next.progs.Append(ep.progs.At(slot))
+		next.anchors.Append(ep.anchors.At(slot))
 	}
-	next.subscribeAll(symsLen)
-	next.reindex()
+	next.rebuild()
 	return next
 }
 
@@ -301,7 +382,10 @@ func (e *Engine) graftLocked(ep *epoch, slot int32, p *twigm.Program) {
 	if !p.Anchored() {
 		return
 	}
-	ep.trie, ep.anchors[slot] = ep.trie.Graft(p.Profile(), e.syms.Len())
+	var a int32
+	ep.trie, a = ep.trie.Graft(p.Profile())
+	ep.anchors.Set(int(slot), a)
+	ep.anchored++
 	e.trieGrafts.Add(1)
 }
 
@@ -309,27 +393,30 @@ func (e *Engine) graftLocked(ep *epoch, slot int32, p *twigm.Program) {
 //
 //vitex:cowmut mutates the unpublished epoch under e.mu
 func (e *Engine) pruneLocked(ep *epoch, slot int32) {
-	if a := ep.anchors[slot]; a >= 0 {
+	if a := ep.anchors.At(int(slot)); a >= 0 {
 		ep.trie = ep.trie.Prune(a)
-		ep.anchors[slot] = -1
+		ep.anchors.Set(int(slot), -1)
+		ep.anchored--
 		e.triePrunes.Add(1)
 	}
 }
 
 // buildTrieLocked grafts the profiles of every live machine of ep into one
 // fresh trie and anchors them there: the whole trie of a new engine, or a
-// compaction's. Value groups are keyed by anchor, so they are rebuilt too.
+// compaction's. Value groups are keyed by anchor, so the caller rebuilds them.
 //
 //vitex:cowmut mutates the unpublished epoch under e.mu
 func (e *Engine) buildTrieLocked(ep *epoch) (grafts int) {
-	profiles := make([][]twigm.TrieStep, len(ep.progs))
-	for slot, p := range ep.progs {
-		if p != nil && p.Anchored() {
+	profiles := make([][]twigm.TrieStep, ep.progs.Len())
+	for slot := range profiles {
+		if p := ep.progs.At(slot); p != nil && p.Anchored() {
 			profiles[slot] = p.Profile()
 			grafts++
 		}
 	}
-	ep.trie, ep.anchors = twigm.BuildTrie(profiles, e.syms.Len())
+	var anchors []int32
+	ep.trie, anchors = twigm.BuildTrie(profiles)
+	ep.anchors = cow.From(anchors)
 	return grafts
 }
 
@@ -347,9 +434,25 @@ func (e *Engine) maybeCompactTrieLocked(ep *epoch) {
 		return
 	}
 	e.buildTrieLocked(ep)
-	ep.subscribeAll(e.syms.Len())
-	ep.reindex()
+	ep.rebuild()
 	e.trieCompactions.Add(1)
+}
+
+// slotLocked returns the slot of live machine p, or -1.
+func (e *Engine) slotLocked(p *twigm.Program) int32 {
+	if slot, ok := e.slots[p]; ok {
+		return slot
+	}
+	return -1
+}
+
+// reslotLocked re-derives the handle index from a renumbered epoch.
+func (e *Engine) reslotLocked(ep *epoch) {
+	clear(e.slots)
+	for d := range ep.live.Len() {
+		slot := ep.live.At(d)
+		e.slots[ep.progs.At(int(slot))] = slot
+	}
 }
 
 // Add compiles q against the shared symbol table, grafts its prefix profile
@@ -367,14 +470,17 @@ func (e *Engine) Add(q *xpath.Query) (*twigm.Program, error) {
 		return nil, err
 	}
 	e.compiles.Add(1)
-	ep := e.cur.Load().clone(e.syms.Len())
-	slot := int32(len(ep.progs))
-	ep.progs = append(ep.progs, p)
-	ep.anchors = append(ep.anchors, -1)
-	ep.groupOf = append(ep.groupOf, -1)
+	ep := e.cur.Load().clone()
+	slot := int32(ep.progs.Len())
+	ep.progs.Append(p)
+	ep.anchors.Append(-1)
+	ep.groupOf.Append(-1)
+	ep.touch(slot)
 	e.graftLocked(ep, slot, p)
 	ep.subscribe(slot, p)
-	ep.reindex()
+	ep.liveIdx.Append(int32(ep.live.Len()))
+	ep.live.Append(slot)
+	e.slots[p] = slot
 	e.cur.Store(ep)
 	return p, nil
 }
@@ -388,19 +494,25 @@ func (e *Engine) Add(q *xpath.Query) (*twigm.Program, error) {
 func (e *Engine) Remove(p *twigm.Program) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	old := e.cur.Load()
-	slot := old.slotOf(p)
+	slot := e.slotLocked(p)
 	if slot < 0 {
 		return fmt.Errorf("engine: Remove of a machine not in the set")
 	}
-	ep := old.clone(e.syms.Len())
-	ep.progs[slot] = nil
-	ep.garbage++
+	delete(e.slots, p)
+	ep := e.cur.Load().clone()
+	ep.progs.Set(int(slot), nil)
+	ep.touch(slot)
 	e.pruneLocked(ep, slot)
 	ep.unsubscribe(slot, p)
-	ep.reindex()
-	if ep.garbage >= compactMinGarbage && ep.garbage > len(ep.live) {
-		ep = ep.compact(e.syms.Len())
+	ep.unlist(slot)
+	if int(slot) == ep.progs.Len()-1 {
+		ep.truncate(slot)
+	} else {
+		ep.garbage++
+	}
+	if ep.garbage >= compactMinGarbage && ep.garbage > ep.live.Len() {
+		ep = ep.compact()
+		e.reslotLocked(ep)
 		e.compactions.Add(1)
 	}
 	e.maybeCompactTrieLocked(ep)
@@ -416,8 +528,7 @@ func (e *Engine) Remove(p *twigm.Program) error {
 func (e *Engine) Replace(old *twigm.Program, q *xpath.Query) (*twigm.Program, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	cur := e.cur.Load()
-	slot := cur.slotOf(old)
+	slot := e.slotLocked(old)
 	if slot < 0 {
 		return nil, fmt.Errorf("engine: Replace of a machine not in the set")
 	}
@@ -426,16 +537,30 @@ func (e *Engine) Replace(old *twigm.Program, q *xpath.Query) (*twigm.Program, er
 		return nil, err
 	}
 	e.compiles.Add(1)
-	ep := cur.clone(e.syms.Len())
+	delete(e.slots, old)
+	e.slots[p] = slot
+	ep := e.cur.Load().clone()
+	ep.touch(slot)
 	ep.unsubscribe(slot, old)
 	e.pruneLocked(ep, slot)
-	ep.progs[slot] = p
+	ep.progs.Set(int(slot), p)
 	e.graftLocked(ep, slot, p)
 	ep.subscribe(slot, p)
-	ep.reindex()
 	e.maybeCompactTrieLocked(ep)
 	e.cur.Store(ep)
 	return p, nil
+}
+
+// Index returns the dense index of live machine p in the current membership,
+// or -1 when p is not in it.
+func (e *Engine) Index(p *twigm.Program) int {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	slot := e.slotLocked(p)
+	if slot < 0 {
+		return -1
+	}
+	return int(e.cur.Load().liveIdx.At(int(slot)))
 }
 
 // Metrics is a point-in-time view of the engine's churn accounting, the
@@ -491,38 +616,26 @@ type Metrics struct {
 	Eval obs.Stats
 }
 
-// Metrics returns the engine's churn and dispatch accounting.
+// Metrics returns the engine's churn and dispatch accounting in O(1): the
+// membership counts are kept on the epoch by the mutations.
 func (e *Engine) Metrics() Metrics {
 	ep := e.cur.Load()
-	anchored := 0
-	for _, slot := range ep.live {
-		if ep.anchors[slot] >= 0 {
-			anchored++
-		}
-	}
-	groups, keyed := 0, 0
-	for _, g := range ep.groups {
-		if g != nil {
-			groups++
-			keyed += g.Size()
-		}
-	}
 	return Metrics{
 		Epoch:              ep.seq,
 		Compiles:           e.compiles.Load(),
 		Compactions:        e.compactions.Load(),
 		ShardRebalances:    e.shardRebalances.Load(),
-		Slots:              len(ep.progs),
-		Live:               len(ep.live),
+		Slots:              ep.progs.Len(),
+		Live:               ep.live.Len(),
 		Garbage:            ep.garbage,
 		TrieNodes:          ep.trie.Live(),
 		TrieGarbage:        ep.trie.Garbage(),
-		AnchoredMachines:   anchored,
+		AnchoredMachines:   ep.anchored,
 		TrieGrafts:         e.trieGrafts.Load(),
 		TriePrunes:         e.triePrunes.Load(),
 		TrieCompactions:    e.trieCompactions.Load(),
-		ValueGroups:        groups,
-		ValueKeyedMachines: keyed,
+		ValueGroups:        ep.valueGroups,
+		ValueKeyedMachines: ep.valueKeyed,
 		Events:             e.events.Load(),
 		Deliveries:         e.deliveries.Load(),
 		TriePushes:         e.triePushes.Load(),

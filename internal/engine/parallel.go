@@ -45,10 +45,12 @@ import (
 	"errors"
 	"io"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"unsafe"
 
+	"repro/internal/cow"
 	"repro/internal/sax"
 	"repro/internal/twigm"
 	"repro/internal/xmlscan"
@@ -87,18 +89,18 @@ func (s Snapshot) streamParallel(ctx context.Context, r io.Reader, plan Plan, wo
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(ep.live) {
-		workers = len(ep.live)
+	if workers > ep.live.Len() {
+		workers = ep.live.Len()
 	}
 	if workers < 2 || plan.Options.Trace != nil {
 		return s.streamVia(ctx, r, plan, wrap)
 	}
 
-	ps, _ := e.ppool.Get().(*psession)
+	ps := e.ppool.get()
 	if ps == nil || ps.nworkers != workers {
 		ps = newPsession(e, workers)
 	}
-	defer e.ppool.Put(ps)
+	defer e.ppool.put(ps)
 	// The scanner reads its input through the producer, which dispatches the
 	// events it holds before every read (producer.Read).
 	ps.scan.Reset(&ps.prod)
@@ -301,6 +303,7 @@ type psession struct {
 	scan     *xmlscan.Scanner //vitex:keep warmed scanner, Reset onto the producer per stream by StreamParallel
 	workers  []*pworker
 	free     chan *eventBatch //vitex:keep batch freelist, survives streams by design
+	touched  []int32          //vitex:keep resync scratch, overwritten per resync
 	prod     producer
 }
 
@@ -313,6 +316,10 @@ type psession struct {
 type pworker struct {
 	ps *psession //vitex:keep owning session, constant for the worker's life
 	rt router
+	// trieIDs is the shard's trie filter: the nodes on its machines' anchor
+	// paths, trieRefs[id] of them passing through node id.
+	trieIDs  []bool  //vitex:keep shard trie filter, moved with the shard's machines on resync
+	trieRefs []int32 //vitex:keep shard trie filter, moved with the shard's machines on resync
 
 	failed error
 
@@ -338,7 +345,7 @@ func newPsession(e *Engine, workers int) *psession {
 		free:     make(chan *eventBatch, 4*workers+4),
 	}
 	for wi := 0; wi < workers; wi++ {
-		ps.workers = append(ps.workers, &pworker{ps: ps})
+		ps.workers = append(ps.workers, &pworker{ps: ps, rt: router{shard: int32(wi), shards: int32(workers)}})
 	}
 	ps.prod.ps = ps
 	return ps
@@ -350,103 +357,178 @@ func newPsession(e *Engine, workers int) *psession {
 func (ps *psession) shardOf(slot int32) int { return int(slot) % ps.nworkers }
 
 // sync aligns the session's slot-indexed state with ep. Steady state is a
-// pointer compare. After a mutation, runs are re-keyed by program identity
-// (machines untouched by the mutation keep their warmed-up state), and only
-// the shards whose slot membership changed rebuild their routing tables —
-// the per-shard rebuild is recorded in the engine's ShardRebalances metric.
+// pointer compare. A session the deltas lead from visits only the slots they
+// name: each gets its run as the serial resync gives it, and its shard's
+// worker moves it in its private tables, so only the shards whose membership
+// changed do any work — recorded in the engine's ShardRebalances metric.
+// Otherwise every shard rebuilds its tables, and the runs are re-keyed by
+// program identity (machines the mutations left alone keep their warmed-up
+// state).
 func (ps *psession) sync(ep *epoch) {
 	if ps.ep == ep {
 		return
 	}
 	old := ps.ep
-	runs := rekeyRuns(old, ps.workers[0].rt.runs, ep)
-	dirty := make([]bool, ps.nworkers)
-	for slot := range ep.progs {
-		var prev *twigm.Program
-		prevAnchor, prevRouted := int32(-1), false
-		if old != nil && slot < len(old.progs) {
-			prev = old.progs[slot]
-			prevAnchor = old.anchors[slot]
-			prevRouted = prev != nil && old.routed(int32(slot))
+	ps.ep = ep
+	d, since, ok := changes(old, ep)
+	if !ok {
+		runs := rekeyRuns(ps.workers[0].rt.runs, ep)
+		for wi, w := range ps.workers {
+			w.build(runs, ep, wi)
 		}
-		// An anchor move without a program change (trie compaction
-		// renumbering IDs) also invalidates the shard's trie filter, and a
-		// value group changing hosts moves its routes.
-		p := ep.progs[slot]
-		if p != prev || ep.anchors[slot] != prevAnchor || (p != nil && ep.routed(int32(slot))) != prevRouted {
-			dirty[ps.shardOf(int32(slot))] = true
+		if old != nil {
+			ps.eng.shardRebalances.Add(int64(len(ps.workers)))
 		}
+		return
 	}
-	if old != nil {
-		for slot := len(ep.progs); slot < len(old.progs); slot++ {
-			if old.progs[slot] != nil {
-				dirty[ps.shardOf(int32(slot))] = true
-			}
+	// A slot may be in several deltas; moving it is not idempotent.
+	ps.touched = ps.touched[:0]
+	for d := d; d != nil && d.seq > since; d = d.prev {
+		ps.touched = append(ps.touched, d.slots...)
+	}
+	slices.Sort(ps.touched)
+	ps.touched = slices.Compact(ps.touched)
+
+	runs := resyncRuns(ps.workers[0].rt.runs, d, since, ep)
+	dirty := make([]bool, ps.nworkers)
+	for _, slot := range ps.touched {
+		was, is := machineAt(old, slot), machineAt(ep, slot)
+		if was == is {
+			continue
 		}
+		wi := ps.shardOf(slot)
+		w := ps.workers[wi]
+		if was.prog != nil {
+			w.place(slot, was, old.trie, false)
+		}
+		if is.prog != nil {
+			w.place(slot, is, ep.trie, true)
+		}
+		dirty[wi] = true
 	}
 	rebuilt := int64(0)
 	for wi, w := range ps.workers {
-		if old != nil && !dirty[wi] {
-			// Membership unchanged: the shard keeps its tables — and its
-			// current trie reference: the shard's machines and their
-			// anchors are unchanged, and published tries never mutate
-			// nodes in place, so the old trie answers identically for
-			// this shard's anchor paths. Only the runs slice reference
-			// moves to the new slot universe.
-			w.rt.rehost(runs, len(ep.progs))
-			continue
-		}
-		// Shard the trie by subtree: this worker evaluates only the trie
-		// nodes on its own machines' anchor paths (ancestors included, so
-		// anchor compatibility checks see their full chain). Other subtrees
-		// cost this worker nothing.
-		var trieIDs []bool
-		if ep.trie != nil {
-			trieIDs = make([]bool, ep.trie.NumIDs())
-			for _, slot := range shardSlots(ep.machines, ps, wi) {
-				for id := ep.anchors[slot]; id >= 0; id = ep.trie.Parent(id) {
-					if trieIDs[id] {
-						break // path above already marked
-					}
-					trieIDs[id] = true
-				}
-			}
-		}
-		w.rt.init(runs, routes{
-			elemSubs: shardFilter(ep.elemSubs, ps, wi),
-			attrSubs: shardFilter(ep.attrSubs, ps, wi),
-			wild:     shardSlots(ep.wild, ps, wi),
-			rootText: shardSlots(ep.rootText, ps, wi),
-			machines: shardSlots(ep.machines, ps, wi),
-		}, ep.trie, trieIDs)
-		if old != nil {
+		w.rt.rehost(runs, ep.progs.Len())
+		if dirty[wi] {
+			// A clean shard keeps its trie reference: its machines and their
+			// anchors are unchanged, and published tries never mutate nodes
+			// in place, so the old trie answers identically for its anchor
+			// paths.
+			w.rebindTrie(ep.trie)
 			rebuilt++
 		}
 	}
-	if rebuilt > 0 {
-		ps.eng.shardRebalances.Add(rebuilt)
-	}
-	ps.ep = ep
+	ps.eng.shardRebalances.Add(rebuilt)
 }
 
-// shardFilter restricts a subscription table to the slots of one shard.
-func shardFilter(subs [][]int32, ps *psession, w int) [][]int32 {
-	out := make([][]int32, len(subs))
-	for id, list := range subs {
-		out[id] = shardSlots(list, ps, w)
-	}
-	return out
+// routedMachine is what a shard routes for one slot: the routed machine in it
+// (nil for none) and its trie anchor.
+type routedMachine struct {
+	prog   *twigm.Program
+	anchor int32
 }
 
-// shardSlots returns the slots of list that belong to shard w.
-func shardSlots(list []int32, ps *psession, w int) []int32 {
-	var out []int32
-	for _, slot := range list {
-		if ps.shardOf(slot) == w {
-			out = append(out, slot)
+// machineAt returns what ep routes for slot.
+func machineAt(ep *epoch, slot int32) routedMachine {
+	if int(slot) >= ep.progs.Len() {
+		return routedMachine{anchor: -1}
+	}
+	p := ep.progs.At(int(slot))
+	if p == nil || !ep.routed(slot) {
+		return routedMachine{anchor: -1}
+	}
+	return routedMachine{prog: p, anchor: ep.anchors.At(int(slot))}
+}
+
+// build makes the worker's tables those of shard wi of ep from scratch, over
+// runs.
+//
+//vitex:cowmut writes the worker's private shard tables, which no epoch shares
+func (w *pworker) build(runs []*twigm.Run, ep *epoch, wi int) {
+	w.rt.routes = routes{}
+	clear(w.trieRefs)
+	clear(w.trieIDs)
+	for slot := wi; slot < ep.progs.Len(); slot += w.ps.nworkers {
+		if m := machineAt(ep, int32(slot)); m.prog != nil {
+			w.place(int32(slot), m, ep.trie, true)
 		}
 	}
-	return out
+	w.rt.init(runs, w.rt.routes, ep.trie, w.growTrie(ep.trie))
+}
+
+// place puts slot's machine m into the worker's shard tables (in) or takes
+// it out, and moves the shard's trie filter with it: the nodes on m's anchor
+// path in t are the shard's to evaluate while a machine of it anchors there.
+//
+//vitex:cowmut writes the worker's private shard tables, which no epoch shares
+func (w *pworker) place(slot int32, m routedMachine, t *twigm.Trie, in bool) {
+	p := m.prog
+	for _, id := range p.ElemNameIDs() {
+		placeSub(&w.rt.elemSubs, id, slot, in)
+	}
+	for _, id := range p.AttrNameIDs() {
+		placeSub(&w.rt.attrSubs, id, slot, in)
+	}
+	if p.HasWildcardElem() {
+		w.rt.wild = placeSlot(w.rt.wild, slot, in)
+	}
+	if p.HasRootText() {
+		w.rt.rootText = placeSlot(w.rt.rootText, slot, in)
+	}
+	w.growTrie(t)
+	for id := m.anchor; id >= 0; id = t.Parent(id) {
+		if in {
+			w.trieRefs[id]++
+		} else {
+			w.trieRefs[id]--
+		}
+		w.trieIDs[id] = w.trieRefs[id] > 0
+	}
+}
+
+// growTrie extends the worker's trie filter to cover t's node IDs and
+// returns it (nil without a trie).
+func (w *pworker) growTrie(t *twigm.Trie) []bool {
+	if t == nil {
+		return nil
+	}
+	for len(w.trieIDs) < t.NumIDs() {
+		w.trieIDs = append(w.trieIDs, false)
+		w.trieRefs = append(w.trieRefs, 0)
+	}
+	return w.trieIDs
+}
+
+// rebindTrie points the worker's prefix run at t, restricted to the shard's
+// anchor paths.
+func (w *pworker) rebindTrie(t *twigm.Trie) {
+	if t != nil {
+		w.rt.prun.Rebind(t, w.growTrie(t))
+	}
+}
+
+// placeSub puts slot into subscription list id of a shard's subs, or takes
+// it out.
+//
+//vitex:cowmut writes the worker's private shard tables, which no epoch shares
+func placeSub(subs *cow.Table[[]int32], id, slot int32, in bool) {
+	for subs.Len() <= int(id) {
+		subs.Append(nil)
+	}
+	subs.Set(int(id), placeSlot(subs.At(int(id)), slot, in))
+}
+
+// placeSlot puts slot into the ascending list, or takes it out, in place when
+// the list has room.
+func placeSlot(list []int32, slot int32, in bool) []int32 {
+	i, found := slices.BinarySearch(list, slot)
+	switch {
+	case in && !found:
+		return slices.Insert(list, i, slot)
+	case !in && found:
+		return slices.Delete(list, i, i+1)
+	}
+	return list
 }
 
 // reset prepares the pooled session for a new stream: every shard's router

@@ -31,10 +31,7 @@ func planOf(opts []twigm.Options) (plan Plan, finish func(scan twigm.Stats) []tw
 		}
 	}
 	if plan.Options.Ordered {
-		plan.Unordered = make([]bool, len(opts))
-		for d, o := range opts {
-			plan.Unordered[d] = !o.Ordered
-		}
+		plan.Unordered = func(d int) bool { return !opts[d].Ordered }
 	}
 	if emits {
 		plan.Options.EmitFrom = func(d int, r twigm.Result) error {

@@ -79,8 +79,8 @@ func newPooledEval(e *Engine, workers int) *pooledEval {
 // fail the stream.
 func (p *pooledEval) stream(ctx context.Context, doc string, emit func(twigm.Result) error) ([][]twigm.Result, []twigm.Stats, error) {
 	ep := p.e.cur.Load()
-	out := make([][]twigm.Result, len(ep.live))
-	opts := make([]twigm.Options, len(ep.live))
+	out := make([][]twigm.Result, ep.live.Len())
+	opts := make([]twigm.Options, ep.live.Len())
 	for d := range opts {
 		opts[d].EmitFrom = func(_ int, r twigm.Result) error {
 			if emit != nil {
@@ -230,8 +230,8 @@ func TestIdleAfterAbortedDocument(t *testing.T) {
 }
 
 // TestIdleAcrossResync: the membership changes between the two documents, so
-// the pooled session re-keys its runs to new slots (rekeyRuns) before
-// document 2. Preparation stamps must not travel with a slot number to a run
+// the pooled session resyncs its runs (by the mutation's delta, or re-keyed
+// to new slots after the compaction) before document 2. Preparation stamps must not travel with a slot number to a run
 // that was not prepared, nor survive on a run that was.
 func TestIdleAcrossResync(t *testing.T) {
 	doc1 := staleFeed(40)

@@ -15,24 +15,30 @@
 // compiles no value-keyed program and so has none.
 package engine
 
-import "repro/internal/twigm"
+import (
+	"repro/internal/cow"
+	"repro/internal/twigm"
+)
 
 // join files slot's value-keyed machine under literal in the group of its
 // shape, starting the group if it is the first of it.
 //
 //vitex:cowmut called on unpublished epochs only
 func (ep *epoch) join(slot int32, p *twigm.Program, literal string) {
-	key := p.GroupKey(ep.anchors[slot])
-	for gid, g := range ep.groups {
-		if g != nil && g.Key() == key {
-			ep.setGroup(int32(gid), g.With(slot, literal), p)
-			ep.groupOf[slot] = int32(gid)
+	ep.valueKeyed++
+	key := p.GroupKey(ep.anchors.At(int(slot)))
+	for gid := range int32(ep.groups.Len()) {
+		if g := ep.groups.At(int(gid)); g != nil && g.Key() == key {
+			ep.setGroup(gid, g.With(slot, literal), p)
+			ep.groupOf.Set(int(slot), gid)
 			return
 		}
 	}
-	ep.groupOf[slot] = int32(len(ep.groups))
-	ep.groups = append(ep.groups, nil)
-	ep.setGroup(ep.groupOf[slot], twigm.NewValueGroup(p, key.Anchor, []twigm.ValueMember{{ID: slot, Literal: literal}}), p)
+	gid := int32(ep.groups.Len())
+	ep.groups.Append(nil)
+	ep.valueGroups++
+	ep.groupOf.Set(int(slot), gid)
+	ep.setGroup(gid, twigm.NewValueGroup(p, key.Anchor, []twigm.ValueMember{{ID: slot, Literal: literal}}), p)
 }
 
 // leave takes slot's machine out of group gid. A group whose last member
@@ -41,32 +47,40 @@ func (ep *epoch) join(slot int32, p *twigm.Program, literal string) {
 //vitex:cowmut called on unpublished epochs only
 func (ep *epoch) leave(slot int32, p *twigm.Program, gid int32) {
 	literal, _ := p.ValueKey()
-	ep.setGroup(gid, ep.groups[gid].Without(slot, literal), p)
-	ep.groupOf[slot] = -1
+	next := ep.groups.At(int(gid)).Without(slot, literal)
+	if next == nil {
+		ep.valueGroups--
+	}
+	ep.valueKeyed--
+	ep.setGroup(gid, next, p)
+	ep.groupOf.Set(int(slot), -1)
 }
 
 // setGroup makes next group gid (nil for a dead group) and moves the group's
 // routes when its host changes; p is a program of the group's shape, whose
-// routes are every member's.
+// routes are every member's. Both hosts' routed status changes, so both are
+// in the epoch's delta.
 //
 //vitex:cowmut called on unpublished epochs only
 func (ep *epoch) setGroup(gid int32, next *twigm.ValueGroup, p *twigm.Program) {
 	from, to := int32(-1), int32(-1)
-	if g := ep.groups[gid]; g != nil {
+	if g := ep.groups.At(int(gid)); g != nil {
 		from = g.Host()
 	}
 	if next != nil {
 		to = next.Host()
 	}
+	ep.groups.Set(int(gid), next)
 	if from != to {
 		if from >= 0 {
 			ep.unroute(from, p)
+			ep.touch(from)
 		}
 		if to >= 0 {
 			ep.route(to, p)
+			ep.touch(to)
 		}
 	}
-	ep.groups[gid] = next
 }
 
 // regroup rebuilds the value groups from the live machines, one pass per
@@ -75,40 +89,39 @@ func (ep *epoch) setGroup(gid int32, next *twigm.ValueGroup, p *twigm.Program) {
 //
 //vitex:cowmut called on unpublished epochs only
 func (ep *epoch) regroup() {
-	ep.groups = nil
-	ep.groupOf = make([]int32, len(ep.progs))
+	ep.groups, ep.groupOf = cow.Table[*twigm.ValueGroup]{}, cow.Table[int32]{}
+	ep.valueGroups, ep.valueKeyed = 0, 0
 	index := make(map[twigm.GroupKey]int32)
 	var members [][]twigm.ValueMember
-	for slot, p := range ep.progs {
-		ep.groupOf[slot] = -1
-		if p == nil {
-			continue
+	for slot := range ep.progs.Len() {
+		gid := int32(-1)
+		if p := ep.progs.At(slot); p != nil {
+			if literal, ok := p.ValueKey(); ok {
+				key := p.GroupKey(ep.anchors.At(slot))
+				var seen bool
+				if gid, seen = index[key]; !seen {
+					gid = int32(len(members))
+					index[key] = gid
+					members = append(members, nil)
+				}
+				members[gid] = append(members[gid], twigm.ValueMember{ID: int32(slot), Literal: literal})
+				ep.valueKeyed++
+			}
 		}
-		literal, ok := p.ValueKey()
-		if !ok {
-			continue
-		}
-		key := p.GroupKey(ep.anchors[slot])
-		gid, seen := index[key]
-		if !seen {
-			gid = int32(len(members))
-			index[key] = gid
-			members = append(members, nil)
-		}
-		members[gid] = append(members[gid], twigm.ValueMember{ID: int32(slot), Literal: literal})
-		ep.groupOf[slot] = gid
+		ep.groupOf.Append(gid)
 	}
 	for _, ms := range members {
-		first := ms[0].ID
-		ep.groups = append(ep.groups, twigm.NewValueGroup(ep.progs[first], ep.anchors[first], ms))
+		first := int(ms[0].ID)
+		ep.groups.Append(twigm.NewValueGroup(ep.progs.At(first), ep.anchors.At(first), ms))
 	}
+	ep.valueGroups = len(members)
 }
 
 // routed reports whether live slot's machine is routed: it is no group's
 // member, or it hosts its group.
 func (ep *epoch) routed(slot int32) bool {
-	gid := ep.groupOf[slot]
-	return gid < 0 || ep.groups[gid].Host() == slot
+	gid := ep.groupOf.At(int(slot))
+	return gid < 0 || ep.groups.At(int(gid)).Host() == slot
 }
 
 // group returns the value group routed slot hosts, nil for a machine of its
@@ -116,8 +129,8 @@ func (ep *epoch) routed(slot int32) bool {
 //
 //vitex:hotpath
 func (ep *epoch) group(slot int32) *twigm.ValueGroup {
-	if gid := ep.groupOf[slot]; gid >= 0 {
-		return ep.groups[gid]
+	if gid := ep.groupOf.At(int(slot)); gid >= 0 {
+		return ep.groups.At(int(gid))
 	}
 	return nil
 }

@@ -115,8 +115,8 @@ func evalPoisoned(t *testing.T, e *engine.Engine, union []bool, doc string, opts
 	stats := make([]twigm.Stats, snap.Len())
 	woken := make([]bool, snap.Len())
 	plan := engine.Plan{Options: opts}
-	if opts.Ordered {
-		plan.Unordered = union
+	if opts.Ordered && union != nil {
+		plan.Unordered = func(d int) bool { return union[d] }
 	}
 	plan.Options.EmitFrom = func(d int, r twigm.Result) error {
 		out = append(out, emitted{d, r})

@@ -6,8 +6,8 @@
 //
 // A Broker manages named channels. Each channel owns a live
 // vitex.QuerySet: subscribing compiles exactly one query into the shared
-// dispatch set (never a recompile of the standing set, though the epoch
-// bookkeeping around it is O(standing set)), publishing appends the
+// dispatch set (never a recompile of the standing set, and the bookkeeping
+// around it copies only the table chunks it touches), publishing appends the
 // document to a bounded per-channel ingest queue, and matches stream back
 // to each subscriber through a bounded ring with an explicit slow-consumer
 // policy — block (back-pressure) or drop (gap markers). Channels evaluate

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -55,9 +56,13 @@ type channel struct {
 	// mu guards the membership pair (QuerySet contents <-> subs indexing)
 	// and ingest admission. Mutations and the per-document view capture
 	// take it; evaluation itself runs outside it.
-	mu      sync.Mutex
-	qs      *vitex.QuerySet
-	subs    []*subscription // parallel to QuerySet query indexes
+	mu sync.Mutex
+	qs *vitex.QuerySet
+	// subs is parallel to QuerySet query indexes, and copy-on-write: no
+	// element a published header covers is ever written again (appends land
+	// past it; removals build a fresh slice), so evaluate takes the header
+	// under mu and reads it after letting go.
+	subs    []*subscription
 	byID    map[string]*subscription
 	nextSub int64 //vitex:guardedby=mu
 	nextDoc int64 //vitex:guardedby=mu
@@ -265,7 +270,8 @@ func (c *channel) subscribe(query string) (*subscription, error) {
 		// Roll the membership back: a subscription that is not durable must
 		// not exist, or a restart would silently forget it.
 		c.qs.Remove(len(c.subs) - 1)
-		c.subs = c.subs[:len(c.subs)-1]
+		// Clipped: the next append must not write where sub stood.
+		c.subs = slices.Clip(c.subs[:len(c.subs)-1])
 		delete(c.byID, sub.id)
 		c.nextSub--
 		return nil, err
@@ -299,7 +305,7 @@ func (c *channel) unsubscribe(id string) error {
 		c.mu.Unlock()
 		return err
 	}
-	c.subs = append(c.subs[:idx], c.subs[idx+1:]...)
+	c.subs = slices.Concat(c.subs[:idx], c.subs[idx+1:])
 	delete(c.byID, id)
 	// Persistence failure is not rolled back here: the in-memory removal
 	// already happened and re-adding would reorder the set. The stale
@@ -456,7 +462,7 @@ func (c *channel) closeIngest() {
 // attached consumers).
 func (c *channel) closeRings() {
 	c.mu.Lock()
-	subs := append([]*subscription(nil), c.subs...)
+	subs := c.subs
 	c.mu.Unlock()
 	for _, sub := range subs {
 		sub.ring.closeRing()
@@ -493,7 +499,7 @@ func (c *channel) evaluate(j *job) jobResult {
 	}
 	c.mu.Lock()
 	view := c.qs.View()
-	subs := append([]*subscription(nil), c.subs...)
+	subs := c.subs
 	c.mu.Unlock()
 
 	opts := vitex.Options{Parallel: c.b.cfg.Parallel, Context: j.ctx}

@@ -229,6 +229,9 @@ func (p *Program) Start(opts Options) *Run {
 	return r
 }
 
+// Program returns the program the run was started from.
+func (r *Run) Program() *Program { return r.prog }
+
 // Reset prepares the Run for another stream with fresh options, keeping
 // every warmed-up allocation: stack backing arrays, per-entry candidate and
 // string-value buffers, the candidate arena, its own recorder's buffer and the

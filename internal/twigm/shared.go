@@ -36,6 +36,7 @@ package twigm
 import (
 	"strings"
 
+	"repro/internal/cow"
 	"repro/internal/sax"
 	"repro/internal/xpath"
 )
@@ -117,19 +118,21 @@ type trieNode struct {
 
 // Trie is an immutable prefix trie over the shareable leading steps of a
 // query set. Mutations (Graft, Prune) return a new Trie by structural
-// sharing: the node table is copied (O(nodes) — the same order as the
-// engine's epoch clone), child and dispatch lists are shared append-only,
-// and lists that lose an entry are rebuilt fresh — in-flight evaluations
-// reading an older Trie never observe a mutation. Node IDs are stable for
+// sharing: the node table is copied (O(nodes); a set's trie holds the
+// distinct prefixes, not one node per query), the symbol-indexed dispatch
+// table is a chunked copy-on-write table a mutation copies only the touched
+// chunks of, child and dispatch lists are shared append-only, and lists that
+// lose an entry are rebuilt fresh — in-flight evaluations reading an older
+// Trie never observe a mutation. Node IDs are stable for
 // the life of a node (compaction, which renumbers, builds a fresh Trie and
 // re-anchors through the engine's epoch).
 //
 //vitex:cow
 type Trie struct {
 	nodes []trieNode
-	roots []int32   // nodes with parent == -1
-	elem  [][]int32 // NameID -> live node IDs with that (non-wildcard) name
-	wild  []int32   // live node IDs with name "*"
+	roots []int32            // nodes with parent == -1
+	elem  cow.Table[[]int32] // NameID -> live node IDs with that (non-wildcard) name
+	wild  []int32            // live node IDs with name "*"
 
 	live    int // nodes with refs > 0
 	garbage int // dead nodes still occupying IDs
@@ -164,25 +167,18 @@ func (t *Trie) Garbage() int {
 func (t *Trie) Parent(id int32) int32 { return t.nodes[id].parent }
 
 // clone copies the outer structure for a mutation: the node table is copied
-// (refs and child lists change along the grafted/pruned path), dispatch
-// tables get fresh outer slices with inner lists shared.
-//
-//vitex:cowmut builds the fresh copy a mutation writes into
-func (t *Trie) clone(symsLen int) *Trie {
-	n := symsLen + 1
-	if n < len(t.elem) {
-		n = len(t.elem)
-	}
-	next := &Trie{
+// (refs and child lists change along the grafted/pruned path), the dispatch
+// table is cloned (its writes copy the chunks they land in), inner lists are
+// shared.
+func (t *Trie) clone() *Trie {
+	return &Trie{
 		nodes:   append([]trieNode(nil), t.nodes...),
 		roots:   t.roots,
-		elem:    make([][]int32, n),
+		elem:    t.elem.Clone(),
 		wild:    t.wild,
 		live:    t.live,
 		garbage: t.garbage,
 	}
-	copy(next.elem, t.elem)
-	return next
 }
 
 // findChild looks for an existing live child of parent (-1 = top level)
@@ -203,13 +199,12 @@ func (t *Trie) findChild(parent int32, step TrieStep) int32 {
 
 // Graft merges a profile into the trie and returns the new trie plus the
 // anchor node ID (the node of the profile's last step). A nil/empty profile
-// returns the receiver unchanged with anchor -1. symsLen sizes the dispatch
-// table (the symbol table may have grown while compiling the query).
-func (t *Trie) Graft(steps []TrieStep, symsLen int) (*Trie, int32) {
+// returns the receiver unchanged with anchor -1.
+func (t *Trie) Graft(steps []TrieStep) (*Trie, int32) {
 	if len(steps) == 0 {
 		return t, -1
 	}
-	next := t.clone(symsLen)
+	next := t.clone()
 	return next, next.graft(steps)
 }
 
@@ -218,8 +213,8 @@ func (t *Trie) Graft(steps []TrieStep, symsLen int) (*Trie, int32) {
 // sequence of Grafts builds, without a copy of the trie per profile.
 //
 //vitex:cowmut builds a trie nothing else can see yet
-func BuildTrie(profiles [][]TrieStep, symsLen int) (*Trie, []int32) {
-	t := &Trie{elem: make([][]int32, symsLen+1)}
+func BuildTrie(profiles [][]TrieStep) (*Trie, []int32) {
+	t := &Trie{}
 	anchors := make([]int32, len(profiles))
 	for i, steps := range profiles {
 		anchors[i] = -1
@@ -251,7 +246,10 @@ func (t *Trie) graft(steps []TrieStep) int32 {
 			if st.Name == "*" {
 				t.wild = append(t.wild, id)
 			} else {
-				t.elem[st.NameID] = append(t.elem[st.NameID], id)
+				for t.elem.Len() <= int(st.NameID) {
+					t.elem.Append(nil)
+				}
+				t.elem.Set(int(st.NameID), append(t.elem.At(int(st.NameID)), id))
 			}
 			t.live++
 		}
@@ -270,7 +268,7 @@ func (t *Trie) Prune(anchor int32) *Trie {
 	if anchor < 0 {
 		return t
 	}
-	next := t.clone(len(t.elem) - 1)
+	next := t.clone()
 	for id := anchor; id >= 0; {
 		n := &next.nodes[id]
 		n.refs--
@@ -290,7 +288,7 @@ func (t *Trie) Prune(anchor int32) *Trie {
 		if n.step.Name == "*" {
 			next.wild = without(next.wild, id)
 		} else {
-			next.elem[n.step.NameID] = without(next.elem[n.step.NameID], id)
+			next.elem.Set(int(n.step.NameID), without(next.elem.At(int(n.step.NameID)), id))
 		}
 		next.live--
 		next.garbage++
@@ -443,8 +441,8 @@ func (pr *PrefixRun) StartElement(ev *sax.Event) {
 			pr.tryPush(int32(nid), ev, d, true)
 		}
 		return
-	} else if id > 0 && int(id) < len(t.elem) {
-		for _, nid := range t.elem[id] {
+	} else if id > 0 && int(id) < t.elem.Len() {
+		for _, nid := range t.elem.At(int(id)) {
 			pr.tryPush(nid, ev, d, false)
 		}
 	}

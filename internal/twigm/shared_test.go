@@ -53,17 +53,17 @@ func TestTrieGraftPrune(t *testing.T) {
 		return PrefixProfile(mustParse(t, src), syms)
 	}
 	t0 := new(Trie)
-	t1, a1 := t0.Graft(profile("//a/b/c"), syms.Len())
+	t1, a1 := t0.Graft(profile("//a/b/c"))
 	if a1 < 0 || t1.Live() != 2 {
 		t.Fatalf("graft 1: anchor %d live %d", a1, t1.Live())
 	}
 	// Overlapping prefix: only the divergent step is new.
-	t2, a2 := t1.Graft(profile("//a/b/d"), syms.Len())
+	t2, a2 := t1.Graft(profile("//a/b/d"))
 	if t2.Live() != 2 || a2 != a1 {
 		t.Fatalf("graft 2: live %d anchors %d vs %d (prefix //a/b should be shared)", t2.Live(), a2, a1)
 	}
 	// '//a//x/y' shares the '//a' root with '//a/b/...' and adds one node.
-	t3, a3 := t2.Graft(profile("//a//x/y"), syms.Len())
+	t3, a3 := t2.Graft(profile("//a//x/y"))
 	if t3.Live() != 3 || a3 == a1 {
 		t.Fatalf("graft 3: live %d anchor %d", t3.Live(), a3)
 	}
@@ -86,7 +86,7 @@ func TestTrieGraftPrune(t *testing.T) {
 		t.Fatalf("prune all: live %d garbage %d", t6.Live(), t6.Garbage())
 	}
 	// Empty profile: no-op graft.
-	t7, a7 := t6.Graft(nil, syms.Len())
+	t7, a7 := t6.Graft(nil)
 	if t7 != t6 || a7 != -1 {
 		t.Fatalf("empty graft: %p vs %p anchor %d", t7, t6, a7)
 	}
@@ -106,7 +106,7 @@ func runEngineStyle(t *testing.T, p *Program, syms *sax.Symbols, doc string, opt
 	anchor := int32(-1)
 	if p.Anchored() {
 		var trie *Trie
-		trie, anchor = new(Trie).Graft(p.Profile(), syms.Len())
+		trie, anchor = new(Trie).Graft(p.Profile())
 		pr.Rebind(trie, nil)
 	}
 	var results []Result

@@ -119,7 +119,7 @@ func startRuns(progs []*Program, syms *sax.Symbols, opts func(i int) Options) ([
 	for i, p := range progs {
 		profiles[i] = p.Profile()
 	}
-	trie, anchors := BuildTrie(profiles, syms.Len())
+	trie, anchors := BuildTrie(profiles)
 	pr, rec := new(PrefixRun), new(Recorder)
 	pr.Rebind(trie, nil)
 	runs := make([]*Run, len(progs))

@@ -4,9 +4,11 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"sync"
 
+	"repro/internal/cow"
 	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/twigm"
@@ -40,9 +42,14 @@ import (
 // evaluates the set as of its start, so a stream racing a Remove still
 // delivers the removed query's results, and one racing an Add first sees
 // the new query on the next call. Mutations are serialized against each
-// other by the set's lock. Query indexes are slice-like: Add appends,
-// Remove(i) shifts every index above i down by one, and SetResult.QueryIndex
-// refers to the indexing in force when the Stream began.
+// other by the set's lock, and each costs what it changes: the engine and
+// the set copy the chunks of their tables a mutation touches, not the
+// tables, and pooled evaluation state resyncs by the mutation's delta.
+//
+// Query indexes are slice-like: Add appends, Remove(i) shifts every index
+// above i down by one, and SetResult.QueryIndex refers to the indexing in
+// force when the Stream began. That shift is the one cost that grows with
+// the set: Remove(i) is O(Len()-i), so removing the last query is O(1).
 type QuerySet struct {
 	mu      sync.Mutex
 	eng     *engine.Engine
@@ -55,35 +62,65 @@ type QuerySet struct {
 }
 
 // shape is the query structure of one membership: which query each machine
-// (dense index, the engine snapshot's order) evaluates a branch of. Every
-// view and Stream of that membership shares it, so what evaluation needs of
-// it is worked out once per membership, not once per document.
+// (dense index, the engine snapshot's order) evaluates a branch of, and which
+// machines are branches of a union. Every view and Stream of that membership
+// shares it. A mutation edits a clone, which copies only the chunks the edit
+// touches (internal/cow).
+//
+//vitex:cow
 type shape struct {
-	machQuery []int
+	machQuery cow.Table[int]
+	union     cow.Table[bool] // machine -> its query has other branches
 	nq        int
-	union     []bool // machine -> its query has other branches; nil when no query is a union
+	unions    int // machines whose query is a union
+	// unordered is union.At while any machine is a union branch, else nil:
+	// the engine's Plan.Unordered.
+	unordered func(machine int) bool
 }
 
-// newShape works out the union flags of a membership of nq queries.
-func newShape(machQuery []int, nq int) *shape {
-	sh := &shape{machQuery: machQuery, nq: nq}
-	branches := make([]int, nq)
-	for _, qi := range machQuery {
-		branches[qi]++
+// clone starts the next membership's shape.
+func (sh *shape) clone() *shape {
+	return &shape{machQuery: sh.machQuery.Clone(), union: sh.union.Clone(), nq: sh.nq, unions: sh.unions}
+}
+
+// add appends the machines of query qi, which has the given number of
+// branches, at the end of the dense order.
+//
+//vitex:cowmut called on unpublished shapes only
+func (sh *shape) add(qi, branches int) {
+	for range branches {
+		sh.machQuery.Append(qi)
+		sh.union.Append(branches > 1)
 	}
-	for d, qi := range machQuery {
-		if branches[qi] > 1 {
-			if sh.union == nil {
-				sh.union = make([]bool, len(machQuery))
-			}
-			sh.union[d] = true
-		}
+	if branches > 1 {
+		sh.unions += branches
+	}
+}
+
+// drop removes the machine at dense index d.
+//
+//vitex:cowmut called on unpublished shapes only
+func (sh *shape) drop(d int) {
+	if sh.union.At(d) {
+		sh.unions--
+	}
+	sh.machQuery.Delete(d)
+	sh.union.Delete(d)
+}
+
+// sealed returns the finished shape, ready to publish.
+//
+//vitex:cowmut called on unpublished shapes only
+func (sh *shape) sealed() *shape {
+	sh.unordered = nil
+	if sh.unions > 0 {
+		sh.unordered = sh.union.At
 	}
 	return sh
 }
 
-// setEntry is one standing query: the caller's compiled Query plus the
-// set-engine machines (one per union branch) evaluating it.
+// setEntry is one standing query: the caller's Query plus the set-engine
+// machines (one per union branch) evaluating it.
 type setEntry struct {
 	q     *Query
 	progs []*twigm.Program
@@ -109,21 +146,25 @@ func NewQuerySet(sources ...string) (*QuerySet, error) {
 
 // NewQuerySetConfigured is NewQuerySet with explicit configuration. The whole
 // set is built as one engine epoch, so construction is linear in the number of
-// sources (Add clones the membership per call).
+// sources. Each source's branches are compiled into the set's engine only:
+// the Query the set keeps for it (Query(i)) builds an engine of its own the
+// first time it is used on its own.
 func NewQuerySetConfigured(cfg SetConfig, sources ...string) (*QuerySet, error) {
 	qs := &QuerySet{entries: make([]setEntry, 0, len(sources))}
+	sh := &shape{nq: len(sources)}
 	var branches []*xpath.Query
 	var machQuery []int
 	for qi, src := range sources {
-		q, err := Compile(src)
+		parsed, err := xpath.ParseUnion(src)
 		if err != nil {
 			return nil, err
 		}
-		qs.entries = append(qs.entries, setEntry{q: q})
-		for _, bp := range q.progs {
-			branches = append(branches, bp.Query())
+		qs.entries = append(qs.entries, setEntry{q: &Query{src: src, branches: parsed}})
+		branches = append(branches, parsed...)
+		for range parsed {
 			machQuery = append(machQuery, qi)
 		}
+		sh.add(qi, len(parsed))
 	}
 	var err error
 	ecfg := engine.Config{DisablePrefixSharing: cfg.DisablePrefixSharing}
@@ -134,14 +175,17 @@ func NewQuerySetConfigured(cfg SetConfig, sources ...string) (*QuerySet, error) 
 		e := &qs.entries[machQuery[d]]
 		e.progs = append(e.progs, p)
 	}
-	qs.shape = newShape(machQuery, len(qs.entries))
+	qs.shape = sh.sealed()
 	return qs, nil
 }
 
 // Add appends an already-compiled query to the live set and returns its
 // query index. Only the new query is compiled into the shared dispatch
-// index; the existing machines, routing tables and pooled sessions are
-// untouched. Streams already running keep the membership they started with.
+// index; the existing machines are untouched, the set's tables copy only the
+// chunks the new query lands in, and pooled sessions resync by visiting its
+// slots. Streams already running keep the membership they started with.
+//
+//vitex:cowmut builds the next shape under qs.mu before publishing it
 func (qs *QuerySet) Add(q *Query) (int, error) {
 	qs.mu.Lock()
 	defer qs.mu.Unlock()
@@ -153,21 +197,19 @@ func (qs *QuerySet) Add(q *Query) (int, error) {
 	qs.entries = append(qs.entries, setEntry{q: q, progs: progs})
 	// Added machines take fresh slots at the end of the dense order; the
 	// published shape is copy-on-write (in-flight Streams hold the old one).
-	mq := make([]int, len(qs.shape.machQuery), len(qs.shape.machQuery)+len(progs))
-	copy(mq, qs.shape.machQuery)
-	for range progs {
-		mq = append(mq, qi)
-	}
-	qs.shape = newShape(mq, len(qs.entries))
+	sh := qs.shape.clone()
+	sh.add(qi, len(progs))
+	sh.nq++
+	qs.shape = sh.sealed()
 	return qi, nil
 }
 
 // addMachinesLocked compiles q's branches into the set engine, rolling back
 // on partial failure.
 func (qs *QuerySet) addMachinesLocked(q *Query) ([]*twigm.Program, error) {
-	progs := make([]*twigm.Program, 0, len(q.progs))
-	for _, bp := range q.progs {
-		p, err := qs.eng.Add(bp.Query())
+	progs := make([]*twigm.Program, 0, len(q.branches))
+	for _, b := range q.branches {
+		p, err := qs.eng.Add(b)
 		if err != nil {
 			for _, added := range progs {
 				_ = qs.eng.Remove(added)
@@ -180,35 +222,52 @@ func (qs *QuerySet) addMachinesLocked(q *Query) ([]*twigm.Program, error) {
 }
 
 // Remove deletes query i from the live set. Queries after i shift down one
-// index (slice semantics). The removed machines are tombstoned — not
-// recompiled around — and their routing-table slots are reclaimed by a
+// index (slice semantics), which is O(Len()-i); everything else Remove does
+// costs what the removed query held. The removed machines are tombstoned —
+// not recompiled around — and their routing-table slots are reclaimed by a
 // compaction pass once tombstones accumulate. Streams already running still
 // deliver the removed query's results; later streams do not.
+//
+//vitex:cowmut builds the next shape under qs.mu before publishing it
 func (qs *QuerySet) Remove(i int) error {
 	qs.mu.Lock()
 	defer qs.mu.Unlock()
 	if i < 0 || i >= len(qs.entries) {
 		return fmt.Errorf("vitex: Remove(%d) on a set of %d queries", i, len(qs.entries))
 	}
-	for _, p := range qs.entries[i].progs {
+	sh := qs.shape.clone()
+	if err := qs.removeMachinesLocked(qs.entries[i].progs, sh); err != nil {
+		return err
+	}
+	qs.entries = slices.Delete(qs.entries, i, i+1)
+	// Shift the query indexes above i down by one (slice semantics): the
+	// machines of every later query, wherever a Replace put them.
+	for qj := i; qj < len(qs.entries); qj++ {
+		for _, p := range qs.entries[qj].progs {
+			sh.machQuery.Set(qs.eng.Index(p), qj)
+		}
+	}
+	sh.nq--
+	qs.shape = sh.sealed()
+	return nil
+}
+
+// removeMachinesLocked removes progs from the set engine, highest dense index
+// first, and drops each from sh as the engine lets it go, so sh matches the
+// engine's membership even when a removal fails.
+func (qs *QuerySet) removeMachinesLocked(progs []*twigm.Program, sh *shape) error {
+	progs = slices.Clone(progs)
+	dense := make(map[*twigm.Program]int, len(progs))
+	for _, p := range progs {
+		dense[p] = qs.eng.Index(p)
+	}
+	slices.SortFunc(progs, func(a, b *twigm.Program) int { return dense[b] - dense[a] })
+	for _, p := range progs {
 		if err := qs.eng.Remove(p); err != nil {
 			return err
 		}
+		sh.drop(dense[p])
 	}
-	qs.entries = append(qs.entries[:i], qs.entries[i+1:]...)
-	// Drop the removed machines from the dense view and shift the query
-	// indexes above i down by one (slice semantics), copy-on-write.
-	mq := make([]int, 0, len(qs.shape.machQuery))
-	for _, qi := range qs.shape.machQuery {
-		if qi == i {
-			continue
-		}
-		if qi > i {
-			qi--
-		}
-		mq = append(mq, qi)
-	}
-	qs.shape = newShape(mq, len(qs.entries))
 	return nil
 }
 
@@ -222,10 +281,10 @@ func (qs *QuerySet) Replace(i int, q *Query) error {
 		return fmt.Errorf("vitex: Replace(%d) on a set of %d queries", i, len(qs.entries))
 	}
 	old := qs.entries[i]
-	if len(q.progs) == len(old.progs) {
-		progs := make([]*twigm.Program, len(q.progs))
-		for b, bp := range q.progs {
-			p, err := qs.eng.Replace(old.progs[b], bp.Query())
+	if len(q.branches) == len(old.progs) {
+		progs := make([]*twigm.Program, len(q.branches))
+		for b, branch := range q.branches {
+			p, err := qs.eng.Replace(old.progs[b], branch)
 			if err != nil {
 				// Branches already swapped stay swapped; surface the error.
 				// (Compilation of an already-compiled query only fails on
@@ -244,36 +303,17 @@ func (qs *QuerySet) Replace(i int, q *Query) error {
 		return err
 	}
 	qs.entries[i] = setEntry{q: q, progs: progs}
-	// Remove the old machines after installing the new entry, then rebuild
-	// the view unconditionally: even if a Remove fails (an engine-invariant
-	// break — the set added these machines itself), the published view must
-	// match the engine snapshot so later Streams fail loudly here, not with
-	// an out-of-range panic on an unrelated call.
-	var firstErr error
-	for _, p := range old.progs {
-		if err := qs.eng.Remove(p); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	qs.rebuildViewLocked()
-	return firstErr
-}
-
-// rebuildViewLocked recomputes the dense-machine -> query mapping against
-// the engine's current snapshot. O(machines) bookkeeping, no compilation.
-func (qs *QuerySet) rebuildViewLocked() {
-	owner := make(map[*twigm.Program]int, len(qs.entries))
-	for qi := range qs.entries {
-		for _, p := range qs.entries[qi].progs {
-			owner[p] = qi
-		}
-	}
-	progs := qs.eng.Snapshot().Programs()
-	machQuery := make([]int, len(progs))
-	for d, p := range progs {
-		machQuery[d] = owner[p]
-	}
-	qs.shape = newShape(machQuery, len(qs.entries))
+	// The new machines are at the end of the dense order. Remove the old ones
+	// after installing the new entry, and publish the shape whatever
+	// happens: even if a Remove fails (an engine-invariant break — the set
+	// added these machines itself), the published view matches the engine
+	// snapshot, so later Streams fail loudly here, not with an out-of-range
+	// panic on an unrelated call.
+	sh := qs.shape.clone()
+	sh.add(i, len(progs))
+	err = qs.removeMachinesLocked(old.progs, sh)
+	qs.shape = sh.sealed()
+	return err
 }
 
 // QuerySetView pins one membership snapshot of a live QuerySet: every Stream
@@ -348,7 +388,7 @@ func stream(snap engine.Snapshot, sh *shape, r io.Reader, opts Options, emit fun
 	ev := &evaluation{sh: sh, ordered: opts.Ordered, emit: emit, stats: make([]Stats, sh.nq)}
 	plan := engine.Plan{
 		Options:   twigm.Options{Ordered: opts.Ordered, CountOnly: opts.CountOnly, Trace: opts.Trace},
-		Unordered: sh.union,
+		Unordered: sh.unordered,
 		Stats:     ev.machineStats,
 	}
 	if emit != nil {
@@ -399,13 +439,13 @@ type unionNode struct {
 
 // machineStats folds a woken machine's statistics into its query's.
 func (ev *evaluation) machineStats(d int, st twigm.Stats) {
-	engine.MergeStats(&ev.stats[ev.sh.machQuery[d]], st)
+	engine.MergeStats(&ev.stats[ev.sh.machQuery.At(d)], st)
 }
 
 // machineResult receives every result with the index of its machine.
 func (ev *evaluation) machineResult(d int, tr twigm.Result) error {
-	sr := SetResult{QueryIndex: ev.sh.machQuery[d], Result: Result(tr)}
-	if ev.sh.union != nil && ev.sh.union[d] {
+	sr := SetResult{QueryIndex: ev.sh.machQuery.At(d), Result: Result(tr)}
+	if ev.sh.unions > 0 && ev.sh.union.At(d) {
 		node := unionNode{sr.QueryIndex, tr.NodeOffset}
 		if ev.seen[node] {
 			return nil

@@ -1,6 +1,8 @@
 package vitex
 
 import (
+	"fmt"
+	"math"
 	"reflect"
 	"runtime"
 	"strings"
@@ -359,6 +361,95 @@ func TestBuildCostPerQueryIsFlat(t *testing.T) {
 	}
 }
 
+// TestChurnCostIsFlat: a subscription's churn costs what it changes, not the
+// standing set. One Add of the benchmark's churn query (a value-group member),
+// the Remove(last) of it and the next Stream's resync allocate within 2x at
+// 10,000 portal queries of what they allocate at 1,000. The resync a pooled
+// session pays after one Add of a query with a run of its own allocates the
+// same at both sizes: the run and what its first document warms up. Pinned
+// like TestIdleSubscriptionsAreFree: one P, and no byte counts under the race
+// detector.
+func TestChurnCostIsFlat(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const reps = 20
+	measure := func(n int) (pair, resync float64) {
+		qs, err := NewQuerySet(datagen.OverlapQueries(n, 0.9, 0, 0, 1)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		doc := datagen.Portal{Articles: 20, Seed: 1}.String()
+		rd := strings.NewReader(doc)
+		stream := func() {
+			rd.Reset(doc)
+			if _, err := qs.Stream(rd, Options{}, func(SetResult) error { return nil }); err != nil {
+				t.Fatal(err)
+			}
+		}
+		bytesOf := func(f func()) float64 {
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			f()
+			runtime.ReadMemStats(&m1)
+			return float64(m1.TotalAlloc - m0.TotalAlloc)
+		}
+		churn := func(i int) *Query {
+			return MustCompile(fmt.Sprintf("//channel//article/head/f%d[. = 'no-such-value-%d']", i%200, i))
+		}
+		routed := func(i int) *Query {
+			return MustCompile(fmt.Sprintf("//channel//article/head/f%d[. != 'v%d']", i%7, i))
+		}
+		add := func(q *Query) {
+			if _, err := qs.Add(q); err != nil {
+				t.Fatal(err)
+			}
+		}
+		remove := func() {
+			if err := qs.Remove(n); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// Warm up: the pooled session, and the slot the churn query takes.
+		stream()
+		add(churn(reps))
+		stream()
+		remove()
+		stream()
+		for i := range reps {
+			q := churn(i)
+			pair += bytesOf(func() { add(q); remove(); stream() }) - bytesOf(stream)
+			add(routed(i))
+			resync += bytesOf(stream) - bytesOf(stream)
+			remove()
+			stream()
+		}
+		return pair / reps, resync / reps
+	}
+	pair1k, resync1k := measure(1000)
+	pair10k, resync10k := measure(10000)
+	t.Logf("bytes per Add + Remove(last) + resync: %.0f at 1,000 queries, %.0f at 10,000; per resync after one Add: %.0f, %.0f",
+		pair1k, pair10k, resync1k, resync10k)
+	if raceEnabled {
+		return // under -race the pool drops sessions: nothing here is a count
+	}
+	if pair10k > 2*pair1k {
+		t.Fatalf("churn grows with the standing set: %.0f bytes per pair at 1,000 queries, %.0f at 10,000", pair1k, pair10k)
+	}
+	// The same, up to the few bytes the runtime allocates on its own in a
+	// run of this length.
+	if math.Abs(resync10k-resync1k) > 128 {
+		t.Fatalf("a resync after one Add allocates %.0f bytes at 1,000 queries, %.0f at 10,000", resync1k, resync10k)
+	}
+}
+
+// machQueries returns the query of every machine of sh, in dense order.
+func machQueries(sh *shape) []int {
+	out := make([]int, sh.machQuery.Len())
+	for d := range out {
+		out[d] = sh.machQuery.At(d)
+	}
+	return out
+}
+
 // TestBulkBuildMatchesIncremental: NewQuerySet builds the whole set as one
 // engine epoch; it must be the set that Add-ing the same sources one by one
 // builds — same machines in the same order, same shared trie, same results.
@@ -392,7 +483,7 @@ func TestBulkBuildMatchesIncremental(t *testing.T) {
 				t.Fatalf("%+v: machine %d is %s bulk, %s incremental", cfg, d, b, i)
 			}
 		}
-		if !reflect.DeepEqual(bulk.shape.machQuery, inc.shape.machQuery) {
+		if !reflect.DeepEqual(machQueries(bulk.shape), machQueries(inc.shape)) {
 			t.Fatalf("%+v: machine-to-query maps differ", cfg)
 		}
 		bm, im := bulk.Metrics(), inc.Metrics()

@@ -48,8 +48,10 @@
 // live: Add, Remove and
 // Replace mutate it between (and safely concurrent with) Stream calls,
 // compiling only the changed query — the engine versions its membership in
-// immutable epochs and pooled sessions resync incrementally. Compiling is
-// O(changed query); the epoch bookkeeping around it is O(standing set).
+// immutable epochs of chunked copy-on-write tables, and pooled sessions resync
+// by each mutation's delta. A mutation costs what it changes: its compile,
+// the table chunks it touches and the spines above them; Remove(i) also
+// shifts the indexes of the queries after i.
 //
 // Quick start:
 //
@@ -72,6 +74,7 @@ import (
 	"context"
 	"io"
 	"strings"
+	"sync"
 
 	"repro/internal/engine"
 	"repro/internal/twigm"
@@ -154,12 +157,19 @@ type Options struct {
 // machine state out of the engine's session pool, so repeated streaming over
 // one Query reuses warmed-up state instead of reallocating it).
 type Query struct {
+	src      string
+	branches []*xpath.Query
+
+	// The query's own engine, built once: by Compile, or, for a Query a
+	// QuerySet parsed (whose branches run in the set's engine), when it is
+	// first used on its own.
+	once  sync.Once
+	err   error
 	eng   *engine.Engine
 	progs []*twigm.Program
 	// shape presents the branches as a one-query set, so Stream runs the
 	// same evaluation a QuerySet does.
 	shape *shape
-	src   string
 }
 
 // Compile parses an XPath query — including unions 'p1 | p2' — and builds
@@ -172,12 +182,30 @@ func Compile(src string) (*Query, error) {
 	if err != nil {
 		return nil, err
 	}
-	eng, err := engine.New(parsed...)
-	if err != nil {
+	q := &Query{src: src, branches: parsed}
+	if err := q.build(); err != nil {
 		return nil, err
 	}
-	progs := eng.Programs()
-	return &Query{eng: eng, progs: progs, shape: newShape(make([]int, len(progs)), 1), src: src}, nil
+	return q, nil
+}
+
+// build compiles the query's own engine the first time it is needed. A Query
+// a QuerySet made has compiled into the set's engine already, so only Stream
+// can see an error here, and Size and MachineDescription describe no machine
+// after one.
+func (q *Query) build() error {
+	q.once.Do(func() {
+		eng, err := engine.New(q.branches...)
+		if err != nil {
+			q.err = err
+			return
+		}
+		q.eng, q.progs = eng, eng.Programs()
+		sh := &shape{nq: 1}
+		sh.add(0, len(q.progs))
+		q.shape = sh.sealed()
+	})
+	return q.err
 }
 
 // MustCompile is Compile, panicking on error.
@@ -191,9 +219,9 @@ func MustCompile(src string) *Query {
 
 // String returns the canonical form of the query (branches joined by '|').
 func (q *Query) String() string {
-	parts := make([]string, len(q.progs))
-	for i, p := range q.progs {
-		parts[i] = p.Query().String()
+	parts := make([]string, len(q.branches))
+	for i, b := range q.branches {
+		parts[i] = b.String()
 	}
 	return strings.Join(parts, " | ")
 }
@@ -204,6 +232,7 @@ func (q *Query) Source() string { return q.src }
 // Size returns the number of query nodes across all branches — the |Q| of
 // the paper's complexity bounds.
 func (q *Query) Size() int {
+	q.build()
 	n := 0
 	for _, p := range q.progs {
 		n += p.NumNodes()
@@ -215,6 +244,7 @@ func (q *Query) Size() int {
 // one node per line, '-' edges for child axes, '=' for descendant axes, '*'
 // marking the output node. Union branches are separated by a '|' line.
 func (q *Query) MachineDescription() string {
+	q.build()
 	parts := make([]string, len(q.progs))
 	for i, p := range q.progs {
 		parts[i] = p.Describe()
@@ -234,6 +264,9 @@ func (q *Query) MachineDescription() string {
 // are buffered to the end of the stream and emitted in document order
 // (single-path queries keep the cheaper streaming re-sequencer).
 func (q *Query) Stream(r io.Reader, opts Options, emit func(Result) error) (Stats, error) {
+	if err := q.build(); err != nil {
+		return Stats{}, err
+	}
 	var each func(SetResult) error
 	if emit != nil {
 		each = func(sr SetResult) error { return emit(sr.Result) }
