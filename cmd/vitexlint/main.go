@@ -13,6 +13,12 @@
 // build cache key, -flags for flag discovery, and an invocation per package
 // with a vet.cfg JSON file argument.
 //
+// An analyzer may need the annotations of a declaration in another package
+// (cowsafety checks calls of internal/cow's //vitex:cowmut methods in the
+// engine). The standalone mode collects them from every package it loads, the
+// vet-tool mode writes each package's to the vetx file cmd/go hands its
+// importers.
+//
 // Both modes check production code only: _test.go files are excluded (the
 // standalone loader reads go list's GoFiles; the vet-tool mode filters test
 // files out of the package variants cmd/go feeds it). The invariants are
@@ -90,9 +96,16 @@ func standalone(patterns []string) int {
 		fmt.Fprintf(os.Stderr, "vitexlint: %v\n", err)
 		return 1
 	}
+	facts := lint.Facts{}
+	for _, pkg := range pkgs {
+		lint.CollectMarkers(pkg.Files, pkg.Info).Export(facts)
+	}
 	found := 0
 	for _, pkg := range pkgs {
-		diags, err := runSuite(pkg)
+		if pkg.DepOnly {
+			continue
+		}
+		diags, err := runSuite(pkg, facts)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "vitexlint: %v\n", err)
 			return 1
@@ -121,15 +134,17 @@ func (f finding) String() string {
 	return fmt.Sprintf("%s:%d:%d: %s: %s", f.file, f.line, f.col, f.analyzer, f.msg)
 }
 
-// runSuite applies every analyzer to one loaded package and returns the
-// findings in file/position order.
-func runSuite(pkg *lint.Package) ([]finding, error) {
+// runSuite applies every analyzer to one loaded package, with the
+// annotations of the declarations it imports, and returns the findings in
+// file/position order.
+func runSuite(pkg *lint.Package, facts lint.Facts) ([]finding, error) {
 	var out []finding
 	pass := &lint.Pass{
 		Fset:  pkg.Fset,
 		Files: pkg.Files,
 		Pkg:   pkg.Types,
 		Info:  pkg.Info,
+		Facts: facts,
 	}
 	for _, a := range analyzers {
 		pass.Analyzer = a

@@ -113,3 +113,72 @@ type Stats struct {
 		}
 	}
 }
+
+// TestCowWriterAcrossPackages: a //vitex:cowmut method of another package's
+// //vitex:cow type, called on a field of a cow struct outside a writer, is
+// reported in both modes — the annotations reach the importer as facts — and
+// also when the pattern names the importer only.
+func TestCowWriterAcrossPackages(t *testing.T) {
+	bin := buildLint(t)
+	dir := t.TempDir()
+	write := func(name, content string) {
+		t.Helper()
+		path := filepath.Join(dir, name)
+		if err := os.MkdirAll(filepath.Dir(path), 0o777); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(content), 0o666); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write("go.mod", "module scratch\n\ngo 1.24\n")
+	write("tab/tab.go", `package tab
+
+// Table is copy-on-write.
+//
+//vitex:cow
+type Table struct{ items []int }
+
+// Set writes.
+//
+//vitex:cowmut
+func (t *Table) Set(i, v int) { t.items[i] = v }
+
+// At reads.
+func (t *Table) At(i int) int { return t.items[i] }
+`)
+	write("scratch.go", `package scratch
+
+import "scratch/tab"
+
+// Epoch is copy-on-write.
+//
+//vitex:cow
+type Epoch struct{ progs tab.Table }
+
+// Poke writes a published epoch's table.
+func Poke(e *Epoch) int {
+	e.progs.Set(0, 1)
+	return e.progs.At(0)
+}
+
+// Build writes the epoch it is building.
+//
+//vitex:cowmut
+func Build(e *Epoch) { e.progs.Set(0, 1) }
+`)
+	const want = "scratch.go:12:10: cowsafety: call of writer Set on field Epoch.progs"
+	for _, args := range [][]string{
+		{bin, "./..."},
+		{bin, "."},
+		{"go", "vet", "-vettool=" + bin, "./..."},
+		{"go", "vet", "-vettool=" + bin, "."},
+	} {
+		cmd := exec.Command(args[0], args[1:]...)
+		cmd.Dir = dir
+		out, err := cmd.CombinedOutput()
+		if err == nil || !strings.Contains(string(out), want) || strings.Count(string(out), "cowsafety") != 1 {
+			t.Errorf("%s: want exactly one finding %q, got (err %v):\n%s", strings.Join(args, " "), want, err, out)
+		}
+	}
+}

@@ -1,11 +1,13 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"maps"
 	"os"
 	"path/filepath"
 	"strings"
@@ -30,9 +32,9 @@ type vetConfig struct {
 	PackageFile map[string]string // canonical path -> export data file
 	Standard    map[string]bool
 
-	PackageVetx map[string]string // canonical path -> vetx file (facts; unused)
+	PackageVetx map[string]string // canonical path -> vetx file: a direct import's facts
 	VetxOnly    bool              // only write vetx, no diagnostics wanted
-	VetxOutput  string            // write facts here
+	VetxOutput  string            // write this package's facts here
 
 	SucceedOnTypecheckFailure bool
 }
@@ -52,19 +54,11 @@ func unitcheck(cfgPath string) int {
 		return 1
 	}
 
-	// cmd/go reads VetxOutput back for its cache even when no analyzer
-	// exports facts; write it first so every exit path below is cacheable.
-	if cfg.VetxOutput != "" {
-		if err := os.WriteFile(cfg.VetxOutput, []byte("vitexlint: no facts\n"), 0o666); err != nil {
-			fmt.Fprintf(os.Stderr, "vitexlint: %v\n", err)
-			return 1
-		}
-	}
-	// Dependency-only invocations exist to propagate analyzer facts; this
-	// suite exports none, so they are no-ops (this also skips the entire
-	// standard library when vetting with -vettool).
-	if cfg.VetxOnly || len(cfg.GoFiles) == 0 {
-		return 0
+	// cmd/go reads VetxOutput back for its cache; write an empty fact set
+	// first so every exit path below is cacheable.
+	if err := writeFacts(cfg.VetxOutput, lint.Facts{}); err != nil {
+		fmt.Fprintf(os.Stderr, "vitexlint: %v\n", err)
+		return 1
 	}
 
 	// The invariants target production code only; go vet also feeds test
@@ -72,20 +66,23 @@ func unitcheck(cfgPath string) int {
 	// standalone mode, which loads go list's GoFiles without tests).
 	goFiles := cfg.GoFiles[:0:0]
 	for _, name := range cfg.GoFiles {
+		if !filepath.IsAbs(name) {
+			name = filepath.Join(cfg.Dir, name)
+		}
 		if !isTestFile(name) {
 			goFiles = append(goFiles, name)
 		}
 	}
-	if len(goFiles) == 0 {
+	// Dependency-only invocations exist to export facts: the annotations of
+	// a package that has any. The rest, the entire standard library among
+	// them, are no-ops.
+	if len(goFiles) == 0 || cfg.VetxOnly && !annotated(goFiles) {
 		return 0
 	}
 
 	fset := token.NewFileSet()
 	var files []*ast.File
 	for _, name := range goFiles {
-		if !filepath.IsAbs(name) {
-			name = filepath.Join(cfg.Dir, name)
-		}
 		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {
 			if cfg.SucceedOnTypecheckFailure {
@@ -107,7 +104,24 @@ func unitcheck(cfgPath string) int {
 		return 1
 	}
 
-	diags, err := runSuite(&lint.Package{PkgPath: cfg.ImportPath, Fset: fset, Files: files, Types: tpkg, Info: info})
+	own := lint.Facts{}
+	lint.CollectMarkers(files, info).Export(own)
+	if err := writeFacts(cfg.VetxOutput, own); err != nil {
+		fmt.Fprintf(os.Stderr, "vitexlint: %v\n", err)
+		return 1
+	}
+	if cfg.VetxOnly {
+		return 0
+	}
+	facts := lint.Facts{}
+	for _, file := range cfg.PackageVetx {
+		if err := readFacts(file, facts); err != nil {
+			fmt.Fprintf(os.Stderr, "vitexlint: %v\n", err)
+			return 1
+		}
+	}
+
+	diags, err := runSuite(&lint.Package{PkgPath: cfg.ImportPath, Fset: fset, Files: files, Types: tpkg, Info: info}, facts)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "vitexlint: %v\n", err)
 		return 1
@@ -119,6 +133,43 @@ func unitcheck(cfgPath string) int {
 		return 2
 	}
 	return 0
+}
+
+// annotated reports whether any of the files carries a //vitex: annotation,
+// which makes its package's facts worth exporting.
+func annotated(files []string) bool {
+	for _, name := range files {
+		if data, err := os.ReadFile(name); err != nil || bytes.Contains(data, []byte(lint.MarkerPrefix)) {
+			return true // an unreadable file fails in the parse that follows
+		}
+	}
+	return false
+}
+
+// writeFacts writes facts as the vetx file path; "" means cmd/go wants none.
+func writeFacts(path string, facts lint.Facts) error {
+	if path == "" {
+		return nil
+	}
+	data, err := json.Marshal(facts)
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, data, 0o666)
+}
+
+// readFacts adds the facts of the vetx file path to facts.
+func readFacts(path string, facts lint.Facts) error {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return err
+	}
+	var imported lint.Facts
+	if err := json.Unmarshal(data, &imported); err != nil {
+		return fmt.Errorf("reading facts %s: %v", path, err)
+	}
+	maps.Copy(facts, imported)
+	return nil
 }
 
 // isTestFile reports whether a Go file name (absolute or not) is a test file.

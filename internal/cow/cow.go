@@ -80,12 +80,14 @@ func (t *Table[T]) Truncate(n int) Table[T] {
 }
 
 // Append sets element Len to v.
+//
+//vitex:cowmut writes through Set
 func (t *Table[T]) Append(v T) { t.Set(t.n, v) }
 
 // Set makes element i, at most Len, equal to v; i == Len appends. It is the
-// table's one writer: it copies the spine unless t already owns it, and the
-// chunk holding i unless t already owns that, so a table shared with a
-// published epoch is never written.
+// table's one writer (Append and Delete write through it): it copies the
+// spine unless t already owns it, and the chunk holding i unless t already
+// owns that, so a table shared with a published epoch is never written.
 //
 //vitex:cowmut copies whatever t does not own before writing into it
 func (t *Table[T]) Set(i int, v T) {
@@ -118,6 +120,8 @@ func (t *Table[T]) Set(i int, v T) {
 
 // Delete removes element i, shifting the elements after it down by one:
 // O(Len - i).
+//
+//vitex:cowmut writes through Set
 func (t *Table[T]) Delete(i int) {
 	for j := i; j+1 < t.n; j++ {
 		t.Set(j, t.At(j+1))

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -240,9 +241,9 @@ func TestShardRebalanceIsLocal(t *testing.T) {
 	if got := e.Metrics().ShardRebalances; got != 0 {
 		t.Fatalf("initial build counted %d rebalances", got)
 	}
-	tables := make([]cow.Table[[]int32], workers)
+	tables := make([]shardTables, workers)
 	for wi, w := range ps.workers {
-		tables[wi] = w.rt.elemSubs
+		tables[wi] = copyShardTables(w)
 	}
 	if _, err := e.Add(xpath.MustParse("//trade/price")); err != nil {
 		t.Fatal(err)
@@ -253,7 +254,7 @@ func TestShardRebalanceIsLocal(t *testing.T) {
 	}
 	// Slot 8 hashes to shard 0; shards 1-3 must keep their exact tables.
 	for wi := 1; wi < workers; wi++ {
-		if !reflect.DeepEqual(ps.workers[wi].rt.elemSubs, tables[wi]) {
+		if !reflect.DeepEqual(copyShardTables(ps.workers[wi]), tables[wi]) {
 			t.Fatalf("shard %d tables rebuilt by an Add outside it", wi)
 		}
 	}
@@ -261,6 +262,29 @@ func TestShardRebalanceIsLocal(t *testing.T) {
 	out, _ := streamValues(t, e.Snapshot(), churnDoc, workers)
 	if len(out[8]) != 2 {
 		t.Fatalf("added machine results = %q", out[8])
+	}
+}
+
+// shardTables is a deep copy of a shard's routing tables: a copy of the
+// tables themselves would share their chunks and lists with the shard.
+type shardTables struct {
+	elemSubs, attrSubs [][]int32
+	wild, rootText     []int32
+}
+
+func copyShardTables(w *pworker) shardTables {
+	subs := func(t *cow.Table[[]int32]) [][]int32 {
+		out := make([][]int32, t.Len())
+		for id := range out {
+			out[id] = slices.Clone(t.At(id))
+		}
+		return out
+	}
+	return shardTables{
+		elemSubs: subs(&w.rt.elemSubs),
+		attrSubs: subs(&w.rt.attrSubs),
+		wild:     slices.Clone(w.rt.wild),
+		rootText: slices.Clone(w.rt.rootText),
 	}
 }
 

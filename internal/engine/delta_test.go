@@ -183,3 +183,32 @@ func TestDeltaResyncMatchesFresh(t *testing.T) {
 		t.Fatal("the walk ended without a value group: it lost a subject")
 	}
 }
+
+// TestShardResyncFollowsHostChange: when a value group's host leaves, the
+// next member becomes the host without a program change of its own, and a
+// two-worker session must rebuild the new host's shard to route the group
+// there. The random walk rarely isolates that case: its batches dirty both
+// shards anyway.
+func TestShardResyncFollowsHostChange(t *testing.T) {
+	ms := []deltaMachine{{src: "//trade/symbol[. = 'ACME']"}, {src: "//trade/symbol[. = 'GLOBEX']"}, {src: "//news//body"}}
+	e := mustEngine(t, ms[0].src, ms[1].src, ms[2].src)
+	doc := staleFeed(12)
+	par := newPooledEval(e, 2)
+	par.streamEpoch(t, e.cur.Load(), ms, doc)
+	if err := e.Remove(e.Programs()[0]); err != nil { // slot 0, shard 0: the host
+		t.Fatal(err)
+	}
+	ms = ms[1:]
+	if g := e.cur.Load().group(1); g == nil || g.Host() != 1 {
+		t.Fatal("slot 1, shard 1, does not host the group")
+	}
+	fresh := mustEngine(t, ms[0].src, ms[1].src)
+	want, wantStats := newPooledEval(fresh, 0).streamEpoch(t, fresh.cur.Load(), ms, doc)
+	got, gotStats := par.streamEpoch(t, e.cur.Load(), ms, doc)
+	if len(want[0]) == 0 {
+		t.Fatal("the group's remaining member matches nothing: the test lost its subject")
+	}
+	if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(gotStats, wantStats) {
+		t.Fatalf("two-worker session after a host change\ngot  %+v %+v\nwant %+v %+v", got, gotStats, want, wantStats)
+	}
+}

@@ -279,12 +279,24 @@ func (s Snapshot) streamVia(ctx context.Context, r io.Reader, plan Plan, wrap fu
 // through two collections, and what a goroutine put on one P is out of reach
 // from another until then; the slot keeps the session that last finished for
 // whoever streams next, so a session resyncs by deltas and is not rebuilt
-// from nothing whenever a collection lands between two documents. An engine
-// holds at most that one session alive while nothing streams.
+// from nothing whenever a collection lands between two documents.
+//
+// The slot is for an engine that streams. A session costs about 120 KB with
+// one query (its scanner's buffers, mostly) and 2.7 MB at 10,000 portal
+// queries, so an engine that stops streaming hands the slot's session on to
+// the sync.Pool, which then drops it: a sweep looks every idleAfter while the
+// slot is full, and an engine idle for two of them keeps no session.
 type pool[T any] struct {
-	last atomic.Pointer[T]
-	more sync.Pool
+	last  atomic.Pointer[T]
+	used  atomic.Bool // a session was put back since the last sweep
+	armed atomic.Bool // a sweep is due
+	mu    sync.Mutex  // guards timer
+	timer *time.Timer
+	more  sync.Pool
 }
+
+// idleAfter is how often the sweep of a full slot looks for use.
+const idleAfter = time.Second
 
 // get returns a pooled session, nil when there is none.
 func (p *pool[T]) get() *T {
@@ -297,7 +309,38 @@ func (p *pool[T]) get() *T {
 
 // put returns a session to the pool.
 func (p *pool[T]) put(s *T) {
+	p.used.Store(true)
 	if !p.last.CompareAndSwap(nil, s) {
+		p.more.Put(s)
+		return
+	}
+	if p.armed.CompareAndSwap(false, true) {
+		p.arm()
+	}
+}
+
+// arm schedules the next sweep. One timer serves the pool's life, so a sweep
+// allocates nothing.
+func (p *pool[T]) arm() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.timer == nil {
+		p.timer = time.AfterFunc(idleAfter, p.sweep)
+		return
+	}
+	p.timer.Reset(idleAfter)
+}
+
+// sweep hands the slot's session to the sync.Pool when none was put back
+// since the last sweep, and looks again later otherwise. A session it takes
+// from a stream that just put it back only moves to the sync.Pool.
+func (p *pool[T]) sweep() {
+	if p.used.Swap(false) {
+		p.arm()
+		return
+	}
+	p.armed.Store(false)
+	if s := p.last.Swap(nil); s != nil {
 		p.more.Put(s)
 	}
 }

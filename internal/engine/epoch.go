@@ -230,26 +230,26 @@ func (ep *epoch) unsubscribe(slot int32, p *twigm.Program) {
 // name. Appends may share backing arrays with older epochs; they only ever
 // write past those epochs' lengths.
 //
-//vitex:cowmut called on unpublished epochs only
-func (ep *epoch) route(slot int32, p *twigm.Program) {
+//vitex:cowmut writes the routes of unpublished epochs and parallel shards only
+func (r *routes) route(slot int32, p *twigm.Program) {
 	for _, id := range p.ElemNameIDs() {
-		addSub(&ep.elemSubs, id, slot)
+		addSub(&r.elemSubs, id, slot)
 	}
 	for _, id := range p.AttrNameIDs() {
-		addSub(&ep.attrSubs, id, slot)
+		addSub(&r.attrSubs, id, slot)
 	}
 	if p.HasWildcardElem() {
-		ep.wild = append(ep.wild, slot)
+		r.wild = append(r.wild, slot)
 	}
 	if p.HasRootText() {
-		ep.rootText = append(ep.rootText, slot)
+		r.rootText = append(r.rootText, slot)
 	}
 }
 
 // addSub appends slot to subscription list id of subs, growing the table to
 // cover id.
 //
-//vitex:cowmut writes the tables of unpublished epochs only
+//vitex:cowmut writes the tables of unpublished epochs and parallel shards only
 func addSub(subs *cow.Table[[]int32], id, slot int32) {
 	for subs.Len() <= int(id) {
 		subs.Append(nil)

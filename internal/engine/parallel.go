@@ -45,12 +45,10 @@ import (
 	"errors"
 	"io"
 	"runtime"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"unsafe"
 
-	"repro/internal/cow"
 	"repro/internal/sax"
 	"repro/internal/twigm"
 	"repro/internal/xmlscan"
@@ -303,23 +301,18 @@ type psession struct {
 	scan     *xmlscan.Scanner //vitex:keep warmed scanner, Reset onto the producer per stream by StreamParallel
 	workers  []*pworker
 	free     chan *eventBatch //vitex:keep batch freelist, survives streams by design
-	touched  []int32          //vitex:keep resync scratch, overwritten per resync
 	prod     producer
 }
 
 // pworker owns the machines of one shard: a router restricted to the shard
-// (tables owned by the worker, mutated in place during resyncs — they are
-// session-private), whose emission buffer it ships to the merge once per
-// batch, and the channels batches and results flow through.
+// (tables owned by the worker, rebuilt when a resync changes the shard's
+// machines), whose emission buffer it ships to the merge once per batch, and
+// the channels batches and results flow through.
 //
 //vitex:pooled
 type pworker struct {
 	ps *psession //vitex:keep owning session, constant for the worker's life
 	rt router
-	// trieIDs is the shard's trie filter: the nodes on its machines' anchor
-	// paths, trieRefs[id] of them passing through node id.
-	trieIDs  []bool  //vitex:keep shard trie filter, moved with the shard's machines on resync
-	trieRefs []int32 //vitex:keep shard trie filter, moved with the shard's machines on resync
 
 	failed error
 
@@ -357,13 +350,12 @@ func newPsession(e *Engine, workers int) *psession {
 func (ps *psession) shardOf(slot int32) int { return int(slot) % ps.nworkers }
 
 // sync aligns the session's slot-indexed state with ep. Steady state is a
-// pointer compare. A session the deltas lead from visits only the slots they
-// name: each gets its run as the serial resync gives it, and its shard's
-// worker moves it in its private tables, so only the shards whose membership
-// changed do any work — recorded in the engine's ShardRebalances metric.
-// Otherwise every shard rebuilds its tables, and the runs are re-keyed by
-// program identity (machines the mutations left alone keep their warmed-up
-// state).
+// pointer compare. A session the deltas lead from resyncs its runs through
+// them (machines the mutations left alone keep their warmed-up state), and
+// only the shards holding a slot whose routed machine they changed rebuild
+// their routing tables — recorded in the engine's ShardRebalances metric.
+// Otherwise the runs are re-keyed by program identity and every shard
+// rebuilds.
 func (ps *psession) sync(ep *epoch) {
 	if ps.ep == ep {
 		return
@@ -374,161 +366,79 @@ func (ps *psession) sync(ep *epoch) {
 	if !ok {
 		runs := rekeyRuns(ps.workers[0].rt.runs, ep)
 		for wi, w := range ps.workers {
-			w.build(runs, ep, wi)
+			r, trieIDs := ps.shardRoutes(ep, wi)
+			w.rt.init(runs, r, ep.trie, trieIDs)
 		}
 		if old != nil {
 			ps.eng.shardRebalances.Add(int64(len(ps.workers)))
 		}
 		return
 	}
-	// A slot may be in several deltas; moving it is not idempotent.
-	ps.touched = ps.touched[:0]
-	for d := d; d != nil && d.seq > since; d = d.prev {
-		ps.touched = append(ps.touched, d.slots...)
-	}
-	slices.Sort(ps.touched)
-	ps.touched = slices.Compact(ps.touched)
-
-	runs := resyncRuns(ps.workers[0].rt.runs, d, since, ep)
+	// A value group changing hosts moves its routes. Anchors move only with
+	// their programs here: a trie compaction starts a new delta chain.
 	dirty := make([]bool, ps.nworkers)
-	for _, slot := range ps.touched {
-		was, is := machineAt(old, slot), machineAt(ep, slot)
-		if was == is {
-			continue
+	for d := d; d != nil && d.seq > since; d = d.prev {
+		for _, slot := range d.slots {
+			if routedAt(old, slot) != routedAt(ep, slot) {
+				dirty[ps.shardOf(slot)] = true
+			}
 		}
-		wi := ps.shardOf(slot)
-		w := ps.workers[wi]
-		if was.prog != nil {
-			w.place(slot, was, old.trie, false)
-		}
-		if is.prog != nil {
-			w.place(slot, is, ep.trie, true)
-		}
-		dirty[wi] = true
 	}
+	runs := resyncRuns(ps.workers[0].rt.runs, d, since, ep)
 	rebuilt := int64(0)
 	for wi, w := range ps.workers {
 		w.rt.rehost(runs, ep.progs.Len())
-		if dirty[wi] {
-			// A clean shard keeps its trie reference: its machines and their
-			// anchors are unchanged, and published tries never mutate nodes
-			// in place, so the old trie answers identically for its anchor
-			// paths.
-			w.rebindTrie(ep.trie)
-			rebuilt++
+		if !dirty[wi] {
+			// Membership unchanged: the shard keeps its tables and its trie
+			// reference. Its machines and their anchors are unchanged, and
+			// published tries never mutate nodes in place, so the old trie
+			// answers identically for this shard's anchor paths.
+			continue
 		}
+		r, trieIDs := ps.shardRoutes(ep, wi)
+		w.rt.routes = r
+		if ep.trie != nil {
+			w.rt.prun.Rebind(ep.trie, trieIDs)
+		}
+		rebuilt++
 	}
 	ps.eng.shardRebalances.Add(rebuilt)
 }
 
-// routedMachine is what a shard routes for one slot: the routed machine in it
-// (nil for none) and its trie anchor.
-type routedMachine struct {
-	prog   *twigm.Program
-	anchor int32
-}
-
-// machineAt returns what ep routes for slot.
-func machineAt(ep *epoch, slot int32) routedMachine {
+// routedAt returns the machine ep routes at slot, nil for none.
+func routedAt(ep *epoch, slot int32) *twigm.Program {
 	if int(slot) >= ep.progs.Len() {
-		return routedMachine{anchor: -1}
-	}
-	p := ep.progs.At(int(slot))
-	if p == nil || !ep.routed(slot) {
-		return routedMachine{anchor: -1}
-	}
-	return routedMachine{prog: p, anchor: ep.anchors.At(int(slot))}
-}
-
-// build makes the worker's tables those of shard wi of ep from scratch, over
-// runs.
-//
-//vitex:cowmut writes the worker's private shard tables, which no epoch shares
-func (w *pworker) build(runs []*twigm.Run, ep *epoch, wi int) {
-	w.rt.routes = routes{}
-	clear(w.trieRefs)
-	clear(w.trieIDs)
-	for slot := wi; slot < ep.progs.Len(); slot += w.ps.nworkers {
-		if m := machineAt(ep, int32(slot)); m.prog != nil {
-			w.place(int32(slot), m, ep.trie, true)
-		}
-	}
-	w.rt.init(runs, w.rt.routes, ep.trie, w.growTrie(ep.trie))
-}
-
-// place puts slot's machine m into the worker's shard tables (in) or takes
-// it out, and moves the shard's trie filter with it: the nodes on m's anchor
-// path in t are the shard's to evaluate while a machine of it anchors there.
-//
-//vitex:cowmut writes the worker's private shard tables, which no epoch shares
-func (w *pworker) place(slot int32, m routedMachine, t *twigm.Trie, in bool) {
-	p := m.prog
-	for _, id := range p.ElemNameIDs() {
-		placeSub(&w.rt.elemSubs, id, slot, in)
-	}
-	for _, id := range p.AttrNameIDs() {
-		placeSub(&w.rt.attrSubs, id, slot, in)
-	}
-	if p.HasWildcardElem() {
-		w.rt.wild = placeSlot(w.rt.wild, slot, in)
-	}
-	if p.HasRootText() {
-		w.rt.rootText = placeSlot(w.rt.rootText, slot, in)
-	}
-	w.growTrie(t)
-	for id := m.anchor; id >= 0; id = t.Parent(id) {
-		if in {
-			w.trieRefs[id]++
-		} else {
-			w.trieRefs[id]--
-		}
-		w.trieIDs[id] = w.trieRefs[id] > 0
-	}
-}
-
-// growTrie extends the worker's trie filter to cover t's node IDs and
-// returns it (nil without a trie).
-func (w *pworker) growTrie(t *twigm.Trie) []bool {
-	if t == nil {
 		return nil
 	}
-	for len(w.trieIDs) < t.NumIDs() {
-		w.trieIDs = append(w.trieIDs, false)
-		w.trieRefs = append(w.trieRefs, 0)
+	if p := ep.progs.At(int(slot)); p != nil && ep.routed(slot) {
+		return p
 	}
-	return w.trieIDs
+	return nil
 }
 
-// rebindTrie points the worker's prefix run at t, restricted to the shard's
-// anchor paths.
-func (w *pworker) rebindTrie(t *twigm.Trie) {
-	if t != nil {
-		w.rt.prun.Rebind(t, w.growTrie(t))
+// shardRoutes builds shard wi's routing tables from ep: the routes of the
+// routed machines whose slots hash to it, and its trie filter. Sharding the
+// trie by subtree, the worker evaluates only the trie nodes on its own
+// machines' anchor paths (ancestors included, so anchor compatibility checks
+// see their full chain); other subtrees cost it nothing.
+func (ps *psession) shardRoutes(ep *epoch, wi int) (r routes, trieIDs []bool) {
+	if ep.trie != nil {
+		trieIDs = make([]bool, ep.trie.NumIDs())
 	}
-}
-
-// placeSub puts slot into subscription list id of a shard's subs, or takes
-// it out.
-//
-//vitex:cowmut writes the worker's private shard tables, which no epoch shares
-func placeSub(subs *cow.Table[[]int32], id, slot int32, in bool) {
-	for subs.Len() <= int(id) {
-		subs.Append(nil)
+	for slot := int32(wi); int(slot) < ep.progs.Len(); slot += int32(ps.nworkers) {
+		p := routedAt(ep, slot)
+		if p == nil {
+			continue
+		}
+		r.route(slot, p)
+		for id := ep.anchors.At(int(slot)); trieIDs != nil && id >= 0; id = ep.trie.Parent(id) {
+			if trieIDs[id] {
+				break // path above already marked
+			}
+			trieIDs[id] = true
+		}
 	}
-	subs.Set(int(id), placeSlot(subs.At(int(id)), slot, in))
-}
-
-// placeSlot puts slot into the ascending list, or takes it out, in place when
-// the list has room.
-func placeSlot(list []int32, slot int32, in bool) []int32 {
-	i, found := slices.BinarySearch(list, slot)
-	switch {
-	case in && !found:
-		return slices.Insert(list, i, slot)
-	case !in && found:
-		return slices.Delete(list, i, i+1)
-	}
-	return list
+	return r, trieIDs
 }
 
 // reset prepares the pooled session for a new stream: every shard's router

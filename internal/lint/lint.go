@@ -7,10 +7,10 @@
 // the real x/tools framework cannot be vendored; this package mirrors its
 // Analyzer/Pass/Diagnostic surface closely enough that the analyzers are a
 // mechanical import-swap away from running under the upstream driver.
-// Analyzers are single-package by design: every invariant they check binds a
-// //vitex: annotation to declarations in the same package, and the guarded
-// state is unexported, so cross-package violations are already compile
-// errors.
+// Analyzers run on one package at a time. The guarded state is unexported,
+// so writes from another package are compile errors already; what crosses a
+// package boundary is the annotations of imported types and functions, which
+// the drivers hand each pass as Facts.
 package lint
 
 import (
@@ -45,6 +45,8 @@ type Pass struct {
 	Pkg      *types.Package
 	Info     *types.Info
 	Report   func(Diagnostic)
+	// Facts are the annotations of imported declarations (nil for none).
+	Facts Facts
 
 	markers *Markers
 }
@@ -54,11 +56,13 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	p.Report(Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...)})
 }
 
-// Markers returns the //vitex: annotations of the package, collected lazily
-// and shared by all analyzers running over the same Pass data.
+// Markers returns the //vitex: annotations of the package, with the pass's
+// Facts for imported declarations, collected lazily and shared by all
+// analyzers running over the same Pass data.
 func (p *Pass) Markers() *Markers {
 	if p.markers == nil {
 		p.markers = CollectMarkers(p.Files, p.Info)
+		p.markers.imported = p.Facts
 	}
 	return p.markers
 }

@@ -25,12 +25,17 @@ type Package struct {
 	Files   []*ast.File
 	Types   *types.Package
 	Info    *types.Info
+	// DepOnly marks a package loaded only as a dependency of those the
+	// patterns match: its annotations are facts for its importers, its
+	// findings nobody's.
+	DepOnly bool
 }
 
-// LoadPackages loads the packages matching patterns (relative to dir),
-// type-checking them from source against their dependencies' export data.
-// It shells out to `go list -export -deps -json`, which resolves entirely
-// from the local build cache — no network, no module proxy.
+// LoadPackages loads the packages matching patterns (relative to dir), and
+// the non-standard packages they depend on, type-checking them from source
+// against their dependencies' export data. It shells out to `go list -export
+// -deps -json`, which resolves entirely from the local build cache — no
+// network, no module proxy.
 func LoadPackages(dir string, patterns []string) ([]*Package, error) {
 	listed, err := goList(dir, patterns)
 	if err != nil {
@@ -46,13 +51,14 @@ func LoadPackages(dir string, patterns []string) ([]*Package, error) {
 	imp := NewImporter(fset, exports)
 	var out []*Package
 	for _, p := range listed {
-		if p.DepOnly || p.Standard || len(p.GoFiles) == 0 {
+		if p.Standard || len(p.GoFiles) == 0 {
 			continue
 		}
 		pkg, err := checkPackage(fset, imp, p)
 		if err != nil {
 			return nil, err
 		}
+		pkg.DepOnly = p.DepOnly
 		out = append(out, pkg)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].PkgPath < out[j].PkgPath })

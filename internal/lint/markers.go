@@ -26,9 +26,53 @@ type Marker struct {
 }
 
 // Markers indexes the //vitex: annotations of a package by the declared
-// object (type, func, or struct field) they document.
+// object (type, func, or struct field) they document, and answers for
+// imported types and functions from the Facts the driver hands the pass.
 type Markers struct {
-	byObj map[types.Object][]Marker
+	byObj    map[types.Object][]Marker
+	imported Facts
+}
+
+// Facts are the annotations of other packages' types and functions, keyed by
+// ObjectKey. An analyzer needs them where a package uses an annotated
+// declaration of another, such as a //vitex:cowmut method of an imported
+// //vitex:cow type. The drivers carry each package's to its importers.
+type Facts map[string][]Marker
+
+// Export adds the annotations of the package's types, functions and methods
+// to facts.
+func (m *Markers) Export(facts Facts) {
+	for obj, mks := range m.byObj {
+		if key := ObjectKey(obj); key != "" {
+			facts[key] = mks
+		}
+	}
+}
+
+// ObjectKey names a package-level type or function, or a method, the same way
+// in every package that sees it: "path.Name" or "path.Recv.Name". It is ""
+// for any other object.
+func ObjectKey(obj types.Object) string {
+	if obj == nil || obj.Pkg() == nil || obj.Parent() != nil && obj.Parent() != obj.Pkg().Scope() {
+		return ""
+	}
+	switch o := obj.(type) {
+	case *types.TypeName:
+		return o.Pkg().Path() + "." + o.Name()
+	case *types.Func:
+		recv := o.Origin().Type().(*types.Signature).Recv()
+		if recv == nil {
+			return o.Pkg().Path() + "." + o.Name()
+		}
+		t := recv.Type()
+		if p, ok := t.(*types.Pointer); ok {
+			t = p.Elem()
+		}
+		if n, ok := types.Unalias(t).(*types.Named); ok {
+			return o.Pkg().Path() + "." + n.Obj().Name() + "." + o.Name()
+		}
+	}
+	return ""
 }
 
 // Has reports whether obj carries the named marker.
@@ -43,7 +87,14 @@ func (m *Markers) Value(obj types.Object, name string) (string, bool) {
 	if m == nil || obj == nil {
 		return "", false
 	}
-	for _, mk := range m.byObj[obj] {
+	if f, ok := obj.(*types.Func); ok {
+		obj = f.Origin() // a method of an instantiated generic type
+	}
+	mks, ok := m.byObj[obj]
+	if !ok {
+		mks = m.imported[ObjectKey(obj)]
+	}
+	for _, mk := range mks {
 		if mk.Name == name {
 			return mk.Value, true
 		}

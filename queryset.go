@@ -237,6 +237,8 @@ func (qs *QuerySet) Remove(i int) error {
 	}
 	sh := qs.shape.clone()
 	if err := qs.removeMachinesLocked(qs.entries[i].progs, sh); err != nil {
+		// Publish what the engine holds now, as Replace does.
+		qs.shape = sh.sealed()
 		return err
 	}
 	qs.entries = slices.Delete(qs.entries, i, i+1)
@@ -255,6 +257,8 @@ func (qs *QuerySet) Remove(i int) error {
 // removeMachinesLocked removes progs from the set engine, highest dense index
 // first, and drops each from sh as the engine lets it go, so sh matches the
 // engine's membership even when a removal fails.
+//
+//vitex:cowmut edits the unpublished shape sh
 func (qs *QuerySet) removeMachinesLocked(progs []*twigm.Program, sh *shape) error {
 	progs = slices.Clone(progs)
 	dense := make(map[*twigm.Program]int, len(progs))
