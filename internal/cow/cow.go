@@ -103,12 +103,13 @@ func (t *Table[T]) Set(i int, v T) {
 	if ci == len(t.spine) {
 		t.spine = append(t.spine, &chunk[T]{owner: t.owner})
 	}
-	c := t.spine[ci]
+	c, j := t.spine[ci], i&chunkMask
 	if c.owner != t.owner {
-		c = &chunk[T]{owner: t.owner, items: append(make([]T, 0, max(len(c.items), 1)), c.items...)}
+		// Room for the element an append adds, so the copy is the only one.
+		c = &chunk[T]{owner: t.owner, items: append(make([]T, 0, max(len(c.items), j+1)), c.items...)}
 		t.spine[ci] = c
 	}
-	if j := i & chunkMask; j < len(c.items) {
+	if j < len(c.items) {
 		c.items[j] = v
 	} else {
 		c.items = append(c.items, v)

@@ -74,5 +74,14 @@ func TestCloneCopiesOnlyTouchedChunks(t *testing.T) {
 		if base.At(n/2) != 0 {
 			t.Fatalf("n=%d: a clone's write reached the original", n)
 		}
+		// An append into the short last chunk copies it once, with room for
+		// the new element.
+		allocs = testing.AllocsPerRun(20, func() {
+			c := base.Clone()
+			c.Append(9)
+		})
+		if allocs != 3 {
+			t.Errorf("n=%d: an append to a clone allocated %v times, want 3 (spine and chunk)", n, allocs)
+		}
 	}
 }

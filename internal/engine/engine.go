@@ -274,12 +274,12 @@ func (s Snapshot) streamVia(ctx context.Context, r io.Reader, plan Plan, wrap fu
 	return ses.stream(ctx, e, s.ep, frontEnd(ses.scan, wrap), plan)
 }
 
-// pool keeps evaluation sessions between streams: a sync.Pool behind one slot
-// that the garbage collector does not empty. A sync.Pool drops what sat in it
-// through two collections, and what a goroutine put on one P is out of reach
-// from another until then; the slot keeps the session that last finished for
-// whoever streams next, so a session resyncs by deltas and is not rebuilt
-// from nothing whenever a collection lands between two documents.
+// pool keeps evaluation sessions between streams: a sync.Pool and one slot
+// beside it that the garbage collector does not empty. A sync.Pool drops what
+// sat in it through two collections, and what a goroutine put on one P is out
+// of reach from another until then; the slot keeps one session for whoever
+// streams next, so a session resyncs by deltas and is not rebuilt from
+// nothing whenever a collection lands between two documents.
 //
 // The slot is for an engine that streams. A session costs about 120 KB with
 // one query (its scanner's buffers, mostly) and 2.7 MB at 10,000 portal
@@ -298,13 +298,15 @@ type pool[T any] struct {
 // idleAfter is how often the sweep of a full slot looks for use.
 const idleAfter = time.Second
 
-// get returns a pooled session, nil when there is none.
+// get returns a pooled session, nil when there is none. It tries the
+// sync.Pool first: a session there is one the collector may drop, while the
+// slot's is safe, so with two sessions in use both stay warm. An engine that
+// streams one document at a time has one session, and it is the slot's.
 func (p *pool[T]) get() *T {
-	if s := p.last.Swap(nil); s != nil {
+	if s, _ := p.more.Get().(*T); s != nil {
 		return s
 	}
-	s, _ := p.more.Get().(*T)
-	return s
+	return p.last.Swap(nil)
 }
 
 // put returns a session to the pool.
