@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -8,16 +9,26 @@ import (
 	"testing"
 )
 
-// buildLint compiles the vitexlint binary into a temp dir once per test run.
-func buildLint(t *testing.T) string {
-	t.Helper()
-	bin := filepath.Join(t.TempDir(), "vitexlint")
-	cmd := exec.Command("go", "build", "-o", bin, ".")
-	if out, err := cmd.CombinedOutput(); err != nil {
-		t.Fatalf("building vitexlint: %v\n%s", err, out)
+// lintBin is the vitexlint binary TestMain builds for the package's tests.
+var lintBin string
+
+func TestMain(m *testing.M) {
+	dir, err := os.MkdirTemp("", "vitexlint-test")
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
-	return bin
+	lintBin = filepath.Join(dir, "vitexlint")
+	code := 1
+	if out, err := exec.Command("go", "build", "-o", lintBin, ".").CombinedOutput(); err != nil {
+		fmt.Fprintf(os.Stderr, "building vitexlint: %v\n%s", err, out)
+	} else {
+		code = m.Run()
+	}
+	os.RemoveAll(dir)
+	os.Exit(code)
 }
+
 
 func repoRoot(t *testing.T) string {
 	t.Helper()
@@ -31,7 +42,7 @@ func repoRoot(t *testing.T) string {
 // TestSuiteCleanStandalone is the zero-suppressions acceptance gate: the
 // whole repository passes the suite in standalone mode.
 func TestSuiteCleanStandalone(t *testing.T) {
-	bin := buildLint(t)
+	bin := lintBin
 	cmd := exec.Command(bin, "./...")
 	cmd.Dir = repoRoot(t)
 	if out, err := cmd.CombinedOutput(); err != nil {
@@ -45,7 +56,7 @@ func TestSuiteCleanAsVetTool(t *testing.T) {
 	if testing.Short() {
 		t.Skip("go vet over the whole repository in -short mode")
 	}
-	bin := buildLint(t)
+	bin := lintBin
 	cmd := exec.Command("go", "vet", "-vettool="+bin, "./...")
 	cmd.Dir = repoRoot(t)
 	if out, err := cmd.CombinedOutput(); err != nil {
@@ -56,7 +67,7 @@ func TestSuiteCleanAsVetTool(t *testing.T) {
 // TestSuiteReportsViolations proves the gate actually gates: a scratch module
 // with one violation per analyzer fails with each analyzer's diagnostic.
 func TestSuiteReportsViolations(t *testing.T) {
-	bin := buildLint(t)
+	bin := lintBin
 	dir := t.TempDir()
 	write := func(name, content string) {
 		t.Helper()
@@ -119,7 +130,7 @@ type Stats struct {
 // reported in both modes — the annotations reach the importer as facts — and
 // also when the pattern names the importer only.
 func TestCowWriterAcrossPackages(t *testing.T) {
-	bin := buildLint(t)
+	bin := lintBin
 	dir := t.TempDir()
 	write := func(name, content string) {
 		t.Helper()
