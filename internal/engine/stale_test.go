@@ -390,3 +390,28 @@ func TestIdleRunsKeepNothingOfADocument(t *testing.T) {
 		})
 	}
 }
+
+// TestPoolSweepReleasesIdleSession: the pool's slot keeps its session while
+// a session is put back between two sweeps, and hands it to the sync.Pool
+// after a whole sweep period without one, so an idle engine keeps no
+// session the collector cannot take. The sweeps are called directly; the
+// timer's own would come a second later.
+func TestPoolSweepReleasesIdleSession(t *testing.T) {
+	var p pool[session]
+	s := new(session)
+	p.put(s)
+	p.sweep()
+	if p.last.Load() != s {
+		t.Fatal("a sweep after a put released the session")
+	}
+	p.sweep()
+	if p.last.Load() != nil {
+		t.Fatal("a sweep after an idle period kept the session in the slot")
+	}
+	if p.armed.Load() {
+		t.Fatal("the sweep stays armed over an empty slot")
+	}
+	p.mu.Lock()
+	p.timer.Stop()
+	p.mu.Unlock()
+}
