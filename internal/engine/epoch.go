@@ -23,9 +23,10 @@
 //   - Remove tombstones a slot (progs[slot] = nil) instead of renumbering,
 //     so untouched machines keep their slots; the last slot it reclaims at
 //     once. Its dense (caller-facing) indexes shift, which costs O(machines
-//     after it): removing the last machine is O(1). When tombstones exceed a threshold, a compaction pass
-//     renumbers the survivors densely (preserving relative order) and
-//     rebuilds the routing tables, reclaiming slot-indexed space.
+//     after it): removing the last machine is O(1). When tombstones exceed a
+//     threshold, a compaction pass renumbers the survivors densely
+//     (preserving relative order) and rebuilds the routing tables,
+//     reclaiming slot-indexed space.
 //   - Every epoch records its delta: the slots whose machine or routed
 //     status its mutation changed, chained to the deltas of the mutations
 //     before it. A pooled session behind (or ahead of) an epoch resyncs by
