@@ -212,14 +212,18 @@ type Plan struct {
 	// confirmation order even under Options.Ordered (the branches of a
 	// union, which only their caller can put in document order).
 	Unordered func(machine int) bool
-	// Stats, when non-nil, receives after the scan the counters of every
-	// machine the document woke, scan-level fields included: each member of
-	// a value group gets the group's counters with its own emitted/dropped
-	// split. A machine it is not called for did no work: its statistics are
-	// the value Stream returns. When EmitFrom fails a serial stream, every
-	// machine reports its counters through the event whose result failed:
-	// each event is delivered to every machine before its results go out.
-	Stats func(machine int, st twigm.Stats)
+	// Stats, when non-nil, receives after the scan the counters of what the
+	// document woke, scan-level fields included: once per woken machine, and
+	// once per literal of a woken value group, with the dense indexes of the
+	// machines the counters are for, ascending — the one machine, or the
+	// members filed under that literal, whose counters are the group's with
+	// their own emitted/dropped split. The slice is the engine's and valid
+	// only during the call. A machine no call names did no work: its
+	// statistics are the value Stream returns. When EmitFrom fails a serial
+	// stream, every woken machine reports its counters through the event
+	// whose result failed: each event is delivered to every machine before
+	// its results go out. Nil reports nothing, and costs nothing.
+	Stats func(machines []int32, st twigm.Stats)
 }
 
 // Stream evaluates the current membership over one scan of r; it is
@@ -232,7 +236,7 @@ func (e *Engine) Stream(ctx context.Context, r io.Reader, plan Plan) (twigm.Stat
 // document costs is proportional to the machines it wakes, not to the
 // snapshot: a machine is reset, bound to its anchor and given its options the
 // first time an event is routed to it, and only those machines see the end of
-// the document and report statistics (Plan.Stats).
+// the document and report statistics (Plan.Stats), once the scan is over.
 //
 // The returned Stats carry the shared scan's Events, Elements and MaxDepth
 // and nothing else — under routed dispatch a machine does not see every
@@ -752,12 +756,12 @@ func (rt *router) settle(mark int) error {
 }
 
 // finish ends the document for the machines it woke. visit, when non-nil,
-// receives each one's statistics with the shared scan's counters filled in —
-// every member's, for a run evaluating a value group; then the runs let go of
-// the document (their emit hook and trace writer), and so does the router. A
-// pooled session keeps nothing of a document it has finished, however long the
-// machines that document woke then stay idle.
-func (rt *router) finish(scan twigm.Stats, visit func(int, twigm.Stats)) {
+// receives their statistics with the shared scan's counters filled in
+// (report); then the runs let go of the document (their emit hook and trace
+// writer), and so does the router. A pooled session keeps nothing of a
+// document it has finished, however long the machines that document woke then
+// stay idle.
+func (rt *router) finish(scan twigm.Stats, visit func([]int32, twigm.Stats)) {
 	for _, i := range rt.woken {
 		run := rt.runs[i]
 		if visit != nil {
@@ -768,24 +772,33 @@ func (rt *router) finish(scan twigm.Stats, visit func(int, twigm.Stats)) {
 	rt.ep, rt.opts, rt.unordered, rt.emit = nil, twigm.Options{}, nil, nil
 }
 
-// report hands visit the statistics of the machine in slot i, or of every
-// member of the value group its run evaluates.
-func (rt *router) report(i int32, run *twigm.Run, scan twigm.Stats, visit func(int, twigm.Stats)) {
-	fill := func(st twigm.Stats) twigm.Stats {
-		st.Events, st.Elements, st.MaxDepth = scan.Events, scan.Elements, scan.MaxDepth
-		return st
-	}
+// report hands visit the statistics of the machine in slot i, or, for a run
+// evaluating a value group, those of each literal's members: one call per
+// literal, whatever the number of members filed under it. The dense indexes
+// are gathered in scratch, which the scan no longer needs.
+//
+//vitex:hotpath
+func (rt *router) report(i int32, run *twigm.Run, scan twigm.Stats, visit func([]int32, twigm.Stats)) {
 	g := run.Group()
 	if g == nil {
-		visit(int(rt.ep.liveIdx.At(int(i))), fill(run.Stats()))
+		rt.scratch = append(rt.scratch[:0], rt.ep.liveIdx.At(int(i)))
+		visit(rt.scratch, withScan(run.Stats(), scan))
 		return
 	}
 	for b := range int32(g.Buckets()) {
-		st := fill(run.MemberStats(b))
+		dense := rt.scratch[:0]
 		for _, m := range g.Members(b) {
-			visit(int(rt.ep.liveIdx.At(int(m))), st)
+			dense = append(dense, rt.ep.liveIdx.At(int(m)))
 		}
+		rt.scratch = dense
+		visit(dense, withScan(run.MemberStats(b), scan))
 	}
+}
+
+// withScan returns a machine's statistics with the shared scan's counters.
+func withScan(st, scan twigm.Stats) twigm.Stats {
+	st.Events, st.Elements, st.MaxDepth = scan.Events, scan.Elements, scan.MaxDepth
+	return st
 }
 
 // refresh recomputes machine i's dynamic routing memberships. Called after

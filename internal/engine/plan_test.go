@@ -41,11 +41,13 @@ func planOf(opts []twigm.Options) (plan Plan, finish func(scan twigm.Stats) []tw
 			return opts[d].EmitFrom(d, r)
 		}
 	}
-	plan.Stats = func(d int, st twigm.Stats) {
-		if woken[d] {
-			panic(fmt.Sprintf("planOf: machine %d reported twice", d))
+	plan.Stats = func(machines []int32, st twigm.Stats) {
+		for _, d := range machines {
+			if woken[d] {
+				panic(fmt.Sprintf("planOf: machine %d reported twice", d))
+			}
+			woken[d], stats[d] = true, st
 		}
-		woken[d], stats[d] = true, st
 	}
 	return plan, func(scan twigm.Stats) []twigm.Stats {
 		for d := range stats {

@@ -40,9 +40,9 @@ func TestOneRecordingPerDocument(t *testing.T) {
 							outer = max(outer, len(r.Value))
 							return nil
 						}},
-						Stats: func(d int, st twigm.Stats) {
+						Stats: func(machines []int32, st twigm.Stats) {
 							if st.PeakBufferedBytes != wantPeak[depth] {
-								t.Errorf("%d machines: machine %d PeakBufferedBytes = %d, want %d", n, d, st.PeakBufferedBytes, wantPeak[depth])
+								t.Errorf("%d machines: machines %v PeakBufferedBytes = %d, want %d", n, machines, st.PeakBufferedBytes, wantPeak[depth])
 							}
 						},
 					}

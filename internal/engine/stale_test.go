@@ -315,9 +315,10 @@ func TestIdleAcrossResync(t *testing.T) {
 type docToken struct{ results [8]int64 }
 
 // streamHolding streams doc with an emit hook that owns a fresh docToken (and,
-// when traced, a trace writer of its own) and returns weak pointers to both. In
-// a function of its own so that no stack slot of the caller keeps them alive.
-func streamHolding(t *testing.T, p *pooledEval, doc string, traced, malformed bool) (weak.Pointer[docToken], weak.Pointer[bytes.Buffer]) {
+// when traced, a trace writer of its own) and returns weak pointers to both.
+// With stats the plan's Stats hook owns the token too. In a function of its
+// own so that no stack slot of the caller keeps them alive.
+func streamHolding(t *testing.T, p *pooledEval, doc string, traced, stats, malformed bool) (weak.Pointer[docToken], weak.Pointer[bytes.Buffer]) {
 	t.Helper()
 	tok, trace := new(docToken), new(bytes.Buffer)
 	plan := Plan{Options: twigm.Options{EmitFrom: func(d int, _ twigm.Result) error {
@@ -326,6 +327,13 @@ func streamHolding(t *testing.T, p *pooledEval, doc string, traced, malformed bo
 	}}}
 	if traced {
 		plan.Options.Trace = trace
+	}
+	reported := false
+	if stats {
+		plan.Stats = func(machines []int32, st twigm.Stats) {
+			tok.results[int(machines[0])%len(tok.results)] += st.Pushes
+			reported = true
+		}
 	}
 	ep := p.e.cur.Load()
 	var err error
@@ -342,6 +350,9 @@ func streamHolding(t *testing.T, p *pooledEval, doc string, traced, malformed bo
 	if tok.results == (docToken{}).results {
 		t.Fatalf("%s woke nothing: the test lost its subject", doc)
 	}
+	if reported != stats {
+		t.Fatalf("%s: statistics asked for %v, reported %v", doc, stats, reported)
+	}
 	return weak.Make(tok), weak.Make(trace)
 }
 
@@ -349,7 +360,8 @@ func streamHolding(t *testing.T, p *pooledEval, doc string, traced, malformed bo
 // then stays idle for good, so nothing ever resets it. A pooled session must
 // not hold on to a finished document's emit hook or trace writer through it —
 // that would pin one caller's evaluation per machine, memory quadratic in the
-// standing set — whether the document ended cleanly or was cut short.
+// standing set — whether the document ended cleanly or was cut short, and
+// whether the plan asked for statistics or not.
 func TestIdleRunsKeepNothingOfADocument(t *testing.T) {
 	const n = 32
 	sources := make([]string, n)
@@ -364,7 +376,8 @@ func TestIdleRunsKeepNothingOfADocument(t *testing.T) {
 		name    string
 		workers int
 		traced  bool
-	}{{"serial", 0, false}, {"serial traced", 0, true}, {"workers=2", 2, false}} {
+		stats   bool
+	}{{"serial", 0, false, true}, {"serial traced", 0, true, true}, {"workers=2", 2, false, true}, {"serial without statistics", 0, false, false}} {
 		t.Run(mode.name, func(t *testing.T) {
 			p := newPooledEval(mustEngine(t, sources...), mode.workers)
 			var toks []weak.Pointer[docToken]
@@ -374,7 +387,7 @@ func TestIdleRunsKeepNothingOfADocument(t *testing.T) {
 				if malformed {
 					doc += "</oops>"
 				}
-				tok, trace := streamHolding(t, p, doc, mode.traced, malformed)
+				tok, trace := streamHolding(t, p, doc, mode.traced, mode.stats, malformed)
 				toks, traces = append(toks, tok), append(traces, trace)
 			}
 			runtime.GC()

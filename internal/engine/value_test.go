@@ -4,9 +4,12 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/datagen"
+	"repro/internal/sax/saxtest"
 	"repro/internal/twigm"
 )
 
@@ -131,5 +134,89 @@ func TestFailedStreamStats(t *testing.T) {
 		if st.Pops != 1 {
 			t.Fatalf("machine %d (%s) counted %d pops, want 1: %+v", d, sources[d], st.Pops, st)
 		}
+	}
+}
+
+// TestBucketStatsMatchMemberStats: Plan.Stats reports once per woken run and
+// once per literal of a woken value group, with the literal's members in
+// ascending dense order, and what it reports for each machine is what the
+// engine reported member by member before: the run's counters, or for a
+// group member its literal's split of them (Run.MemberStats), with the scan's
+// counters filled in. Portal-shaped groups, serial and sharded, through the
+// poisoning front-end.
+func TestBucketStatsMatchMemberStats(t *testing.T) {
+	sources := append(datagen.OverlapQueries(200, 0.9, 20, 4, 1),
+		// Several members under one literal, and ordinary machines.
+		"//channel//article/head/f3[. = 'v1']", "//channel//article/head/f3[. = 'v1']",
+		"//article/head", "//channel//title")
+	doc := datagen.Portal{Articles: 6, Fields: 20, Values: 4, Seed: 1}.String()
+	for _, workers := range []int{0, 2} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			e := mustEngine(t, sources...)
+			ep := e.cur.Load()
+			p := newPooledEval(e, workers)
+			got := make(map[int32]twigm.Stats)
+			calls := 0
+			plan := Plan{Stats: func(machines []int32, st twigm.Stats) {
+				calls++
+				if len(machines) == 0 || !slices.IsSorted(machines) {
+					t.Fatalf("report for machines %v: want a non-empty ascending list", machines)
+				}
+				for _, d := range machines {
+					if _, dup := got[d]; dup {
+						t.Fatalf("machine %d reported twice", d)
+					}
+					got[d] = st
+				}
+			}}
+			var scan twigm.Stats
+			var err error
+			if p.ps != nil {
+				p.ps.scan.Reset(&p.ps.prod)
+				scan, err = p.ps.stream(context.Background(), ep, saxtest.PoisonDriver(p.ps.scan), strings.NewReader(doc), plan)
+			} else {
+				p.ses.scan.Reset(strings.NewReader(doc))
+				scan, err = p.ses.stream(context.Background(), e, ep, saxtest.PoisonDriver(p.ses.scan), plan)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The member-by-member reports, from the runs the document woke.
+			want := make(map[int32]twigm.Stats)
+			reports, shared := 0, 0
+			member := func(slot int32, st twigm.Stats) {
+				st.Events, st.Elements, st.MaxDepth = scan.Events, scan.Elements, scan.MaxDepth
+				want[ep.liveIdx.At(int(slot))] = st
+			}
+			for _, rt := range p.routers() {
+				for _, i := range rt.woken {
+					run := rt.runs[i]
+					g := run.Group()
+					if g == nil {
+						reports++
+						member(i, run.Stats())
+						continue
+					}
+					for b := range int32(g.Buckets()) {
+						reports++
+						if len(g.Members(b)) > 1 {
+							shared++
+						}
+						for _, m := range g.Members(b) {
+							member(m, run.MemberStats(b))
+						}
+					}
+				}
+			}
+			if shared == 0 {
+				t.Fatal("no woken literal has several members: the test lost its subject")
+			}
+			if calls != reports {
+				t.Fatalf("%d reports, want one per woken run or literal: %d", calls, reports)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("reported statistics differ from the member-by-member reports:\ngot  %v\nwant %v", got, want)
+			}
+		})
 	}
 }

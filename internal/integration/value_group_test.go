@@ -122,11 +122,13 @@ func evalPoisoned(t *testing.T, e *engine.Engine, union []bool, doc string, opts
 		out = append(out, emitted{d, r})
 		return nil
 	}
-	plan.Stats = func(d int, st twigm.Stats) {
-		if woken[d] {
-			t.Fatalf("machine %d reported twice", d)
+	plan.Stats = func(machines []int32, st twigm.Stats) {
+		for _, d := range machines {
+			if woken[d] {
+				t.Fatalf("machine %d reported twice", d)
+			}
+			woken[d], stats[d] = true, st
 		}
-		woken[d], stats[d] = true, st
 	}
 	scan, err := snap.StreamVia(context.Background(), strings.NewReader(doc), plan, workers, saxtest.PoisonDriver)
 	if err != nil {

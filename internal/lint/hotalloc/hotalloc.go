@@ -8,7 +8,9 @@
 // Functions marked //vitex:hotpath may not contain:
 //
 //   - map- or slice-typed composite literals, or &T{...} of any type
-//   - function literals (closures)
+//   - function literals (closures), and method values: x.M used other than
+//     as the function of a call binds x into a closure, which allocates once
+//     it escapes (a callback argument, a field, a return value)
 //   - make or new of any type, or go statements
 //   - string <-> []byte/[]rune conversions, or integer -> string
 //     conversions, EXCEPT string(b) used directly as a map index or
@@ -111,10 +113,27 @@ func (w *walker) check(n ast.Node) bool {
 			w.pass.Reportf(e.Pos(), "slice literal allocates in //vitex:hotpath function")
 			return false
 		}
+	case *ast.SelectorExpr:
+		if sel := w.pass.Info.Selections[e]; sel != nil && sel.Kind() == types.MethodVal && !w.called(e) {
+			w.pass.Reportf(e.Pos(), "method value %s.%s allocates a closure in //vitex:hotpath function", types.ExprString(e.X), e.Sel.Name)
+		}
 	case *ast.CallExpr:
 		return w.checkCall(e)
 	}
 	return true
+}
+
+// called reports whether the selector e is the function of a call, perhaps
+// parenthesized, which binds no closure.
+func (w *walker) called(e *ast.SelectorExpr) bool {
+	for i := len(w.stack) - 1; i >= 0; i-- {
+		if _, paren := w.stack[i].(*ast.ParenExpr); paren {
+			continue
+		}
+		call, ok := w.stack[i].(*ast.CallExpr)
+		return ok && peel(call.Fun) == e
+	}
+	return false
 }
 
 func (w *walker) checkCall(call *ast.CallExpr) bool {

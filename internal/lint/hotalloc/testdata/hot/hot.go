@@ -40,7 +40,10 @@ func (m *machine) step(ev *event, h handler) {
 	r := string(rune(65))   // want `integer to string conversion allocates`
 	m.box(*ev)              // want `passing hot\.event as interface parameter boxes it`
 	_ = any(ev.depth)       // want `conversion to interface boxes int`
-	_, _, _, _, _, _, _, _ = bad, list, ptr, fn, pe, s, b, r
+	m.visit(m.flush)        // want `method value m\.flush allocates a closure`
+	m.sink = m.emit         // want `method value m\.emit allocates a closure`
+	check := h.handle       // want `method value h\.handle allocates a closure`
+	_, _, _, _, _, _, _, _, _ = bad, list, ptr, fn, pe, s, b, r, check
 }
 
 // scan is a clean hot path: struct composites, append, map-index reads via
@@ -61,6 +64,10 @@ func (m *machine) scan(name []byte, depth int, h handler) error {
 			return err
 		}
 	}
+	if err := (m.emit)(ev); err != nil {
+		return err
+	}
+	m.visit(flushAll)
 	return m.err
 }
 
@@ -72,3 +79,10 @@ func (m *machine) flush() {
 }
 
 func (m *machine) box(v any) { m.err = nil; _ = v }
+
+func (m *machine) visit(f func()) { f() }
+
+func (m *machine) emit(ev event) error { return m.err }
+
+// flushAll is a function, not a method: passing it binds nothing.
+func flushAll() {}

@@ -533,3 +533,28 @@ func TestUnsubscribeMidFlight(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestPublishReportsEventsWithoutSubscriptions: a document published to a
+// channel with no subscription is still scanned, and both the publish
+// response and the document's trace count its events.
+func TestPublishReportsEventsWithoutSubscriptions(t *testing.T) {
+	b := New(Config{TraceSample: 1})
+	defer b.Shutdown(context.Background())
+	pub, err := b.Publish(context.Background(), "empty", []byte("<a><b/><b/></a>"), true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// StartDocument, three start and three end tags, EndDocument.
+	const events = 8
+	if pub.Results != 0 || pub.Events != events {
+		t.Fatalf("publish = %+v, want 0 results and %d events", pub, events)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for b.Tracer().Emitted() < 1 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	recs := b.Tracer().Recent()
+	if len(recs) != 1 || recs[0].Events != events {
+		t.Fatalf("traces %+v, want one counting %d events", recs, events)
+	}
+}

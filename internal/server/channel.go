@@ -504,7 +504,7 @@ func (c *channel) evaluate(j *job) jobResult {
 
 	opts := vitex.Options{Parallel: c.b.cfg.Parallel, Context: j.ctx}
 	var results int64
-	stats, err := view.Stream(bytes.NewReader(j.data), opts, func(sr vitex.SetResult) error {
+	scan, err := view.Evaluate(bytes.NewReader(j.data), opts, func(sr vitex.SetResult) error {
 		sub := subs[sr.QueryIndex]
 		d := Delivery{
 			Type:        DeliveryResult,
@@ -545,10 +545,7 @@ func (c *channel) evaluate(j *job) jobResult {
 		}
 		return perr
 	})
-	var events int64
-	if len(stats) > 0 {
-		events = stats[0].Events
-	}
+	events := scan.Events
 	if traced {
 		evalNs := time.Since(evalStart).Nanoseconds()
 		j.tr.AddStage(obs.StageScanDispatch, time.Duration(evalNs-ringNs))

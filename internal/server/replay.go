@@ -129,7 +129,7 @@ func (c *channel) replay(ctx context.Context, sub *subscription, plan replayPlan
 			skip = seen
 		}
 		var emitted int64
-		_, evalErr := plan.view.Stream(bytes.NewReader(payload), opts, func(sr vitex.SetResult) error {
+		_, evalErr := plan.view.Evaluate(bytes.NewReader(payload), opts, func(sr vitex.SetResult) error {
 			if sr.QueryIndex != plan.idx {
 				return nil
 			}

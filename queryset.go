@@ -27,9 +27,11 @@ import (
 // value. Evaluation state is pooled:
 // a long-lived QuerySet serving a stream of documents reuses its machines,
 // scanner and buffers, and a standing query a document never concerns costs
-// that document nothing — no reset, no delivery, no allocation. What a Stream
-// call allocates is the []Stats it returns (one entry per query), a constant
-// handful of small objects, and the results themselves. With
+// that document nothing — no reset, no delivery, no allocation. What an
+// Evaluate call allocates is a constant handful of small objects and the
+// results themselves; Stream adds the []Stats it returns (one entry per
+// query), made after the scan, and Options.QueryStats what the woken
+// queries report. With
 // Options.Parallel the machines are sharded over worker goroutines and the
 // per-shard results merged back into the exact serial emission order,
 // without changing a single byte of output; two workers measured 0.5–2.2x a
@@ -366,37 +368,61 @@ type SetResult struct {
 	Result
 }
 
-// Stream evaluates every query in the set over one scan of r. emit receives
-// each solution tagged with its query index, in per-query confirmation
-// order (or per-query document order with Options.Ordered). It returns
-// per-query statistics; scan-level counters (Events, Elements, MaxDepth)
-// describe the one shared scan and are identical across queries. When emit
-// returns an error, no further result is delivered, and without
-// Options.Parallel every query reports its statistics through the scan event
-// whose result failed.
+// Evaluate evaluates every query in the set over one scan of r. emit
+// receives each solution tagged with its query index, in per-query
+// confirmation order (or per-query document order with Options.Ordered). It
+// returns the shared scan's counters (Events, Elements, MaxDepth) and
+// allocates nothing per query: per-query statistics go to
+// Options.QueryStats, when set, after the last result. When emit returns an
+// error, no further result is delivered.
+func (qs *QuerySet) Evaluate(r io.Reader, opts Options, emit func(SetResult) error) (Stats, error) {
+	return qs.View().Evaluate(r, opts, emit)
+}
+
+// Stream is Evaluate returning one row of statistics per query as well: the
+// shared scan's counters in every row, and each woken query's work in its
+// own. The rows are allocated and filled once the scan is over, so they do
+// not delay the first result, but they cost one row per standing query per
+// document; a caller that does not read them calls Evaluate. Without
+// Options.Parallel, when emit returns an error every query reports its
+// statistics through the scan event whose result failed.
 func (qs *QuerySet) Stream(r io.Reader, opts Options, emit func(SetResult) error) ([]Stats, error) {
 	return qs.View().Stream(r, opts, emit)
+}
+
+// Evaluate evaluates the view's pinned membership over one scan of r; see
+// QuerySet.Evaluate.
+func (v QuerySetView) Evaluate(r io.Reader, opts Options, emit func(SetResult) error) (Stats, error) {
+	scan, _, err := evaluate(v.snap, v.shape, r, opts, emit, false)
+	return scan, err
 }
 
 // Stream evaluates the view's pinned membership over one scan of r; see
 // QuerySet.Stream for the emission and statistics contract.
 func (v QuerySetView) Stream(r io.Reader, opts Options, emit func(SetResult) error) ([]Stats, error) {
-	return stream(v.snap, v.shape, r, opts, emit)
+	_, rows, err := evaluate(v.snap, v.shape, r, opts, emit, true)
+	return rows, err
 }
 
-// stream is the one evaluation behind Query.Stream and QuerySetView.Stream:
-// the machines of snap, grouped into queries by sh, over one scan of r. Per
-// document it builds one evaluation and one []Stats; nothing else here is
-// proportional to the set.
-func stream(snap engine.Snapshot, sh *shape, r io.Reader, opts Options, emit func(SetResult) error) ([]Stats, error) {
-	ev := &evaluation{sh: sh, ordered: opts.Ordered, emit: emit, stats: make([]Stats, sh.nq)}
+// evaluate is the one evaluation behind every entry point: the machines of
+// snap, grouped into queries by sh, over one scan of r. It returns the scan's
+// counters and, when asked for them, one row of statistics per query. Per
+// document it builds one evaluation; nothing here is proportional to the set
+// but the rows, which are made after the scan.
+func evaluate(snap engine.Snapshot, sh *shape, r io.Reader, opts Options, emit func(SetResult) error, wantRows bool) (Stats, []Stats, error) {
+	ev := &evaluation{sh: sh, ordered: opts.Ordered, wantRows: wantRows, emit: emit}
 	plan := engine.Plan{
 		Options:   twigm.Options{Ordered: opts.Ordered, CountOnly: opts.CountOnly, Trace: opts.Trace},
 		Unordered: sh.unordered,
-		Stats:     ev.machineStats,
 	}
 	if emit != nil {
 		plan.Options.EmitFrom = ev.machineResult
+	}
+	if opts.QueryStats != nil {
+		ev.byQuery = &queryStats{sh: sh, call: opts.QueryStats}
+	}
+	if wantRows || ev.byQuery != nil {
+		plan.Stats = ev.report
 	}
 	ctx := opts.Context
 	if ctx == nil {
@@ -409,41 +435,119 @@ func stream(snap engine.Snapshot, sh *shape, r io.Reader, opts Options, emit fun
 	} else {
 		scan, err = snap.Stream(ctx, r, plan)
 	}
-	// The engine reported the machines the document woke; every query
-	// carries the shared scan's counters, woken or not.
-	for qi := range ev.stats {
-		st := &ev.stats[qi]
-		st.Events, st.Elements, st.MaxDepth = scan.Events, scan.Elements, scan.MaxDepth
+	if err == nil {
+		err = ev.flushHeld()
 	}
-	if err != nil {
-		return ev.stats, err
+	if ev.byQuery != nil {
+		ev.byQuery.flush()
 	}
-	return ev.stats, ev.flushHeld()
+	if wantRows {
+		ev.scanRows(scan)
+	}
+	return scan, ev.rows, err
 }
 
-// evaluation is the per-document state of one stream: the statistics being
-// assembled and the union bookkeeping. Union branches of one query share a
+// evaluation is the per-document state of one stream: the union bookkeeping
+// and the statistics being assembled. Union branches of one query share a
 // dedup set; ordered union results are held and flushed in document order at
 // end of scan with their Seq renumbered densely per query (branch-local Seqs
 // are incomparable, which is also why union branches run unordered).
 type evaluation struct {
-	sh      *shape
-	ordered bool
-	emit    func(SetResult) error
-	stats   []Stats
-	seen    map[unionNode]bool // created by the first union result
-	held    []SetResult
+	sh                *shape
+	ordered, wantRows bool
+	emit              func(SetResult) error
+	seen              map[unionNode]bool // created by the first union result
+	held              []SetResult
+
+	// rows are Stream's (wantRows): the engine's reports are merged into
+	// them, made by the first. byQuery collects the reports for
+	// Options.QueryStats.
+	rows    []Stats
+	byQuery *queryStats
 }
+
+// report is the engine's Plan.Stats: the statistics of the given machines,
+// each a branch of some query.
+//
+//vitex:hotpath
+func (ev *evaluation) report(machines []int32, st Stats) {
+	if ev.wantRows {
+		if ev.rows == nil {
+			ev.rows = ev.newRows()
+		}
+		for _, d := range machines {
+			engine.MergeStats(&ev.rows[ev.sh.machQuery.At(int(d))], st)
+		}
+	}
+	if ev.byQuery != nil {
+		ev.byQuery.add(machines, st)
+	}
+}
+
+// newRows makes Stream's rows, one per query.
+func (ev *evaluation) newRows() []Stats { return make([]Stats, ev.sh.nq) }
+
+// scanRows puts the shared scan's counters in every one of Stream's rows,
+// woken or not.
+func (ev *evaluation) scanRows(scan Stats) {
+	if ev.rows == nil {
+		ev.rows = ev.newRows()
+	}
+	for qi := range ev.rows {
+		st := &ev.rows[qi]
+		st.Events, st.Elements, st.MaxDepth = scan.Events, scan.Elements, scan.MaxDepth
+	}
+}
+
+// queryStats collects a document's engine reports for Options.QueryStats
+// (call): reports keeps each one, and calls names each reported machine's
+// query and report, to be sorted by query once the last result is out.
+type queryStats struct {
+	sh      *shape
+	call    func(query int, st Stats)
+	reports []Stats
+	calls   []queryReport
+}
+
+// queryReport names the engine report of one of a query's machines.
+type queryReport struct {
+	query, report int32
+}
+
+// add keeps the report st of the given machines.
+//
+//vitex:hotpath
+func (qs *queryStats) add(machines []int32, st Stats) {
+	qs.reports = append(qs.reports, st)
+	report := int32(len(qs.reports) - 1)
+	for _, d := range machines {
+		qs.calls = append(qs.calls, queryReport{int32(qs.sh.machQuery.At(int(d))), report})
+	}
+}
+
+// flush calls Options.QueryStats once per reported query, in ascending query
+// index, with the reports of its machines merged.
+//
+//vitex:hotpath
+func (qs *queryStats) flush() {
+	calls := qs.calls
+	slices.SortFunc(calls, cmpQuery)
+	for i := 0; i < len(calls); {
+		q := calls[i].query
+		var st Stats
+		for ; i < len(calls) && calls[i].query == q; i++ {
+			engine.MergeStats(&st, qs.reports[calls[i].report])
+		}
+		qs.call(int(q), st)
+	}
+}
+
+func cmpQuery(a, b queryReport) int { return int(a.query) - int(b.query) }
 
 // unionNode identifies a result node of a union query.
 type unionNode struct {
 	query  int
 	offset int64
-}
-
-// machineStats folds a woken machine's statistics into its query's.
-func (ev *evaluation) machineStats(d int, st twigm.Stats) {
-	engine.MergeStats(&ev.stats[ev.sh.machQuery.At(d)], st)
 }
 
 // machineResult receives every result with the index of its machine.
@@ -495,25 +599,18 @@ func (ev *evaluation) flushHeld() error {
 
 // Counts evaluates the whole set counting solutions per query, without
 // serializing fragments. The returned slice has one entry per query of the
-// membership the underlying Stream evaluated — sized from that stream's own
-// snapshot, so a mutation racing the call cannot put an emission out of
-// range.
+// membership the evaluation ran against — sized from that view, so a
+// mutation racing the call cannot put an emission out of range.
 func (qs *QuerySet) Counts(r io.Reader) ([]int64, error) {
-	var counts []int64
-	grow := func(n int) {
-		for len(counts) < n {
-			counts = append(counts, 0)
-		}
-	}
-	stats, err := qs.Stream(r, Options{CountOnly: true}, func(sr SetResult) error {
-		grow(sr.QueryIndex + 1)
+	v := qs.View()
+	counts := make([]int64, v.Len())
+	_, err := v.Evaluate(r, Options{CountOnly: true}, func(sr SetResult) error {
 		counts[sr.QueryIndex]++
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	grow(len(stats))
 	return counts, nil
 }
 

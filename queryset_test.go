@@ -273,9 +273,9 @@ func TestQuerySetPaperWorkload(t *testing.T) {
 
 // TestIdleSubscriptionsAreFree is the scale guard of lazy session reset: a
 // document that wakes no machine costs the same through 1,000 standing
-// queries as through 10,000 — the same number of allocations, bytes that
-// differ only by the []Stats Stream returns (one entry per query), and not
-// one machine delivery.
+// queries as through 10,000 — the same number of allocations, and not one
+// machine delivery. Through Evaluate the bytes are the same too; through
+// Stream they differ by the []Stats it returns (one row per query).
 func TestIdleSubscriptionsAreFree(t *testing.T) {
 	const doc = `<feed><trade seq="1"><symbol>ACME</symbol><price>10</price></trade></feed>`
 	const runs = 20
@@ -283,16 +283,27 @@ func TestIdleSubscriptionsAreFree(t *testing.T) {
 	// slot per P, so on several the pooled session is rebuilt whenever the
 	// goroutine lands on a P that has not streamed yet.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	measure := func(n int) (allocs float64, bytes uint64) {
-		// Distinct dead-vocabulary queries, three names each: 30,000 names at
-		// 10,000 queries, which building the set must not pay for per query.
+	// The runtime rounds an allocation of the rows' size up to whole 8 KB
+	// pages.
+	const page = 8192
+	// Distinct dead-vocabulary queries, three names each: 30,000 names at
+	// 10,000 queries, which building the set must not pay for per query.
+	sets := make(map[int]*QuerySet)
+	for _, n := range []int{1000, 10000} {
 		qs, err := NewQuerySet(datagen.SparseTickerQueries(0, n)...)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rd := strings.NewReader(doc)
-		stream := func() {
-			rd.Reset(doc)
+		sets[n] = qs
+	}
+	for _, arm := range []struct {
+		name string
+		// allowed is the growth in bytes per document from 1,000 queries to
+		// 10,000 beyond one page.
+		allowed uint64
+		stream  func(qs *QuerySet, r *strings.Reader, n int)
+	}{
+		{"Stream", uint64(10000-1000) * uint64(unsafe.Sizeof(Stats{})), func(qs *QuerySet, rd *strings.Reader, n int) {
 			stats, err := qs.Stream(rd, Options{}, func(sr SetResult) error {
 				t.Errorf("dead-vocabulary query %d matched", sr.QueryIndex)
 				return nil
@@ -303,34 +314,55 @@ func TestIdleSubscriptionsAreFree(t *testing.T) {
 			if scan := (Stats{Events: stats[0].Events, Elements: 4, MaxDepth: 3}); stats[0] != scan || stats[n-1] != scan {
 				t.Fatalf("%d queries: an idle query reports work: %+v, %+v", n, stats[0], stats[n-1])
 			}
-		}
-		stream() // warm the pooled session and the scanner
-		before := qs.Metrics().Deliveries
-		var m0, m1 runtime.MemStats
-		runtime.ReadMemStats(&m0)
-		for i := 0; i < runs; i++ {
-			stream()
-		}
-		runtime.ReadMemStats(&m1)
-		allocs = testing.AllocsPerRun(runs, stream)
-		if d := qs.Metrics().Deliveries - before; d != 0 {
-			t.Fatalf("%d queries: %d machine deliveries for documents that wake nothing", n, d)
-		}
-		return allocs, (m1.TotalAlloc - m0.TotalAlloc) / runs
-	}
-	allocs1k, bytes1k := measure(1000)
-	allocs10k, bytes10k := measure(10000)
-	if raceEnabled {
-		return // deliveries and statistics were checked; allocation counts are not meaningful
-	}
-	if allocs1k != allocs10k {
-		t.Fatalf("allocations per document grow with the standing set: %v at 1,000 queries, %v at 10,000", allocs1k, allocs10k)
-	}
-	// The runtime rounds an allocation of this size up to whole 8 KB pages.
-	statsGrowth := uint64(10000-1000)*uint64(unsafe.Sizeof(Stats{})) + 8192
-	if bytes10k > bytes1k+statsGrowth {
-		t.Fatalf("bytes per document grow by more than the returned []Stats: %d at 1,000 queries, %d at 10,000 (allowed growth %d)",
-			bytes1k, bytes10k, statsGrowth)
+		}},
+		{"Evaluate", 0, func(qs *QuerySet, rd *strings.Reader, n int) {
+			scan, err := qs.Evaluate(rd, Options{}, func(sr SetResult) error {
+				t.Errorf("dead-vocabulary query %d matched", sr.QueryIndex)
+				return nil
+			})
+			if err != nil || scan != (Stats{Events: scan.Events, Elements: 4, MaxDepth: 3}) {
+				t.Fatalf("%d queries: scan %+v, err %v", n, scan, err)
+			}
+		}},
+	} {
+		t.Run(arm.name, func(t *testing.T) {
+			measure := func(n int) (allocs float64, bytes uint64) {
+				qs := sets[n]
+				rd := strings.NewReader(doc)
+				stream := func() {
+					rd.Reset(doc)
+					arm.stream(qs, rd, n)
+				}
+				stream() // warm the pooled session and the scanner
+				before := qs.Metrics().Deliveries
+				var m0, m1 runtime.MemStats
+				runtime.ReadMemStats(&m0)
+				for i := 0; i < runs; i++ {
+					stream()
+				}
+				runtime.ReadMemStats(&m1)
+				allocs = testing.AllocsPerRun(runs, stream)
+				if d := qs.Metrics().Deliveries - before; d != 0 {
+					t.Fatalf("%d queries: %d machine deliveries for documents that wake nothing", n, d)
+				}
+				return allocs, (m1.TotalAlloc - m0.TotalAlloc) / runs
+			}
+			allocs1k, bytes1k := measure(1000)
+			allocs10k, bytes10k := measure(10000)
+			if raceEnabled {
+				return // deliveries and statistics were checked; allocation counts are not meaningful
+			}
+			if allocs1k != allocs10k {
+				t.Fatalf("allocations per document grow with the standing set: %v at 1,000 queries, %v at 10,000", allocs1k, allocs10k)
+			}
+			if bytes10k > bytes1k+arm.allowed+page {
+				t.Fatalf("bytes per document grow by more than %d: %d at 1,000 queries, %d at 10,000",
+					arm.allowed+page, bytes1k, bytes10k)
+			}
+			if arm.allowed == 0 && bytes1k > bytes10k+page {
+				t.Fatalf("bytes per document differ by more than a page: %d at 1,000 queries, %d at 10,000", bytes1k, bytes10k)
+			}
+		})
 	}
 }
 

@@ -38,8 +38,9 @@
 // sublinearly in N on overlapping sets. Machine state, scanner
 // buffers and dispatch sets are pooled and reused across documents, and a
 // machine is reset only when a document first wakes it: per document a
-// long-lived Query or QuerySet allocates its results and the statistics it
-// returns, and pays for the queries the document concerns. Options.Parallel
+// long-lived Query or QuerySet allocates its results, and the statistics it
+// is asked for once they are out, and pays for the queries the document
+// concerns. Options.Parallel
 // shards the machines over N worker goroutines fed from one batching scan,
 // with results re-merged into the exact serial emission order, byte-identical
 // to a serial run. It is not yet a speedup: two workers measured 0.5–2.2x a
@@ -148,6 +149,15 @@ type Options struct {
 	// path. This is the lever a serving layer uses to tie evaluations to
 	// request and shutdown lifecycles.
 	Context context.Context
+	// QueryStats, when non-nil, receives the statistics of every query the
+	// document woke, after the document's last result: once per woken query,
+	// in ascending query index, with the branches of a union merged into one
+	// call. Query.Stream reports its query as query 0. A query it is not
+	// called for did no work beyond the shared scan. On an error the woken
+	// queries still report, with what they did up to it: without Parallel,
+	// through the scan event that failed. Nil computes no per-query
+	// statistics at all.
+	QueryStats func(query int, st Stats)
 }
 
 // Query is a compiled query: one immutable TwigM program per union branch
@@ -271,8 +281,8 @@ func (q *Query) Stream(r io.Reader, opts Options, emit func(Result) error) (Stat
 	if emit != nil {
 		each = func(sr SetResult) error { return emit(sr.Result) }
 	}
-	stats, err := stream(q.eng.Snapshot(), q.shape, r, opts, each)
-	return stats[0], err
+	_, rows, err := evaluate(q.eng.Snapshot(), q.shape, r, opts, each, true)
+	return rows[0], err
 }
 
 // Evaluate runs the query over a whole document and returns all solutions
