@@ -152,11 +152,11 @@ type Options struct {
 	// QueryStats, when non-nil, receives the statistics of every query the
 	// document woke, after the document's last result: once per woken query,
 	// in ascending query index, with the branches of a union merged into one
-	// call. Query.Stream reports its query as query 0. A query it is not
-	// called for did no work beyond the shared scan. On an error the woken
-	// queries still report, with what they did up to it: without Parallel,
-	// through the scan event that failed. Nil computes no per-query
-	// statistics at all.
+	// call, on the calling goroutine. Query.Stream reports its query as
+	// query 0. A query it is not called for did no work beyond the shared
+	// scan. On an error the woken queries still report, with what they did
+	// up to it: without Parallel, through the scan event that failed. Nil
+	// computes no per-query statistics at all.
 	QueryStats func(query int, st Stats)
 }
 
