@@ -30,9 +30,7 @@ import (
 // that document nothing — no reset, no delivery, no allocation. What an
 // Evaluate call allocates is a constant handful of small objects and the
 // results themselves; Stream adds the []Stats it returns (one entry per
-// query), made after the scan, and Options.QueryStats what the woken
-// queries report. With
-// Options.Parallel the machines are sharded over worker goroutines and the
+// query), made after the scan. With Options.Parallel the machines are sharded over worker goroutines and the
 // per-shard results merged back into the exact serial emission order,
 // without changing a single byte of output; two workers measured 0.5–2.2x a
 // serial run on 10,000 standing queries and below 1x on small sets, so it
@@ -372,9 +370,8 @@ type SetResult struct {
 // receives each solution tagged with its query index, in per-query
 // confirmation order (or per-query document order with Options.Ordered). It
 // returns the shared scan's counters (Events, Elements, MaxDepth) and
-// allocates nothing per query: per-query statistics go to
-// Options.QueryStats, when set, after the last result. When emit returns an
-// error, no further result is delivered.
+// allocates nothing per query. When emit returns an error, no further result
+// is delivered.
 func (qs *QuerySet) Evaluate(r io.Reader, opts Options, emit func(SetResult) error) (Stats, error) {
 	return qs.View().Evaluate(r, opts, emit)
 }
@@ -382,10 +379,12 @@ func (qs *QuerySet) Evaluate(r io.Reader, opts Options, emit func(SetResult) err
 // Stream is Evaluate returning one row of statistics per query as well: the
 // shared scan's counters in every row, and each woken query's work in its
 // own. The rows are allocated and filled once the scan is over, so they do
-// not delay the first result, but they cost one row per standing query per
-// document; a caller that does not read them calls Evaluate. Without
-// Options.Parallel, when emit returns an error every query reports its
-// statistics through the scan event whose result failed.
+// not delay a result the scan emits; only with Options.Ordered are a union
+// query's results, held until the scan is over, delivered after them. They
+// cost one row per standing query per document; a caller that does not read
+// them calls Evaluate. Without Options.Parallel, when emit returns an error
+// every query reports its statistics through the scan event whose result
+// failed.
 func (qs *QuerySet) Stream(r io.Reader, opts Options, emit func(SetResult) error) ([]Stats, error) {
 	return qs.View().Stream(r, opts, emit)
 }
@@ -410,7 +409,7 @@ func (v QuerySetView) Stream(r io.Reader, opts Options, emit func(SetResult) err
 // document it builds one evaluation; nothing here is proportional to the set
 // but the rows, which are made after the scan.
 func evaluate(snap engine.Snapshot, sh *shape, r io.Reader, opts Options, emit func(SetResult) error, wantRows bool) (Stats, []Stats, error) {
-	ev := &evaluation{sh: sh, ordered: opts.Ordered, wantRows: wantRows, emit: emit}
+	ev := &evaluation{sh: sh, ordered: opts.Ordered, emit: emit}
 	plan := engine.Plan{
 		Options:   twigm.Options{Ordered: opts.Ordered, CountOnly: opts.CountOnly, Trace: opts.Trace},
 		Unordered: sh.unordered,
@@ -418,10 +417,7 @@ func evaluate(snap engine.Snapshot, sh *shape, r io.Reader, opts Options, emit f
 	if emit != nil {
 		plan.Options.EmitFrom = ev.machineResult
 	}
-	if opts.QueryStats != nil {
-		ev.byQuery = &queryStats{sh: sh, call: opts.QueryStats}
-	}
-	if wantRows || ev.byQuery != nil {
+	if wantRows {
 		plan.Stats = ev.report
 	}
 	ctx := opts.Context
@@ -438,9 +434,6 @@ func evaluate(snap engine.Snapshot, sh *shape, r io.Reader, opts Options, emit f
 	if err == nil {
 		err = ev.flushHeld()
 	}
-	if ev.byQuery != nil {
-		ev.byQuery.flush()
-	}
 	if wantRows {
 		ev.scanRows(scan)
 	}
@@ -448,101 +441,44 @@ func evaluate(snap engine.Snapshot, sh *shape, r io.Reader, opts Options, emit f
 }
 
 // evaluation is the per-document state of one stream: the union bookkeeping
-// and the statistics being assembled. Union branches of one query share a
-// dedup set; ordered union results are held and flushed in document order at
-// end of scan with their Seq renumbered densely per query (branch-local Seqs
-// are incomparable, which is also why union branches run unordered).
+// and Stream's rows. Union branches of one query share a dedup set; ordered
+// union results are held and flushed in document order at end of scan with
+// their Seq renumbered densely per query (branch-local Seqs are incomparable,
+// which is also why union branches run unordered).
 type evaluation struct {
-	sh                *shape
-	ordered, wantRows bool
-	emit              func(SetResult) error
-	seen              map[unionNode]bool // created by the first union result
-	held              []SetResult
-
-	// rows are Stream's (wantRows): the engine's reports are merged into
-	// them, made by the first. byQuery collects the reports for
-	// Options.QueryStats.
-	rows    []Stats
-	byQuery *queryStats
+	sh      *shape
+	ordered bool
+	emit    func(SetResult) error
+	seen    map[unionNode]bool // created by the first union result
+	held    []SetResult
+	rows    []Stats // Stream's, made by the engine's first report
 }
 
 // report is the engine's Plan.Stats: the statistics of the given machines,
-// each a branch of some query.
-//
-//vitex:hotpath
+// each a branch of some query, merged into its query's row. It runs once the
+// scan is over, and the first call makes the rows, one per query: the one
+// allocation per document proportional to the set, and why Evaluate installs
+// no report.
 func (ev *evaluation) report(machines []int32, st Stats) {
-	if ev.wantRows {
-		if ev.rows == nil {
-			ev.rows = ev.newRows()
-		}
-		for _, d := range machines {
-			engine.MergeStats(&ev.rows[ev.sh.machQuery.At(int(d))], st)
-		}
+	if ev.rows == nil {
+		ev.rows = make([]Stats, ev.sh.nq)
 	}
-	if ev.byQuery != nil {
-		ev.byQuery.add(machines, st)
+	for _, d := range machines {
+		engine.MergeStats(&ev.rows[ev.sh.machQuery.At(int(d))], st)
 	}
 }
-
-// newRows makes Stream's rows, one per query.
-func (ev *evaluation) newRows() []Stats { return make([]Stats, ev.sh.nq) }
 
 // scanRows puts the shared scan's counters in every one of Stream's rows,
 // woken or not.
 func (ev *evaluation) scanRows(scan Stats) {
 	if ev.rows == nil {
-		ev.rows = ev.newRows()
+		ev.rows = make([]Stats, ev.sh.nq)
 	}
 	for qi := range ev.rows {
 		st := &ev.rows[qi]
 		st.Events, st.Elements, st.MaxDepth = scan.Events, scan.Elements, scan.MaxDepth
 	}
 }
-
-// queryStats collects a document's engine reports for Options.QueryStats
-// (call): reports keeps each one, and calls names each reported machine's
-// query and report, to be sorted by query once the last result is out.
-type queryStats struct {
-	sh      *shape
-	call    func(query int, st Stats)
-	reports []Stats
-	calls   []queryReport
-}
-
-// queryReport names the engine report of one of a query's machines.
-type queryReport struct {
-	query, report int32
-}
-
-// add keeps the report st of the given machines.
-//
-//vitex:hotpath
-func (qs *queryStats) add(machines []int32, st Stats) {
-	qs.reports = append(qs.reports, st)
-	report := int32(len(qs.reports) - 1)
-	for _, d := range machines {
-		qs.calls = append(qs.calls, queryReport{int32(qs.sh.machQuery.At(int(d))), report})
-	}
-}
-
-// flush calls Options.QueryStats once per reported query, in ascending query
-// index, with the reports of its machines merged.
-//
-//vitex:hotpath
-func (qs *queryStats) flush() {
-	calls := qs.calls
-	slices.SortFunc(calls, cmpQuery)
-	for i := 0; i < len(calls); {
-		q := calls[i].query
-		var st Stats
-		for ; i < len(calls) && calls[i].query == q; i++ {
-			engine.MergeStats(&st, qs.reports[calls[i].report])
-		}
-		qs.call(int(q), st)
-	}
-}
-
-func cmpQuery(a, b queryReport) int { return int(a.query) - int(b.query) }
 
 // unionNode identifies a result node of a union query.
 type unionNode struct {

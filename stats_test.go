@@ -122,21 +122,14 @@ func statsSets() []struct {
 	}
 }
 
-// queryStatsCall is one call of Options.QueryStats.
-type queryStatsCall struct {
-	query int
-	st    Stats
-}
-
-// TestQueryStatsMatchStreamRows: Options.QueryStats is called once for every
-// query a document wakes, in strictly ascending query index, after the last
-// result, with exactly the row Stream returns for it; a query it is not
-// called for has the scan's counters and nothing else in its row, and a
-// query no document wakes is never called. Evaluate makes the same calls. It
-// holds serially and sharded, in both delivery orders, and when the stream
-// fails: on an emit error and on a malformed document the statistics arrive
-// through the failing event.
-func TestQueryStatsMatchStreamRows(t *testing.T) {
+// TestStreamRows: Stream's rows carry the shared scan's counters, which
+// Evaluate returns, in every row; a query no document wakes has nothing else
+// in its row; each woken query's row counts the results delivered for it
+// (a union's branches may each confirm a node the query delivers once); and
+// the rows are the same serially and sharded, in both delivery orders. On an
+// emit error and on a malformed document the statistics still arrive, through
+// the failing event.
+func TestStreamRows(t *testing.T) {
 	for _, set := range statsSets() {
 		qs, err := NewQuerySet(set.sources...)
 		if err != nil {
@@ -144,9 +137,10 @@ func TestQueryStatsMatchStreamRows(t *testing.T) {
 		}
 		for di, doc := range set.docs {
 			for _, failure := range []string{"none", "emit", "malformed"} {
-				for _, parallel := range []int{0, 2} {
-					for _, ordered := range []bool{false, true} {
-						c := statsCase{
+				for _, ordered := range []bool{false, true} {
+					var serial []Stats
+					for _, parallel := range []int{0, 2} {
+						c := rowsCase{
 							name:    fmt.Sprintf("%s/doc%d/failure=%s/parallel=%d/ordered=%v", set.name, di, failure, parallel, ordered),
 							qs:      qs,
 							idle:    set.idle,
@@ -163,7 +157,15 @@ func TestQueryStatsMatchStreamRows(t *testing.T) {
 						if failure == "emit" {
 							c.failAt = 3
 						}
-						c.check(t)
+						rows := c.check(t)
+						if failure != "none" {
+							continue
+						}
+						if parallel == 0 {
+							serial = rows
+						} else if fmt.Sprint(rows) != fmt.Sprint(serial) {
+							t.Fatalf("%s: sharded rows differ from serial ones\nsharded %+v\nserial  %+v", c.name, rows, serial)
+						}
 					}
 				}
 			}
@@ -171,8 +173,8 @@ func TestQueryStatsMatchStreamRows(t *testing.T) {
 	}
 }
 
-// statsCase is one evaluation of TestQueryStatsMatchStreamRows.
-type statsCase struct {
+// rowsCase is one evaluation of TestStreamRows.
+type rowsCase struct {
 	name  string
 	qs    *QuerySet
 	idle  []int
@@ -185,114 +187,61 @@ type statsCase struct {
 	failAt  int // the result whose emit fails, 0 for none
 }
 
-// check runs the case through Stream and Evaluate, both with
-// Options.QueryStats, and checks the contract of TestQueryStatsMatchStreamRows.
-func (c statsCase) check(t *testing.T) {
+// check runs the case through Stream and Evaluate, checks the contract of
+// TestStreamRows that holds of one evaluation, and returns Stream's rows.
+func (c rowsCase) check(t *testing.T) []Stats {
 	t.Helper()
-	var rows []Stats
-	calls := c.run(t, func(opts Options, emit func(SetResult) error) (err error) {
-		rows, err = c.qs.Stream(strings.NewReader(c.doc), opts, emit)
-		return err
-	})
-	if len(rows) != c.qs.Len() {
-		t.Fatalf("%s: %d rows for %d queries", c.name, len(rows), c.qs.Len())
-	}
-	scan := Stats{Events: rows[0].Events, Elements: rows[0].Elements, MaxDepth: rows[0].MaxDepth}
-	called := make([]bool, len(rows))
-	for _, call := range calls {
-		called[call.query] = true
-		if call.st != rows[call.query] {
-			t.Fatalf("%s: query %d (%s): QueryStats %+v, Stream's row %+v", c.name, call.query, c.qs.Query(call.query).Source(), call.st, rows[call.query])
-		}
-	}
-	for q, row := range rows {
-		if !called[q] && row != scan {
-			t.Fatalf("%s: query %d (%s) did work but was not reported: %+v", c.name, q, c.qs.Query(q).Source(), row)
-		}
-	}
-	var got Stats
-	evaluated := c.run(t, func(opts Options, emit func(SetResult) error) (err error) {
-		got, err = c.qs.Evaluate(strings.NewReader(c.doc), opts, emit)
-		return err
-	})
-	if !c.repeats {
-		return
-	}
-	if got != scan {
-		t.Fatalf("%s: Evaluate returned %+v, want the scan's counters %+v", c.name, got, scan)
-	}
-	if fmt.Sprint(evaluated) != fmt.Sprint(calls) {
-		t.Fatalf("%s: Evaluate's QueryStats calls differ from Stream's\nEvaluate %+v\nStream   %+v", c.name, evaluated, calls)
-	}
-}
-
-// run evaluates the case once through eval and returns the QueryStats calls,
-// having checked what holds of any one evaluation: they come after the last
-// result, in strictly ascending query index, never for an idle query, and
-// the document woke something.
-func (c statsCase) run(t *testing.T, eval func(Options, func(SetResult) error) error) []queryStatsCall {
-	t.Helper()
-	var calls []queryStatsCall
-	step, lastResult, firstStats, results := 0, 0, 0, 0
-	opts := c.opts
-	opts.QueryStats = func(q int, st Stats) {
-		if step++; firstStats == 0 {
-			firstStats = step
-		}
-		calls = append(calls, queryStatsCall{q, st})
-	}
-	err := eval(opts, func(SetResult) error {
-		step++
-		lastResult = step
+	delivered := make([]int64, c.qs.Len())
+	results := 0
+	rows, err := c.qs.Stream(strings.NewReader(c.doc), c.opts, func(sr SetResult) error {
+		delivered[sr.QueryIndex]++
 		if results++; results == c.failAt {
 			return errors.New("stop")
 		}
 		return nil
 	})
 	if (err != nil) != c.fails {
-		t.Fatalf("%s: evaluation returned %v", c.name, err)
+		t.Fatalf("%s: Stream returned %v", c.name, err)
 	}
-	if firstStats != 0 && lastResult > firstStats {
-		t.Fatalf("%s: a result followed the statistics", c.name)
+	if len(rows) != c.qs.Len() {
+		t.Fatalf("%s: %d rows for %d queries", c.name, len(rows), c.qs.Len())
 	}
-	for i := 1; i < len(calls); i++ {
-		if calls[i].query <= calls[i-1].query {
-			t.Fatalf("%s: QueryStats called for query %d after query %d", c.name, calls[i].query, calls[i-1].query)
+	scan := Stats{Events: rows[0].Events, Elements: rows[0].Elements, MaxDepth: rows[0].MaxDepth}
+	woken := 0
+	for q, row := range rows {
+		if row.Events != scan.Events || row.Elements != scan.Elements || row.MaxDepth != scan.MaxDepth {
+			t.Fatalf("%s: query %d's row %+v lacks the scan's counters %+v", c.name, q, row, scan)
 		}
-	}
-	for _, call := range calls {
-		for _, q := range c.idle {
-			if call.query == q {
-				t.Fatalf("%s: idle query %d (%s) was reported", c.name, q, c.qs.Query(q).Source())
+		if row != scan {
+			woken++
+		}
+		if !c.fails {
+			src := c.qs.Query(q).Source()
+			if union := strings.Contains(src, "|"); row.CandidatesEmitted < delivered[q] || !union && row.CandidatesEmitted != delivered[q] {
+				t.Fatalf("%s: query %d (%s): row emitted %d, %d delivered", c.name, q, src, row.CandidatesEmitted, delivered[q])
 			}
 		}
 	}
-	if len(calls) == 0 {
+	for _, q := range c.idle {
+		if rows[q] != scan {
+			t.Fatalf("%s: idle query %d (%s) has a row of work: %+v", c.name, q, c.qs.Query(q).Source(), rows[q])
+		}
+	}
+	if woken == 0 {
 		t.Fatalf("%s: the document woke nothing: the test lost its subject", c.name)
 	}
-	return calls
-}
-
-// TestQueryStreamReportsQueryZero: a Query's own Stream calls QueryStats
-// once, as query 0, with the union's branches merged into the Stats it
-// returns, and not at all for a document that wakes nothing.
-func TestQueryStreamReportsQueryZero(t *testing.T) {
-	q := MustCompile("//trade/price | //trade[symbol='ACME']/price")
-	doc := datagen.Ticker{Trades: 8, Seed: 1}.String()
-	var calls []queryStatsCall
-	opts := Options{QueryStats: func(q int, st Stats) { calls = append(calls, queryStatsCall{q, st}) }}
-	st, err := q.Stream(strings.NewReader(doc), opts, func(Result) error { return nil })
-	if err != nil {
-		t.Fatal(err)
+	results = 0
+	got, err := c.qs.Evaluate(strings.NewReader(c.doc), c.opts, func(SetResult) error {
+		if results++; results == c.failAt {
+			return errors.New("stop")
+		}
+		return nil
+	})
+	if (err != nil) != c.fails {
+		t.Fatalf("%s: Evaluate returned %v", c.name, err)
 	}
-	if len(calls) != 1 || calls[0].query != 0 || calls[0].st != st {
-		t.Fatalf("QueryStats calls %+v, want one for query 0 with %+v", calls, st)
+	if c.repeats && got != scan {
+		t.Fatalf("%s: Evaluate returned %+v, want the scan's counters %+v", c.name, got, scan)
 	}
-	calls = nil
-	if _, err := q.Stream(strings.NewReader("<feed/>"), opts, nil); err != nil {
-		t.Fatal(err)
-	}
-	if len(calls) != 0 {
-		t.Fatalf("a document that wakes nothing reported %+v", calls)
-	}
+	return rows
 }

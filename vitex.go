@@ -38,9 +38,9 @@
 // sublinearly in N on overlapping sets. Machine state, scanner
 // buffers and dispatch sets are pooled and reused across documents, and a
 // machine is reset only when a document first wakes it: per document a
-// long-lived Query or QuerySet allocates its results, and the statistics it
-// is asked for once they are out, and pays for the queries the document
-// concerns. Options.Parallel
+// long-lived Query or QuerySet allocates its results and, through Stream, the
+// statistics it returns, made after the scan, and pays for the queries the
+// document concerns. Options.Parallel
 // shards the machines over N worker goroutines fed from one batching scan,
 // with results re-merged into the exact serial emission order, byte-identical
 // to a serial run. It is not yet a speedup: two workers measured 0.5–2.2x a
@@ -149,15 +149,6 @@ type Options struct {
 	// path. This is the lever a serving layer uses to tie evaluations to
 	// request and shutdown lifecycles.
 	Context context.Context
-	// QueryStats, when non-nil, receives the statistics of every query the
-	// document woke, after the document's last result: once per woken query,
-	// in ascending query index, with the branches of a union merged into one
-	// call, on the calling goroutine. Query.Stream reports its query as
-	// query 0. A query it is not called for did no work beyond the shared
-	// scan. On an error the woken queries still report, with what they did
-	// up to it: without Parallel, through the scan event that failed. Nil
-	// computes no per-query statistics at all.
-	QueryStats func(query int, st Stats)
 }
 
 // Query is a compiled query: one immutable TwigM program per union branch
