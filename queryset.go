@@ -30,11 +30,11 @@ import (
 // that document nothing — no reset, no delivery, no allocation. What an
 // Evaluate call allocates is a constant handful of small objects and the
 // results themselves; Stream adds the []Stats it returns (one entry per
-// query), made after the scan. With Options.Parallel the machines are sharded over worker goroutines and the
-// per-shard results merged back into the exact serial emission order,
-// without changing a single byte of output; two workers measured 0.5–2.2x a
-// serial run on 10,000 standing queries and below 1x on small sets, so it
-// is no reliable speedup yet (ROADMAP item 9).
+// query), made after the scan. With Options.Parallel the machines are
+// sharded over worker goroutines and the per-shard results merged back into
+// the exact serial emission order, without changing a single byte of output;
+// two workers measured 0.5–2.2x a serial run on 10,000 standing queries and
+// below 1x on small sets, so it is no reliable speedup yet (ROADMAP item 9).
 //
 // The set is live: Add, Remove and Replace mutate it between — and safely
 // concurrent with — Stream calls, compiling only the changed query. The
