@@ -241,12 +241,6 @@ func (e *ErrStreamInterrupted) Error() string {
 
 func (e *ErrStreamInterrupted) Unwrap() error { return e.Err }
 
-// seenAll is the Seen sentinel meaning "skip every remaining delivery of
-// document Cursor on replay". A gap marker set it: the dropped results are
-// acknowledged lost, so a resume must not replay the document they belonged
-// to (that would duplicate the results received before the gap).
-const seenAll = int64(1) << 62
-
 // Results attaches to the subscription's live result stream. At most one
 // consumer may be attached at a time (a second attach gets HTTP 409).
 // Cancel ctx to detach; the subscription and its buffer survive for a
@@ -295,8 +289,7 @@ func (c *Client) attach(ctx context.Context, channel, id, query string, cursor, 
 		rd:      bufio.NewReaderSize(resp.Body, 64<<10),
 		channel: channel,
 		id:      id,
-		cursor:  cursor,
-		seen:    seen,
+		pos:     server.Position{Cursor: cursor, Seen: seen},
 	}, nil
 }
 
@@ -311,14 +304,13 @@ type ResultStream struct {
 	long    []byte
 	channel string
 	id      string
-	cursor  int64
-	seen    int64
+	pos     server.Position
 	ended   bool
 }
 
 // Token snapshots the current stream position as a resume token.
 func (s *ResultStream) Token() ResumeToken {
-	return ResumeToken{Channel: s.channel, SubID: s.id, Cursor: s.cursor, Seen: s.seen}
+	return ResumeToken{Channel: s.channel, SubID: s.id, Cursor: s.pos.Cursor, Seen: s.pos.Seen}
 }
 
 // Next returns the next delivery. After an "end" delivery (which is
@@ -341,25 +333,12 @@ func (s *ResultStream) Next() (*server.Delivery, error) {
 		s.ended = true
 		return nil, &ErrStreamInterrupted{Token: s.Token(), Err: err}
 	}
-	switch d.Type {
-	case server.DeliveryEnd:
+	if d.Type == server.DeliveryEnd {
 		s.ended = true
-	case server.DeliveryResult:
-		if d.DocSeq != s.cursor {
-			s.cursor, s.seen = d.DocSeq, 0
-		}
-		s.seen++
-	case server.DeliveryGap:
-		// The gap's span is lost (drops) or unavailable (retention,
-		// corruption); either way those deliveries will not come again.
-		// Advance past the span's last document and poison its remainder, so
-		// a resume neither replays what arrived before the gap nor re-loses
-		// the same span. (A drop gap can instead be healed deliberately:
-		// resume from its FromCursor.)
-		if end := max(d.DocSeq, d.ToCursor); end >= s.cursor {
-			s.cursor, s.seen = end, seenAll
-		}
 	}
+	// The server's ring advances its handed position by the same rule, so a
+	// token that holds everything handed resumes from the ring.
+	s.pos.Advance(&d)
 	return &d, nil
 }
 

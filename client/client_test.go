@@ -89,7 +89,7 @@ func TestStreamTracksResumeToken(t *testing.T) {
 		{"ch", "s1", 3, 4},
 		{"ch", "s1", 3, 5},
 		{"ch", "s1", 4, 1},
-		{"ch", "s1", 6, seenAll},
+		{"ch", "s1", 6, server.SeenAll},
 	} {
 		if _, err := s.Next(); err != nil {
 			t.Fatal(err)
@@ -100,7 +100,7 @@ func TestStreamTracksResumeToken(t *testing.T) {
 	}
 	// No end line: the stream was severed where the token says.
 	_, err := s.Next()
-	if ie := interrupted(t, err, ResumeToken{"ch", "s1", 6, seenAll}); ie.Err != io.EOF {
+	if ie := interrupted(t, err, ResumeToken{"ch", "s1", 6, server.SeenAll}); ie.Err != io.EOF {
 		t.Fatalf("cause = %v, want io.EOF", ie.Err)
 	}
 	if _, err := s.Next(); err != io.EOF {

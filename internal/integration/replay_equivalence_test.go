@@ -3,6 +3,7 @@ package integration
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -36,8 +37,12 @@ func resumeRetry(t *testing.T, ctx context.Context, cl *client.Client, token cli
 // that is repeatedly severed and resumed from its token — including
 // mid-document — receives the byte-identical delivery sequence (Value, Seq,
 // NodeOffset, DocSeq, in order) of a twin subscription on the same query
-// that never disconnected, while the channel churns around them. Run under
-// -race in CI.
+// that never disconnected, while the channel churns around them. Both resume
+// paths run: a sever mid-document leaves the token behind what the server
+// handed out and replays the WAL, and a sever once the consumer holds
+// everything resumes from the subscription's ring. The test tells them apart
+// by the channel's ReplayDocs: the mid-document severs must move it, and the
+// caught-up ones must not. Run under -race in CI.
 func TestReplayEquivalence(t *testing.T) {
 	b, err := server.Open(server.Config{
 		DataDir:  t.TempDir(),
@@ -181,6 +186,47 @@ func TestReplayEquivalence(t *testing.T) {
 		}
 	}
 
+	// catchUp publishes a document with one known match and reads the flaky
+	// stream through it: the consumer then holds everything the server
+	// handed out, and the attachment's replay, if any, is over.
+	marks := 0
+	catchUp := func() {
+		marks++
+		mark := fmt.Sprintf("<price>%d</price>", 424200+marks)
+		if _, err := cl.Publish(ctx, channel,
+			strings.NewReader("<feed><trade><symbol>ACME</symbol>"+mark+"</trade></feed>")); err != nil {
+			t.Fatal(err)
+		}
+		for len(flakyGot) == 0 || flakyGot[len(flakyGot)-1].value != mark {
+			readFlaky(1)
+		}
+	}
+	// The mid-document severs above left the token behind what the server
+	// had handed out, so they replayed the WAL while the channel churned.
+	replayDocs := func() int64 { return b.Metrics().Channels[channel].WAL.ReplayDocs }
+	catchUp()
+	if replayDocs() == 0 {
+		t.Fatal("ReplayDocs = 0: the mid-document severs must replay the WAL")
+	}
+	// Severs with nothing outstanding: the token is the ring's handed
+	// position, so the resume reads on from the subscription's ring, through
+	// a document and a replace published after it, and re-evaluates nothing.
+	const ringSevers = 2
+	for j := int64(0); j < ringSevers; j++ {
+		before := replayDocs()
+		interrupt()
+		publish(13 + j)
+		if len(churnIDs) > 0 {
+			if _, err := cl.Replace(ctx, channel, churnIDs[0], churn[j%int64(len(churn))]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		catchUp()
+		if n := replayDocs(); n != before {
+			t.Fatalf("ring sever %d: ReplayDocs %d -> %d, want no replay: the consumer held everything handed out", j, before, n)
+		}
+	}
+
 	// A sentinel document with exactly one known match bounds both streams
 	// deterministically — shutdown must not be the barrier, because a broker
 	// shutting down mid-replay legitimately truncates the catch-up (the
@@ -224,5 +270,6 @@ func TestReplayEquivalence(t *testing.T) {
 			t.Fatalf("delivery %d diverged:\n  flaky:  %+v\n  steady: %+v", i, flakyGot[i], steadyGot[i])
 		}
 	}
-	t.Logf("replay equivalence held over %d deliveries with interleaved severs", len(steadyGot))
+	t.Logf("replay equivalence held over %d deliveries with interleaved severs (%d of them served from the ring)",
+		len(steadyGot), ringSevers)
 }

@@ -105,8 +105,6 @@ type subscription struct {
 	replacedAt int64
 	ch         *channel
 	ring       *subRing
-	// attached enforces the single-consumer contract of the ring.
-	attached atomic.Bool
 }
 
 // job is one queued document: its payload, its arrival number, and the

@@ -3,7 +3,6 @@ package server_test
 import (
 	"context"
 	"errors"
-	"fmt"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -202,6 +201,179 @@ func TestResumeMidDocument(t *testing.T) {
 	}
 }
 
+// TestResumeFromRing: a resume whose token is exactly what the
+// subscription's ring has handed out, with nothing dropped since, reads on
+// from the ring — no WAL read, no re-evaluation — and every other resume
+// replays as before. Each arm severs a consumer after document 1 and waits
+// (server.WaitDetached) until the server has let go of its connection before
+// publishing what the consumer misses, so which path serves the resume does
+// not depend on when the server notices the close.
+func TestResumeFromRing(t *testing.T) {
+	const query = "//trade[symbol='ACME']/price"
+	ctx := context.Background()
+	replayDocs := func(b *server.Broker) int64 { return b.Metrics().Channels["ticker"].WAL.ReplayDocs }
+	publish := func(t *testing.T, cl *client.Client, n int) {
+		t.Helper()
+		for range n {
+			if _, err := cl.Publish(ctx, "ticker", strings.NewReader(httpFeed)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	subscribe := func(t *testing.T, cl *client.Client) (string, *client.ResultStream) {
+		t.Helper()
+		sub, err := cl.Subscribe(ctx, "ticker", query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stream, err := cl.Results(ctx, "ticker", sub.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { stream.Close() })
+		return sub.ID, stream
+	}
+	// sever closes stream and waits until the server has released it.
+	sever := func(t *testing.T, b *server.Broker, id string, stream *client.ResultStream) {
+		t.Helper()
+		stream.Close()
+		if err := server.WaitDetached(b, "ticker", id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// resume reattaches at token; the slot is free, so it attaches at once.
+	// A stream that stalls fails the test at its deadline instead of
+	// hanging it.
+	resume := func(t *testing.T, cl *client.Client, token client.ResumeToken) *client.ResultStream {
+		t.Helper()
+		rctx, cancel := context.WithTimeout(ctx, 10*time.Second)
+		t.Cleanup(cancel)
+		stream, err := cl.Resume(rctx, token)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { stream.Close() })
+		return stream
+	}
+	// same requires got to be want, delivery for delivery.
+	same := func(t *testing.T, got, want []server.Delivery) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("got %d deliveries, want %d", len(got), len(want))
+		}
+		for i := range want {
+			g, w := got[i], want[i]
+			if g.DocSeq != w.DocSeq || g.Seq != w.Seq || g.NodeOffset != w.NodeOffset || g.Value != w.Value {
+				t.Fatalf("delivery %d = %+v, want %+v", i, g, w)
+			}
+		}
+	}
+	// asDoc is doc 1's results renumbered as document seq: every published
+	// document is httpFeed.
+	asDoc := func(doc1 []server.Delivery, seq int64) []server.Delivery {
+		out := append([]server.Delivery(nil), doc1...)
+		for i := range out {
+			out[i].DocSeq = seq
+		}
+		return out
+	}
+
+	t.Run("up-to-date", func(t *testing.T) {
+		cl, b := openDurable(t, t.TempDir(), server.Config{})
+		_, twin := subscribe(t, cl)
+		id, stream := subscribe(t, cl)
+		publish(t, cl, 1)
+		got, _ := drainResults(t, stream, 2)
+		sever(t, b, id, stream)
+		publish(t, cl, 2)
+		resumed := resume(t, cl, client.ResumeToken{Channel: "ticker", SubID: id, Cursor: 1, Seen: 2})
+		rest, gaps := drainResults(t, resumed, 4)
+		publish(t, cl, 1) // and on, live
+		live, liveGaps := drainResults(t, resumed, 2)
+		if len(gaps)+len(liveGaps) != 0 {
+			t.Fatalf("gaps on a lossless resume: %+v %+v", gaps, liveGaps)
+		}
+		want, _ := drainResults(t, twin, 8)
+		same(t, append(append(got, rest...), live...), want)
+		if n := replayDocs(b); n != 0 {
+			t.Fatalf("ReplayDocs = %d, want 0: the ring held everything after the token", n)
+		}
+	})
+
+	t.Run("token-behind", func(t *testing.T) {
+		cl, b := openDurable(t, t.TempDir(), server.Config{})
+		_, twin := subscribe(t, cl)
+		id, stream := subscribe(t, cl)
+		publish(t, cl, 2)
+		// The consumer holds one line when it goes away; the server had
+		// written the next one too, which is lost in flight.
+		got, _ := drainResults(t, stream, 1)
+		token := stream.Token()
+		drainResults(t, stream, 1)
+		sever(t, b, id, stream)
+		publish(t, cl, 1)
+		resumed := resume(t, cl, token)
+		rest, gaps := drainResults(t, resumed, 5)
+		if len(gaps) != 0 {
+			t.Fatalf("gaps on a replayed resume: %+v", gaps)
+		}
+		want, _ := drainResults(t, twin, 6)
+		same(t, append(got, rest...), want)
+		if replayDocs(b) == 0 {
+			t.Fatal("ReplayDocs did not move: a token behind the handed position must replay")
+		}
+	})
+
+	t.Run("drop", func(t *testing.T) {
+		// A two-slot ring that drops: while the consumer is away, document 2
+		// fills it and documents 3–5 are dropped. Replay heals the drop.
+		cl, b := openDurable(t, t.TempDir(), server.Config{RingSize: 2, Policy: server.PolicyDrop})
+		id, stream := subscribe(t, cl)
+		publish(t, cl, 1)
+		doc1, _ := drainResults(t, stream, 2)
+		token := stream.Token()
+		sever(t, b, id, stream)
+		publish(t, cl, 4)
+		resumed := resume(t, cl, token)
+		rest, gaps := drainResults(t, resumed, 8)
+		if len(gaps) != 0 {
+			t.Fatalf("gaps after a healing replay: %+v", gaps)
+		}
+		var want []server.Delivery
+		for seq := int64(2); seq <= 5; seq++ {
+			want = append(want, asDoc(doc1, seq)...)
+		}
+		same(t, rest, want)
+		if replayDocs(b) == 0 {
+			t.Fatal("ReplayDocs did not move: a ring that dropped must replay")
+		}
+	})
+
+	t.Run("restart", func(t *testing.T) {
+		dir := t.TempDir()
+		cl, b := openDurable(t, dir, server.Config{})
+		id, stream := subscribe(t, cl)
+		publish(t, cl, 1)
+		doc1, _ := drainResults(t, stream, 2)
+		token := stream.Token()
+		sever(t, b, id, stream)
+		publish(t, cl, 1)
+		sctx, cancel := context.WithTimeout(ctx, 10*time.Second)
+		b.Shutdown(sctx)
+		cancel()
+		cl, b = openDurable(t, dir, server.Config{})
+		resumed := resume(t, cl, token)
+		rest, gaps := drainResults(t, resumed, 2)
+		if len(gaps) != 0 {
+			t.Fatalf("gaps after a restart: %+v", gaps)
+		}
+		same(t, rest, asDoc(doc1, 2))
+		if replayDocs(b) == 0 {
+			t.Fatal("ReplayDocs did not move: a restarted broker has no ring to resume from")
+		}
+	})
+}
+
 // resumeWhenReleased resumes from token. The server releases the attach slot
 // when it observes the severed connection — a moment after Close returns — so
 // it retries like a reconnecting client would.
@@ -224,69 +396,106 @@ func resumeWhenReleased(t *testing.T, cl *client.Client, token client.ResumeToke
 // TestResumeAfterReplace: a subscriber severed before its own query is
 // replaced must not get the documents published before the replace back
 // through the new query — the uninterrupted stream saw them through the old
-// one. Replay cannot re-evaluate them as they were, so it says so with one
-// gap up to the replace cursor and replays only what the current query
-// evaluated, across a restart too.
+// one. Which stream the resume reproduces depends on what the server had
+// handed out when the consumer went away:
+//   - released: the server let go of the old connection before document 2
+//     arrived, so the ring still holds document 2 as it was evaluated, and
+//     the resume reads on from it — the uninterrupted twin's stream,
+//     document 2 through ACME then document 3 through WIDG, with no gap;
+//   - handed: the old connection was handed document 2 (and lost it in
+//     flight), so the token trails the ring and replay runs. Replay cannot
+//     re-evaluate documents 1–2 as they were, so it says so with one gap up
+//     to the replace cursor and replays only what the current query
+//     evaluated;
+//   - restart: the ring is gone, and replay does the same across a restart.
 func TestResumeAfterReplace(t *testing.T) {
-	for _, restart := range []bool{false, true} {
-		t.Run(fmt.Sprintf("restart=%v", restart), func(t *testing.T) {
-			dir := t.TempDir()
-			cl, b := openDurable(t, dir, server.Config{})
-			ctx := context.Background()
-			sub, err := cl.Subscribe(ctx, "ticker", "//trade[symbol='ACME']/price")
-			if err != nil {
-				t.Fatal(err)
-			}
-			stream, err := cl.Results(ctx, "ticker", sub.ID)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := cl.Publish(ctx, "ticker", strings.NewReader(httpFeed)); err != nil {
-				t.Fatal(err)
-			}
-			drainResults(t, stream, 2)
-			token := stream.Token()
-			stream.Close()
+	t.Run("restart=false", func(t *testing.T) {
+		t.Run("released", func(t *testing.T) { testResumeAfterReplace(t, "released") })
+		t.Run("handed", func(t *testing.T) { testResumeAfterReplace(t, "handed") })
+	})
+	t.Run("restart=true", func(t *testing.T) { testResumeAfterReplace(t, "restart") })
+}
 
-			// Severed: document 2 is evaluated through the ACME query, then the
-			// subscription's own query is replaced.
-			if _, err := cl.Publish(ctx, "ticker", strings.NewReader(httpFeed)); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := cl.Replace(ctx, "ticker", sub.ID, "//trade[symbol='WIDG']/price"); err != nil {
-				t.Fatal(err)
-			}
-			if restart {
-				sctx, cancel := context.WithTimeout(ctx, 10*time.Second)
-				b.Shutdown(sctx)
-				cancel()
-				cl, _ = openDurable(t, dir, server.Config{})
-			}
-			if _, err := cl.Publish(ctx, "ticker", strings.NewReader(httpFeed)); err != nil {
-				t.Fatal(err)
-			}
+func testResumeAfterReplace(t *testing.T, mode string) {
+	dir := t.TempDir()
+	cl, b := openDurable(t, dir, server.Config{})
+	ctx := context.Background()
+	sub, err := cl.Subscribe(ctx, "ticker", "//trade[symbol='ACME']/price")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stream, err := cl.Results(ctx, "ticker", sub.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.Publish(ctx, "ticker", strings.NewReader(httpFeed)); err != nil {
+		t.Fatal(err)
+	}
+	drainResults(t, stream, 2)
+	token := stream.Token()
+	if mode == "released" {
+		stream.Close()
+		if err := server.WaitDetached(b, "ticker", sub.ID); err != nil {
+			t.Fatal(err)
+		}
+	}
 
-			resumed := resumeWhenReleased(t, cl, token)
-			defer resumed.Close()
-			d, err := resumed.Next()
-			if err != nil {
-				t.Fatal(err)
+	// Severed: document 2 is evaluated through the ACME query, then the
+	// subscription's own query is replaced.
+	if _, err := cl.Publish(ctx, "ticker", strings.NewReader(httpFeed)); err != nil {
+		t.Fatal(err)
+	}
+	if mode == "handed" {
+		// Document 2 reaches the connection, but not the token: it is lost
+		// in flight.
+		drainResults(t, stream, 1)
+	}
+	stream.Close()
+	if _, err := cl.Replace(ctx, "ticker", sub.ID, "//trade[symbol='WIDG']/price"); err != nil {
+		t.Fatal(err)
+	}
+	if mode == "restart" {
+		sctx, cancel := context.WithTimeout(ctx, 10*time.Second)
+		b.Shutdown(sctx)
+		cancel()
+		cl, _ = openDurable(t, dir, server.Config{})
+	}
+	if _, err := cl.Publish(ctx, "ticker", strings.NewReader(httpFeed)); err != nil {
+		t.Fatal(err)
+	}
+
+	resumed := resumeWhenReleased(t, cl, token)
+	defer resumed.Close()
+	if mode == "released" {
+		results, gaps := drainResults(t, resumed, 3)
+		want := []struct {
+			doc   int64
+			value string
+		}{{2, "<price>10</price>"}, {2, "<price>30</price>"}, {3, "<price>20</price>"}}
+		for i, d := range results {
+			if len(gaps) != 0 || d.DocSeq != want[i].doc || d.Value != want[i].value {
+				t.Fatalf("resumed stream: results %+v gaps %+v, want document 2's ACME prices then document 3's WIDG price", results, gaps)
 			}
-			if d.Type != server.DeliveryGap || d.Reason != server.GapReplaced || d.FromCursor != 1 || d.ToCursor != 2 {
-				t.Fatalf("first resumed delivery = %+v, want a replace gap over [1, 2]", d)
-			}
-			results, gaps := drainResults(t, resumed, 1)
-			if len(gaps) != 0 || results[0].DocSeq != 3 || results[0].Value != "<price>20</price>" {
-				t.Fatalf("after the gap: results %+v gaps %+v, want document 3's WIDG price", results, gaps)
-			}
-			// Nothing else of documents 1–2 follows: the next result is live.
-			if _, err := cl.Publish(ctx, "ticker", strings.NewReader(httpFeed)); err != nil {
-				t.Fatal(err)
-			}
-			if live, _ := drainResults(t, resumed, 1); live[0].DocSeq != 4 {
-				t.Fatalf("next delivery = %+v, want document 4", live[0])
-			}
-		})
+		}
+	} else {
+		d, err := resumed.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d.Type != server.DeliveryGap || d.Reason != server.GapReplaced || d.FromCursor != 1 || d.ToCursor != 2 {
+			t.Fatalf("first resumed delivery = %+v, want a replace gap over [1, 2]", d)
+		}
+		results, gaps := drainResults(t, resumed, 1)
+		if len(gaps) != 0 || results[0].DocSeq != 3 || results[0].Value != "<price>20</price>" {
+			t.Fatalf("after the gap: results %+v gaps %+v, want document 3's WIDG price", results, gaps)
+		}
+	}
+	// Nothing else of documents 1–3 follows: the next result is live.
+	if _, err := cl.Publish(ctx, "ticker", strings.NewReader(httpFeed)); err != nil {
+		t.Fatal(err)
+	}
+	if live, _ := drainResults(t, resumed, 1); live[0].DocSeq != 4 {
+		t.Fatalf("next delivery = %+v, want document 4", live[0])
 	}
 }
 

@@ -184,7 +184,10 @@ func (b *Broker) handlePublish(w http.ResponseWriter, r *http.Request) {
 // "end" line) or the client disconnects. Deliveries that are ready together
 // are flushed together.
 //
-// With `?from=C&seen=K` (durable brokers) the stream opens with a WAL
+// With `?from=C&seen=K` (durable brokers) the stream resumes at that
+// token. When the subscription's ring still holds everything after it (the
+// token is the ring's handed position and nothing was dropped since), the
+// stream simply reads on from the ring. Otherwise it opens with a WAL
 // replay: documents C..tip re-evaluated through the live QuerySet, the
 // first K results of document C skipped, then a seamless handoff to live
 // deliveries — everything the replay covered is filtered out of the ring,
@@ -208,14 +211,20 @@ func (b *Broker) handleResults(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	if !sub.attached.CompareAndSwap(false, true) {
+	if !sub.ring.attach() {
 		writeJSON(w, http.StatusConflict, ErrorResponse{Error: "subscription already has an attached consumer"})
 		return
 	}
-	defer sub.attached.Store(false)
-	if resume {
-		// Plan after winning the attach race so no concurrent consumer can
-		// drain ring entries out from under the replay boundary.
+	defer sub.ring.detach()
+	if resume && sub.ch.wal == nil {
+		writeError(w, ErrNotDurable)
+		return
+	}
+	// Decide and plan after winning the attach slot, so no concurrent
+	// consumer can move the handed position or drain ring entries out from
+	// under the replay boundary.
+	replay := resume && !sub.ring.covers(Position{Cursor: from, Seen: seen})
+	if replay {
 		if plan, err = sub.ch.replayPlan(sub); err != nil {
 			writeError(w, err)
 			return
@@ -244,13 +253,10 @@ func (b *Broker) handleResults(w http.ResponseWriter, r *http.Request) {
 	ctx := r.Context()
 	var skipTo int64 // ring deliveries wholly at or below this cursor were replayed
 	var held *Delivery
-	if resume {
-		held, err = sub.ch.replay(ctx, sub, plan, from, seen, func(d Delivery) error {
-			if err := write(&d); err != nil {
-				return err
-			}
-			return rc.Flush()
-		})
+	if replay {
+		// One flush per replayed document (the replay's hook) and one at
+		// the hand-off below.
+		held, err = sub.ch.replay(ctx, sub, plan, from, seen, func(d Delivery) error { return write(&d) }, rc.Flush)
 		if err != nil {
 			return // consumer gone mid-replay; ring stays live for another try
 		}
@@ -285,8 +291,8 @@ func (b *Broker) handleResults(w http.ResponseWriter, r *http.Request) {
 		d.retireTrace()
 		return ok
 	}
-	if held != nil {
-		if !deliver(*held) {
+	if replay {
+		if held != nil && !deliver(*held) {
 			return
 		}
 		if flushErr := rc.Flush(); flushErr != nil {

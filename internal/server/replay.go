@@ -1,17 +1,23 @@
-// Cursor replay: how a reconnecting or late-joining subscriber catches up.
+// Cursor replay: how a reconnecting or late-joining subscriber catches up
+// when its subscription's ring cannot serve it.
 //
-// A resume token is (channel, cursor, seen): every document at a cursor
-// strictly below `cursor` was fully received, plus the first `seen` result
-// deliveries of document `cursor` itself (a stream can sever mid-document).
-// Replay re-reads the WAL from that position and re-evaluates each document
-// through the channel's live QuerySet — the same machines, the same
-// evaluation options, the same per-document Seq numbering as the original
-// delivery — filtered to the one resuming subscription. Replayed deliveries
-// are therefore byte-identical (Value/Seq/NodeOffset, in order) to what an
-// uninterrupted consumer received, which the replay-equivalence test pins.
-// The one exception is a subscription whose own query was replaced: the
-// documents up to the replace cursor went through a query the set no longer
-// holds, so the resume gets one GapReplaced marker over them instead.
+// A resume token is a Position (channel, cursor, seen): every document at a
+// cursor strictly below `cursor` was fully received, plus the first `seen`
+// result deliveries of document `cursor` itself (a stream can sever
+// mid-document). A resume whose token is exactly what the ring has handed
+// out, with nothing dropped since, reads on from the ring and never comes
+// here (subRing.covers). Every other resume — after a restart, a `from=0`
+// late joiner, a token behind the handed position (lines lost in flight),
+// a ring that dropped — replays: it re-reads the WAL from the token and
+// re-evaluates each document through the channel's live QuerySet — the same
+// machines, the same evaluation options, the same per-document Seq
+// numbering as the original delivery — filtered to the one resuming
+// subscription. Replayed deliveries are therefore byte-identical
+// (Value/Seq/NodeOffset, in order) to what an uninterrupted consumer
+// received, which the replay-equivalence test pins. The one exception is a
+// subscription whose own query was replaced: the documents up to the
+// replace cursor went through a query the set no longer holds, so the
+// resume gets one GapReplaced marker over them instead.
 //
 // The handoff to the live ring is race-free by construction: the plan
 // captures, under the channel lock, the QuerySet view AND the WAL tip (the
@@ -20,7 +26,9 @@
 // ring deliveries > tip are delivered live. No document can fall between
 // the two regimes, and none is delivered by both. During replay the ring is
 // bled opportunistically (entries ≤ tip discarded as they surface) so a
-// block-policy channel keeps flowing while a consumer catches up.
+// block-policy channel keeps flowing while a consumer catches up. Those
+// dequeues advance the ring's handed position past what the consumer holds,
+// so a resume from a token taken mid-replay replays again.
 package server
 
 import (
@@ -68,12 +76,13 @@ func (c *channel) replayPlan(sub *subscription) (replayPlan, error) {
 
 // replay streams the catch-up deliveries for sub: documents in
 // [from, plan.tip], skipping the first `seen` results of document `from`,
-// each emitted through emit in delivery order. Unreadable spans (retention,
+// each emitted through emit in delivery order, with docDone called after
+// each document (the consumer flushes there). Unreadable spans (retention,
 // corruption) become gap markers carrying the skipped cursor range. While
 // replaying it bleeds sub's ring of deliveries the replay supersedes
 // (DocSeq ≤ tip) and returns the first live delivery it had to hold back,
-// if any. emit errors (a gone consumer) abort the replay.
-func (c *channel) replay(ctx context.Context, sub *subscription, plan replayPlan, from, seen int64, emit func(Delivery) error) (held *Delivery, err error) {
+// if any. emit and docDone errors (a gone consumer) abort the replay.
+func (c *channel) replay(ctx context.Context, sub *subscription, plan replayPlan, from, seen int64, emit func(Delivery) error, docDone func() error) (held *Delivery, err error) {
 	if from < 1 {
 		from = 1
 		seen = 0
@@ -162,7 +171,9 @@ func (c *channel) replay(ctx context.Context, sub *subscription, plan replayPlan
 			// WAL stores what was accepted, not what parsed); reproduce the
 			// live behavior — a gap marker in stream position.
 			c.gaps.Add(1)
-			return emit(Delivery{Type: DeliveryGap, DocSeq: cursor, Reason: "document aborted: " + evalErr.Error()})
+			if err := emit(Delivery{Type: DeliveryGap, DocSeq: cursor, Reason: "document aborted: " + evalErr.Error()}); err != nil {
+				return err
+			}
 		}
 		// Bleed the ring between documents: everything ≤ tip is superseded
 		// by this replay; the first live delivery > tip is held for the
@@ -181,7 +192,7 @@ func (c *channel) replay(ctx context.Context, sub *subscription, plan replayPlan
 				d.retireTrace()
 			}
 		}
-		return nil
+		return docDone()
 	})
 	if iterErr != nil {
 		var ce *WALCorruptionError
@@ -213,12 +224,3 @@ func (c *channel) replay(ctx context.Context, sub *subscription, plan replayPlan
 // errReplayEmit wraps a consumer-side write failure so replay can tell it
 // apart from a document that failed evaluation.
 var errReplayEmit = errors.New("server: replay emit failed")
-
-// deliveryEnd is the last cursor a delivery speaks for: its DocSeq, or the
-// end of a gap marker's skipped range.
-func deliveryEnd(d Delivery) int64 {
-	if d.ToCursor > d.DocSeq {
-		return d.ToCursor
-	}
-	return d.DocSeq
-}

@@ -61,10 +61,11 @@ var errSubClosed = errors.New("server: subscription closed")
 //
 // Concurrency contract: exactly one goroutine pushes at a time (a channel
 // evaluates one document at a time, in arrival order), at most one consumer
-// reads (the HTTP layer enforces single attachment), and close may come
-// from anywhere. A waiting side sleeps on its wake-up channel together with
-// its context; each has capacity 1, so a wake-up is never lost and the
-// waker never blocks, and a stale one costs the sleeper one more look.
+// reads (it holds the consumer slot for as long as it is attached), and
+// close may come from anywhere. A waiting side sleeps on its wake-up
+// channel together with its context; each has capacity 1, so a wake-up is
+// never lost and the waker never blocks, and a stale one costs the sleeper
+// one more look.
 //
 //vitex:counters
 type subRing struct {
@@ -87,6 +88,18 @@ type subRing struct {
 	dropped  int64 //vitex:guardedby=mu
 	dropFrom int64 //vitex:guardedby=mu
 	dropSeq  int64 //vitex:guardedby=mu
+	// handed is the stream position of everything popped so far, by the
+	// rule a consumer's resume token follows (Position.Advance); exact
+	// reports that the last pop moved it, so handed names one point of the
+	// stream. (A closed ring's final gap marker is not popped, and a closed
+	// ring serves no resume.)
+	handed Position //vitex:guardedby=mu
+	exact  bool     //vitex:guardedby=mu
+
+	// consumer is held by the one attached consumer for as long as it reads;
+	// a second attach is refused rather than queued (attach). It is a mutex
+	// rather than a flag so a test can block until the slot is free.
+	consumer sync.Mutex
 
 	ready chan struct{} // wakes the consumer: a delivery was queued, or close
 	space chan struct{} // wakes a blocked pusher: a slot was freed, or close
@@ -169,8 +182,40 @@ func (r *subRing) pop() Delivery {
 		r.head = 0
 	}
 	r.n--
+	r.exact = r.handed.Advance(&d)
 	wake(r.space)
 	return d
+}
+
+// attach takes the consumer slot; false means another consumer holds it.
+// Only the holder dequeues, and it lets go after its last pop, so the handed
+// position a new holder's covers reads is the old holder's last.
+func (r *subRing) attach() bool { return r.consumer.TryLock() }
+
+// detach releases the consumer slot.
+func (r *subRing) detach() { r.consumer.Unlock() }
+
+// covers reports whether the ring alone can serve a consumer resuming at
+// token: token is the position the ring has handed out and names one point
+// of the stream, something was handed out (by this process: a restart
+// starts from zero), and nothing has been lost since — no pending drop and
+// no queued gap marker, which a replay would heal or re-derive. Then the
+// consumer holds everything before the queued deliveries, and reading on
+// from the ring gives it exactly what an uninterrupted consumer gets. A
+// closed ring covers nothing, so a resume of an ended subscription takes
+// the replay path and its errors.
+func (r *subRing) covers(token Position) bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.closed || token != r.handed || token == (Position{}) || !r.exact || r.dropped > 0 {
+		return false
+	}
+	for i := range r.n {
+		if r.buf[(r.head+i)%len(r.buf)].Type == DeliveryGap {
+			return false
+		}
+	}
+	return true
 }
 
 // push delivers d, honoring the slow-consumer policy. delivered reports

@@ -120,6 +120,55 @@ func (d *Delivery) retireTrace() {
 	}
 }
 
+// SeenAll is the Position.Seen sentinel meaning "every delivery of document
+// Cursor". A gap marker sets it: the dropped results are acknowledged lost,
+// so a resume must not replay the document they belonged to (that would
+// duplicate the results received before the gap).
+const SeenAll = int64(1) << 62
+
+// Position is a place in a subscription's delivery stream: every document
+// before Cursor was fully received, plus the first Seen result deliveries of
+// document Cursor. It is what a resume token carries. The client advances it
+// over what it reads and a subscription's ring over what it hands out, with
+// the same rule, so the two are equal exactly when the consumer holds
+// everything the ring has let go of.
+type Position struct {
+	Cursor int64
+	Seen   int64
+}
+
+// Advance moves p past d and reports whether p changed. A result counts
+// toward its document. A gap moves past the last document of its span and
+// poisons that document's remainder (SeenAll), so a resume neither replays
+// what arrived before the gap nor re-loses the same span; a gap that does
+// not reach past p leaves it where it is. Over a stream in delivery order p
+// never moves back, so a position names the one point of the stream where
+// it was first reached.
+func (p *Position) Advance(d *Delivery) bool {
+	was := *p
+	switch d.Type {
+	case DeliveryResult:
+		if d.DocSeq != p.Cursor {
+			p.Cursor, p.Seen = d.DocSeq, 0
+		}
+		p.Seen++
+	case DeliveryGap:
+		if end := deliveryEnd(*d); end > p.Cursor || end == p.Cursor && p.Seen < SeenAll {
+			p.Cursor, p.Seen = end, SeenAll
+		}
+	}
+	return *p != was
+}
+
+// deliveryEnd is the last cursor a delivery speaks for: its DocSeq, or the
+// end of a gap marker's skipped range.
+func deliveryEnd(d Delivery) int64 {
+	if d.ToCursor > d.DocSeq {
+		return d.ToCursor
+	}
+	return d.DocSeq
+}
+
 // SubscribeResponse answers subscription creation and replacement.
 type SubscribeResponse struct {
 	Channel string `json:"channel"`
