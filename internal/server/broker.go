@@ -357,7 +357,7 @@ func (b *Broker) Metrics() *MetricsResponse {
 	}
 	b.mu.Unlock()
 	m := &MetricsResponse{Channels: make(map[string]ChannelMetrics, len(chans))}
-	var ack, deliver obs.Snapshot
+	var ack, deliver, first obs.Snapshot
 	for name, c := range chans {
 		cm := c.metrics()
 		m.Channels[name] = cm
@@ -372,11 +372,13 @@ func (b *Broker) Metrics() *MetricsResponse {
 		}
 		ack.Merge(c.pubAck.Snapshot())
 		deliver.Merge(c.pubDeliver.Snapshot())
+		first.Merge(c.pubFirst.Snapshot())
 	}
 	if len(chans) > 0 {
 		m.Totals.Latency = &LatencyMetrics{
-			PublishToAck:      ack.Stats(),
-			PublishToDelivery: deliver.Stats(),
+			PublishToAck:           ack.Stats(),
+			PublishToDelivery:      deliver.Stats(),
+			PublishToFirstDelivery: first.Stats(),
 		}
 	}
 	m.Totals.Channels = len(chans)

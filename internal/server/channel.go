@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -90,9 +91,12 @@ type channel struct {
 	// admission to the delivery's NDJSON encode on a consumer connection
 	// (replays excluded; all of this channel's rings share the broker's
 	// slow-consumer policy, which labels the series in the Prometheus
-	// view). WAL append/fsync histograms live on the walLog.
+	// view). pubFirst: the same span for the first delivery of each
+	// document a connection writes. WAL append/fsync histograms live on
+	// the walLog.
 	pubAck     obs.Histogram
 	pubDeliver obs.Histogram
+	pubFirst   obs.Histogram
 }
 
 // subscription is one standing query of a channel plus its delivery ring.
@@ -502,6 +506,7 @@ func (c *channel) evaluate(j *job) jobResult {
 
 	opts := vitex.Options{Parallel: c.b.cfg.Parallel, Context: j.ctx}
 	var results int64
+	handedOff := false
 	scan, err := view.Evaluate(bytes.NewReader(j.data), opts, func(sr vitex.SetResult) error {
 		sub := subs[sr.QueryIndex]
 		d := Delivery{
@@ -523,7 +528,15 @@ func (c *channel) evaluate(j *job) jobResult {
 			d.ringAt = j.tr.SinceStartNs()
 			pushStart = time.Now()
 		}
-		delivered, perr := sub.ring.push(j.ctx, d)
+		delivered, woke, perr := sub.ring.push(j.ctx, d)
+		if woke && !handedOff {
+			// The consumer this push woke was readied on this processor:
+			// let it write the document's first result now rather than
+			// after an idle processor's thread comes to take it. Once per
+			// document, so a busy broker pays one yield per document.
+			handedOff = true
+			runtime.Gosched()
+		}
 		if traced {
 			ringNs += time.Since(pushStart).Nanoseconds()
 			if !delivered {
@@ -587,8 +600,9 @@ func (c *channel) metrics() ChannelMetrics {
 		Engine:        c.qs.Metrics(),
 	}
 	lat := &LatencyMetrics{
-		PublishToAck:      c.pubAck.Snapshot().Stats(),
-		PublishToDelivery: c.pubDeliver.Snapshot().Stats(),
+		PublishToAck:           c.pubAck.Snapshot().Stats(),
+		PublishToDelivery:      c.pubDeliver.Snapshot().Stats(),
+		PublishToFirstDelivery: c.pubFirst.Snapshot().Stats(),
 	}
 	if c.wal != nil {
 		app, fs := c.wal.latency()

@@ -142,7 +142,21 @@ var deliveryKeys = [...]string{
 // skips. A key names a field exactly or, failing that, under Unicode case
 // folding, as with encoding/json. Anything else, a truncated line included,
 // is an error naming the first byte not accepted.
+//
+// A line in AppendDelivery's form takes a fast path (parseCanonical); any
+// other line is decoded from the start by the general parser, to the same
+// value.
+//
+//vitex:hotpath
 func ParseDelivery(line []byte, d *Delivery) error {
+	if parseCanonical(line, d) {
+		return nil
+	}
+	return parseGeneral(line, d)
+}
+
+// parseGeneral is ParseDelivery without the fast path.
+func parseGeneral(line []byte, d *Delivery) error {
 	*d = Delivery{}
 	p := parser{b: line}
 	if err := p.object(d); err != nil {
@@ -152,6 +166,76 @@ func ParseDelivery(line []byte, d *Delivery) error {
 		return p.fail()
 	}
 	return nil
+}
+
+// parseCanonical decodes a line as AppendDelivery writes it: its members in
+// its order, no whitespace between them, integers of at most 18 digits, and
+// one optional trailing newline. Strings go through the general parser's
+// decoder. It reports false, with *d partly written, for any other line.
+//
+//vitex:hotpath
+func parseCanonical(line []byte, d *Delivery) bool {
+	*d = Delivery{}
+	p := parser{b: line}
+	if !p.key(`{"type":`) || p.text(&d.Type) != nil ||
+		!p.optInt(`,"doc_seq":`, &d.DocSeq) ||
+		!p.key(`,"seq":`) || !p.canonInt(&d.Seq) ||
+		!p.key(`,"node_offset":`) || !p.canonInt(&d.NodeOffset) {
+		return false
+	}
+	if p.key(`,"value":`) && p.text(&d.Value) != nil {
+		return false
+	}
+	if !p.optInt(`,"confirmed_at":`, &d.ConfirmedAt) ||
+		!p.optInt(`,"delivered_at":`, &d.DeliveredAt) ||
+		!p.optInt(`,"dropped":`, &d.Dropped) ||
+		!p.optInt(`,"from_cursor":`, &d.FromCursor) ||
+		!p.optInt(`,"to_cursor":`, &d.ToCursor) {
+		return false
+	}
+	if p.key(`,"reason":`) && p.text(&d.Reason) != nil {
+		return false
+	}
+	rest := p.b[p.i:]
+	return string(rest) == "}\n" || string(rest) == "}"
+}
+
+// key consumes lit if the line continues with it.
+func (p *parser) key(lit string) bool {
+	if len(p.b)-p.i < len(lit) || string(p.b[p.i:p.i+len(lit)]) != lit {
+		return false
+	}
+	p.i += len(lit)
+	return true
+}
+
+// optInt decodes an omitempty integer member: false only when key is there
+// and its value is not a canonical integer.
+func (p *parser) optInt(key string, dst *int64) bool {
+	return !p.key(key) || p.canonInt(dst)
+}
+
+// canonInt decodes an integer as strconv.AppendInt writes it, of at most 18
+// digits, so that it cannot overflow.
+func (p *parser) canonInt(dst *int64) bool {
+	b, i := p.b, p.i
+	neg := i < len(b) && b[i] == '-'
+	if neg {
+		i++
+	}
+	start := i
+	var v int64
+	for ; i < len(b) && '0' <= b[i] && b[i] <= '9'; i++ {
+		v = v*10 + int64(b[i]-'0')
+	}
+	if n := i - start; n == 0 || n > 18 || n > 1 && b[start] == '0' {
+		return false
+	}
+	if neg {
+		v = -v
+	}
+	*dst, p.i = v, i
+	return true
 }
 
 // parser is a cursor over one line.

@@ -21,8 +21,10 @@ func encodeJSON(t *testing.T, d *Delivery) []byte {
 // FuzzDeliveryCodec holds the hand codec to encoding/json: (a) AppendDelivery
 // writes the same bytes as json.Encoder.Encode; (b) ParseDelivery reads them
 // back to what json.Unmarshal reads, which is the delivery itself when its
-// strings are valid UTF-8; (c) any line ParseDelivery accepts, json.Unmarshal
-// accepts too, with the same result.
+// strings are valid UTF-8, and does so on the fast path when every integer
+// has at most 18 digits; (c) any line ParseDelivery accepts, json.Unmarshal
+// accepts too, with the same result; (d) any line the fast path accepts, the
+// general parser decodes to the same value.
 //
 //	go test -fuzz=FuzzDeliveryCodec -fuzztime=10m ./internal/server
 func FuzzDeliveryCodec(f *testing.F) {
@@ -40,6 +42,10 @@ func FuzzDeliveryCodec(f *testing.F) {
 		[]byte(`{"seq":9223372036854775807,"doc_seq":-9223372036854775808}`))
 	f.Add("result", int64(1), int64(0), int64(0), strings.Repeat("<a>x&amp;y</a>\n", 1<<16), int64(0), int64(0), int64(0), int64(0), int64(0), "",
 		[]byte(`{"seq":1.0}`))
+	f.Add("result", int64(0), int64(0), int64(0), "<a href=\"x\">&amp;</a>", int64(-5), int64(-1), int64(0), int64(0), int64(0), "",
+		[]byte(`{"type":"result","doc_seq":-4,"seq":0,"node_offset":0,"value":"\u003ca\u003e\u0026amp;\\\"","confirmed_at":-0}`+"\n"))
+	f.Add("gap", int64(999999999999999999), int64(0), int64(0), "", int64(0), int64(0), int64(-999999999999999999), int64(1), int64(2), GapReplaced,
+		[]byte(`{"type":"result","doc_seq":1234567890123456789,"seq":0,"node_offset":0}`+"\n"))
 	f.Fuzz(func(t *testing.T, typ string, docSeq, seq, nodeOffset int64, value string, confirmedAt, deliveredAt, dropped, from, to int64, reason string, line []byte) {
 		d := Delivery{Type: typ, DocSeq: docSeq, Seq: seq, NodeOffset: nodeOffset, Value: value,
 			ConfirmedAt: confirmedAt, DeliveredAt: deliveredAt, Dropped: dropped, FromCursor: from, ToCursor: to, Reason: reason}
@@ -65,6 +71,14 @@ func FuzzDeliveryCodec(f *testing.F) {
 		if utf8.ValidString(typ) && utf8.ValidString(value) && utf8.ValidString(reason) && back != d {
 			t.Fatalf("round trip:\n got %+v\nwant %+v", back, d)
 		}
+		var fast Delivery
+		short := true
+		for _, v := range [...]int64{docSeq, seq, nodeOffset, confirmedAt, deliveredAt, dropped, from, to} {
+			short = short && -1e18 < v && v < 1e18
+		}
+		if short && (!parseCanonical(got, &fast) || fast != back) {
+			t.Fatalf("fast path on %q: got %+v, want %+v", got, fast, back)
+		}
 
 		// (c)
 		var mine Delivery
@@ -78,7 +92,59 @@ func FuzzDeliveryCodec(f *testing.F) {
 		if mine != theirs {
 			t.Fatalf("ParseDelivery(%q):\n got %+v\nwant %+v", line, mine, theirs)
 		}
+
+		// (d)
+		if parseCanonical(line, &fast) {
+			var general Delivery
+			if err := parseGeneral(line, &general); err != nil || general != fast {
+				t.Fatalf("fast path on %q: got %+v, general parser %+v (%v)", line, fast, general, err)
+			}
+		}
 	})
+}
+
+// TestParseCanonicalFallsBack: a line that is not in AppendDelivery's form
+// leaves the fast path, and ParseDelivery still decodes it.
+func TestParseCanonicalFallsBack(t *testing.T) {
+	for _, line := range []string{
+		`{"type":"result","doc_seq":1234567890123456789,"seq":0,"node_offset":0}`,
+		`{"type":"result","seq":0,"node_offset":0}` + "\n\n",
+		`{"type":"result", "seq":0,"node_offset":0}`,
+		`{"seq":0,"type":"result","node_offset":0}`,
+		`{"type":"result","seq":0,"node_offset":0,"value":"v","doc_seq":2}`,
+		`{"type":"result","seq":0,"node_offset":0,"extra":1}`,
+	} {
+		var d Delivery
+		if parseCanonical([]byte(line), &d) {
+			t.Fatalf("fast path accepted %q", line)
+		}
+		if err := ParseDelivery([]byte(line), &d); err != nil {
+			t.Fatalf("ParseDelivery(%q): %v", line, err)
+		}
+	}
+}
+
+// TestParseDeliveryAllocs pins the decoder's allocations: a result line
+// allocates its value and nothing else, an end line nothing.
+func TestParseDeliveryAllocs(t *testing.T) {
+	for _, tc := range []struct {
+		d      Delivery
+		allocs float64
+	}{
+		{Delivery{Type: DeliveryResult, DocSeq: 41, Seq: 7, NodeOffset: 12345, Value: "<price>10.25</price>", ConfirmedAt: 88, DeliveredAt: 88}, 1},
+		{Delivery{Type: DeliveryEnd}, 0},
+	} {
+		line := AppendDelivery(nil, &tc.d)
+		var d Delivery
+		got := testing.AllocsPerRun(100, func() {
+			if err := ParseDelivery(line, &d); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got != tc.allocs || d != tc.d {
+			t.Fatalf("ParseDelivery(%q): %v allocations, %+v; want %v, %+v", line, got, d, tc.allocs, tc.d)
+		}
+	}
 }
 
 // TestParseDeliveryAccepts: lines other encoders could write — any member
@@ -150,5 +216,26 @@ func TestParseDeliveryRejects(t *testing.T) {
 		if err := ParseDelivery([]byte(line), &d); err == nil {
 			t.Fatalf("ParseDelivery(%q) accepted %+v", line, d)
 		}
+	}
+}
+
+// BenchmarkParseDelivery decodes a result line of srv_result_heavy's shape,
+// on the fast path and on the general parser.
+func BenchmarkParseDelivery(b *testing.B) {
+	line := AppendDelivery(nil, &Delivery{Type: DeliveryResult, DocSeq: 1041, Seq: 317, NodeOffset: 31742,
+		Value: "<price>104.25</price>", ConfirmedAt: 2213, DeliveredAt: 2213})
+	for _, bc := range []struct {
+		name  string
+		parse func([]byte, *Delivery) error
+	}{{"ParseDelivery", ParseDelivery}, {"general", parseGeneral}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var d Delivery
+			for range b.N {
+				if err := bc.parse(line, &d); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

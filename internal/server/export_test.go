@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"fmt"
 	"time"
 )
@@ -28,4 +29,15 @@ func WaitDetached(b *Broker, ch, id string) error {
 	case <-time.After(10 * time.Second):
 		return fmt.Errorf("subscription %s/%s: consumer still attached after 10s", ch, id)
 	}
+}
+
+// nextQueued dequeues like the subscription's consumer, asleep in next while
+// the ring is empty, and reports how many deliveries were still queued
+// behind the one it took.
+func nextQueued(ctx context.Context, r *subRing) (d Delivery, queued int, err error) {
+	d, _, err = r.next(ctx)
+	r.mu.Lock()
+	queued = r.n
+	r.mu.Unlock()
+	return d, queued, err
 }

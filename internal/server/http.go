@@ -250,6 +250,21 @@ func (b *Broker) handleResults(w http.ResponseWriter, r *http.Request) {
 		return err
 	}
 
+	// observe records a written live delivery's publish-to-wire latency, and
+	// the first of each document's once more as its first delivery.
+	var firstDoc int64
+	observe := func(d *Delivery) {
+		if d.pubAt.IsZero() {
+			return
+		}
+		since := time.Since(d.pubAt)
+		sub.ch.pubDeliver.Observe(since)
+		if d.DocSeq != firstDoc {
+			firstDoc = d.DocSeq
+			sub.ch.pubFirst.Observe(since)
+		}
+	}
+
 	ctx := r.Context()
 	var skipTo int64 // ring deliveries wholly at or below this cursor were replayed
 	var held *Delivery
@@ -268,9 +283,8 @@ func (b *Broker) handleResults(w http.ResponseWriter, r *http.Request) {
 			return true // superseded by the replay
 		}
 		if d.tr == nil {
-			ok = write(&d) == nil
-			if ok && !d.pubAt.IsZero() {
-				sub.ch.pubDeliver.Observe(time.Since(d.pubAt))
+			if ok = write(&d) == nil; ok {
+				observe(&d)
 			}
 			return ok
 		}
@@ -285,8 +299,8 @@ func (b *Broker) handleResults(w http.ResponseWriter, r *http.Request) {
 		}
 		d.tr.AddStage(obs.StageWireWrite, time.Since(wireStart))
 		d.tr.MarkEnd()
-		if ok && !d.pubAt.IsZero() {
-			sub.ch.pubDeliver.Observe(time.Since(d.pubAt))
+		if ok {
+			observe(&d)
 		}
 		d.retireTrace()
 		return ok

@@ -351,8 +351,10 @@ func TestPrometheusExposition(t *testing.T) {
 		t.Fatalf("publish_to_ack emitted %d buckets, want the full lattice of %d", buckets, obs.NumBuckets)
 	}
 	delLabel := `{channel="ticker",policy="block"}`
-	if _, ok := series["vitex_publish_to_delivery_seconds_count"+delLabel]; !ok {
-		t.Fatalf("publish_to_delivery missing policy-labeled count\n%s", text)
+	for _, name := range []string{"vitex_publish_to_delivery_seconds_count", "vitex_publish_to_first_delivery_seconds_count"} {
+		if _, ok := series[name+delLabel]; !ok {
+			t.Fatalf("%s missing policy-labeled count\n%s", name, text)
+		}
 	}
 
 	// The JSON view agrees on the same quantities.
@@ -372,6 +374,55 @@ func TestPrometheusExposition(t *testing.T) {
 	}
 	if cm.Engine.ValueGroups != 1 || cm.Engine.ValueKeyedMachines != 2 {
 		t.Fatalf("JSON engine value groups = %d of %d machines, want 1 of 2", cm.Engine.ValueGroups, cm.Engine.ValueKeyedMachines)
+	}
+}
+
+// TestFirstDeliveryLatency: a connection observes publish-to-first-delivery
+// once per document it writes, and publish-to-delivery once per result, in
+// the JSON view and in the Prometheus view.
+func TestFirstDeliveryLatency(t *testing.T) {
+	cl, _, _ := startServer(t, server.Config{})
+	ctx := context.Background()
+	sub, err := cl.Subscribe(ctx, "ticker", "//trade[symbol='ACME']/price")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stream, err := cl.Results(ctx, "ticker", sub.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stream.Close()
+	const docs, perDoc = 4, 2
+	for range docs {
+		if _, err := cl.Publish(ctx, "ticker", strings.NewReader(httpFeed)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// A line is flushed after its observation, so reading them all means
+	// every one is counted.
+	for range docs * perDoc {
+		if _, err := stream.Next(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m, err := cl.Metrics(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lat := m.Channels["ticker"].Latency
+	if lat == nil || lat.PublishToFirstDelivery.Count != docs || lat.PublishToDelivery.Count != docs*perDoc {
+		t.Fatalf("JSON latency = %+v, want %d first deliveries of %d", lat, docs, docs*perDoc)
+	}
+	if m.Totals.Latency == nil || m.Totals.Latency.PublishToFirstDelivery.Count != docs {
+		t.Fatalf("JSON totals latency = %+v, want %d first deliveries", m.Totals.Latency, docs)
+	}
+	text, err := cl.MetricsText(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf(`vitex_publish_to_first_delivery_seconds_count{channel="ticker",policy="block"} %d`, docs)
+	if !strings.Contains(text, want+"\n") {
+		t.Fatalf("exposition lacks %q\n%s", want, text)
 	}
 }
 

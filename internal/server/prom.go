@@ -8,7 +8,8 @@
 // vitex_engine_* (the channel's live-QuerySet accounting), vitex_wal_*
 // (durability, durable brokers only), and the *_seconds histograms
 // vitex_publish_to_ack_seconds{channel}, vitex_publish_to_delivery_seconds
-// {channel,policy}, vitex_engine_eval_event_seconds{channel},
+// {channel,policy}, vitex_publish_to_first_delivery_seconds{channel,policy},
+// vitex_engine_eval_event_seconds{channel},
 // vitex_wal_append_seconds{channel}, vitex_wal_fsync_seconds{channel}.
 // Histogram buckets are the obs package's power-of-two nanosecond lattice
 // converted to seconds; every bucket is emitted every scrape, so the le
@@ -30,8 +31,8 @@ type promChannel struct {
 	name string
 	cm   ChannelMetrics
 
-	ack, deliver, eval  obs.Snapshot
-	walAppend, walFsync *obs.Snapshot
+	ack, deliver, first, eval obs.Snapshot
+	walAppend, walFsync       *obs.Snapshot
 }
 
 // writePrometheus renders the exposition. Channels are emitted in sorted
@@ -52,6 +53,7 @@ func writePrometheus(w io.Writer, b *Broker) {
 			cm:      c.metrics(),
 			ack:     c.pubAck.Snapshot(),
 			deliver: c.pubDeliver.Snapshot(),
+			first:   c.pubFirst.Snapshot(),
 			eval:    c.qs.EvalHistogram(),
 		}
 		if c.wal != nil {
@@ -156,6 +158,11 @@ func writePrometheus(w io.Writer, b *Broker) {
 		"Publish admission to the delivery's wire encode (replays excluded).", rows,
 		func(p promChannel) (string, obs.Snapshot, bool) {
 			return promLabel("channel", p.name) + "," + promLabel("policy", policy), p.deliver, true
+		})
+	promHistogram(w, "vitex_publish_to_first_delivery_seconds",
+		"Publish admission to the wire encode of a document's first delivery on a connection (replays excluded).", rows,
+		func(p promChannel) (string, obs.Snapshot, bool) {
+			return promLabel("channel", p.name) + "," + promLabel("policy", policy), p.first, true
 		})
 	promHistogram(w, "vitex_engine_eval_event_seconds",
 		"Engine evaluation cost per scan event (serial streams).", rows,

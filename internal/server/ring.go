@@ -67,6 +67,16 @@ var errSubClosed = errors.New("server: subscription closed")
 // never lost and the waker never blocks, and a stale one costs the sleeper
 // one more look.
 //
+// A consumer asleep in next is parked: it set the flag before it let go of
+// mu, and the first queue after that clears it and tells the pusher that
+// it posted the wake-up. The Go runtime readies a goroutine woken by a
+// channel send on the sender's own processor, so the consumer would wait
+// there until the pusher blocks or an idle processor's thread comes to
+// take it (hundreds of microseconds on a virtual machine). The evaluator
+// therefore yields once per document after a push that woke the consumer
+// (channel.evaluate), and the consumer writes the document's first result
+// at once.
+//
 //vitex:counters
 type subRing struct {
 	size   int    //vitex:plain set at construction, read-only afterwards
@@ -95,6 +105,9 @@ type subRing struct {
 	// ring serves no resume.)
 	handed Position //vitex:guardedby=mu
 	exact  bool     //vitex:guardedby=mu
+	// parked reports that the consumer is asleep in next with nothing
+	// queued and no wake-up posted since it went to sleep.
+	parked bool //vitex:guardedby=mu
 
 	// consumer is held by the one attached consumer for as long as it reads;
 	// a second attach is refused rather than queued (attach). It is a mutex
@@ -151,10 +164,11 @@ func (r *subRing) isClosed() bool {
 
 // queue appends d; the caller has checked that the ring is not full. It is
 // the one point deliveries enter the ring, which keeps the gap metric
-// honest.
+// honest. woke reports that the consumer was parked in next: this queue
+// posted its wake-up.
 //
 //vitex:locked
-func (r *subRing) queue(d Delivery) {
+func (r *subRing) queue(d Delivery) (woke bool) {
 	if r.n == len(r.buf) {
 		grown := make([]Delivery, min(max(2*len(r.buf), 8), r.size))
 		copy(grown[copy(grown, r.buf[r.head:]):], r.buf[:r.head])
@@ -170,6 +184,8 @@ func (r *subRing) queue(d Delivery) {
 		r.gaps.Add(1)
 	}
 	wake(r.ready)
+	woke, r.parked = r.parked, false
+	return woke
 }
 
 // pop removes the oldest delivery; the caller has checked that there is one.
@@ -220,35 +236,36 @@ func (r *subRing) covers(token Position) bool {
 
 // push delivers d, honoring the slow-consumer policy. delivered reports
 // whether d itself was queued — false when PolicyDrop folded it into a
-// pending gap marker. err is errSubClosed when the subscription is gone, or
-// ctx.Err() when a blocked push was canceled. A pending gap marker is
-// always queued before anything newer, so consumers observe losses in
-// stream position.
-func (r *subRing) push(ctx context.Context, d Delivery) (delivered bool, err error) {
+// pending gap marker. woke reports that what push queued (d, or a pending
+// gap marker before it) woke a consumer asleep in next. err is errSubClosed
+// when the subscription is gone, or ctx.Err() when a blocked push was
+// canceled. A pending gap marker is always queued before anything newer, so
+// consumers observe losses in stream position.
+func (r *subRing) push(ctx context.Context, d Delivery) (delivered, woke bool, err error) {
 	r.mu.Lock()
 	for {
 		if r.closed {
 			r.mu.Unlock()
-			return false, errSubClosed
+			return false, woke, errSubClosed
 		}
 		if r.dropped > 0 && r.n < r.size {
-			r.queue(r.takePendingGap())
+			woke = r.queue(r.takePendingGap())
 		}
 		if r.dropped == 0 && r.n < r.size {
-			r.queue(d)
+			woke = r.queue(d) || woke
 			r.mu.Unlock()
-			return true, nil
+			return true, woke, nil
 		}
 		if r.policy == PolicyDrop {
 			r.drop(d)
 			r.mu.Unlock()
-			return false, nil
+			return false, woke, nil
 		}
 		r.mu.Unlock()
 		select {
 		case <-r.space:
 		case <-ctx.Done():
-			return false, ctx.Err()
+			return false, woke, ctx.Err()
 		}
 		r.mu.Lock()
 	}
@@ -260,7 +277,7 @@ func (r *subRing) push(ctx context.Context, d Delivery) (delivered bool, err err
 // folded into the pending-gap accounting instead, so the loss stays visible
 // on the stream even if its specific reason is coalesced away.
 func (r *subRing) pushGap(ctx context.Context, d Delivery) {
-	if _, err := r.push(ctx, d); err != nil && !errors.Is(err, errSubClosed) {
+	if _, _, err := r.push(ctx, d); err != nil && !errors.Is(err, errSubClosed) {
 		r.mu.Lock()
 		r.drop(d)
 		r.mu.Unlock()
@@ -316,13 +333,18 @@ func (r *subRing) next(ctx context.Context) (d Delivery, ok bool, err error) {
 			r.mu.Unlock()
 			return Delivery{}, false, nil
 		}
+		r.parked = true
 		r.mu.Unlock()
 		select {
 		case <-r.ready:
 		case <-ctx.Done():
+			r.mu.Lock()
+			r.parked = false
+			r.mu.Unlock()
 			return Delivery{}, false, ctx.Err()
 		}
 		r.mu.Lock()
+		r.parked = false
 	}
 }
 

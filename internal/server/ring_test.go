@@ -2,6 +2,10 @@ package server
 
 import (
 	"context"
+	"fmt"
+	"runtime"
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -72,7 +76,7 @@ func FuzzResumeFromRing(f *testing.F) {
 				}
 				d := Delivery{Type: DeliveryResult, DocSeq: doc, Seq: seq, NodeOffset: int64(pushed)}
 				seq++
-				if delivered, err := r.push(context.Background(), d); err != nil || !delivered {
+				if delivered, _, err := r.push(context.Background(), d); err != nil || !delivered {
 					lastDropped = pushed
 				}
 				pushed++
@@ -118,4 +122,112 @@ func FuzzResumeFromRing(f *testing.F) {
 			}
 		}
 	})
+}
+
+// waitParked returns once a consumer is asleep in r.next.
+func waitParked(r *subRing) {
+	for {
+		r.mu.Lock()
+		parked := r.parked
+		r.mu.Unlock()
+		if parked {
+			return
+		}
+		runtime.Gosched()
+	}
+}
+
+// TestPushReportsWake: push reports a wake only when its delivery went to a
+// consumer asleep in next — not when the ring already held one, not when no
+// consumer waits, and not after the waiting consumer's context ended.
+func TestPushReportsWake(t *testing.T) {
+	r := newSubRing(8, PolicyBlock, nil)
+	push := func(want bool) {
+		t.Helper()
+		if delivered, woke, err := r.push(context.Background(), Delivery{Type: DeliveryResult}); err != nil || !delivered || woke != want {
+			t.Fatalf("push: delivered %v, woke %v, err %v; want a delivery and woke %v", delivered, woke, err, want)
+		}
+	}
+	push(false) // no consumer
+	r.tryNext()
+
+	took := make(chan error)
+	go func() {
+		_, _, err := r.next(context.Background())
+		took <- err
+	}()
+	waitParked(r)
+	push(true)
+	push(false) // the first is still queued, or its consumer is gone
+	if err := <-took; err != nil {
+		t.Fatal(err)
+	}
+	push(false) // queued deliveries, no consumer
+	for _, ok := r.tryNext(); ok; _, ok = r.tryNext() {
+	}
+	push(false) // empty, no consumer
+
+	r.tryNext()
+	ctx, cancel := context.WithCancel(context.Background())
+	go func() {
+		_, _, err := r.next(ctx)
+		took <- err
+	}()
+	waitParked(r)
+	cancel()
+	if err := <-took; err == nil {
+		t.Fatal("next returned without its context's error")
+	}
+	push(false) // the consumer's context ended
+}
+
+// TestFirstDeliveryHandedOff: on one processor, a consumer asleep in next
+// takes a document's first delivery before the evaluator queues the second,
+// because the evaluator yields to the consumer its first push woke. Without
+// the yield the evaluator would queue all 500 first. The median over twenty
+// documents tolerates the scheduler's occasional pick from its global queue,
+// which resumes the evaluator first.
+func TestFirstDeliveryHandedOff(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const docs, results = 20, 500
+	b := New(Config{RingSize: 1 << 12})
+	defer b.Shutdown(context.Background())
+	sr, err := b.Subscribe("c", "//r")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub, err := b.subscription("c", sr.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	received := make([]int, 0, docs) // deliveries the ring held at each document's first dequeue
+	drained := make(chan error)
+	go func() {
+		for range docs {
+			d, queued, err := nextQueued(ctx, sub.ring)
+			if err == nil && d.Seq != 0 {
+				err = fmt.Errorf("first dequeue of document %d has Seq %d", d.DocSeq, d.Seq)
+			}
+			received = append(received, queued+1)
+			for i := 1; i < results && err == nil; i++ {
+				_, _, err = sub.ring.next(ctx)
+			}
+			drained <- err
+		}
+	}()
+	doc := []byte("<d>" + strings.Repeat("<r/>", results) + "</d>")
+	for range docs {
+		if _, err := b.Publish(ctx, "c", doc, true); err != nil {
+			t.Fatal(err)
+		}
+		if err := <-drained; err != nil {
+			t.Fatal(err)
+		}
+	}
+	sorted := slices.Sorted(slices.Values(received))
+	if median := sorted[docs/2]; median != 1 {
+		t.Fatalf("deliveries queued when the consumer took each document's first: median %d, want 1 (all: %v)", median, received)
+	}
 }

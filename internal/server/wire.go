@@ -238,6 +238,10 @@ type LatencyMetrics struct {
 	// PublishToDelivery: publish admission to the delivery's NDJSON
 	// encode on a consumer connection. Replayed deliveries are excluded.
 	PublishToDelivery obs.Stats `json:"publish_to_delivery"`
+	// PublishToFirstDelivery: the same span for the first delivery of each
+	// document a consumer connection writes — how long a document's first
+	// result takes to reach the wire.
+	PublishToFirstDelivery obs.Stats `json:"publish_to_first_delivery"`
 	// WALAppend/WALFsync: the write (rotation included, fsync excluded)
 	// and fsync portions of WAL appends; nil on memory-only channels, and
 	// WALFsync stays zero-count unless Config.WALSync is on.
