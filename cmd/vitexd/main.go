@@ -8,7 +8,7 @@
 // Usage:
 //
 //	vitexd [-addr :8344] [-workers N] [-queue 64] [-ring 256]
-//	       [-policy block|drop] [-parallel 0] [-drain 15s]
+//	       [-policy block|drop] [-drain 15s]
 //	       [-data DIR] [-wal-segment-bytes 8388608] [-wal-retain 8] [-wal-sync]
 //	       [-trace-sample N] [-trace-ring 256] [-trace-file PATH]
 //	       [-debug-addr HOST:PORT]
@@ -91,7 +91,6 @@ func run(ctx context.Context, args []string, stdout io.Writer, ready chan<- stri
 	queue := fs.Int("queue", 64, "per-channel ingest queue depth")
 	ring := fs.Int("ring", 256, "per-subscription result buffer size")
 	policy := fs.String("policy", "block", "slow-consumer policy: block (back-pressure) or drop (gap markers)")
-	parallel := fs.Int("parallel", 0, "within-document sharded evaluation workers (0/1 serial, -1 GOMAXPROCS)")
 	drain := fs.Duration("drain", 15*time.Second, "graceful-shutdown drain budget")
 	dataDir := fs.String("data", "", "durable data directory (empty = memory-only, no WAL, no resume)")
 	walSegBytes := fs.Int64("wal-segment-bytes", 8<<20, "write-ahead-log segment rotation size")
@@ -123,7 +122,6 @@ func run(ctx context.Context, args []string, stdout io.Writer, ready chan<- stri
 		QueueDepth:        *queue,
 		RingSize:          *ring,
 		Policy:            pol,
-		Parallel:          *parallel,
 		DataDir:           *dataDir,
 		WALSegmentBytes:   *walSegBytes,
 		WALRetainSegments: *walRetain,
@@ -152,8 +150,8 @@ func run(ctx context.Context, args []string, stdout io.Writer, ready chan<- stri
 	if *dataDir != "" {
 		durability = "data=" + *dataDir
 	}
-	fmt.Fprintf(stdout, "vitexd listening on %s (policy=%s workers=%d queue=%d ring=%d parallel=%d %s)\n",
-		ln.Addr(), pol, b.Config().Workers, *queue, *ring, *parallel, durability)
+	fmt.Fprintf(stdout, "vitexd listening on %s (policy=%s workers=%d queue=%d ring=%d %s)\n",
+		ln.Addr(), pol, b.Config().Workers, *queue, *ring, durability)
 	if *traceSample > 0 {
 		fmt.Fprintf(stdout, "vitexd tracing 1/%d publishes (ring %d)\n", *traceSample, *traceRing)
 	}

@@ -12,9 +12,8 @@
 // to each subscriber through a bounded ring with an explicit slow-consumer
 // policy — block (back-pressure) or drop (gap markers). Channels evaluate
 // documents strictly in arrival order; a worker-pool semaphore bounds how
-// many channels evaluate at once, layering cross-document parallelism
-// across channels on top of the engine's within-document sharding
-// (Options.Parallel).
+// many channels evaluate at once: cross-document parallelism across
+// channels. Each document is evaluated serially.
 //
 // Every evaluation runs under a context tied to the broker's lifetime and
 // — for synchronous publishes — the publisher's request, so a disconnected
@@ -53,11 +52,6 @@ type Config struct {
 	// Policy is the slow-consumer policy applied when a ring is full
 	// (default PolicyBlock).
 	Policy Policy
-	// Parallel is passed to vitex.Options.Parallel for every evaluation:
-	// 0/1 serial, N>1 shards machines over N goroutines, negative uses
-	// GOMAXPROCS.
-	Parallel int
-
 	// DataDir, when non-empty, makes the broker durable: every accepted
 	// publish is appended to a per-channel write-ahead log before it is
 	// acknowledged, channel definitions and standing subscriptions persist
@@ -386,7 +380,6 @@ func (b *Broker) Metrics() *MetricsResponse {
 	m.Config.QueueDepth = b.cfg.QueueDepth
 	m.Config.RingSize = b.cfg.RingSize
 	m.Config.Policy = b.cfg.Policy.String()
-	m.Config.Parallel = b.cfg.Parallel
 	m.Config.Durable = b.cfg.DataDir != ""
 	return m
 }

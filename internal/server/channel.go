@@ -39,8 +39,7 @@ var (
 // arrival order by the channel's drainer (one evaluation in flight per
 // channel — so each subscription's result stream is ordered by document),
 // while the broker's worker-pool semaphore bounds how many channels
-// evaluate at once (cross-document parallelism across channels, on top of
-// Options.Parallel's within-document sharding).
+// evaluate at once (cross-document parallelism across channels).
 //
 //vitex:counters
 type channel struct {
@@ -334,13 +333,18 @@ func (c *channel) replace(id, query string) (*subscription, error) {
 	if sub == nil {
 		return nil, ErrNoSubscription
 	}
-	if err := c.qs.Replace(c.indexOfLocked(sub), q); err != nil {
+	idx := c.indexOfLocked(sub)
+	old, oldQuery, oldAt := c.qs.Query(idx), sub.query, sub.replacedAt
+	if err := c.qs.Replace(idx, q); err != nil {
 		return nil, err
 	}
 	sub.query = query
 	sub.replacedAt = c.nextDoc
 	if err := c.persistLocked(); err != nil {
-		return nil, err
+		// Roll the swap back, as subscribe does: a query that is not durable
+		// must not answer, or a restart would silently bring the old one back.
+		sub.query, sub.replacedAt = oldQuery, oldAt
+		return nil, errors.Join(err, c.qs.Replace(idx, old))
 	}
 	return sub, nil
 }
@@ -504,7 +508,7 @@ func (c *channel) evaluate(j *job) jobResult {
 	subs := c.subs
 	c.mu.Unlock()
 
-	opts := vitex.Options{Parallel: c.b.cfg.Parallel, Context: j.ctx}
+	opts := vitex.Options{Context: j.ctx}
 	var results int64
 	handedOff := false
 	scan, err := view.Evaluate(bytes.NewReader(j.data), opts, func(sr vitex.SetResult) error {

@@ -1,7 +1,7 @@
 package server
 
 import (
-	"bytes"
+	"encoding/json"
 	"fmt"
 	"strconv"
 	"unicode/utf16"
@@ -9,12 +9,11 @@ import (
 )
 
 // The result stream's NDJSON codec. AppendDelivery writes what
-// json.NewEncoder(w).Encode(d) writes, byte for byte. ParseDelivery decodes
-// every line encoding/json decodes into a Delivery to the same value, except
-// a few it refuses (null for the object or a field, an unknown key's value
-// nested deeper than maxSkipDepth); it accepts nothing encoding/json
-// refuses. Neither uses reflection, and FuzzDeliveryCodec holds both to
-// encoding/json.
+// json.NewEncoder(w).Encode(d) writes, byte for byte, without reflection.
+// ParseDelivery decodes exactly what encoding/json decodes into a Delivery,
+// to the same value: the lines AppendDelivery writes on a reflection-free
+// fast path, any other line through encoding/json. FuzzDeliveryCodec holds
+// both to encoding/json.
 
 const hexDigits = "0123456789abcdef"
 
@@ -126,52 +125,27 @@ func appendString(dst []byte, s string) []byte {
 	return append(dst, '"')
 }
 
-// maxSkipDepth bounds the nesting of an unknown key's value; encoding/json
-// refuses input nested deeper than 10,000.
-const maxSkipDepth = 1000
-
-// deliveryKeys names the members of a delivery line.
-var deliveryKeys = [...]string{
-	"type", "doc_seq", "seq", "node_offset", "value", "confirmed_at",
-	"delivered_at", "dropped", "from_cursor", "to_cursor", "reason",
-}
-
-// ParseDelivery decodes one NDJSON line into *d, which it zeroes first. It
-// accepts members in any order, insignificant whitespace, \uXXXX escapes
-// (surrogate pairs included) and unknown keys, whose values it checks and
-// skips. A key names a field exactly or, failing that, under Unicode case
-// folding, as with encoding/json. Anything else, a truncated line included,
-// is an error naming the first byte not accepted.
+// ParseDelivery decodes one NDJSON line into *d, which it zeroes first,
+// exactly as json.Unmarshal decodes it: it accepts what encoding/json
+// accepts, to the same value, and returns encoding/json's error for the
+// rest, a truncated line included.
 //
-// A line in AppendDelivery's form takes a fast path (parseCanonical); any
-// other line is decoded from the start by the general parser, to the same
-// value.
+// A line in AppendDelivery's form, which every line the server writes is,
+// takes a fast path (parseCanonical); any other line is decoded from the
+// start by encoding/json.
 //
 //vitex:hotpath
 func ParseDelivery(line []byte, d *Delivery) error {
 	if parseCanonical(line, d) {
 		return nil
 	}
-	return parseGeneral(line, d)
-}
-
-// parseGeneral is ParseDelivery without the fast path.
-func parseGeneral(line []byte, d *Delivery) error {
 	*d = Delivery{}
-	p := parser{b: line}
-	if err := p.object(d); err != nil {
-		return err
-	}
-	if p.next(); p.i != len(p.b) {
-		return p.fail()
-	}
-	return nil
+	return json.Unmarshal(line, d)
 }
 
 // parseCanonical decodes a line as AppendDelivery writes it: its members in
 // its order, no whitespace between them, integers of at most 18 digits, and
-// one optional trailing newline. Strings go through the general parser's
-// decoder. It reports false, with *d partly written, for any other line.
+// one optional trailing newline. It reports false, with *d partly written, for any other line.
 //
 //vitex:hotpath
 func parseCanonical(line []byte, d *Delivery) bool {
@@ -248,100 +222,10 @@ func (p *parser) fail() error {
 	return fmt.Errorf("server: malformed delivery line at byte %d", p.i)
 }
 
-// next skips JSON whitespace and returns the byte under the cursor, or 0 at
-// the end of the line.
-func (p *parser) next() byte {
-	b, i := p.b, p.i
-	for ; i < len(b); i++ {
-		switch c := b[i]; c {
-		case ' ', '\t', '\n', '\r':
-		default:
-			p.i = i
-			return c
-		}
-	}
-	p.i = i
-	return 0
-}
-
-// object decodes the line's object into d.
-func (p *parser) object(d *Delivery) error {
-	if p.next() != '{' {
-		return p.fail()
-	}
-	p.i++
-	if p.next() == '}' {
-		p.i++
-		return nil
-	}
-	for {
-		if p.next() != '"' {
-			return p.fail()
-		}
-		var buf [32]byte
-		key, err := p.str(buf[:0])
-		if err != nil {
-			return err
-		}
-		if p.next() != ':' {
-			return p.fail()
-		}
-		p.i++
-		if err := p.member(d, key); err != nil {
-			return err
-		}
-		switch p.next() {
-		case ',':
-			p.i++
-		case '}':
-			p.i++
-			return nil
-		default:
-			return p.fail()
-		}
-	}
-}
-
-// member decodes the value of the member named key into d; the value of an
-// unknown key is checked and skipped. A key names a field exactly or,
-// failing that, under Unicode case folding, as with encoding/json.
-func (p *parser) member(d *Delivery, key []byte) error {
-	switch string(key) {
-	case "type":
-		return p.text(&d.Type)
-	case "doc_seq":
-		return p.int(&d.DocSeq)
-	case "seq":
-		return p.int(&d.Seq)
-	case "node_offset":
-		return p.int(&d.NodeOffset)
-	case "value":
-		return p.text(&d.Value)
-	case "confirmed_at":
-		return p.int(&d.ConfirmedAt)
-	case "delivered_at":
-		return p.int(&d.DeliveredAt)
-	case "dropped":
-		return p.int(&d.Dropped)
-	case "from_cursor":
-		return p.int(&d.FromCursor)
-	case "to_cursor":
-		return p.int(&d.ToCursor)
-	case "reason":
-		return p.text(&d.Reason)
-	}
-	for _, name := range deliveryKeys {
-		if bytes.EqualFold(key, []byte(name)) {
-			return p.member(d, []byte(name))
-		}
-	}
-	return p.skip(0)
-}
-
 // text decodes a string value into *dst. A delivery type costs no
 // allocation.
 func (p *parser) text(dst *string) error {
-	if p.next() != '"' {
+	if p.i == len(p.b) || p.b[p.i] != '"' {
 		return p.fail()
 	}
 	var buf [128]byte
@@ -359,129 +243,6 @@ func (p *parser) text(dst *string) error {
 	default:
 		*dst = string(s)
 	}
-	return nil
-}
-
-// int decodes an integer value into *dst. A fraction, an exponent or a value
-// outside int64 is refused, as encoding/json refuses it for an int64 field.
-func (p *parser) int(dst *int64) error {
-	if c := p.next(); c != '-' && (c < '0' || c > '9') {
-		return p.fail()
-	}
-	start := p.i
-	if err := p.number(); err != nil {
-		return err
-	}
-	v, err := strconv.ParseInt(string(p.b[start:p.i]), 10, 64)
-	if err != nil {
-		p.i = start
-		return p.fail()
-	}
-	*dst = v
-	return nil
-}
-
-// number checks and consumes a JSON number.
-func (p *parser) number() error {
-	if p.b[p.i] == '-' {
-		p.i++
-	}
-	switch {
-	case p.i < len(p.b) && p.b[p.i] == '0':
-		p.i++
-	case p.digits() == 0:
-		return p.fail()
-	}
-	if p.i < len(p.b) && p.b[p.i] == '.' {
-		p.i++
-		if p.digits() == 0 {
-			return p.fail()
-		}
-	}
-	if p.i < len(p.b) && (p.b[p.i] == 'e' || p.b[p.i] == 'E') {
-		p.i++
-		if p.i < len(p.b) && (p.b[p.i] == '+' || p.b[p.i] == '-') {
-			p.i++
-		}
-		if p.digits() == 0 {
-			return p.fail()
-		}
-	}
-	return nil
-}
-
-// digits consumes a run of decimal digits and returns its length.
-func (p *parser) digits() int {
-	start := p.i
-	for p.i < len(p.b) && '0' <= p.b[p.i] && p.b[p.i] <= '9' {
-		p.i++
-	}
-	return p.i - start
-}
-
-// skip checks and consumes one JSON value of any kind.
-func (p *parser) skip(depth int) error {
-	if depth > maxSkipDepth {
-		return p.fail()
-	}
-	c := p.next()
-	switch {
-	case c == '"':
-		_, err := p.str(nil)
-		return err
-	case c == '-' || '0' <= c && c <= '9':
-		return p.number()
-	case c == 't':
-		return p.literal("true")
-	case c == 'f':
-		return p.literal("false")
-	case c == 'n':
-		return p.literal("null")
-	case c != '[' && c != '{':
-		return p.fail()
-	}
-	closer := byte(']')
-	if c == '{' {
-		closer = '}'
-	}
-	p.i++
-	if p.next() == closer {
-		p.i++
-		return nil
-	}
-	for {
-		if c == '{' {
-			if p.next() != '"' {
-				return p.fail()
-			}
-			if _, err := p.str(nil); err != nil {
-				return err
-			}
-			if p.next() != ':' {
-				return p.fail()
-			}
-			p.i++
-		}
-		if err := p.skip(depth + 1); err != nil {
-			return err
-		}
-		switch p.next() {
-		case ',':
-			p.i++
-		case closer:
-			p.i++
-			return nil
-		default:
-			return p.fail()
-		}
-	}
-}
-
-func (p *parser) literal(lit string) error {
-	if !bytes.HasPrefix(p.b[p.i:], []byte(lit)) {
-		return p.fail()
-	}
-	p.i += len(lit)
 	return nil
 }
 

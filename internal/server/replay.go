@@ -128,7 +128,7 @@ func (c *channel) replay(ctx context.Context, sub *subscription, plan replayPlan
 		return nil, nil
 	}
 
-	opts := vitex.Options{Parallel: c.b.cfg.Parallel, Context: ctx}
+	opts := vitex.Options{Context: ctx}
 	iterErr := plan.wal.iterate(start, plan.tip, func(cursor int64, payload []byte) error {
 		if sub.ring.isClosed() {
 			return errSubClosed

@@ -27,11 +27,13 @@
 // are reported as one gap marker carrying the unavailable range
 // [FromCursor, ToCursor].
 //
-// The result stream is the one hot route, and its lines bypass reflection:
-// the server writes them with AppendDelivery and the client reads them with
-// ParseDelivery (codec.go). The wire bytes equal encoding/json's encoding of
-// Delivery by construction, and FuzzDeliveryCodec holds both directions to
-// encoding/json, which the other routes still use.
+// The result stream is the one hot route. The server writes its lines with
+// AppendDelivery, without reflection, and the bytes equal encoding/json's
+// encoding of Delivery. The client reads them with ParseDelivery, which
+// decodes exactly what encoding/json decodes into a Delivery: the server's
+// own lines on a reflection-free fast path, any other line through
+// encoding/json (codec.go). FuzzDeliveryCodec holds both directions to
+// encoding/json, which the other routes use.
 package server
 
 import (
@@ -289,7 +291,6 @@ type MetricsResponse struct {
 		QueueDepth int    `json:"queue_depth"`
 		RingSize   int    `json:"ring_size"`
 		Policy     string `json:"policy"`
-		Parallel   int    `json:"parallel"`
 		Durable    bool   `json:"durable"`
 	} `json:"config"`
 }
