@@ -9,7 +9,6 @@ package vitex
 import (
 	"fmt"
 	"io"
-	"runtime"
 	"strings"
 	"testing"
 
@@ -368,40 +367,6 @@ func BenchmarkQuerySetSparse(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-	})
-}
-
-// BenchmarkQuerySetParallel contrasts serial routed dispatch against the
-// sharded multi-core mode on the sparse 100-query standing set (the
-// workload whose results must be byte-identical between the two). The
-// speedup scales with GOMAXPROCS: on a single-core host the parallel arm
-// only measures the pipeline overhead.
-func BenchmarkQuerySetParallel(b *testing.B) {
-	doc := datagen.Ticker{Trades: 2000, Seed: 1}.String()
-	sources := datagen.SparseTickerQueries(10, 90)
-	qs, err := NewQuerySet(sources...)
-	if err != nil {
-		b.Fatal(err)
-	}
-	run := func(b *testing.B, opts Options) {
-		// Warm the session pool so the steady state is measured.
-		if _, err := qs.Stream(strings.NewReader(doc), opts, nil); err != nil {
-			b.Fatal(err)
-		}
-		b.SetBytes(int64(len(doc)))
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := qs.Stream(strings.NewReader(doc), opts, nil); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	b.Run("serial", func(b *testing.B) {
-		run(b, Options{CountOnly: true})
-	})
-	b.Run(fmt.Sprintf("parallel%d", runtime.GOMAXPROCS(0)), func(b *testing.B) {
-		run(b, Options{CountOnly: true, Parallel: -1})
 	})
 }
 

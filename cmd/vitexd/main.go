@@ -91,7 +91,7 @@ func run(ctx context.Context, args []string, stdout io.Writer, ready chan<- stri
 	queue := fs.Int("queue", 64, "per-channel ingest queue depth")
 	ring := fs.Int("ring", 256, "per-subscription result buffer size")
 	policy := fs.String("policy", "block", "slow-consumer policy: block (back-pressure) or drop (gap markers)")
-	drain := fs.Duration("drain", 15*time.Second, "graceful-shutdown drain budget")
+	drain := fs.Duration("drain", 15*time.Second, "graceful-shutdown drain budget; a document blocked on a full ring that nobody reads waits all of it, then is canceled (its subscribers get a gap marker, then end)")
 	dataDir := fs.String("data", "", "durable data directory (empty = memory-only, no WAL, no resume)")
 	walSegBytes := fs.Int64("wal-segment-bytes", 8<<20, "write-ahead-log segment rotation size")
 	walRetain := fs.Int("wal-retain", 8, "write-ahead-log segments retained per channel (bounds replay history)")

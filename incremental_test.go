@@ -26,9 +26,6 @@ func TestIncrementalDeliveryUnderStalledReader(t *testing.T) {
 		{"QuerySet.Stream", func(r io.Reader, emitted func()) error {
 			return streamSetB(r, Options{}, emitted)
 		}},
-		{"Parallel2", func(r io.Reader, emitted func()) error {
-			return streamSetB(r, Options{Parallel: 2}, emitted)
-		}},
 	}
 	// Each prefix proves <b>1</b>; the stall falls on a token boundary, in
 	// the middle of a tag, and in the middle of a text run.
@@ -70,8 +67,8 @@ func TestIncrementalDeliveryUnderStalledReader(t *testing.T) {
 	}
 }
 
-// streamSetB evaluates a two-query set (so Options.Parallel really shards)
-// and reports each result of its first query, //b.
+// streamSetB evaluates a two-query set and reports each result of its first
+// query, //b.
 func streamSetB(r io.Reader, opts Options, emitted func()) error {
 	qs, err := NewQuerySet("//b", "//nosuch")
 	if err != nil {

@@ -5,12 +5,10 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
-	"slices"
 	"strings"
 	"sync"
 	"testing"
 
-	"repro/internal/cow"
 	"repro/internal/twigm"
 	"repro/internal/xpath"
 )
@@ -23,9 +21,8 @@ const churnDoc = `<feed>` +
 	`<news><title>x</title><body k="1">text</body></news>` +
 	`</feed>`
 
-// streamValues evaluates a snapshot serially (workers == 0) or sharded,
-// collecting per-machine values and stats.
-func streamValues(t *testing.T, s Snapshot, doc string, workers int) ([][]string, []twigm.Stats) {
+// streamValues evaluates a snapshot, collecting per-machine values and stats.
+func streamValues(t *testing.T, s Snapshot, doc string) ([][]string, []twigm.Stats) {
 	t.Helper()
 	out := make([][]string, s.Len())
 	opts := make([]twigm.Options, s.Len())
@@ -36,13 +33,7 @@ func streamValues(t *testing.T, s Snapshot, doc string, workers int) ([][]string
 			return nil
 		}}
 	}
-	var stats []twigm.Stats
-	var err error
-	if workers > 1 {
-		stats, err = streamOpts(context.Background(), s, strings.NewReader(doc), opts, workers)
-	} else {
-		stats, err = streamOpts(context.Background(), s, strings.NewReader(doc), opts, 0)
-	}
+	stats, err := streamOpts(context.Background(), s, strings.NewReader(doc), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +75,7 @@ func TestAddCompilesOnlyTheNewQuery(t *testing.T) {
 		}
 	}
 	// And the added machine evaluates.
-	out, _ := streamValues(t, e.Snapshot(), churnDoc, 0)
+	out, _ := streamValues(t, e.Snapshot(), churnDoc)
 	if !reflect.DeepEqual(out[100], []string{"<price>10</price>"}) {
 		t.Fatalf("added machine results = %q", out[100])
 	}
@@ -104,11 +95,11 @@ func TestSnapshotIsolation(t *testing.T) {
 	if old.Len() != 2 || e.Len() != 2 {
 		t.Fatalf("old len %d, new len %d", old.Len(), e.Len())
 	}
-	outOld, _ := streamValues(t, old, churnDoc, 0)
+	outOld, _ := streamValues(t, old, churnDoc)
 	if len(outOld[0]) != 2 || len(outOld[1]) != 1 {
 		t.Fatalf("old snapshot results = %q", outOld)
 	}
-	outNew, _ := streamValues(t, e.Snapshot(), churnDoc, 0)
+	outNew, _ := streamValues(t, e.Snapshot(), churnDoc)
 	if !reflect.DeepEqual(outNew[0], []string{"<title>x</title>"}) {
 		t.Fatalf("new membership query 0 = %q", outNew[0])
 	}
@@ -125,11 +116,11 @@ func TestScannerResolvesNamesAddedAfterCaching(t *testing.T) {
 	e := mustEngine(t, "//trade/price")
 	// First stream caches "news", "title", "body", "k" as unknown in the
 	// pooled session's scanner.
-	streamValues(t, e.Snapshot(), churnDoc, 0)
+	streamValues(t, e.Snapshot(), churnDoc)
 	if _, err := e.Add(xpath.MustParse("//news/title")); err != nil {
 		t.Fatal(err)
 	}
-	out, _ := streamValues(t, e.Snapshot(), churnDoc, 0)
+	out, _ := streamValues(t, e.Snapshot(), churnDoc)
 	if !reflect.DeepEqual(out[1], []string{"<title>x</title>"}) {
 		t.Fatalf("query added after cache warm-up found %q", out[1])
 	}
@@ -137,7 +128,7 @@ func TestScannerResolvesNamesAddedAfterCaching(t *testing.T) {
 	if _, err := e.Add(xpath.MustParse("//body/@k")); err != nil {
 		t.Fatal(err)
 	}
-	out, _ = streamValues(t, e.Snapshot(), churnDoc, 0)
+	out, _ = streamValues(t, e.Snapshot(), churnDoc)
 	if !reflect.DeepEqual(out[2], []string{"1"}) {
 		t.Fatalf("attribute query added after cache warm-up found %q", out[2])
 	}
@@ -181,7 +172,7 @@ func TestRemoveTombstonesAndCompacts(t *testing.T) {
 	if e.Snapshot().Programs()[0] != keepProg {
 		t.Fatal("survivor was rebuilt by compaction")
 	}
-	out, _ := streamValues(t, e.Snapshot(), churnDoc, 0)
+	out, _ := streamValues(t, e.Snapshot(), churnDoc)
 	if len(out[0]) != 2 {
 		t.Fatalf("survivor results after compaction = %q", out[0])
 	}
@@ -192,7 +183,7 @@ func TestRemoveTombstonesAndCompacts(t *testing.T) {
 	if err := e.Remove(keepProg); err == nil {
 		t.Fatal("double Remove succeeded")
 	}
-	if _, err := streamOpts(context.Background(), e.Snapshot(), strings.NewReader(churnDoc), nil, 0); err != nil {
+	if _, err := streamOpts(context.Background(), e.Snapshot(), strings.NewReader(churnDoc), nil); err != nil {
 		t.Fatalf("empty engine stream: %v", err)
 	}
 }
@@ -214,7 +205,7 @@ func TestReplaceReusesSlot(t *testing.T) {
 	if after[0] != before[0] || after[2] != before[2] || after[1] != p {
 		t.Fatal("Replace disturbed neighbouring slots")
 	}
-	out, _ := streamValues(t, e.Snapshot(), churnDoc, 0)
+	out, _ := streamValues(t, e.Snapshot(), churnDoc)
 	if !reflect.DeepEqual(out[1], []string{"<volume>3</volume>", "<volume>7</volume>"}) {
 		t.Fatalf("replaced machine results = %q", out[1])
 	}
@@ -223,74 +214,9 @@ func TestReplaceReusesSlot(t *testing.T) {
 	}
 }
 
-// TestShardRebalanceIsLocal: a parallel session resyncing after one Add
-// rebuilds the routing tables of exactly one shard (the one the new slot
-// hashes to); the other shards keep their tables untouched. Driven against
-// the session directly — sync.Pool gives no retention guarantee (it
-// deliberately drops entries under the race detector), so the pooled path
-// cannot assert shard counts deterministically.
-func TestShardRebalanceIsLocal(t *testing.T) {
-	sources := make([]string, 8)
-	for i := range sources {
-		sources[i] = fmt.Sprintf("//sub%d", i)
-	}
-	e := mustEngine(t, sources...)
-	const workers = 4
-	ps := newPsession(e, workers)
-	ps.sync(e.cur.Load()) // initial build: not a rebalance
-	if got := e.Metrics().ShardRebalances; got != 0 {
-		t.Fatalf("initial build counted %d rebalances", got)
-	}
-	tables := make([]shardTables, workers)
-	for wi, w := range ps.workers {
-		tables[wi] = copyShardTables(w)
-	}
-	if _, err := e.Add(xpath.MustParse("//trade/price")); err != nil {
-		t.Fatal(err)
-	}
-	ps.sync(e.cur.Load())
-	if d := e.Metrics().ShardRebalances; d != 1 {
-		t.Fatalf("one Add rebalanced %d shards, want 1", d)
-	}
-	// Slot 8 hashes to shard 0; shards 1-3 must keep their exact tables.
-	for wi := 1; wi < workers; wi++ {
-		if !reflect.DeepEqual(copyShardTables(ps.workers[wi]), tables[wi]) {
-			t.Fatalf("shard %d tables rebuilt by an Add outside it", wi)
-		}
-	}
-	// End-to-end: the resynced sharded path evaluates the grown set.
-	out, _ := streamValues(t, e.Snapshot(), churnDoc, workers)
-	if len(out[8]) != 2 {
-		t.Fatalf("added machine results = %q", out[8])
-	}
-}
-
-// shardTables is a deep copy of a shard's routing tables: a copy of the
-// tables themselves would share their chunks and lists with the shard.
-type shardTables struct {
-	elemSubs, attrSubs [][]int32
-	wild, rootText     []int32
-}
-
-func copyShardTables(w *pworker) shardTables {
-	subs := func(t *cow.Table[[]int32]) [][]int32 {
-		out := make([][]int32, t.Len())
-		for id := range out {
-			out[id] = slices.Clone(t.At(id))
-		}
-		return out
-	}
-	return shardTables{
-		elemSubs: subs(&w.rt.elemSubs),
-		attrSubs: subs(&w.rt.attrSubs),
-		wild:     slices.Clone(w.rt.wild),
-		rootText: slices.Clone(w.rt.rootText),
-	}
-}
-
 // TestChurnedEngineMatchesFresh drives a random Add/Remove/Replace walk and,
 // after every mutation, checks the churned engine's full output — values and
-// stats, serial and sharded — against a freshly compiled engine over the
+// stats — against a freshly compiled engine over the
 // same membership.
 func TestChurnedEngineMatchesFresh(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
@@ -328,25 +254,19 @@ func TestChurnedEngineMatchesFresh(t *testing.T) {
 			sources[i] = src
 		}
 		fresh := mustEngine(t, sources...)
-		churnOut, churnStats := streamValues(t, e.Snapshot(), churnDoc, 0)
-		freshOut, freshStats := streamValues(t, fresh.Snapshot(), churnDoc, 0)
+		churnOut, churnStats := streamValues(t, e.Snapshot(), churnDoc)
+		freshOut, freshStats := streamValues(t, fresh.Snapshot(), churnDoc)
 		if !reflect.DeepEqual(churnOut, freshOut) {
 			t.Fatalf("step %d: churned %q, fresh %q (sources %q)", step, churnOut, freshOut, sources)
 		}
 		if !reflect.DeepEqual(churnStats, freshStats) {
 			t.Fatalf("step %d: stats diverge\nchurned %+v\nfresh   %+v", step, churnStats, freshStats)
 		}
-		if len(sources) >= 2 {
-			parOut, parStats := streamValues(t, e.Snapshot(), churnDoc, 3)
-			if !reflect.DeepEqual(parOut, churnOut) || !reflect.DeepEqual(parStats, churnStats) {
-				t.Fatalf("step %d: parallel diverges from serial on churned engine", step)
-			}
-		}
 	}
 }
 
-// TestConcurrentChurnAndStreams runs mutations concurrently with serial and
-// sharded streams (the concurrency contract of the live engine; the race
+// TestConcurrentChurnAndStreams runs mutations concurrently with three
+// streams (the concurrency contract of the live engine; the race
 // detector is the other half of this test). Each stream must be internally
 // consistent with the snapshot it captured: one stats entry per machine of
 // that snapshot.
@@ -356,7 +276,7 @@ func TestConcurrentChurnAndStreams(t *testing.T) {
 	var wg sync.WaitGroup
 	for g := 0; g < 3; g++ {
 		wg.Add(1)
-		go func(par int) {
+		go func() {
 			defer wg.Done()
 			for {
 				select {
@@ -366,18 +286,12 @@ func TestConcurrentChurnAndStreams(t *testing.T) {
 				}
 				s := e.Snapshot()
 				opts := make([]twigm.Options, s.Len())
-				var err error
-				if par > 1 {
-					_, err = streamOpts(context.Background(), s, strings.NewReader(churnDoc), opts, par)
-				} else {
-					_, err = streamOpts(context.Background(), s, strings.NewReader(churnDoc), opts, 0)
-				}
-				if err != nil {
+				if _, err := streamOpts(context.Background(), s, strings.NewReader(churnDoc), opts); err != nil {
 					t.Errorf("stream during churn: %v", err)
 					return
 				}
 			}
-		}(g) // g=0,1 serial; g=2 parallel(2)
+		}()
 	}
 	rng := rand.New(rand.NewSource(7))
 	vocab := []string{"//trade/price", "//body/@k", "//news//body", "//feed//trade", "//sub1[sub2]"}

@@ -51,30 +51,22 @@ func countingOpts(n int, count *int64) []twigm.Options {
 	return opts
 }
 
-// streamWith runs either the serial or the parallel context entry point.
-func streamWith(e *Engine, ctx context.Context, r io.Reader, opts []twigm.Options, workers int) ([]twigm.Stats, error) {
-	return streamOpts(ctx, e.Snapshot(), r, opts, workers)
-}
-
 // TestCancelDuringScan: a context canceled while the scan is mid-document
-// aborts the evaluation promptly with ctx.Err(), in both the serial and the
-// sharded-parallel engine loops.
+// aborts the evaluation promptly with ctx.Err().
 func TestCancelDuringScan(t *testing.T) {
 	const matches = 5000
 	doc := ctxDoc(matches)
-	for _, workers := range []int{1, 2} {
-		e := mustEngine(t, "//a/b", "//a/b/text()")
-		ctx, cancel := context.WithCancel(context.Background())
-		defer cancel()
-		var count int64
-		r := &cancelAfterReader{r: strings.NewReader(doc), cancel: cancel}
-		_, err := streamWith(e, ctx, r, countingOpts(e.Len(), &count), workers)
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
-		}
-		if count >= 2*matches {
-			t.Fatalf("workers=%d: %d results delivered after cancellation (full doc = %d)", workers, count, 2*matches)
-		}
+	e := mustEngine(t, "//a/b", "//a/b/text()")
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var count int64
+	r := &cancelAfterReader{r: strings.NewReader(doc), cancel: cancel}
+	_, err := streamOpts(ctx, e.Snapshot(), r, countingOpts(e.Len(), &count))
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if count >= 2*matches {
+		t.Fatalf("%d results delivered after cancellation (full doc = %d)", count, 2*matches)
 	}
 }
 
@@ -83,28 +75,26 @@ func TestCancelDuringScan(t *testing.T) {
 // ctx.Err() even though the callback itself returned nil.
 func TestCancelDuringEmit(t *testing.T) {
 	doc := ctxDoc(2000)
-	for _, workers := range []int{1, 2} {
-		e := mustEngine(t, "//a/b", "//a/b/text()")
-		ctx, cancel := context.WithCancel(context.Background())
-		defer cancel()
-		var count int64
-		opts := make([]twigm.Options, e.Len())
-		for i := range opts {
-			opts[i] = twigm.Options{EmitFrom: func(int, twigm.Result) error {
-				count++
-				if count == 1 {
-					cancel()
-				}
-				return nil
-			}}
-		}
-		_, err := streamWith(e, ctx, strings.NewReader(doc), opts, workers)
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
-		}
-		if count != 1 {
-			t.Fatalf("workers=%d: %d results delivered, want exactly 1 (none after cancel)", workers, count)
-		}
+	e := mustEngine(t, "//a/b", "//a/b/text()")
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var count int64
+	opts := make([]twigm.Options, e.Len())
+	for i := range opts {
+		opts[i] = twigm.Options{EmitFrom: func(int, twigm.Result) error {
+			count++
+			if count == 1 {
+				cancel()
+			}
+			return nil
+		}}
+	}
+	_, err := streamOpts(ctx, e.Snapshot(), strings.NewReader(doc), opts)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if count != 1 {
+		t.Fatalf("%d results delivered, want exactly 1 (none after cancel)", count)
 	}
 }
 
@@ -112,21 +102,19 @@ func TestCancelDuringEmit(t *testing.T) {
 // no machine work at all.
 func TestPreCanceledContext(t *testing.T) {
 	doc := ctxDoc(100)
-	for _, workers := range []int{1, 2} {
-		e := mustEngine(t, "//a/b", "//a/b/text()")
-		ctx, cancel := context.WithCancel(context.Background())
-		cancel()
-		var count int64
-		stats, err := streamWith(e, ctx, strings.NewReader(doc), countingOpts(e.Len(), &count), workers)
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
-		}
-		if count != 0 {
-			t.Fatalf("workers=%d: %d results delivered on a pre-canceled context", workers, count)
-		}
-		if len(stats) > 0 && stats[0].Pushes != 0 {
-			t.Fatalf("workers=%d: machine pushed %d entries on a pre-canceled context", workers, stats[0].Pushes)
-		}
+	e := mustEngine(t, "//a/b", "//a/b/text()")
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	var count int64
+	stats, err := streamOpts(ctx, e.Snapshot(), strings.NewReader(doc), countingOpts(e.Len(), &count))
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if count != 0 {
+		t.Fatalf("%d results delivered on a pre-canceled context", count)
+	}
+	if len(stats) > 0 && stats[0].Pushes != 0 {
+		t.Fatalf("machine pushed %d entries on a pre-canceled context", stats[0].Pushes)
 	}
 }
 
@@ -138,7 +126,7 @@ func TestDeadlineExceededSurfaces(t *testing.T) {
 	dctx, dcancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Hour))
 	defer dcancel()
 	var count int64
-	_, err := streamOpts(dctx, e.Snapshot(), strings.NewReader(ctxDoc(10)), countingOpts(e.Len(), &count), 0)
+	_, err := streamOpts(dctx, e.Snapshot(), strings.NewReader(ctxDoc(10)), countingOpts(e.Len(), &count))
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
@@ -149,7 +137,7 @@ func TestDeadlineExceededSurfaces(t *testing.T) {
 func TestContextlessStreamUnchanged(t *testing.T) {
 	e := mustEngine(t, "//a/b")
 	var count int64
-	_, err := streamOpts(context.Background(), e.Snapshot(), strings.NewReader(ctxDoc(50)), countingOpts(e.Len(), &count), 0)
+	_, err := streamOpts(context.Background(), e.Snapshot(), strings.NewReader(ctxDoc(50)), countingOpts(e.Len(), &count))
 	if err != nil {
 		t.Fatal(err)
 	}

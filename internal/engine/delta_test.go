@@ -35,15 +35,8 @@ func (p *pooledEval) streamEpoch(t *testing.T, ep *epoch, ms []deltaMachine, doc
 		}
 	}
 	plan, finish := planOf(opts)
-	var scan twigm.Stats
-	var err error
-	if p.ps != nil {
-		p.ps.scan.Reset(&p.ps.prod)
-		scan, err = p.ps.stream(context.Background(), ep, saxtest.PoisonDriver(p.ps.scan), strings.NewReader(doc), plan)
-	} else {
-		p.ses.scan.Reset(strings.NewReader(doc))
-		scan, err = p.ses.stream(context.Background(), p.e, ep, saxtest.PoisonDriver(p.ses.scan), plan)
-	}
+	p.ses.scan.Reset(strings.NewReader(doc))
+	scan, err := p.ses.stream(context.Background(), p.e, ep, saxtest.PoisonDriver(p.ses.scan), plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,9 +47,9 @@ func (p *pooledEval) streamEpoch(t *testing.T, ep *epoch, ms []deltaMachine, doc
 // random walk of Add, Remove and Replace — value-group joins, leaves and host
 // changes, union branches, last-slot reclaims, and enough removals to cross
 // both the slot- and the trie-compaction thresholds — runs against one
-// engine, while a serial and a two-worker pooled session stay checked out
-// across it. They stream after batches of one to twenty mutations (the
-// parallel one skips every third, so it lags further), and now and then an
+// engine, while two pooled sessions stay checked out across it. They stream
+// after batches of one to twenty mutations (the lagging one skips every
+// third, so it resyncs across longer delta chains), and now and then an
 // older snapshot, which a session must resync back to; once, the batch is
 // more than maxLag mutations long, and they rebuild. Every stream must equal
 // a fresh engine's over the same membership, result for result and statistic
@@ -73,7 +66,7 @@ func TestDeltaResyncMatchesFresh(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	e := mustEngine(t)
 	var ms []deltaMachine
-	serial, parallel := newPooledEval(e, 0), newPooledEval(e, 2)
+	current, lagging := newPooledEval(e), newPooledEval(e)
 	type past struct {
 		ep *epoch
 		ms []deltaMachine
@@ -154,7 +147,7 @@ func TestDeltaResyncMatchesFresh(t *testing.T) {
 			if len(srcs) > 0 {
 				fresh = mustEngine(t, srcs...)
 			}
-			want, wantStats := newPooledEval(fresh, 0).streamEpoch(t, fresh.cur.Load(), at.ms, doc)
+			want, wantStats := newPooledEval(fresh).streamEpoch(t, fresh.cur.Load(), at.ms, doc)
 			got, gotStats := p.streamEpoch(t, at.ep, at.ms, doc)
 			for d := range at.ms {
 				if !reflect.DeepEqual(got[d], want[d]) || gotStats[d] != wantStats[d] {
@@ -166,13 +159,13 @@ func TestDeltaResyncMatchesFresh(t *testing.T) {
 		if len(ms) == 0 {
 			continue
 		}
-		check(serial, history[len(history)-1], "serial")
+		check(current, history[len(history)-1], "current")
 		if step%3 != 1 {
-			check(parallel, history[len(history)-1], "parallel")
+			check(lagging, history[len(history)-1], "lagging")
 		}
 		if back := rng.Intn(len(history)); rng.Intn(4) == 0 && len(history[back].ms) > 0 {
-			check(serial, history[back], fmt.Sprintf("serial, back to step %d", back))
-			check(parallel, history[back], fmt.Sprintf("parallel, back to step %d", back))
+			check(current, history[back], fmt.Sprintf("current, back to step %d", back))
+			check(lagging, history[back], fmt.Sprintf("lagging, back to step %d", back))
 		}
 	}
 	m := e.Metrics()
@@ -184,31 +177,30 @@ func TestDeltaResyncMatchesFresh(t *testing.T) {
 	}
 }
 
-// TestShardResyncFollowsHostChange: when a value group's host leaves, the
-// next member becomes the host without a program change of its own, and a
-// two-worker session must rebuild the new host's shard to route the group
-// there. The random walk rarely isolates that case: its batches dirty both
-// shards anyway.
-func TestShardResyncFollowsHostChange(t *testing.T) {
+// TestResyncFollowsHostChange: when a value group's host leaves, the next
+// member becomes the host without a program change of its own, and a pooled
+// session's resync must give it the run that evaluates the group. The random
+// walk rarely isolates that case.
+func TestResyncFollowsHostChange(t *testing.T) {
 	ms := []deltaMachine{{src: "//trade/symbol[. = 'ACME']"}, {src: "//trade/symbol[. = 'GLOBEX']"}, {src: "//news//body"}}
 	e := mustEngine(t, ms[0].src, ms[1].src, ms[2].src)
 	doc := staleFeed(12)
-	par := newPooledEval(e, 2)
-	par.streamEpoch(t, e.cur.Load(), ms, doc)
-	if err := e.Remove(e.Programs()[0]); err != nil { // slot 0, shard 0: the host
+	pooled := newPooledEval(e)
+	pooled.streamEpoch(t, e.cur.Load(), ms, doc)
+	if err := e.Remove(e.Programs()[0]); err != nil { // slot 0: the host
 		t.Fatal(err)
 	}
 	ms = ms[1:]
 	if g := e.cur.Load().group(1); g == nil || g.Host() != 1 {
-		t.Fatal("slot 1, shard 1, does not host the group")
+		t.Fatal("slot 1 does not host the group")
 	}
 	fresh := mustEngine(t, ms[0].src, ms[1].src)
-	want, wantStats := newPooledEval(fresh, 0).streamEpoch(t, fresh.cur.Load(), ms, doc)
-	got, gotStats := par.streamEpoch(t, e.cur.Load(), ms, doc)
+	want, wantStats := newPooledEval(fresh).streamEpoch(t, fresh.cur.Load(), ms, doc)
+	got, gotStats := pooled.streamEpoch(t, e.cur.Load(), ms, doc)
 	if len(want[0]) == 0 {
 		t.Fatal("the group's remaining member matches nothing: the test lost its subject")
 	}
 	if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(gotStats, wantStats) {
-		t.Fatalf("two-worker session after a host change\ngot  %+v %+v\nwant %+v %+v", got, gotStats, want, wantStats)
+		t.Fatalf("pooled session after a host change\ngot  %+v %+v\nwant %+v %+v", got, gotStats, want, wantStats)
 	}
 }

@@ -94,13 +94,11 @@ type Engine struct {
 	// its slot in cur (guarded by mu).
 	slots map[*twigm.Program]int32
 
-	pool  pool[session]  // serial evaluation
-	ppool pool[psession] // parallel sharded evaluation
+	pool pool // evaluation sessions
 
 	// Churn accounting (see Metrics).
 	compiles        atomic.Int64
 	compactions     atomic.Int64
-	shardRebalances atomic.Int64
 	trieGrafts      atomic.Int64
 	triePrunes      atomic.Int64
 	trieCompactions atomic.Int64
@@ -111,7 +109,7 @@ type Engine struct {
 	deliveries atomic.Int64
 	triePushes atomic.Int64
 
-	// evalHist records each serial stream's evaluation cost as ns/event:
+	// evalHist records each stream's evaluation cost as ns/event:
 	// two clock reads per document, so it is always on.
 	evalHist obs.Histogram
 }
@@ -219,7 +217,7 @@ type Plan struct {
 	// members filed under that literal, whose counters are the group's with
 	// their own emitted/dropped split. The slice is the engine's and valid
 	// only during the call. A machine no call names did no work: its
-	// statistics are the value Stream returns. When EmitFrom fails a serial
+	// statistics are the value Stream returns. When EmitFrom fails a
 	// stream, every woken machine reports its counters through the event
 	// whose result failed: each event is delivered to every machine before
 	// its results go out. Nil reports nothing, and costs nothing.
@@ -250,24 +248,15 @@ func (e *Engine) Stream(ctx context.Context, r io.Reader, plan Plan) (twigm.Stat
 // non-blocking channel poll and is skipped entirely for contexts that cannot
 // be canceled (context.Background/TODO), so the hot path is unchanged.
 func (s Snapshot) Stream(ctx context.Context, r io.Reader, plan Plan) (twigm.Stats, error) {
-	return s.streamVia(ctx, r, plan, nil)
+	return s.StreamVia(ctx, r, plan, nil)
 }
 
-// StreamVia is Stream (workers 0 or 1) or StreamParallel (any other count)
-// with the scanner's events passed through wrap on their way to the engine:
-// wrap receives the pooled session's scanner, already reading r, and returns
-// the front-end the evaluation runs. Differential tests wrap it in
-// saxtest.PoisonDriver, which destroys each batch's transient strings the
-// moment the engine has handled it.
-func (s Snapshot) StreamVia(ctx context.Context, r io.Reader, plan Plan, workers int, wrap func(sax.Driver) sax.Driver) (twigm.Stats, error) {
-	if workers == 0 || workers == 1 {
-		return s.streamVia(ctx, r, plan, wrap)
-	}
-	return s.streamParallel(ctx, r, plan, workers, wrap)
-}
-
-// streamVia is Stream with an optional front-end wrapper (StreamVia).
-func (s Snapshot) streamVia(ctx context.Context, r io.Reader, plan Plan, wrap func(sax.Driver) sax.Driver) (twigm.Stats, error) {
+// StreamVia is Stream with the scanner's events passed through wrap on their
+// way to the engine: wrap receives the pooled session's scanner, already
+// reading r, and returns the front-end the evaluation runs. Differential tests
+// wrap it in saxtest.PoisonDriver, which destroys each batch's transient
+// strings the moment the engine has handled it.
+func (s Snapshot) StreamVia(ctx context.Context, r io.Reader, plan Plan, wrap func(sax.Driver) sax.Driver) (twigm.Stats, error) {
 	e := s.eng
 	ses := e.pool.get()
 	if ses == nil {
@@ -290,8 +279,8 @@ func (s Snapshot) streamVia(ctx context.Context, r io.Reader, plan Plan, wrap fu
 // queries, so an engine that stops streaming hands the slot's session on to
 // the sync.Pool, which then drops it: a sweep looks every idleAfter while the
 // slot is full, and an engine idle for two of them keeps no session.
-type pool[T any] struct {
-	last  atomic.Pointer[T]
+type pool struct {
+	last  atomic.Pointer[session]
 	used  atomic.Bool // a session was put back since the last sweep
 	armed atomic.Bool // a sweep is due
 	mu    sync.Mutex  // guards timer
@@ -306,15 +295,15 @@ const idleAfter = time.Second
 // sync.Pool first: a session there is one the collector may drop, while the
 // slot's is safe, so with two sessions in use both stay warm. An engine that
 // streams one document at a time has one session, and it is the slot's.
-func (p *pool[T]) get() *T {
-	if s, _ := p.more.Get().(*T); s != nil {
+func (p *pool) get() *session {
+	if s, _ := p.more.Get().(*session); s != nil {
 		return s
 	}
 	return p.last.Swap(nil)
 }
 
 // put returns a session to the pool.
-func (p *pool[T]) put(s *T) {
+func (p *pool) put(s *session) {
 	p.used.Store(true)
 	if !p.last.CompareAndSwap(nil, s) {
 		p.more.Put(s)
@@ -327,7 +316,7 @@ func (p *pool[T]) put(s *T) {
 
 // arm schedules the next sweep. One timer serves the pool's life, so a sweep
 // allocates nothing.
-func (p *pool[T]) arm() {
+func (p *pool) arm() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.timer == nil {
@@ -340,7 +329,7 @@ func (p *pool[T]) arm() {
 // sweep hands the slot's session to the sync.Pool when none was put back
 // since the last sweep, and looks again later otherwise. A session it takes
 // from a stream that just put it back only moves to the sync.Pool.
-func (p *pool[T]) sweep() {
+func (p *pool) sweep() {
 	if p.used.Swap(false) {
 		p.arm()
 		return
@@ -388,7 +377,7 @@ func (ses *session) stream(ctx context.Context, e *Engine, ep *epoch, drv sax.Dr
 	return scan, err
 }
 
-// session is one serial evaluation's worth of mutable state: the reusable
+// session is one evaluation's worth of mutable state: the reusable
 // scanner and the router over all the machine runs (slot-indexed against the
 // epoch it last synced to). Sessions are pooled; between documents the router
 // is reset and each run when it next wakes. They survive epoch changes by
@@ -414,15 +403,15 @@ type session struct {
 }
 
 func newSession(e *Engine) *session {
-	return &session{scan: xmlscan.NewScannerWith(nil, e.syms), rt: router{shards: 1}}
+	return &session{scan: xmlscan.NewScannerWith(nil, e.syms)}
 }
 
 // sync aligns the session's slot-indexed state with ep. Steady state (no
 // mutation since last checkout) is a pointer compare. A session a few epochs
 // behind (or ahead: a stream may run an older snapshot) visits only the slots
-// the deltas between the two epochs name, and shares ep's routing tables,
-// which cost nothing to adopt. Otherwise its runs are re-keyed by program
-// identity, so machines untouched by the mutations — including machines moved
+// the deltas between the two epochs name; its router reads ep's routing
+// tables, which cost nothing to adopt. Otherwise its runs are re-keyed by
+// program identity, so machines untouched by the mutations — including machines moved
 // to new slots by compaction — keep their warmed-up run state; only added or
 // replaced machines start fresh runs.
 func (s *session) sync(ep *epoch) {
@@ -430,14 +419,12 @@ func (s *session) sync(ep *epoch) {
 		return
 	}
 	if d, since, ok := changes(s.ep, ep); ok {
-		runs := resyncRuns(s.rt.runs, d, since, ep)
-		s.rt.rehost(runs, ep.progs.Len())
-		s.rt.routes = ep.routes
+		s.rt.rehost(resyncRuns(s.rt.runs, d, since, ep), ep.progs.Len())
 		if ep.trie != nil {
-			s.rt.prun.Rebind(ep.trie, nil)
+			s.rt.prun.Rebind(ep.trie)
 		}
 	} else {
-		s.rt.init(rekeyRuns(s.rt.runs, ep), ep.routes, ep.trie, nil)
+		s.rt.init(rekeyRuns(s.rt.runs, ep), ep.trie)
 	}
 	s.ep = ep
 }
@@ -446,9 +433,7 @@ func (s *session) sync(ep *epoch) {
 // deltas from d down to since lead from (changes), to match ep: a slot they
 // name keeps its run if it still holds the machine the run was started from,
 // and gets a fresh run, or none, otherwise. Only routed machines have a run:
-// a value group's members share its host's. The serial and parallel resyncs
-// share it, so the reuse semantics cannot drift between the two evaluation
-// modes.
+// a value group's members share its host's.
 func resyncRuns(runs []*twigm.Run, d *delta, since uint64, ep *epoch) []*twigm.Run {
 	for len(runs) < ep.progs.Len() {
 		runs = append(runs, nil)
@@ -505,7 +490,7 @@ func (s *session) reset(plan Plan) {
 	s.events = 0
 	s.elements = 0
 	s.maxDepth = 0
-	s.rt.reset(s.ep, plan, true)
+	s.rt.reset(s.ep, plan)
 }
 
 // HandleBatch implements sax.Handler: it counts the scan's shared-level
@@ -541,13 +526,9 @@ func (s *session) HandleBatch(evs []sax.Event) error {
 	return nil
 }
 
-// router routes scan events to a set of machines: the static subscription
-// tables restricted to the machines it routes for, the dynamic membership
-// sets, and the per-event subscriber scratch. The serial session routes over
-// all machines with the engine-wide tables; each shard worker of the
-// parallel mode routes over its shard with shard-filtered tables. One
-// implementation for both is what keeps the parallel mode's
-// byte-identical-to-serial guarantee from drifting.
+// router routes scan events to the machines of one epoch: by the epoch's
+// static subscription tables, the dynamic membership sets, and the per-event
+// subscriber scratch.
 //
 // The router is also the one place a machine is prepared for a document:
 // reset bumps a generation and touches no machine, and the first delivery to a
@@ -557,25 +538,16 @@ func (s *session) HandleBatch(evs []sax.Event) error {
 //
 // Every result leaves through the router's emission buffer: the runs it wakes
 // emit into out, and at the end of each event settle puts the event's
-// emissions in delivery order, then hands them to the serial session's
-// consumer or leaves them for a parallel worker to ship.
+// emissions in delivery order, then hands them to the plan's consumer.
 //
 //vitex:pooled
 type router struct {
 	// runs maps slot -> run (nil for tombstoned slots and value-group members
-	// other than the host). A parallel session's workers share one slice, and
-	// each routes the slots of its shard: slot i is shard's iff i mod shards
-	// == shard (the serial session's router is shard 0 of 1).
-	runs          []*twigm.Run //vitex:keep rewired by init/rehost on resync; a run is reset when it wakes
-	shard, shards int32        //vitex:keep construction constants of the router's place in its session
+	// other than the host).
+	runs []*twigm.Run //vitex:keep rewired by init/rehost on resync; a run is reset when it wakes
 
-	// The routed machines' tables. rootText lists the machines with a root
-	// text() node: they want text from the first event on, so reset seeds
-	// textSet with them.
-	routes //vitex:keep subscription tables, rebuilt only on resync
-
-	// ep supplies the slot-indexed anchors, value groups and dense indexes
-	// wake reads.
+	// ep supplies the routing tables, and the slot-indexed anchors, value
+	// groups and dense indexes wake reads.
 	ep *epoch
 	// opts and unordered are the document's Plan: what wake resets a run to.
 	// Like ep they are held from reset to finish, not between documents.
@@ -604,33 +576,26 @@ type router struct {
 	scratch []int32 //vitex:keep reusable subscriber buffer, overwritten per event
 
 	// out is the emission buffer, and emit the consumer settle flushes it
-	// to: the plan's EmitFrom in a serial session, nil in a parallel worker,
-	// which ships out with each batch. collect and isUnordered are the
-	// router's methods as the runs call them back, bound once.
+	// to: the plan's EmitFrom. collect and isUnordered are the router's
+	// methods as the runs call them back, bound once.
 	out         []emission
 	emit        func(machine int, r twigm.Result) error
 	collectFn   func(slot int, r twigm.Result) error //vitex:keep bound once to this router by init
 	unorderedFn func(slot int) bool                  //vitex:keep bound once to this router by init
 
 	// prun evaluates the shared prefix trie once per event before any
-	// machine delivery; anchored machines read its stacks. The serial
-	// session's router evaluates the whole trie; each parallel shard's
-	// router is restricted (via Rebind's filter) to the anchor paths of
-	// its own machines — sharding the trie by subtree.
+	// machine delivery; anchored machines read its stacks.
 	prun twigm.PrefixRun
 
 	// deliveries counts deliveries this stream (dispatch metrics).
 	deliveries int64
 }
 
-// init wires the router over runs (indexed by global machine id) with the
-// given routing tables; trie is the epoch's shared prefix trie (nil without
-// sharing) and trieIDs restricts trie evaluation to a subset of node IDs
-// (nil = all).
-func (rt *router) init(runs []*twigm.Run, r routes, trie *twigm.Trie, trieIDs []bool) {
+// init wires the router over runs (indexed by slot); trie is the epoch's
+// shared prefix trie (nil without sharing).
+func (rt *router) init(runs []*twigm.Run, trie *twigm.Trie) {
 	n := len(runs)
 	rt.runs = runs
-	rt.routes = r
 	rt.stamps = make([]int64, n)
 	rt.wokenAt = make([]uint64, n)
 	rt.endSet.init(n)
@@ -639,13 +604,12 @@ func (rt *router) init(runs []*twigm.Run, r routes, trie *twigm.Trie, trieIDs []
 		rt.collectFn, rt.unorderedFn = rt.collect, rt.isUnordered
 	}
 	if trie != nil {
-		rt.prun.Rebind(trie, trieIDs)
+		rt.prun.Rebind(trie)
 	}
 }
 
 // rehost points the router at a resynced runs slice and grows the
-// slot-indexed scratch to cover nSlots; the caller brings the subscription
-// tables up to date. Scratch never shrinks here: only a compaction renumbers
+// slot-indexed scratch to cover nSlots. Scratch never shrinks here: only a compaction renumbers
 // slots, and a session crossing one resyncs through init instead.
 func (rt *router) rehost(runs []*twigm.Run, nSlots int) {
 	rt.runs = runs
@@ -660,14 +624,12 @@ func (rt *router) rehost(runs []*twigm.Run, nSlots int) {
 // reset starts a new document: it bumps the generation, which makes every
 // machine's preparation stale at once, and returns the dynamic sets to what
 // an unwoken machine set looks like — empty, but for the static text
-// subscribers. ep is the epoch the caller synced to (a rehosted shard keeps
-// its tables across a resync, but dense indexes move under it). A serial
-// router flushes each event's results to the plan's EmitFrom; a parallel
-// worker's keeps them in its buffer for the merge.
-func (rt *router) reset(ep *epoch, plan Plan, serial bool) {
+// subscribers (machines with a root text() node want text from the first
+// event on). ep is the epoch the caller synced to.
+func (rt *router) reset(ep *epoch, plan Plan) {
 	rt.endSet.clear()
 	rt.textSet.clear()
-	for _, i := range rt.rootText {
+	for _, i := range ep.rootText {
 		rt.textSet.set(i, true)
 	}
 	rt.rec.Reset()
@@ -676,12 +638,9 @@ func (rt *router) reset(ep *epoch, plan Plan, serial bool) {
 	rt.gen++
 	rt.woken = rt.woken[:0]
 	rt.ep, rt.opts, rt.unordered = ep, plan.Options, plan.Unordered
-	rt.out, rt.emit = rt.out[:0], nil
+	rt.out, rt.emit = rt.out[:0], plan.Options.EmitFrom
 	if plan.Options.EmitFrom != nil {
 		rt.opts.EmitFrom = rt.collectFn
-		if serial {
-			rt.emit = plan.Options.EmitFrom
-		}
 	}
 }
 
@@ -732,17 +691,13 @@ func (rt *router) isUnordered(slot int) bool { return rt.unordered(int(rt.ep.liv
 // settle ends an event that emitted: it puts the event's emissions, out from
 // mark on, in delivery order — by machine, each machine's in the order it
 // emitted them, which is the order of delivering the event to every machine
-// in turn — and hands them to the serial consumer, stopping at its first
-// error. A worker's stay in the buffer.
+// in turn — and hands them to the consumer, stopping at its first error.
 //
 //vitex:hotpath
 func (rt *router) settle(mark int) error {
 	tail := rt.out[mark:]
 	if !slices.IsSortedFunc(tail, cmpMach) {
 		slices.SortStableFunc(tail, cmpMach)
-	}
-	if rt.emit == nil {
-		return nil
 	}
 	var err error
 	for i := range tail {
@@ -893,27 +848,27 @@ func (rt *router) startSubscribers(ev *sax.Event) []int32 {
 	if id := ev.NameID; id == sax.SymNone {
 		// Producer without a symbol table: no routing information.
 		broadcast = true
-	} else if id > 0 && int(id) < rt.elemSubs.Len() {
-		out = rt.appendNew(out, rt.elemSubs.At(int(id)))
+	} else if id > 0 && int(id) < rt.ep.elemSubs.Len() {
+		out = rt.appendNew(out, rt.ep.elemSubs.At(int(id)))
 	}
 	for ai := range ev.Attrs {
 		if id := ev.Attrs[ai].NameID; id == sax.SymNone {
 			broadcast = true
-		} else if id > 0 && int(id) < rt.attrSubs.Len() {
-			out = rt.appendNew(out, rt.attrSubs.At(int(id)))
+		} else if id > 0 && int(id) < rt.ep.attrSubs.Len() {
+			out = rt.appendNew(out, rt.ep.attrSubs.At(int(id)))
 		}
 	}
 	if broadcast {
 		out = out[:0]
 		for i, run := range rt.runs {
-			if run != nil && int32(i)%rt.shards == rt.shard {
+			if run != nil {
 				out = append(out, int32(i))
 			}
 		}
 		rt.scratch = out
 		return out
 	}
-	out = rt.appendNew(out, rt.wild)
+	out = rt.appendNew(out, rt.ep.wild)
 	// Insertion sort: subscriber counts per event are small by design.
 	for i := 1; i < len(out); i++ {
 		for j := i; j > 0 && out[j] < out[j-1]; j-- {

@@ -37,7 +37,7 @@ func collect(t *testing.T, e *Engine, doc string, ordered bool) [][]string {
 			return nil
 		}}
 	}
-	if _, err := streamOpts(context.Background(), e.Snapshot(), strings.NewReader(doc), opts, 0); err != nil {
+	if _, err := streamOpts(context.Background(), e.Snapshot(), strings.NewReader(doc), opts); err != nil {
 		t.Fatal(err)
 	}
 	return out
@@ -53,7 +53,7 @@ func TestRoutedSparseMachinesUntouched(t *testing.T) {
 	)
 	doc := `<feed><trade><price>10</price></trade><trade><price>20</price></trade></feed>`
 	opts := make([]twigm.Options, e.Len())
-	stats, err := streamOpts(context.Background(), e.Snapshot(), strings.NewReader(doc), opts, 0)
+	stats, err := streamOpts(context.Background(), e.Snapshot(), strings.NewReader(doc), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestEmitErrorAborts(t *testing.T) {
 		{EmitFrom: func(int, twigm.Result) error { return boom }},
 		{},
 	}
-	_, err := streamOpts(context.Background(), e.Snapshot(), strings.NewReader(`<r><a/><b/></r>`), opts, 0)
+	_, err := streamOpts(context.Background(), e.Snapshot(), strings.NewReader(`<r><a/><b/></r>`), opts)
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
 	}
@@ -142,7 +142,7 @@ func TestSessionReuseIsClean(t *testing.T) {
 	first := collect(t, e, doc, false)
 	// Abort one stream mid-way to dirty a session.
 	opts := []twigm.Options{{EmitFrom: func(int, twigm.Result) error { return errors.New("stop") }}, {}, {}}
-	if _, err := streamOpts(context.Background(), e.Snapshot(), strings.NewReader(doc), opts, 0); err == nil {
+	if _, err := streamOpts(context.Background(), e.Snapshot(), strings.NewReader(doc), opts); err == nil {
 		t.Fatal("expected abort error")
 	}
 	for i := 0; i < 5; i++ {
@@ -171,7 +171,7 @@ func TestConcurrentStreams(t *testing.T) {
 					opts[j].CountOnly = true
 					opts[j].EmitFrom = func(int, twigm.Result) error { counts[j]++; return nil }
 				}
-				if _, err := streamOpts(context.Background(), e.Snapshot(), strings.NewReader(doc), opts, 0); err != nil {
+				if _, err := streamOpts(context.Background(), e.Snapshot(), strings.NewReader(doc), opts); err != nil {
 					errs <- err
 					return
 				}

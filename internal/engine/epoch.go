@@ -129,10 +129,8 @@ type epoch struct {
 	rebuiltAt uint64
 }
 
-// routes are the static routing tables of a set of machines, what a router
-// routes by. An epoch's cover its live machines, of a value group only the
-// host (value.go); a parallel shard's router gets them restricted to the
-// shard's.
+// routes are an epoch's static routing tables, what its routers route by.
+// They cover its live machines, of a value group only the host (value.go).
 //
 //vitex:cow
 type routes struct {
@@ -231,7 +229,7 @@ func (ep *epoch) unsubscribe(slot int32, p *twigm.Program) {
 // name. Appends may share backing arrays with older epochs; they only ever
 // write past those epochs' lengths.
 //
-//vitex:cowmut writes the routes of unpublished epochs and parallel shards only
+//vitex:cowmut writes the routes of unpublished epochs only
 func (r *routes) route(slot int32, p *twigm.Program) {
 	for _, id := range p.ElemNameIDs() {
 		addSub(&r.elemSubs, id, slot)
@@ -250,7 +248,7 @@ func (r *routes) route(slot int32, p *twigm.Program) {
 // addSub appends slot to subscription list id of subs, growing the table to
 // cover id.
 //
-//vitex:cowmut writes the tables of unpublished epochs and parallel shards only
+//vitex:cowmut writes the tables of unpublished epochs only
 func addSub(subs *cow.Table[[]int32], id, slot int32) {
 	for subs.Len() <= int(id) {
 		subs.Append(nil)
@@ -567,18 +565,15 @@ func (e *Engine) Index(p *twigm.Program) int {
 // Metrics is a point-in-time view of the engine's churn accounting, the
 // counters the incremental-update guarantees are asserted against: Compiles
 // counts machine compilations over the engine's lifetime (an Add moves it by
-// exactly one), Compactions counts slot-reclaiming passes, ShardRebalances
-// counts parallel-shard routing tables rebuilt during pooled session resyncs
-// (an Add touches exactly one shard per session), and Slots/Live/Garbage
-// describe the current epoch.
+// exactly one), Compactions counts slot-reclaiming passes, and
+// Slots/Live/Garbage describe the current epoch.
 type Metrics struct {
-	Epoch           uint64
-	Compiles        int64
-	Compactions     int64
-	ShardRebalances int64
-	Slots           int
-	Live            int
-	Garbage         int
+	Epoch       uint64
+	Compiles    int64
+	Compactions int64
+	Slots       int
+	Live        int
+	Garbage     int
 
 	// Prefix-sharing accounting. TrieNodes is the live shared-trie node
 	// count (0 when sharing is disabled or no query shares); TrieGarbage
@@ -612,8 +607,8 @@ type Metrics struct {
 	TriePushes int64
 
 	// Eval summarizes the per-stream evaluation-cost histogram
-	// (nanoseconds per scan event, serial streams only): always on, two
-	// clock reads per document. Full bucket data via EvalHistogram.
+	// (nanoseconds per scan event): always on, two clock reads per
+	// document. Full bucket data via EvalHistogram.
 	Eval obs.Stats
 }
 
@@ -625,7 +620,6 @@ func (e *Engine) Metrics() Metrics {
 		Epoch:              ep.seq,
 		Compiles:           e.compiles.Load(),
 		Compactions:        e.compactions.Load(),
-		ShardRebalances:    e.shardRebalances.Load(),
 		Slots:              ep.progs.Len(),
 		Live:               ep.live.Len(),
 		Garbage:            ep.garbage,

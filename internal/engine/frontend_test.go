@@ -20,7 +20,7 @@ import (
 // twice — on the session's scanner, and on saxtest's encoding/xml reference
 // front-end interning against the engine's symbol table — and the two must
 // agree result for result (Value, Seq, NodeOffset, ConfirmedAt, DeliveredAt),
-// stat for stat and in the machines they wake, serially and on two workers.
+// stat for stat and in the machines they wake.
 
 // frontEndQueries covers the name-test, attribute, text, predicate and union
 // shapes whose semantics could plausibly diverge between front-ends. A union
@@ -70,10 +70,8 @@ type frontEndRun struct {
 }
 
 // streamFrontEnd evaluates e's machines over doc on a fresh session, read by
-// the scanner or, with std, by the reference front-end, serially (workers <= 1)
-// or sharded (on at most one worker per machine, as StreamParallel would).
-func streamFrontEnd(e *Engine, doc string, std bool, base twigm.Options, workers int) (frontEndRun, error) {
-	workers = min(workers, e.Len())
+// the scanner or, with std, by the reference front-end.
+func streamFrontEnd(e *Engine, doc string, std bool, base twigm.Options) (frontEndRun, error) {
 	run := frontEndRun{results: make([][]twigm.Result, e.Len())}
 	opts := make([]twigm.Options, e.Len())
 	for i := range opts {
@@ -86,56 +84,40 @@ func streamFrontEnd(e *Engine, doc string, std bool, base twigm.Options, workers
 	plan, finish := planOf(opts)
 	ep := e.cur.Load()
 	before := e.deliveries.Load()
-	var scan twigm.Stats
-	var err error
-	if workers > 1 {
-		ps := newPsession(e, workers)
-		var drv sax.Driver = ps.scan
-		if std {
-			drv = saxtest.NewStdDriverWith(&ps.prod, e.syms)
-		} else {
-			ps.scan.Reset(&ps.prod)
-		}
-		scan, err = ps.stream(context.Background(), ep, drv, strings.NewReader(doc), plan)
+	ses := newSession(e)
+	var drv sax.Driver = ses.scan
+	if std {
+		drv = saxtest.NewStdDriverWith(strings.NewReader(doc), e.syms)
 	} else {
-		ses := newSession(e)
-		var drv sax.Driver = ses.scan
-		if std {
-			drv = saxtest.NewStdDriverWith(strings.NewReader(doc), e.syms)
-		} else {
-			ses.scan.Reset(strings.NewReader(doc))
-		}
-		scan, err = ses.stream(context.Background(), e, ep, drv, plan)
+		ses.scan.Reset(strings.NewReader(doc))
 	}
+	scan, err := ses.stream(context.Background(), e, ep, drv, plan)
 	run.stats = finish(scan)
 	run.deliveries = e.deliveries.Load() - before
 	return run, err
 }
 
-// assertFrontEndsAgree evaluates doc on the scanner serially, then on the
-// reference front-end serially and on two workers, and fails on any
-// difference.
+// assertFrontEndsAgree evaluates doc on the scanner, then on the reference
+// front-end, and fails on any difference.
 func assertFrontEndsAgree(t *testing.T, name string, e *Engine, doc string, base twigm.Options) {
 	t.Helper()
-	want, err := streamFrontEnd(e, doc, false, base, 0)
+	want, err := streamFrontEnd(e, doc, false, base)
 	if err != nil {
 		t.Fatalf("%s: scanner: %v\ndoc: %s", name, err, doc)
 	}
-	for _, workers := range []int{0, 2} {
-		got, err := streamFrontEnd(e, doc, true, base, workers)
-		if err != nil {
-			t.Fatalf("%s workers=%d: reference front-end: %v\ndoc: %s", name, workers, err, doc)
-		}
-		if !reflect.DeepEqual(got.results, want.results) {
-			t.Fatalf("%s workers=%d: results diverge\nscanner   %+v\nreference %+v\ndoc: %s", name, workers, want.results, got.results, doc)
-		}
-		if !reflect.DeepEqual(got.stats, want.stats) {
-			t.Fatalf("%s workers=%d: stats diverge\nscanner   %+v\nreference %+v\ndoc: %s", name, workers, want.stats, got.stats, doc)
-		}
-		if got.deliveries != want.deliveries {
-			t.Fatalf("%s workers=%d: routing diverges: %d machine deliveries on the scanner, %d on the reference\ndoc: %s",
-				name, workers, want.deliveries, got.deliveries, doc)
-		}
+	got, err := streamFrontEnd(e, doc, true, base)
+	if err != nil {
+		t.Fatalf("%s: reference front-end: %v\ndoc: %s", name, err, doc)
+	}
+	if !reflect.DeepEqual(got.results, want.results) {
+		t.Fatalf("%s: results diverge\nscanner   %+v\nreference %+v\ndoc: %s", name, want.results, got.results, doc)
+	}
+	if !reflect.DeepEqual(got.stats, want.stats) {
+		t.Fatalf("%s: stats diverge\nscanner   %+v\nreference %+v\ndoc: %s", name, want.stats, got.stats, doc)
+	}
+	if got.deliveries != want.deliveries {
+		t.Fatalf("%s: routing diverges: %d machine deliveries on the scanner, %d on the reference\ndoc: %s",
+			name, want.deliveries, got.deliveries, doc)
 	}
 }
 

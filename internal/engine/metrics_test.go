@@ -44,7 +44,6 @@ func monotoneCounters(m Metrics) []int64 {
 		int64(m.Epoch),
 		m.Compiles,
 		m.Compactions,
-		m.ShardRebalances,
 		m.TrieGrafts,
 		m.TriePrunes,
 		m.TrieCompactions,
@@ -55,7 +54,7 @@ func monotoneCounters(m Metrics) []int64 {
 }
 
 var monotoneNames = []string{
-	"Epoch", "Compiles", "Compactions", "ShardRebalances",
+	"Epoch", "Compiles", "Compactions",
 	"TrieGrafts", "TriePrunes", "TrieCompactions",
 	"Events", "Deliveries", "TriePushes",
 }
@@ -107,11 +106,11 @@ func TestMetricsConsistencyUnderChurn(t *testing.T) {
 		}
 	}()
 
-	// Traffic: one serial and one sharded streamer, each evaluating the
-	// membership current at its stream's start.
-	for _, workers := range []int{0, 2} {
+	// Traffic: two streamers, each evaluating the membership current at its
+	// stream's start.
+	for range 2 {
 		wg.Add(1)
-		go func(workers int) {
+		go func() {
 			defer wg.Done()
 			for {
 				select {
@@ -121,18 +120,12 @@ func TestMetricsConsistencyUnderChurn(t *testing.T) {
 				}
 				s := e.Snapshot()
 				opts := make([]twigm.Options, s.Len())
-				var err error
-				if workers > 1 {
-					_, err = streamOpts(context.Background(), s, strings.NewReader(metricsDoc), opts, workers)
-				} else {
-					_, err = streamOpts(context.Background(), s, strings.NewReader(metricsDoc), opts, 0)
-				}
-				if err != nil {
-					errs <- fmt.Errorf("stream (workers=%d): %w", workers, err)
+				if _, err := streamOpts(context.Background(), s, strings.NewReader(metricsDoc), opts); err != nil {
+					errs <- fmt.Errorf("stream: %w", err)
 					return
 				}
 			}
-		}(workers)
+		}()
 	}
 
 	// Poller: cumulative counters only move forward; gauges stay in bounds.
@@ -229,14 +222,14 @@ func TestMetricsConsistencyUnderChurn(t *testing.T) {
 	}
 }
 
-// TestEvalHistogramAlwaysOn: every serial stream with events lands one
+// TestEvalHistogramAlwaysOn: every stream with events lands one
 // observation (its ns-per-event) in the evaluation histogram, with no
 // opt-in required.
 func TestEvalHistogramAlwaysOn(t *testing.T) {
 	e := mustEngine(t, metricsSources[0], metricsSources[3])
 	const streams = 5
 	for i := 0; i < streams; i++ {
-		if _, err := streamOpts(context.Background(), e.Snapshot(), strings.NewReader(metricsDoc), make([]twigm.Options, e.Len()), 0); err != nil {
+		if _, err := streamOpts(context.Background(), e.Snapshot(), strings.NewReader(metricsDoc), make([]twigm.Options, e.Len())); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"strings"
+	"testing"
 
 	"repro/internal/twigm"
 )
@@ -60,18 +62,30 @@ func planOf(opts []twigm.Options) (plan Plan, finish func(scan twigm.Stats) []tw
 }
 
 // streamOpts evaluates s with one twigm.Options per machine (see planOf),
-// serially (workers <= 1) or sharded, and returns one Stats per machine.
-func streamOpts(ctx context.Context, s Snapshot, r io.Reader, opts []twigm.Options, workers int) ([]twigm.Stats, error) {
+// and returns one Stats per machine.
+func streamOpts(ctx context.Context, s Snapshot, r io.Reader, opts []twigm.Options) ([]twigm.Stats, error) {
 	if len(opts) != s.Len() {
 		return nil, fmt.Errorf("streamOpts: %d option sets for %d machines", len(opts), s.Len())
 	}
 	plan, finish := planOf(opts)
-	var scan twigm.Stats
-	var err error
-	if workers > 1 {
-		scan, err = s.StreamParallel(ctx, r, plan, workers)
-	} else {
-		scan, err = s.Stream(ctx, r, plan)
-	}
+	scan, err := s.Stream(ctx, r, plan)
 	return finish(scan), err
+}
+
+// streamAll evaluates the engine over doc collecting full results per
+// machine.
+func streamAll(t *testing.T, e *Engine, doc string, base twigm.Options) ([][]twigm.Result, []twigm.Stats, error) {
+	t.Helper()
+	out := make([][]twigm.Result, e.Len())
+	opts := make([]twigm.Options, e.Len())
+	for i := range opts {
+		idx := i
+		opts[i] = base
+		opts[i].EmitFrom = func(_ int, r twigm.Result) error {
+			out[idx] = append(out[idx], r)
+			return nil
+		}
+	}
+	stats, err := streamOpts(context.Background(), e.Snapshot(), strings.NewReader(doc), opts)
+	return out, stats, err
 }

@@ -9,10 +9,8 @@ import (
 	"testing"
 
 	"repro/internal/datagen"
-	"repro/internal/sax"
 	"repro/internal/sax/saxtest"
 	"repro/internal/twigm"
-	"repro/internal/xmlscan"
 )
 
 // streamPoisoned is Snapshot.Stream with the poisoning sink between the
@@ -67,7 +65,7 @@ var poisonCampaignQueries = []string{
 // campaign over the poisoning sink: on every corpus family and mode, a
 // session fed poisoned batches must produce the results and statistics of
 // the plain Stream (which the integration campaign holds equal to solo
-// evaluation, the DOM oracle and the parallel mode).
+// evaluation and the DOM oracle).
 func TestEngineEquivalenceOverPoisonedBatches(t *testing.T) {
 	corpora := []struct{ name, doc string }{
 		{"paperFigure1", datagen.PaperFigure1},
@@ -80,7 +78,7 @@ func TestEngineEquivalenceOverPoisonedBatches(t *testing.T) {
 	for _, corpus := range corpora {
 		for _, base := range []twigm.Options{{}, {Ordered: true}, {CountOnly: true}} {
 			name := fmt.Sprintf("%s/%+v", corpus.name, base)
-			want, wantStats, err := streamAll(t, e, corpus.doc, base, 0)
+			want, wantStats, err := streamAll(t, e, corpus.doc, base)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
@@ -109,7 +107,7 @@ func TestEngineRandomizedOverPoisonedBatches(t *testing.T) {
 		base := twigm.Options{Ordered: rng.Intn(2) == 0, CountOnly: rng.Intn(2) == 0}
 		got, _ := streamPoisoned(t, mustEngine(t, sources...), doc, base)
 		for i, src := range sources {
-			want, _, err := streamAll(t, mustEngine(t, src), doc, base, 0)
+			want, _, err := streamAll(t, mustEngine(t, src), doc, base)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -117,34 +115,5 @@ func TestEngineRandomizedOverPoisonedBatches(t *testing.T) {
 				t.Fatalf("trial %d query %q %+v:\npoisoned set %+v\nsolo         %+v\ndoc: %s", trial, src, base, got[i], want[0], doc)
 			}
 		}
-	}
-}
-
-// TestProducerCopiesTransientContent: the parallel producer parks events for
-// the shard workers long after the scanner's HandleBatch call has returned,
-// so it must own every transient byte. Feed it poisoned batches and compare
-// what it parked with a cloning sink's view of the same scan.
-func TestProducerCopiesTransientContent(t *testing.T) {
-	doc := `<r a="1" b="two &amp; three"><k x="y">text &lt; more</k><k/>tail<![CDATA[ raw ]]></r>`
-	var want []sax.Event
-	if err := xmlscan.NewScanner(strings.NewReader(doc)).Run(sax.PerEvent(func(ev *sax.Event) error {
-		c := *ev
-		c.Text = strings.Clone(ev.Text)
-		c.Attrs = append([]sax.Attr(nil), ev.Attrs...)
-		for i := range c.Attrs {
-			c.Attrs[i].Value = strings.Clone(c.Attrs[i].Value)
-		}
-		want = append(want, c)
-		return nil
-	})); err != nil {
-		t.Fatal(err)
-	}
-	ps := newPsession(mustEngine(t, "//k", "//r"), 2)
-	ps.prod.reset()
-	if err := xmlscan.NewScanner(strings.NewReader(doc)).Run(saxtest.Poison(&ps.prod)); err != nil {
-		t.Fatal(err)
-	}
-	if got := ps.prod.cur.events; !reflect.DeepEqual(got, want) {
-		t.Fatalf("producer batch does not own its content\nparked %+v\nwant   %+v", got, want)
 	}
 }

@@ -41,8 +41,8 @@ var staleQueries = []string{
 	"//quote[@venue='X']/ask/text()",
 }
 
-// staleDoc1 is ~33k events, dozens of parallel batches: an emit error or a
-// cancellation on its first result stops the sharded pipeline mid-document.
+// staleDoc1 is ~33k events, several scanner batches: an emit error or a
+// cancellation on its first result stops the scan mid-document.
 var staleDoc1 = staleFeed(3000)
 
 func staleFeed(trades int) string {
@@ -58,19 +58,14 @@ func staleFeed(trades int) string {
 
 const staleDoc2 = `<market><quote venue="X"><bid>5</bid><ask>6</ask></quote><quote venue="Y"><bid>7</bid><ask>8</ask></quote></market>`
 
-// pooledEval is one pooled evaluation state — a serial session, or a
-// two-worker parallel one — driven document after document over the
-// poisoning sink, the way the engine's pools would reuse it.
+// pooledEval is one pooled evaluation session, driven document after
+// document over the poisoning sink, the way the engine's pool would reuse it.
 type pooledEval struct {
 	e   *Engine
 	ses *session
-	ps  *psession
 }
 
-func newPooledEval(e *Engine, workers int) *pooledEval {
-	if workers > 1 {
-		return &pooledEval{e: e, ps: newPsession(e, workers)}
-	}
+func newPooledEval(e *Engine) *pooledEval {
 	return &pooledEval{e: e, ses: newSession(e)}
 }
 
@@ -93,35 +88,13 @@ func (p *pooledEval) stream(ctx context.Context, doc string, emit func(twigm.Res
 		}
 	}
 	plan, finish := planOf(opts)
-	var scan twigm.Stats
-	var err error
-	if p.ps != nil {
-		p.ps.scan.Reset(&p.ps.prod)
-		scan, err = p.ps.stream(ctx, ep, saxtest.PoisonDriver(p.ps.scan), strings.NewReader(doc), plan)
-	} else {
-		p.ses.scan.Reset(strings.NewReader(doc))
-		scan, err = p.ses.stream(ctx, p.e, ep, saxtest.PoisonDriver(p.ses.scan), plan)
-	}
+	p.ses.scan.Reset(strings.NewReader(doc))
+	scan, err := p.ses.stream(ctx, p.e, ep, saxtest.PoisonDriver(p.ses.scan), plan)
 	return out, finish(scan), err
 }
 
-// runs returns the pooled state's slot-indexed runs.
-func (p *pooledEval) runs() []*twigm.Run {
-	return p.routers()[0].runs
-}
-
-// routers returns the pooled state's routers: the session's, or one per
-// shard worker.
-func (p *pooledEval) routers() []*router {
-	if p.ps == nil {
-		return []*router{&p.ses.rt}
-	}
-	var rts []*router
-	for _, w := range p.ps.workers {
-		rts = append(rts, &w.rt)
-	}
-	return rts
-}
+// runs returns the pooled session's slot-indexed runs.
+func (p *pooledEval) runs() []*twigm.Run { return p.ses.rt.runs }
 
 // assertFresh holds the pooled state's evaluation of doc against a fresh
 // engine over the same sources, machine by machine.
@@ -131,7 +104,7 @@ func assertFresh(t *testing.T, p *pooledEval, sources []string, doc string) ([][
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, wantStats, err := newPooledEval(mustEngine(t, sources...), 0).stream(context.Background(), doc, nil)
+	want, wantStats, err := newPooledEval(mustEngine(t, sources...)).stream(context.Background(), doc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,16 +142,12 @@ func assertIdleAfterWoken(t *testing.T, stats1, stats2 []twigm.Stats, results2 [
 }
 
 func TestIdleAfterWoken(t *testing.T) {
-	for _, workers := range []int{0, 2} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			p := newPooledEval(mustEngine(t, staleQueries...), workers)
-			_, stats1 := assertFresh(t, p, staleQueries, staleDoc1)
-			results2, stats2 := assertFresh(t, p, staleQueries, staleDoc2)
-			assertIdleAfterWoken(t, stats1, stats2, results2)
-			// And back: the machines document 2 left idle wake clean.
-			assertFresh(t, p, staleQueries, staleDoc1)
-		})
-	}
+	p := newPooledEval(mustEngine(t, staleQueries...))
+	_, stats1 := assertFresh(t, p, staleQueries, staleDoc1)
+	results2, stats2 := assertFresh(t, p, staleQueries, staleDoc2)
+	assertIdleAfterWoken(t, stats1, stats2, results2)
+	// And back: the machines document 2 left idle wake clean.
+	assertFresh(t, p, staleQueries, staleDoc1)
 }
 
 // TestIdleAfterAbortedDocument: document 1 dies mid-element, three ways, and
@@ -207,25 +176,23 @@ func TestIdleAfterAbortedDocument(t *testing.T) {
 			return err
 		}, func(err error) bool { return errors.Is(err, context.Canceled) }},
 	}
-	for _, workers := range []int{0, 2} {
-		for _, abort := range aborts {
-			t.Run(fmt.Sprintf("workers=%d/%s", workers, abort.name), func(t *testing.T) {
-				p := newPooledEval(mustEngine(t, staleQueries...), workers)
-				_, stats1 := assertFresh(t, p, staleQueries, staleDoc1)
-				if err := abort.run(p); !abort.is(err) {
-					t.Fatalf("aborting stream returned %v", err)
-				}
-				if p.runs()[0].LiveEntries() == 0 {
-					t.Fatal("the aborted document left no live stack entry: the test lost its subject")
-				}
-				results2, stats2 := assertFresh(t, p, staleQueries, staleDoc2)
-				assertIdleAfterWoken(t, stats1, stats2, results2)
-				if p.runs()[0].LiveEntries() == 0 {
-					t.Fatal("an idle machine was reset: document 2 paid for a machine it never woke")
-				}
-				assertFresh(t, p, staleQueries, staleDoc1)
-			})
-		}
+	for _, abort := range aborts {
+		t.Run(abort.name, func(t *testing.T) {
+			p := newPooledEval(mustEngine(t, staleQueries...))
+			_, stats1 := assertFresh(t, p, staleQueries, staleDoc1)
+			if err := abort.run(p); !abort.is(err) {
+				t.Fatalf("aborting stream returned %v", err)
+			}
+			if p.runs()[0].LiveEntries() == 0 {
+				t.Fatal("the aborted document left no live stack entry: the test lost its subject")
+			}
+			results2, stats2 := assertFresh(t, p, staleQueries, staleDoc2)
+			assertIdleAfterWoken(t, stats1, stats2, results2)
+			if p.runs()[0].LiveEntries() == 0 {
+				t.Fatal("an idle machine was reset: document 2 paid for a machine it never woke")
+			}
+			assertFresh(t, p, staleQueries, staleDoc1)
+		})
 	}
 }
 
@@ -285,27 +252,25 @@ func TestIdleAcrossResync(t *testing.T) {
 			return sources
 		}},
 	}
-	for _, workers := range []int{0, 2} {
-		for _, aborted := range []bool{false, true} {
-			for _, m := range mutations {
-				t.Run(fmt.Sprintf("workers=%d/aborted=%v/%s", workers, aborted, m.name), func(t *testing.T) {
-					sources := append(append([]string(nil), filler...), staleQueries...)
-					e := mustEngine(t, sources...)
-					p := newPooledEval(e, workers)
-					_, stats1 := assertFresh(t, p, sources, doc1)
-					if aborted {
-						if _, _, err := p.stream(context.Background(), doc1[:len(doc1)/2], nil); err == nil {
-							t.Fatal("truncated document streamed cleanly")
-						}
+	for _, aborted := range []bool{false, true} {
+		for _, m := range mutations {
+			t.Run(fmt.Sprintf("aborted=%v/%s", aborted, m.name), func(t *testing.T) {
+				sources := append(append([]string(nil), filler...), staleQueries...)
+				e := mustEngine(t, sources...)
+				p := newPooledEval(e)
+				_, stats1 := assertFresh(t, p, sources, doc1)
+				if aborted {
+					if _, _, err := p.stream(context.Background(), doc1[:len(doc1)/2], nil); err == nil {
+						t.Fatal("truncated document streamed cleanly")
 					}
-					after := m.apply(t, e, sources)
-					results2, stats2 := assertFresh(t, p, after, staleDoc2)
-					if m.aligned {
-						assertIdleAfterWoken(t, stats1, stats2, results2)
-					}
-					assertFresh(t, p, after, doc1)
-				})
-			}
+				}
+				after := m.apply(t, e, sources)
+				results2, stats2 := assertFresh(t, p, after, staleDoc2)
+				if m.aligned {
+					assertIdleAfterWoken(t, stats1, stats2, results2)
+				}
+				assertFresh(t, p, after, doc1)
+			})
 		}
 	}
 }
@@ -335,15 +300,8 @@ func streamHolding(t *testing.T, p *pooledEval, doc string, traced, stats, malfo
 			reported = true
 		}
 	}
-	ep := p.e.cur.Load()
-	var err error
-	if p.ps != nil {
-		p.ps.scan.Reset(&p.ps.prod)
-		_, err = p.ps.stream(context.Background(), ep, p.ps.scan, strings.NewReader(doc), plan)
-	} else {
-		p.ses.scan.Reset(strings.NewReader(doc))
-		_, err = p.ses.stream(context.Background(), p.e, ep, p.ses.scan, plan)
-	}
+	p.ses.scan.Reset(strings.NewReader(doc))
+	_, err := p.ses.stream(context.Background(), p.e, p.e.cur.Load(), p.ses.scan, plan)
 	if (err != nil) != malformed {
 		t.Fatalf("%s: malformed=%v, streamed with error %v", doc, malformed, err)
 	}
@@ -373,13 +331,12 @@ func TestIdleRunsKeepNothingOfADocument(t *testing.T) {
 		}
 	}
 	for _, mode := range []struct {
-		name    string
-		workers int
-		traced  bool
-		stats   bool
-	}{{"serial", 0, false, true}, {"serial traced", 0, true, true}, {"workers=2", 2, false, true}, {"serial without statistics", 0, false, false}} {
+		name   string
+		traced bool
+		stats  bool
+	}{{"serial", false, true}, {"serial traced", true, true}, {"serial without statistics", false, false}} {
 		t.Run(mode.name, func(t *testing.T) {
-			p := newPooledEval(mustEngine(t, sources...), mode.workers)
+			p := newPooledEval(mustEngine(t, sources...))
 			var toks []weak.Pointer[docToken]
 			var traces []weak.Pointer[bytes.Buffer]
 			for i := range sources {
@@ -410,7 +367,7 @@ func TestIdleRunsKeepNothingOfADocument(t *testing.T) {
 // session the collector cannot take. The sweeps are called directly; the
 // timer's own would come a second later.
 func TestPoolSweepReleasesIdleSession(t *testing.T) {
-	var p pool[session]
+	var p pool
 	s := new(session)
 	p.put(s)
 	p.sweep()

@@ -14,31 +14,28 @@ import (
 )
 
 // TestGroupMembersShareOneRun: the members of a value group share one run,
-// their host's — the lowest member's — serial and sharded; every other member
-// has none.
+// their host's — the lowest member's; every other member has none.
 func TestGroupMembersShareOneRun(t *testing.T) {
 	sources := []string{"//trade/symbol[. = 'ACME']", "//trade/price", "//trade/symbol[. = 'GLOBEX']", "//symbol[. = 'ACME']"}
 	e := mustEngine(t, sources...)
 	if m := e.Metrics(); m.ValueGroups != 2 || m.ValueKeyedMachines != 3 {
 		t.Fatalf("metrics %+v, want 3 machines in 2 groups", m)
 	}
-	for _, workers := range []int{0, 2} {
-		p := newPooledEval(e, workers)
-		if _, _, err := p.stream(context.Background(), staleDoc1, nil); err != nil {
-			t.Fatal(err)
+	p := newPooledEval(e)
+	if _, _, err := p.stream(context.Background(), staleDoc1, nil); err != nil {
+		t.Fatal(err)
+	}
+	runs := p.runs()
+	for slot, want := range []bool{true, true, false, true} {
+		if (runs[slot] != nil) != want {
+			t.Fatalf("slot %d (%s) has a run: %v", slot, sources[slot], runs[slot] != nil)
 		}
-		runs := p.runs()
-		for slot, want := range []bool{true, true, false, true} {
-			if (runs[slot] != nil) != want {
-				t.Fatalf("workers=%d: slot %d (%s) has a run: %v", workers, slot, sources[slot], runs[slot] != nil)
-			}
-		}
-		if g := runs[0].Group(); g == nil || g.Size() != 2 {
-			t.Fatalf("workers=%d: slot 0 evaluates group %+v, want both //trade/symbol members", workers, g)
-		}
-		if g := runs[1].Group(); g != nil {
-			t.Fatalf("workers=%d: an ordinary machine evaluates group %+v", workers, g)
-		}
+	}
+	if g := runs[0].Group(); g == nil || g.Size() != 2 {
+		t.Fatalf("slot 0 evaluates group %+v, want both //trade/symbol members", g)
+	}
+	if g := runs[1].Group(); g != nil {
+		t.Fatalf("an ordinary machine evaluates group %+v", g)
 	}
 }
 
@@ -51,7 +48,7 @@ func TestGroupDeliveryCountsOnce(t *testing.T) {
 			sources[i] = "//trade/symbol[. = 'ACME']"
 		}
 		e := mustEngine(t, sources...)
-		out, _, err := streamAll(t, e, staleFeed(20), twigm.Options{}, 0)
+		out, _, err := streamAll(t, e, staleFeed(20), twigm.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -72,36 +69,32 @@ func TestGroupDeliveryCountsOnce(t *testing.T) {
 // and nothing of it may show — then it wakes clean.
 func TestIdleGroupAfterAbortedDocument(t *testing.T) {
 	sources := []string{"//feed[. = 'x']", "//quote/bid", "//feed[. = '']", "//trade/symbol[. = 'ACME']"}
-	for _, workers := range []int{0, 2} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			p := newPooledEval(mustEngine(t, sources...), workers)
-			_, stats1 := assertFresh(t, p, sources, staleDoc1)
-			if _, _, err := p.stream(context.Background(), staleDoc1[:len(staleDoc1)/2], nil); err == nil {
-				t.Fatal("truncated document streamed cleanly")
-			}
-			open := func() int {
-				n := 0
-				for _, run := range p.runs() {
-					if run != nil && run.Group() != nil {
-						n += run.LiveEntries()
-					}
-				}
-				return n
-			}
-			if open() == 0 {
-				t.Fatal("the aborted document left no open group entry: the test lost its subject")
-			}
-			results2, stats2 := assertFresh(t, p, sources, staleDoc2)
-			assertIdleAfterWoken(t, stats1, stats2, results2)
-			if open() == 0 {
-				t.Fatal("an idle group was reset: document 2 paid for a group it never woke")
-			}
-			assertFresh(t, p, sources, staleDoc1)
-		})
+	p := newPooledEval(mustEngine(t, sources...))
+	_, stats1 := assertFresh(t, p, sources, staleDoc1)
+	if _, _, err := p.stream(context.Background(), staleDoc1[:len(staleDoc1)/2], nil); err == nil {
+		t.Fatal("truncated document streamed cleanly")
 	}
+	open := func() int {
+		n := 0
+		for _, run := range p.runs() {
+			if run != nil && run.Group() != nil {
+				n += run.LiveEntries()
+			}
+		}
+		return n
+	}
+	if open() == 0 {
+		t.Fatal("the aborted document left no open group entry: the test lost its subject")
+	}
+	results2, stats2 := assertFresh(t, p, sources, staleDoc2)
+	assertIdleAfterWoken(t, stats1, stats2, results2)
+	if open() == 0 {
+		t.Fatal("an idle group was reset: document 2 paid for a group it never woke")
+	}
+	assertFresh(t, p, sources, staleDoc1)
 }
 
-// TestFailedStreamStats: a serial stream an emit error stops returns the error
+// TestFailedStreamStats: a stream an emit error stops returns the error
 // after exactly the results before it, and every machine the document woke
 // — a value group's members and ordinary machines alike — reports its
 // counters through the event the stream failed on.
@@ -142,81 +135,68 @@ func TestFailedStreamStats(t *testing.T) {
 // ascending dense order, and what it reports for each machine is what the
 // engine reported member by member before: the run's counters, or for a
 // group member its literal's split of them (Run.MemberStats), with the scan's
-// counters filled in. Portal-shaped groups, serial and sharded, through the
-// poisoning front-end.
+// counters filled in. Portal-shaped groups, through the poisoning front-end.
 func TestBucketStatsMatchMemberStats(t *testing.T) {
 	sources := append(datagen.OverlapQueries(200, 0.9, 20, 4, 1),
 		// Several members under one literal, and ordinary machines.
 		"//channel//article/head/f3[. = 'v1']", "//channel//article/head/f3[. = 'v1']",
 		"//article/head", "//channel//title")
 	doc := datagen.Portal{Articles: 6, Fields: 20, Values: 4, Seed: 1}.String()
-	for _, workers := range []int{0, 2} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			e := mustEngine(t, sources...)
-			ep := e.cur.Load()
-			p := newPooledEval(e, workers)
-			got := make(map[int32]twigm.Stats)
-			calls := 0
-			plan := Plan{Stats: func(machines []int32, st twigm.Stats) {
-				calls++
-				if len(machines) == 0 || !slices.IsSorted(machines) {
-					t.Fatalf("report for machines %v: want a non-empty ascending list", machines)
-				}
-				for _, d := range machines {
-					if _, dup := got[d]; dup {
-						t.Fatalf("machine %d reported twice", d)
-					}
-					got[d] = st
-				}
-			}}
-			var scan twigm.Stats
-			var err error
-			if p.ps != nil {
-				p.ps.scan.Reset(&p.ps.prod)
-				scan, err = p.ps.stream(context.Background(), ep, saxtest.PoisonDriver(p.ps.scan), strings.NewReader(doc), plan)
-			} else {
-				p.ses.scan.Reset(strings.NewReader(doc))
-				scan, err = p.ses.stream(context.Background(), e, ep, saxtest.PoisonDriver(p.ses.scan), plan)
+	e := mustEngine(t, sources...)
+	ep := e.cur.Load()
+	p := newPooledEval(e)
+	got := make(map[int32]twigm.Stats)
+	calls := 0
+	plan := Plan{Stats: func(machines []int32, st twigm.Stats) {
+		calls++
+		if len(machines) == 0 || !slices.IsSorted(machines) {
+			t.Fatalf("report for machines %v: want a non-empty ascending list", machines)
+		}
+		for _, d := range machines {
+			if _, dup := got[d]; dup {
+				t.Fatalf("machine %d reported twice", d)
 			}
-			if err != nil {
-				t.Fatal(err)
+			got[d] = st
+		}
+	}}
+	p.ses.scan.Reset(strings.NewReader(doc))
+	scan, err := p.ses.stream(context.Background(), e, ep, saxtest.PoisonDriver(p.ses.scan), plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The member-by-member reports, from the runs the document woke.
+	want := make(map[int32]twigm.Stats)
+	reports, shared := 0, 0
+	member := func(slot int32, st twigm.Stats) {
+		st.Events, st.Elements, st.MaxDepth = scan.Events, scan.Elements, scan.MaxDepth
+		want[ep.liveIdx.At(int(slot))] = st
+	}
+	rt := &p.ses.rt
+	for _, i := range rt.woken {
+		run := rt.runs[i]
+		g := run.Group()
+		if g == nil {
+			reports++
+			member(i, run.Stats())
+			continue
+		}
+		for b := range int32(g.Buckets()) {
+			reports++
+			if len(g.Members(b)) > 1 {
+				shared++
 			}
-			// The member-by-member reports, from the runs the document woke.
-			want := make(map[int32]twigm.Stats)
-			reports, shared := 0, 0
-			member := func(slot int32, st twigm.Stats) {
-				st.Events, st.Elements, st.MaxDepth = scan.Events, scan.Elements, scan.MaxDepth
-				want[ep.liveIdx.At(int(slot))] = st
+			for _, m := range g.Members(b) {
+				member(m, run.MemberStats(b))
 			}
-			for _, rt := range p.routers() {
-				for _, i := range rt.woken {
-					run := rt.runs[i]
-					g := run.Group()
-					if g == nil {
-						reports++
-						member(i, run.Stats())
-						continue
-					}
-					for b := range int32(g.Buckets()) {
-						reports++
-						if len(g.Members(b)) > 1 {
-							shared++
-						}
-						for _, m := range g.Members(b) {
-							member(m, run.MemberStats(b))
-						}
-					}
-				}
-			}
-			if shared == 0 {
-				t.Fatal("no woken literal has several members: the test lost its subject")
-			}
-			if calls != reports {
-				t.Fatalf("%d reports, want one per woken run or literal: %d", calls, reports)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("reported statistics differ from the member-by-member reports:\ngot  %v\nwant %v", got, want)
-			}
-		})
+		}
+	}
+	if shared == 0 {
+		t.Fatal("no woken literal has several members: the test lost its subject")
+	}
+	if calls != reports {
+		t.Fatalf("%d reports, want one per woken run or literal: %d", calls, reports)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("reported statistics differ from the member-by-member reports:\ngot  %v\nwant %v", got, want)
 	}
 }

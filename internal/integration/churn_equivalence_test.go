@@ -20,8 +20,7 @@ import (
 // TestQuerySetChurnWalkMatchesFresh drives a random Add/Remove/Replace walk
 // and, after every mutation, compares the churned set's complete output
 // (per-query results with Seq/offsets/clocks, and stats) against a freshly
-// compiled set over the same sources — serial, parallel, ordered and
-// count-only.
+// compiled set over the same sources — plain, ordered and count-only.
 func TestQuerySetChurnWalkMatchesFresh(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	gen := datagen.DefaultQueryGen
@@ -64,7 +63,6 @@ func TestQuerySetChurnWalkMatchesFresh(t *testing.T) {
 		opts := vitex.Options{
 			Ordered:   step%2 == 0,
 			CountOnly: step%3 == 0,
-			Parallel:  step % 3, // 0-1 serial, 2 sharded
 		}
 		churnRes, churnStats := streamSet(t, qs, doc, opts)
 		freshRes, freshStats := streamSet(t, fresh, doc, opts)
@@ -86,7 +84,7 @@ func TestQuerySetChurnWalkMatchesFresh(t *testing.T) {
 }
 
 // TestQuerySetRemoveWithWarmSessions removes a query whose pooled sessions
-// (serial and parallel) have already evaluated documents; the surviving
+// have already evaluated documents; the surviving
 // queries must keep producing exactly their fresh-set output from the same
 // warm pools.
 func TestQuerySetRemoveWithWarmSessions(t *testing.T) {
@@ -99,9 +97,8 @@ func TestQuerySetRemoveWithWarmSessions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Warm serial and parallel session pools with all three machines live.
+	// Warm the session pool with all three machines live.
 	streamSet(t, qs, doc, vitex.Options{})
-	streamSet(t, qs, doc, vitex.Options{Parallel: 2})
 
 	if err := qs.Remove(1); err != nil {
 		t.Fatal(err)
@@ -110,7 +107,7 @@ func TestQuerySetRemoveWithWarmSessions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, opts := range []vitex.Options{{}, {Ordered: true}, {Parallel: 2}} {
+	for _, opts := range []vitex.Options{{}, {Ordered: true}} {
 		got, gotStats := streamSet(t, qs, doc, opts)
 		want, wantStats := streamSet(t, fresh, doc, opts)
 		if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(gotStats, wantStats) {
@@ -155,7 +152,7 @@ func TestQuerySetAddMidDocumentSequence(t *testing.T) {
 }
 
 // TestQuerySetConcurrentChurnAndStreams interleaves Add/Remove/Replace with
-// concurrent Stream calls (serial and sharded) on one live set. Every
+// three concurrent Stream calls on one live set. Every
 // stream must complete without error and be internally consistent with the
 // membership snapshot it started from: one stats entry per query, every
 // emitted QueryIndex within range, and per-query result counts that match a
@@ -193,7 +190,7 @@ func TestQuerySetConcurrentChurnAndStreams(t *testing.T) {
 	var wg sync.WaitGroup
 	for g := 0; g < 3; g++ {
 		wg.Add(1)
-		go func(par int) {
+		go func() {
 			defer wg.Done()
 			for {
 				select {
@@ -202,7 +199,7 @@ func TestQuerySetConcurrentChurnAndStreams(t *testing.T) {
 				default:
 				}
 				counts := make(map[int]int64)
-				stats, err := qs.Stream(strings.NewReader(doc), vitex.Options{CountOnly: true, Parallel: par},
+				stats, err := qs.Stream(strings.NewReader(doc), vitex.Options{CountOnly: true},
 					func(sr vitex.SetResult) error {
 						counts[sr.QueryIndex]++
 						return nil
@@ -218,7 +215,7 @@ func TestQuerySetConcurrentChurnAndStreams(t *testing.T) {
 					}
 				}
 			}
-		}(g % 3) // 0,1 serial; 2 sharded
+		}()
 	}
 
 	rng := rand.New(rand.NewSource(13))

@@ -19,16 +19,16 @@ import (
 // This file is the randomized differential campaign: grammar-driven random
 // queries (datagen.QueryGen — the full supported fragment, including nested
 // predicates, disjunctions and unions) over random recursive documents, with
-// every (query, document) pair asserted along five independent equivalence
+// every (query, document) pair asserted along four independent equivalence
 // axes:
 //
 //  1. TwigM == naive match enumeration (where the naive fragment allows)
 //  2. TwigM == DOM oracle (random access is ground truth by definition)
-//  3. serial routed dispatch == parallel sharded dispatch (results AND stats)
-//  4. scanner == encoding/xml reference front-end (event streams; the
+//  3. scanner == encoding/xml reference front-end (event streams; the
 //     engine's TestFrontEndsAgreeRandomized replays these pairs for results
 //     and clocks)
-//  5. churned QuerySet (built by Add/Remove/Replace) == freshly compiled set
+//  4. churned QuerySet (built by Add/Remove/Replace) == freshly compiled set
+//     (results AND stats)
 //
 // In normal `go test` mode the campaign covers at least 500 pairs; -short
 // shrinks it to a smoke test.
@@ -102,29 +102,19 @@ func TestDifferentialCampaign(t *testing.T) {
 			}
 		}
 
-		// Axis 4: both XML front-ends deliver the same events.
+		// Axis 3: both XML front-ends deliver the same events.
 		assertSameEvents(t, fmt.Sprintf("round %d", round), doc, syms)
 
-		// Axis 3: the whole round's set, serial vs sharded (results, Seq
-		// and stats must be byte-identical).
+		// Axis 4: a set assembled by live churn — junk queries added up
+		// front and removed again, one query Replaced in place — must be
+		// indistinguishable from the freshly compiled set: same results,
+		// same Seq, same stats.
 		qs, err := vitex.NewQuerySet(sources...)
 		if err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
 		opts := vitex.Options{Ordered: round%2 == 0, CountOnly: round%3 == 0}
-		serial, serialStats := streamSet(t, qs, doc, opts)
-		popts := opts
-		popts.Parallel = 2 + round%3
-		parallel, parallelStats := streamSet(t, qs, doc, popts)
-		if !reflect.DeepEqual(parallel, serial) || !reflect.DeepEqual(parallelStats, serialStats) {
-			t.Fatalf("round %d: parallel diverges from serial\nqueries: %q\ndoc: %s\nserial   %+v %+v\nparallel %+v %+v",
-				round, sources, doc, serial, serialStats, parallel, parallelStats)
-		}
-
-		// Axis 5: a set assembled by live churn — junk queries added up
-		// front and removed again, one query Replaced in place — must be
-		// indistinguishable from the freshly compiled set: same results,
-		// same Seq, same stats.
+		fresh, freshStats := streamSet(t, qs, doc, opts)
 		churned, err := vitex.NewQuerySet("//zzzjunk[qqq]/@none", "//junktwo//zzz")
 		if err != nil {
 			t.Fatalf("round %d: %v", round, err)
@@ -145,9 +135,9 @@ func TestDifferentialCampaign(t *testing.T) {
 			t.Fatalf("round %d: churn replace: %v", round, err)
 		}
 		churnRes, churnStats := streamSet(t, churned, doc, opts)
-		if !reflect.DeepEqual(churnRes, serial) || !reflect.DeepEqual(churnStats, serialStats) {
+		if !reflect.DeepEqual(churnRes, fresh) || !reflect.DeepEqual(churnStats, freshStats) {
 			t.Fatalf("round %d: churned set diverges from fresh set\nqueries: %q\ndoc: %s\nfresh   %+v %+v\nchurned %+v %+v",
-				round, sources, doc, serial, serialStats, churnRes, churnStats)
+				round, sources, doc, fresh, freshStats, churnRes, churnStats)
 		}
 	}
 

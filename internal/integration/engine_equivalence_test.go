@@ -106,20 +106,6 @@ func TestEngineEquivalenceAllCorpora(t *testing.T) {
 							name, equivalenceQueries[i], sharedStats[i], wantStats)
 					}
 				}
-				// Sharded evaluation must be byte-identical to the
-				// serial routed run, including the emission order
-				// the shared callback observes.
-				popts := opts
-				popts.Parallel = 3
-				parallel, parallelStats := streamSet(t, qs, corpus.doc, popts)
-				if !reflect.DeepEqual(parallel, shared) {
-					t.Fatalf("%s: parallel results diverge from serial\nserial   %+v\nparallel %+v",
-						name, shared, parallel)
-				}
-				if !reflect.DeepEqual(parallelStats, sharedStats) {
-					t.Fatalf("%s: parallel stats diverge from serial\nserial   %+v\nparallel %+v",
-						name, sharedStats, parallelStats)
-				}
 			}
 		}
 	}
@@ -178,7 +164,6 @@ func TestEngineEquivalenceRandomized(t *testing.T) {
 		opts := vitex.Options{
 			Ordered:   rng.Intn(2) == 0,
 			CountOnly: rng.Intn(2) == 0,
-			Parallel:  rng.Intn(4), // 0-1 serial, 2-3 sharded
 		}
 		shared, _ := streamSet(t, qs, doc, opts)
 		for i, src := range sources {

@@ -56,7 +56,7 @@ func streamInterleaved(t *testing.T, qs *vitex.QuerySet, doc string, opts vitex.
 // level: prefix-shared evaluation (the default) is byte-identical — Value,
 // Seq, NodeOffset, ConfirmedAt, DeliveredAt and the interleaved emission
 // order across queries — to an engine with sharing disabled, for every
-// corpus × Ordered × CountOnly × Parallel combination.
+// corpus × Ordered × CountOnly combination.
 func TestSharedTrieEquivalence(t *testing.T) {
 	corpora := equivalenceCorpora()
 	corpora = append(corpora, struct{ name, doc string }{
@@ -80,15 +80,13 @@ func TestSharedTrieEquivalence(t *testing.T) {
 	for _, corpus := range corpora {
 		for _, ordered := range []bool{false, true} {
 			for _, countOnly := range []bool{false, true} {
-				for _, parallel := range []int{0, 3} {
-					opts := vitex.Options{Ordered: ordered, CountOnly: countOnly, Parallel: parallel}
-					name := fmt.Sprintf("%s/ordered=%v/count=%v/par=%d", corpus.name, ordered, countOnly, parallel)
-					got := streamInterleaved(t, shared, corpus.doc, opts)
-					want := streamInterleaved(t, unshared, corpus.doc, opts)
-					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("%s: shared-trie evaluation diverges\nshared   %+v\nunshared %+v",
-							name, got, want)
-					}
+				opts := vitex.Options{Ordered: ordered, CountOnly: countOnly}
+				name := fmt.Sprintf("%s/ordered=%v/count=%v", corpus.name, ordered, countOnly)
+				got := streamInterleaved(t, shared, corpus.doc, opts)
+				want := streamInterleaved(t, unshared, corpus.doc, opts)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s: shared-trie evaluation diverges\nshared   %+v\nunshared %+v",
+						name, got, want)
 				}
 			}
 		}
@@ -130,9 +128,6 @@ func TestSharedTrieRandomizedDifferential(t *testing.T) {
 		}
 		doc := datagen.ChurnRandomTree.Generate(rand.New(rand.NewSource(int64(round) * 131)))
 		opts := vitex.Options{Ordered: rng.Intn(2) == 0, CountOnly: rng.Intn(4) == 0}
-		if rng.Intn(3) == 0 {
-			opts.Parallel = 2 + rng.Intn(2)
-		}
 		got := streamInterleaved(t, shared, doc, opts)
 		want := streamInterleaved(t, unshared, doc, opts)
 		if !reflect.DeepEqual(got, want) {
@@ -189,7 +184,7 @@ func TestSharedTrieRandomizedDifferential(t *testing.T) {
 // trigger trie compaction (dead node IDs outnumbering live nodes past the
 // threshold) and pins that (a) the compaction actually ran, (b) no machine
 // was recompiled by it, and (c) evaluation after re-anchoring is identical
-// to a freshly built set — serial and parallel.
+// to a freshly built set.
 func TestSharedTrieChurnCompaction(t *testing.T) {
 	doc := datagen.Portal{Articles: 25, Seed: 9}.String()
 	qs, err := vitex.NewQuerySet()
@@ -236,13 +231,9 @@ func TestSharedTrieChurnCompaction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, parallel := range []int{0, 3} {
-		opts := vitex.Options{Parallel: parallel}
-		got := streamInterleaved(t, qs, doc, opts)
-		want := streamInterleaved(t, fresh, doc, opts)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("par=%d: churned+compacted set diverges from fresh\nchurned %+v\nfresh   %+v",
-				parallel, got, want)
-		}
+	got := streamInterleaved(t, qs, doc, vitex.Options{})
+	want := streamInterleaved(t, fresh, doc, vitex.Options{})
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("churned+compacted set diverges from fresh\nchurned %+v\nfresh   %+v", got, want)
 	}
 }

@@ -23,7 +23,7 @@ import (
 // each query evaluated alone, for its results and statistics (prefix sharing
 // changes what a machine counts; TestGroupedRunMatchesMemberRuns in
 // internal/twigm holds a member's counters against its own machine's).
-// Evaluation runs over saxtest.PoisonDriver, serial and sharded.
+// Evaluation runs over saxtest.PoisonDriver.
 
 // groupDocs exercise what a string-value depends on: nested same-name
 // elements, mixed content, entities, whitespace, non-ASCII text, prefixes,
@@ -108,7 +108,7 @@ type emitted struct {
 
 // evalPoisoned evaluates every machine of e over doc through the poisoning
 // front-end and returns the emission sequence and one Stats per machine.
-func evalPoisoned(t *testing.T, e *engine.Engine, union []bool, doc string, opts twigm.Options, workers int) ([]emitted, []twigm.Stats) {
+func evalPoisoned(t *testing.T, e *engine.Engine, union []bool, doc string, opts twigm.Options) ([]emitted, []twigm.Stats) {
 	t.Helper()
 	snap := e.Snapshot()
 	var out []emitted
@@ -130,7 +130,7 @@ func evalPoisoned(t *testing.T, e *engine.Engine, union []bool, doc string, opts
 			woken[d], stats[d] = true, st
 		}
 	}
-	scan, err := snap.StreamVia(context.Background(), strings.NewReader(doc), plan, workers, saxtest.PoisonDriver)
+	scan, err := snap.StreamVia(context.Background(), strings.NewReader(doc), plan, saxtest.PoisonDriver)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,12 +163,12 @@ func mustEngineOf(t *testing.T, cfg engine.Config, branches []*xpath.Query) *eng
 // assertGroupsAgree holds grouped evaluation of sources over doc against the
 // same machines ungrouped (the emission sequence across machines) and, when
 // solo is set, against each query evaluated alone (results and statistics).
-func assertGroupsAgree(t *testing.T, name string, grouped *engine.Engine, sources []string, doc string, opts twigm.Options, workers int, solo bool) {
+func assertGroupsAgree(t *testing.T, name string, grouped *engine.Engine, sources []string, doc string, opts twigm.Options, solo bool) {
 	t.Helper()
 	ms := parseMachines(t, sources)
 	ungrouped := mustEngineOf(t, engine.Config{DisablePrefixSharing: true}, ms.branches)
-	got, gotStats := evalPoisoned(t, grouped, ms.union, doc, opts, workers)
-	want, _ := evalPoisoned(t, ungrouped, ms.union, doc, opts, workers)
+	got, gotStats := evalPoisoned(t, grouped, ms.union, doc, opts)
+	want, _ := evalPoisoned(t, ungrouped, ms.union, doc, opts)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("%s: grouped emission sequence diverges from ungrouped\nqueries %q\ndoc %q\ngrouped   %+v\nungrouped %+v", name, sources, doc, got, want)
 	}
@@ -179,7 +179,7 @@ func assertGroupsAgree(t *testing.T, name string, grouped *engine.Engine, source
 	d := 0
 	for _, src := range sources {
 		alone := parseMachines(t, []string{src})
-		soloOut, soloStats := evalPoisoned(t, mustEngineOf(t, engine.Config{}, alone.branches), alone.union, doc, opts, 0)
+		soloOut, soloStats := evalPoisoned(t, mustEngineOf(t, engine.Config{}, alone.branches), alone.union, doc, opts)
 		for b, res := range byMachine(soloOut, len(alone.branches)) {
 			if !reflect.DeepEqual(perMachine[d+b], res) {
 				t.Fatalf("%s: %q in the set diverges from itself alone\nset   %+v\nalone %+v", name, src, perMachine[d+b], res)
@@ -210,10 +210,8 @@ func TestValueGroupDifferential(t *testing.T) {
 		docs := append([]string{datagen.ChurnRandomTree.Generate(rng)}, groupDocs[rng.Intn(len(groupDocs))])
 		for di, doc := range docs {
 			for _, opts := range []twigm.Options{{}, {Ordered: true}, {CountOnly: true}, {Ordered: true, CountOnly: true}} {
-				for _, workers := range []int{0, 2, 3} {
-					name := fmt.Sprintf("round %d doc %d %+v workers=%d", round, di, opts, workers)
-					assertGroupsAgree(t, name, grouped, sources, doc, opts, workers, workers != 3)
-				}
+				name := fmt.Sprintf("round %d doc %d %+v", round, di, opts)
+				assertGroupsAgree(t, name, grouped, sources, doc, opts, true)
 			}
 		}
 	}
@@ -288,14 +286,12 @@ func (c *groupChurn) check(step string) {
 	ms := parseMachines(c.t, c.sources)
 	for di, doc := range groupDocs {
 		for _, opts := range []twigm.Options{{}, {Ordered: true}} {
-			for _, workers := range []int{0, 2} {
-				name := fmt.Sprintf("%s doc %d %+v workers=%d", step, di, opts, workers)
-				assertGroupsAgree(c.t, name, c.e, c.sources, doc, opts, workers, false)
-				got, gotStats := evalPoisoned(c.t, c.e, ms.union, doc, opts, workers)
-				want, wantStats := evalPoisoned(c.t, fresh, ms.union, doc, opts, workers)
-				if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(gotStats, wantStats) {
-					c.t.Fatalf("%s: churned engine diverges from a fresh build\nchurned %+v\n%+v\nfresh   %+v\n%+v", name, got, gotStats, want, wantStats)
-				}
+			name := fmt.Sprintf("%s doc %d %+v", step, di, opts)
+			assertGroupsAgree(c.t, name, c.e, c.sources, doc, opts, false)
+			got, gotStats := evalPoisoned(c.t, c.e, ms.union, doc, opts)
+			want, wantStats := evalPoisoned(c.t, fresh, ms.union, doc, opts)
+			if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(gotStats, wantStats) {
+				c.t.Fatalf("%s: churned engine diverges from a fresh build\nchurned %+v\n%+v\nfresh   %+v\n%+v", name, got, gotStats, want, wantStats)
 			}
 		}
 	}

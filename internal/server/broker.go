@@ -390,6 +390,14 @@ func (b *Broker) Metrics() *MetricsResponse {
 // and then every subscription stream ends. If ctx expires first, in-flight
 // evaluations are canceled: publishers see ctx errors, subscribers see gap
 // markers, and Shutdown returns ctx.Err() after the (now prompt) drain.
+//
+// A document parked on a block-policy ring that no consumer reads is not
+// canceled early: the drain waits for it for the whole of ctx's budget, since
+// a consumer may still attach, and only then cancels it like any other
+// in-flight evaluation, with a structured error to its publisher and a gap
+// marker for the document before the stream's end.
+// TestShutdownDeadlineCancelsInFlight pins that path.
+//
 // Shutdown is idempotent.
 func (b *Broker) Shutdown(ctx context.Context) error {
 	b.mu.Lock()

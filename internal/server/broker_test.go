@@ -303,7 +303,8 @@ func TestGracefulDrainDeliversEverything(t *testing.T) {
 // blocked ring.
 func TestShutdownDeadlineCancelsInFlight(t *testing.T) {
 	b := New(Config{RingSize: 1, Policy: PolicyBlock})
-	if _, err := b.Subscribe("ticker", "//trade/price"); err != nil {
+	resp, err := b.Subscribe("ticker", "//trade/price")
+	if err != nil {
 		t.Fatal(err)
 	}
 	// No consumer: the evaluation blocks after the first result.
@@ -313,12 +314,31 @@ func TestShutdownDeadlineCancelsInFlight(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	err := b.Shutdown(ctx)
+	err = b.Shutdown(ctx)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("Shutdown = %v, want DeadlineExceeded", err)
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("Shutdown took %v; force-cancel did not unblock the drain", elapsed)
+	}
+	// The parked document was canceled through the gap path: its stream
+	// holds what the ring took, then a gap marker for document 1, and then
+	// ends (the ring closes: the wire's "end" line).
+	sub, err := b.subscription("ticker", resp.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds := drainSub(t, sub)
+	if len(ds) == 0 {
+		t.Fatal("the parked subscription's stream is empty")
+	}
+	if last := ds[len(ds)-1]; last.Type != DeliveryGap || last.DocSeq != 1 {
+		t.Fatalf("the stream ends with %+v, want a gap marker for document 1", last)
+	}
+	for _, d := range ds[:len(ds)-1] {
+		if d.Type != DeliveryResult || d.DocSeq != 1 {
+			t.Fatalf("before the gap: %+v, want results of document 1", d)
+		}
 	}
 }
 

@@ -94,8 +94,6 @@ func writePrometheus(w io.Writer, b *Broker) {
 		func(p promChannel) (int64, bool) { return p.cm.Engine.Compiles, true })
 	counter("vitex_engine_compactions_total", "Slot-table compactions.",
 		func(p promChannel) (int64, bool) { return p.cm.Engine.Compactions, true })
-	counter("vitex_engine_shard_rebalances_total", "Parallel-shard rebalances.",
-		func(p promChannel) (int64, bool) { return p.cm.Engine.ShardRebalances, true })
 	gauge("vitex_engine_slots", "Machine slots allocated (live + garbage).",
 		func(p promChannel) (int64, bool) { return int64(p.cm.Engine.Slots), true })
 	gauge("vitex_engine_live_queries", "Live queries in the set.",

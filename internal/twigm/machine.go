@@ -303,11 +303,10 @@ func (r *Run) recordAlone() {
 
 // ---- routing hooks (consumed by internal/engine) ----
 
-// HandleRouted is the entry point of routed dispatch (serial and sharded),
-// which skips events a machine is not subscribed to and itself drives the
-// recorder it bound the run to (BindRecorder): it delivers ev with the run's
-// event clock pinned to the shared scan's 1-based index for this
-// event, so ConfirmedAt/DeliveredAt — and the DeliveredAt stamped on results
+// HandleRouted is the entry point of routed dispatch, which skips events a
+// machine is not subscribed to and itself drives the recorder it bound the
+// run to (BindRecorder): it delivers ev with the run's event clock pinned to
+// the shared scan's 1-based index for this event, so ConfirmedAt/DeliveredAt — and the DeliveredAt stamped on results
 // flushed by the ordered re-sequencer during this delivery — are identical
 // to a run that saw every event.
 //

@@ -7,8 +7,8 @@ import (
 
 // Recorder serializes one document's events, once, into one append-only
 // buffer for every fragment-recording run its driver delivers to. It belongs
-// to whoever drives the events: the engine's router (one per serial session,
-// one per parallel worker) or a Run driven on its own. While any run holds an
+// to whoever drives the events: the engine's router (one per session) or a
+// Run driven on its own. While any run holds an
 // open element fragment, the driver serializes each event once — text and
 // end tags before it delivers them (Before), start tags after (After) — and a
 // candidate keeps only the (start, end) offsets of its fragment.

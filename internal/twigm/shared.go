@@ -163,9 +163,6 @@ func (t *Trie) Garbage() int {
 	return t.garbage
 }
 
-// Parent returns the parent node ID of id (-1 for top-level steps).
-func (t *Trie) Parent(id int32) int32 { return t.nodes[id].parent }
-
 // clone copies the outer structure for a mutation: the node table is copied
 // (refs and child lists change along the grafted/pruned path), the dispatch
 // table is cloned (its writes copy the chunks they land in), inner lists are
@@ -370,7 +367,7 @@ type prefixOpen struct {
 // PrefixRun evaluates a Trie over one event stream: the runtime stacks of
 // the shared prefix layer, maintained once per scan however many residual
 // machines anchor into them. A PrefixRun is single-goroutine state (the
-// engine keeps one per pooled session and one per parallel shard worker).
+// engine keeps one per pooled session).
 type PrefixRun struct {
 	trie *Trie
 	// stacks[id] is the node's open-entry stack. Pointers are stable from
@@ -379,18 +376,14 @@ type PrefixRun struct {
 	// open is the global LIFO of open entries; entries at the ending
 	// element's depth are contiguous at the top.
 	open []prefixOpen
-	// enabled restricts evaluation to a subset of node IDs (a parallel
-	// shard's anchor paths); nil evaluates every live node.
-	enabled []bool
 	// pushes counts trie entries pushed this stream (dispatch statistics).
 	pushes int64
 }
 
-// Rebind points the run at a (new) trie and shard filter, growing the stack
-// table; existing AnchorStack pointers stay valid. Call between streams.
-func (pr *PrefixRun) Rebind(t *Trie, enabled []bool) {
+// Rebind points the run at a (new) trie, growing the stack table; existing
+// AnchorStack pointers stay valid. Call between streams.
+func (pr *PrefixRun) Rebind(t *Trie) {
 	pr.trie = t
-	pr.enabled = enabled
 	for len(pr.stacks) < t.NumIDs() {
 		pr.stacks = append(pr.stacks, nil)
 	}
@@ -455,9 +448,6 @@ func (pr *PrefixRun) StartElement(ev *sax.Event) {
 func (pr *PrefixRun) tryPush(nid int32, ev *sax.Event, d int32, checkName bool) {
 	n := &pr.trie.nodes[nid]
 	if n.refs <= 0 {
-		return
-	}
-	if pr.enabled != nil && !pr.enabled[nid] {
 		return
 	}
 	if checkName {

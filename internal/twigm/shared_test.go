@@ -107,7 +107,7 @@ func runEngineStyle(t *testing.T, p *Program, syms *sax.Symbols, doc string, opt
 	if p.Anchored() {
 		var trie *Trie
 		trie, anchor = new(Trie).Graft(p.Profile())
-		pr.Rebind(trie, nil)
+		pr.Rebind(trie)
 	}
 	var results []Result
 	opts.EmitFrom = func(_ int, res Result) error {

@@ -121,7 +121,7 @@ func startRuns(progs []*Program, syms *sax.Symbols, opts func(i int) Options) ([
 	}
 	trie, anchors := BuildTrie(profiles)
 	pr, rec := new(PrefixRun), new(Recorder)
-	pr.Rebind(trie, nil)
+	pr.Rebind(trie)
 	runs := make([]*Run, len(progs))
 	for i, p := range progs {
 		runs[i] = p.Start(opts(i))

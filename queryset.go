@@ -30,11 +30,7 @@ import (
 // that document nothing — no reset, no delivery, no allocation. What an
 // Evaluate call allocates is a constant handful of small objects and the
 // results themselves; Stream adds the []Stats it returns (one entry per
-// query), made after the scan. With Options.Parallel the machines are
-// sharded over worker goroutines and the per-shard results merged back into
-// the exact serial emission order, without changing a single byte of output;
-// two workers measured 0.5–2.2x a serial run on 10,000 standing queries and
-// below 1x on small sets, so it is no reliable speedup yet (ROADMAP item 9).
+// query), made after the scan.
 //
 // The set is live: Add, Remove and Replace mutate it between — and safely
 // concurrent with — Stream calls, compiling only the changed query. The
@@ -382,9 +378,8 @@ func (qs *QuerySet) Evaluate(r io.Reader, opts Options, emit func(SetResult) err
 // not delay a result the scan emits; only with Options.Ordered are a union
 // query's results, held until the scan is over, delivered after them. They
 // cost one row per standing query per document; a caller that does not read
-// them calls Evaluate. Without Options.Parallel, when emit returns an error
-// every query reports its statistics through the scan event whose result
-// failed.
+// them calls Evaluate. When emit returns an error every query reports its
+// statistics through the scan event whose result failed.
 func (qs *QuerySet) Stream(r io.Reader, opts Options, emit func(SetResult) error) ([]Stats, error) {
 	return qs.View().Stream(r, opts, emit)
 }
@@ -424,13 +419,7 @@ func evaluate(snap engine.Snapshot, sh *shape, r io.Reader, opts Options, emit f
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	var scan Stats
-	var err error
-	if opts.Parallel != 0 && opts.Parallel != 1 {
-		scan, err = snap.StreamParallel(ctx, r, plan, opts.Parallel)
-	} else {
-		scan, err = snap.Stream(ctx, r, plan)
-	}
+	scan, err := snap.Stream(ctx, r, plan)
 	if err == nil {
 		err = ev.flushHeld()
 	}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -125,10 +126,10 @@ func statsSets() []struct {
 // TestStreamRows: Stream's rows carry the shared scan's counters, which
 // Evaluate returns, in every row; a query no document wakes has nothing else
 // in its row; each woken query's row counts the results delivered for it
-// (a union's branches may each confirm a node the query delivers once); and
-// the rows are the same serially and sharded, in both delivery orders. On an
-// emit error and on a malformed document the statistics still arrive, through
-// the failing event.
+// (a union's branches may each confirm a node the query delivers once), in
+// both delivery orders. On an emit error and on a malformed document the
+// statistics still arrive, through the failing event. The deprecated
+// Options.Parallel is ignored: setting it changes no result and no row.
 func TestStreamRows(t *testing.T) {
 	for _, set := range statsSets() {
 		qs, err := NewQuerySet(set.sources...)
@@ -138,34 +139,30 @@ func TestStreamRows(t *testing.T) {
 		for di, doc := range set.docs {
 			for _, failure := range []string{"none", "emit", "malformed"} {
 				for _, ordered := range []bool{false, true} {
-					var serial []Stats
-					for _, parallel := range []int{0, 2} {
-						c := rowsCase{
-							name:    fmt.Sprintf("%s/doc%d/failure=%s/parallel=%d/ordered=%v", set.name, di, failure, parallel, ordered),
-							qs:      qs,
-							idle:    set.idle,
-							doc:     doc,
-							opts:    Options{Parallel: parallel, Ordered: ordered},
-							fails:   failure != "none",
-							repeats: parallel < 2 || failure != "emit",
-						}
-						if failure == "malformed" {
-							// Cut inside the document: every query that woke
-							// has live entries when the scan fails.
-							c.doc = doc[:len(doc)*2/3] + "</oops>"
-						}
-						if failure == "emit" {
-							c.failAt = 3
-						}
-						rows := c.check(t)
-						if failure != "none" {
-							continue
-						}
-						if parallel == 0 {
-							serial = rows
-						} else if fmt.Sprint(rows) != fmt.Sprint(serial) {
-							t.Fatalf("%s: sharded rows differ from serial ones\nsharded %+v\nserial  %+v", c.name, rows, serial)
-						}
+					c := rowsCase{
+						name:  fmt.Sprintf("%s/doc%d/failure=%s/ordered=%v", set.name, di, failure, ordered),
+						qs:    qs,
+						idle:  set.idle,
+						doc:   doc,
+						opts:  Options{Ordered: ordered},
+						fails: failure != "none",
+					}
+					if failure == "malformed" {
+						// Cut inside the document: every query that woke
+						// has live entries when the scan fails.
+						c.doc = doc[:len(doc)*2/3] + "</oops>"
+					}
+					if failure == "emit" {
+						c.failAt = 3
+					}
+					out, rows := c.check(t)
+					if failure != "none" {
+						continue
+					}
+					c.name += "/Parallel=2"
+					c.opts.Parallel = 2
+					if again, againRows := c.check(t); !reflect.DeepEqual(again, out) || !reflect.DeepEqual(againRows, rows) {
+						t.Fatalf("%s: Options.Parallel changed the output\nwith    %+v %+v\nwithout %+v %+v", c.name, again, againRows, out, rows)
 					}
 				}
 			}
@@ -175,27 +172,25 @@ func TestStreamRows(t *testing.T) {
 
 // rowsCase is one evaluation of TestStreamRows.
 type rowsCase struct {
-	name  string
-	qs    *QuerySet
-	idle  []int
-	doc   string
-	opts  Options
-	fails bool
-	// repeats is false where two evaluations may stop at different events:
-	// an emit error stops a sharded scan wherever it has got to.
-	repeats bool
-	failAt  int // the result whose emit fails, 0 for none
+	name   string
+	qs     *QuerySet
+	idle   []int
+	doc    string
+	opts   Options
+	fails  bool
+	failAt int // the result whose emit fails, 0 for none
 }
 
 // check runs the case through Stream and Evaluate, checks the contract of
-// TestStreamRows that holds of one evaluation, and returns Stream's rows.
-func (c rowsCase) check(t *testing.T) []Stats {
+// TestStreamRows that holds of one evaluation, and returns what Stream
+// delivered and its rows.
+func (c rowsCase) check(t *testing.T) ([]SetResult, []Stats) {
 	t.Helper()
 	delivered := make([]int64, c.qs.Len())
-	results := 0
+	var out []SetResult
 	rows, err := c.qs.Stream(strings.NewReader(c.doc), c.opts, func(sr SetResult) error {
 		delivered[sr.QueryIndex]++
-		if results++; results == c.failAt {
+		if out = append(out, sr); len(out) == c.failAt {
 			return errors.New("stop")
 		}
 		return nil
@@ -230,7 +225,7 @@ func (c rowsCase) check(t *testing.T) []Stats {
 	if woken == 0 {
 		t.Fatalf("%s: the document woke nothing: the test lost its subject", c.name)
 	}
-	results = 0
+	results := 0
 	got, err := c.qs.Evaluate(strings.NewReader(c.doc), c.opts, func(SetResult) error {
 		if results++; results == c.failAt {
 			return errors.New("stop")
@@ -240,8 +235,8 @@ func (c rowsCase) check(t *testing.T) []Stats {
 	if (err != nil) != c.fails {
 		t.Fatalf("%s: Evaluate returned %v", c.name, err)
 	}
-	if c.repeats && got != scan {
+	if got != scan {
 		t.Fatalf("%s: Evaluate returned %+v, want the scan's counters %+v", c.name, got, scan)
 	}
-	return rows
+	return out, rows
 }

@@ -40,13 +40,7 @@
 // machine is reset only when a document first wakes it: per document a
 // long-lived Query or QuerySet allocates its results and, through Stream, the
 // statistics it returns, made after the scan, and pays for the queries the
-// document concerns. Options.Parallel
-// shards the machines over N worker goroutines fed from one batching scan,
-// with results re-merged into the exact serial emission order, byte-identical
-// to a serial run. It is not yet a speedup: two workers measured 0.5–2.2x a
-// serial run on 10,000 standing queries and below 1x on small sets (ROADMAP
-// item 9 weighs it against evaluating documents concurrently). A QuerySet is
-// live: Add, Remove and
+// document concerns. A QuerySet is live: Add, Remove and
 // Replace mutate it between (and safely concurrent with) Stream calls,
 // compiling only the changed query — the engine versions its membership in
 // immutable epochs of chunked copy-on-write tables, and pooled sessions resync
@@ -121,15 +115,10 @@ type Options struct {
 	// CountOnly suppresses fragment serialization; Result.Value is
 	// empty. Fastest mode; used for counting and memory experiments.
 	CountOnly bool
-	// Parallel selects sharded multi-core evaluation: 0 or 1 evaluates
-	// serially on the calling goroutine, N > 1 spreads the machines over N
-	// worker goroutines, and a negative value uses GOMAXPROCS workers.
-	// Results, Seq numbers, ConfirmedAt/DeliveredAt clocks and emission
-	// order are byte-identical to serial evaluation; Emit callbacks are
-	// always invoked sequentially from the calling goroutine. Measured with
-	// two workers it reads 0.5–2.2x a serial run on 10,000 standing queries
-	// and below 1x on small sets, so it is no reliable speedup yet (ROADMAP
-	// item 9); a single machine always runs serially.
+	// Deprecated: Parallel is ignored. Every evaluation is serial: one scan
+	// on the calling goroutine routes each event to the machines it
+	// concerns. Sharding the machines over worker goroutines never reached
+	// a reliable speedup, and was removed.
 	Parallel int
 	// Trace, when non-nil, receives a human-readable log of every TwigM
 	// transition — stack pushes and pops, flag propagations, candidate
@@ -141,8 +130,7 @@ type Options struct {
 	// it delivers; a machine of one query logs exactly its own transitions.
 	Trace io.Writer
 	// Context, when non-nil, cancels the evaluation: the engine checks it at
-	// every scan event (and, in parallel mode, before every emission), so a
-	// cancellation — whether from a deadline, a disconnecting network
+	// every scan event, so a cancellation — whether from a deadline, a disconnecting network
 	// client, or inside the Emit callback itself — aborts the stream
 	// promptly mid-document and the evaluation returns ctx.Err(). Nil means
 	// no cancellation (context.Background) and costs nothing on the hot
