@@ -26,6 +26,11 @@ func TestIncrementalDeliveryUnderStalledReader(t *testing.T) {
 		{"QuerySet.Stream", func(r io.Reader, emitted func()) error {
 			return streamSetB(r, Options{}, emitted)
 		}},
+		// Options.Parallel is deprecated and ignored: it must not hold back
+		// a result either.
+		{"Parallel2", func(r io.Reader, emitted func()) error {
+			return streamSetB(r, Options{Parallel: 2}, emitted)
+		}},
 	}
 	// Each prefix proves <b>1</b>; the stall falls on a token boundary, in
 	// the middle of a tag, and in the middle of a text run.

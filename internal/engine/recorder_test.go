@@ -30,7 +30,7 @@ func TestOneRecordingPerDocument(t *testing.T) {
 	wantPeak := map[int]int{6: 241, 9: 367, 12: 511}
 	for _, depth := range []int{6, 9, 12} {
 		doc := datagen.Book{SectionDepth: 4, TableDepth: depth, Repeat: 6, AuthorEvery: 2, PositionEvery: 3}.String()
-		t.Run(fmt.Sprintf("depth=%d", depth), func(t *testing.T) {
+		t.Run(fmt.Sprintf("depth=%d/%s", depth, serial), func(t *testing.T) {
 			var peaks []int
 			for _, n := range []int{1, 4} {
 				outer := 0

@@ -65,6 +65,10 @@ type pooledEval struct {
 	ses *session
 }
 
+// serial is the subtest name of a test's arm on one pooled session: the
+// session routes every machine itself, with no shard workers.
+const serial = "workers=0"
+
 func newPooledEval(e *Engine) *pooledEval {
 	return &pooledEval{e: e, ses: newSession(e)}
 }
@@ -142,12 +146,14 @@ func assertIdleAfterWoken(t *testing.T, stats1, stats2 []twigm.Stats, results2 [
 }
 
 func TestIdleAfterWoken(t *testing.T) {
-	p := newPooledEval(mustEngine(t, staleQueries...))
-	_, stats1 := assertFresh(t, p, staleQueries, staleDoc1)
-	results2, stats2 := assertFresh(t, p, staleQueries, staleDoc2)
-	assertIdleAfterWoken(t, stats1, stats2, results2)
-	// And back: the machines document 2 left idle wake clean.
-	assertFresh(t, p, staleQueries, staleDoc1)
+	t.Run(serial, func(t *testing.T) {
+		p := newPooledEval(mustEngine(t, staleQueries...))
+		_, stats1 := assertFresh(t, p, staleQueries, staleDoc1)
+		results2, stats2 := assertFresh(t, p, staleQueries, staleDoc2)
+		assertIdleAfterWoken(t, stats1, stats2, results2)
+		// And back: the machines document 2 left idle wake clean.
+		assertFresh(t, p, staleQueries, staleDoc1)
+	})
 }
 
 // TestIdleAfterAbortedDocument: document 1 dies mid-element, three ways, and
@@ -177,7 +183,7 @@ func TestIdleAfterAbortedDocument(t *testing.T) {
 		}, func(err error) bool { return errors.Is(err, context.Canceled) }},
 	}
 	for _, abort := range aborts {
-		t.Run(abort.name, func(t *testing.T) {
+		t.Run(serial+"/"+abort.name, func(t *testing.T) {
 			p := newPooledEval(mustEngine(t, staleQueries...))
 			_, stats1 := assertFresh(t, p, staleQueries, staleDoc1)
 			if err := abort.run(p); !abort.is(err) {
@@ -254,7 +260,7 @@ func TestIdleAcrossResync(t *testing.T) {
 	}
 	for _, aborted := range []bool{false, true} {
 		for _, m := range mutations {
-			t.Run(fmt.Sprintf("aborted=%v/%s", aborted, m.name), func(t *testing.T) {
+			t.Run(fmt.Sprintf("%s/aborted=%v/%s", serial, aborted, m.name), func(t *testing.T) {
 				sources := append(append([]string(nil), filler...), staleQueries...)
 				e := mustEngine(t, sources...)
 				p := newPooledEval(e)

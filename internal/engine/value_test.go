@@ -69,29 +69,31 @@ func TestGroupDeliveryCountsOnce(t *testing.T) {
 // and nothing of it may show — then it wakes clean.
 func TestIdleGroupAfterAbortedDocument(t *testing.T) {
 	sources := []string{"//feed[. = 'x']", "//quote/bid", "//feed[. = '']", "//trade/symbol[. = 'ACME']"}
-	p := newPooledEval(mustEngine(t, sources...))
-	_, stats1 := assertFresh(t, p, sources, staleDoc1)
-	if _, _, err := p.stream(context.Background(), staleDoc1[:len(staleDoc1)/2], nil); err == nil {
-		t.Fatal("truncated document streamed cleanly")
-	}
-	open := func() int {
-		n := 0
-		for _, run := range p.runs() {
-			if run != nil && run.Group() != nil {
-				n += run.LiveEntries()
-			}
+	t.Run(serial, func(t *testing.T) {
+		p := newPooledEval(mustEngine(t, sources...))
+		_, stats1 := assertFresh(t, p, sources, staleDoc1)
+		if _, _, err := p.stream(context.Background(), staleDoc1[:len(staleDoc1)/2], nil); err == nil {
+			t.Fatal("truncated document streamed cleanly")
 		}
-		return n
-	}
-	if open() == 0 {
-		t.Fatal("the aborted document left no open group entry: the test lost its subject")
-	}
-	results2, stats2 := assertFresh(t, p, sources, staleDoc2)
-	assertIdleAfterWoken(t, stats1, stats2, results2)
-	if open() == 0 {
-		t.Fatal("an idle group was reset: document 2 paid for a group it never woke")
-	}
-	assertFresh(t, p, sources, staleDoc1)
+		open := func() int {
+			n := 0
+			for _, run := range p.runs() {
+				if run != nil && run.Group() != nil {
+					n += run.LiveEntries()
+				}
+			}
+			return n
+		}
+		if open() == 0 {
+			t.Fatal("the aborted document left no open group entry: the test lost its subject")
+		}
+		results2, stats2 := assertFresh(t, p, sources, staleDoc2)
+		assertIdleAfterWoken(t, stats1, stats2, results2)
+		if open() == 0 {
+			t.Fatal("an idle group was reset: document 2 paid for a group it never woke")
+		}
+		assertFresh(t, p, sources, staleDoc1)
+	})
 }
 
 // TestFailedStreamStats: a stream an emit error stops returns the error
@@ -142,61 +144,63 @@ func TestBucketStatsMatchMemberStats(t *testing.T) {
 		"//channel//article/head/f3[. = 'v1']", "//channel//article/head/f3[. = 'v1']",
 		"//article/head", "//channel//title")
 	doc := datagen.Portal{Articles: 6, Fields: 20, Values: 4, Seed: 1}.String()
-	e := mustEngine(t, sources...)
-	ep := e.cur.Load()
-	p := newPooledEval(e)
-	got := make(map[int32]twigm.Stats)
-	calls := 0
-	plan := Plan{Stats: func(machines []int32, st twigm.Stats) {
-		calls++
-		if len(machines) == 0 || !slices.IsSorted(machines) {
-			t.Fatalf("report for machines %v: want a non-empty ascending list", machines)
-		}
-		for _, d := range machines {
-			if _, dup := got[d]; dup {
-				t.Fatalf("machine %d reported twice", d)
+	t.Run(serial, func(t *testing.T) {
+		e := mustEngine(t, sources...)
+		ep := e.cur.Load()
+		p := newPooledEval(e)
+		got := make(map[int32]twigm.Stats)
+		calls := 0
+		plan := Plan{Stats: func(machines []int32, st twigm.Stats) {
+			calls++
+			if len(machines) == 0 || !slices.IsSorted(machines) {
+				t.Fatalf("report for machines %v: want a non-empty ascending list", machines)
 			}
-			got[d] = st
-		}
-	}}
-	p.ses.scan.Reset(strings.NewReader(doc))
-	scan, err := p.ses.stream(context.Background(), e, ep, saxtest.PoisonDriver(p.ses.scan), plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The member-by-member reports, from the runs the document woke.
-	want := make(map[int32]twigm.Stats)
-	reports, shared := 0, 0
-	member := func(slot int32, st twigm.Stats) {
-		st.Events, st.Elements, st.MaxDepth = scan.Events, scan.Elements, scan.MaxDepth
-		want[ep.liveIdx.At(int(slot))] = st
-	}
-	rt := &p.ses.rt
-	for _, i := range rt.woken {
-		run := rt.runs[i]
-		g := run.Group()
-		if g == nil {
-			reports++
-			member(i, run.Stats())
-			continue
-		}
-		for b := range int32(g.Buckets()) {
-			reports++
-			if len(g.Members(b)) > 1 {
-				shared++
+			for _, d := range machines {
+				if _, dup := got[d]; dup {
+					t.Fatalf("machine %d reported twice", d)
+				}
+				got[d] = st
 			}
-			for _, m := range g.Members(b) {
-				member(m, run.MemberStats(b))
+		}}
+		p.ses.scan.Reset(strings.NewReader(doc))
+		scan, err := p.ses.stream(context.Background(), e, ep, saxtest.PoisonDriver(p.ses.scan), plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The member-by-member reports, from the runs the document woke.
+		want := make(map[int32]twigm.Stats)
+		reports, shared := 0, 0
+		member := func(slot int32, st twigm.Stats) {
+			st.Events, st.Elements, st.MaxDepth = scan.Events, scan.Elements, scan.MaxDepth
+			want[ep.liveIdx.At(int(slot))] = st
+		}
+		rt := &p.ses.rt
+		for _, i := range rt.woken {
+			run := rt.runs[i]
+			g := run.Group()
+			if g == nil {
+				reports++
+				member(i, run.Stats())
+				continue
+			}
+			for b := range int32(g.Buckets()) {
+				reports++
+				if len(g.Members(b)) > 1 {
+					shared++
+				}
+				for _, m := range g.Members(b) {
+					member(m, run.MemberStats(b))
+				}
 			}
 		}
-	}
-	if shared == 0 {
-		t.Fatal("no woken literal has several members: the test lost its subject")
-	}
-	if calls != reports {
-		t.Fatalf("%d reports, want one per woken run or literal: %d", calls, reports)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("reported statistics differ from the member-by-member reports:\ngot  %v\nwant %v", got, want)
-	}
+		if shared == 0 {
+			t.Fatal("no woken literal has several members: the test lost its subject")
+		}
+		if calls != reports {
+			t.Fatalf("%d reports, want one per woken run or literal: %d", calls, reports)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("reported statistics differ from the member-by-member reports:\ngot  %v\nwant %v", got, want)
+		}
+	})
 }

@@ -58,36 +58,40 @@ func TestValuesOutliveTheRecording(t *testing.T) {
 		"//section//section//section//table", "//section[.//position]//table[cell]",
 		"//table", "//cell", "//*", "//a", "//a//a", "//r/*", "//a[b] | //b",
 	}
-	for _, ordered := range []bool{false, true} {
-		t.Run(fmt.Sprintf("ordered=%v", ordered), func(t *testing.T) {
-			opts := Options{Ordered: ordered}
-			evaluate := func(qs *QuerySet, doc string) []SetResult {
-				var out []SetResult
-				if _, err := qs.Stream(strings.NewReader(doc), opts, func(sr SetResult) error {
-					out = append(out, sr)
-					return nil
-				}); err != nil {
-					t.Fatal(err)
+	// Options.Parallel is deprecated and ignored; either setting must keep
+	// the values.
+	for _, par := range []int{0, 2} {
+		for _, ordered := range []bool{false, true} {
+			t.Run(fmt.Sprintf("parallel=%d/ordered=%v", par, ordered), func(t *testing.T) {
+				opts := Options{Parallel: par, Ordered: ordered}
+				evaluate := func(qs *QuerySet, doc string) []SetResult {
+					var out []SetResult
+					if _, err := qs.Stream(strings.NewReader(doc), opts, func(sr SetResult) error {
+						out = append(out, sr)
+						return nil
+					}); err != nil {
+						t.Fatal(err)
+					}
+					return out
 				}
-				return out
-			}
-			pooled, err := NewQuerySet(queries...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for k, doc := range docs {
-				kept := evaluate(pooled, doc)
-				for i := 1; i <= 8; i++ {
-					evaluate(pooled, docs[(k+i)%len(docs)])
-				}
-				fresh, err := NewQuerySet(queries...)
+				pooled, err := NewQuerySet(queries...)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if want := evaluate(fresh, doc); !reflect.DeepEqual(kept, want) {
-					t.Fatalf("document %d: kept values changed under later documents\nkept  %+v\nfresh %+v", k, kept, want)
+				for k, doc := range docs {
+					kept := evaluate(pooled, doc)
+					for i := 1; i <= 8; i++ {
+						evaluate(pooled, docs[(k+i)%len(docs)])
+					}
+					fresh, err := NewQuerySet(queries...)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if want := evaluate(fresh, doc); !reflect.DeepEqual(kept, want) {
+						t.Fatalf("document %d: kept values changed under later documents\nkept  %+v\nfresh %+v", k, kept, want)
+					}
 				}
-			}
-		})
+			})
+		}
 	}
 }
