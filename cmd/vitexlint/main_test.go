@@ -29,7 +29,6 @@ func TestMain(m *testing.M) {
 	os.Exit(code)
 }
 
-
 func repoRoot(t *testing.T) string {
 	t.Helper()
 	root, err := filepath.Abs(filepath.Join("..", ".."))

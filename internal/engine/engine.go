@@ -19,8 +19,8 @@
 //   - StartElement can only push on a name match (or wildcard), and can only
 //     feed attribute nodes on an attribute-name match — so the static
 //     subscriptions are element names, attribute names and wildcards.
-//   - EndElement only pops entries, so it matters only to machines with live
-//     entries.
+//   - EndElement only pops entries, and only those its element's start tag
+//     pushed, so it matters only to the machines that start tag pushed on.
 //   - Text only matters to machines with a live text()-parent or
 //     string-value entry (or an absolute text() node).
 //
@@ -253,9 +253,12 @@ func (s Snapshot) Stream(ctx context.Context, r io.Reader, plan Plan) (twigm.Sta
 
 // StreamVia is Stream with the scanner's events passed through wrap on their
 // way to the engine: wrap receives the pooled session's scanner, already
-// reading r, and returns the front-end the evaluation runs. Differential tests
-// wrap it in saxtest.PoisonDriver, which destroys each batch's transient
-// strings the moment the engine has handled it.
+// reading r and projected to what the snapshot's machines can observe
+// (projection.go), and returns the front-end the evaluation runs.
+// Differential tests wrap it in saxtest.PoisonDriver, which destroys each
+// batch's transient strings the moment the engine has handled it, and may
+// clear the scanner's projection (xmlscan.Scanner.Project) to evaluate the
+// full stream.
 func (s Snapshot) StreamVia(ctx context.Context, r io.Reader, plan Plan, wrap func(sax.Driver) sax.Driver) (twigm.Stats, error) {
 	e := s.eng
 	ses := e.pool.get()
@@ -264,6 +267,7 @@ func (s Snapshot) StreamVia(ctx context.Context, r io.Reader, plan Plan, wrap fu
 	}
 	defer e.pool.put(ses)
 	ses.scan.Reset(r)
+	ses.scan.Project(s.ep.projection())
 	return ses.stream(ctx, e, s.ep, frontEnd(ses.scan, wrap), plan)
 }
 
@@ -366,6 +370,11 @@ func (ses *session) stream(ctx context.Context, e *Engine, ep *epoch, drv sax.Dr
 		err = ses.ctx.Err()
 	}
 	ses.ctx, ses.done = nil, nil
+	if events, elements, maxDepth, ok := ses.scan.Scanned(ses.events); ok {
+		// The scanner projected the document: what it omitted counts too.
+		ses.events, ses.elements, ses.maxDepth = events, elements, maxDepth
+	}
+	ses.scan.Project(nil)
 	e.events.Add(ses.events)
 	e.deliveries.Add(ses.rt.deliveries)
 	e.triePushes.Add(ses.rt.prun.Pushes())
@@ -396,7 +405,8 @@ type session struct {
 	ctx  context.Context //vitex:keep cleared by stream before pooling
 	done <-chan struct{} //vitex:keep cleared by stream before pooling
 
-	// Shared-scan counters.
+	// Shared-scan counters: events is the ordinal of the last event handled.
+	// Under a projection the scanner counts what it omitted (stream).
 	events   int64
 	elements int64
 	maxDepth int
@@ -494,9 +504,10 @@ func (s *session) reset(plan Plan) {
 }
 
 // HandleBatch implements sax.Handler: it counts the scan's shared-level
-// quantities and routes each event to the machines subscribed to it. Event
-// strings are transient per the sax.Handler lifetime rule; the machines
-// clone anything a candidate retains inside the route.
+// quantities and routes each event to the machines subscribed to it, on the
+// scan's clock: an event's index is its ordinal, which a projected stream
+// skips ahead. Event strings are transient per the sax.Handler lifetime rule;
+// the machines clone anything a candidate retains inside the route.
 //
 //vitex:hotpath
 func (s *session) HandleBatch(evs []sax.Event) error {
@@ -513,6 +524,9 @@ func (s *session) HandleBatch(evs []sax.Event) error {
 			}
 		}
 		s.events++
+		if ev.Ordinal != 0 {
+			s.events = ev.Ordinal
+		}
 		if ev.Kind == sax.StartElement {
 			s.elements++
 			if ev.Depth > s.maxDepth {
@@ -560,10 +574,11 @@ type router struct {
 	wokenAt []uint64 //vitex:keep generation stamps: gen only ever grows, so a stamp left by any earlier document is stale
 	woken   []int32
 
-	// Dynamic routing sets. endSet holds machines with live stack entries
-	// (they need end-element events); textSet holds machines for which the
-	// next text event could matter.
-	endSet  denseSet
+	// Dynamic routing sets. pushed lists, by depth, the machines that pushed
+	// an entry at the element open at that depth: the machines its end tag
+	// pops, and the only ones it matters to. textSet holds machines for which
+	// the next text event could matter.
+	pushed  [][]int32
 	textSet denseSet
 
 	// rec serializes the document once for every machine it wakes while any
@@ -598,7 +613,7 @@ func (rt *router) init(runs []*twigm.Run, trie *twigm.Trie) {
 	rt.runs = runs
 	rt.stamps = make([]int64, n)
 	rt.wokenAt = make([]uint64, n)
-	rt.endSet.init(n)
+	rt.clearPushed()
 	rt.textSet.init(n)
 	if rt.collectFn == nil {
 		rt.collectFn, rt.unorderedFn = rt.collect, rt.isUnordered
@@ -617,7 +632,6 @@ func (rt *router) rehost(runs []*twigm.Run, nSlots int) {
 		rt.stamps = append(rt.stamps, 0)
 		rt.wokenAt = append(rt.wokenAt, 0)
 	}
-	rt.endSet.grow(nSlots)
 	rt.textSet.grow(nSlots)
 }
 
@@ -627,7 +641,7 @@ func (rt *router) rehost(runs []*twigm.Run, nSlots int) {
 // subscribers (machines with a root text() node want text from the first
 // event on). ep is the epoch the caller synced to.
 func (rt *router) reset(ep *epoch, plan Plan) {
-	rt.endSet.clear()
+	rt.clearPushed()
 	rt.textSet.clear()
 	for _, i := range ep.rootText {
 		rt.textSet.set(i, true)
@@ -756,18 +770,10 @@ func withScan(st, scan twigm.Stats) twigm.Stats {
 	return st
 }
 
-// refresh recomputes machine i's dynamic routing memberships. Called after
-// every delivery to i (the only points its state can change).
-//
-//vitex:hotpath
-func (rt *router) refresh(i int32) {
-	run := rt.runs[i]
-	rt.endSet.set(i, run.LiveEntries() > 0)
-	rt.textSet.set(i, run.WantsText())
-}
-
 // deliver hands the event to machine i — waking it if this is the document's
-// first delivery to it — then refreshes i's routing memberships.
+// first delivery to it — then refreshes i's dynamic routing memberships (a
+// delivery is the only point its state can change): a start tag it pushed on
+// files it for that element's end tag, and its interest in text is read anew.
 //
 //vitex:hotpath
 func (rt *router) deliver(i int32, ev *sax.Event, idx int64) error {
@@ -775,9 +781,33 @@ func (rt *router) deliver(i int32, ev *sax.Event, idx int64) error {
 		rt.wake(i)
 	}
 	rt.deliveries++
-	err := rt.runs[i].HandleRouted(ev, idx)
-	rt.refresh(i)
+	run := rt.runs[i]
+	live := run.LiveEntries()
+	err := run.HandleRouted(ev, idx)
+	if run.LiveEntries() > live {
+		rt.pushedAt(ev.Depth, i)
+	}
+	rt.textSet.set(i, run.WantsText())
 	return err
+}
+
+// pushedAt files machine i, which pushed on the start tag at depth, for that
+// element's end tag. A machine receives a start tag once, so it is filed
+// once.
+//
+//vitex:hotpath
+func (rt *router) pushedAt(depth int, i int32) {
+	for len(rt.pushed) <= depth {
+		rt.pushed = append(rt.pushed, nil)
+	}
+	rt.pushed[depth] = append(rt.pushed[depth], i)
+}
+
+// clearPushed empties every depth's list: no element is open.
+func (rt *router) clearPushed() {
+	for d := range rt.pushed {
+		rt.pushed[d] = rt.pushed[d][:0]
+	}
 }
 
 // route dispatches one scan event (1-based shared index idx) to the routed
@@ -800,9 +830,12 @@ func (rt *router) route(ev *sax.Event, idx int64) error {
 		rt.prun.StartElement(ev)
 		slots = rt.startSubscribers(ev)
 	case sax.EndElement:
-		// endSet contains every machine with something to pop; iterate a
-		// snapshot since delivery mutates membership.
-		slots = rt.snapshot(&rt.endSet)
+		// The machines the element's start tag pushed on, which the end tag
+		// pops; it pushes nothing, so the list is iterated in place.
+		if ev.Depth < len(rt.pushed) {
+			slots = sortSlots(rt.pushed[ev.Depth])
+			rt.pushed[ev.Depth] = slots[:0]
+		}
 	case sax.Text:
 		slots = rt.snapshot(&rt.textSet)
 	case sax.EndDocument:
@@ -868,13 +901,7 @@ func (rt *router) startSubscribers(ev *sax.Event) []int32 {
 		rt.scratch = out
 		return out
 	}
-	out = rt.appendNew(out, rt.ep.wild)
-	// Insertion sort: subscriber counts per event are small by design.
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
+	out = sortSlots(rt.appendNew(out, rt.ep.wild))
 	rt.scratch = out
 	return out
 }
@@ -894,18 +921,25 @@ func (rt *router) appendNew(out, list []int32) []int32 {
 	return out
 }
 
-// snapshot copies a dynamic set into the scratch buffer in machine order, so
-// deliveries can mutate the set while we iterate.
+// snapshot copies the members of a dynamic set into the scratch buffer in
+// machine order, so deliveries can mutate the set while we iterate.
 //
 //vitex:hotpath
 func (rt *router) snapshot(d *denseSet) []int32 {
-	out := append(rt.scratch[:0], d.items...)
+	rt.scratch = sortSlots(append(rt.scratch[:0], d.items...))
+	return rt.scratch
+}
+
+// sortSlots puts slots in machine order, in place. Insertion sort: the
+// machines one event concerns are few by design.
+//
+//vitex:hotpath
+func sortSlots(out []int32) []int32 {
 	for i := 1; i < len(out); i++ {
 		for j := i; j > 0 && out[j] < out[j-1]; j-- {
 			out[j], out[j-1] = out[j-1], out[j]
 		}
 	}
-	rt.scratch = out
 	return out
 }
 

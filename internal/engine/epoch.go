@@ -138,6 +138,13 @@ type routes struct {
 	attrSubs cow.Table[[]int32] // NameID -> slots subscribed to the attribute name
 	wild     []int32            // slots with a '*' element node
 	rootText []int32            // slots with a root text() node: text subscribers before their first wake
+	// values counts, by NameID, the slots whose machine reads the content
+	// of elements of that name (twigm.Program.ValueRootIDs): the value roots
+	// of the epoch's projection (projection.go).
+	values cow.Table[int32]
+	// blind counts the slots with a text() node at the document root, which
+	// reads text no element name selects.
+	blind int
 }
 
 // clone starts the next epoch: every table is shared until written, and the
@@ -159,6 +166,8 @@ func (ep *epoch) clone() *epoch {
 			attrSubs: ep.attrSubs.Clone(),
 			wild:     ep.wild,
 			rootText: ep.rootText,
+			values:   ep.values.Clone(),
+			blind:    ep.blind,
 		},
 		trie:        ep.trie,
 		anchors:     ep.anchors.Clone(),
@@ -242,6 +251,15 @@ func (r *routes) route(slot int32, p *twigm.Program) {
 	}
 	if p.HasRootText() {
 		r.rootText = append(r.rootText, slot)
+		if !p.Anchored() {
+			r.blind++
+		}
+	}
+	for _, id := range p.ValueRootIDs() {
+		for r.values.Len() <= int(id) {
+			r.values.Append(0)
+		}
+		r.values.Set(int(id), r.values.At(int(id))+1)
 	}
 }
 
@@ -272,6 +290,12 @@ func (ep *epoch) unroute(slot int32, p *twigm.Program) {
 	}
 	if p.HasRootText() {
 		ep.rootText = without(ep.rootText, slot)
+		if !p.Anchored() {
+			ep.blind--
+		}
+	}
+	for _, id := range p.ValueRootIDs() {
+		ep.values.Set(int(id), ep.values.At(int(id))-1)
 	}
 }
 
@@ -595,13 +619,15 @@ type Metrics struct {
 	ValueKeyedMachines int
 
 	// Dispatch accounting, cumulative over the engine's lifetime: scan
-	// events routed, deliveries made (Deliveries/Events = machines woken
-	// per event — the quantity prefix sharing drives down; a delivery to a
-	// value group counts once, however many machines it evaluates), and
-	// trie entries pushed by the shared prefix layer. Document boundaries
-	// are not broadcast: StartDocument is delivered to nobody and
-	// EndDocument only to what the document woke, so a machine a document
-	// never concerns adds nothing to Deliveries.
+	// events, whether or not the scanner's projection let them reach the
+	// router, deliveries made (Deliveries/Events = machines woken per event
+	// — the quantity prefix sharing drives down; a delivery to a value
+	// group counts once, however many machines it evaluates), and trie
+	// entries pushed by the shared prefix layer. Document boundaries are not
+	// broadcast: StartDocument is delivered to nobody and EndDocument only to
+	// what the document woke, so a machine a document never concerns adds
+	// nothing to Deliveries; an end tag is delivered only to the machines
+	// it pops.
 	Events     int64
 	Deliveries int64
 	TriePushes int64

@@ -10,6 +10,7 @@ import (
 	"repro/internal/datagen"
 	"repro/internal/dom"
 	"repro/internal/sax/saxtest"
+	"repro/internal/twigm"
 	"repro/internal/xmlscan"
 	"repro/internal/xpath"
 
@@ -29,6 +30,9 @@ import (
 //     and clocks)
 //  4. churned QuerySet (built by Add/Remove/Replace) == freshly compiled set
 //     (results AND stats)
+//  5. projected evaluation == the unprojected stream, for the round's set and
+//     for each of its queries alone (every machine's emissions and stats,
+//     projection_test.go)
 //
 // In normal `go test` mode the campaign covers at least 500 pairs; -short
 // shrinks it to a smoke test.
@@ -138,6 +142,19 @@ func TestDifferentialCampaign(t *testing.T) {
 		if !reflect.DeepEqual(churnRes, fresh) || !reflect.DeepEqual(churnStats, freshStats) {
 			t.Fatalf("round %d: churned set diverges from fresh set\nqueries: %q\ndoc: %s\nfresh   %+v %+v\nchurned %+v %+v",
 				round, sources, doc, fresh, freshStats, churnRes, churnStats)
+		}
+
+		// Axis 5: what a projection omits is invisible. One '*' step turns
+		// projection off for a whole set, so each query runs alone too.
+		popts := twigm.Options{Ordered: opts.Ordered, CountOnly: opts.CountOnly}
+		name := fmt.Sprintf("round %d", round)
+		if err := assertProjectionInvisible(t, name, sources, doc, popts); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for _, src := range sources {
+			if err := assertProjectionInvisible(t, name, []string{src}, doc, popts); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
 		}
 	}
 

@@ -8,6 +8,7 @@ import (
 	"repro/internal/datagen"
 	"repro/internal/dom"
 	"repro/internal/sax/saxtest"
+	"repro/internal/twigm"
 	"repro/internal/xmlscan"
 	"repro/internal/xpath"
 
@@ -20,8 +21,11 @@ import (
 // fragments are spans of one recording: a span that outlives or overruns its
 // bytes shows up as a wrong value on either side. Beside them runs each
 // branch's equality sibling (groupSibling), which shares the branch's value
-// group when the branch is value-keyed. Queries that do not compile and
-// documents that do not parse are skipped.
+// group when the branch is value-keyed. A '*' step turns the scanner's
+// projection off, so the query and its siblings also run without //*,
+// projected and unprojected, which must agree byte for byte
+// (projection_test.go). Queries that do not compile and documents that do not
+// parse are skipped.
 //
 //	go test -fuzz=FuzzQueryVsDOM -fuzztime=10m ./internal/integration
 func FuzzQueryVsDOM(f *testing.F) {
@@ -78,6 +82,10 @@ func FuzzQueryVsDOM(f *testing.F) {
 			if !equal(got[i], want) {
 				t.Fatalf("query %d of %q disagrees with the DOM\ndoc: %q\n got: %q\nwant: %q", i, set, doc, got[i], want)
 			}
+		}
+		projected := append([]string{src}, set[2:]...)
+		if err := assertProjectionInvisible(t, "fuzz", projected, doc, twigm.Options{Ordered: true}); err != nil {
+			t.Fatalf("%q over a document the DOM parsed: %v", projected, err)
 		}
 	})
 }

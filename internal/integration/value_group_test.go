@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/datagen"
 	"repro/internal/engine"
+	"repro/internal/sax"
 	"repro/internal/sax/saxtest"
 	"repro/internal/twigm"
 	"repro/internal/xpath"
@@ -110,6 +111,17 @@ type emitted struct {
 // front-end and returns the emission sequence and one Stats per machine.
 func evalPoisoned(t *testing.T, e *engine.Engine, union []bool, doc string, opts twigm.Options) ([]emitted, []twigm.Stats) {
 	t.Helper()
+	out, stats, err := evalVia(t, e, union, doc, opts, saxtest.PoisonDriver)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out, stats
+}
+
+// evalVia is evalPoisoned through the front-end wrap makes of the session's
+// scanner (engine.Snapshot.StreamVia), returning the evaluation's error.
+func evalVia(t *testing.T, e *engine.Engine, union []bool, doc string, opts twigm.Options, wrap func(sax.Driver) sax.Driver) ([]emitted, []twigm.Stats, error) {
+	t.Helper()
 	snap := e.Snapshot()
 	var out []emitted
 	stats := make([]twigm.Stats, snap.Len())
@@ -130,16 +142,13 @@ func evalPoisoned(t *testing.T, e *engine.Engine, union []bool, doc string, opts
 			woken[d], stats[d] = true, st
 		}
 	}
-	scan, err := snap.StreamVia(context.Background(), strings.NewReader(doc), plan, saxtest.PoisonDriver)
-	if err != nil {
-		t.Fatal(err)
-	}
+	scan, err := snap.StreamVia(context.Background(), strings.NewReader(doc), plan, wrap)
 	for d := range stats {
 		if !woken[d] {
 			stats[d] = scan
 		}
 	}
-	return out, stats
+	return out, stats, err
 }
 
 // byMachine splits an emission sequence per machine.

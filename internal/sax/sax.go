@@ -12,6 +12,15 @@
 // itself (parent depth + 1), matching the XPath data model in which text
 // nodes are children of their containing element.
 //
+// A stream may omit events; the ordinal is the scan's. A producer that
+// projects the document (xmlscan.Scanner under a Projection) queues only the
+// events its consumer can observe, and numbers every event it does queue with
+// its 1-based position in the full scan (Event.Ordinal), so clocks indexed by
+// event — a result's ConfirmedAt and DeliveredAt — read the same whatever was
+// omitted. Omission never breaks the stream's shape: StartDocument and
+// EndDocument are always delivered, and an element's end tag is delivered
+// exactly when its start tag was.
+//
 // There is one delivery contract, Handler.HandleBatch, and one lifetime rule:
 // element and attribute names (Name, Prefix, Local) are interned and stay
 // valid for the producer's lifetime; everything else reachable from a batch —
@@ -187,6 +196,12 @@ type Event struct {
 	// Offset is the byte offset in the input at which the token that
 	// produced this event begins. Diagnostic only.
 	Offset int64
+	// Ordinal is the event's 1-based position in the scan of its document,
+	// counting every event the producer scanned, delivered or not: a stream
+	// may omit events, and the ordinal is the scan's. Zero when the producer
+	// does not number its events; such a producer omits none, and a consumer
+	// counts them itself.
+	Ordinal int64
 }
 
 // LocalName returns the element's local name, splitting Name when the

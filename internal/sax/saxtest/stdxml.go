@@ -20,7 +20,8 @@ import (
 // (URI, local). The sax model carries the lexical QName — name tests match
 // local names, and prefixed tests match the prefix as written — so the
 // driver tracks the in-scope xmlns declarations itself and maps each URI
-// back to the innermost prefix bound to it. Documents that bind two prefixes
+// back to the innermost prefix bound to it, or to xml for the namespace that
+// prefix is bound to by definition. Documents that bind two prefixes
 // to one URI in the same scope reconstruct to the innermost binding (a
 // documented approximation; see README "XML conformance").
 type StdDriver struct {
@@ -72,13 +73,21 @@ func (d *StdDriver) nameID(local string) int32 {
 	return id
 }
 
+// xmlNamespace is the namespace the prefix xml is bound to by definition
+// (Namespaces in XML 1.0 §3): encoding/xml reports xml:lang under it with no
+// declaration in sight.
+const xmlNamespace = "http://www.w3.org/XML/1998/namespace"
+
 // resolve reconstructs the lexical QName of an encoding/xml name. For
 // attributes the default namespace never applies, so only prefixed bindings
-// are consulted.
+// are consulted. The xml prefix is bound outside every declaration.
 func (d *StdDriver) resolve(n xml.Name, attr bool) qname {
 	prefix := ""
 	if n.Space != "" {
 		prefix = n.Space // undeclared prefixes pass through verbatim
+		if n.Space == xmlNamespace {
+			prefix = "xml"
+		}
 		for i := len(d.bindings) - 1; i >= 0; i-- {
 			b := d.bindings[i]
 			if b.uri != n.Space || (attr && b.prefix == "") {

@@ -116,7 +116,7 @@ func writePrometheus(w io.Writer, b *Broker) {
 		func(p promChannel) (int64, bool) { return p.cm.Engine.TriePrunes, true })
 	counter("vitex_engine_trie_compactions_total", "Trie compactions.",
 		func(p promChannel) (int64, bool) { return p.cm.Engine.TrieCompactions, true })
-	counter("vitex_engine_events_total", "Scan events routed to the dispatch layer.",
+	counter("vitex_engine_events_total", "Scan events read, including those the scanner projected out before dispatch.",
 		func(p promChannel) (int64, bool) { return p.cm.Engine.Events, true })
 	counter("vitex_engine_deliveries_total", "Machine and value-group deliveries (engine wake-ups).",
 		func(p promChannel) (int64, bool) { return p.cm.Engine.Deliveries, true })

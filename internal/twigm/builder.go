@@ -63,6 +63,11 @@ type Program struct {
 	// valueNodes are element nodes that must accumulate their string-value
 	// (they carry a chain comparison or a self-comparison predicate).
 	valueNodes []*node
+	// valueRoots are the symbol IDs of the element names whose content the
+	// machine reads (ValueRootIDs); rootText reports a text() node with no
+	// parent (HasRootText).
+	valueRoots []int32
+	rootText   bool
 
 	// anchored marks a residual machine built by CompileShared: its root
 	// node's axis checks consult a shared prefix AnchorStack (bound per
@@ -99,6 +104,9 @@ type node struct {
 	spine    bool
 	// needsText: entries of this node accumulate their string-value.
 	needsText bool
+	// readsText: while an entry of this node is live, text matters to the
+	// machine — the node needs its string value, or has a text() child.
+	readsText bool
 	// hasSelfClosePrune: the condition can be decided false at push time
 	// from child-axis attribute leaves alone.
 	prunable bool
@@ -168,10 +176,34 @@ func CompileWith(q *xpath.Query, syms *sax.Symbols) (*Program, error) {
 	return p, nil
 }
 
-// freezeDispatch builds the ID-keyed dispatch views from the name maps.
+// freezeDispatch builds the ID-keyed dispatch views from the name maps, and
+// the value roots.
 func (p *Program) freezeDispatch() {
 	p.elems = newDispatchTable(p.elemIndex)
 	p.attrs = newDispatchTable(p.attrIndex)
+	for _, m := range p.nodes {
+		m.readsText = m.readsText || m.needsText
+		switch {
+		case m.kind == xpath.Element && (m.isOutput || m.needsText):
+			p.addValueRoot(m.nameID)
+		case m.kind == xpath.Text && m.parent != nil:
+			m.parent.readsText = true
+			p.addValueRoot(m.parent.nameID)
+		case m.kind == xpath.Text && p.anchored:
+			p.rootText = true
+			p.addValueRoot(p.profile[len(p.profile)-1].NameID)
+		case m.kind == xpath.Text:
+			p.rootText = true
+		}
+	}
+}
+
+// addValueRoot files id among the value roots once; 0, a wildcard's, is no
+// name.
+func (p *Program) addValueRoot(id int32) {
+	if id > 0 && !slices.Contains(p.valueRoots, id) {
+		p.valueRoots = append(p.valueRoots, id)
+	}
 }
 
 // dispatchTable files a program's machine nodes by the symbol ID of their
@@ -484,6 +516,16 @@ func (p *Program) ElemNameIDs() []int32 { return p.elems.ids }
 // modify it.
 func (p *Program) AttrNameIDs() []int32 { return p.attrs.ids }
 
+// ValueRootIDs returns the symbol IDs of the element names whose content the
+// machine reads, not only their tags: its output element, whose fragment it
+// records; an element whose string value it compares; the parent of a text()
+// step — for a residual text() behind a shared prefix, the prefix's last step.
+// Every event inside such an element may matter to the machine; outside all
+// of them, only the tags it names and its attributes do. A '*' step names no
+// root: a machine with one is HasWildcardElem. The slice is the program's
+// own; callers must not modify it.
+func (p *Program) ValueRootIDs() []int32 { return p.valueRoots }
+
 // HasWildcardElem reports whether the machine has a '*' element node and
 // therefore must see every start-element event.
 func (p *Program) HasWildcardElem() bool { return len(p.wildElems) > 0 }
@@ -492,14 +534,7 @@ func (p *Program) HasWildcardElem() bool { return len(p.wildElems) > 0 }
 // (//text(), or a residual text() behind a shared prefix). Such a machine
 // wants text events from the first event of a document on — WantsText is true
 // of a freshly reset run — so routers treat it as a static text subscription.
-func (p *Program) HasRootText() bool {
-	for _, m := range p.textNodes {
-		if m.parent == nil {
-			return true
-		}
-	}
-	return false
-}
+func (p *Program) HasRootText() bool { return p.rootText }
 
 // NumNodes returns the number of machine nodes (equals the query size; the
 // builder is linear, paper claim 2).

@@ -195,6 +195,9 @@ type Run struct {
 	stats   Stats
 
 	liveEntries int
+	// textEntries counts the live entries of nodes that read text
+	// (WantsText).
+	textEntries int
 	liveCands   int
 	cands       candArena
 
@@ -245,6 +248,7 @@ func (r *Run) Reset(opts Options) {
 	r.count = 0
 	r.stats = Stats{}
 	r.liveEntries = 0
+	r.textEntries = 0
 	r.liveCands = 0
 	r.cands.reset()
 	if r.own != nil {
@@ -316,9 +320,13 @@ func (r *Run) HandleRouted(ev *sax.Event, eventIndex int64) error {
 	return r.handle(ev)
 }
 
-// LiveEntries reports the number of open stack entries. A machine with none
-// has nothing to pop, so end-element events need not be routed to it; an open
-// fragment always has the live entry of its element beneath it.
+// LiveEntries reports the number of open stack entries. Only a start tag
+// pushes, at its own depth, and an end tag pops exactly the entries pushed at
+// its element's start tag, so an end tag matters only to the machines whose
+// live entries its start tag raised; an open fragment always has the live
+// entry of its element beneath it.
+//
+//vitex:hotpath
 func (r *Run) LiveEntries() int { return r.liveEntries }
 
 // WantsText reports whether the next text event could matter to this
@@ -328,22 +336,7 @@ func (r *Run) LiveEntries() int { return r.liveEntries }
 // delivery, so a router may cache it between deliveries.
 //
 //vitex:hotpath
-func (r *Run) WantsText() bool {
-	for _, m := range r.prog.valueNodes {
-		if len(r.stacks[m.id]) > 0 {
-			return true
-		}
-	}
-	for _, m := range r.prog.textNodes {
-		if m.parent == nil {
-			return true
-		}
-		if len(r.stacks[m.parent.id]) > 0 {
-			return true
-		}
-	}
-	return false
-}
+func (r *Run) WantsText() bool { return r.textEntries > 0 || r.prog.rootText }
 
 // HandleBatch implements sax.Handler: a Run driven directly by a front-end
 // (no engine in between) sees every event, counts them itself and drives its
@@ -558,6 +551,9 @@ func (r *Run) tryPush(m *node, ev *sax.Event) {
 	r.stats.Pushes++
 	if r.trace.on() {
 		r.trace.push(m, d)
+	}
+	if m.readsText {
+		r.textEntries++
 	}
 	r.liveEntries++
 	if r.liveEntries > r.stats.PeakStackEntries {
@@ -786,6 +782,9 @@ func (r *Run) endElement(ev *sax.Event) {
 		r.stacks[m.id] = s[:len(s)-1]
 		r.stats.Pops++
 		r.liveEntries--
+		if m.readsText {
+			r.textEntries--
+		}
 	}
 }
 

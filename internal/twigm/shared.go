@@ -155,6 +155,14 @@ func (t *Trie) Live() int {
 	return t.live
 }
 
+// Names reports whether a live node tests the local name with symbol ID id.
+func (t *Trie) Names(id int32) bool {
+	return t != nil && id > 0 && int(id) < t.elem.Len() && len(t.elem.At(int(id))) > 0
+}
+
+// HasWildcard reports whether a live node is a '*' step.
+func (t *Trie) HasWildcard() bool { return t != nil && len(t.wild) > 0 }
+
 // Garbage returns the number of dead node IDs awaiting compaction.
 func (t *Trie) Garbage() int {
 	if t == nil {

@@ -7,7 +7,8 @@
 // reuse. Element names stay interned, stable strings: the routed engine
 // dispatches on them across documents.
 //
-// A batch goes out when it is full, when the document ends, and — so that a
+// A batch goes out when it spans eventBatch scanned events (a full batch, but
+// for the events a projection omits), when the document ends, and — so that a
 // slow input never holds proven results back — before every read of the
 // input (fill).
 package xmlscan
@@ -41,6 +42,23 @@ func (s *Scanner) arenaString(b []byte) string {
 	return unsafe.String(&a[0], len(a))
 }
 
+// bufString views b as a string without copying: a value that lives only as
+// long as b's bytes stay where they are (the read window, until the next
+// fill). arenaString makes a batch copy of it.
+//
+//vitex:hotpath
+func bufString(b []byte) string {
+	if len(b) == 0 {
+		return ""
+	}
+	return unsafe.String(&b[0], len(b))
+}
+
+// stringBytes is bufString's inverse: the bytes a view string shares.
+//
+//vitex:hotpath
+func stringBytes(v string) []byte { return unsafe.Slice(unsafe.StringData(v), len(v)) }
+
 // homeAttrs moves the attributes the general start-tag path collected in
 // scanner scratch (attrs, with values viewing valBuf) into the batch: the
 // entries into the batch-owned backing array, the values into the arena.
@@ -55,7 +73,7 @@ func (s *Scanner) homeAttrs() []sax.Attr {
 	st := len(s.batchAttrs)
 	for i := range s.attrs {
 		a := s.attrs[i]
-		a.Value = s.arenaString(unsafe.Slice(unsafe.StringData(a.Value), len(a.Value)))
+		a.Value = s.arenaString(stringBytes(a.Value))
 		s.batchAttrs = append(s.batchAttrs, a)
 	}
 	return s.batchAttrs[st:len(s.batchAttrs):len(s.batchAttrs)]
@@ -74,12 +92,13 @@ func (s *Scanner) batchSlot() *sax.Event {
 	return &s.batch[n]
 }
 
-// batchQueued finishes queueing the event just written into a batch slot: a
-// full batch flushes inline.
+// batchQueued finishes queueing the event just written into a batch slot, or
+// counting one a projection omits: a batch that spans batchLimit scanned
+// events flushes inline. Without a projection that is a full batch.
 //
 //vitex:hotpath
 func (s *Scanner) batchQueued() error {
-	if len(s.batch) >= s.batchLimit {
+	if s.events-s.batchFrom >= int64(s.batchLimit)-1 {
 		return s.flushBatch()
 	}
 	return nil
@@ -92,6 +111,11 @@ func (s *Scanner) batchQueued() error {
 func (s *Scanner) flushBatch() error {
 	if len(s.batch) > 0 && s.herr == nil {
 		s.herr = s.h.HandleBatch(s.batch)
+	}
+	if n := len(s.marks); n > 0 && s.herr == nil {
+		// Handled whole; a failure is looked up in the marks it keeps.
+		s.prev = s.marks[n-1]
+		s.marks = s.marks[:0]
 	}
 	s.batch = s.batch[:0]
 	s.batchAttrs = s.batchAttrs[:0]

@@ -14,7 +14,9 @@
 //
 // The scanner enforces the well-formedness properties the downstream TwigM
 // machine relies on: tags balance, exactly one root element, and no character
-// data outside the root other than whitespace.
+// data outside the root other than whitespace. Under a Projection
+// (project.go) it queues only the events its consumer can observe, and checks
+// all the rest as before.
 package xmlscan
 
 import (
@@ -43,7 +45,7 @@ type Scanner struct {
 	off    int64  // byte offset of buf[pos] in the input
 	err    error  // sticky read error (io.EOF when input exhausted)
 	depth  int
-	stack  []symEntry // open elements, for balance checking and end-tag fast path
+	stack  []openElem // open elements, for balance checking and end-tag fast path
 	text   []byte     // pending character-data run (reusable)
 	textAt int64      // offset of the first byte of the pending text run
 	// textBorrow is the zero-copy form of a pending text run: a slice of the
@@ -105,6 +107,28 @@ type Scanner struct {
 	batchAttrs []sax.Attr  //vitex:keep warmed attr backing array, truncated at each flush
 	arena      []byte      //vitex:keep warmed character-data arena, truncated at each flush
 	batchLimit int         //vitex:keep events per batch, fixed at construction (eventBatch)
+	// ---- projection (see project.go) ----
+	// proj is the document's projection, nil to queue every event; rootAt is
+	// the depth of the outermost open value root, 0 outside every one.
+	proj   Projection
+	rootAt int
+	// verdicts caches proj's answers by symbol ID (tagVerdict), for as long
+	// as the projection set is projFor.
+	verdicts []uint8    //vitex:keep projection answers, valid across documents while projFor is set; Project clears them for another
+	projFor  Projection //vitex:keep the projection verdicts came from, compared by Project
+	// events, elements and maxDepth count what the scan has scanned, queued
+	// or not; events is the ordinal of the last event scanned.
+	events   int64
+	elements int64
+	maxDepth int
+	// marks holds the counters through each event of the batch being
+	// delivered, and prev those through the last event of the batch before:
+	// what Scanned reports when the handler fails. Kept under a projection
+	// only.
+	marks []scanMark
+	prev  scanMark
+	// batchFrom is the ordinal of the batch's first event.
+	batchFrom int64
 }
 
 // symEntry is one intern-cache slot: the canonical string for a name, its
@@ -216,6 +240,12 @@ func (s *Scanner) Reset(r io.Reader) {
 	s.started = false
 	s.bomChecked = false
 	s.entities = nil
+	s.proj = nil
+	s.rootAt = 0
+	s.events, s.elements, s.maxDepth = 0, 0, 0
+	s.marks = s.marks[:0]
+	s.prev = scanMark{}
+	s.batchFrom = 0
 }
 
 // intern resolves a name's canonical string, QName split and symbol ID
@@ -1043,6 +1073,9 @@ func (s *Scanner) flushText() error {
 			}
 			return nil
 		}
+		if !s.keepText() {
+			return s.skip(sax.Text, s.depth+1)
+		}
 		return s.emit(sax.Text, s.depth+1, s.arenaString(b), s.textAt)
 	}
 	if len(s.text) == 0 {
@@ -1066,6 +1099,10 @@ func (s *Scanner) flushText() error {
 		s.text = s.text[:0]
 		return nil
 	}
+	if !s.keepText() {
+		s.text = s.text[:0]
+		return s.skip(sax.Text, s.depth+1)
+	}
 	t := s.arenaString(s.text)
 	s.text = s.text[:0]
 	return s.emit(sax.Text, s.depth+1, t, s.textAt)
@@ -1088,9 +1125,9 @@ func isAllSpace(b []byte) bool {
 // non-ASCII byte in a value, malformed syntax) it returns done=false and the
 // general scanStartTag path rescans from the same position, producing the
 // byte-identical event or diagnostic. Returning done=true means the tag was
-// fully consumed and emitted (or a post-parse error — invalid name,
-// duplicate attribute, handler failure — was raised exactly as the general
-// path would raise it).
+// fully consumed and queued or projected out (or a post-parse error — invalid
+// name, duplicate attribute, handler failure — was raised exactly as the
+// general path would raise it).
 //
 //vitex:hotpath
 func (s *Scanner) fastStartTag(start int64) (bool, error) {
@@ -1110,12 +1147,11 @@ func (s *Scanner) fastStartTag(start int64) (bool, error) {
 	if err != nil {
 		return true, err
 	}
-	// Attributes accumulate straight into the batch-owned backing array,
-	// values into the batch arena: the tag is parsed inside the window, with
-	// no read (hence no flush) before it is queued. att0 marks where this
-	// tag's attributes start; on a bail to the general path the values
-	// already copied are dead weight in the arena until the next flush
-	// truncates it, which is harmless.
+	// Attributes accumulate straight into the batch-owned backing array, with
+	// values that view the read buffer: the tag is parsed inside the window,
+	// with no read (hence no flush, and no move of the window) before it is
+	// queued, and only the values of a queued tag are copied into the batch
+	// arena. att0 marks where this tag's attributes start.
 	attrs := s.batchAttrs
 	att0 := len(attrs)
 	selfClose := false
@@ -1196,28 +1232,35 @@ func (s *Scanner) fastStartTag(start int64) (bool, error) {
 			}
 		}
 		attrs = append(attrs, sax.Attr{
-			Name: aname.name, Value: s.arenaString(vb),
+			Name: aname.name, Value: bufString(vb),
 			Prefix: aname.prefix, Local: aname.local, NameID: aname.id,
 		})
 	}
 	// Commit: one cursor update for the whole tag.
 	s.off += int64(i - s.pos)
 	s.pos = i
-	s.depth++
-	s.stack = append(s.stack, name)
-	var evAttrs []sax.Attr
-	if len(attrs) > att0 {
-		evAttrs = attrs[att0:len(attrs):len(attrs)]
-	}
-	s.batchAttrs = attrs
-	if err := s.emitTag(sax.StartElement, name, s.depth, evAttrs, start); err != nil {
-		return true, err
-	}
-	if selfClose {
-		if err := s.emitTag(sax.EndElement, name, s.depth, nil, s.off); err != nil {
+	keep := s.keepTag(name.id, attrs[att0:])
+	s.openElement(name, keep)
+	if !keep {
+		s.batchAttrs = attrs[:att0]
+		if err := s.skip(sax.StartElement, s.depth); err != nil {
 			return true, err
 		}
-		s.closeElement()
+	} else {
+		var evAttrs []sax.Attr
+		if len(attrs) > att0 {
+			evAttrs = attrs[att0:len(attrs):len(attrs)]
+			for k := range evAttrs {
+				evAttrs[k].Value = s.arenaString(stringBytes(evAttrs[k].Value))
+			}
+		}
+		s.batchAttrs = attrs
+		if err := s.emitTag(sax.StartElement, name, s.depth, evAttrs, start); err != nil {
+			return true, err
+		}
+	}
+	if selfClose {
+		return true, s.endElement(&s.stack[len(s.stack)-1], s.off)
 	}
 	return true, nil
 }
@@ -1294,9 +1337,13 @@ func (s *Scanner) scanStartTag(start int64) error {
 			Prefix: aname.prefix, Local: aname.local, NameID: aname.id,
 		})
 	}
-	s.depth++
-	s.stack = append(s.stack, name)
-	if err := s.emitTag(sax.StartElement, name, s.depth, s.homeAttrs(), start); err != nil {
+	keep := s.keepTag(name.id, s.attrs)
+	s.openElement(name, keep)
+	if !keep {
+		if err := s.skip(sax.StartElement, s.depth); err != nil {
+			return err
+		}
+	} else if err := s.emitTag(sax.StartElement, name, s.depth, s.homeAttrs(), start); err != nil {
 		return err
 	}
 	if selfClose {
@@ -1304,10 +1351,7 @@ func (s *Scanner) scanStartTag(start int64) error {
 		// just past the tag — where an explicit end tag would have begun —
 		// matching encoding/xml's convention (the fuzz differential pins
 		// this).
-		if err := s.emitTag(sax.EndElement, name, s.depth, nil, s.off); err != nil {
-			return err
-		}
-		s.closeElement()
+		return s.endElement(&s.stack[len(s.stack)-1], s.off)
 	}
 	return nil
 }
@@ -1405,14 +1449,9 @@ func (s *Scanner) scanEndTag(start int64) error {
 		top := &s.stack[len(s.stack)-1]
 		if n := len(top.name); s.end-s.pos > n &&
 			s.buf[s.pos+n] == '>' && string(s.buf[s.pos:s.pos+n]) == top.name {
-			name := *top
 			s.pos += n + 1
 			s.off += int64(n + 1)
-			if err := s.emitTag(sax.EndElement, name, s.depth, nil, start); err != nil {
-				return err
-			}
-			s.closeElement()
-			return nil
+			return s.endElement(top, start)
 		}
 	}
 	b, err := s.readNameBytes()
@@ -1420,16 +1459,11 @@ func (s *Scanner) scanEndTag(start int64) error {
 		return err
 	}
 	if s.depth > 0 && string(b) == s.stack[len(s.stack)-1].name {
-		name := s.stack[len(s.stack)-1]
 		s.skipSpace()
 		if err := s.expect(">"); err != nil {
 			return err
 		}
-		if err := s.emitTag(sax.EndElement, name, s.depth, nil, start); err != nil {
-			return err
-		}
-		s.closeElement()
-		return nil
+		return s.endElement(&s.stack[len(s.stack)-1], start)
 	}
 	// Unmatched or mismatched end tag: resolve the name fully so the
 	// diagnostics (invalid name, unmatched, mismatched — in that order,
@@ -1450,6 +1484,9 @@ func (s *Scanner) scanEndTag(start int64) error {
 
 //vitex:hotpath
 func (s *Scanner) closeElement() {
+	if s.rootAt == s.depth {
+		s.rootAt = 0
+	}
 	s.stack = s.stack[:len(s.stack)-1]
 	s.depth--
 	if s.depth == 0 {
@@ -1914,6 +1951,7 @@ func (s *Scanner) emit(k sax.Kind, depth int, text string, off int64) error {
 	ev.Kind, ev.Name, ev.Prefix, ev.Local, ev.NameID = k, "", "", "", sax.SymNone
 	ev.Depth, ev.Text, ev.Offset = depth, text, off
 	ev.Attrs = nil
+	s.stamp(ev)
 	return s.batchQueued()
 }
 
@@ -1927,5 +1965,6 @@ func (s *Scanner) emitTag(k sax.Kind, name symEntry, depth int, attrs []sax.Attr
 	ev.Kind, ev.Name, ev.Prefix, ev.Local, ev.NameID = k, name.name, name.prefix, name.local, name.id
 	ev.Depth, ev.Text, ev.Offset = depth, "", off
 	ev.Attrs = attrs
+	s.stamp(ev)
 	return s.batchQueued()
 }

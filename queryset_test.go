@@ -275,7 +275,8 @@ func TestQuerySetPaperWorkload(t *testing.T) {
 // document that wakes no machine costs the same through 1,000 standing
 // queries as through 10,000 — the same number of allocations, and not one
 // machine delivery. Through Evaluate the bytes are the same too; through
-// Stream they differ by the []Stats it returns (one row per query).
+// Stream they differ by the []Stats it returns (one row per query). Counts are
+// the least over the runs (leastAlloc).
 func TestIdleSubscriptionsAreFree(t *testing.T) {
 	const doc = `<feed><trade seq="1"><symbol>ACME</symbol><price>10</price></trade></feed>`
 	const runs = 20
@@ -326,7 +327,7 @@ func TestIdleSubscriptionsAreFree(t *testing.T) {
 		}},
 	} {
 		t.Run(arm.name, func(t *testing.T) {
-			measure := func(n int) (allocs float64, bytes uint64) {
+			measure := func(n int) (allocs, bytes uint64) {
 				qs := sets[n]
 				rd := strings.NewReader(doc)
 				stream := func() {
@@ -335,17 +336,11 @@ func TestIdleSubscriptionsAreFree(t *testing.T) {
 				}
 				stream() // warm the pooled session and the scanner
 				before := qs.Metrics().Deliveries
-				var m0, m1 runtime.MemStats
-				runtime.ReadMemStats(&m0)
-				for i := 0; i < runs; i++ {
-					stream()
-				}
-				runtime.ReadMemStats(&m1)
-				allocs = testing.AllocsPerRun(runs, stream)
+				allocs, bytes = leastAlloc(runs, stream)
 				if d := qs.Metrics().Deliveries - before; d != 0 {
 					t.Fatalf("%d queries: %d machine deliveries for documents that wake nothing", n, d)
 				}
-				return allocs, (m1.TotalAlloc - m0.TotalAlloc) / runs
+				return allocs, bytes
 			}
 			allocs1k, bytes1k := measure(1000)
 			allocs10k, bytes10k := measure(10000)
@@ -393,14 +388,31 @@ func TestBuildCostPerQueryIsFlat(t *testing.T) {
 	}
 }
 
+// leastAlloc returns the fewest allocations and bytes that one call of f made
+// over runs calls. The runtime's counters are the whole process's: whatever
+// else allocates during a call — the runtime itself, a goroutine an earlier
+// test left running — only ever adds to them, so the least is the call's own.
+func leastAlloc(runs int, f func()) (allocs, bytes uint64) {
+	allocs, bytes = math.MaxUint64, math.MaxUint64
+	var m0, m1 runtime.MemStats
+	for range runs {
+		runtime.ReadMemStats(&m0)
+		f()
+		runtime.ReadMemStats(&m1)
+		allocs = min(allocs, m1.Mallocs-m0.Mallocs)
+		bytes = min(bytes, m1.TotalAlloc-m0.TotalAlloc)
+	}
+	return allocs, bytes
+}
+
 // TestChurnCostIsFlat: a subscription's churn costs what it changes, not the
 // standing set. One Add of the benchmark's churn query (a value-group member),
 // the Remove(last) of it and the next Stream's resync allocate within 2x at
 // 10,000 portal queries of what they allocate at 1,000. The resync a pooled
 // session pays after one Add of a query with a run of its own allocates the
 // same at both sizes: the run and what its first document warms up. Pinned
-// like TestIdleSubscriptionsAreFree: one P, and no byte counts under the race
-// detector.
+// like TestIdleSubscriptionsAreFree: one P, the least of the repetitions
+// (leastAlloc), and no byte counts under the race detector.
 func TestChurnCostIsFlat(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	const reps = 20
@@ -417,12 +429,11 @@ func TestChurnCostIsFlat(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		bytesOf := func(f func()) float64 {
-			var m0, m1 runtime.MemStats
-			runtime.ReadMemStats(&m0)
-			f()
-			runtime.ReadMemStats(&m1)
-			return float64(m1.TotalAlloc - m0.TotalAlloc)
+		// The least of the repetitions, as leastAlloc takes it: another
+		// goroutine's allocation only ever adds bytes.
+		least := func(b *float64, f func()) {
+			_, n := leastAlloc(1, f)
+			*b = min(*b, float64(n))
 		}
 		churn := func(i int) *Query {
 			return MustCompile(fmt.Sprintf("//channel//article/head/f%d[. = 'no-such-value-%d']", i%200, i))
@@ -446,15 +457,18 @@ func TestChurnCostIsFlat(t *testing.T) {
 		stream()
 		remove()
 		stream()
+		pairs, pairBase, resyncs, resyncBase := math.Inf(1), math.Inf(1), math.Inf(1), math.Inf(1)
 		for i := range reps {
 			q := churn(i)
-			pair += bytesOf(func() { add(q); remove(); stream() }) - bytesOf(stream)
+			least(&pairs, func() { add(q); remove(); stream() })
+			least(&pairBase, stream)
 			add(routed(i))
-			resync += bytesOf(stream) - bytesOf(stream)
+			least(&resyncs, stream)
+			least(&resyncBase, stream)
 			remove()
 			stream()
 		}
-		return pair / reps, resync / reps
+		return pairs - pairBase, resyncs - resyncBase
 	}
 	pair1k, resync1k := measure(1000)
 	pair10k, resync10k := measure(10000)

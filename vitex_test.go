@@ -167,3 +167,27 @@ func TestEmitErrorStopsStream(t *testing.T) {
 		t.Fatalf("err=%v calls=%d", err, calls)
 	}
 }
+
+// TestXMLPrefixedAttributeMatchesOracle: the xml prefix is bound by
+// definition (Namespaces in XML 1.0 §3), so an xml:lang attribute is the
+// lexical QName xml:lang on both front-ends, and //b/@xml:lang selects it
+// through the engine and through the DOM oracle alike. The oracle's front-end
+// reported it under the namespace URI as its prefix, and selected nothing,
+// while the engine selected "en".
+func TestXMLPrefixedAttributeMatchesOracle(t *testing.T) {
+	for _, doc := range []string{
+		`<a><b xml:lang='en'></b></a>`,
+		`<p:a xmlns:p='u'><b xml:lang='en'>x</b></p:a>`,
+	} {
+		for _, query := range []string{"//b/@xml:lang", "//b/@lang"} {
+			want := unionOracle(t, doc, query)
+			got, err := MustCompile(query).EvaluateString(doc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(want) != 1 || want[0] != "en" || len(got) != 1 || got[0] != "en" {
+				t.Fatalf("%s over %q: engine %q, oracle %q; want [en] from both", query, doc, got, want)
+			}
+		}
+	}
+}
