@@ -70,6 +70,39 @@ func TestCancelDuringScan(t *testing.T) {
 	}
 }
 
+// TestCancelDuringProjectedOutScan: a cancellation lands while the scan is in
+// a stretch of the document no query observes, which the scanner projects out
+// and queues nothing of. The scan still stops promptly, long before the end of
+// the input, instead of reading on to the next event it queues.
+func TestCancelDuringProjectedOutScan(t *testing.T) {
+	var sb strings.Builder
+	sb.WriteString("<root>")
+	for sb.Len() < 1<<20 {
+		sb.WriteString("<x><y>z</y></x> ")
+	}
+	sb.WriteString("<a><b>x</b></a></root>")
+	doc := sb.String()
+	e := mustEngine(t, "//a/b")
+	if e.Snapshot().ep.projection() == nil {
+		t.Fatal("//a/b is not projected")
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var count int64
+	src := strings.NewReader(doc)
+	r := &cancelAfterReader{r: src, cancel: cancel}
+	_, err := streamOpts(ctx, e.Snapshot(), r, countingOpts(e.Len(), &count))
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if read := len(doc) - src.Len(); read > len(doc)/4 {
+		t.Fatalf("read %d of %d bytes after the cancellation", read, len(doc))
+	}
+	if count != 0 {
+		t.Fatalf("%d results delivered after cancellation", count)
+	}
+}
+
 // TestCancelDuringEmit: an Emit callback canceling the context stops the
 // stream before any further result is delivered, and the evaluation reports
 // ctx.Err() even though the callback itself returned nil.

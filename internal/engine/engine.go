@@ -242,11 +242,14 @@ func (e *Engine) Stream(ctx context.Context, r io.Reader, plan Plan) (twigm.Stat
 // DeliveredAt of results are indexed against the shared scan's event clock
 // and match what a broadcast evaluation would report.
 //
-// The scan checks ctx at every event, so cancellation — from a caller's
-// deadline, or from inside an emit callback — aborts the evaluation promptly
-// mid-document and returns ctx.Err(). The per-event check is a single
-// non-blocking channel poll and is skipped entirely for contexts that cannot
-// be canceled (context.Background/TODO), so the hot path is unchanged.
+// The scan checks ctx at every event it routes and, in a stretch the
+// projection omits, at every batch the scanner hands over empty (at least
+// once per 128 scanned events and before every read of the input), so
+// cancellation — from a caller's deadline, or from inside an emit callback —
+// aborts the evaluation promptly mid-document and returns ctx.Err(). The
+// check is a single non-blocking channel poll and is skipped entirely for
+// contexts that cannot be canceled (context.Background/TODO), so the hot path
+// is unchanged.
 func (s Snapshot) Stream(ctx context.Context, r io.Reader, plan Plan) (twigm.Stats, error) {
 	return s.StreamVia(ctx, r, plan, nil)
 }
@@ -355,7 +358,10 @@ func frontEnd(scan *xmlscan.Scanner, wrap func(sax.Driver) sax.Driver) sax.Drive
 
 // stream evaluates ep's machines over one run of drv on this session. Stream
 // passes the session's scanner; tests pass it poisoned, or saxtest's reference
-// front-end.
+// front-end. The session counts the events it is handed; when its scanner
+// ran under a projection, the scanner's counts replace those. The projection
+// lasts until the scanner's next Reset, so a caller that runs another
+// front-end on a session that has streamed Resets the scanner first.
 func (ses *session) stream(ctx context.Context, e *Engine, ep *epoch, drv sax.Driver, plan Plan) (twigm.Stats, error) {
 	ses.sync(ep)
 	ses.reset(plan)
@@ -374,7 +380,6 @@ func (ses *session) stream(ctx context.Context, e *Engine, ep *epoch, drv sax.Dr
 		// The scanner projected the document: what it omitted counts too.
 		ses.events, ses.elements, ses.maxDepth = events, elements, maxDepth
 	}
-	ses.scan.Project(nil)
 	e.events.Add(ses.events)
 	e.deliveries.Add(ses.rt.deliveries)
 	e.triePushes.Add(ses.rt.prun.Pushes())
@@ -509,19 +514,22 @@ func (s *session) reset(plan Plan) {
 // skips ahead. Event strings are transient per the sax.Handler lifetime rule;
 // the machines clone anything a candidate retains inside the route.
 //
+// A projecting scanner hands over empty batches while it scans what it omits
+// (xmlscan.Scanner.Project); they carry only the cancellation poll, so a
+// cancellation ends the scan there too (TestCancelDuringProjectedOutScan).
+//
 //vitex:hotpath
 func (s *session) HandleBatch(evs []sax.Event) error {
+	if len(evs) == 0 {
+		return s.canceled()
+	}
 	for i := range evs {
 		ev := &evs[i]
 		// The cancellation poll is per event: a cancelled stream must
 		// deliver no further results, not even from events already queued in
 		// the same batch (see TestCancelDuringEmit).
-		if s.done != nil {
-			select {
-			case <-s.done:
-				return s.ctx.Err()
-			default:
-			}
+		if err := s.canceled(); err != nil {
+			return err
 		}
 		s.events++
 		if ev.Ordinal != 0 {
@@ -535,6 +543,21 @@ func (s *session) HandleBatch(evs []sax.Event) error {
 		}
 		if err := s.rt.route(ev, s.events); err != nil {
 			return err
+		}
+	}
+	return nil
+}
+
+// canceled is the stream's cancellation poll: a single non-blocking channel
+// read, skipped for a context that cannot be canceled.
+//
+//vitex:hotpath
+func (s *session) canceled() error {
+	if s.done != nil {
+		select {
+		case <-s.done:
+			return s.ctx.Err()
+		default:
 		}
 	}
 	return nil

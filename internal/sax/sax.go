@@ -241,7 +241,10 @@ func (a *Attr) PrefixName() string {
 
 // Handler consumes a stream of events, delivered in document order in
 // batches of one or more: producers amortize the interface dispatch over an
-// array of events and recycle the memory behind it afterwards. Every string
+// array of events and recycle the memory behind it afterwards. A producer
+// that omits events may also hand over an empty batch while it scans what it
+// omits, so that the handler can stop the scan there (xmlscan.Scanner under
+// a Projection). Every string
 // and slice reachable from evs — the slice itself, Text, Attr.Value, the
 // Attrs backing arrays — is valid ONLY until HandleBatch returns; element and
 // attribute names are interned and stay valid for the producer's lifetime. A

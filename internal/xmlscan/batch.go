@@ -10,7 +10,8 @@
 // A batch goes out when it spans eventBatch scanned events (a full batch, but
 // for the events a projection omits), when the document ends, and — so that a
 // slow input never holds proven results back — before every read of the
-// input (fill).
+// input (fill). Under a projection it goes out at those points even when it
+// is empty (Project).
 package xmlscan
 
 import (
@@ -94,7 +95,8 @@ func (s *Scanner) batchSlot() *sax.Event {
 
 // batchQueued finishes queueing the event just written into a batch slot, or
 // counting one a projection omits: a batch that spans batchLimit scanned
-// events flushes inline. Without a projection that is a full batch.
+// events since the last flush goes out inline. Without a projection that is a
+// full batch.
 //
 //vitex:hotpath
 func (s *Scanner) batchQueued() error {
@@ -109,9 +111,10 @@ func (s *Scanner) batchQueued() error {
 // dead per the sax.Handler lifetime rule. Once the handler has failed nothing
 // more is delivered; the error is sticky and returned from every later call.
 func (s *Scanner) flushBatch() error {
-	if len(s.batch) > 0 && s.herr == nil {
+	if s.herr == nil && (len(s.batch) > 0 || s.proj != nil) {
 		s.herr = s.h.HandleBatch(s.batch)
 	}
+	s.batchFrom = s.events + 1
 	if n := len(s.marks); n > 0 && s.herr == nil {
 		// Handled whole; a failure is looked up in the marks it keeps.
 		s.prev = s.marks[n-1]

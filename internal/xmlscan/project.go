@@ -59,9 +59,15 @@ const (
 
 // Project sets the projection the next Run scans under; nil queues every
 // event. Reset clears it.
+//
+// Under a projection the handler is also handed empty batches: one before
+// every read of the input, and one whenever eventBatch events have been
+// scanned since the last batch, queued or not. An omitted stretch of the
+// document thus still reaches the handler as often as a full stream would,
+// and a handler that stops the scan (on a cancellation, say) stops it there.
 func (s *Scanner) Project(p Projection) {
 	s.proj = p
-	if p != nil && p != s.projFor {
+	if p != s.projFor {
 		clear(s.verdicts)
 		s.projFor = p
 	}
@@ -146,11 +152,12 @@ func (s *Scanner) Scanned(through int64) (events, elements int64, maxDepth int, 
 	return m.ordinal, m.elements, m.maxDepth, true
 }
 
-// count numbers one scanned event, queued or not.
+// count counts one scanned event's element and depth, queued or not. It runs
+// under a projection only: without one the consumer sees every event and
+// counts them itself.
 //
 //vitex:hotpath
 func (s *Scanner) count(k sax.Kind, depth int) {
-	s.events++
 	if k == sax.StartElement {
 		s.elements++
 		if depth > s.maxDepth {
@@ -160,29 +167,26 @@ func (s *Scanner) count(k sax.Kind, depth int) {
 }
 
 // skip counts an event the projection omits. A batch goes out once it spans
-// eventBatch scanned events, queued or not, so omitting events does not hold
-// back the ones queued before them.
+// eventBatch scanned events, queued or not and empty or not, so omitting
+// events neither holds back the ones queued before them nor keeps the handler
+// from stopping the scan.
 //
 //vitex:hotpath
 func (s *Scanner) skip(k sax.Kind, depth int) error {
+	s.events++
 	s.count(k, depth)
-	if len(s.batch) > 0 {
-		return s.batchQueued()
-	}
-	return nil
+	return s.batchQueued()
 }
 
-// stamp numbers the event just written into a batch slot: it counts it, sets
-// its ordinal and, under a projection, marks the counters through it.
+// stamp numbers the event just written into a batch slot with its ordinal
+// and, under a projection, counts it and marks the counters through it.
 //
 //vitex:hotpath
 func (s *Scanner) stamp(ev *sax.Event) {
-	s.count(ev.Kind, ev.Depth)
+	s.events++
 	ev.Ordinal = s.events
-	if len(s.batch) == 1 {
-		s.batchFrom = s.events
-	}
 	if s.proj != nil {
+		s.count(ev.Kind, ev.Depth)
 		s.marks = append(s.marks, scanMark{ordinal: s.events, elements: s.elements, maxDepth: s.maxDepth})
 	}
 }

@@ -116,8 +116,9 @@ type Scanner struct {
 	// as the projection set is projFor.
 	verdicts []uint8    //vitex:keep projection answers, valid across documents while projFor is set; Project clears them for another
 	projFor  Projection //vitex:keep the projection verdicts came from, compared by Project
-	// events, elements and maxDepth count what the scan has scanned, queued
-	// or not; events is the ordinal of the last event scanned.
+	// events is the ordinal of the last event scanned, queued or not; under a
+	// projection elements and maxDepth count the scanned start tags and their
+	// deepest depth.
 	events   int64
 	elements int64
 	maxDepth int
@@ -127,7 +128,8 @@ type Scanner struct {
 	// only.
 	marks []scanMark
 	prev  scanMark
-	// batchFrom is the ordinal of the batch's first event.
+	// batchFrom is the ordinal of the first event scanned since the last
+	// flush.
 	batchFrom int64
 }
 
@@ -178,6 +180,7 @@ func NewScanner(r io.Reader) *Scanner {
 		buf:        make([]byte, DefaultBufferSize),
 		interned:   make(map[string]symEntry),
 		batchLimit: eventBatch,
+		batchFrom:  1,
 	}
 }
 
@@ -245,7 +248,7 @@ func (s *Scanner) Reset(r io.Reader) {
 	s.events, s.elements, s.maxDepth = 0, 0, 0
 	s.marks = s.marks[:0]
 	s.prev = scanMark{}
-	s.batchFrom = 0
+	s.batchFrom = 1
 }
 
 // intern resolves a name's canonical string, QName split and symbol ID
@@ -489,7 +492,7 @@ func (s *Scanner) fill() bool {
 	// scratch (text, valBuf, nameBuf, attrs), never in the batch arenas the
 	// flush recycles. A handler error ends the input — every scan loop
 	// unwinds on a failed fill — and Run reports it.
-	if len(s.batch) > 0 && s.flushBatch() != nil {
+	if s.flushBatch() != nil {
 		s.err = s.herr
 		return false
 	}

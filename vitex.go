@@ -130,9 +130,12 @@ type Options struct {
 	// it delivers; a machine of one query logs exactly its own transitions.
 	Trace io.Writer
 	// Context, when non-nil, cancels the evaluation: the engine checks it at
-	// every scan event, so a cancellation — whether from a deadline, a disconnecting network
-	// client, or inside the Emit callback itself — aborts the stream
-	// promptly mid-document and the evaluation returns ctx.Err(). Nil means
+	// every event it routes and, where the scanner passes over markup no
+	// query observes, at least once every 128 scanned events and before
+	// every read of the input. So a cancellation — whether from a deadline,
+	// a disconnecting network client, or inside the Emit callback itself —
+	// aborts the stream promptly mid-document and the evaluation returns
+	// ctx.Err(). Nil means
 	// no cancellation (context.Background) and costs nothing on the hot
 	// path. This is the lever a serving layer uses to tie evaluations to
 	// request and shutdown lifecycles.
