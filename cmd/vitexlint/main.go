@@ -4,26 +4,24 @@
 // correctness story rests on. See docs/invariants.md for the annotation
 // vocabulary.
 //
-// It runs two ways:
+// It runs as a vet tool:
 //
-//	vitexlint ./...            # standalone, loads packages via go list
-//	go vet -vettool=$(pwd)/vitexlint ./...   # as a vet tool (used in CI)
+//	go build -o vitexlint ./cmd/vitexlint
+//	go vet -vettool=$(pwd)/vitexlint ./...
 //
-// The vet-tool mode speaks cmd/go's unitchecker protocol: -V=full for the
-// build cache key, -flags for flag discovery, and an invocation per package
-// with a vet.cfg JSON file argument.
+// and speaks cmd/go's unitchecker protocol: -V=full for the build cache key,
+// -flags for flag discovery, and an invocation per package with a vet.cfg
+// JSON file argument.
 //
 // An analyzer may need the annotations of a declaration in another package
 // (cowsafety checks calls of internal/cow's //vitex:cowmut methods in the
-// engine). The standalone mode collects them from every package it loads, the
-// vet-tool mode writes each package's to the vetx file cmd/go hands its
+// engine). Each package's annotations go to the vetx file cmd/go hands its
 // importers.
 //
-// Both modes check production code only: _test.go files are excluded (the
-// standalone loader reads go list's GoFiles; the vet-tool mode filters test
-// files out of the package variants cmd/go feeds it). The invariants are
-// statements about the engine's runtime behavior — tests allocate, mutate
-// and lock freely.
+// Only production code is checked: _test.go files are filtered out of the
+// package variants cmd/go feeds the tool. The invariants are statements
+// about the engine's runtime behavior — tests allocate, mutate and lock
+// freely.
 package main
 
 import (
@@ -65,7 +63,8 @@ func main() {
 			os.Exit(unitcheck(args[0]))
 		}
 	}
-	os.Exit(standalone(args))
+	fmt.Fprintln(os.Stderr, "usage: go vet -vettool=$(pwd)/vitexlint [packages]")
+	os.Exit(1)
 }
 
 // printVersion implements -V=full. cmd/go derives the vet cache key from
@@ -83,42 +82,6 @@ func printVersion() {
 		}
 	}
 	fmt.Printf("vitexlint version 1.0.0-%s\n", sum)
-}
-
-// standalone loads the given package patterns (default ./...) from the
-// current directory and runs the suite, printing findings to stderr.
-func standalone(patterns []string) int {
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
-	pkgs, err := lint.LoadPackages(".", patterns)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "vitexlint: %v\n", err)
-		return 1
-	}
-	facts := lint.Facts{}
-	for _, pkg := range pkgs {
-		lint.CollectMarkers(pkg.Files, pkg.Info).Export(facts)
-	}
-	found := 0
-	for _, pkg := range pkgs {
-		if pkg.DepOnly {
-			continue
-		}
-		diags, err := runSuite(pkg, facts)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "vitexlint: %v\n", err)
-			return 1
-		}
-		found += len(diags)
-		for _, d := range diags {
-			fmt.Fprintln(os.Stderr, d)
-		}
-	}
-	if found > 0 {
-		return 1
-	}
-	return 0
 }
 
 // A located diagnostic, print-ready and sortable.

@@ -38,23 +38,10 @@ func repoRoot(t *testing.T) string {
 	return root
 }
 
-// TestSuiteCleanStandalone is the zero-suppressions acceptance gate: the
-// whole repository passes the suite in standalone mode.
-func TestSuiteCleanStandalone(t *testing.T) {
-	bin := lintBin
-	cmd := exec.Command(bin, "./...")
-	cmd.Dir = repoRoot(t)
-	if out, err := cmd.CombinedOutput(); err != nil {
-		t.Fatalf("vitexlint ./... failed: %v\n%s", err, out)
-	}
-}
-
-// TestSuiteCleanAsVetTool runs the same gate through cmd/go's vet -vettool
-// protocol, the way CI invokes it.
+// TestSuiteCleanAsVetTool is the zero-suppressions acceptance gate: the
+// whole repository passes the suite through cmd/go's vet -vettool protocol,
+// the way CI invokes it.
 func TestSuiteCleanAsVetTool(t *testing.T) {
-	if testing.Short() {
-		t.Skip("go vet over the whole repository in -short mode")
-	}
 	bin := lintBin
 	cmd := exec.Command("go", "vet", "-vettool="+bin, "./...")
 	cmd.Dir = repoRoot(t)
@@ -111,7 +98,7 @@ type Stats struct {
 	hits int64
 }
 `)
-	cmd := exec.Command(bin, "./...")
+	cmd := exec.Command("go", "vet", "-vettool="+bin, "./...")
 	cmd.Dir = dir
 	out, err := cmd.CombinedOutput()
 	if err == nil {
@@ -126,8 +113,8 @@ type Stats struct {
 
 // TestCowWriterAcrossPackages: a //vitex:cowmut method of another package's
 // //vitex:cow type, called on a field of a cow struct outside a writer, is
-// reported in both modes — the annotations reach the importer as facts — and
-// also when the pattern names the importer only.
+// reported — the annotations reach the importer as facts — also when the
+// pattern names the importer only.
 func TestCowWriterAcrossPackages(t *testing.T) {
 	bin := lintBin
 	dir := t.TempDir()
@@ -179,8 +166,6 @@ func Build(e *Epoch) { e.progs.Set(0, 1) }
 `)
 	const want = "scratch.go:12:10: cowsafety: call of writer Set on field Epoch.progs"
 	for _, args := range [][]string{
-		{bin, "./..."},
-		{bin, "."},
 		{"go", "vet", "-vettool=" + bin, "./..."},
 		{"go", "vet", "-vettool=" + bin, "."},
 	} {

@@ -62,8 +62,7 @@ func unitcheck(cfgPath string) int {
 	}
 
 	// The invariants target production code only; go vet also feeds test
-	// package variants, whose _test.go files are out of scope (matching
-	// standalone mode, which loads go list's GoFiles without tests).
+	// package variants, whose _test.go files are out of scope.
 	goFiles := cfg.GoFiles[:0:0]
 	for _, name := range cfg.GoFiles {
 		if !filepath.IsAbs(name) {

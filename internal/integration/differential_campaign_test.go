@@ -38,12 +38,18 @@ import (
 // shrinks it to a smoke test.
 
 // oracleUnionResults evaluates all branches via the DOM, deduplicated in
-// document order — the union semantics ground truth.
+// document order — the union semantics ground truth. Results compare as the
+// engine's Result.Value has them: an element serialized, an attribute by its
+// value and a text node by its text, unescaped.
 func oracleUnionResults(t *testing.T, d *dom.Document, branches []*xpath.Query) []string {
 	t.Helper()
 	nodes := dom.EvalUnion(d, branches)
 	out := make([]string, 0, len(nodes))
 	for _, n := range nodes {
+		if n.Kind == dom.TextNode {
+			out = append(out, n.Text)
+			continue
+		}
 		out = append(out, n.Serialize())
 	}
 	return out

@@ -6,63 +6,22 @@ import (
 	"fmt"
 	"go/ast"
 	"go/importer"
-	"go/parser"
 	"go/token"
 	"go/types"
 	"io"
 	"os"
 	"os/exec"
-	"path/filepath"
 	"runtime"
-	"sort"
 	"strings"
 )
 
-// Package is one loaded, type-checked package ready for analysis.
+// Package is one type-checked package ready for analysis.
 type Package struct {
 	PkgPath string
 	Fset    *token.FileSet
 	Files   []*ast.File
 	Types   *types.Package
 	Info    *types.Info
-	// DepOnly marks a package loaded only as a dependency of those the
-	// patterns match: its annotations are facts for its importers, its
-	// findings nobody's.
-	DepOnly bool
-}
-
-// LoadPackages loads the packages matching patterns (relative to dir), and
-// the non-standard packages they depend on, type-checking them from source
-// against their dependencies' export data. It shells out to `go list -export
-// -deps -json`, which resolves entirely from the local build cache — no
-// network, no module proxy.
-func LoadPackages(dir string, patterns []string) ([]*Package, error) {
-	listed, err := goList(dir, patterns)
-	if err != nil {
-		return nil, err
-	}
-	exports := make(map[string]string)
-	for _, p := range listed {
-		if p.Export != "" {
-			exports[p.ImportPath] = p.Export
-		}
-	}
-	fset := token.NewFileSet()
-	imp := NewImporter(fset, exports)
-	var out []*Package
-	for _, p := range listed {
-		if p.Standard || len(p.GoFiles) == 0 {
-			continue
-		}
-		pkg, err := checkPackage(fset, imp, p)
-		if err != nil {
-			return nil, err
-		}
-		pkg.DepOnly = p.DepOnly
-		out = append(out, pkg)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].PkgPath < out[j].PkgPath })
-	return out, nil
 }
 
 // ExportData resolves import paths to export-data files by shelling out to
@@ -127,16 +86,12 @@ func langVersion(v string) string {
 }
 
 type listedPackage struct {
-	Dir        string
 	ImportPath string
 	Export     string
-	GoFiles    []string
-	Standard   bool
-	DepOnly    bool
 }
 
 func goList(dir string, patterns []string) ([]*listedPackage, error) {
-	args := append([]string{"list", "-export", "-deps", "-json=Dir,ImportPath,Export,GoFiles,Standard,DepOnly"}, patterns...)
+	args := append([]string{"list", "-export", "-deps", "-json=ImportPath,Export"}, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
 	var stdout, stderr bytes.Buffer
@@ -157,24 +112,4 @@ func goList(dir string, patterns []string) ([]*listedPackage, error) {
 		out = append(out, p)
 	}
 	return out, nil
-}
-
-func checkPackage(fset *token.FileSet, imp types.Importer, p *listedPackage) (*Package, error) {
-	var files []*ast.File
-	for _, name := range p.GoFiles {
-		path := name
-		if !filepath.IsAbs(path) {
-			path = filepath.Join(p.Dir, name)
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments|parser.SkipObjectResolution)
-		if err != nil {
-			return nil, err
-		}
-		files = append(files, f)
-	}
-	tpkg, info, err := TypeCheck(p.ImportPath, fset, files, imp, "")
-	if err != nil {
-		return nil, fmt.Errorf("typechecking %s: %v", p.ImportPath, err)
-	}
-	return &Package{PkgPath: p.ImportPath, Fset: fset, Files: files, Types: tpkg, Info: info}, nil
 }

@@ -21,9 +21,12 @@ import (
 // local names, and prefixed tests match the prefix as written — so the
 // driver tracks the in-scope xmlns declarations itself and maps each URI
 // back to the innermost prefix bound to it, or to xml for the namespace that
-// prefix is bound to by definition. Documents that bind two prefixes
-// to one URI in the same scope reconstruct to the innermost binding (a
-// documented approximation; see README "XML conformance").
+// prefix is bound to by definition. A prefix bound to the empty URI
+// (xmlns:q="", which encoding/xml accepts) is told from no prefix: for
+// elements through a DefaultSpace sentinel, for attributes by reading the
+// start tag back raw. Documents that bind two prefixes to one URI in the
+// same scope reconstruct to the innermost binding (a documented
+// approximation; see README "XML conformance").
 type StdDriver struct {
 	r        io.Reader
 	syms     *sax.Symbols
@@ -78,12 +81,20 @@ func (d *StdDriver) nameID(local string) int32 {
 // declaration in sight.
 const xmlNamespace = "http://www.w3.org/XML/1998/namespace"
 
+// noNamespace is the decoder's DefaultSpace: the Space encoding/xml gives an
+// unprefixed element outside every default-namespace declaration. Without
+// it that Space is "", which is also what an element gets whose prefix is
+// bound to the empty URI (xmlns:q=""), and the two would read alike.
+const noNamespace = "\x00no namespace"
+
 // resolve reconstructs the lexical QName of an encoding/xml name. For
 // attributes the default namespace never applies, so only prefixed bindings
-// are consulted. The xml prefix is bound outside every declaration.
+// are consulted, and an empty Space is an unprefixed attribute (Run reads
+// the prefix back from the input when one in scope is bound to the empty
+// URI). The xml prefix is bound outside every declaration.
 func (d *StdDriver) resolve(n xml.Name, attr bool) qname {
 	prefix := ""
-	if n.Space != "" {
+	if n.Space != noNamespace && (n.Space != "" || !attr) {
 		prefix = n.Space // undeclared prefixes pass through verbatim
 		if n.Space == xmlNamespace {
 			prefix = "xml"
@@ -126,6 +137,49 @@ func (d *StdDriver) makeName(prefix, local string) qname {
 	return q
 }
 
+// emptyBound reports whether an in-scope prefix is bound to the empty URI
+// (xmlns:q=""): encoding/xml then gives an attribute q:x the empty Space of
+// an unprefixed one.
+func (d *StdDriver) emptyBound() bool {
+	for _, b := range d.bindings {
+		if b.prefix != "" && b.uri == "" {
+			return true
+		}
+	}
+	return false
+}
+
+// rawTee keeps the bytes the decoder has read from input offset base on, so
+// that a start tag can be read again for its lexical attribute prefixes.
+type rawTee struct {
+	r    io.Reader
+	buf  []byte
+	base int64
+}
+
+func (t *rawTee) Read(p []byte) (int, error) {
+	n, err := t.r.Read(p)
+	t.buf = append(t.buf, p[:n]...)
+	return n, err
+}
+
+// from drops the bytes before input offset off.
+func (t *rawTee) from(off int64) {
+	t.buf = t.buf[off-t.base:]
+	t.base = off
+}
+
+// rawAttrs reads back the attributes of the start tag that begins the kept
+// bytes and ends at input offset end, with their names as written.
+func (t *rawTee) rawAttrs(end int64) ([]xml.Attr, error) {
+	tok, err := xml.NewDecoder(bytes.NewReader(t.buf[:end-t.base])).RawToken()
+	start, ok := tok.(xml.StartElement)
+	if err != nil || !ok {
+		return nil, fmt.Errorf("sax: reading back a start tag: token %v, error %v", tok, err)
+	}
+	return start.Attr, nil
+}
+
 // skipBOM consumes a leading byte-order mark: the UTF-8 BOM is skipped (its
 // length is returned so event offsets keep counting raw input bytes, aligned
 // with the scanner), and UTF-16/32 BOMs are rejected with a clear
@@ -153,9 +207,11 @@ func (d *StdDriver) Run(h sax.Handler) error {
 	if err != nil {
 		return err
 	}
-	dec := xml.NewDecoder(r)
+	tee := &rawTee{r: r}
+	dec := xml.NewDecoder(tee)
 	// Match xmlscan: no external entities; strictness left at default.
 	dec.Entity = map[string]string{}
+	dec.DefaultSpace = noNamespace
 
 	depth := 0
 	seenRoot := false
@@ -186,6 +242,7 @@ func (d *StdDriver) Run(h sax.Handler) error {
 		return err
 	}
 	for {
+		tee.from(dec.InputOffset())
 		off := base + dec.InputOffset()
 		tok, err := dec.Token()
 		if err == io.EOF {
@@ -217,14 +274,22 @@ func (d *StdDriver) Run(h sax.Handler) error {
 				}
 			}
 			d.declCounts = append(d.declCounts, decls)
+			var raw []xml.Attr
+			if d.emptyBound() {
+				if raw, err = tee.rawAttrs(dec.InputOffset()); err != nil {
+					return err
+				}
+			}
 			attrs := make([]sax.Attr, 0, len(t.Attr))
-			for _, a := range t.Attr {
+			for i, a := range t.Attr {
 				var an qname
 				switch {
 				case a.Name.Space == "xmlns":
 					an = d.makeName("xmlns", a.Name.Local)
 				case a.Name.Space == "" && a.Name.Local == "xmlns":
 					an = d.makeName("", "xmlns")
+				case a.Name.Space == "" && raw != nil:
+					an = d.makeName(raw[i].Name.Space, a.Name.Local)
 				default:
 					an = d.resolve(a.Name, true)
 				}

@@ -219,6 +219,11 @@ func TestFirstDeliveryHandedOff(t *testing.T) {
 	}()
 	doc := []byte("<d>" + strings.Repeat("<r/>", results) + "</d>")
 	for range docs {
+		// The hand-off is for a consumer asleep in next: publish once it
+		// is. Under -race on a loaded host the consumer was at times still
+		// on its way there from the last document when the first push
+		// came, which then woke nobody and queued all 500.
+		waitParked(sub.ring)
 		if _, err := b.Publish(ctx, "c", doc, true); err != nil {
 			t.Fatal(err)
 		}

@@ -60,26 +60,6 @@ func bufString(b []byte) string {
 //vitex:hotpath
 func stringBytes(v string) []byte { return unsafe.Slice(unsafe.StringData(v), len(v)) }
 
-// homeAttrs moves the attributes the general start-tag path collected in
-// scanner scratch (attrs, with values viewing valBuf) into the batch: the
-// entries into the batch-owned backing array, the values into the arena.
-// Until this point nothing of the tag lived in batch memory, which is what
-// lets a read in the middle of the tag flush the batch.
-//
-//vitex:hotpath
-func (s *Scanner) homeAttrs() []sax.Attr {
-	if len(s.attrs) == 0 {
-		return nil
-	}
-	st := len(s.batchAttrs)
-	for i := range s.attrs {
-		a := s.attrs[i]
-		a.Value = s.arenaString(stringBytes(a.Value))
-		s.batchAttrs = append(s.batchAttrs, a)
-	}
-	return s.batchAttrs[st:len(s.batchAttrs):len(s.batchAttrs)]
-}
-
 // batchSlot extends the batch by one event and returns the slot for the
 // emitter to fill in place — the batch array is sized to batchLimit at Run
 // setup and flushed before it fills, so the extension never reallocates and

@@ -72,10 +72,9 @@ func fuzzSeedDocs() []string {
 		"<r><élément>x</élément></r>",
 		`<r health="100%"><a/></r>`,
 		// Seam shapes: with the 16-byte-buffer self-consistency config every
-		// one of these straddles refill boundaries mid-token — long names,
-		// attribute values, CDATA/comment terminators and entity references
-		// split across windows, the cases the speculative fast paths must
-		// bail out of byte-identically.
+		// one of these straddles reads mid-token — long names, attribute
+		// values, CDATA/comment terminators and entity references split
+		// across windows, where a tag waits for its end and text streams on.
 		"<rrrrrrrrrrrrrrrrrrrrrrrr><aaaaaaaaaaaaaaaaaaa>x</aaaaaaaaaaaaaaaaaaa></rrrrrrrrrrrrrrrrrrrrrrrr>",
 		`<r averyveryverylongattrname="a long value that spans several windows easily">x</r>`,
 		`<r a="padpadpadpad&amp;padpadpadpad" b='second attribute value'>x</r>`,
@@ -95,10 +94,10 @@ func fuzzSeedDocs() []string {
 // x read buffer {16 bytes, default} must produce identical event streams and
 // identical diagnostics. Batch size 1 flushes on every event — each event's
 // strings are recycled before the next token is scanned; the tiny buffer
-// forces refill seams (and with them the flush-before-read) inside nearly
-// every token, driving the speculative fast paths (fastStartTag, the end-tag
-// compare, borrowed text runs) through their bail-to-general-path branches
-// on every input. Every configuration runs over the poisoning sink.
+// forces reads (and with them the flush-before-read) inside nearly every
+// token: tags that wait for their end (wholeTag), end tags that miss the
+// stack-top compare, text runs too long to borrow. Every configuration runs
+// over the poisoning sink.
 func compareFrontEnds(t *testing.T, doc string) {
 	t.Helper()
 	custom, cerr := traceScannerEvents(doc, eventBatch, 0)

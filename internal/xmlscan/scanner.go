@@ -25,7 +25,6 @@ import (
 	"io"
 	"strings"
 	"unicode/utf8"
-	"unsafe"
 
 	"repro/internal/sax"
 )
@@ -42,6 +41,7 @@ type Scanner struct {
 	buf    []byte //vitex:keep warmed read buffer, contents invalidated by the pos/end reset
 	pos    int    // next unread byte in buf
 	end    int    // valid bytes in buf
+	ltEnd  int    // one past the last '<' in buf[:end], 0 if none (wholeTag)
 	off    int64  // byte offset of buf[pos] in the input
 	err    error  // sticky read error (io.EOF when input exhausted)
 	depth  int
@@ -60,12 +60,6 @@ type Scanner struct {
 	// text, the one content source the fused scan loops do not validate
 	// inline; flushText then runs the full validateChars pass over the run.
 	textNeedsCheck bool
-	// valBuf and attrs are the general start-tag path's per-tag scratch:
-	// attrs collects the tag's attributes with values that are views into
-	// valBuf, and homeAttrs moves both into the batch when the tag completes
-	// (the speculative fast path writes into the batch directly).
-	valBuf []byte //vitex:keep attribute-value scratch, truncated before each use
-	attrs  []sax.Attr
 	// seenRoot records that the root element has closed.
 	seenRoot bool
 	started  bool
@@ -198,12 +192,12 @@ func NewScannerWith(r io.Reader, syms *sax.Symbols) *Scanner {
 }
 
 // Reset prepares the Scanner for a new document read from r, retaining the
-// read buffer, the attribute scratch and the name intern cache (names repeat
-// across documents of a feed; re-resolving them would be wasted work). If
-// the shared symbol table grew since the last Reset, cached SymUnknown
-// resolutions are dropped: a name unknown then may be a standing query's
-// subscription now. Positive resolutions stay — IDs are append-only, a name
-// once interned never changes its ID.
+// read buffer and the name intern cache (names repeat across documents of a
+// feed; re-resolving them would be wasted work). If the shared symbol table
+// grew since the last Reset, cached SymUnknown resolutions are dropped: a
+// name unknown then may be a standing query's subscription now. Positive
+// resolutions stay — IDs are append-only, a name once interned never
+// changes its ID.
 func (s *Scanner) Reset(r io.Reader) {
 	if s.syms != nil {
 		if n := s.syms.Len(); n != s.symsLen {
@@ -222,7 +216,7 @@ func (s *Scanner) Reset(r io.Reader) {
 		}
 	}
 	s.r = r
-	s.pos, s.end = 0, 0
+	s.pos, s.end, s.ltEnd = 0, 0, 0
 	s.off = 0
 	s.err = nil
 	s.depth = 0
@@ -231,7 +225,6 @@ func (s *Scanner) Reset(r io.Reader) {
 	s.textBorrow = nil
 	s.textAt = 0
 	s.textNeedsCheck = false
-	s.attrs = s.attrs[:0]
 	// A pooled Scanner must not pin the handler (the session) it last
 	// served.
 	s.h = nil
@@ -307,8 +300,35 @@ func (s *Scanner) syntaxf(off int64, format string, args ...any) error {
 // states. Building these errors in cold helpers keeps the hot scan
 // functions allocation-free (hotalloc proves it).
 
-func (s *Scanner) errBadNameStart(c byte) error {
-	return s.syntaxf(s.off, "invalid name start character %q", c)
+func (s *Scanner) errBadNameStart(off int64, c byte) error {
+	return s.syntaxf(off, "invalid name start character %q", c)
+}
+
+// errNameStartAt is the diagnostic for a tag's name that does not start at
+// buffer index i, as readNameBytes words it.
+func (s *Scanner) errNameStartAt(i int) error {
+	if i >= s.end {
+		return s.syntaxf(s.offAt(i), "unexpected EOF, expected name")
+	}
+	return s.errBadNameStart(s.offAt(i), s.buf[i])
+}
+
+// errExpectAt is the diagnostic for the byte want missing at buffer index i
+// of a tag, as expect words it.
+func (s *Scanner) errExpectAt(i int, want byte) error {
+	if i >= s.end {
+		return s.syntaxf(s.offAt(i), "unexpected EOF, expected %q", string(want))
+	}
+	return s.syntaxf(s.offAt(i), "expected %q, found %q", string(want), s.buf[i])
+}
+
+// errQuoteAt is the diagnostic for an attribute value that does not open
+// with a quote at buffer index i.
+func (s *Scanner) errQuoteAt(i int) error {
+	if i >= s.end {
+		return s.syntaxf(s.offAt(i), "unexpected EOF, expected attribute value")
+	}
+	return s.syntaxf(s.offAt(i), "attribute value must be quoted, found %q", s.buf[i])
 }
 
 func (s *Scanner) errInvalidName(start int64, b []byte) error {
@@ -321,10 +341,6 @@ func (s *Scanner) errEOFInTag(start int64, name string) error {
 
 func (s *Scanner) errDupAttr(start int64, attr, elem string) error {
 	return s.syntaxf(start, "duplicate attribute %q in <%s>", attr, elem)
-}
-
-func (s *Scanner) errUnquotedAttr(q byte) error {
-	return s.syntaxf(s.off-1, "attribute value must be quoted, found %q", q)
 }
 
 func (s *Scanner) errUnmatchedEnd(start int64, name string) error {
@@ -487,11 +503,12 @@ func (s *Scanner) fill() bool {
 	s.materializeText()
 	// Read may block for as long as the producer of the input likes: hand
 	// over every completed event first, so the consumer sees all that the
-	// bytes read so far prove (sax.Handler). Safe at any point inside a
-	// token: whatever a token in progress has collected lives in scanner
-	// scratch (text, valBuf, nameBuf, attrs), never in the batch arenas the
-	// flush recycles. A handler error ends the input — every scan loop
-	// unwinds on a failed fill — and Run reports it.
+	// bytes read so far prove (sax.Handler). No tag is in progress at a read
+	// (wholeTag reads before the parse starts), and what a text, CDATA or
+	// reference token has collected lives in scanner scratch (text,
+	// nameBuf), never in the batch arenas the flush recycles. A handler
+	// error ends the input — every scan loop unwinds on a failed fill — and
+	// Run reports it.
 	if s.flushBatch() != nil {
 		s.err = s.herr
 		return false
@@ -500,6 +517,7 @@ func (s *Scanner) fill() bool {
 		// Slide the unread tail to the front to make room.
 		copy(s.buf, s.buf[s.pos:s.end])
 		s.end -= s.pos
+		s.ltEnd = max(s.ltEnd-s.pos, 0)
 		s.pos = 0
 	}
 	if s.end == len(s.buf) {
@@ -509,6 +527,9 @@ func (s *Scanner) fill() bool {
 		s.buf = nb
 	}
 	n, err := s.r.Read(s.buf[s.end:])
+	if k := bytes.LastIndexByte(s.buf[s.end:s.end+n], '<'); k >= 0 {
+		s.ltEnd = s.end + k + 1
+	}
 	s.end += n
 	if err != nil {
 		s.err = err
@@ -607,7 +628,7 @@ func (s *Scanner) readNameBytes() ([]byte, error) {
 		return nil, s.syntaxf(s.off, "unexpected EOF, expected name")
 	}
 	if !isNameStart(c) {
-		return nil, s.errBadNameStart(c)
+		return nil, s.errBadNameStart(s.off, c)
 	}
 	start := s.pos
 	i := s.pos + 1
@@ -635,29 +656,14 @@ func (s *Scanner) readNameBytes() ([]byte, error) {
 }
 
 // readName scans an XML Name, returning its interned string.
-//
-//vitex:hotpath
 func (s *Scanner) readName() (string, error) {
-	e, err := s.readNameID()
-	return e.name, err
-}
-
-// readNameID scans an XML Name, returning its interned cache entry
-// (canonical string, prefix/local split, local-name symbol ID). The byte
-// scan decides where the name ends; rune-level validation (the XML name
-// tables, invalid UTF-8, the one-colon QName rule) decides whether it is
-// legal — the same split encoding/xml uses, so the front-ends agree on every
-// name. Degenerate single-colon names (":", "a:", ":a") are accepted
-// unsplit (see sax.SplitName).
-//
-//vitex:hotpath
-func (s *Scanner) readNameID() (symEntry, error) {
 	start := s.off
 	b, err := s.readNameBytes()
 	if err != nil {
-		return symEntry{}, err
+		return "", err
 	}
-	return s.resolveName(b, start)
+	e, err := s.resolveName(b, start)
+	return e.name, err
 }
 
 // nameHash mixes a name's length with its first, middle and last bytes — no
@@ -672,8 +678,14 @@ func nameHash(b []byte) uint32 {
 	return h*2654435761 ^ h>>13
 }
 
-// resolveName validates and interns scanned name bytes (cache hits skip
-// validation: a cached name was validated when first interned). The hit path
+// resolveName validates and interns scanned name bytes, returning the
+// name's cache entry (canonical string, prefix/local split, local-name
+// symbol ID). The byte scan decides where a name ends; rune-level validation
+// (the XML name tables, invalid UTF-8, the one-colon QName rule) decides
+// whether it is legal — the same split encoding/xml uses, so the front-ends
+// agree on every name. Degenerate single-colon names (":", "a:", ":a") are
+// accepted unsplit (see sax.SplitName). Cache hits skip validation: a cached
+// name was validated when first interned. The hit path
 // is a direct-mapped probe on nameHash — names are a few bytes, already in
 // cache, so the hash costs less than the map's hashed lookup it replaces.
 //
@@ -831,6 +843,14 @@ func (s *Scanner) scanTextBrackets() error {
 func (s *Scanner) appendRuneTo(dst *[]byte, at int64) error {
 	for s.end-s.pos < utf8.UTFMax && s.fill() {
 	}
+	return s.appendRune(dst, at)
+}
+
+// appendRune is appendRuneTo without the refill, for a sequence the window
+// already holds whole or ends at EOF.
+//
+//vitex:hotpath
+func (s *Scanner) appendRune(dst *[]byte, at int64) error {
 	r, size := utf8.DecodeRune(s.buf[s.pos:s.end])
 	if r == utf8.RuneError && size == 1 {
 		return s.syntaxf(at, "invalid UTF-8")
@@ -1120,134 +1140,173 @@ func isAllSpace(b []byte) bool {
 	return true
 }
 
-// fastStartTag is the speculative in-window start-tag parser: it scans the
-// tag with local indices and no per-byte cursor updates, handling the
-// dominant shapes — a name, optionally attributes with clean quoted values,
-// then '>' or '/>'. It consumes nothing until the whole tag has parsed, so
-// on ANY complication (window seam mid-tag, entity or line ending or
-// non-ASCII byte in a value, malformed syntax) it returns done=false and the
-// general scanStartTag path rescans from the same position, producing the
-// byte-identical event or diagnostic. Returning done=true means the tag was
-// fully consumed and queued or projected out (or a post-parse error — invalid
-// name, duplicate attribute, handler failure — was raised exactly as the
-// general path would raise it).
+// wholeTag makes the read window hold the tag that starts at the cursor, up
+// to the byte where the scan for its end stops: the first '>' outside
+// quotes, any '<', or EOF. A tag's parse never looks past that byte (it ends
+// or fails at it, or earlier), so the parse reads the window alone: nothing
+// is read between a tag's first byte and its event, hence no batch is
+// flushed and the window does not move, which is what lets the attributes
+// live in the batch and their values in the window. A '<' in the window at
+// or after the cursor bounds the scan already, so only the last tag of a
+// window (ltEnd) is scanned, by fillTag.
 //
 //vitex:hotpath
-func (s *Scanner) fastStartTag(start int64) (bool, error) {
+func (s *Scanner) wholeTag() {
+	if s.ltEnd <= s.pos {
+		s.fillTag()
+	}
+}
+
+// fillTag is wholeTag's scan: it reads until the window holds the tag's end,
+// resuming where it stopped after each read, so a tag costs O(its length)
+// however it arrives.
+func (s *Scanner) fillTag() {
+	var q byte
+	i := s.pos
+	for {
+		for ; i < s.end; i++ {
+			switch c := s.buf[i]; {
+			case c == '<':
+				return
+			case q != 0:
+				if c == q {
+					q = 0
+				}
+			case c == '>':
+				return
+			case c == '"' || c == '\'':
+				q = c
+			}
+		}
+		n := i - s.pos
+		if !s.fill() {
+			if s.err == nil {
+				// A read that returned nothing ends the input here too, so
+				// the parse that follows never reads.
+				s.err = io.EOF
+			}
+			return
+		}
+		i = s.pos + n
+	}
+}
+
+// offAt is the input offset of buffer index i.
+//
+//vitex:hotpath
+func (s *Scanner) offAt(i int) int64 { return s.off + int64(i-s.pos) }
+
+// seek moves the cursor to buffer index i of the window.
+//
+//vitex:hotpath
+func (s *Scanner) seek(i int) { s.advance(i - s.pos) }
+
+// scanStartTag parses "<name attr=... >" with '<' already consumed. Once
+// wholeTag has the tag in the window, the parse runs on local indices and
+// moves the cursor once, at the end. Attributes accumulate straight into the
+// batch-owned backing array, with values that view the window; only the
+// values of a queued tag are copied into the batch arena. What a clean tag
+// does not contain (a value to expand or validate, and every diagnostic) is
+// an outlined cold helper.
+//
+//vitex:hotpath
+func (s *Scanner) scanStartTag(start int64) error {
+	if s.seenRoot && s.depth == 0 {
+		return s.syntaxf(start, "multiple root elements")
+	}
+	s.wholeTag()
 	buf, i, end := s.buf, s.pos, s.end
 	if i >= end || !isNameStart(buf[i]) {
-		return false, nil
+		return s.errNameStartAt(i)
 	}
 	nst := i
 	i++
 	for i < end && nameByteTab[buf[i]] {
 		i++
 	}
-	if i >= end {
-		return false, nil // the name may continue past the window
-	}
-	name, err := s.resolveFast(buf[nst:i], nameHash(buf[nst:i]), start+1)
+	name, err := s.resolveName(buf[nst:i], start+1)
 	if err != nil {
-		return true, err
+		return err
 	}
-	// Attributes accumulate straight into the batch-owned backing array, with
-	// values that view the read buffer: the tag is parsed inside the window,
-	// with no read (hence no flush, and no move of the window) before it is
-	// queued, and only the values of a queued tag are copied into the batch
-	// arena. att0 marks where this tag's attributes start.
+	// att0 marks where this tag's attributes start in the batch array.
 	attrs := s.batchAttrs
 	att0 := len(attrs)
 	selfClose := false
 	for {
-		// Inter-attribute whitespace, then the tag-closing dispatch.
-		spaces := i
 		for i < end && isSpace(buf[i]) {
 			i++
 		}
 		if i >= end {
-			return false, nil
+			return s.errEOFInTag(start, name.name)
 		}
-		if c := buf[i]; c == '>' {
+		c := buf[i]
+		if c == '>' {
 			i++
 			break
-		} else if c == '/' {
-			if i+1 >= end {
-				return false, nil
-			}
-			if buf[i+1] != '>' {
-				return false, nil // let the general path diagnose
+		}
+		if c == '/' {
+			if i+1 >= end || buf[i+1] != '>' {
+				return s.errExpectAt(i+1, '>')
 			}
 			selfClose = true
 			i += 2
 			break
-		} else if spaces == i || !isNameStart(c) {
-			// Attribute without preceding whitespace, or a byte that
-			// starts no name: the general path raises the exact error.
-			return false, nil
+		}
+		if !isNameStart(c) {
+			return s.errNameStartAt(i)
 		}
 		ast := i
 		i++
 		for i < end && nameByteTab[buf[i]] {
 			i++
 		}
-		aend := i
+		aname, err := s.resolveName(buf[ast:i], s.offAt(ast))
+		if err != nil {
+			return err
+		}
 		for i < end && isSpace(buf[i]) {
 			i++
 		}
 		if i >= end || buf[i] != '=' {
-			return false, nil
+			return s.errExpectAt(i, '=')
 		}
 		i++
 		for i < end && isSpace(buf[i]) {
 			i++
 		}
-		if i >= end {
-			return false, nil
+		if i >= end || (buf[i] != '"' && buf[i] != '\'') {
+			return s.errQuoteAt(i)
 		}
 		q := buf[i]
-		if q != '"' && q != '\'' {
-			return false, nil
-		}
 		qc := uint8(ccQuot)
 		if q == '\'' {
 			qc = ccApos
 		}
 		i++
-		vst := i
-		j := bytes.IndexByte(buf[i:end], q)
-		if j < 0 {
-			return false, nil
-		}
-		vb := buf[vst : vst+j]
-		if cleanAttrValue(vb, qc, swarOnes*uint64(q)) != len(vb) {
-			// A reference, line ending, non-ASCII or illegal byte: the
-			// general path normalizes, expands and validates it.
-			return false, nil
-		}
-		i = vst + j + 1
-		aname, err := s.resolveFast(buf[ast:aend], nameHash(buf[ast:aend]), start+1+int64(ast-nst))
-		if err != nil {
-			return true, err
+		var v string
+		if j := bytes.IndexByte(buf[i:end], q); j >= 0 && cleanAttrValue(buf[i:i+j], qc, swarOnes*uint64(q)) == j {
+			v = bufString(buf[i : i+j])
+			i += j + 1
+		} else if v, i, err = s.attrValue(i, q, qc); err != nil {
+			return err
 		}
 		for k := att0; k < len(attrs); k++ {
 			if attrs[k].Name == aname.name {
-				return true, s.errDupAttr(start, aname.name, name.name)
+				return s.errDupAttr(start, aname.name, name.name)
 			}
 		}
 		attrs = append(attrs, sax.Attr{
-			Name: aname.name, Value: bufString(vb),
+			Name: aname.name, Value: v,
 			Prefix: aname.prefix, Local: aname.local, NameID: aname.id,
 		})
 	}
-	// Commit: one cursor update for the whole tag.
-	s.off += int64(i - s.pos)
-	s.pos = i
+	s.seek(i)
 	keep := s.keepTag(name.id, attrs[att0:])
 	s.openElement(name, keep)
 	if !keep {
 		s.batchAttrs = attrs[:att0]
 		if err := s.skip(sax.StartElement, s.depth); err != nil {
-			return true, err
+			return err
 		}
 	} else {
 		var evAttrs []sax.Attr
@@ -1259,95 +1318,8 @@ func (s *Scanner) fastStartTag(start int64) (bool, error) {
 		}
 		s.batchAttrs = attrs
 		if err := s.emitTag(sax.StartElement, name, s.depth, evAttrs, start); err != nil {
-			return true, err
-		}
-	}
-	if selfClose {
-		return true, s.endElement(&s.stack[len(s.stack)-1], s.off)
-	}
-	return true, nil
-}
-
-// resolveFast resolves name bytes whose nameHash the caller already
-// computed: the direct-mapped probe of resolveName without the re-hash.
-// nameOff is the name's byte offset for diagnostics.
-//
-//vitex:hotpath
-func (s *Scanner) resolveFast(b []byte, hash uint32, nameOff int64) (symEntry, error) {
-	if len(s.nameSlots) == nameSlotCount {
-		if sl := &s.nameSlots[hash&(nameSlotCount-1)]; sl.hash == hash && sl.e.name == string(b) {
-			return sl.e, nil
-		}
-	}
-	return s.resolveNameMiss(b, hash, nameOff)
-}
-
-// scanStartTag parses "<name attr=... >" with '<' already consumed.
-//
-//vitex:hotpath
-func (s *Scanner) scanStartTag(start int64) error {
-	if s.seenRoot && s.depth == 0 {
-		return s.syntaxf(start, "multiple root elements")
-	}
-	if done, err := s.fastStartTag(start); done {
-		return err
-	}
-	name, err := s.readNameID()
-	if err != nil {
-		return err
-	}
-	s.attrs = s.attrs[:0]
-	s.valBuf = s.valBuf[:0]
-	selfClose := false
-	for {
-		s.skipSpace()
-		c, ok := s.peek()
-		if !ok {
-			return s.errEOFInTag(start, name.name)
-		}
-		if c == '>' {
-			s.advance(1)
-			break
-		}
-		if c == '/' {
-			s.advance(1)
-			if err := s.expect(">"); err != nil {
-				return err
-			}
-			selfClose = true
-			break
-		}
-		aname, err := s.readNameID()
-		if err != nil {
 			return err
 		}
-		s.skipSpace()
-		if err := s.expect("="); err != nil {
-			return err
-		}
-		s.skipSpace()
-		aval, err := s.scanAttrValue()
-		if err != nil {
-			return err
-		}
-		for i := range s.attrs {
-			if s.attrs[i].Name == aname.name {
-				return s.errDupAttr(start, aname.name, name.name)
-			}
-		}
-		s.attrs = append(s.attrs, sax.Attr{
-			Name: aname.name, Value: aval,
-			Prefix: aname.prefix, Local: aname.local, NameID: aname.id,
-		})
-	}
-	keep := s.keepTag(name.id, s.attrs)
-	s.openElement(name, keep)
-	if !keep {
-		if err := s.skip(sax.StartElement, s.depth); err != nil {
-			return err
-		}
-	} else if err := s.emitTag(sax.StartElement, name, s.depth, s.homeAttrs(), start); err != nil {
-		return err
 	}
 	if selfClose {
 		// The synthetic end event of a self-closing tag carries the offset
@@ -1359,95 +1331,70 @@ func (s *Scanner) scanStartTag(start int64) error {
 	return nil
 }
 
-// scanAttrValue parses a quoted attribute value with references resolved,
-// appending it to valBuf — which accumulates the values of the whole tag —
-// and returns a view of the appended bytes. The view stays intact however
-// valBuf grows afterwards (append moves the buffer, the view pins the old
-// backing); homeAttrs copies it into the batch arena when the tag completes.
-//
-//vitex:hotpath
-func (s *Scanner) scanAttrValue() (string, error) {
-	start := s.off
-	q, ok := s.readByte()
-	if !ok {
-		return "", s.syntaxf(s.off, "unexpected EOF, expected attribute value")
-	}
-	if q != '\'' && q != '"' {
-		return "", s.errUnquotedAttr(q)
-	}
-	qc := uint8(ccQuot)
-	if q == '\'' {
-		qc = ccApos
-	}
-	qpat := swarOnes * uint64(q)
-	vst := len(s.valBuf)
+// attrValue parses the rest of a quoted value that is not one clean run,
+// from buffer index i just past its opening quote q (qc its byte class): it
+// resolves references, normalizes line endings (XML 1.0 §2.11, matching
+// encoding/xml) and validates what the clean scan stops at, writing the
+// value into the batch arena. It returns the value and the index just past
+// the closing quote. Character errors report the opening quote's offset.
+func (s *Scanner) attrValue(i int, q, qc byte) (string, int, error) {
+	at := s.offAt(i) - 1
+	s.seek(i) // the cursor walks the value: scanReference reads through it
+	a0 := len(s.arena)
 	needsCheck := false
 	for {
-		if s.pos == s.end && !s.fill() {
-			return "", s.syntaxf(s.off, "unexpected EOF in attribute value")
+		if s.pos == s.end {
+			return "", 0, s.syntaxf(s.off, "unexpected EOF in attribute value")
 		}
-		if n := cleanAttrValue(s.buf[s.pos:s.end], qc, qpat); n > 0 {
-			s.valBuf = append(s.valBuf, s.buf[s.pos:s.pos+n]...)
+		if n := cleanAttrValue(s.buf[s.pos:s.end], qc, swarOnes*uint64(q)); n > 0 {
+			s.arena = append(s.arena, s.buf[s.pos:s.pos+n]...)
 			s.advance(n)
-			if s.pos == s.end {
-				continue
-			}
+			continue
 		}
 		switch c := s.buf[s.pos]; {
 		case c == q:
-			s.advance(1)
-			v := s.valBuf[vst:]
+			v := s.arena[a0:]
 			if needsCheck {
 				// Reference expansions are the only bytes the fused scan
 				// did not validate.
-				if err := s.validateChars(v, start); err != nil {
-					return "", err
+				if err := s.validateChars(v, at); err != nil {
+					return "", 0, err
 				}
 			}
-			if len(v) == 0 {
-				return "", nil
-			}
-			return unsafe.String(&v[0], len(v)), nil
+			return bufString(v), s.pos + 1, nil
 		case c == '<':
-			return "", s.syntaxf(s.off, "'<' not allowed in attribute value")
+			return "", 0, s.syntaxf(s.off, "'<' not allowed in attribute value")
 		case c == '&':
 			r, err := s.scanReference()
 			if err != nil {
-				return "", err
+				return "", 0, err
 			}
-			s.valBuf = append(s.valBuf, r...)
+			s.arena = append(s.arena, r...)
 			needsCheck = true
 		case c == '\r':
-			// Line-ending normalization applies inside attribute
-			// values too (XML 1.0 §2.11, matching encoding/xml).
 			s.advance(1)
-			if n, ok := s.peek(); ok && n == '\n' {
+			if s.pos < s.end && s.buf[s.pos] == '\n' {
 				s.advance(1)
 			}
-			s.valBuf = append(s.valBuf, '\n')
-		case c >= 0x80:
-			if err := s.appendRuneTo(&s.valBuf, start); err != nil {
-				return "", err
+			s.arena = append(s.arena, '\n')
+		case c >= utf8.RuneSelf:
+			if err := s.appendRune(&s.arena, at); err != nil {
+				return "", 0, err
 			}
 		default: // a control byte the XML Char production forbids
-			return "", s.errIllegalChar(start, rune(c))
+			return "", 0, s.errIllegalChar(at, rune(c))
 		}
 	}
 }
 
 // scanEndTag parses "</name>" with "</" already consumed. The fast path
-// compares the scanned name bytes directly against the open element on the
-// stack: a match reuses that element's interned entry, skipping both the
-// rune-level name validation (the bytes were validated when the start tag
-// interned them) and the intern-cache lookup.
+// compares the name bytes directly against the open element on the stack: a
+// match reuses that element's interned entry, skipping both the rune-level
+// name validation (the bytes were validated when the start tag interned
+// them) and the intern-cache lookup.
 //
 //vitex:hotpath
 func (s *Scanner) scanEndTag(start int64) error {
-	// In-window fast path: "</name>" with no whitespace, matching the open
-	// element byte-for-byte — one comparison against the stack top, no name
-	// scan or resolution. Anything else (window seam, "</name >", a
-	// mismatch) falls to the general path below, which rescans from the
-	// same position.
 	if s.depth > 0 {
 		top := &s.stack[len(s.stack)-1]
 		if n := len(top.name); s.end-s.pos > n &&
@@ -1457,27 +1404,39 @@ func (s *Scanner) scanEndTag(start int64) error {
 			return s.endElement(top, start)
 		}
 	}
-	b, err := s.readNameBytes()
-	if err != nil {
-		return err
+	// Whitespace before the '>', a window seam or a mismatch: parse the
+	// whole tag in the window.
+	s.wholeTag()
+	buf, i, end := s.buf, s.pos, s.end
+	if i >= end || !isNameStart(buf[i]) {
+		return s.errNameStartAt(i)
 	}
-	if s.depth > 0 && string(b) == s.stack[len(s.stack)-1].name {
-		s.skipSpace()
-		if err := s.expect(">"); err != nil {
+	nst := i
+	i++
+	for i < end && nameByteTab[buf[i]] {
+		i++
+	}
+	b := buf[nst:i]
+	open := s.depth > 0 && string(b) == s.stack[len(s.stack)-1].name
+	var name symEntry
+	if !open {
+		// Unmatched or mismatched: resolve the name fully, so that the
+		// diagnostics (invalid name, unmatched, mismatched, in that order)
+		// carry the canonical strings.
+		var err error
+		if name, err = s.resolveName(b, start); err != nil {
 			return err
 		}
+	}
+	for i < end && isSpace(buf[i]) {
+		i++
+	}
+	if i >= end || buf[i] != '>' {
+		return s.errExpectAt(i, '>')
+	}
+	s.seek(i + 1)
+	if open {
 		return s.endElement(&s.stack[len(s.stack)-1], start)
-	}
-	// Unmatched or mismatched end tag: resolve the name fully so the
-	// diagnostics (invalid name, unmatched, mismatched — in that order,
-	// matching the single-path scan) carry the canonical strings.
-	name, err := s.resolveName(b, start)
-	if err != nil {
-		return err
-	}
-	s.skipSpace()
-	if err := s.expect(">"); err != nil {
-		return err
 	}
 	if s.depth == 0 {
 		return s.errUnmatchedEnd(start, name.name)
@@ -1960,7 +1919,7 @@ func (s *Scanner) emit(k sax.Kind, depth int, text string, off int64) error {
 
 // emitTag queues a start/end-element event carrying the name's QName split
 // and local-name symbol ID. attrs must already live in the batch's backing
-// array (fastStartTag builds them there, homeAttrs moves them there).
+// array, as scanStartTag builds them.
 //
 //vitex:hotpath
 func (s *Scanner) emitTag(k sax.Kind, name symEntry, depth int, attrs []sax.Attr, off int64) error {
