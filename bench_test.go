@@ -514,43 +514,46 @@ func BenchmarkQuerySetRepeatedStream(b *testing.B) {
 }
 
 // BenchmarkQuerySetStats measures what per-query statistics cost a portal
-// document against 10,000 standing queries: Stream returns one row per query,
-// Evaluate returns the scan's counters and allocates nothing per query.
+// document against 1,000 and 10,000 standing queries: Stream returns one row
+// per query, Evaluate returns the scan's counters and allocates nothing per
+// query.
 func BenchmarkQuerySetStats(b *testing.B) {
-	qs, err := NewQuerySet(datagen.OverlapQueries(10000, 0.9, 0, 0, 1)...)
-	if err != nil {
-		b.Fatal(err)
-	}
 	doc := datagen.Portal{Articles: 20, Seed: 1}.String()
 	discard := func(SetResult) error { return nil }
-	for _, arm := range []struct {
-		name string
-		eval func(r io.Reader) error
-	}{
-		{"Stream", func(r io.Reader) error {
-			_, err := qs.Stream(r, Options{}, discard)
-			return err
-		}},
-		{"Evaluate", func(r io.Reader) error {
-			_, err := qs.Evaluate(r, Options{}, discard)
-			return err
-		}},
-	} {
-		b.Run(arm.name, func(b *testing.B) {
-			rd := strings.NewReader(doc)
-			if err := arm.eval(rd); err != nil { // warm the pooled session
-				b.Fatal(err)
-			}
-			b.SetBytes(int64(len(doc)))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				rd.Reset(doc)
-				if err := arm.eval(rd); err != nil {
+	for _, n := range []int{1000, 10000} {
+		qs, err := NewQuerySet(datagen.OverlapQueries(n, 0.9, 0, 0, 1)...)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, arm := range []struct {
+			name string
+			eval func(r io.Reader) error
+		}{
+			{"Stream", func(r io.Reader) error {
+				_, err := qs.Stream(r, Options{}, discard)
+				return err
+			}},
+			{"Evaluate", func(r io.Reader) error {
+				_, err := qs.Evaluate(r, Options{}, discard)
+				return err
+			}},
+		} {
+			b.Run(fmt.Sprintf("n=%d/%s", n, arm.name), func(b *testing.B) {
+				rd := strings.NewReader(doc)
+				if err := arm.eval(rd); err != nil { // warm the pooled session
 					b.Fatal(err)
 				}
-			}
-		})
+				b.SetBytes(int64(len(doc)))
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					rd.Reset(doc)
+					if err := arm.eval(rd); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }
 

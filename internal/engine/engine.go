@@ -210,18 +210,25 @@ type Plan struct {
 	// confirmation order even under Options.Ordered (the branches of a
 	// union, which only their caller can put in document order).
 	Unordered func(machine int) bool
-	// Stats, when non-nil, receives after the scan the counters of what the
-	// document woke, scan-level fields included: once per woken machine, and
-	// once per literal of a woken value group, with the dense indexes of the
-	// machines the counters are for, ascending — the one machine, or the
-	// members filed under that literal, whose counters are the group's with
-	// their own emitted/dropped split. The slice is the engine's and valid
-	// only during the call. A machine no call names did no work: its
-	// statistics are the value Stream returns. When EmitFrom fails a
-	// stream, every woken machine reports its counters through the event
-	// whose result failed: each event is delivered to every machine before
-	// its results go out. Nil reports nothing, and costs nothing.
-	Stats func(machines []int32, st twigm.Stats)
+	// Rows, when non-nil, receives the statistics of what the document woke,
+	// once the scan is over. Nil reports nothing, and costs nothing.
+	Rows Rows
+}
+
+// Rows is where an evaluation's statistics go: one row per query of the
+// caller's, whose machines are its branches. Once the scan is over the engine
+// takes the rows from Make, puts the shared scan's counters in every one, and
+// folds the work of each woken machine into the row Row names for it, as
+// MergeStats does: a run's counters, or for a member of a value group the
+// group's with its literal's emitted/dropped split (twigm.SplitStats). A row
+// no woken machine names keeps the scan's counters only. When EmitFrom fails
+// a stream, every woken machine's work counts through the event whose result
+// failed: each event is delivered to every machine before its results go out.
+type Rows interface {
+	// Make returns the rows, zeroed.
+	Make() []twigm.Stats
+	// Row returns the row of the machine at a dense index.
+	Row(machine int) int
 }
 
 // Stream evaluates the current membership over one scan of r; it is
@@ -234,7 +241,7 @@ func (e *Engine) Stream(ctx context.Context, r io.Reader, plan Plan) (twigm.Stat
 // document costs is proportional to the machines it wakes, not to the
 // snapshot: a machine is reset, bound to its anchor and given its options the
 // first time an event is routed to it, and only those machines see the end of
-// the document and report statistics (Plan.Stats), once the scan is over.
+// the document and report statistics (Plan.Rows), once the scan is over.
 //
 // The returned Stats carry the shared scan's Events, Elements and MaxDepth
 // and nothing else — under routed dispatch a machine does not see every
@@ -387,7 +394,7 @@ func (ses *session) stream(ctx context.Context, e *Engine, ep *epoch, drv sax.Dr
 		e.evalHist.ObserveNs(durNs / ses.events)
 	}
 	scan := twigm.Stats{Events: ses.events, Elements: ses.elements, MaxDepth: ses.maxDepth}
-	ses.rt.finish(scan, plan.Stats)
+	ses.rt.finish(scan, plan.Rows)
 	return scan, err
 }
 
@@ -747,50 +754,50 @@ func (rt *router) settle(mark int) error {
 	return err
 }
 
-// finish ends the document for the machines it woke. visit, when non-nil,
-// receives their statistics with the shared scan's counters filled in
-// (report); then the runs let go of the document (their emit hook and trace
-// writer), and so does the router. A pooled session keeps nothing of a
-// document it has finished, however long the machines that document woke then
-// stay idle.
-func (rt *router) finish(scan twigm.Stats, visit func([]int32, twigm.Stats)) {
+// finish ends the document for the machines it woke: it fills the plan's
+// rows, when there are any; then the runs let go of the document (their emit
+// hook and trace writer), and so does the router. A pooled session keeps
+// nothing of a document it has finished, however long the machines that
+// document woke then stay idle.
+func (rt *router) finish(scan twigm.Stats, rows Rows) {
+	if rows != nil {
+		rt.fill(rows.Make(), rows, scan)
+	}
 	for _, i := range rt.woken {
-		run := rt.runs[i]
-		if visit != nil {
-			rt.report(i, run, scan, visit)
-		}
-		run.Detach()
+		rt.runs[i].Detach()
 	}
 	rt.ep, rt.opts, rt.unordered, rt.emit = nil, twigm.Options{}, nil, nil
 }
 
-// report hands visit the statistics of the machine in slot i, or, for a run
-// evaluating a value group, those of each literal's members: one call per
-// literal, whatever the number of members filed under it. The dense indexes
-// are gathered in scratch, which the scan no longer needs.
+// fill puts the scan's counters in every row, then adds each woken machine's
+// work to its row (Rows). A value group splits its counters once for all the
+// literals that confirmed nothing, and once more for each literal that did.
 //
 //vitex:hotpath
-func (rt *router) report(i int32, run *twigm.Run, scan twigm.Stats, visit func([]int32, twigm.Stats)) {
-	g := run.Group()
-	if g == nil {
-		rt.scratch = append(rt.scratch[:0], rt.ep.liveIdx.At(int(i)))
-		visit(rt.scratch, withScan(run.Stats(), scan))
-		return
+func (rt *router) fill(rows []twigm.Stats, of Rows, scan twigm.Stats) {
+	for i := range rows {
+		rows[i].Events, rows[i].Elements, rows[i].MaxDepth = scan.Events, scan.Elements, scan.MaxDepth
 	}
-	for b := range int32(g.Buckets()) {
-		dense := rt.scratch[:0]
-		for _, m := range g.Members(b) {
-			dense = append(dense, rt.ep.liveIdx.At(int(m)))
+	for _, i := range rt.woken {
+		run := rt.runs[i]
+		st := run.Stats()
+		g := run.Group()
+		if g == nil {
+			addWork(&rows[of.Row(int(rt.ep.liveIdx.At(int(i))))], &st)
+			continue
 		}
-		rt.scratch = dense
-		visit(dense, withScan(run.MemberStats(b), scan))
+		miss, hit := twigm.SplitStats(st, 0), twigm.Stats{}
+		for b := range int32(g.Buckets()) {
+			split := &miss
+			if hits := run.Hits(b); hits > 0 {
+				hit = twigm.SplitStats(st, hits)
+				split = &hit
+			}
+			for _, m := range g.Members(b) {
+				addWork(&rows[of.Row(int(rt.ep.liveIdx.At(int(m))))], split)
+			}
+		}
 	}
-}
-
-// withScan returns a machine's statistics with the shared scan's counters.
-func withScan(st, scan twigm.Stats) twigm.Stats {
-	st.Events, st.Elements, st.MaxDepth = scan.Events, scan.Elements, scan.MaxDepth
-	return st
 }
 
 // deliver hands the event to machine i — waking it if this is the document's
@@ -1029,9 +1036,12 @@ func (d *denseSet) set(i int32, in bool) {
 // simultaneous), live-candidate peaks take the maximum, and scan-level
 // counters (Events, Elements, MaxDepth) pass through from the shared scan.
 func MergeStats(dst *twigm.Stats, s twigm.Stats) {
-	dst.Events = s.Events
-	dst.Elements = s.Elements
-	dst.MaxDepth = s.MaxDepth
+	dst.Events, dst.Elements, dst.MaxDepth = s.Events, s.Elements, s.MaxDepth
+	addWork(dst, &s)
+}
+
+// addWork is MergeStats without the scan-level counters.
+func addWork(dst, s *twigm.Stats) {
 	dst.Pushes += s.Pushes
 	dst.Pops += s.Pops
 	dst.FlagProps += s.FlagProps
@@ -1041,8 +1051,6 @@ func MergeStats(dst *twigm.Stats, s twigm.Stats) {
 	dst.CandidatesDropped += s.CandidatesDropped
 	dst.PrunedPushes += s.PrunedPushes
 	dst.PeakStackEntries += s.PeakStackEntries
-	if s.PeakLiveCandidates > dst.PeakLiveCandidates {
-		dst.PeakLiveCandidates = s.PeakLiveCandidates
-	}
+	dst.PeakLiveCandidates = max(dst.PeakLiveCandidates, s.PeakLiveCandidates)
 	dst.PeakBufferedBytes += s.PeakBufferedBytes
 }

@@ -14,11 +14,10 @@ import (
 // twigm.Options per machine, each with its own EmitFrom — into a Plan. The
 // options may differ between machines only in EmitFrom and Ordered, the two
 // things a Plan can vary per machine. finish, given what Stream returned,
-// yields one Stats per machine: what the plan reported for the machines the
-// document woke, the scan's counters alone for the rest.
+// yields one Stats per machine: the row the plan's Rows filled for it, which
+// for a machine the document did not wake holds the scan's counters alone.
 func planOf(opts []twigm.Options) (plan Plan, finish func(scan twigm.Stats) []twigm.Stats) {
-	stats := make([]twigm.Stats, len(opts))
-	woken := make([]bool, len(opts))
+	rows := &machineRows{rows: make([]twigm.Stats, len(opts))}
 	emits := false
 	for d, o := range opts {
 		if d == 0 {
@@ -43,23 +42,28 @@ func planOf(opts []twigm.Options) (plan Plan, finish func(scan twigm.Stats) []tw
 			return opts[d].EmitFrom(d, r)
 		}
 	}
-	plan.Stats = func(machines []int32, st twigm.Stats) {
-		for _, d := range machines {
-			if woken[d] {
-				panic(fmt.Sprintf("planOf: machine %d reported twice", d))
-			}
-			woken[d], stats[d] = true, st
+	plan.Rows = rows
+	return plan, func(twigm.Stats) []twigm.Stats {
+		if rows.made != 1 {
+			panic(fmt.Sprintf("planOf: rows made %d times", rows.made))
 		}
-	}
-	return plan, func(scan twigm.Stats) []twigm.Stats {
-		for d := range stats {
-			if !woken[d] {
-				stats[d] = scan
-			}
-		}
-		return stats
+		return rows.rows
 	}
 }
+
+// machineRows is a Rows of one row per machine, which a test reads machine by
+// machine. made counts the calls of Make.
+type machineRows struct {
+	rows []twigm.Stats
+	made int
+}
+
+func (m *machineRows) Make() []twigm.Stats {
+	m.made++
+	return m.rows
+}
+
+func (*machineRows) Row(machine int) int { return machine }
 
 // streamOpts evaluates s with one twigm.Options per machine (see planOf),
 // and returns one Stats per machine.

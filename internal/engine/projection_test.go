@@ -55,9 +55,8 @@ func (c counted) Run(h sax.Handler) error {
 func streamSession(ctx context.Context, s Snapshot, r io.Reader, opts twigm.Options, full bool, emit func(d int, r twigm.Result) error) sessionRun {
 	ses := newSession(s.eng)
 	var run sessionRun
-	woken := make([]bool, s.Len())
 	run.stats = make([]twigm.Stats, s.Len())
-	plan := Plan{Options: opts}
+	plan := Plan{Options: opts, Rows: &machineRows{rows: run.stats}}
 	plan.Options.EmitFrom = func(d int, r twigm.Result) error {
 		run.out = append(run.out, emission{mach: int32(d), res: r})
 		if emit != nil {
@@ -65,21 +64,11 @@ func streamSession(ctx context.Context, s Snapshot, r io.Reader, opts twigm.Opti
 		}
 		return nil
 	}
-	plan.Stats = func(machines []int32, st twigm.Stats) {
-		for _, d := range machines {
-			woken[d], run.stats[d] = true, st
-		}
-	}
 	ses.scan.Reset(r)
 	if !full {
 		ses.scan.Project(s.ep.projection())
 	}
 	run.scan, run.err = ses.stream(ctx, s.eng, s.ep, counted{saxtest.PoisonDriver(ses.scan), ses, &run}, plan)
-	for d := range run.stats {
-		if !woken[d] {
-			run.stats[d] = run.scan
-		}
-	}
 	run.deliveries = ses.rt.deliveries
 	return run
 }

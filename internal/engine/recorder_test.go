@@ -34,22 +34,24 @@ func TestOneRecordingPerDocument(t *testing.T) {
 			var peaks []int
 			for _, n := range []int{1, 4} {
 				outer := 0
+				rows := &machineRows{rows: make([]twigm.Stats, n)}
 				plan := Plan{
 					Options: twigm.Options{Ordered: true, EmitFrom: func(_ int, r twigm.Result) error {
 						outer = max(outer, len(r.Value))
 						return nil
 					}},
-					Stats: func(machines []int32, st twigm.Stats) {
-						if st.PeakBufferedBytes != wantPeak[depth] {
-							t.Errorf("%d machines: machines %v PeakBufferedBytes = %d, want %d", n, machines, st.PeakBufferedBytes, wantPeak[depth])
-						}
-					},
+					Rows: rows,
 				}
 				e := mustEngine(t, tableQueries[:n]...)
 				p := newPooledEval(e)
 				p.ses.scan.Reset(strings.NewReader(doc))
 				if _, err := p.ses.stream(context.Background(), e, e.cur.Load(), p.ses.scan, plan); err != nil {
 					t.Fatal(err)
+				}
+				for d, st := range rows.rows {
+					if st.PeakBufferedBytes != wantPeak[depth] {
+						t.Errorf("%d machines: machine %d PeakBufferedBytes = %d, want %d", n, d, st.PeakBufferedBytes, wantPeak[depth])
+					}
 				}
 				peak := p.ses.rt.rec.Peak()
 				if peak == 0 || peak > outer {

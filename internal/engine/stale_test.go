@@ -285,10 +285,17 @@ func TestIdleAcrossResync(t *testing.T) {
 // its result buffers, its statistics, its connection.
 type docToken struct{ results [8]int64 }
 
+// tokenRows is a Rows that owns a docToken, as a caller's rows own what the
+// caller keeps of its document.
+type tokenRows struct {
+	machineRows
+	tok *docToken
+}
+
 // streamHolding streams doc with an emit hook that owns a fresh docToken (and,
 // when traced, a trace writer of its own) and returns weak pointers to both.
-// With stats the plan's Stats hook owns the token too. In a function of its
-// own so that no stack slot of the caller keeps them alive.
+// With stats the plan's Rows owns the token too. In a function of its own so
+// that no stack slot of the caller keeps them alive.
 func streamHolding(t *testing.T, p *pooledEval, doc string, traced, stats, malformed bool) (weak.Pointer[docToken], weak.Pointer[bytes.Buffer]) {
 	t.Helper()
 	tok, trace := new(docToken), new(bytes.Buffer)
@@ -299,12 +306,9 @@ func streamHolding(t *testing.T, p *pooledEval, doc string, traced, stats, malfo
 	if traced {
 		plan.Options.Trace = trace
 	}
-	reported := false
+	rows := &tokenRows{machineRows{rows: make([]twigm.Stats, p.e.Len())}, tok}
 	if stats {
-		plan.Stats = func(machines []int32, st twigm.Stats) {
-			tok.results[int(machines[0])%len(tok.results)] += st.Pushes
-			reported = true
-		}
+		plan.Rows = rows
 	}
 	p.ses.scan.Reset(strings.NewReader(doc))
 	_, err := p.ses.stream(context.Background(), p.e, p.e.cur.Load(), p.ses.scan, plan)
@@ -314,7 +318,7 @@ func streamHolding(t *testing.T, p *pooledEval, doc string, traced, stats, malfo
 	if tok.results == (docToken{}).results {
 		t.Fatalf("%s woke nothing: the test lost its subject", doc)
 	}
-	if reported != stats {
+	if reported := rows.made == 1; reported != stats {
 		t.Fatalf("%s: statistics asked for %v, reported %v", doc, stats, reported)
 	}
 	return weak.Make(tok), weak.Make(trace)

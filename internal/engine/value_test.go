@@ -132,12 +132,12 @@ func TestFailedStreamStats(t *testing.T) {
 	}
 }
 
-// TestBucketStatsMatchMemberStats: Plan.Stats reports once per woken run and
-// once per literal of a woken value group, with the literal's members in
-// ascending dense order, and what it reports for each machine is what the
-// engine reported member by member before: the run's counters, or for a
-// group member its literal's split of them (Run.MemberStats), with the scan's
-// counters filled in. Portal-shaped groups, through the poisoning front-end.
+// TestBucketStatsMatchMemberStats: the rows Plan.Rows receives hold, for each
+// machine, what the engine reported member by member before: the run's
+// counters, or for a group member its literal's split of them
+// (Run.MemberStats), with the scan's counters filled in; and the scan's
+// counters alone for a machine the document did not wake. Portal-shaped
+// groups, through the poisoning front-end.
 func TestBucketStatsMatchMemberStats(t *testing.T) {
 	sources := append(datagen.OverlapQueries(200, 0.9, 20, 4, 1),
 		// Several members under one literal, and ordinary machines.
@@ -148,28 +148,15 @@ func TestBucketStatsMatchMemberStats(t *testing.T) {
 		e := mustEngine(t, sources...)
 		ep := e.cur.Load()
 		p := newPooledEval(e)
-		got := make(map[int32]twigm.Stats)
-		calls := 0
-		plan := Plan{Stats: func(machines []int32, st twigm.Stats) {
-			calls++
-			if len(machines) == 0 || !slices.IsSorted(machines) {
-				t.Fatalf("report for machines %v: want a non-empty ascending list", machines)
-			}
-			for _, d := range machines {
-				if _, dup := got[d]; dup {
-					t.Fatalf("machine %d reported twice", d)
-				}
-				got[d] = st
-			}
-		}}
+		rows := &machineRows{rows: make([]twigm.Stats, e.Len())}
 		p.ses.scan.Reset(strings.NewReader(doc))
-		scan, err := p.ses.stream(context.Background(), e, ep, saxtest.PoisonDriver(p.ses.scan), plan)
+		scan, err := p.ses.stream(context.Background(), e, ep, saxtest.PoisonDriver(p.ses.scan), Plan{Rows: rows})
 		if err != nil {
 			t.Fatal(err)
 		}
 		// The member-by-member reports, from the runs the document woke.
-		want := make(map[int32]twigm.Stats)
-		reports, shared := 0, 0
+		want := slices.Repeat([]twigm.Stats{scan}, e.Len())
+		shared := 0
 		member := func(slot int32, st twigm.Stats) {
 			st.Events, st.Elements, st.MaxDepth = scan.Events, scan.Elements, scan.MaxDepth
 			want[ep.liveIdx.At(int(slot))] = st
@@ -179,12 +166,10 @@ func TestBucketStatsMatchMemberStats(t *testing.T) {
 			run := rt.runs[i]
 			g := run.Group()
 			if g == nil {
-				reports++
 				member(i, run.Stats())
 				continue
 			}
 			for b := range int32(g.Buckets()) {
-				reports++
 				if len(g.Members(b)) > 1 {
 					shared++
 				}
@@ -196,9 +181,10 @@ func TestBucketStatsMatchMemberStats(t *testing.T) {
 		if shared == 0 {
 			t.Fatal("no woken literal has several members: the test lost its subject")
 		}
-		if calls != reports {
-			t.Fatalf("%d reports, want one per woken run or literal: %d", calls, reports)
+		if rows.made != 1 {
+			t.Fatalf("rows made %d times, want once", rows.made)
 		}
+		got := rows.rows
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("reported statistics differ from the member-by-member reports:\ngot  %v\nwant %v", got, want)
 		}

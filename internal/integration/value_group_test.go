@@ -124,9 +124,8 @@ func evalVia(t *testing.T, e *engine.Engine, union []bool, doc string, opts twig
 	t.Helper()
 	snap := e.Snapshot()
 	var out []emitted
-	stats := make([]twigm.Stats, snap.Len())
-	woken := make([]bool, snap.Len())
-	plan := engine.Plan{Options: opts}
+	rows := &machineRows{rows: make([]twigm.Stats, snap.Len())}
+	plan := engine.Plan{Options: opts, Rows: rows}
 	if opts.Ordered && union != nil {
 		plan.Unordered = func(d int) bool { return union[d] }
 	}
@@ -134,22 +133,26 @@ func evalVia(t *testing.T, e *engine.Engine, union []bool, doc string, opts twig
 		out = append(out, emitted{d, r})
 		return nil
 	}
-	plan.Stats = func(machines []int32, st twigm.Stats) {
-		for _, d := range machines {
-			if woken[d] {
-				t.Fatalf("machine %d reported twice", d)
-			}
-			woken[d], stats[d] = true, st
-		}
+	_, err := snap.StreamVia(context.Background(), strings.NewReader(doc), plan, wrap)
+	if rows.made != 1 {
+		t.Fatalf("rows made %d times, want once", rows.made)
 	}
-	scan, err := snap.StreamVia(context.Background(), strings.NewReader(doc), plan, wrap)
-	for d := range stats {
-		if !woken[d] {
-			stats[d] = scan
-		}
-	}
-	return out, stats, err
+	return out, rows.rows, err
 }
+
+// machineRows is an engine.Rows of one row per machine, which a test reads
+// machine by machine. made counts the calls of Make.
+type machineRows struct {
+	rows []twigm.Stats
+	made int
+}
+
+func (m *machineRows) Make() []twigm.Stats {
+	m.made++
+	return m.rows
+}
+
+func (*machineRows) Row(machine int) int { return machine }
 
 // byMachine splits an emission sequence per machine.
 func byMachine(em []emitted, n int) [][]twigm.Result {

@@ -236,15 +236,23 @@ func (r *Run) selectBucket(e *entry) bool {
 }
 
 // MemberStats returns the statistics of the members filed under bucket b of
-// the run's group, as each member's own machine counts them: the run's
-// counters, with the fate of its candidates told for that bucket's literal.
-// A candidate another literal confirmed is one the member's machine dropped,
+// the run's group, as each member's own machine counts them: SplitStats of
+// the run's, for the candidates that bucket's literal confirmed.
+func (r *Run) MemberStats(b int32) Stats { return SplitStats(r.Stats(), r.hits[b]) }
+
+// Hits returns how many candidates bucket b's literal confirmed this
+// document. The members of every literal that confirmed none count alike.
+func (r *Run) Hits(b int32) int64 { return r.hits[b] }
+
+// SplitStats returns st, the statistics of a run evaluating a value group, as
+// the machine of a member whose literal confirmed hits of the run's
+// candidates counts them: the fate of each candidate told for that literal. A
+// candidate another literal confirmed is one the member's machine dropped,
 // and a dropped candidate leaves the one entry that held it: one move.
-func (r *Run) MemberStats(b int32) Stats {
-	st := r.Stats()
+func SplitStats(st Stats, hits int64) Stats {
 	resolved := st.CandidatesEmitted + st.CandidatesDropped
-	st.CandidatesEmitted = r.hits[b]
-	st.CandidatesDropped = resolved - r.hits[b]
+	st.CandidatesEmitted = hits
+	st.CandidatesDropped = resolved - hits
 	st.CandMoves = st.CandidatesDropped
 	return st
 }

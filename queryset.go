@@ -374,11 +374,13 @@ func (qs *QuerySet) Evaluate(r io.Reader, opts Options, emit func(SetResult) err
 
 // Stream is Evaluate returning one row of statistics per query as well: the
 // shared scan's counters in every row, and each woken query's work in its
-// own. The rows are allocated and filled once the scan is over, so they do
-// not delay a result the scan emits; only with Options.Ordered are a union
-// query's results, held until the scan is over, delivered after them. They
-// cost one row per standing query per document; a caller that does not read
-// them calls Evaluate. When emit returns an error every query reports its
+// own. The rows are one allocation, made and filled once the scan is over,
+// so they do not delay a result the scan emits; only with Options.Ordered are
+// a union query's results, held until the scan is over, delivered after them.
+// The engine fills them in one pass: the scan's counters into every row, then
+// each woken machine's work into its query's row. They cost one row per
+// standing query per document; a caller that does not read them calls
+// Evaluate. When emit returns an error every query reports its
 // statistics through the scan event whose result failed.
 func (qs *QuerySet) Stream(r io.Reader, opts Options, emit func(SetResult) error) ([]Stats, error) {
 	return qs.View().Stream(r, opts, emit)
@@ -413,7 +415,7 @@ func evaluate(snap engine.Snapshot, sh *shape, r io.Reader, opts Options, emit f
 		plan.Options.EmitFrom = ev.machineResult
 	}
 	if wantRows {
-		plan.Stats = ev.report
+		plan.Rows = ev
 	}
 	ctx := opts.Context
 	if ctx == nil {
@@ -422,9 +424,6 @@ func evaluate(snap engine.Snapshot, sh *shape, r io.Reader, opts Options, emit f
 	scan, err := snap.Stream(ctx, r, plan)
 	if err == nil {
 		err = ev.flushHeld()
-	}
-	if wantRows {
-		ev.scanRows(scan)
 	}
 	return scan, ev.rows, err
 }
@@ -440,34 +439,19 @@ type evaluation struct {
 	emit    func(SetResult) error
 	seen    map[unionNode]bool // created by the first union result
 	held    []SetResult
-	rows    []Stats // Stream's, made by the engine's first report
+	rows    []Stats // Stream's, made by the engine once the scan is over (Make)
 }
 
-// report is the engine's Plan.Stats: the statistics of the given machines,
-// each a branch of some query, merged into its query's row. It runs once the
-// scan is over, and the first call makes the rows, one per query: the one
-// allocation per document proportional to the set, and why Evaluate installs
-// no report.
-func (ev *evaluation) report(machines []int32, st Stats) {
-	if ev.rows == nil {
-		ev.rows = make([]Stats, ev.sh.nq)
-	}
-	for _, d := range machines {
-		engine.MergeStats(&ev.rows[ev.sh.machQuery.At(int(d))], st)
-	}
+// Make is the engine's Rows.Make: Stream's rows, one per query, made once the
+// scan is over. They are the one allocation per document proportional to the
+// set, and why Evaluate asks for no rows.
+func (ev *evaluation) Make() []Stats {
+	ev.rows = make([]Stats, ev.sh.nq)
+	return ev.rows
 }
 
-// scanRows puts the shared scan's counters in every one of Stream's rows,
-// woken or not.
-func (ev *evaluation) scanRows(scan Stats) {
-	if ev.rows == nil {
-		ev.rows = make([]Stats, ev.sh.nq)
-	}
-	for qi := range ev.rows {
-		st := &ev.rows[qi]
-		st.Events, st.Elements, st.MaxDepth = scan.Events, scan.Elements, scan.MaxDepth
-	}
-}
+// Row is the engine's Rows.Row: a machine's row is its query's.
+func (ev *evaluation) Row(machine int) int { return ev.sh.machQuery.At(machine) }
 
 // unionNode identifies a result node of a union query.
 type unionNode struct {

@@ -6,6 +6,7 @@ import (
 	"io"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -83,6 +84,55 @@ func TestFirstResultDoesNotWaitOnStandingSet(t *testing.T) {
 				t.Fatalf("bytes before the first result grow with the standing set: %d at 1,000 queries, %d at 10,000", b1k, b10k)
 			}
 		})
+	}
+}
+
+// TestStreamAllocatesOnlyItsRows: Stream's rows are one allocation. At 1,000
+// and at 10,000 portal queries, over a document that wakes value groups and
+// ordinary machines, a Stream call allocates as many objects as an Evaluate
+// call plus one. Pinned like TestIdleSubscriptionsAreFree: one P, the least
+// of the repetitions (leastAlloc), and no counts under the race detector.
+func TestStreamAllocatesOnlyItsRows(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const runs = 20
+	doc := datagen.Portal{Articles: 5, Seed: 1}.String()
+	discard := func(SetResult) error { return nil }
+	for _, n := range []int{1000, 10000} {
+		qs, err := NewQuerySet(datagen.OverlapQueries(n, 0.9, 0, 0, 1)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rd := strings.NewReader(doc)
+		measure := func(call func() error) uint64 {
+			once := func() {
+				rd.Reset(doc)
+				if err := call(); err != nil {
+					t.Fatalf("%d queries: %v", n, err)
+				}
+			}
+			once() // warm the pooled session and the scanner
+			allocs, _ := leastAlloc(runs, once)
+			return allocs
+		}
+		var rows []Stats
+		stream := measure(func() (err error) {
+			rows, err = qs.Stream(rd, Options{}, discard)
+			return err
+		})
+		evaluate := measure(func() error {
+			_, err := qs.Evaluate(rd, Options{}, discard)
+			return err
+		})
+		scan := Stats{Events: rows[0].Events, Elements: rows[0].Elements, MaxDepth: rows[0].MaxDepth}
+		if !slices.ContainsFunc(rows, func(row Stats) bool { return row != scan }) {
+			t.Fatalf("%d queries: the document wakes nothing: the test lost its subject", n)
+		}
+		if raceEnabled {
+			continue // the rows were checked; allocation counts are not meaningful
+		}
+		if stream != evaluate+1 {
+			t.Fatalf("%d queries: Stream allocates %d objects per document, Evaluate %d: want one more for the rows", n, stream, evaluate)
+		}
 	}
 }
 
