@@ -20,7 +20,7 @@ import (
 // This file is the randomized differential campaign: grammar-driven random
 // queries (datagen.QueryGen — the full supported fragment, including nested
 // predicates, disjunctions and unions) over random recursive documents, with
-// every (query, document) pair asserted along four independent equivalence
+// every (query, document) pair asserted along six independent equivalence
 // axes:
 //
 //  1. TwigM == naive match enumeration (where the naive fragment allows)
@@ -33,6 +33,8 @@ import (
 //  5. projected evaluation == the unprojected stream, for the round's set and
 //     for each of its queries alone (every machine's emissions and stats,
 //     projection_test.go)
+//  6. evaluation on a front-end that stamps no name IDs == the scanner's
+//     (the emission sequence, idless_test.go)
 //
 // In normal `go test` mode the campaign covers at least 500 pairs; -short
 // shrinks it to a smoke test.
@@ -162,6 +164,10 @@ func TestDifferentialCampaign(t *testing.T) {
 				t.Fatalf("%s: %v", name, err)
 			}
 		}
+
+		// Axis 6: events without name IDs dispatch as events with them do
+		// (idless_test.go).
+		assertIDLessAgrees(t, name, sources, doc, popts)
 	}
 
 	if !testing.Short() {
