@@ -9,6 +9,7 @@ package vitex
 import (
 	"fmt"
 	"io"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -555,6 +556,27 @@ func BenchmarkQuerySetStats(b *testing.B) {
 			})
 		}
 	}
+}
+
+// BenchmarkStandingSetGC measures what a standing set costs each garbage
+// collection: ns/op is one forced collection with 10,000 portal queries alive
+// and nothing else of note on the heap, and objects/query the live heap
+// objects the set holds per query, which that collection marks.
+func BenchmarkStandingSetGC(b *testing.B) {
+	sources := datagen.OverlapQueries(10000, 0.9, 0, 0, 1)
+	objects, _ := standingCost(sources, 1)
+	qs, err := NewQuerySet(sources...)
+	if err != nil {
+		b.Fatal(err)
+	}
+	runtime.GC()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		runtime.GC()
+	}
+	b.StopTimer()
+	runtime.KeepAlive(qs)
+	b.ReportMetric(objects, "objects/query")
 }
 
 // BenchmarkDOMBaseline measures the non-streaming baseline (build the whole

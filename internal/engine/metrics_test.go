@@ -80,19 +80,25 @@ func TestMetricsConsistencyUnderChurn(t *testing.T) {
 	errs := make(chan error, 8)
 	var wg sync.WaitGroup
 
-	// Churner: the only mutator, so it can track membership locally.
+	// Churner: the only mutator, so it can track membership locally, and
+	// each machine's source.
+	source := map[*twigm.Program]string{}
+	for i, p := range e.Programs() {
+		source[p] = []string{metricsSources[0], metricsSources[3]}[i]
+	}
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		defer close(churned)
 		live := append([]*twigm.Program(nil), e.Programs()...)
 		for i := 0; i < 400; i++ {
-			q := xpath.MustParse(metricsSources[rng.Intn(len(metricsSources))])
-			p, err := e.Add(q)
+			src := metricsSources[rng.Intn(len(metricsSources))]
+			p, err := e.Add(xpath.MustParse(src))
 			if err != nil {
 				errs <- fmt.Errorf("Add: %w", err)
 				return
 			}
+			source[p] = src
 			live = append(live, p)
 			for len(live) > 6 {
 				victim := rng.Intn(len(live))
@@ -188,7 +194,7 @@ func TestMetricsConsistencyUnderChurn(t *testing.T) {
 	survivors := e.Programs()
 	queries := make([]*xpath.Query, len(survivors))
 	for i, p := range survivors {
-		queries[i] = p.Query()
+		queries[i] = xpath.MustParse(source[p])
 	}
 	fresh, err := New(queries...)
 	if err != nil {

@@ -40,66 +40,78 @@ const maxChildren = 64
 
 // Program is a compiled TwigM machine: the immutable result of the TwigM
 // builder. A Program can drive any number of concurrent Runs.
+//
+// A standing set keeps one Program per query alive, so its layout is what
+// the garbage collector marks: a few flat arrays, not a graph. Machine nodes
+// and conditions are stored by value and refer to each other, to their lists
+// and to their strings by index, so neither holds a pointer; every list,
+// the shared prefix profile included, is a span of one int32 pool; names are
+// symbol IDs. The parse tree the program was compiled from is not kept.
 type Program struct {
-	query *xpath.Query
-	root  *node
-	nodes []*node // all nodes, ids dense, topological (parent before child)
-
 	// syms is the symbol table the program's names were interned into.
-	// Events produced against the same table dispatch through the dense
-	// tables below, sized by the program's own names (a search among them
-	// on the hot path), not by the shared table; events without IDs fall
-	// back to the name maps.
-	syms  *sax.Symbols
-	elems dispatchTable // element nodes by NameID (no wildcards)
-	attrs dispatchTable // attribute nodes by NameID
+	// Events produced against the same table dispatch on their IDs through
+	// the dense tables below, sized by the program's own names (a search
+	// among them on the hot path), not by the shared table; an event without
+	// IDs has its names resolved through syms into the same tables.
+	syms *sax.Symbols
+	// text holds the strings the program keeps, as spans: the prefixes of
+	// prefixed name tests, comparison literals and the profile's names. It is
+	// the query's source, which spells them all (a query built by hand gets
+	// what its source lacks appended).
+	text  string
+	nodes []node  // ids dense, topological (parent before child); nodes[0] is the root
+	conds []cond  // the operands of the nodes' 'and' and 'or' conditions
+	ints  []int32 // every list of the program is a span of this pool
+	// literal is a value-keyed residual's literal (ValueKey).
+	literal string
 
-	// Event-dispatch indexes (string fallback for producers that do not
-	// intern, e.g. hand-built events).
-	elemIndex map[string][]*node // element nodes by name (no wildcards)
-	wildElems []*node            // element nodes with name "*"
-	attrIndex map[string][]*node // attribute nodes by name
-	textNodes []*node            // text() nodes
+	elems     dispatchTable // element nodes by local name ID (no wildcards)
+	attrs     dispatchTable // attribute nodes by local name ID
+	wildElems span          // element nodes with name "*"
+	textNodes span          // text() nodes
 	// valueNodes are element nodes that must accumulate their string-value
 	// (they carry a chain comparison or a self-comparison predicate).
-	valueNodes []*node
+	valueNodes span
 	// valueRoots are the symbol IDs of the element names whose content the
 	// machine reads (ValueRootIDs); rootText reports a text() node with no
 	// parent (HasRootText).
-	valueRoots []int32
+	valueRoots span
 	rootText   bool
 
 	// anchored marks a residual machine built by CompileShared: its root
 	// node's axis checks consult a shared prefix AnchorStack (bound per
 	// stream via Run.BindAnchor) instead of the document node; profile is
-	// the factored-out prefix (see shared.go).
+	// the factored-out prefix (see shared.go), profileInts per step.
 	anchored bool
-	profile  []TrieStep
+	profile  span
 	// valueKeyed marks a residual of one [. = 'literal'] element step, the
-	// shape value groups evaluate (see valuegroup.go); literal is its literal.
+	// shape value groups evaluate (see valuegroup.go).
 	valueKeyed bool
-	literal    string
 }
+
+// profileInts is the number of ints a profile step takes: its axis, the
+// symbol ID of its local name and the span of its name in the text.
+const profileInts = 4
+
+// span is the run [off, off+n) of a program's ints or of its text.
+type span struct{ off, n int32 }
+
+// list returns the ints s spans. The slice is the program's own; it cannot
+// be appended to.
+//
+//vitex:hotpath
+func (p *Program) list(s span) []int32 {
+	end := s.off + s.n
+	return p.ints[s.off:end:end]
+}
+
+// str returns the text s spans.
+func (p *Program) str(s span) string { return p.text[s.off : s.off+s.n] }
 
 // node is one machine node: a query node plus its compiled condition.
 type node struct {
-	id   int
-	kind xpath.Kind
-	name string // name test as written ("p:a" for prefixed tests)
-	// prefix/local split of the name test: matching is on the local name,
-	// with the prefix as an extra requirement when non-empty.
-	prefix   string
-	local    string
-	nameID   int32 // symbol ID of the LOCAL name (elements/attributes; 0 for "*")
+	kind     xpath.Kind
 	axis     xpath.Axis
-	parent   *node
-	childIdx int // flag bit position in parent entries
-	children []*node
-	cond     *cond
-	// cmp is the inline value test of attribute and text() nodes,
-	// evaluated the moment the node's value is seen (attribute values
-	// and text runs are final immediately).
-	cmp      *xpath.Comparison
 	isOutput bool
 	spine    bool
 	// needsText: entries of this node accumulate their string-value.
@@ -107,10 +119,27 @@ type node struct {
 	// readsText: while an entry of this node is live, text matters to the
 	// machine — the node needs its string value, or has a text() child.
 	readsText bool
-	// hasSelfClosePrune: the condition can be decided false at push time
-	// from child-axis attribute leaves alone.
+	// prunable: the condition can be decided false at push time from
+	// child-axis attribute leaves alone.
 	prunable bool
+	id       int32
+	parent   int32 // -1 for the root
+	childIdx int32 // flag bit position in parent entries
+	// nameID is the symbol ID of the name test's LOCAL name (elements and
+	// attributes; 0 for "*" and text()): matching is on the local name, with
+	// prefix, a span of the text, as an extra requirement when non-empty.
+	nameID   int32
+	prefix   span
+	children span // node ids in the ints, in flag bit order
+	// cond is an element's condition over its entries. An attribute's or a
+	// text() node's is its inline value test, a condSelf (condTrue for none)
+	// evaluated the moment the node's value is seen: attribute values and
+	// text runs are final immediately.
+	cond cond
 }
+
+// wildcard reports whether m is a '*' element step.
+func (m *node) wildcard() bool { return m.kind == xpath.Element && m.nameID == sax.SymNone }
 
 // condOp enumerates condition-tree operators.
 type condOp uint8
@@ -128,14 +157,19 @@ const (
 // unknown (treated false) until the entry pops and its string-value is
 // complete.
 type cond struct {
-	op      condOp
-	kids    []*cond
-	flagIdx int
+	op condOp
 	// finalAtPush marks condFlag leaves whose truth is fully known by the
 	// end of the entry's start-element event: child-axis attribute
 	// children (attributes cannot appear later).
 	finalAtPush bool
-	cmp         *xpath.Comparison
+	// A condSelf's comparison (xpath.Comparison), its literal a span of the
+	// text.
+	cmpOp   xpath.Op
+	isNum   bool
+	flagIdx int32
+	kids    span // condAnd, condOr: operand indexes in conds, in the ints
+	literal span
+	number  float64
 }
 
 // CompileError reports a query that parses but cannot be compiled to a
@@ -157,96 +191,343 @@ func Compile(q *xpath.Query) (*Program, error) {
 // engine-level routing) that feeds the machine; a nil syms gets a private
 // table.
 func CompileWith(q *xpath.Query, syms *sax.Symbols) (*Program, error) {
-	compileCount.Add(1)
 	if syms == nil {
 		syms = sax.NewSymbols()
 	}
-	p := &Program{
-		query:     q,
-		syms:      syms,
-		elemIndex: make(map[string][]*node),
-		attrIndex: make(map[string][]*node),
-	}
-	root, err := p.build(q.Root, nil)
-	if err != nil {
-		return nil, err
-	}
-	p.root = root
-	p.freezeDispatch()
-	return p, nil
+	return compileFrom(q, q.Root, syms, nil)
 }
 
-// freezeDispatch builds the ID-keyed dispatch views from the name maps, and
-// the value roots.
-func (p *Program) freezeDispatch() {
-	p.elems = newDispatchTable(p.elemIndex)
-	p.attrs = newDispatchTable(p.attrIndex)
-	for _, m := range p.nodes {
+// compileFrom builds the machine of q's nodes from start on, behind the
+// shared prefix profile when it is not empty.
+func compileFrom(q *xpath.Query, start *xpath.Node, syms *sax.Symbols, profile []TrieStep) (*Program, error) {
+	compileCount.Add(1)
+	b := &builder{
+		p: &Program{
+			syms: syms, text: q.Source, anchored: len(profile) > 0,
+			nodes: make([]node, 0, start.Size()),
+		},
+		output: q.Output,
+	}
+	for _, st := range profile {
+		name := b.span(st.Name)
+		b.p.ints = append(b.p.ints, int32(st.Axis), st.NameID, name.off, name.n)
+	}
+	b.p.profile = span{0, int32(len(b.p.ints))}
+	if _, err := b.build(start, -1); err != nil {
+		return nil, err
+	}
+	b.finish()
+	return b.p, nil
+}
+
+// builder assembles a Program. A condition's operands go to the program's
+// ints as soon as they are built; node children and the dispatch lists are
+// gathered while the query tree is walked and laid out once it is over
+// (finish), when the ints are copied to their final size.
+type builder struct {
+	p      *Program
+	output *xpath.Node
+	kids   [][]int32 // kids[id]: node id's children, in flag bit order
+	// elems and attrs are the named element and attribute nodes, in node
+	// order; wild, text and value the node lists of the same names.
+	elems, attrs      []namedNode
+	wild, text, value []int32
+}
+
+// namedNode is a node filed under the symbol ID of its local name.
+type namedNode struct{ nameID, id int32 }
+
+// build creates the machine node for qn (and recursively its children) and
+// files it for dispatch.
+func (b *builder) build(qn *xpath.Node, parent int32) (int32, error) {
+	p := b.p
+	id := int32(len(p.nodes))
+	prefix, local := qn.Prefix, qn.Local
+	if qn.Kind != xpath.Text && local == "" && qn.Name != "" {
+		// Queries built without the parser (tests): split here.
+		prefix, local = sax.SplitName(qn.Name)
+	}
+	m := node{
+		id: id, parent: parent, prefix: b.span(prefix),
+		kind: qn.Kind, axis: qn.Axis, spine: qn.Spine, isOutput: qn == b.output,
+	}
+	// Dispatch is keyed by LOCAL name: name tests match the local part, and
+	// prefixed tests re-check the prefix at push time.
+	switch {
+	case qn.Kind == xpath.Text:
+		b.text = append(b.text, id)
+	case qn.Kind == xpath.Element && qn.Name == "*":
+		b.wild = append(b.wild, id)
+	case qn.Kind == xpath.Element:
+		m.nameID = p.syms.Intern(local)
+		b.elems = append(b.elems, namedNode{m.nameID, id})
+	default:
+		m.nameID = p.syms.Intern(local)
+		b.attrs = append(b.attrs, namedNode{m.nameID, id})
+	}
+	p.nodes = append(p.nodes, m)
+	b.kids = append(b.kids, nil)
+
+	// Children: predicate-leaf heads first, then the chain continuation.
+	// Each child occupies one flag bit in this node's entries.
+	addChild := func(cqn *xpath.Node) (int32, error) {
+		c, err := b.build(cqn, id)
+		if err != nil {
+			return 0, err
+		}
+		p.nodes[c].childIdx = int32(len(b.kids[id]))
+		b.kids[id] = append(b.kids[id], c)
+		if len(b.kids[id]) > maxChildren {
+			return 0, &CompileError{Msg: fmt.Sprintf(
+				"query node %q has more than %d predicate branches", qn.Name, maxChildren)}
+		}
+		return c, nil
+	}
+
+	var conds []cond
+	if qn.Pred != nil {
+		pc, err := b.buildPred(qn.Pred, addChild)
+		if err != nil {
+			return 0, err
+		}
+		conds = append(conds, pc)
+	}
+	if qn.Next != nil {
+		c, err := addChild(qn.Next)
+		if err != nil {
+			return 0, err
+		}
+		conds = append(conds, b.flagLeaf(c))
+	}
+	if qn.Cmp != nil {
+		// A trailing comparison on the path ending at this node: an
+		// element's is a condition over its string value, an attribute's or
+		// a text() node's its inline test.
+		conds = append(conds, b.selfCond(qn.Cmp))
+	}
+	c := b.andConds(conds)
+	n := &p.nodes[id]
+	n.cond, n.prunable = c, b.hasFinalLeaf(&c)
+	if qn.Kind == xpath.Element && b.hasSelf(&c) {
+		n.needsText = true
+		b.value = append(b.value, id)
+	}
+	return id, nil
+}
+
+// buildPred compiles a predicate expression, materializing machine nodes for
+// its path leaves via addChild.
+func (b *builder) buildPred(pe *xpath.PredExpr, addChild func(*xpath.Node) (int32, error)) (cond, error) {
+	switch pe.Op {
+	case xpath.PredTrue:
+		return cond{op: condTrue}, nil
+	case xpath.PredSelf:
+		return b.selfCond(pe.Self), nil
+	case xpath.PredLeaf:
+		c, err := addChild(pe.Leaf)
+		if err != nil {
+			return cond{}, err
+		}
+		return b.flagLeaf(c), nil
+	case xpath.PredAnd, xpath.PredOr:
+		op := condAnd
+		if pe.Op == xpath.PredOr {
+			op = condOr
+		}
+		kids := make([]cond, 0, len(pe.Kids))
+		for _, k := range pe.Kids {
+			kc, err := b.buildPred(k, addChild)
+			if err != nil {
+				return cond{}, err
+			}
+			kids = append(kids, kc)
+		}
+		return b.operation(op, kids), nil
+	default:
+		return cond{}, &CompileError{Msg: "unknown predicate operator"}
+	}
+}
+
+// operation files kids among the program's operands and returns the 'and'
+// or 'or' of them.
+func (b *builder) operation(op condOp, kids []cond) cond {
+	p := b.p
+	c := cond{op: op, kids: span{int32(len(p.ints)), int32(len(kids))}}
+	for _, k := range kids {
+		p.ints = append(p.ints, int32(len(p.conds)))
+		p.conds = append(p.conds, k)
+	}
+	return c
+}
+
+// selfCond compiles the condSelf leaf of comparison c.
+func (b *builder) selfCond(c *xpath.Comparison) cond {
+	return cond{op: condSelf, cmpOp: c.Op, isNum: c.IsNum, number: c.Number, literal: b.span(c.Literal)}
+}
+
+// flagLeaf compiles the condFlag leaf for machine child c.
+func (b *builder) flagLeaf(c int32) cond {
+	m := &b.p.nodes[c]
+	return cond{
+		op:          condFlag,
+		flagIdx:     m.childIdx,
+		finalAtPush: m.kind == xpath.Attribute && m.axis == xpath.Child,
+	}
+}
+
+func (b *builder) andConds(conds []cond) cond {
+	switch len(conds) {
+	case 0:
+		return cond{op: condTrue}
+	case 1:
+		return conds[0]
+	default:
+		return b.operation(condAnd, conds)
+	}
+}
+
+func (b *builder) hasSelf(c *cond) bool {
+	if c.op == condSelf {
+		return true
+	}
+	for _, k := range b.p.list(c.kids) {
+		if b.hasSelf(&b.p.conds[k]) {
+			return true
+		}
+	}
+	return false
+}
+
+func (b *builder) hasFinalLeaf(c *cond) bool {
+	if c.op == condFlag && c.finalAtPush {
+		return true
+	}
+	for _, k := range b.p.list(c.kids) {
+		if b.hasFinalLeaf(&b.p.conds[k]) {
+			return true
+		}
+	}
+	return false
+}
+
+// span returns a span of the program's text that spells s. The parser's
+// strings are all substrings of the source; one that is not (a query built
+// by hand) is appended.
+func (b *builder) span(s string) span {
+	if s == "" {
+		return span{}
+	}
+	i := strings.Index(b.p.text, s)
+	if i < 0 {
+		i = len(b.p.text)
+		b.p.text += s
+	}
+	return span{int32(i), int32(len(s))}
+}
+
+// finish derives what the nodes imply for text and value roots, and lays the
+// gathered lists out in the program's ints, which it gives their final size.
+func (b *builder) finish() {
+	p := b.p
+	var roots []int32
+	addRoot := func(id int32) {
+		// 0, a wildcard's, is no name.
+		if id > 0 && !slices.Contains(roots, id) {
+			roots = append(roots, id)
+		}
+	}
+	for i := range p.nodes {
+		m := &p.nodes[i]
 		m.readsText = m.readsText || m.needsText
 		switch {
 		case m.kind == xpath.Element && (m.isOutput || m.needsText):
-			p.addValueRoot(m.nameID)
-		case m.kind == xpath.Text && m.parent != nil:
-			m.parent.readsText = true
-			p.addValueRoot(m.parent.nameID)
+			addRoot(m.nameID)
+		case m.kind == xpath.Text && m.parent >= 0:
+			p.nodes[m.parent].readsText = true
+			addRoot(p.nodes[m.parent].nameID)
 		case m.kind == xpath.Text && p.anchored:
 			p.rootText = true
-			p.addValueRoot(p.profile[len(p.profile)-1].NameID)
+			addRoot(p.ints[p.profile.n-profileInts+1])
 		case m.kind == xpath.Text:
 			p.rootText = true
 		}
 	}
+	size := len(p.ints) + 3*(len(b.elems)+len(b.attrs)) + 2 + len(b.wild) + len(b.text) + len(b.value) + len(roots)
+	for _, k := range b.kids {
+		size += len(k)
+	}
+	p.ints = append(make([]int32, 0, size), p.ints...)
+	for i := range p.nodes {
+		p.nodes[i].children = b.put(b.kids[i])
+	}
+	p.elems = b.dispatch(b.elems)
+	p.attrs = b.dispatch(b.attrs)
+	p.wildElems, p.textNodes, p.valueNodes = b.put(b.wild), b.put(b.text), b.put(b.value)
+	p.valueRoots = b.put(roots)
 }
 
-// addValueRoot files id among the value roots once; 0, a wildcard's, is no
-// name.
-func (p *Program) addValueRoot(id int32) {
-	if id > 0 && !slices.Contains(p.valueRoots, id) {
-		p.valueRoots = append(p.valueRoots, id)
-	}
+// put appends list to the program's ints and returns its span.
+func (b *builder) put(list []int32) span {
+	s := span{int32(len(b.p.ints)), int32(len(list))}
+	b.p.ints = append(b.p.ints, list...)
+	return s
 }
 
 // dispatchTable files a program's machine nodes by the symbol ID of their
 // local name: one entry per name the program mentions, whatever the size of
 // the symbol table it shares, so building N programs over one table costs
-// O(sum of their sizes), not O(N x symbols).
+// O(sum of their sizes), not O(N x symbols). The nodes of ids[i] are
+// ints[firsts[i]:firsts[i+1]].
 type dispatchTable struct {
-	ids   []int32   // ascending
-	nodes [][]*node // nodes[i]: the nodes named ids[i]
+	ids    span // the names' IDs, ascending
+	firsts span // one more than ids: where each name's nodes start in the ints
 }
 
-func newDispatchTable(index map[string][]*node) dispatchTable {
-	var t dispatchTable
-	for _, nodes := range index {
-		t.ids = append(t.ids, nodes[0].nameID)
+// dispatch lays out the table of the named nodes, each name's in node order.
+func (b *builder) dispatch(named []namedNode) dispatchTable {
+	slices.SortStableFunc(named, func(x, y namedNode) int { return int(x.nameID) - int(y.nameID) })
+	var ids []int32
+	for i, nn := range named {
+		if i == 0 || nn.nameID != named[i-1].nameID {
+			ids = append(ids, nn.nameID)
+		}
 	}
-	slices.Sort(t.ids)
-	t.nodes = make([][]*node, len(t.ids))
-	for _, nodes := range index {
-		i, _ := slices.BinarySearch(t.ids, nodes[0].nameID)
-		t.nodes[i] = nodes
+	t := dispatchTable{ids: b.put(ids)}
+	// The nodes follow the firsts, which are known before they are laid out.
+	firsts := make([]int32, 0, len(ids)+1)
+	at := int32(len(b.p.ints)) + int32(len(ids)) + 1
+	for i, nn := range named {
+		if i == 0 || nn.nameID != named[i-1].nameID {
+			firsts = append(firsts, at+int32(i))
+		}
+	}
+	t.firsts = b.put(append(firsts, at+int32(len(named))))
+	for _, nn := range named {
+		b.p.ints = append(b.p.ints, nn.id)
 	}
 	return t
 }
 
-// lookup returns the nodes filed under symbol id (nil for a name the program
-// does not mention).
+// lookup returns the ids of the nodes filed under symbol id (none for a name
+// the program does not mention).
 //
 //vitex:hotpath
-func (t *dispatchTable) lookup(id int32) []*node {
-	lo, hi := 0, len(t.ids)
+func (p *Program) lookup(t *dispatchTable, id int32) []int32 {
+	ids := p.list(t.ids)
+	lo, hi := 0, len(ids)
 	for lo < hi {
 		m := int(uint(lo+hi) >> 1)
-		if t.ids[m] < id {
+		if ids[m] < id {
 			lo = m + 1
 		} else {
 			hi = m
 		}
 	}
-	if lo < len(t.ids) && t.ids[lo] == id {
-		return t.nodes[lo]
+	if lo == len(ids) || ids[lo] != id {
+		return nil
 	}
-	return nil
+	firsts := p.list(t.firsts)
+	return p.list(span{firsts[lo], firsts[lo+1] - firsts[lo]})
 }
 
 // Symbols returns the table the program's names are interned in.
@@ -265,180 +546,17 @@ func MustCompile(query string) *Program {
 	return p
 }
 
-// build creates the machine node for qn (and recursively its children) and
-// registers it in the dispatch indexes.
-func (p *Program) build(qn *xpath.Node, parent *node) (*node, error) {
-	m := &node{
-		id:       len(p.nodes),
-		kind:     qn.Kind,
-		name:     qn.Name,
-		prefix:   qn.Prefix,
-		local:    qn.Local,
-		axis:     qn.Axis,
-		parent:   parent,
-		spine:    qn.Spine,
-		isOutput: qn == p.query.Output,
-	}
-	if m.kind != xpath.Text && m.local == "" && m.name != "" {
-		// Queries built without the parser (tests): split here.
-		m.prefix, m.local = sax.SplitName(m.name)
-	}
-	// Dispatch indexes are keyed by LOCAL name: name tests match the local
-	// part, and prefixed tests re-check the prefix at push time.
-	switch qn.Kind {
-	case xpath.Element:
-		if qn.Name == "*" {
-			p.wildElems = append(p.wildElems, m)
-		} else {
-			m.nameID = p.syms.Intern(m.local)
-			p.elemIndex[m.local] = append(p.elemIndex[m.local], m)
-		}
-	case xpath.Attribute:
-		m.nameID = p.syms.Intern(m.local)
-		p.attrIndex[m.local] = append(p.attrIndex[m.local], m)
-	case xpath.Text:
-		p.textNodes = append(p.textNodes, m)
-	}
-	p.nodes = append(p.nodes, m)
+// root returns the program's root node.
+func (p *Program) root() *node { return &p.nodes[0] }
 
-	// Children: predicate-leaf heads first, then the chain continuation.
-	// Each child occupies one flag bit in this node's entries.
-	addChild := func(cqn *xpath.Node) (*node, error) {
-		cm, err := p.build(cqn, m)
-		if err != nil {
-			return nil, err
-		}
-		cm.childIdx = len(m.children)
-		m.children = append(m.children, cm)
-		if len(m.children) > maxChildren {
-			return nil, &CompileError{Msg: fmt.Sprintf(
-				"query node %q has more than %d predicate branches", qn.Name, maxChildren)}
-		}
-		return cm, nil
-	}
-
-	var conds []*cond
-	if qn.Pred != nil {
-		pc, err := p.buildPred(qn.Pred, addChild)
-		if err != nil {
-			return nil, err
-		}
-		conds = append(conds, pc)
-	}
-	if qn.Next != nil {
-		cm, err := addChild(qn.Next)
-		if err != nil {
-			return nil, err
-		}
-		conds = append(conds, flagLeaf(cm))
-	}
-	if qn.Cmp != nil {
-		// A trailing comparison on the path ending at this node.
-		switch qn.Kind {
-		case xpath.Element:
-			conds = append(conds, &cond{op: condSelf, cmp: qn.Cmp})
-			m.needsText = true
-		default:
-			// Attribute and text() comparisons are evaluated inline
-			// at the event; they gate the node's satisfaction there,
-			// not through the cond tree.
-			m.cmp = qn.Cmp
-		}
-	}
-	m.cond = andConds(conds)
-	if m.kind == xpath.Element && hasSelf(m.cond) {
-		m.needsText = true
-	}
-	if m.needsText {
-		p.valueNodes = append(p.valueNodes, m)
-	}
-	m.prunable = hasFinalLeaf(m.cond)
-	return m, nil
-}
-
-// buildPred compiles a predicate expression, materializing machine nodes for
-// its path leaves via addChild.
-func (p *Program) buildPred(pe *xpath.PredExpr, addChild func(*xpath.Node) (*node, error)) (*cond, error) {
-	switch pe.Op {
-	case xpath.PredTrue:
-		return &cond{op: condTrue}, nil
-	case xpath.PredSelf:
-		return &cond{op: condSelf, cmp: pe.Self}, nil
-	case xpath.PredLeaf:
-		cm, err := addChild(pe.Leaf)
-		if err != nil {
-			return nil, err
-		}
-		return flagLeaf(cm), nil
-	case xpath.PredAnd, xpath.PredOr:
-		op := condAnd
-		if pe.Op == xpath.PredOr {
-			op = condOr
-		}
-		c := &cond{op: op}
-		for _, k := range pe.Kids {
-			kc, err := p.buildPred(k, addChild)
-			if err != nil {
-				return nil, err
-			}
-			c.kids = append(c.kids, kc)
-		}
-		return c, nil
-	default:
-		return nil, &CompileError{Msg: "unknown predicate operator"}
-	}
-}
-
-// flagLeaf builds the condFlag leaf for machine child cm.
-func flagLeaf(cm *node) *cond {
-	return &cond{
-		op:          condFlag,
-		flagIdx:     cm.childIdx,
-		finalAtPush: cm.kind == xpath.Attribute && cm.axis == xpath.Child,
-	}
-}
-
-func andConds(conds []*cond) *cond {
-	switch len(conds) {
-	case 0:
-		return &cond{op: condTrue}
-	case 1:
-		return conds[0]
-	default:
-		return &cond{op: condAnd, kids: conds}
-	}
-}
-
-func hasSelf(c *cond) bool {
-	if c.op == condSelf {
-		return true
-	}
-	for _, k := range c.kids {
-		if hasSelf(k) {
-			return true
-		}
-	}
-	return false
-}
-
-func hasFinalLeaf(c *cond) bool {
-	if c.op == condFlag && c.finalAtPush {
-		return true
-	}
-	for _, k := range c.kids {
-		if hasFinalLeaf(k) {
-			return true
-		}
-	}
-	return false
-}
-
-// eval evaluates the condition against an entry's state. Unknown leaves
+// eval evaluates condition c against an entry's state. Unknown leaves
 // (condSelf before finalization) count as false; because the expression is
 // monotone (no negation in the fragment) a true result is final. The entry
 // is passed directly (instead of a string-value closure) to keep the hot
 // path allocation-free.
-func (c *cond) eval(flags uint64, e *entry, final bool) bool {
+//
+//vitex:hotpath
+func (p *Program) eval(c *cond, flags uint64, e *entry, final bool) bool {
 	switch c.op {
 	case condTrue:
 		return true
@@ -448,17 +566,17 @@ func (c *cond) eval(flags uint64, e *entry, final bool) bool {
 		if !final {
 			return false
 		}
-		return c.cmp.Eval(e.textValue())
+		return p.compare(c, e.textValue())
 	case condAnd:
-		for _, k := range c.kids {
-			if !k.eval(flags, e, final) {
+		for _, k := range p.list(c.kids) {
+			if !p.eval(&p.conds[k], flags, e, final) {
 				return false
 			}
 		}
 		return true
 	default: // condOr
-		for _, k := range c.kids {
-			if k.eval(flags, e, final) {
+		for _, k := range p.list(c.kids) {
+			if p.eval(&p.conds[k], flags, e, final) {
 				return true
 			}
 		}
@@ -466,15 +584,23 @@ func (c *cond) eval(flags uint64, e *entry, final bool) bool {
 	}
 }
 
-// deadAtPush reports whether the condition can already be ruled out at push
+// compare evaluates condSelf c's comparison on value.
+//
+//vitex:hotpath
+func (p *Program) compare(c *cond, value string) bool {
+	cmp := xpath.Comparison{Op: c.cmpOp, Literal: p.str(c.literal), Number: c.number, IsNum: c.isNum}
+	return cmp.Eval(value)
+}
+
+// deadAtPush reports whether condition c can already be ruled out at push
 // time: evaluating optimistically (every leaf that could still become true
 // counts as true) it is still false. Only child-axis attribute leaves are
 // final at push.
-func (c *cond) deadAtPush(flags uint64) bool {
-	return !c.optimistic(flags)
+func (p *Program) deadAtPush(c *cond, flags uint64) bool {
+	return !p.optimistic(c, flags)
 }
 
-func (c *cond) optimistic(flags uint64) bool {
+func (p *Program) optimistic(c *cond, flags uint64) bool {
 	switch c.op {
 	case condTrue, condSelf:
 		return true
@@ -484,15 +610,15 @@ func (c *cond) optimistic(flags uint64) bool {
 		}
 		return true
 	case condAnd:
-		for _, k := range c.kids {
-			if !k.optimistic(flags) {
+		for _, k := range p.list(c.kids) {
+			if !p.optimistic(&p.conds[k], flags) {
 				return false
 			}
 		}
 		return true
 	default: // condOr
-		for _, k := range c.kids {
-			if k.optimistic(flags) {
+		for _, k := range p.list(c.kids) {
+			if p.optimistic(&p.conds[k], flags) {
 				return true
 			}
 		}
@@ -500,21 +626,18 @@ func (c *cond) optimistic(flags uint64) bool {
 	}
 }
 
-// Query returns the query this program was compiled from.
-func (p *Program) Query() *xpath.Query { return p.query }
-
 // ---- routing metadata (consumed by internal/engine) ----
 
 // ElemNameIDs returns the symbol IDs of the element names this machine can
 // push on — the static element-name subscriptions of routed dispatch. The
 // slice is the program's own; callers must not modify it.
-func (p *Program) ElemNameIDs() []int32 { return p.elems.ids }
+func (p *Program) ElemNameIDs() []int32 { return p.list(p.elems.ids) }
 
 // AttrNameIDs returns the symbol IDs of the attribute names this machine
 // matches: a start-element event carrying one of them is relevant even when
 // the element name is not. The slice is the program's own; callers must not
 // modify it.
-func (p *Program) AttrNameIDs() []int32 { return p.attrs.ids }
+func (p *Program) AttrNameIDs() []int32 { return p.list(p.attrs.ids) }
 
 // ValueRootIDs returns the symbol IDs of the element names whose content the
 // machine reads, not only their tags: its output element, whose fragment it
@@ -524,11 +647,11 @@ func (p *Program) AttrNameIDs() []int32 { return p.attrs.ids }
 // of them, only the tags it names and its attributes do. A '*' step names no
 // root: a machine with one is HasWildcardElem. The slice is the program's
 // own; callers must not modify it.
-func (p *Program) ValueRootIDs() []int32 { return p.valueRoots }
+func (p *Program) ValueRootIDs() []int32 { return p.list(p.valueRoots) }
 
 // HasWildcardElem reports whether the machine has a '*' element node and
 // therefore must see every start-element event.
-func (p *Program) HasWildcardElem() bool { return len(p.wildElems) > 0 }
+func (p *Program) HasWildcardElem() bool { return p.wildElems.n > 0 }
 
 // HasRootText reports whether a text() node sits at the program's root
 // (//text(), or a residual text() behind a shared prefix). Such a machine
@@ -548,10 +671,10 @@ func (p *Program) Describe() string {
 	var b strings.Builder
 	if p.anchored {
 		b.WriteString("(shared prefix ")
-		b.WriteString(ProfileString(p.profile))
+		b.WriteString(ProfileString(p.Profile()))
 		b.WriteString(")\n")
 	}
-	p.describe(&b, p.root, 0)
+	p.describe(&b, p.root(), 0)
 	return b.String()
 }
 
@@ -562,19 +685,36 @@ func (p *Program) describe(b *strings.Builder, m *node, depth int) {
 		edge = "="
 	}
 	b.WriteString(edge)
-	switch m.kind {
-	case xpath.Attribute:
-		b.WriteString("@" + m.name)
-	case xpath.Text:
-		b.WriteString("text()")
-	default:
-		b.WriteString(m.name)
-	}
+	b.WriteString(p.label(m))
 	if m.isOutput {
 		b.WriteString(" *")
 	}
 	b.WriteString("\n")
-	for _, c := range m.children {
-		p.describe(b, c, depth+1)
+	for _, c := range p.list(m.children) {
+		p.describe(b, &p.nodes[c], depth+1)
+	}
+}
+
+// name returns m's name test as written: "*", a local name, or "p:a".
+func (p *Program) name(m *node) string {
+	if m.wildcard() {
+		return "*"
+	}
+	local := p.syms.Name(m.nameID)
+	if m.prefix.n == 0 {
+		return local
+	}
+	return p.str(m.prefix) + ":" + local
+}
+
+// label renders m as a step: "@a" for an attribute, "text()", or the name.
+func (p *Program) label(m *node) string {
+	switch m.kind {
+	case xpath.Attribute:
+		return "@" + p.name(m)
+	case xpath.Text:
+		return "text()"
+	default:
+		return p.name(m)
 	}
 }

@@ -20,42 +20,48 @@ func compile(t *testing.T, src string) *Program {
 	return p
 }
 
+// filed returns the ids of the nodes table files under name.
+func filed(p *Program, table *dispatchTable, name string) []int32 {
+	return p.lookup(table, p.syms.ID(name))
+}
+
 func TestBuilderNodeIndexes(t *testing.T) {
 	p := compile(t, "//a[@id and text()]//b[c]/@href")
-	if len(p.elemIndex["a"]) != 1 || len(p.elemIndex["b"]) != 1 || len(p.elemIndex["c"]) != 1 {
-		t.Fatalf("element index: %v", p.elemIndex)
+	if len(filed(p, &p.elems, "a")) != 1 || len(filed(p, &p.elems, "b")) != 1 || len(filed(p, &p.elems, "c")) != 1 {
+		t.Fatalf("element index: %v", p.ElemNameIDs())
 	}
-	if len(p.attrIndex["id"]) != 1 || len(p.attrIndex["href"]) != 1 {
-		t.Fatalf("attr index: %v", p.attrIndex)
+	if len(filed(p, &p.attrs, "id")) != 1 || len(filed(p, &p.attrs, "href")) != 1 {
+		t.Fatalf("attr index: %v", p.AttrNameIDs())
 	}
-	if len(p.textNodes) != 1 {
-		t.Fatalf("text nodes: %d", len(p.textNodes))
+	if p.textNodes.n != 1 {
+		t.Fatalf("text nodes: %d", p.textNodes.n)
 	}
-	if len(p.wildElems) != 0 {
-		t.Fatalf("wild: %d", len(p.wildElems))
+	if p.wildElems.n != 0 {
+		t.Fatalf("wild: %d", p.wildElems.n)
 	}
 }
 
 func TestBuilderWildcardIndex(t *testing.T) {
 	p := compile(t, "//*[a]/*")
-	if len(p.wildElems) != 2 {
-		t.Fatalf("wildcards: %d", len(p.wildElems))
+	if p.wildElems.n != 2 {
+		t.Fatalf("wildcards: %d", p.wildElems.n)
 	}
 }
 
 func TestBuilderChildBits(t *testing.T) {
 	p := compile(t, "//a[x][y]//z")
-	root := p.root
-	if len(root.children) != 3 { // x, y, z
-		t.Fatalf("children: %d", len(root.children))
+	root := p.root()
+	if root.children.n != 3 { // x, y, z
+		t.Fatalf("children: %d", root.children.n)
 	}
-	seen := map[int]bool{}
-	for _, c := range root.children {
+	seen := map[int32]bool{}
+	for _, ci := range p.list(root.children) {
+		c := &p.nodes[ci]
 		if seen[c.childIdx] {
 			t.Fatalf("duplicate childIdx %d", c.childIdx)
 		}
 		seen[c.childIdx] = true
-		if c.parent != root {
+		if c.parent != root.id {
 			t.Fatal("parent link broken")
 		}
 	}
@@ -64,11 +70,12 @@ func TestBuilderChildBits(t *testing.T) {
 func TestBuilderOutputAndSpine(t *testing.T) {
 	p := compile(t, "//a[x]//b/c")
 	var out, spineCount int
-	for _, m := range p.nodes {
+	for i := range p.nodes {
+		m := &p.nodes[i]
 		if m.isOutput {
 			out++
-			if m.name != "c" {
-				t.Fatalf("output node is %q", m.name)
+			if p.name(m) != "c" {
+				t.Fatalf("output node is %q", p.name(m))
 			}
 		}
 		if m.spine {
@@ -83,7 +90,7 @@ func TestBuilderOutputAndSpine(t *testing.T) {
 func TestCondEvalAndOr(t *testing.T) {
 	// //a[(x or y) and z]: flag bits x=0, y=1, z=2.
 	p := compile(t, "//a[(x or y) and z]")
-	c := p.root.cond
+	c := &p.root().cond
 	noText := &entry{}
 	cases := []struct {
 		flags uint64
@@ -98,7 +105,7 @@ func TestCondEvalAndOr(t *testing.T) {
 		{0b011, false}, // x,y no z
 	}
 	for _, tc := range cases {
-		if got := c.eval(tc.flags, noText, false); got != tc.want {
+		if got := p.eval(c, tc.flags, noText, false); got != tc.want {
 			t.Errorf("eval(%03b) = %v, want %v", tc.flags, got, tc.want)
 		}
 	}
@@ -106,16 +113,16 @@ func TestCondEvalAndOr(t *testing.T) {
 
 func TestCondSelfDeferred(t *testing.T) {
 	p := compile(t, "//a[.='v']")
-	c := p.root.cond
+	c := &p.root().cond
 	val := &entry{textBuf: []byte("v")}
-	if c.eval(0, val, false) {
+	if p.eval(c, 0, val, false) {
 		t.Fatal("self comparison must be unknown before finalization")
 	}
-	if !c.eval(0, val, true) {
+	if !p.eval(c, 0, val, true) {
 		t.Fatal("self comparison must hold at pop")
 	}
 	bad := &entry{textBuf: []byte("w")}
-	if c.eval(0, bad, true) {
+	if p.eval(c, 0, bad, true) {
 		t.Fatal("self comparison must fail on mismatch")
 	}
 }
@@ -123,21 +130,21 @@ func TestCondSelfDeferred(t *testing.T) {
 func TestDeadAtPushAttrOnly(t *testing.T) {
 	// [@id='1'] is final at push; [b] is not.
 	p := compile(t, "//a[@id='1']")
-	if !p.root.prunable {
+	if !p.root().prunable {
 		t.Fatal("attr-only predicate should be prunable")
 	}
-	if !p.root.cond.deadAtPush(0) {
+	if !p.deadAtPush(&p.root().cond, 0) {
 		t.Fatal("missing attr flag should be dead at push")
 	}
-	if p.root.cond.deadAtPush(1) {
+	if p.deadAtPush(&p.root().cond, 1) {
 		t.Fatal("present attr flag should survive")
 	}
 
 	p2 := compile(t, "//a[b]")
-	if p2.root.prunable {
+	if p2.root().prunable {
 		t.Fatal("element predicate is not decidable at push")
 	}
-	if p2.root.cond.deadAtPush(0) {
+	if p2.deadAtPush(&p2.root().cond, 0) {
 		t.Fatal("element predicate may still arrive")
 	}
 }
@@ -145,12 +152,12 @@ func TestDeadAtPushAttrOnly(t *testing.T) {
 func TestDeadAtPushOrRescues(t *testing.T) {
 	// [@id or b]: even with the attr missing, b may arrive later.
 	p := compile(t, "//a[@id or b]")
-	if p.root.cond.deadAtPush(0) {
+	if p.deadAtPush(&p.root().cond, 0) {
 		t.Fatal("or-branch must keep the entry alive")
 	}
 	// [@id and b]: missing attr is fatal regardless of b.
 	p2 := compile(t, "//a[@id and b]")
-	if !p2.root.cond.deadAtPush(0) {
+	if !p2.deadAtPush(&p2.root().cond, 0) {
 		t.Fatal("and-branch with dead attr leaf must prune")
 	}
 }
@@ -158,10 +165,10 @@ func TestDeadAtPushOrRescues(t *testing.T) {
 func TestDescendantAttrNotFinalAtPush(t *testing.T) {
 	// [.//@id]: a descendant may bring the attribute later.
 	p := compile(t, "//a[.//@id]")
-	if p.root.prunable {
+	if p.root().prunable {
 		t.Fatal("descendant-axis attribute is not final at push")
 	}
-	if p.root.cond.deadAtPush(0) {
+	if p.deadAtPush(&p.root().cond, 0) {
 		t.Fatal("must not prune")
 	}
 }
@@ -173,19 +180,20 @@ func TestCompatRanges(t *testing.T) {
 	pda := compile(t, "//a//@x")
 	pt := compile(t, "//a/text()")
 
-	check := func(m *node, level, wantLo, wantHi int) {
+	check := func(p *Program, level, wantLo, wantHi int) {
 		t.Helper()
+		m := &p.nodes[p.list(p.root().children)[0]]
 		lo, hi := compatRange(m, level)
 		if lo != wantLo || hi != wantHi {
 			t.Fatalf("compatRange(%s kind=%v axis=%v, %d) = [%d,%d], want [%d,%d]",
-				m.name, m.kind, m.axis, level, lo, hi, wantLo, wantHi)
+				p.label(m), m.kind, m.axis, level, lo, hi, wantLo, wantHi)
 		}
 	}
-	check(p.root.children[0], 5, 4, 4)   // /b at level 5: parent exactly 4
-	check(pd.root.children[0], 5, 0, 4)  // //b: any proper ancestor
-	check(pa.root.children[0], 5, 5, 5)  // /@x: the owner itself
-	check(pda.root.children[0], 5, 0, 5) // //@x: self-or-ancestor
-	check(pt.root.children[0], 5, 4, 4)  // /text() at depth 5: parent 4
+	check(p, 5, 4, 4)   // /b at level 5: parent exactly 4
+	check(pd, 5, 0, 4)  // //b: any proper ancestor
+	check(pa, 5, 5, 5)  // /@x: the owner itself
+	check(pda, 5, 0, 5) // //@x: self-or-ancestor
+	check(pt, 5, 4, 4)  // /text() at depth 5: parent 4
 }
 
 func TestMachineSizesAcrossFragment(t *testing.T) {
@@ -225,23 +233,23 @@ func TestTrailingComparisonOnPredicatePath(t *testing.T) {
 	// value node.
 	p := compile(t, "//a[b/c='x']")
 	var cNode *node
-	for _, m := range p.nodes {
-		if m.name == "c" {
-			cNode = m
+	for i := range p.nodes {
+		if p.name(&p.nodes[i]) == "c" {
+			cNode = &p.nodes[i]
 		}
 	}
 	if cNode == nil || !cNode.needsText {
 		t.Fatalf("c node: %+v", cNode)
 	}
-	if len(p.valueNodes) != 1 || p.valueNodes[0] != cNode {
-		t.Fatalf("valueNodes: %v", p.valueNodes)
+	if vn := p.list(p.valueNodes); len(vn) != 1 || vn[0] != cNode.id {
+		t.Fatalf("valueNodes: %v", vn)
 	}
 }
 
 func TestAttrCmpInline(t *testing.T) {
 	p := compile(t, "//a[@id='7']")
-	attr := p.attrIndex["id"][0]
-	if attr.cmp == nil || !attr.cmp.Eval("7") || attr.cmp.Eval("8") {
-		t.Fatalf("attr cmp: %+v", attr.cmp)
+	attr := &p.nodes[filed(p, &p.attrs, "id")[0]]
+	if attr.cond.op != condSelf || !p.cmpOK(attr, "7") || p.cmpOK(attr, "8") {
+		t.Fatalf("attr cmp: %+v", attr.cond)
 	}
 }

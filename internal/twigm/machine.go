@@ -267,7 +267,7 @@ func (r *Run) applyOptions(opts Options) {
 	r.opts = opts
 	r.trace = nil
 	if opts.Trace != nil {
-		r.trace = &tracer{w: opts.Trace}
+		r.trace = &tracer{w: opts.Trace, p: r.prog}
 	}
 }
 
@@ -389,67 +389,41 @@ func (r *Run) fail(err error) {
 
 // ---- event dispatch ----
 
-// elemNodes resolves the element machine nodes whose LOCAL name matches the
-// event: a search of the program's dispatch table when the event carries a
-// symbol ID, the name map otherwise. Prefixed name tests re-check their
-// prefix in tryPush.
+// elemNodes resolves the ids of the element machine nodes whose LOCAL name
+// matches the event: a search of the program's dispatch table for the
+// event's symbol ID, resolved through the program's table when the event
+// carries none. Prefixed name tests re-check their prefix in tryPush.
 //
 //vitex:hotpath
-func (r *Run) elemNodes(ev *sax.Event) []*node {
-	if id := ev.NameID; id != sax.SymNone {
-		return r.prog.elems.lookup(id)
+func (r *Run) elemNodes(ev *sax.Event) []int32 {
+	id := ev.NameID
+	if id == sax.SymNone {
+		id = r.prog.syms.ID(ev.LocalName())
 	}
-	return r.prog.elemIndex[ev.LocalName()]
+	return r.prog.lookup(&r.prog.elems, id)
 }
 
-// nameMatches reports whether the event's element name satisfies m's name
-// test: wildcard, or equal local names (by symbol ID when both sides carry
-// one) plus an equal prefix when the test is prefixed.
+// attrID returns the symbol ID of a's local name, resolved through the
+// program's table when the attribute carries none.
 //
 //vitex:hotpath
-func nameMatches(m *node, ev *sax.Event) bool {
-	if m.name == "*" {
-		return true
+func (p *Program) attrID(a *sax.Attr) int32 {
+	if a.NameID != sax.SymNone {
+		return a.NameID
 	}
-	if m.nameID != sax.SymNone && ev.NameID != sax.SymNone {
-		if m.nameID != ev.NameID {
-			return false
-		}
-	} else if m.local != ev.LocalName() {
-		return false
-	}
-	return m.prefix == "" || m.prefix == ev.PrefixName()
+	return p.syms.ID(a.LocalName())
 }
 
-// attrNodes resolves the attribute machine nodes whose LOCAL name matches
-// the attribute. Callers must still filter with attrMatches (prefix tests,
-// namespace declarations).
+// attrMatches reports whether attribute a, whose local name has symbol ID
+// id, is one machine node m names. Namespace declarations (xmlns, xmlns:p)
+// never match: they are namespace machinery, not data.
 //
 //vitex:hotpath
-func (r *Run) attrNodes(a *sax.Attr) []*node {
-	if id := a.NameID; id != sax.SymNone {
-		return r.prog.attrs.lookup(id)
-	}
-	return r.prog.attrIndex[a.LocalName()]
-}
-
-// attrMatches reports whether attribute a is one machine node m names.
-// Namespace declarations (xmlns, xmlns:p) never match: they are namespace
-// machinery, not data.
-//
-//vitex:hotpath
-func attrMatches(a *sax.Attr, m *node) bool {
-	if a.IsNamespaceDecl() {
+func (p *Program) attrMatches(a *sax.Attr, id int32, m *node) bool {
+	if a.IsNamespaceDecl() || id != m.nameID {
 		return false
 	}
-	if a.NameID != sax.SymNone && m.nameID != sax.SymNone {
-		if a.NameID != m.nameID {
-			return false
-		}
-	} else if a.LocalName() != m.local {
-		return false
-	}
-	return m.prefix == "" || m.prefix == a.PrefixName()
+	return m.prefix.n == 0 || p.str(m.prefix) == a.PrefixName()
 }
 
 // ---- event processing ----
@@ -460,14 +434,15 @@ func (r *Run) startElement(ev *sax.Event) {
 	if ev.Depth > r.stats.MaxDepth {
 		r.stats.MaxDepth = ev.Depth
 	}
-	named := r.elemNodes(ev)
+	p := r.prog
+	named, wild := r.elemNodes(ev), p.list(p.wildElems)
 	// Phase 1: push entries, parents never depend on same-event pushes
 	// (axis checks use strict level inequalities), so list order is fine.
-	for _, m := range named {
-		r.tryPush(m, ev)
+	for _, id := range named {
+		r.tryPush(&p.nodes[id], ev)
 	}
-	for _, m := range r.prog.wildElems {
-		r.tryPush(m, ev)
+	for _, id := range wild {
+		r.tryPush(&p.nodes[id], ev)
 	}
 	// Phase 2: attribute machine nodes. Attributes of this element can
 	// satisfy attribute query nodes whose parent has a compatible entry
@@ -475,34 +450,34 @@ func (r *Run) startElement(ev *sax.Event) {
 	// element itself; descendant axis: self-or-ancestor owners).
 	for ai := range ev.Attrs {
 		a := &ev.Attrs[ai]
-		for _, m := range r.attrNodes(a) {
-			if !attrMatches(a, m) {
-				continue
+		id := p.attrID(a)
+		for _, mi := range p.lookup(&p.attrs, id) {
+			if m := &p.nodes[mi]; p.attrMatches(a, id, m) {
+				r.attrEvent(m, a.Value, ai, ev)
 			}
-			r.attrEvent(m, a.Value, ai, ev)
 		}
 	}
 	// Phase 3: initial satisfaction checks for entries pushed this event
 	// (their flags may already be complete: leaf nodes, attribute-only
 	// predicates).
-	for _, m := range named {
-		r.checkTop(m, ev.Depth)
+	for _, id := range named {
+		r.checkTop(&p.nodes[id], ev.Depth)
 	}
-	for _, m := range r.prog.wildElems {
-		r.checkTop(m, ev.Depth)
+	for _, id := range wild {
+		r.checkTop(&p.nodes[id], ev.Depth)
 	}
 }
 
-// tryPush pushes an entry for element machine node m if the event satisfies
-// m's name test and axis.
+// tryPush pushes an entry for element machine node m, which the event's
+// local name dispatched to, if the event satisfies m's prefix and axis.
 //
 //vitex:hotpath
 func (r *Run) tryPush(m *node, ev *sax.Event) {
-	if !nameMatches(m, ev) {
+	if m.prefix.n > 0 && r.prog.str(m.prefix) != ev.PrefixName() {
 		return
 	}
 	d := ev.Depth
-	if m.parent == nil {
+	if m.parent < 0 {
 		if r.prog.anchored {
 			// Axis from the shared prefix: an axis-compatible open trie
 			// entry must exist (the trie pushed this event's entries
@@ -525,7 +500,7 @@ func (r *Run) tryPush(m *node, ev *sax.Event) {
 		// never be satisfied, and descendants lose nothing: any
 		// lower compatible entries remain available to them).
 		flags := r.attrFlagsAtPush(m, ev)
-		if m.cond.deadAtPush(flags) {
+		if r.prog.deadAtPush(&m.cond, flags) {
 			r.stats.PrunedPushes++
 			if r.trace.on() {
 				r.trace.prune(m, d)
@@ -577,15 +552,17 @@ func (r *Run) tryPush(m *node, ev *sax.Event) {
 //
 //vitex:hotpath
 func (r *Run) attrFlagsAtPush(m *node, ev *sax.Event) uint64 {
+	p := r.prog
 	var flags uint64
-	for _, c := range m.children {
+	for _, ci := range p.list(m.children) {
+		c := &p.nodes[ci]
 		if c.kind != xpath.Attribute || c.axis != xpath.Child {
 			continue
 		}
 		for ai := range ev.Attrs {
 			a := &ev.Attrs[ai]
-			if attrMatches(a, c) {
-				if cmpOK(c, a.Value) {
+			if p.attrMatches(a, p.attrID(a), c) {
+				if p.cmpOK(c, a.Value) {
 					flags |= 1 << uint(c.childIdx)
 				}
 				break
@@ -598,8 +575,8 @@ func (r *Run) attrFlagsAtPush(m *node, ev *sax.Event) uint64 {
 // cmpOK evaluates an attribute or text machine node's inline comparison.
 //
 //vitex:hotpath
-func cmpOK(m *node, value string) bool {
-	return m.cmp == nil || m.cmp.Eval(value)
+func (p *Program) cmpOK(m *node, value string) bool {
+	return m.cond.op == condTrue || p.compare(&m.cond, value)
 }
 
 // parentCompatExists reports whether the parent stack holds an entry
@@ -609,7 +586,7 @@ func cmpOK(m *node, value string) bool {
 //
 //vitex:hotpath
 func (r *Run) parentCompatExists(m *node, d int) bool {
-	s := r.stacks[m.parent.id]
+	s := r.stacks[m.parent]
 	if len(s) == 0 {
 		return false
 	}
@@ -633,11 +610,11 @@ func (r *Run) parentCompatExists(m *node, d int) bool {
 //
 //vitex:hotpath
 func (r *Run) attrEvent(m *node, value string, attrIdx int, ev *sax.Event) {
-	if !cmpOK(m, value) {
+	if !r.prog.cmpOK(m, value) {
 		return
 	}
 	d := ev.Depth
-	if m.parent == nil {
+	if m.parent < 0 {
 		if r.prog.anchored {
 			// Residual '@a' anchored at the shared prefix. Seq parity with
 			// the unshared machine requires creating the candidate for
@@ -688,17 +665,19 @@ func (r *Run) attrEvent(m *node, value string, attrIdx int, ev *sax.Event) {
 //
 //vitex:hotpath
 func (r *Run) text(ev *sax.Event) {
-	for _, m := range r.prog.valueNodes {
-		s := r.stacks[m.id]
+	p := r.prog
+	for _, id := range p.list(p.valueNodes) {
+		s := r.stacks[id]
 		for i := range s {
 			s[i].textBuf = append(s[i].textBuf, ev.Text...)
 		}
 	}
-	for _, m := range r.prog.textNodes {
-		if !cmpOK(m, ev.Text) {
+	for _, id := range p.list(p.textNodes) {
+		m := &p.nodes[id]
+		if !p.cmpOK(m, ev.Text) {
 			continue
 		}
-		if m.parent == nil {
+		if m.parent < 0 {
 			if r.prog.anchored {
 				// Residual 'text()' anchored at the shared prefix. The
 				// unshared machine sees text only while a prefix entry is
@@ -751,8 +730,9 @@ func (r *Run) endElement(ev *sax.Event) {
 	// this same event... parent entries popping now are at level d and
 	// are never axis-compatible targets of a level-d child anyway; the
 	// order is for clarity.
-	for i := len(r.prog.nodes) - 1; i >= 0; i-- {
-		m := r.prog.nodes[i]
+	p := r.prog
+	for i := len(p.nodes) - 1; i >= 0; i-- {
+		m := &p.nodes[i]
 		if m.kind != xpath.Element {
 			continue
 		}
@@ -764,7 +744,7 @@ func (r *Run) endElement(ev *sax.Event) {
 		if !e.satisfied {
 			// Finalize: self-comparisons now have the complete
 			// string-value. A group's is looked up among its literals.
-			if r.group != nil && r.selectBucket(e) || r.group == nil && m.cond.eval(e.flags, e, true) {
+			if r.group != nil && r.selectBucket(e) || r.group == nil && p.eval(&m.cond, e.flags, e, true) {
 				r.onSatisfied(m, e)
 			}
 		}
@@ -817,7 +797,7 @@ func (r *Run) checkTop(m *node, d int) {
 	if e.level != d || e.satisfied {
 		return
 	}
-	if m.cond.eval(e.flags, e, false) {
+	if r.prog.eval(&m.cond, e.flags, e, false) {
 		if r.opts.DisableEagerPropagation {
 			// Ablation mode: defer to pop time. Mark nothing; the
 			// pop-time final eval will satisfy the entry.
@@ -839,7 +819,7 @@ func (r *Run) onSatisfied(m *node, e *entry) {
 	if r.trace.on() {
 		r.trace.satisfied(m, e)
 	}
-	if m.parent == nil {
+	if m.parent < 0 {
 		for _, c := range e.cands {
 			c.refs--
 			r.confirm(c)
@@ -872,8 +852,8 @@ func (r *Run) onSatisfied(m *node, e *entry) {
 //
 //vitex:hotpath
 func (r *Run) propagate(m *node, level int, c *candidate) {
-	parent := m.parent
-	s := r.stacks[parent.id]
+	parent := &r.prog.nodes[m.parent]
+	s := r.stacks[m.parent]
 	lo, hi := compatRange(m, level)
 	for i := len(s) - 1; i >= 0; i-- {
 		e := &s[i]
@@ -914,7 +894,7 @@ func compatRange(m *node, level int) (lo, hi int) {
 // condition.
 //
 //vitex:hotpath
-func (r *Run) deliverFlag(parent *node, e *entry, idx int) {
+func (r *Run) deliverFlag(parent *node, e *entry, idx int32) {
 	bit := uint64(1) << uint(idx)
 	if e.flags&bit != 0 {
 		return
@@ -922,12 +902,12 @@ func (r *Run) deliverFlag(parent *node, e *entry, idx int) {
 	e.flags |= bit
 	r.stats.FlagProps++
 	if r.trace.on() {
-		r.trace.flag(parent, parent.children[idx], e.level)
+		r.trace.flag(parent, &r.prog.nodes[r.prog.list(parent.children)[idx]], e.level)
 	}
 	if e.satisfied || r.opts.DisableEagerPropagation {
 		return
 	}
-	if parent.cond.eval(e.flags, e, false) {
+	if r.prog.eval(&parent.cond, e.flags, e, false) {
 		r.onSatisfied(parent, e)
 	}
 }
@@ -941,7 +921,7 @@ func (r *Run) deliverCand(parent *node, e *entry, c *candidate) {
 		return
 	}
 	if e.satisfied {
-		if parent.parent == nil {
+		if parent.parent < 0 {
 			r.confirm(c)
 			return
 		}

@@ -41,14 +41,19 @@ import (
 	"repro/internal/xpath"
 )
 
-// TrieStep is one shareable spine step: an element name test plus its axis,
-// with the local name interned for event dispatch.
+// TrieStep is one shareable spine step: an element name test plus its axis.
+// Steps match events by the symbol ID of the test's local name; the name as
+// written holds a prefixed test's prefix.
 type TrieStep struct {
 	Axis   xpath.Axis
+	NameID int32  // symbol ID of the LOCAL name; 0 for "*"
 	Name   string // as written ("*" for the wildcard, "p:a" for prefixed)
-	Prefix string
-	Local  string
-	NameID int32 // symbol ID of the LOCAL name; 0 for "*"
+}
+
+// prefix returns the step's namespace prefix, "" for none.
+func (st *TrieStep) prefix() string {
+	prefix, _ := sax.SplitName(st.Name)
+	return prefix
 }
 
 // shareableSteps returns the spine nodes of q that can be factored into a
@@ -77,11 +82,11 @@ func PrefixProfile(q *xpath.Query, syms *sax.Symbols) []TrieStep {
 	}
 	steps := make([]TrieStep, len(nodes))
 	for i, n := range nodes {
-		prefix, local := n.Prefix, n.Local
+		local := n.Local
 		if local == "" && n.Name != "" {
-			prefix, local = sax.SplitName(n.Name)
+			_, local = sax.SplitName(n.Name)
 		}
-		st := TrieStep{Axis: n.Axis, Name: n.Name, Prefix: prefix, Local: local}
+		st := TrieStep{Axis: n.Axis, Name: n.Name}
 		if n.Name != "*" {
 			st.NameID = syms.Intern(local)
 		}
@@ -109,6 +114,7 @@ func ProfileString(steps []TrieStep) string {
 //vitex:cow
 type trieNode struct {
 	step     TrieStep
+	prefix   string  // the step's prefix, "" for none
 	parent   int32   // -1 for steps from the document node
 	children []int32 // node IDs, used only for graft matching
 	// refs counts the live queries whose anchor path passes through this
@@ -186,6 +192,17 @@ func (t *Trie) clone() *Trie {
 	}
 }
 
+// local returns the local name n's step tests ("" for "*").
+func (n *trieNode) local() string {
+	if n.step.NameID == sax.SymNone {
+		return ""
+	}
+	if n.prefix == "" {
+		return n.step.Name
+	}
+	return n.step.Name[len(n.prefix)+1:]
+}
+
 // findChild looks for an existing live child of parent (-1 = top level)
 // matching step.
 func (t *Trie) findChild(parent int32, step TrieStep) int32 {
@@ -195,7 +212,7 @@ func (t *Trie) findChild(parent int32, step TrieStep) int32 {
 	}
 	for _, id := range kids {
 		n := &t.nodes[id]
-		if n.refs > 0 && n.step.Axis == step.Axis && n.step.Name == step.Name {
+		if n.refs > 0 && n.step.Axis == step.Axis && n.step.NameID == step.NameID && n.prefix == step.prefix() {
 			return id
 		}
 	}
@@ -239,7 +256,7 @@ func (t *Trie) graft(steps []TrieStep) int32 {
 		id := t.findChild(parent, st)
 		if id < 0 {
 			id = int32(len(t.nodes))
-			t.nodes = append(t.nodes, trieNode{step: st, parent: parent})
+			t.nodes = append(t.nodes, trieNode{step: st, prefix: st.prefix(), parent: parent})
 			if parent < 0 {
 				// Appends may share backing arrays with older tries; they
 				// only ever write past those tries' lengths.
@@ -248,7 +265,7 @@ func (t *Trie) graft(steps []TrieStep) int32 {
 				p := &t.nodes[parent]
 				p.children = append(p.children, id)
 			}
-			if st.Name == "*" {
+			if st.NameID == sax.SymNone {
 				t.wild = append(t.wild, id)
 			} else {
 				for t.elem.Len() <= int(st.NameID) {
@@ -290,7 +307,7 @@ func (t *Trie) Prune(anchor int32) *Trie {
 			p := &next.nodes[n.parent]
 			p.children = without(p.children, id)
 		}
-		if n.step.Name == "*" {
+		if n.step.NameID == sax.SymNone {
 			next.wild = without(next.wild, id)
 		} else {
 			next.elem.Set(int(n.step.NameID), without(next.elem.At(int(n.step.NameID)), id))
@@ -458,12 +475,10 @@ func (pr *PrefixRun) tryPush(nid int32, ev *sax.Event, d int32, checkName bool) 
 	if n.refs <= 0 {
 		return
 	}
-	if checkName {
-		if n.step.Name != "*" && n.step.Local != ev.LocalName() {
-			return
-		}
+	if checkName && n.step.NameID != sax.SymNone && n.local() != ev.LocalName() {
+		return
 	}
-	if n.step.Prefix != "" && n.step.Prefix != ev.PrefixName() {
+	if n.prefix != "" && n.prefix != ev.PrefixName() {
 		return
 	}
 	if n.parent < 0 {
@@ -508,9 +523,8 @@ func (pr *PrefixRun) EndElement(d int) {
 // marked value-keyed when its residual has the shape value groups evaluate
 // (ValueKey).
 //
-// Program.Query still returns the FULL original query (so a program can be
-// re-added to another engine and re-profiled there); NumNodes counts only
-// residual nodes — the per-query footprint under sharing.
+// NumNodes counts only residual nodes — the per-query footprint under
+// sharing; the stored profile re-anchors the program in a rebuilt trie.
 func CompileShared(q *xpath.Query, syms *sax.Symbols) (*Program, error) {
 	if syms == nil {
 		syms = sax.NewSymbols()
@@ -520,28 +534,9 @@ func CompileShared(q *xpath.Query, syms *sax.Symbols) (*Program, error) {
 	for range profile {
 		start = start.Next
 	}
-	var p *Program
-	if len(profile) == 0 {
-		var err error
-		if p, err = CompileWith(q, syms); err != nil {
-			return nil, err
-		}
-	} else {
-		compileCount.Add(1)
-		p = &Program{
-			query:     q,
-			syms:      syms,
-			elemIndex: make(map[string][]*node),
-			attrIndex: make(map[string][]*node),
-			anchored:  true,
-			profile:   profile,
-		}
-		root, err := p.build(start, nil)
-		if err != nil {
-			return nil, err
-		}
-		p.root = root
-		p.freezeDispatch()
+	p, err := compileFrom(q, start, syms, profile)
+	if err != nil {
+		return nil, err
 	}
 	p.literal, p.valueKeyed = valueLiteral(start)
 	return p, nil
@@ -552,9 +547,21 @@ func CompileShared(q *xpath.Query, syms *sax.Symbols) (*Program, error) {
 func (p *Program) Anchored() bool { return p.anchored }
 
 // Profile returns the shared prefix steps factored out of the program's
-// query (nil for unanchored programs). The engine grafts it into its trie;
-// trie compaction re-grafts it to re-anchor without recompiling.
-func (p *Program) Profile() []TrieStep { return p.profile }
+// query (nil for unanchored programs), in a fresh slice. The engine grafts it
+// into its trie; trie compaction re-grafts it to re-anchor without
+// recompiling.
+func (p *Program) Profile() []TrieStep {
+	if !p.anchored {
+		return nil
+	}
+	ints := p.list(p.profile)
+	steps := make([]TrieStep, 0, len(ints)/profileInts)
+	for i := 0; i < len(ints); i += profileInts {
+		name := span{ints[i+2], ints[i+3]}
+		steps = append(steps, TrieStep{Axis: xpath.Axis(ints[i]), NameID: ints[i+1], Name: p.str(name)})
+	}
+	return steps
+}
 
 // BindAnchor points an anchored run at the shared prefix stack of its trie
 // node for the next stream. The engine rebinds before every stream (pooled

@@ -3,8 +3,6 @@ package twigm
 import (
 	"fmt"
 	"io"
-
-	"repro/internal/xpath"
 )
 
 // tracer renders machine transitions in a human-readable log — the
@@ -14,27 +12,17 @@ import (
 // sites are nil-guarded).
 type tracer struct {
 	w io.Writer
+	p *Program // names the nodes
 }
 
 func (tr *tracer) on() bool { return tr != nil && tr.w != nil }
 
-func nodeLabel(m *node) string {
-	switch m.kind {
-	case xpath.Attribute:
-		return "@" + m.name
-	case xpath.Text:
-		return "text()"
-	default:
-		return m.name
-	}
-}
-
 func (tr *tracer) push(m *node, level int) {
-	fmt.Fprintf(tr.w, "push   %-12s level=%d\n", nodeLabel(m), level)
+	fmt.Fprintf(tr.w, "push   %-12s level=%d\n", tr.p.label(m), level)
 }
 
 func (tr *tracer) prune(m *node, level int) {
-	fmt.Fprintf(tr.w, "prune  %-12s level=%d (attribute predicate already false)\n", nodeLabel(m), level)
+	fmt.Fprintf(tr.w, "prune  %-12s level=%d (attribute predicate already false)\n", tr.p.label(m), level)
 }
 
 func (tr *tracer) pop(m *node, e *entry) {
@@ -42,15 +30,15 @@ func (tr *tracer) pop(m *node, e *entry) {
 	if e.satisfied {
 		state = "satisfied"
 	}
-	fmt.Fprintf(tr.w, "pop    %-12s level=%d %s flags=%b\n", nodeLabel(m), e.level, state, e.flags)
+	fmt.Fprintf(tr.w, "pop    %-12s level=%d %s flags=%b\n", tr.p.label(m), e.level, state, e.flags)
 }
 
 func (tr *tracer) satisfied(m *node, e *entry) {
-	fmt.Fprintf(tr.w, "match  %-12s level=%d subquery satisfied\n", nodeLabel(m), e.level)
+	fmt.Fprintf(tr.w, "match  %-12s level=%d subquery satisfied\n", tr.p.label(m), e.level)
 }
 
 func (tr *tracer) flag(parent, child *node, level int) {
-	fmt.Fprintf(tr.w, "flag   %-12s level=%d gains child %s\n", nodeLabel(parent), level, nodeLabel(child))
+	fmt.Fprintf(tr.w, "flag   %-12s level=%d gains child %s\n", tr.p.label(parent), level, tr.p.label(child))
 }
 
 func (tr *tracer) candidate(c *candidate) {

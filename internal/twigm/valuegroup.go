@@ -65,7 +65,7 @@ type GroupKey struct {
 
 // GroupKey returns the key of a value-keyed program anchored at anchor.
 func (p *Program) GroupKey(anchor int32) GroupKey {
-	return GroupKey{Anchor: anchor, Axis: p.root.axis, Name: p.root.name}
+	return GroupKey{Anchor: anchor, Axis: p.root().axis, Name: p.name(p.root())}
 }
 
 // ValueMember is one member of a value group: an ID the caller assigns (the

@@ -177,7 +177,7 @@ func groupRun(t *testing.T, progs []*Program, syms *sax.Symbols, doc string, opt
 	for i, p := range progs {
 		lit, keyed := p.ValueKey()
 		if !keyed || p.GroupKey(anchors[0]) != progs[0].GroupKey(anchors[0]) {
-			t.Fatalf("%s is not a member of %s's group", p.Query(), progs[0].Query())
+			t.Fatalf("%s is not a member of %s's group", p.Describe(), progs[0].Describe())
 		}
 		members[i] = ValueMember{ID: int32(i), Literal: lit}
 	}

@@ -205,7 +205,10 @@ type Node struct {
 	Spine bool
 }
 
-// Query is a parsed XPath query.
+// Query is a parsed XPath query. It is the TwigM builder's input, read once:
+// a compiled program keeps none of it but the Source string, whose bytes
+// spell the names and literals the program refers to (every string of the
+// tree is a substring of it).
 type Query struct {
 	// Root is the first step of the spine.
 	Root *Node

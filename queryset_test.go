@@ -388,6 +388,53 @@ func TestBuildCostPerQueryIsFlat(t *testing.T) {
 	}
 }
 
+// standingCost returns the live heap objects and bytes per query that a set
+// of sources holds once built: the least over reps builds, each measured
+// after a collection, with the sources themselves made beforehand.
+func standingCost(sources []string, reps int) (objects, bytes float64) {
+	objects, bytes = math.MaxFloat64, math.MaxFloat64
+	var m0, m1 runtime.MemStats
+	for range reps {
+		runtime.GC()
+		runtime.ReadMemStats(&m0)
+		qs, err := NewQuerySet(sources...)
+		if err != nil {
+			panic(err)
+		}
+		runtime.GC()
+		runtime.ReadMemStats(&m1)
+		runtime.KeepAlive(qs)
+		n := float64(len(sources))
+		objects = min(objects, (float64(m1.HeapObjects)-float64(m0.HeapObjects))/n)
+		bytes = min(bytes, (float64(m1.HeapAlloc)-float64(m0.HeapAlloc))/n)
+	}
+	return objects, bytes
+}
+
+// TestStandingSetHeap bounds what a compiled standing query costs the
+// garbage collector: the live heap objects a portal set holds per query,
+// which every collection marks. A program is a few flat arrays and no parse
+// tree is kept, so at 10,000 queries it is at most 8 objects per query (24
+// with a parse tree and a pointer graph per program). Measured like
+// TestIdleSubscriptionsAreFree: one P, the least of the repetitions, and no
+// count under the race detector.
+func TestStandingSetHeap(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for _, c := range []struct {
+		n     int
+		bound float64
+	}{{1000, 10}, {10000, 8}} {
+		objects, bytes := standingCost(datagen.OverlapQueries(c.n, 0.9, 0, 0, 1), 3)
+		t.Logf("%d portal queries: %.2f objects, %.0f bytes per query", c.n, objects, bytes)
+		if raceEnabled {
+			continue
+		}
+		if objects > c.bound {
+			t.Errorf("%d portal queries hold %.2f live objects per query, want at most %v", c.n, objects, c.bound)
+		}
+	}
+}
+
 // leastAlloc returns the fewest allocations and bytes that one call of f made
 // over runs calls. The runtime's counters are the whole process's: whatever
 // else allocates during a call — the runtime itself, a goroutine an earlier
@@ -520,13 +567,19 @@ func TestBulkBuildMatchesIncremental(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		bp, ip := bulk.eng.Programs(), inc.eng.Programs()
-		if len(bp) != len(ip) {
-			t.Fatalf("%+v: %d machines bulk, %d incremental", cfg, len(bp), len(ip))
+		if bn, in := len(bulk.eng.Programs()), len(inc.eng.Programs()); bn != in {
+			t.Fatalf("%+v: %d machines bulk, %d incremental", cfg, bn, in)
 		}
-		for d := range bp {
-			if b, i := bp[d].Query().String(), ip[d].Query().String(); b != i {
-				t.Fatalf("%+v: machine %d is %s bulk, %s incremental", cfg, d, b, i)
+		// Machine d is the same branch of the same query in both.
+		for qi := range bulk.entries {
+			be, ie := bulk.entries[qi], inc.entries[qi]
+			if b, i := be.q.String(), ie.q.String(); b != i || len(be.progs) != len(ie.progs) {
+				t.Fatalf("%+v: query %d is %s bulk, %s incremental", cfg, qi, b, i)
+			}
+			for br, p := range be.progs {
+				if d, id := bulk.eng.Index(p), inc.eng.Index(ie.progs[br]); d != id || p.Describe() != ie.progs[br].Describe() {
+					t.Fatalf("%+v: branch %d of query %d is machine %d bulk, %d incremental", cfg, br, qi, d, id)
+				}
 			}
 		}
 		if !reflect.DeepEqual(machQueries(bulk.shape), machQueries(inc.shape)) {

@@ -148,9 +148,15 @@ type Options struct {
 // number of streams, including concurrently (each evaluation checks private
 // machine state out of the engine's session pool, so repeated streaming over
 // one Query reuses warmed-up state instead of reallocating it).
+//
+// A Query keeps its source and its canonical text, not the parse tree: a set
+// holds one Query per standing query, and what it holds the garbage collector
+// marks. Whatever needs the tree again (the Query's own engine, a set's Add)
+// parses the source again.
 type Query struct {
-	src      string
-	branches []*xpath.Query
+	src string
+	// canonical is String's text: src itself when the source is canonical.
+	canonical string
 
 	// The query's own engine, built once: by Compile, or, for a Query a
 	// QuerySet parsed (whose branches run in the set's engine), when it is
@@ -174,20 +180,44 @@ func Compile(src string) (*Query, error) {
 	if err != nil {
 		return nil, err
 	}
-	q := &Query{src: src, branches: parsed}
-	if err := q.build(); err != nil {
+	q := &Query{src: src, canonical: canonical(src, parsed)}
+	if err := q.build(parsed); err != nil {
 		return nil, err
 	}
 	return q, nil
 }
 
-// build compiles the query's own engine the first time it is needed. A Query
-// a QuerySet made has compiled into the set's engine already, so only Stream
+// canonical returns the canonical text of a query parsed from src into
+// branches: their canonical forms joined by " | ", which is src itself when
+// the source is already canonical.
+func canonical(src string, branches []*xpath.Query) string {
+	parts := make([]string, len(branches))
+	for i, b := range branches {
+		parts[i] = b.String()
+	}
+	if text := strings.Join(parts, " | "); text != src {
+		return text
+	}
+	return src
+}
+
+// branches parses the query's source again into its branches. It parsed
+// once already, so only a query that was never compiled can fail here.
+func (q *Query) branches() ([]*xpath.Query, error) { return xpath.ParseUnion(q.src) }
+
+// build compiles the query's own engine the first time it is needed, from
+// parsed, or, when that is nil, from the source parsed again. A Query a
+// QuerySet made has compiled into the set's engine already, so only Stream
 // can see an error here, and Size and MachineDescription describe no machine
 // after one.
-func (q *Query) build() error {
+func (q *Query) build(parsed []*xpath.Query) error {
 	q.once.Do(func() {
-		eng, err := engine.New(q.branches...)
+		if parsed == nil {
+			if parsed, q.err = q.branches(); q.err != nil {
+				return
+			}
+		}
+		eng, err := engine.New(parsed...)
 		if err != nil {
 			q.err = err
 			return
@@ -210,13 +240,7 @@ func MustCompile(src string) *Query {
 }
 
 // String returns the canonical form of the query (branches joined by '|').
-func (q *Query) String() string {
-	parts := make([]string, len(q.branches))
-	for i, b := range q.branches {
-		parts[i] = b.String()
-	}
-	return strings.Join(parts, " | ")
-}
+func (q *Query) String() string { return q.canonical }
 
 // Source returns the original query text.
 func (q *Query) Source() string { return q.src }
@@ -224,7 +248,7 @@ func (q *Query) Source() string { return q.src }
 // Size returns the number of query nodes across all branches — the |Q| of
 // the paper's complexity bounds.
 func (q *Query) Size() int {
-	q.build()
+	q.build(nil)
 	n := 0
 	for _, p := range q.progs {
 		n += p.NumNodes()
@@ -236,7 +260,7 @@ func (q *Query) Size() int {
 // one node per line, '-' edges for child axes, '=' for descendant axes, '*'
 // marking the output node. Union branches are separated by a '|' line.
 func (q *Query) MachineDescription() string {
-	q.build()
+	q.build(nil)
 	parts := make([]string, len(q.progs))
 	for i, p := range q.progs {
 		parts[i] = p.Describe()
@@ -256,7 +280,7 @@ func (q *Query) MachineDescription() string {
 // are buffered to the end of the stream and emitted in document order
 // (single-path queries keep the cheaper streaming re-sequencer).
 func (q *Query) Stream(r io.Reader, opts Options, emit func(Result) error) (Stats, error) {
-	if err := q.build(); err != nil {
+	if err := q.build(nil); err != nil {
 		return Stats{}, err
 	}
 	var each func(SetResult) error
