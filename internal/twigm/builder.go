@@ -223,19 +223,15 @@ func compileFrom(q *xpath.Query, start *xpath.Node, syms *sax.Symbols, profile [
 // builder assembles a Program. A condition's operands go to the program's
 // ints as soon as they are built; node children and the dispatch lists are
 // gathered while the query tree is walked and laid out once it is over
-// (finish), when the ints are copied to their final size.
+// (finish), which copies the ints to their final size.
 type builder struct {
 	p      *Program
 	output *xpath.Node
 	kids   [][]int32 // kids[id]: node id's children, in flag bit order
-	// elems and attrs are the named element and attribute nodes, in node
-	// order; wild, text and value the node lists of the same names.
-	elems, attrs      []namedNode
-	wild, text, value []int32
+	// The node lists of the same names: elems and attrs the named element and
+	// attribute nodes, which finish sorts by name.
+	elems, attrs, wild, text, value []int32
 }
-
-// namedNode is a node filed under the symbol ID of its local name.
-type namedNode struct{ nameID, id int32 }
 
 // build creates the machine node for qn (and recursively its children) and
 // files it for dispatch.
@@ -260,10 +256,10 @@ func (b *builder) build(qn *xpath.Node, parent int32) (int32, error) {
 		b.wild = append(b.wild, id)
 	case qn.Kind == xpath.Element:
 		m.nameID = p.syms.Intern(local)
-		b.elems = append(b.elems, namedNode{m.nameID, id})
+		b.elems = append(b.elems, id)
 	default:
 		m.nameID = p.syms.Intern(local)
-		b.attrs = append(b.attrs, namedNode{m.nameID, id})
+		b.attrs = append(b.attrs, id)
 	}
 	p.nodes = append(p.nodes, m)
 	b.kids = append(b.kids, nil)
@@ -307,8 +303,8 @@ func (b *builder) build(qn *xpath.Node, parent int32) (int32, error) {
 	}
 	c := b.andConds(conds)
 	n := &p.nodes[id]
-	n.cond, n.prunable = c, b.hasFinalLeaf(&c)
-	if qn.Kind == xpath.Element && b.hasSelf(&c) {
+	n.cond, n.prunable = c, p.some(&c, func(k *cond) bool { return k.op == condFlag && k.finalAtPush })
+	if qn.Kind == xpath.Element && p.some(&c, func(k *cond) bool { return k.op == condSelf }) {
 		n.needsText = true
 		b.value = append(b.value, id)
 	}
@@ -368,11 +364,7 @@ func (b *builder) selfCond(c *xpath.Comparison) cond {
 // flagLeaf compiles the condFlag leaf for machine child c.
 func (b *builder) flagLeaf(c int32) cond {
 	m := &b.p.nodes[c]
-	return cond{
-		op:          condFlag,
-		flagIdx:     m.childIdx,
-		finalAtPush: m.kind == xpath.Attribute && m.axis == xpath.Child,
-	}
+	return cond{op: condFlag, flagIdx: m.childIdx, finalAtPush: m.kind == xpath.Attribute && m.axis == xpath.Child}
 }
 
 func (b *builder) andConds(conds []cond) cond {
@@ -386,37 +378,15 @@ func (b *builder) andConds(conds []cond) cond {
 	}
 }
 
-func (b *builder) hasSelf(c *cond) bool {
-	if c.op == condSelf {
-		return true
-	}
-	for _, k := range b.p.list(c.kids) {
-		if b.hasSelf(&b.p.conds[k]) {
-			return true
-		}
-	}
-	return false
-}
-
-func (b *builder) hasFinalLeaf(c *cond) bool {
-	if c.op == condFlag && c.finalAtPush {
-		return true
-	}
-	for _, k := range b.p.list(c.kids) {
-		if b.hasFinalLeaf(&b.p.conds[k]) {
-			return true
-		}
-	}
-	return false
+// some reports whether c or one of its operands, at any depth, satisfies f.
+func (p *Program) some(c *cond, f func(*cond) bool) bool {
+	return f(c) || slices.ContainsFunc(p.list(c.kids), func(k int32) bool { return p.some(&p.conds[k], f) })
 }
 
 // span returns a span of the program's text that spells s. The parser's
 // strings are all substrings of the source; one that is not (a query built
 // by hand) is appended.
 func (b *builder) span(s string) span {
-	if s == "" {
-		return span{}
-	}
 	i := strings.Index(b.p.text, s)
 	if i < 0 {
 		i = len(b.p.text)
@@ -452,11 +422,6 @@ func (b *builder) finish() {
 			p.rootText = true
 		}
 	}
-	size := len(p.ints) + 3*(len(b.elems)+len(b.attrs)) + 2 + len(b.wild) + len(b.text) + len(b.value) + len(roots)
-	for _, k := range b.kids {
-		size += len(k)
-	}
-	p.ints = append(make([]int32, 0, size), p.ints...)
 	for i := range p.nodes {
 		p.nodes[i].children = b.put(b.kids[i])
 	}
@@ -464,6 +429,7 @@ func (b *builder) finish() {
 	p.attrs = b.dispatch(b.attrs)
 	p.wildElems, p.textNodes, p.valueNodes = b.put(b.wild), b.put(b.text), b.put(b.value)
 	p.valueRoots = b.put(roots)
+	p.ints = slices.Clone(p.ints)
 }
 
 // put appends list to the program's ints and returns its span.
@@ -476,36 +442,23 @@ func (b *builder) put(list []int32) span {
 // dispatchTable files a program's machine nodes by the symbol ID of their
 // local name: one entry per name the program mentions, whatever the size of
 // the symbol table it shares, so building N programs over one table costs
-// O(sum of their sizes), not O(N x symbols). The nodes of ids[i] are
-// ints[firsts[i]:firsts[i+1]].
+// O(sum of their sizes), not O(N x symbols).
 type dispatchTable struct {
-	ids    span // the names' IDs, ascending
-	firsts span // one more than ids: where each name's nodes start in the ints
+	ids   span // the names' IDs, ascending
+	nodes span // the nodes, sorted by name ID, each name's in node order
 }
 
-// dispatch lays out the table of the named nodes, each name's in node order.
-func (b *builder) dispatch(named []namedNode) dispatchTable {
-	slices.SortStableFunc(named, func(x, y namedNode) int { return int(x.nameID) - int(y.nameID) })
+// dispatch lays out the table of nodes, which are in node order.
+func (b *builder) dispatch(nodes []int32) dispatchTable {
+	p := b.p
+	slices.SortStableFunc(nodes, func(x, y int32) int { return int(p.nodes[x].nameID - p.nodes[y].nameID) })
 	var ids []int32
-	for i, nn := range named {
-		if i == 0 || nn.nameID != named[i-1].nameID {
-			ids = append(ids, nn.nameID)
+	for _, n := range nodes {
+		if id := p.nodes[n].nameID; len(ids) == 0 || ids[len(ids)-1] != id {
+			ids = append(ids, id)
 		}
 	}
-	t := dispatchTable{ids: b.put(ids)}
-	// The nodes follow the firsts, which are known before they are laid out.
-	firsts := make([]int32, 0, len(ids)+1)
-	at := int32(len(b.p.ints)) + int32(len(ids)) + 1
-	for i, nn := range named {
-		if i == 0 || nn.nameID != named[i-1].nameID {
-			firsts = append(firsts, at+int32(i))
-		}
-	}
-	t.firsts = b.put(append(firsts, at+int32(len(named))))
-	for _, nn := range named {
-		b.p.ints = append(b.p.ints, nn.id)
-	}
-	return t
+	return dispatchTable{ids: b.put(ids), nodes: b.put(nodes)}
 }
 
 // lookup returns the ids of the nodes filed under symbol id (none for a name
@@ -513,21 +466,21 @@ func (b *builder) dispatch(named []namedNode) dispatchTable {
 //
 //vitex:hotpath
 func (p *Program) lookup(t *dispatchTable, id int32) []int32 {
-	ids := p.list(t.ids)
-	lo, hi := 0, len(ids)
+	nodes := p.list(t.nodes)
+	lo, hi := 0, len(nodes)
 	for lo < hi {
 		m := int(uint(lo+hi) >> 1)
-		if ids[m] < id {
+		if p.nodes[nodes[m]].nameID < id {
 			lo = m + 1
 		} else {
 			hi = m
 		}
 	}
-	if lo == len(ids) || ids[lo] != id {
-		return nil
+	end := lo
+	for end < len(nodes) && p.nodes[nodes[end]].nameID == id {
+		end++
 	}
-	firsts := p.list(t.firsts)
-	return p.list(span{firsts[lo], firsts[lo+1] - firsts[lo]})
+	return nodes[lo:end]
 }
 
 // Symbols returns the table the program's names are interned in.
@@ -697,14 +650,13 @@ func (p *Program) describe(b *strings.Builder, m *node, depth int) {
 
 // name returns m's name test as written: "*", a local name, or "p:a".
 func (p *Program) name(m *node) string {
-	if m.wildcard() {
+	switch {
+	case m.wildcard():
 		return "*"
+	case m.prefix.n > 0:
+		return p.str(m.prefix) + ":" + p.syms.Name(m.nameID)
 	}
-	local := p.syms.Name(m.nameID)
-	if m.prefix.n == 0 {
-		return local
-	}
-	return p.str(m.prefix) + ":" + local
+	return p.syms.Name(m.nameID)
 }
 
 // label renders m as a step: "@a" for an attribute, "text()", or the name.

@@ -50,12 +50,6 @@ type TrieStep struct {
 	Name   string // as written ("*" for the wildcard, "p:a" for prefixed)
 }
 
-// prefix returns the step's namespace prefix, "" for none.
-func (st *TrieStep) prefix() string {
-	prefix, _ := sax.SplitName(st.Name)
-	return prefix
-}
-
 // shareableSteps returns the spine nodes of q that can be factored into a
 // shared prefix trie: the longest leading chain of element steps with no
 // predicate, no value comparison and a continuation (the output node always
@@ -113,10 +107,10 @@ func ProfileString(steps []TrieStep) string {
 //
 //vitex:cow
 type trieNode struct {
-	step     TrieStep
-	prefix   string  // the step's prefix, "" for none
-	parent   int32   // -1 for steps from the document node
-	children []int32 // node IDs, used only for graft matching
+	step          TrieStep
+	prefix, local string  // the step's name test split
+	parent        int32   // -1 for steps from the document node
+	children      []int32 // node IDs, used only for graft matching
 	// refs counts the live queries whose anchor path passes through this
 	// node; 0 marks a dead (pruned) node awaiting compaction.
 	refs int32
@@ -192,17 +186,6 @@ func (t *Trie) clone() *Trie {
 	}
 }
 
-// local returns the local name n's step tests ("" for "*").
-func (n *trieNode) local() string {
-	if n.step.NameID == sax.SymNone {
-		return ""
-	}
-	if n.prefix == "" {
-		return n.step.Name
-	}
-	return n.step.Name[len(n.prefix)+1:]
-}
-
 // findChild looks for an existing live child of parent (-1 = top level)
 // matching step.
 func (t *Trie) findChild(parent int32, step TrieStep) int32 {
@@ -210,9 +193,10 @@ func (t *Trie) findChild(parent int32, step TrieStep) int32 {
 	if parent >= 0 {
 		kids = t.nodes[parent].children
 	}
+	prefix, _ := sax.SplitName(step.Name)
 	for _, id := range kids {
 		n := &t.nodes[id]
-		if n.refs > 0 && n.step.Axis == step.Axis && n.step.NameID == step.NameID && n.prefix == step.prefix() {
+		if n.refs > 0 && n.step.Axis == step.Axis && n.step.NameID == step.NameID && n.prefix == prefix {
 			return id
 		}
 	}
@@ -256,7 +240,8 @@ func (t *Trie) graft(steps []TrieStep) int32 {
 		id := t.findChild(parent, st)
 		if id < 0 {
 			id = int32(len(t.nodes))
-			t.nodes = append(t.nodes, trieNode{step: st, prefix: st.prefix(), parent: parent})
+			prefix, local := sax.SplitName(st.Name)
+			t.nodes = append(t.nodes, trieNode{step: st, prefix: prefix, local: local, parent: parent})
 			if parent < 0 {
 				// Appends may share backing arrays with older tries; they
 				// only ever write past those tries' lengths.
@@ -475,7 +460,7 @@ func (pr *PrefixRun) tryPush(nid int32, ev *sax.Event, d int32, checkName bool) 
 	if n.refs <= 0 {
 		return
 	}
-	if checkName && n.step.NameID != sax.SymNone && n.local() != ev.LocalName() {
+	if checkName && n.step.NameID != sax.SymNone && n.local != ev.LocalName() {
 		return
 	}
 	if n.prefix != "" && n.prefix != ev.PrefixName() {
@@ -551,14 +536,9 @@ func (p *Program) Anchored() bool { return p.anchored }
 // into its trie; trie compaction re-grafts it to re-anchor without
 // recompiling.
 func (p *Program) Profile() []TrieStep {
-	if !p.anchored {
-		return nil
-	}
-	ints := p.list(p.profile)
-	steps := make([]TrieStep, 0, len(ints)/profileInts)
-	for i := 0; i < len(ints); i += profileInts {
-		name := span{ints[i+2], ints[i+3]}
-		steps = append(steps, TrieStep{Axis: xpath.Axis(ints[i]), NameID: ints[i+1], Name: p.str(name)})
+	var steps []TrieStep
+	for s := p.list(p.profile); len(s) > 0; s = s[profileInts:] {
+		steps = append(steps, TrieStep{Axis: xpath.Axis(s[0]), NameID: s[1], Name: p.str(span{s[2], s[3]})})
 	}
 	return steps
 }

@@ -121,10 +121,8 @@ func (sh *shape) sealed() *shape {
 }
 
 // setEntry is one standing query: the caller's Query plus the set-engine
-// machines (one per union branch) evaluating it. A set built by
-// NewQuerySetConfigured makes its Queries in one block and its entries'
-// machine lists as spans of one slice: the standing set costs the collector
-// no object per query of its own.
+// machines (one per union branch) evaluating it. NewQuerySetConfigured makes
+// its Queries in one block and slices the machine lists out of one slice.
 type setEntry struct {
 	q     *Query
 	progs []*twigm.Program
