@@ -425,11 +425,12 @@ func (b *builder) finish() {
 	for i := range p.nodes {
 		p.nodes[i].children = b.put(b.kids[i])
 	}
-	p.elems = b.dispatch(b.elems)
-	p.attrs = b.dispatch(b.attrs)
+	elems, attrs := b.dispatch(b.elems), b.dispatch(b.attrs)
 	p.wildElems, p.textNodes, p.valueNodes = b.put(b.wild), b.put(b.text), b.put(b.value)
 	p.valueRoots = b.put(roots)
 	p.ints = slices.Clone(p.ints)
+	p.elems = dispatchTable{p.list(elems[0]), p.list(elems[1])}
+	p.attrs = dispatchTable{p.list(attrs[0]), p.list(attrs[1])}
 }
 
 // put appends list to the program's ints and returns its span.
@@ -442,23 +443,32 @@ func (b *builder) put(list []int32) span {
 // dispatchTable files a program's machine nodes by the symbol ID of their
 // local name: one entry per name the program mentions, whatever the size of
 // the symbol table it shares, so building N programs over one table costs
-// O(sum of their sizes), not O(N x symbols).
+// O(sum of their sizes), not O(N x symbols). Both lists are runs of the
+// program's ints, and the nodes named ids[i] are ints[firsts[i]:firsts[i+1]].
 type dispatchTable struct {
-	ids   span // the names' IDs, ascending
-	nodes span // the nodes, sorted by name ID, each name's in node order
+	ids    []int32 // the names' IDs, ascending
+	firsts []int32 // one more than ids
 }
 
-// dispatch lays out the table of nodes, which are in node order.
-func (b *builder) dispatch(nodes []int32) dispatchTable {
+// dispatch lays out the table of nodes, which are in node order: their
+// names, where each name's nodes start, and the nodes sorted by name. It
+// returns the spans of the first two.
+func (b *builder) dispatch(nodes []int32) [2]span {
 	p := b.p
 	slices.SortStableFunc(nodes, func(x, y int32) int { return int(p.nodes[x].nameID - p.nodes[y].nameID) })
-	var ids []int32
-	for _, n := range nodes {
-		if id := p.nodes[n].nameID; len(ids) == 0 || ids[len(ids)-1] != id {
-			ids = append(ids, id)
+	var ids, firsts []int32
+	for i, n := range nodes {
+		if id := p.nodes[n].nameID; i == 0 || id != ids[len(ids)-1] {
+			ids, firsts = append(ids, id), append(firsts, int32(i))
 		}
 	}
-	return dispatchTable{ids: b.put(ids), nodes: b.put(nodes)}
+	at := int32(len(p.ints) + 2*len(ids) + 1) // where the nodes will start
+	for i := range firsts {
+		firsts[i] += at
+	}
+	t := [2]span{b.put(ids), b.put(append(firsts, at+int32(len(nodes))))}
+	b.put(nodes)
+	return t
 }
 
 // lookup returns the ids of the nodes filed under symbol id (none for a name
@@ -466,21 +476,19 @@ func (b *builder) dispatch(nodes []int32) dispatchTable {
 //
 //vitex:hotpath
 func (p *Program) lookup(t *dispatchTable, id int32) []int32 {
-	nodes := p.list(t.nodes)
-	lo, hi := 0, len(nodes)
+	lo, hi := 0, len(t.ids)
 	for lo < hi {
 		m := int(uint(lo+hi) >> 1)
-		if p.nodes[nodes[m]].nameID < id {
+		if t.ids[m] < id {
 			lo = m + 1
 		} else {
 			hi = m
 		}
 	}
-	end := lo
-	for end < len(nodes) && p.nodes[nodes[end]].nameID == id {
-		end++
+	if lo == len(t.ids) || t.ids[lo] != id {
+		return nil
 	}
-	return nodes[lo:end]
+	return p.ints[t.firsts[lo]:t.firsts[lo+1]:t.firsts[lo+1]]
 }
 
 // Symbols returns the table the program's names are interned in.
@@ -584,13 +592,13 @@ func (p *Program) optimistic(c *cond, flags uint64) bool {
 // ElemNameIDs returns the symbol IDs of the element names this machine can
 // push on — the static element-name subscriptions of routed dispatch. The
 // slice is the program's own; callers must not modify it.
-func (p *Program) ElemNameIDs() []int32 { return p.list(p.elems.ids) }
+func (p *Program) ElemNameIDs() []int32 { return p.elems.ids }
 
 // AttrNameIDs returns the symbol IDs of the attribute names this machine
 // matches: a start-element event carrying one of them is relevant even when
 // the element name is not. The slice is the program's own; callers must not
 // modify it.
-func (p *Program) AttrNameIDs() []int32 { return p.list(p.attrs.ids) }
+func (p *Program) AttrNameIDs() []int32 { return p.attrs.ids }
 
 // ValueRootIDs returns the symbol IDs of the element names whose content the
 // machine reads, not only their tags: its output element, whose fragment it

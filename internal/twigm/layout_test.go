@@ -28,14 +28,22 @@ func pointerField(t reflect.Type) (string, bool) {
 	return "", false
 }
 
-// TestLayoutHoldsNoPointers pins the flat program layout: machine nodes,
-// conditions and the dispatch tables refer to each other by index, so the
-// arrays of a standing set's programs are pointer-free and a collection marks
-// them without scanning them.
+// TestLayoutHoldsNoPointers pins the flat program layout: the program's
+// arrays and the dispatch tables' lists hold machine nodes, conditions and
+// int32s, which refer to each other by index, so a collection marks a
+// standing set's arrays without scanning them.
 func TestLayoutHoldsNoPointers(t *testing.T) {
-	for _, typ := range []reflect.Type{
-		reflect.TypeFor[node](), reflect.TypeFor[cond](), reflect.TypeFor[dispatchTable](), reflect.TypeFor[span](),
-	} {
+	var elems []reflect.Type
+	prog := reflect.TypeFor[Program]()
+	for _, name := range []string{"nodes", "conds", "ints"} {
+		f, _ := prog.FieldByName(name)
+		elems = append(elems, f.Type.Elem())
+	}
+	table := reflect.TypeFor[dispatchTable]()
+	for i := range table.NumField() {
+		elems = append(elems, table.Field(i).Type.Elem())
+	}
+	for _, typ := range append(elems, reflect.TypeFor[span]()) {
 		if path, ok := pointerField(typ); ok {
 			t.Errorf("%s holds a field the collector scans: %s", typ, path)
 		}
