@@ -17,6 +17,7 @@ package twigm
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"strings"
 	"sync/atomic"
@@ -132,24 +133,21 @@ type node struct {
 	prefix   span
 	children span // node ids in the ints, in flag bit order
 	// cond is an element's condition over its entries. An attribute's or a
-	// text() node's is its inline value test, a condSelf (condTrue for none)
+	// text() node's is its inline value test, a condSelf (a condAll of no bits for none)
 	// evaluated the moment the node's value is seen: attribute values and
 	// text runs are final immediately.
 	cond cond
 }
 
-// wildcard reports whether m is a '*' element step.
-func (m *node) wildcard() bool { return m.kind == xpath.Element && m.nameID == sax.SymNone }
-
 // condOp enumerates condition-tree operators.
 type condOp uint8
 
 const (
-	condTrue condOp = iota
-	condAnd
-	condOr
-	condFlag // child subquery matched: flag bit flagIdx
-	condSelf // comparison on this entry's own string-value (final at pop)
+	condAll  condOp = iota // every flag bit of mask is set: true for no bits
+	condAny                // some flag bit of mask is set
+	condAnd                // every operand holds
+	condOr                 // some operand holds
+	condSelf               // comparison on this entry's own string-value (final at pop)
 )
 
 // cond is a compiled boolean condition over a stack entry's state. An entry
@@ -158,18 +156,17 @@ const (
 // complete.
 type cond struct {
 	op condOp
-	// finalAtPush marks condFlag leaves whose truth is fully known by the
-	// end of the entry's start-element event: child-axis attribute
-	// children (attributes cannot appear later).
-	finalAtPush bool
 	// A condSelf's comparison (xpath.Comparison), its literal a span of the
 	// text.
 	cmpOp   xpath.Op
 	isNum   bool
-	flagIdx int32
 	kids    span // condAnd, condOr: operand indexes in conds, in the ints
 	literal span
 	number  float64
+	// condAll, condAny: the flag bits (child subqueries matched) tested, and
+	// those among them fully known by the end of the entry's start-element
+	// event: child-axis attribute children (attributes cannot appear later).
+	mask, final uint64
 }
 
 // CompileError reports a query that parses but cannot be compiled to a
@@ -303,7 +300,7 @@ func (b *builder) build(qn *xpath.Node, parent int32) (int32, error) {
 	}
 	c := b.andConds(conds)
 	n := &p.nodes[id]
-	n.cond, n.prunable = c, p.some(&c, func(k *cond) bool { return k.op == condFlag && k.finalAtPush })
+	n.cond, n.prunable = c, p.some(&c, func(k *cond) bool { return k.final != 0 })
 	if qn.Kind == xpath.Element && p.some(&c, func(k *cond) bool { return k.op == condSelf }) {
 		n.needsText = true
 		b.value = append(b.value, id)
@@ -316,7 +313,7 @@ func (b *builder) build(qn *xpath.Node, parent int32) (int32, error) {
 func (b *builder) buildPred(pe *xpath.PredExpr, addChild func(*xpath.Node) (int32, error)) (cond, error) {
 	switch pe.Op {
 	case xpath.PredTrue:
-		return cond{op: condTrue}, nil
+		return cond{op: condAll}, nil
 	case xpath.PredSelf:
 		return b.selfCond(pe.Self), nil
 	case xpath.PredLeaf:
@@ -344,9 +341,24 @@ func (b *builder) buildPred(pe *xpath.PredExpr, addChild func(*xpath.Node) (int3
 	}
 }
 
-// operation files kids among the program's operands and returns the 'and'
-// or 'or' of them.
+// operation returns the 'and' or 'or' of kids: one mask test for a
+// conjunction of mask tests or a disjunction of flags, else a condition over
+// the kids, which it files among the program's operands.
 func (b *builder) operation(op condOp, kids []cond) cond {
+	merged := cond{op: condAll}
+	if op == condOr {
+		merged.op = condAny
+	}
+	for _, k := range kids {
+		if k.op != condAll || op == condOr && bits.OnesCount64(k.mask) != 1 {
+			merged.op = op
+			break
+		}
+		merged.mask, merged.final = merged.mask|k.mask, merged.final|k.final
+	}
+	if merged.op != op {
+		return merged
+	}
 	p := b.p
 	c := cond{op: op, kids: span{int32(len(p.ints)), int32(len(kids))}}
 	for _, k := range kids {
@@ -361,16 +373,20 @@ func (b *builder) selfCond(c *xpath.Comparison) cond {
 	return cond{op: condSelf, cmpOp: c.Op, isNum: c.IsNum, number: c.Number, literal: b.span(c.Literal)}
 }
 
-// flagLeaf compiles the condFlag leaf for machine child c.
+// flagLeaf compiles the test of machine child c's flag bit.
 func (b *builder) flagLeaf(c int32) cond {
 	m := &b.p.nodes[c]
-	return cond{op: condFlag, flagIdx: m.childIdx, finalAtPush: m.kind == xpath.Attribute && m.axis == xpath.Child}
+	leaf := cond{op: condAll, mask: 1 << m.childIdx}
+	if m.kind == xpath.Attribute && m.axis == xpath.Child {
+		leaf.final = leaf.mask
+	}
+	return leaf
 }
 
 func (b *builder) andConds(conds []cond) cond {
 	switch len(conds) {
 	case 0:
-		return cond{op: condTrue}
+		return cond{op: condAll}
 	case 1:
 		return conds[0]
 	default:
@@ -519,10 +535,10 @@ func (p *Program) root() *node { return &p.nodes[0] }
 //vitex:hotpath
 func (p *Program) eval(c *cond, flags uint64, e *entry, final bool) bool {
 	switch c.op {
-	case condTrue:
-		return true
-	case condFlag:
-		return flags&(1<<uint(c.flagIdx)) != 0
+	case condAll:
+		return flags&c.mask == c.mask
+	case condAny:
+		return flags&c.mask != 0
 	case condSelf:
 		if !final {
 			return false
@@ -554,36 +570,20 @@ func (p *Program) compare(c *cond, value string) bool {
 }
 
 // deadAtPush reports whether condition c can already be ruled out at push
-// time: evaluating optimistically (every leaf that could still become true
-// counts as true) it is still false. Only child-axis attribute leaves are
-// final at push.
+// time: it is false even if every leaf that could still become true does.
+// Only child-axis attribute leaves are final at push.
 func (p *Program) deadAtPush(c *cond, flags uint64) bool {
-	return !p.optimistic(c, flags)
-}
-
-func (p *Program) optimistic(c *cond, flags uint64) bool {
 	switch c.op {
-	case condTrue, condSelf:
-		return true
-	case condFlag:
-		if c.finalAtPush {
-			return flags&(1<<uint(c.flagIdx)) != 0
-		}
-		return true
-	case condAnd:
-		for _, k := range p.list(c.kids) {
-			if !p.optimistic(&p.conds[k], flags) {
-				return false
-			}
-		}
-		return true
-	default: // condOr
-		for _, k := range p.list(c.kids) {
-			if p.optimistic(&p.conds[k], flags) {
-				return true
-			}
-		}
+	case condSelf:
 		return false
+	case condAll:
+		return flags&c.final != c.final
+	case condAny:
+		return c.mask == c.final && flags&c.final == 0
+	case condAnd:
+		return slices.ContainsFunc(p.list(c.kids), func(k int32) bool { return p.deadAtPush(&p.conds[k], flags) })
+	default: // condOr
+		return !slices.ContainsFunc(p.list(c.kids), func(k int32) bool { return !p.deadAtPush(&p.conds[k], flags) })
 	}
 }
 
@@ -659,7 +659,7 @@ func (p *Program) describe(b *strings.Builder, m *node, depth int) {
 // name returns m's name test as written: "*", a local name, or "p:a".
 func (p *Program) name(m *node) string {
 	switch {
-	case m.wildcard():
+	case m.kind == xpath.Element && m.nameID == sax.SymNone:
 		return "*"
 	case m.prefix.n > 0:
 		return p.str(m.prefix) + ":" + p.syms.Name(m.nameID)

@@ -389,29 +389,16 @@ func (r *Run) fail(err error) {
 
 // ---- event dispatch ----
 
-// elemNodes resolves the ids of the element machine nodes whose LOCAL name
-// matches the event: a search of the program's dispatch table for the
-// event's symbol ID, resolved through the program's table when the event
-// carries none. Prefixed name tests re-check their prefix in tryPush.
+// symbol returns a name's symbol ID: the one its event carries, or, when its
+// producer interns nothing (sax.SymNone), its local name's in the program's
+// table. Names dispatch by LOCAL name; prefixed tests re-check the prefix.
 //
 //vitex:hotpath
-func (r *Run) elemNodes(ev *sax.Event) []int32 {
-	id := ev.NameID
+func (p *Program) symbol(id int32, local string) int32 {
 	if id == sax.SymNone {
-		id = r.prog.syms.ID(ev.LocalName())
+		return p.syms.ID(local)
 	}
-	return r.prog.lookup(&r.prog.elems, id)
-}
-
-// attrID returns the symbol ID of a's local name, resolved through the
-// program's table when the attribute carries none.
-//
-//vitex:hotpath
-func (p *Program) attrID(a *sax.Attr) int32 {
-	if a.NameID != sax.SymNone {
-		return a.NameID
-	}
-	return p.syms.ID(a.LocalName())
+	return id
 }
 
 // attrMatches reports whether attribute a, whose local name has symbol ID
@@ -424,6 +411,14 @@ func (p *Program) attrMatches(a *sax.Attr, id int32, m *node) bool {
 		return false
 	}
 	return m.prefix.n == 0 || p.str(m.prefix) == a.PrefixName()
+}
+
+// elemNodes returns the ids of the element machine nodes the event's local
+// name dispatches to.
+//
+//vitex:hotpath
+func (r *Run) elemNodes(ev *sax.Event) []int32 {
+	return r.prog.lookup(&r.prog.elems, r.prog.symbol(ev.NameID, ev.LocalName()))
 }
 
 // ---- event processing ----
@@ -450,7 +445,7 @@ func (r *Run) startElement(ev *sax.Event) {
 	// element itself; descendant axis: self-or-ancestor owners).
 	for ai := range ev.Attrs {
 		a := &ev.Attrs[ai]
-		id := p.attrID(a)
+		id := p.symbol(a.NameID, a.LocalName())
 		for _, mi := range p.lookup(&p.attrs, id) {
 			if m := &p.nodes[mi]; p.attrMatches(a, id, m) {
 				r.attrEvent(m, a.Value, ai, ev)
@@ -561,7 +556,7 @@ func (r *Run) attrFlagsAtPush(m *node, ev *sax.Event) uint64 {
 		}
 		for ai := range ev.Attrs {
 			a := &ev.Attrs[ai]
-			if p.attrMatches(a, p.attrID(a), c) {
+			if p.attrMatches(a, p.symbol(a.NameID, a.LocalName()), c) {
 				if p.cmpOK(c, a.Value) {
 					flags |= 1 << uint(c.childIdx)
 				}
@@ -576,7 +571,7 @@ func (r *Run) attrFlagsAtPush(m *node, ev *sax.Event) uint64 {
 //
 //vitex:hotpath
 func (p *Program) cmpOK(m *node, value string) bool {
-	return m.cond.op == condTrue || p.compare(&m.cond, value)
+	return m.cond.op != condSelf || p.compare(&m.cond, value)
 }
 
 // parentCompatExists reports whether the parent stack holds an entry
