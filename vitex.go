@@ -191,9 +191,9 @@ func Compile(src string) (*Query, error) {
 // branches: their canonical forms joined by " | ", which is src itself when
 // the source is already canonical.
 func canonical(src string, branches []*xpath.Query) string {
-	parts := make([]string, len(branches))
-	for i, b := range branches {
-		parts[i] = b.String()
+	var parts []string
+	for _, b := range branches {
+		parts = append(parts, b.String())
 	}
 	if text := strings.Join(parts, " | "); text != src {
 		return text
