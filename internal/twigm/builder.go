@@ -46,7 +46,7 @@ const maxChildren = 64
 // the garbage collector marks: a few flat arrays, not a graph. Machine nodes
 // and conditions are stored by value and refer to each other, to their lists
 // and to their strings by index, so neither holds a pointer; every list,
-// the shared prefix profile included, is a span of one int32 pool; names are
+// the shared prefix profile included, lives in one int32 pool; names are
 // symbol IDs. The parse tree the program was compiled from is not kept.
 type Program struct {
 	// syms is the symbol table the program's names were interned into.
