@@ -63,7 +63,7 @@ func BenchmarkE1ProteinQuery(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		run := prog.Start(twigm.Options{})
-		if err := xmlscan.NewScanner(strings.NewReader(proteinDoc)).Run(run); err != nil {
+		if err := xmlscan.NewScannerWith(strings.NewReader(proteinDoc), prog.Symbols()).Run(run); err != nil {
 			b.Fatal(err)
 		}
 		if run.Count() == 0 {
@@ -84,7 +84,7 @@ func BenchmarkE2Memory(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				run := prog.Start(twigm.Options{CountOnly: true})
-				if err := xmlscan.NewScanner(strings.NewReader(doc)).Run(run); err != nil {
+				if err := xmlscan.NewScannerWith(strings.NewReader(doc), prog.Symbols()).Run(run); err != nil {
 					b.Fatal(err)
 				}
 				peak := run.Stats().PeakStackEntries
@@ -106,7 +106,7 @@ func BenchmarkE3DataScaling(b *testing.B) {
 			b.SetBytes(int64(len(doc)))
 			for i := 0; i < b.N; i++ {
 				run := prog.Start(twigm.Options{CountOnly: true})
-				if err := xmlscan.NewScanner(strings.NewReader(doc)).Run(run); err != nil {
+				if err := xmlscan.NewScannerWith(strings.NewReader(doc), prog.Symbols()).Run(run); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -126,7 +126,7 @@ func BenchmarkE4QueryScaling(b *testing.B) {
 			b.SetBytes(int64(len(doc)))
 			for i := 0; i < b.N; i++ {
 				run := prog.Start(twigm.Options{CountOnly: true})
-				if err := xmlscan.NewScanner(strings.NewReader(doc)).Run(run); err != nil {
+				if err := xmlscan.NewScannerWith(strings.NewReader(doc), prog.Symbols()).Run(run); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -163,7 +163,7 @@ func BenchmarkE5NaiveVsTwigM(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				run := prog.Start(twigm.Options{CountOnly: true})
-				if err := xmlscan.NewScanner(strings.NewReader(doc)).Run(run); err != nil {
+				if err := xmlscan.NewScannerWith(strings.NewReader(doc), prog.Symbols()).Run(run); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -177,7 +177,7 @@ func BenchmarkE6PaperExample(b *testing.B) {
 	prog := twigm.MustCompile(datagen.PaperQuery)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		results, _, err := twigm.Collect(prog, xmlscan.NewScanner(strings.NewReader(datagen.PaperFigure1)), twigm.Options{})
+		results, _, err := twigm.Collect(prog, xmlscan.NewScannerWith(strings.NewReader(datagen.PaperFigure1), prog.Symbols()), twigm.Options{})
 		if err != nil || len(results) != 1 {
 			b.Fatalf("results=%v err=%v", results, err)
 		}
@@ -214,7 +214,7 @@ func BenchmarkE8Latency(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		run := prog.Start(twigm.Options{})
-		if err := xmlscan.NewScanner(strings.NewReader(doc)).Run(run); err != nil {
+		if err := xmlscan.NewScannerWith(strings.NewReader(doc), prog.Symbols()).Run(run); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -235,7 +235,7 @@ func BenchmarkAblationEager(b *testing.B) {
 			b.SetBytes(int64(len(doc)))
 			for i := 0; i < b.N; i++ {
 				run := prog.Start(twigm.Options{CountOnly: true, DisableEagerPropagation: mode.disable})
-				if err := xmlscan.NewScanner(strings.NewReader(doc)).Run(run); err != nil {
+				if err := xmlscan.NewScannerWith(strings.NewReader(doc), prog.Symbols()).Run(run); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -263,7 +263,7 @@ func BenchmarkAblationPrune(b *testing.B) {
 			b.SetBytes(int64(len(doc)))
 			for i := 0; i < b.N; i++ {
 				run := prog.Start(twigm.Options{CountOnly: true, DisablePrune: mode.disable})
-				if err := xmlscan.NewScanner(strings.NewReader(doc)).Run(run); err != nil {
+				if err := xmlscan.NewScannerWith(strings.NewReader(doc), prog.Symbols()).Run(run); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -334,8 +334,9 @@ func BenchmarkQuerySetSharedScan(b *testing.B) {
 // BenchmarkQuerySetSparse contrasts the engine's routed dispatch against the
 // seed's broadcast fan-out on 100 standing queries of which ~90 match
 // nothing in the document. The broadcast arm reproduces the pre-engine
-// QuerySet path exactly: one machine per query, every event delivered to
-// every machine (broadcast), a fresh non-interning scanner per document.
+// QuerySet path: one machine per query, every event delivered to every
+// machine (broadcast), a fresh scanner per document on the machines' shared
+// symbol table.
 func BenchmarkQuerySetSparse(b *testing.B) {
 	doc := datagen.Ticker{Trades: 2000, Seed: 1}.String()
 	sources := datagen.SparseTickerQueries(10, 90)
@@ -353,9 +354,14 @@ func BenchmarkQuerySetSparse(b *testing.B) {
 		}
 	})
 	b.Run("broadcast", func(b *testing.B) {
+		syms := sax.NewSymbols()
 		progs := make([]*twigm.Program, len(sources))
 		for i, src := range sources {
-			progs[i] = twigm.MustCompile(src)
+			prog, err := twigm.CompileWith(xpath.MustParse(src), syms)
+			if err != nil {
+				b.Fatal(err)
+			}
+			progs[i] = prog
 		}
 		b.SetBytes(int64(len(doc)))
 		b.ReportAllocs()
@@ -364,7 +370,7 @@ func BenchmarkQuerySetSparse(b *testing.B) {
 			for j, p := range progs {
 				handlers[j] = p.Start(twigm.Options{CountOnly: true})
 			}
-			if err := xmlscan.NewScanner(strings.NewReader(doc)).Run(handlers); err != nil {
+			if err := xmlscan.NewScannerWith(strings.NewReader(doc), syms).Run(handlers); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -484,6 +490,7 @@ func BenchmarkQuerySetRepeatedStream(b *testing.B) {
 		}
 	})
 	b.Run("perDocument", func(b *testing.B) {
+		syms := sax.NewSymbols()
 		queries := make([][]*twigm.Program, len(sources))
 		for i, src := range sources {
 			branches, err := xpath.ParseUnion(src)
@@ -491,7 +498,7 @@ func BenchmarkQuerySetRepeatedStream(b *testing.B) {
 				b.Fatal(err)
 			}
 			for _, branch := range branches {
-				prog, err := twigm.Compile(branch)
+				prog, err := twigm.CompileWith(branch, syms)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -507,7 +514,7 @@ func BenchmarkQuerySetRepeatedStream(b *testing.B) {
 					handlers = append(handlers, p.Start(twigm.Options{CountOnly: true}))
 				}
 			}
-			if err := xmlscan.NewScanner(strings.NewReader(doc)).Run(handlers); err != nil {
+			if err := xmlscan.NewScannerWith(strings.NewReader(doc), syms).Run(handlers); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -621,7 +628,7 @@ func BenchmarkFragmentSerialization(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				run := prog.Start(twigm.Options{CountOnly: mode.countOnly})
-				if err := xmlscan.NewScanner(strings.NewReader(doc)).Run(run); err != nil {
+				if err := xmlscan.NewScannerWith(strings.NewReader(doc), prog.Symbols()).Run(run); err != nil {
 					b.Fatal(err)
 				}
 			}

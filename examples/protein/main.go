@@ -1,8 +1,16 @@
 // Protein reproduces the paper's headline measurement (§2 claim 5) at a
 // configurable scale: //ProteinEntry[reference]/@id over a PIR-shaped
-// protein corpus, reporting total time, SAX-parse share and peak machine
-// state — the numbers behind "6.02 seconds (including 4.43 seconds for SAX
-// parsing)" and "memory requirement … stable at 1MB" on the 75MB dataset.
+// protein corpus, reporting the time of a bare parse, the time of the whole
+// pipeline and peak machine state — the numbers behind "6.02 seconds
+// (including 4.43 seconds for SAX parsing)" and "memory requirement … stable
+// at 1MB" on the 75MB dataset.
+//
+// It prints no parse share. The bare parse hands every event to a no-op
+// handler, while the engine's scan projects the document to what the query
+// observes and hands its machine a fraction of them, so a ratio of the two
+// times compares different work (from one sample each, it read 78–110%).
+// The engine's own event counts show the difference instead; the claim's
+// structure is checked on exact counts by TestE1ParseDominated.
 //
 // Usage: protein [-mb 75]
 package main
@@ -59,7 +67,10 @@ func main() {
 	fmt.Printf("SAX parse only:  %v (%d events, %.1f MB/s)\n", parse, events, float64(size)/1e6/parse.Seconds())
 
 	// Phase 2: the full query pipeline.
-	q := vitex.MustCompile(datagen.PaperProteinQuery)
+	qs, err := vitex.NewQuerySet(datagen.PaperProteinQuery)
+	if err != nil {
+		log.Fatal(err)
+	}
 	f, err = os.Open(path)
 	if err != nil {
 		log.Fatal(err)
@@ -67,7 +78,7 @@ func main() {
 	defer f.Close()
 	count := 0
 	start = time.Now()
-	stats, err := q.Stream(f, vitex.Options{CountOnly: true}, func(vitex.Result) error {
+	stats, err := qs.Stream(f, vitex.Options{CountOnly: true}, func(vitex.SetResult) error {
 		count++
 		return nil
 	})
@@ -75,9 +86,10 @@ func main() {
 		log.Fatal(err)
 	}
 	total := time.Since(start)
+	m := qs.Metrics()
 	fmt.Printf("parse + TwigM:   %v (%.1f MB/s), %d ids found\n", total, float64(size)/1e6/total.Seconds(), count)
-	fmt.Printf("parse share:     %.0f%% (paper: 74%%)\n", float64(parse)/float64(total)*100)
-	fmt.Printf("peak machine state: %d stack entries, %d B buffered\n", stats.PeakStackEntries, stats.PeakBufferedBytes)
+	fmt.Printf("engine:          %d events scanned, %d machine deliveries\n", m.Events, m.Deliveries)
+	fmt.Printf("peak machine state: %d stack entries, %d B buffered\n", stats[0].PeakStackEntries, stats[0].PeakBufferedBytes)
 }
 
 // generate writes the corpus under a temporary name and renames it to path

@@ -52,7 +52,7 @@ func main() {
 
 		trun := prog.Start(twigm.Options{CountOnly: true})
 		tt := time.Now()
-		if err := xmlscan.NewScanner(strings.NewReader(doc)).Run(trun); err != nil {
+		if err := xmlscan.NewScannerWith(strings.NewReader(doc), prog.Symbols()).Run(trun); err != nil {
 			log.Fatal(err)
 		}
 		tel := time.Since(tt)

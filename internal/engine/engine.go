@@ -857,6 +857,11 @@ func (rt *router) route(ev *sax.Event, idx int64) error {
 	var slots []int32
 	switch ev.Kind {
 	case sax.StartElement:
+		// Routing is by name ID: a start tag without one would reach only the
+		// wildcard machines and silently match nothing else.
+		if err := twigm.CheckNameIDs(ev); err != nil {
+			return err
+		}
 		rt.prun.StartElement(ev)
 		slots = rt.startSubscribers(ev)
 	case sax.EndElement:
@@ -900,36 +905,19 @@ func (rt *router) route(ev *sax.Event, idx int64) error {
 // that must see a start-element event: subscribers of the element name,
 // wildcard machines and subscribers of any attribute name present. Delivery
 // is in machine order, matching what a broadcast fan-out would do, so
-// interleavings are reproducible. An event without routing information (a
-// name without a symbol ID) goes to every machine.
+// interleavings are reproducible.
 //
 //vitex:hotpath
 func (rt *router) startSubscribers(ev *sax.Event) []int32 {
 	rt.stamp++
 	out := rt.scratch[:0]
-	broadcast := false
-	if id := ev.NameID; id == sax.SymNone {
-		// Producer without a symbol table: no routing information.
-		broadcast = true
-	} else if id > 0 && int(id) < rt.ep.elemSubs.Len() {
+	if id := ev.NameID; id > 0 && int(id) < rt.ep.elemSubs.Len() {
 		out = rt.appendNew(out, rt.ep.elemSubs.At(int(id)))
 	}
 	for ai := range ev.Attrs {
-		if id := ev.Attrs[ai].NameID; id == sax.SymNone {
-			broadcast = true
-		} else if id > 0 && int(id) < rt.ep.attrSubs.Len() {
+		if id := ev.Attrs[ai].NameID; id > 0 && int(id) < rt.ep.attrSubs.Len() {
 			out = rt.appendNew(out, rt.ep.attrSubs.At(int(id)))
 		}
-	}
-	if broadcast {
-		out = out[:0]
-		for i, run := range rt.runs {
-			if run != nil {
-				out = append(out, int32(i))
-			}
-		}
-		rt.scratch = out
-		return out
 	}
 	out = sortSlots(rt.appendNew(out, rt.ep.wild))
 	rt.scratch = out

@@ -91,7 +91,7 @@ func TestOrderedDeliveryIsSorted(t *testing.T) {
 			t.Fatal(err)
 		}
 		var seqs, offs []int64
-		_, _, err = twigm.Collect(prog, saxtest.PoisonDriver(xmlscan.NewScanner(strings.NewReader(doc))),
+		_, _, err = twigm.Collect(prog, saxtest.PoisonDriver(xmlscan.NewScannerWith(strings.NewReader(doc), prog.Symbols())),
 			twigm.Options{Ordered: true, EmitFrom: func(_ int, r twigm.Result) error {
 				seqs = append(seqs, r.Seq)
 				offs = append(offs, r.NodeOffset)

@@ -44,7 +44,7 @@ func twigmResults(t *testing.T, doc string, q *xpath.Query, opts twigm.Options) 
 	if err != nil {
 		t.Fatalf("compile %s: %v", q, err)
 	}
-	results, _, err := twigm.Collect(prog, saxtest.PoisonDriver(xmlscan.NewScanner(strings.NewReader(doc))), opts)
+	results, _, err := twigm.Collect(prog, saxtest.PoisonDriver(xmlscan.NewScannerWith(strings.NewReader(doc), prog.Symbols())), opts)
 	if err != nil {
 		t.Fatalf("twigm %s: %v", q, err)
 	}
@@ -219,7 +219,7 @@ func TestTickerIncremental(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, stats, err := twigm.Collect(prog, saxtest.PoisonDriver(xmlscan.NewScanner(strings.NewReader(doc))), twigm.Options{})
+	results, stats, err := twigm.Collect(prog, saxtest.PoisonDriver(xmlscan.NewScannerWith(strings.NewReader(doc), prog.Symbols())), twigm.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +252,7 @@ func TestNaiveExplodesTwigMDoesNot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, stats, err := twigm.Collect(prog, saxtest.PoisonDriver(xmlscan.NewScanner(strings.NewReader(doc))), twigm.Options{})
+	results, stats, err := twigm.Collect(prog, saxtest.PoisonDriver(xmlscan.NewScannerWith(strings.NewReader(doc), prog.Symbols())), twigm.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +277,7 @@ func TestMalformedInputFailsCleanly(t *testing.T) {
 	}
 	prog := twigm.MustCompile("//a")
 	for _, doc := range docs {
-		_, _, err := twigm.Collect(prog, saxtest.PoisonDriver(xmlscan.NewScanner(strings.NewReader(doc))), twigm.Options{})
+		_, _, err := twigm.Collect(prog, saxtest.PoisonDriver(xmlscan.NewScannerWith(strings.NewReader(doc), prog.Symbols())), twigm.Options{})
 		if err == nil {
 			t.Fatalf("no error for malformed %q", doc)
 		}

@@ -92,10 +92,10 @@ func (q *qnode) matchesElem(ev *sax.Event) bool {
 	if q.name == "*" {
 		return true
 	}
-	if q.local != ev.LocalName() {
+	if q.local != ev.Local {
 		return false
 	}
-	return q.prefix == "" || q.prefix == ev.PrefixName()
+	return q.prefix == "" || q.prefix == ev.Prefix
 }
 
 // matchesAttr is matchesElem for attributes; namespace declarations never
@@ -104,10 +104,10 @@ func (q *qnode) matchesAttr(a *sax.Attr) bool {
 	if a.IsNamespaceDecl() {
 		return false
 	}
-	if q.local != a.LocalName() {
+	if q.local != a.Local {
 		return false
 	}
-	return q.prefix == "" || q.prefix == a.PrefixName()
+	return q.prefix == "" || q.prefix == a.Prefix
 }
 
 // Compile flattens the query tree in pre-order. It returns ErrUnsupported

@@ -80,29 +80,16 @@ type Attr struct {
 	// delivered the owning event returns.
 	Value string
 	// Prefix and Local are the namespace prefix (empty when none) and the
-	// local part of Name. Producers in this repository always populate
-	// Local; consumers use LocalName, which falls back to splitting Name
-	// for hand-built attrs.
+	// local part of Name. A producer always fills both; consumers read them
+	// and never split Name.
 	Prefix string
 	Local  string
 	// NameID is the Symbols ID of the LOCAL name when the producer interns
 	// against a table (SymNone when it does not, SymUnknown when the name
 	// is not in the table). Namespace-declaration attributes (xmlns,
-	// xmlns:p) always carry SymUnknown: they are namespace machinery, not
-	// query-matchable data. See Event.NameID.
+	// xmlns:p) carry SymUnknown under a table: they are namespace
+	// machinery, not query-matchable data. See Event.NameID.
 	NameID int32
-}
-
-// LocalName returns the attribute's local name, splitting Name when the
-// producer did not populate Local.
-//
-//vitex:hotpath
-func (a *Attr) LocalName() string {
-	if a.Local != "" {
-		return a.Local
-	}
-	_, local := SplitName(a.Name)
-	return local
 }
 
 // IsNamespaceDecl reports whether the attribute is a namespace declaration
@@ -171,19 +158,20 @@ type Event struct {
 	Name string
 	// Prefix and Local split Name at its namespace colon (Prefix is empty
 	// for unprefixed names). Name tests match on the local name; a
-	// prefixed test additionally requires the prefix. Producers in this
-	// repository always populate Local; consumers use LocalName, which
-	// falls back to splitting Name for hand-built events. The encoding/xml
-	// reference producer (saxtest.StdDriver) reconstructs the lexical prefix
-	// from the in-scope namespace declarations, so it agrees with the scanner.
+	// prefixed test additionally requires the prefix. A producer always
+	// fills both for StartElement/EndElement; consumers read them and
+	// never split Name. The encoding/xml reference producer
+	// (saxtest.StdDriver) reconstructs the lexical prefix from the in-scope
+	// namespace declarations, so it agrees with the scanner.
 	Prefix string
 	Local  string
 	// NameID is the Symbols ID of the LOCAL name for
 	// StartElement/EndElement when the producer was constructed with a
 	// Symbols table: a positive ID for interned names, SymUnknown for names
 	// absent from the table, SymNone (the zero value) when the producer
-	// does not intern at all. Consumers compiled against the same table may
-	// dispatch on it directly; they must fall back to Name for SymNone.
+	// does not intern at all. Consumers compiled against the same table
+	// dispatch on it directly, and refuse a start tag carrying SymNone
+	// (twigm.ErrNoNameID).
 	NameID int32
 	// Depth is the element depth for StartElement/EndElement (root = 1)
 	// and the text-node depth (parent depth + 1) for Text.
@@ -202,41 +190,6 @@ type Event struct {
 	// does not number its events; such a producer omits none, and a consumer
 	// counts them itself.
 	Ordinal int64
-}
-
-// LocalName returns the element's local name, splitting Name when the
-// producer did not populate Local.
-//
-//vitex:hotpath
-func (ev *Event) LocalName() string {
-	if ev.Local != "" {
-		return ev.Local
-	}
-	_, local := SplitName(ev.Name)
-	return local
-}
-
-// PrefixName returns the element's namespace prefix ("" when none),
-// splitting Name when the producer did not populate Local.
-//
-//vitex:hotpath
-func (ev *Event) PrefixName() string {
-	if ev.Local != "" {
-		return ev.Prefix
-	}
-	prefix, _ := SplitName(ev.Name)
-	return prefix
-}
-
-// PrefixName returns the attribute's namespace prefix ("" when none).
-//
-//vitex:hotpath
-func (a *Attr) PrefixName() string {
-	if a.Local != "" {
-		return a.Prefix
-	}
-	prefix, _ := SplitName(a.Name)
-	return prefix
 }
 
 // Handler consumes a stream of events, delivered in document order in

@@ -36,9 +36,9 @@ func (p poisoner) HandleBatch(evs []sax.Event) error {
 		scribble(ev.Text)
 		for j := range ev.Attrs {
 			scribble(ev.Attrs[j].Value)
-			ev.Attrs[j] = sax.Attr{Name: "POISONED", Value: "POISONED", NameID: sax.SymUnknown}
+			ev.Attrs[j] = sax.Attr{Name: "POISONED", Value: "POISONED", Prefix: "POISONED", Local: "POISONED", NameID: sax.SymUnknown}
 		}
-		*ev = sax.Event{Kind: sax.Kind(0xFF), Name: "POISONED", Depth: -1, Text: "POISONED", Offset: -1}
+		*ev = sax.Event{Kind: sax.Kind(0xFF), Name: "POISONED", Prefix: "POISONED", Local: "POISONED", Depth: -1, Text: "POISONED", Offset: -1}
 	}
 	return err
 }

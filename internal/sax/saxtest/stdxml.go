@@ -52,7 +52,8 @@ type qname struct {
 	id     int32
 }
 
-// NewStdDriver returns a Driver backed by encoding/xml.
+// NewStdDriver returns a Driver backed by encoding/xml that stamps no name
+// IDs (sax.SymNone): for comparing event streams, not for driving a machine.
 func NewStdDriver(r io.Reader) *StdDriver { return &StdDriver{r: r} }
 
 // NewStdDriverWith returns a Driver backed by encoding/xml that resolves

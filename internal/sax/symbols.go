@@ -5,8 +5,8 @@ import "sync"
 // Symbol-ID sentinels carried in Event.NameID and Attr.NameID.
 const (
 	// SymNone is the zero value: the producer did not intern this name
-	// (hand-built events, adapters without a table). Consumers that
-	// dispatch on IDs must fall back to the string name.
+	// (hand-built events, adapters without a table). A consumer that
+	// dispatches on IDs refuses it: the name could match nothing.
 	SymNone int32 = 0
 	// SymUnknown marks a name the producer looked up in its Symbols table
 	// and did not find. Because every name a compiled query can match is

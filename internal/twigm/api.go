@@ -7,8 +7,9 @@ import (
 )
 
 // Collect runs the machine over a full document and returns every solution.
-// It is the batch convenience API; streaming consumers should wire their
-// own Options.EmitFrom and drive the Run as a sax.Handler.
+// d must stamp the program's name IDs: build it on p.Symbols(). It is the
+// batch convenience API; streaming consumers should wire their own
+// Options.EmitFrom and drive the Run as a sax.Handler.
 func Collect(p *Program, d sax.Driver, opts Options) ([]Result, Stats, error) {
 	var results []Result
 	userEmit := opts.EmitFrom

@@ -177,16 +177,18 @@ func (e *CompileError) Error() string { return "twigm: " + e.Msg }
 
 // Compile builds a TwigM machine from a parsed query with a private symbol
 // table. Build time is linear in the query size (paper §2, claim 2;
-// benchmarked by E7).
+// benchmarked by E7). Drive it with a front-end built on that table
+// (xmlscan.NewScannerWith(r, p.Symbols())).
 func Compile(q *xpath.Query) (*Program, error) {
 	return CompileWith(q, sax.NewSymbols())
 }
 
 // CompileWith builds a TwigM machine whose names are interned into the
 // shared table syms, so several programs can dispatch events from one
-// symbol-aware scanner. Pass the same table to the scanner (or to
-// engine-level routing) that feeds the machine; a nil syms gets a private
-// table.
+// scanner. Build the front-end that feeds the machine on the same table
+// (xmlscan.NewScannerWith(r, syms)): a run dispatches by name ID only, and
+// refuses a start tag without one (ErrNoNameID). A nil syms gets a
+// private table.
 func CompileWith(q *xpath.Query, syms *sax.Symbols) (*Program, error) {
 	if syms == nil {
 		syms = sax.NewSymbols()
@@ -507,7 +509,8 @@ func (p *Program) lookup(t *dispatchTable, id int32) []int32 {
 	return p.ints[t.firsts[lo]:t.firsts[lo+1]:t.firsts[lo+1]]
 }
 
-// Symbols returns the table the program's names are interned in.
+// Symbols returns the table the program's names are interned in: the table
+// to build the program's front-end on (xmlscan.NewScannerWith).
 func (p *Program) Symbols() *sax.Symbols { return p.syms }
 
 // MustCompile compiles a query string, panicking on error (tests/examples).

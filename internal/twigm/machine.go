@@ -1,6 +1,7 @@
 package twigm
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"strings"
@@ -338,9 +339,41 @@ func (r *Run) LiveEntries() int { return r.liveEntries }
 //vitex:hotpath
 func (r *Run) WantsText() bool { return r.textEntries > 0 || r.prog.rootText }
 
+// ErrNoNameID fails an evaluation that is handed a start tag, or an
+// attribute, without its name ID (sax.SymNone): its front-end was not built
+// on the program's symbol table (xmlscan.NewScannerWith(r, p.Symbols())).
+// Machines dispatch by name ID only, so such a tag could match nothing.
+var ErrNoNameID = errors.New("twigm: start tag without a name ID (build the front-end on the program's symbol table)")
+
+// CheckNameIDs returns an error wrapping ErrNoNameID when start tag ev, or
+// one of its attributes, carries no name ID. The entry points of dispatch
+// call it, Run.HandleBatch and the engine's router; the machines trust them.
+//
+//vitex:hotpath
+func CheckNameIDs(ev *sax.Event) error {
+	if ev.NameID == sax.SymNone {
+		return noNameID(ev.Name, "")
+	}
+	for i := range ev.Attrs {
+		if ev.Attrs[i].NameID == sax.SymNone {
+			return noNameID(ev.Name, ev.Attrs[i].Name)
+		}
+	}
+	return nil
+}
+
+// noNameID builds CheckNameIDs' error, off its hot path.
+func noNameID(elem, attr string) error {
+	if attr != "" {
+		return fmt.Errorf("%w: attribute %s of <%s>", ErrNoNameID, attr, elem)
+	}
+	return fmt.Errorf("%w: <%s>", ErrNoNameID, elem)
+}
+
 // HandleBatch implements sax.Handler: a Run driven directly by a front-end
 // (no engine in between) sees every event, counts them itself and drives its
-// recorder exactly as the engine's router drives a shared one.
+// recorder exactly as the engine's router drives a shared one. It refuses a
+// start tag without its name ID (ErrNoNameID).
 //
 //vitex:hotpath
 func (r *Run) HandleBatch(evs []sax.Event) error {
@@ -349,6 +382,11 @@ func (r *Run) HandleBatch(evs []sax.Event) error {
 	}
 	for i := range evs {
 		ev := &evs[i]
+		if ev.Kind == sax.StartElement {
+			if err := CheckNameIDs(ev); err != nil {
+				return err
+			}
+		}
 		r.rec.Before(ev)
 		if err := r.handle(ev); err != nil {
 			return err
@@ -389,28 +427,16 @@ func (r *Run) fail(err error) {
 
 // ---- event dispatch ----
 
-// symbol returns a name's symbol ID: the one its event carries, or, when its
-// producer interns nothing (sax.SymNone), its local name's in the program's
-// table. Names dispatch by LOCAL name; prefixed tests re-check the prefix.
+// attrMatches reports whether attribute a is one machine node m names.
+// Namespace declarations (xmlns, xmlns:p) never match: they are namespace
+// machinery, not data.
 //
 //vitex:hotpath
-func (p *Program) symbol(id int32, local string) int32 {
-	if id == sax.SymNone {
-		return p.syms.ID(local)
-	}
-	return id
-}
-
-// attrMatches reports whether attribute a, whose local name has symbol ID
-// id, is one machine node m names. Namespace declarations (xmlns, xmlns:p)
-// never match: they are namespace machinery, not data.
-//
-//vitex:hotpath
-func (p *Program) attrMatches(a *sax.Attr, id int32, m *node) bool {
-	if a.IsNamespaceDecl() || id != m.nameID {
+func (p *Program) attrMatches(a *sax.Attr, m *node) bool {
+	if a.IsNamespaceDecl() || a.NameID != m.nameID {
 		return false
 	}
-	return m.prefix.n == 0 || p.str(m.prefix) == a.PrefixName()
+	return m.prefix.n == 0 || p.str(m.prefix) == a.Prefix
 }
 
 // elemNodes returns the ids of the element machine nodes the event's local
@@ -418,7 +444,7 @@ func (p *Program) attrMatches(a *sax.Attr, id int32, m *node) bool {
 //
 //vitex:hotpath
 func (r *Run) elemNodes(ev *sax.Event) []int32 {
-	return r.prog.lookup(&r.prog.elems, r.prog.symbol(ev.NameID, ev.LocalName()))
+	return r.prog.lookup(&r.prog.elems, ev.NameID)
 }
 
 // ---- event processing ----
@@ -445,9 +471,8 @@ func (r *Run) startElement(ev *sax.Event) {
 	// element itself; descendant axis: self-or-ancestor owners).
 	for ai := range ev.Attrs {
 		a := &ev.Attrs[ai]
-		id := p.symbol(a.NameID, a.LocalName())
-		for _, mi := range p.lookup(&p.attrs, id) {
-			if m := &p.nodes[mi]; p.attrMatches(a, id, m) {
+		for _, mi := range p.lookup(&p.attrs, a.NameID) {
+			if m := &p.nodes[mi]; p.attrMatches(a, m) {
 				r.attrEvent(m, a.Value, ai, ev)
 			}
 		}
@@ -468,7 +493,7 @@ func (r *Run) startElement(ev *sax.Event) {
 //
 //vitex:hotpath
 func (r *Run) tryPush(m *node, ev *sax.Event) {
-	if m.prefix.n > 0 && r.prog.str(m.prefix) != ev.PrefixName() {
+	if m.prefix.n > 0 && r.prog.str(m.prefix) != ev.Prefix {
 		return
 	}
 	d := ev.Depth
@@ -556,7 +581,7 @@ func (r *Run) attrFlagsAtPush(m *node, ev *sax.Event) uint64 {
 		}
 		for ai := range ev.Attrs {
 			a := &ev.Attrs[ai]
-			if p.attrMatches(a, p.symbol(a.NameID, a.LocalName()), c) {
+			if p.attrMatches(a, c) {
 				if p.cmpOK(c, a.Value) {
 					flags |= 1 << uint(c.childIdx)
 				}

@@ -13,7 +13,7 @@ import (
 func fragments(t *testing.T, doc, query string) []string {
 	t.Helper()
 	prog := MustCompile(query)
-	results, _, err := Collect(prog, saxtest.PoisonDriver(xmlscan.NewScanner(strings.NewReader(doc))), Options{})
+	results, _, err := Collect(prog, saxtest.PoisonDriver(xmlscan.NewScannerWith(strings.NewReader(doc), prog.Symbols())), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestRecorderBufferResetsBetweenFragments(t *testing.T) {
 		doc.WriteString("<a>payload</a>")
 	}
 	doc.WriteString("</r>")
-	_, stats, err := Collect(prog, saxtest.PoisonDriver(xmlscan.NewScanner(strings.NewReader(doc.String()))), Options{})
+	_, stats, err := Collect(prog, saxtest.PoisonDriver(xmlscan.NewScannerWith(strings.NewReader(doc.String()), prog.Symbols())), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestRecorderSharedBufferOverlap(t *testing.T) {
 	// fragment's length, not the sum of both.
 	doc := "<r><a><a>abcdefghij</a></a></r>"
 	prog := MustCompile("//a")
-	results, stats, err := Collect(prog, saxtest.PoisonDriver(xmlscan.NewScanner(strings.NewReader(doc))), Options{})
+	results, stats, err := Collect(prog, saxtest.PoisonDriver(xmlscan.NewScannerWith(strings.NewReader(doc), prog.Symbols())), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestRecorderDiscardedCandidateFreesSlot(t *testing.T) {
 	// reset its buffer once nothing is recording.
 	doc := "<r>" + strings.Repeat("<a><big>xxxxxxxxxxxxxxxxxxxxxxxx</big></a>", 20) + "<a><big>y</big><p/></a></r>"
 	prog := MustCompile("//a[p]/big")
-	results, stats, err := Collect(prog, saxtest.PoisonDriver(xmlscan.NewScanner(strings.NewReader(doc))), Options{})
+	results, stats, err := Collect(prog, saxtest.PoisonDriver(xmlscan.NewScannerWith(strings.NewReader(doc), prog.Symbols())), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestRecorderDeepFragment(t *testing.T) {
 
 func TestValueCandidatesSkipRecorder(t *testing.T) {
 	prog := MustCompile("//a/@id")
-	_, stats, err := Collect(prog, saxtest.PoisonDriver(xmlscan.NewScanner(strings.NewReader(`<r><a id="7"><huge>payload</huge></a></r>`))), Options{})
+	_, stats, err := Collect(prog, saxtest.PoisonDriver(xmlscan.NewScannerWith(strings.NewReader(`<r><a id="7"><huge>payload</huge></a></r>`), prog.Symbols())), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -145,7 +145,7 @@ func TestNumericWhitespaceCoercion(t *testing.T) {
 func TestCountOnlyOrdered(t *testing.T) {
 	prog := MustCompile("//a[p]/b")
 	doc := "<r><a><b/><b/><p/></a></r>"
-	results, stats, err := Collect(prog, saxtest.PoisonDriver(xmlscan.NewScanner(strings.NewReader(doc))),
+	results, stats, err := Collect(prog, saxtest.PoisonDriver(xmlscan.NewScannerWith(strings.NewReader(doc), prog.Symbols())),
 		Options{CountOnly: true, Ordered: true})
 	if err != nil {
 		t.Fatal(err)

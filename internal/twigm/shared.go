@@ -107,10 +107,10 @@ func ProfileString(steps []TrieStep) string {
 //
 //vitex:cow
 type trieNode struct {
-	step          TrieStep
-	prefix, local string  // the step's name test split
-	parent        int32   // -1 for steps from the document node
-	children      []int32 // node IDs, used only for graft matching
+	step     TrieStep
+	prefix   string  // the step's name test's prefix ("" for none)
+	parent   int32   // -1 for steps from the document node
+	children []int32 // node IDs, used only for graft matching
 	// refs counts the live queries whose anchor path passes through this
 	// node; 0 marks a dead (pruned) node awaiting compaction.
 	refs int32
@@ -240,8 +240,8 @@ func (t *Trie) graft(steps []TrieStep) int32 {
 		id := t.findChild(parent, st)
 		if id < 0 {
 			id = int32(len(t.nodes))
-			prefix, local := sax.SplitName(st.Name)
-			t.nodes = append(t.nodes, trieNode{step: st, prefix: prefix, local: local, parent: parent})
+			prefix, _ := sax.SplitName(st.Name)
+			t.nodes = append(t.nodes, trieNode{step: st, prefix: prefix, parent: parent})
 			if parent < 0 {
 				// Appends may share backing arrays with older tries; they
 				// only ever write past those tries' lengths.
@@ -426,7 +426,8 @@ func (pr *PrefixRun) Pushes() int64 { return pr.pushes }
 func (pr *PrefixRun) HasOpen() bool { return len(pr.open) > 0 }
 
 // StartElement pushes entries for every trie node the event's element
-// path-matches. Must run before residual machines see the event (anchored
+// path-matches, found by the event's name ID (the router refuses a start tag
+// without one). Must run before residual machines see the event (anchored
 // child-axis attribute tests read the entry pushed for their owner).
 //
 //vitex:hotpath
@@ -436,34 +437,23 @@ func (pr *PrefixRun) StartElement(ev *sax.Event) {
 		return
 	}
 	d := int32(ev.Depth)
-	if id := ev.NameID; id == sax.SymNone {
-		// Producer without a symbol table: match every live node by name
-		// (engine front-ends always intern; this is the conservative
-		// fallback for alternative drivers).
-		for nid := range t.nodes {
-			pr.tryPush(int32(nid), ev, d, true)
-		}
-		return
-	} else if id > 0 && int(id) < t.elem.Len() {
+	if id := ev.NameID; id > 0 && int(id) < t.elem.Len() {
 		for _, nid := range t.elem.At(int(id)) {
-			pr.tryPush(nid, ev, d, false)
+			pr.tryPush(nid, ev, d)
 		}
 	}
 	for _, nid := range t.wild {
-		pr.tryPush(nid, ev, d, false)
+		pr.tryPush(nid, ev, d)
 	}
 }
 
 //vitex:hotpath
-func (pr *PrefixRun) tryPush(nid int32, ev *sax.Event, d int32, checkName bool) {
+func (pr *PrefixRun) tryPush(nid int32, ev *sax.Event, d int32) {
 	n := &pr.trie.nodes[nid]
 	if n.refs <= 0 {
 		return
 	}
-	if checkName && n.step.NameID != sax.SymNone && n.local != ev.LocalName() {
-		return
-	}
-	if n.prefix != "" && n.prefix != ev.PrefixName() {
+	if n.prefix != "" && n.prefix != ev.Prefix {
 		return
 	}
 	if n.parent < 0 {

@@ -11,7 +11,7 @@ import (
 func TestTracePaperExample(t *testing.T) {
 	var log strings.Builder
 	prog := MustCompile(datagen.PaperQuery)
-	_, _, err := Collect(prog, xmlscan.NewScanner(strings.NewReader(datagen.PaperFigure1)),
+	_, _, err := Collect(prog, xmlscan.NewScannerWith(strings.NewReader(datagen.PaperFigure1), prog.Symbols()),
 		Options{Trace: &log})
 	if err != nil {
 		t.Fatal(err)
@@ -49,7 +49,7 @@ func TestTraceDropAndPrune(t *testing.T) {
 	var log strings.Builder
 	prog := MustCompile("//a[@k='1']/b")
 	doc := `<r><a k="2"><b/></a><a><b/></a><a k="1"><b/></a></r>`
-	results, _, err := Collect(prog, xmlscan.NewScanner(strings.NewReader(doc)), Options{Trace: &log})
+	results, _, err := Collect(prog, xmlscan.NewScannerWith(strings.NewReader(doc), prog.Symbols()), Options{Trace: &log})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestTraceDroppedCandidate(t *testing.T) {
 	var log strings.Builder
 	prog := MustCompile("//a[p]/b")
 	doc := `<r><a><b/></a></r>` // no p: the b candidate must drop
-	_, _, err := Collect(prog, xmlscan.NewScanner(strings.NewReader(doc)), Options{Trace: &log})
+	_, _, err := Collect(prog, xmlscan.NewScannerWith(strings.NewReader(doc), prog.Symbols()), Options{Trace: &log})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestTraceDroppedCandidate(t *testing.T) {
 func TestNoTraceNoOutput(t *testing.T) {
 	// Nil trace must be silent and cost nothing (smoke: just run).
 	prog := MustCompile("//a")
-	if _, _, err := Collect(prog, xmlscan.NewScanner(strings.NewReader("<a/>")), Options{}); err != nil {
+	if _, _, err := Collect(prog, xmlscan.NewScannerWith(strings.NewReader("<a/>"), prog.Symbols()), Options{}); err != nil {
 		t.Fatal(err)
 	}
 }

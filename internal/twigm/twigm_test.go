@@ -16,7 +16,7 @@ import (
 func runQuery(t *testing.T, doc, query string, opts Options) []string {
 	t.Helper()
 	prog := MustCompile(query)
-	results, _, err := Collect(prog, saxtest.PoisonDriver(xmlscan.NewScanner(strings.NewReader(doc))), opts)
+	results, _, err := Collect(prog, saxtest.PoisonDriver(xmlscan.NewScannerWith(strings.NewReader(doc), prog.Symbols())), opts)
 	if err != nil {
 		t.Fatalf("%s over %q: %v", query, doc, err)
 	}
@@ -225,7 +225,7 @@ func TestRootEdgeCases(t *testing.T) {
 func TestCountOnlyMode(t *testing.T) {
 	prog := MustCompile("//a")
 	doc := "<r><a/><a><a/></a></r>"
-	results, stats, err := Collect(prog, saxtest.PoisonDriver(xmlscan.NewScanner(strings.NewReader(doc))), Options{CountOnly: true})
+	results, stats, err := Collect(prog, saxtest.PoisonDriver(xmlscan.NewScannerWith(strings.NewReader(doc), prog.Symbols())), Options{CountOnly: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +248,7 @@ func TestOrderedDelivery(t *testing.T) {
 	doc := "<r><a><b>one</b><b>two</b><p/></a></r>"
 	prog := MustCompile("//a[p]/b")
 	var seqs []int64
-	_, _, err := Collect(prog, saxtest.PoisonDriver(xmlscan.NewScanner(strings.NewReader(doc))),
+	_, _, err := Collect(prog, saxtest.PoisonDriver(xmlscan.NewScannerWith(strings.NewReader(doc), prog.Symbols())),
 		Options{Ordered: true, EmitFrom: func(_ int, res Result) error {
 			seqs = append(seqs, res.Seq)
 			return nil
@@ -267,7 +267,7 @@ func TestIncrementalConfirmation(t *testing.T) {
 	// (§1 requirement 2).
 	doc := "<r><a><p/><b>x</b></a>" + strings.Repeat("<pad/>", 100) + "</r>"
 	prog := MustCompile("//a[p]/b")
-	results, stats, err := Collect(prog, saxtest.PoisonDriver(xmlscan.NewScanner(strings.NewReader(doc))), Options{})
+	results, stats, err := Collect(prog, saxtest.PoisonDriver(xmlscan.NewScannerWith(strings.NewReader(doc), prog.Symbols())), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +286,7 @@ func TestEagerAblationDelaysButPreserves(t *testing.T) {
 	doc := "<r><a><p/><b>x</b></a></r>"
 	prog := MustCompile("//a[p]/b")
 	run := func(opts Options) Result {
-		results, _, err := Collect(prog, saxtest.PoisonDriver(xmlscan.NewScanner(strings.NewReader(doc))), opts)
+		results, _, err := Collect(prog, saxtest.PoisonDriver(xmlscan.NewScannerWith(strings.NewReader(doc), prog.Symbols())), opts)
 		if err != nil || len(results) != 1 {
 			t.Fatalf("results=%v err=%v", results, err)
 		}
@@ -305,14 +305,14 @@ func TestEagerAblationDelaysButPreserves(t *testing.T) {
 func TestPruneStats(t *testing.T) {
 	doc := `<r><a id="no"/><a id="yes"/><a/></r>`
 	prog := MustCompile("//a[@id='yes']")
-	_, stats, err := Collect(prog, saxtest.PoisonDriver(xmlscan.NewScanner(strings.NewReader(doc))), Options{})
+	_, stats, err := Collect(prog, saxtest.PoisonDriver(xmlscan.NewScannerWith(strings.NewReader(doc), prog.Symbols())), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if stats.PrunedPushes != 2 { // id="no" and missing id
 		t.Fatalf("pruned = %d, want 2", stats.PrunedPushes)
 	}
-	_, stats2, err := Collect(prog, saxtest.PoisonDriver(xmlscan.NewScanner(strings.NewReader(doc))), Options{DisablePrune: true})
+	_, stats2, err := Collect(prog, saxtest.PoisonDriver(xmlscan.NewScannerWith(strings.NewReader(doc), prog.Symbols())), Options{DisablePrune: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,7 +325,7 @@ func TestEmitErrorAborts(t *testing.T) {
 	prog := MustCompile("//a")
 	doc := "<r><a/><a/></r>"
 	n := 0
-	_, _, err := Collect(prog, saxtest.PoisonDriver(xmlscan.NewScanner(strings.NewReader(doc))),
+	_, _, err := Collect(prog, saxtest.PoisonDriver(xmlscan.NewScannerWith(strings.NewReader(doc), prog.Symbols())),
 		Options{EmitFrom: func(int, Result) error {
 			n++
 			return &CompileError{Msg: "stop now"}
@@ -363,7 +363,7 @@ func TestFragmentSerializationMatchesOracle(t *testing.T) {
 
 func TestStatsSanity(t *testing.T) {
 	prog := MustCompile(datagen.PaperQuery)
-	_, stats, err := Collect(prog, saxtest.PoisonDriver(xmlscan.NewScanner(strings.NewReader(datagen.PaperFigure1))), Options{})
+	_, stats, err := Collect(prog, saxtest.PoisonDriver(xmlscan.NewScannerWith(strings.NewReader(datagen.PaperFigure1), prog.Symbols())), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -424,7 +424,7 @@ func TestTooManyPredicateBranches(t *testing.T) {
 func TestReusableProgram(t *testing.T) {
 	prog := MustCompile("//a")
 	for i := 0; i < 3; i++ {
-		results, _, err := Collect(prog, saxtest.PoisonDriver(xmlscan.NewScanner(strings.NewReader("<r><a/></r>"))), Options{})
+		results, _, err := Collect(prog, saxtest.PoisonDriver(xmlscan.NewScannerWith(strings.NewReader("<r><a/></r>"), prog.Symbols())), Options{})
 		if err != nil || len(results) != 1 {
 			t.Fatalf("iteration %d: results=%v err=%v", i, results, err)
 		}
@@ -434,11 +434,11 @@ func TestReusableProgram(t *testing.T) {
 func TestStdDriverFrontEnd(t *testing.T) {
 	prog := MustCompile("//a[b]/c")
 	doc := "<r><a><b/><c>k</c></a></r>"
-	r1, _, err := Collect(prog, saxtest.PoisonDriver(xmlscan.NewScanner(strings.NewReader(doc))), Options{})
+	r1, _, err := Collect(prog, saxtest.PoisonDriver(xmlscan.NewScannerWith(strings.NewReader(doc), prog.Symbols())), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, _, err := Collect(prog, saxtest.NewStdDriver(strings.NewReader(doc)), Options{})
+	r2, _, err := Collect(prog, saxtest.NewStdDriverWith(strings.NewReader(doc), prog.Symbols()), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -468,7 +468,7 @@ func TestMemoryBoundedOnWideDocument(t *testing.T) {
 	}
 	b.WriteString("</r>")
 	prog := MustCompile("//a")
-	_, stats, err := Collect(prog, saxtest.PoisonDriver(xmlscan.NewScanner(strings.NewReader(b.String()))), Options{})
+	_, stats, err := Collect(prog, saxtest.PoisonDriver(xmlscan.NewScannerWith(strings.NewReader(b.String()), prog.Symbols())), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

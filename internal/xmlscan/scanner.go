@@ -167,7 +167,9 @@ const maxNameCacheEntries = 1 << 16
 // when a single token exceeds it.
 const DefaultBufferSize = 64 << 10
 
-// NewScanner returns a Scanner reading from r.
+// NewScanner returns a Scanner reading from r. It stamps no name IDs
+// (sax.SymNone), so it feeds consumers of names and text, not a machine:
+// a machine's front-end is NewScannerWith on the machine's table.
 func NewScanner(r io.Reader) *Scanner {
 	return &Scanner{
 		r:          r,
